@@ -23,7 +23,7 @@ use spice::Session;
 use stats::Sampler;
 use std::num::NonZeroUsize;
 use vsbench::microbench::{maybe_write_json, measure, Measurement};
-use vscore::mc::{device_metric_samples, McFactory, P2Quantiles, ParallelRunner, WelfordSink};
+use vscore::mc::{device_metric_samples, McFactory, ParallelRunner, TDigest, VecSink, WelfordSink};
 use vscore::sensitivity::{BsimBuilder, VsBuilder};
 
 fn mc_factory(seed: u64) -> McFactory {
@@ -182,10 +182,10 @@ fn main() {
     // normalized per sample, so aggregate throughput across threads is
     // directly comparable with the single-session baseline above.
     //
-    // The `streaming_1t` entry runs the *identical* build/sample closures
-    // through ParallelRunner::run_streaming into realistic sinks (live
-    // Welford moments + a three-level P² quantile sketch) instead of the
-    // buffered per-sample slots. Peak sample storage drops from O(n) slots
+    // The `parallel_*` entries keep every sample in a `VecSink` (the
+    // buffered shape); the `streaming_1t` entry runs the *identical*
+    // build/sample closures into realistic constant-size sinks (Welford
+    // moments + a t-digest) instead. Peak sample storage drops from O(n)
     // to O(workers + check_every) in-flight records; the per-sample cost
     // must stay within noise of the buffered `parallel_1t` entry (the sink
     // fold is nanoseconds against a ~20 µs DC solve).
@@ -234,11 +234,12 @@ fn main() {
             let mut run_seed = 0u64;
             let m = measure(&format!("sram_dc_mc_batch512/aggregate_{threads}t"), || {
                 run_seed += 1;
+                let mut samples = VecSink::new();
                 let out = ParallelRunner::new(run_seed)
                     .workers(threads)
-                    .run(PAR_BATCH, build, sample)
+                    .run_streaming(PAR_BATCH, build, sample, &mut samples)
                     .expect("replication succeeds");
-                assert_eq!(out.len() + out.failures, PAR_BATCH);
+                assert_eq!(samples.records().len() + out.failures, PAR_BATCH);
             });
             results.push(Measurement {
                 label: format!("sram_dc_sample/parallel_{threads}t"),
@@ -249,7 +250,7 @@ fn main() {
         let mut run_seed = 0u64;
         let m = measure("sram_dc_mc_batch512/aggregate_streaming_1t", || {
             run_seed += 1;
-            let mut sink = (WelfordSink::new(), P2Quantiles::new(&[0.01, 0.5, 0.99]));
+            let mut sink = (WelfordSink::new(), TDigest::new(100.0));
             let out = ParallelRunner::new(run_seed)
                 .workers(1)
                 .run_streaming(PAR_BATCH, build, sample, &mut sink)
@@ -316,7 +317,7 @@ fn main() {
                 &format!("sram_dc_mc_batch512/aggregate_batched_k{k}"),
                 || {
                     run_seed += 1;
-                    let mut sink = (WelfordSink::new(), P2Quantiles::new(&[0.01, 0.5, 0.99]));
+                    let mut sink = (WelfordSink::new(), TDigest::new(100.0));
                     let out = ParallelRunner::new(run_seed)
                         .workers(1)
                         .run_streaming_batched(0, PAR_BATCH, lanes, build, batch, &mut sink)

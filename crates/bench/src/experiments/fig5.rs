@@ -8,6 +8,7 @@ use circuits::cells::InverterSizing;
 use circuits::delay::{DelayBench, GateKind};
 use stats::kde::Kde;
 use stats::Summary;
+use vscore::mc::VecSink;
 
 /// Collects Monte Carlo delay samples for one gate/size/model combination.
 ///
@@ -30,9 +31,10 @@ pub fn delay_samples(
     family: &str,
     seed_salt: u64,
 ) -> (Vec<f64>, usize) {
+    let mut delays = VecSink::new();
     let out = ctx
         .runner(seed_salt)
-        .run_scalar(
+        .run_streaming(
             n,
             |_, setup| {
                 let mut f = ctx.factory(family, setup.clone());
@@ -44,10 +46,10 @@ pub fn delay_samples(
                 let dt = bench.default_dt();
                 bench.measure_delay(dt)
             },
+            &mut delays,
         )
         .expect("bench elaboration is infallible for well-formed sizings");
-    let failures = out.failures;
-    (out.into_values(), failures)
+    (delays.into_values(), out.failures)
 }
 
 /// Regenerates the delay PDFs of Fig. 5.

@@ -8,6 +8,7 @@ use crate::ExperimentContext;
 use circuits::dff::{setup_time, DffBench, DffSizing};
 use stats::kde::Kde;
 use stats::Summary;
+use vscore::mc::VecSink;
 
 /// Transient step for the setup search (coarser than delay benches; the
 /// pass/fail decision tolerates it).
@@ -33,9 +34,10 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
         // reconstruct the netlist from an identically seeded factory at
         // every probe). Sharding is deterministic: sample `i` draws from
         // the `(seed, i)` stream on every worker count.
+        let mut setup_times = VecSink::new();
         let out = ctx
             .runner(0xd1f_f000)
-            .run_scalar(
+            .run_streaming(
                 n,
                 |_, setup| {
                     let mut f = ctx.factory(family, setup.clone());
@@ -51,10 +53,11 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
                     bench.resample(&mut f);
                     setup_time(bench, T_MAX, RESOLUTION, DT)
                 },
+                &mut setup_times,
             )
             .expect("bench elaboration is infallible");
         let failures = out.failures;
-        let samples = out.into_values();
+        let samples = setup_times.into_values();
         let s = Summary::from_slice(&samples);
         let kde = Kde::from_sample(&samples);
         write_csv(

@@ -25,7 +25,7 @@
 //!    design point — failure demands a ≥ 5σ input-space excursion, and
 //!    the proposal mean sits exactly on the failure boundary, so about
 //!    half the weighted samples hit the tail.
-//! 3. **Importance-sample.** `ParallelRunner::run_streaming_is` draws
+//! 3. **Importance-sample.** `ParallelRunner::run_streaming_range` draws
 //!    every mismatch dimension from the mean-shifted proposal (via
 //!    `McFactory::set_proposal_shifts`), streaming `(eye1, log w)`
 //!    records into a `WeightedMoments` tail estimator and a
@@ -181,7 +181,7 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
         WeightedMoments::below(threshold),
         WeightedHistogram::new(hist_lo, hist_hi, 44),
     );
-    let is_out = ctx.runner(0x15b0).run_streaming_is(
+    let is_out = ctx.runner(0x15b0).run_streaming_range(
         0,
         n_is,
         |_, setup| build_bench(ctx, sz, mode, setup),

@@ -18,10 +18,12 @@ use circuits::delay::{DelayBench, GateKind};
 use circuits::dff::{DffBench, DffSizing};
 use circuits::sram::{ReadDisturbBench, SramSizing};
 use std::time::Instant;
+use vscore::mc::VecSink;
 
 /// Runs one family's workload through the parallel executor (one
 /// persistent session per worker: elaborate once, swap devices per
-/// sample); returns (elapsed wall-clock seconds, completed runs).
+/// sample, results kept in a `VecSink`); returns (elapsed wall-clock
+/// seconds, completed runs).
 ///
 /// Both families run on the same worker count, so the VS-vs-kit runtime
 /// ratio — the reproduced claim — is unaffected by the sharding.
@@ -40,7 +42,7 @@ fn run_workload(
     let runner = ctx.runner(0x7ab4);
     let done = match cell {
         "nand2" => runner
-            .run_scalar(
+            .run_streaming(
                 n,
                 |_, setup| {
                     let mut f = ctx.factory(family, setup.clone());
@@ -56,10 +58,11 @@ fn run_workload(
                     b.resample(&mut f);
                     b.measure_delay(2e-12)
                 },
+                &mut VecSink::new(),
             )
-            .map(|o| o.len()),
+            .map(|o| o.observed),
         "dff" => runner
-            .run(
+            .run_streaming(
                 n,
                 |_, setup| {
                     let mut f = ctx.factory(family, setup.clone());
@@ -75,8 +78,9 @@ fn run_workload(
                     b.resample(&mut f);
                     b.captures(4e-12)
                 },
+                &mut VecSink::new(),
             )
-            .map(|o| o.len()),
+            .map(|o| o.observed),
         _ => {
             // The paper's "SRAM AC": small-signal sweep of the read-
             // disturb transfer, 26 log-spaced points per sample, on the
@@ -86,7 +90,7 @@ fn run_workload(
             let sram_freqs = spice::ac::log_sweep(1e6, 1e11, 5);
             let sz = SramSizing::default();
             runner
-                .run(
+                .run_streaming(
                     n,
                     |_, setup| {
                         // Retry non-convergent construction draws; the
@@ -106,8 +110,9 @@ fn run_workload(
                         b.resample(sz, &mut f)?;
                         b.run(&sram_freqs)
                     },
+                    &mut VecSink::new(),
                 )
-                .map(|o| o.len())
+                .map(|o| o.observed)
         }
     }?;
     Ok((t0.elapsed().as_secs_f64(), done))

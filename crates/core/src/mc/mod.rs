@@ -13,20 +13,21 @@
 //! Either level shards across threads with [`ParallelRunner`] (see
 //! [`parallel`]): each worker owns its elaborated sessions, each sample
 //! draws from a stream derived purely from `(seed, sample index)`, and the
-//! outcome is bit-identical for any worker count. Results either buffer
-//! into an [`McOutcome`] or stream to a [`Sink`] (quantile sketch,
-//! histogram, incremental CSV, live moments) via
+//! outcome is bit-identical for any worker count. Results leave a run one
+//! way — streamed to a [`Sink`] (quantile sketch, histogram, incremental
+//! CSV, moments, or an explicit [`VecSink`] buffer) via
 //! [`ParallelRunner::run_streaming`], which holds O(workers) sample memory
-//! however long the run. Beyond one process,
+//! however long the run; an [`EarlyStop`] rule fanned out next to the
+//! sinks ends a run once the mean is pinned down. Beyond one process,
 //! [`ParallelRunner::run_streaming_range`] executes a disjoint shard of
 //! the index space, and [`ParallelRunner::run_streaming_batched`] hands
 //! batch-capable workers K consecutive indices per claim (tiled as
 //! [`plan_batches`] describes) for K-lane hot paths like
 //! `spice::Session::dc_batch`, so independent processes/machines combine
-//! their
-//! [`MergeableSink`] sketches ([`TDigest`], [`Histogram`],
-//! [`WelfordSink`]) afterwards. `ARCHITECTURE.md` at the repo root
-//! diagrams the data flow.
+//! their [`MergeableSink`] sketches ([`TDigest`], [`Histogram`],
+//! [`WelfordSink`], and the importance-sampling [`WeightedSink`]s fed
+//! `(value, log_weight)` records) afterwards. `ARCHITECTURE.md` at the
+//! repo root diagrams the data flow.
 //!
 //! # Example
 //!
@@ -35,7 +36,7 @@
 //!
 //! ```
 //! use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
-//! use vscore::mc::ParallelRunner;
+//! use vscore::mc::{ParallelRunner, WelfordSink};
 //! use vscore::metrics::DeviceMetrics;
 //! use vscore::sensitivity::{VariedModel, VsBuilder};
 //!
@@ -45,19 +46,21 @@
 //!     geom: Geometry::from_nm(600.0, 40.0),
 //! };
 //! let spec = MismatchSpec::from_paper_units(2.3, 3.71, 3.71, 944.0, 0.29);
-//! let out = ParallelRunner::new(42)
+//! let mut idsat = WelfordSink::new();
+//! ParallelRunner::new(42)
 //!     .workers(2)
-//!     .run_scalar(
+//!     .run_streaming(
 //!         64,
 //!         |_w, _s| Ok::<(), std::convert::Infallible>(()),
 //!         |(), sampler, _i| {
 //!             let delta = spec.sample(builder.geometry(), || sampler.standard_normal());
 //!             Ok(DeviceMetrics::evaluate(builder.build(delta).as_ref(), 0.9).idsat)
 //!         },
+//!         &mut idsat,
 //!     )
 //!     .unwrap();
-//! assert_eq!(out.moments().count(), 64);
-//! assert!(out.moments().std() > 0.0);
+//! assert_eq!(idsat.moments().count(), 64);
+//! assert!(idsat.moments().std() > 0.0);
 //! ```
 
 pub mod manifest;
@@ -65,17 +68,15 @@ pub mod parallel;
 pub mod shard;
 
 pub use manifest::{Manifest, ManifestEntry, ManifestError};
-pub use parallel::{EarlyStop, McOutcome, ParallelRunner, StreamOutcome};
+pub use parallel::{EarlyStop, ParallelRunner, StreamOutcome};
 pub use shard::{plan_batches, plan_shards, BatchPlanError, Shard};
-// The sink vocabulary consumed by `ParallelRunner::run_streaming`, re-
-// exported so Monte Carlo call sites need a single import path.
+// The sink vocabulary consumed by `ParallelRunner`, re-exported so Monte
+// Carlo call sites need a single import path.
 pub use stats::histogram::Histogram;
 pub use stats::importance::{
     ExactSum, GaussianProposal, Statistic, WeightedHistogram, WeightedMoments, WeightedSink,
 };
-pub use stats::sink::{
-    CodecError, CsvSink, MergeableSink, P2Quantiles, Sink, VecSink, WelfordSink, WelfordWatch,
-};
+pub use stats::sink::{CodecError, CsvSink, MergeableSink, Sink, VecSink, WelfordSink};
 pub use stats::tdigest::TDigest;
 
 use crate::metrics::DeviceMetrics;

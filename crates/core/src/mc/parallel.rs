@@ -1,7 +1,12 @@
 //! Work-sharded, deterministic parallel Monte Carlo execution.
 //!
 //! [`ParallelRunner`] spreads the samples of one Monte Carlo experiment
-//! across `std::thread` workers. Three properties shape the design:
+//! across `std::thread` workers. Results leave a run one way: every
+//! successful `(index, record)` pair streams into a [`Sink`] — a quantile
+//! sketch, a histogram, a CSV writer, moments, or a [`stats::sink::VecSink`]
+//! when the empirical sample itself is needed. The returned
+//! [`StreamOutcome`] carries only the run accounting. Four properties shape
+//! the design:
 //!
 //! * **Elaborate once per worker.** Worker state (an elaborated
 //!   [`spice::Session`], a bench, a device factory template) is built once
@@ -12,10 +17,12 @@
 //! * **Thread-count-invariant determinism.** Sample `i` always draws from
 //!   [`stats::Sampler::stream`]`(i)` of the runner's base sampler — a pure
 //!   function of `(seed, i)` — and work is handed out by index from a
-//!   shared counter. Whichever worker happens to execute a sample, it
-//!   computes bit-identical results; 1, 2, or 64 workers produce the same
-//!   sample set. Merged moments reported by [`McOutcome::moments`] are
-//!   accumulated in sample-index order, so they are bit-identical too.
+//!   shared counter. Workers append records to per-worker shards, and at
+//!   every round boundary the coordinating thread folds the shards into the
+//!   sink **in ascending sample-index order**. The sink therefore consumes
+//!   one record sequence: its final state — sketch centroids, histogram
+//!   counts, CSV bytes — is bit-identical for 1, 2, or 64 workers, while
+//!   peak sample storage stays O(workers + check_every) instead of O(n).
 //!
 //!   The guarantee is as strong as the sample closure is pure: if a sample
 //!   reads mutable worker state whose value depends on scheduling history —
@@ -25,71 +32,57 @@
 //!   mismatch draws are exactly the same devices). Call
 //!   [`spice::Session::invalidate_warm_start`] per sample when bit-exact
 //!   reproducibility matters more than the warm-start speedup.
-//! * **Streaming aggregation with optional early stopping.** Workers write
-//!   results into per-sample slots; the coordinating thread folds them into
-//!   a [`Welford`] accumulator at deterministic round boundaries and can
-//!   stop the run once the confidence interval on the mean is tight enough
-//!   ([`EarlyStop`]). Because rounds are fixed multiples of
-//!   [`ParallelRunner::check_every`] samples (independent of the worker
-//!   count), the stopping sample count is deterministic as well.
-//!
-//!   When the sample values themselves should not be buffered —
-//!   million-sample sweeps asking distribution questions —
-//!   [`ParallelRunner::run_streaming`] feeds every `(index, value)` record
-//!   to a [`Sink`] (quantile sketch, histogram, CSV writer, live moments)
-//!   *during* the run: workers append to per-worker shards, and the
-//!   coordinator folds the shards in ascending index order at each round
-//!   boundary, so sink state is bit-identical for any worker count while
-//!   peak sample storage stays O(workers + check_every) instead of O(n).
-//! * **Batched hot paths.** [`ParallelRunner::run_streaming_batched`]
-//!   hands workers *chunks* of K consecutive sample indices at a time, so
-//!   a batch-capable worker (e.g. [`spice::Session::dc_batch`] stamping
-//!   and LU-solving K mismatch lanes at once) amortizes per-sample
-//!   overhead without changing the result: each index still draws its own
-//!   pure `(seed, i)` stream, records still fold in ascending index order,
-//!   and a tail chunk carries exactly the remaining indices — the sink
-//!   state stays bit-identical to the scalar streaming run.
-//! * **Fleet partitioning.** [`ParallelRunner::run_streaming_range`] runs
+//! * **Sink-side stopping.** A full run ([`ParallelRunner::run_streaming`])
+//!   asks its sink [`Sink::satisfied`] at every round boundary and ends
+//!   there once it answers `true`. [`EarlyStop`] is the shipped rule — a
+//!   confidence-interval test on the mean, fanned out next to the real
+//!   sinks. Rounds are fixed multiples of [`ParallelRunner::check_every`]
+//!   samples (independent of the worker count), so the stopping sample
+//!   count is deterministic as well.
+//! * **Shards and batches.** [`ParallelRunner::run_streaming_range`] runs
 //!   one disjoint slice of the sample index space — the same pure
 //!   `(seed, i)` streams, the same index-ordered fold — so N *processes or
 //!   machines* each execute a shard of one experiment and merge their
-//!   [`stats::sink::MergeableSink`] states (t-digest, histogram, Welford)
-//!   afterwards, independent of how the space was partitioned.
+//!   [`stats::sink::MergeableSink`] states afterwards, independent of how
+//!   the space was partitioned. [`ParallelRunner::run_streaming_batched`]
+//!   hands workers *chunks* of K consecutive indices, so a batch-capable
+//!   worker (e.g. [`spice::Session::dc_batch`] stamping and LU-solving K
+//!   mismatch lanes at once) amortizes per-sample overhead without changing
+//!   the result.
+//!
+//! Records are generic: scalar metrics stream as `f64`, scatter
+//! experiments as `(f64, f64)` pairs, and importance-sampling runs as
+//! `(value, log_weight)` records into the weighted sinks.
 //!
 //! # Example
 //!
 //! ```
-//! use vscore::mc::ParallelRunner;
+//! use vscore::mc::{ParallelRunner, VecSink, WelfordSink};
 //!
 //! // Estimate E[X^2] for X ~ N(0,1): worker state is trivial (unit), the
 //! // per-sample closure gets a deterministically derived sampler.
-//! let runner = ParallelRunner::new(7).workers(2);
-//! let out = runner
-//!     .run_scalar(
-//!         400,
-//!         |_worker, _sampler| Ok::<(), std::convert::Infallible>(()),
-//!         |(), sampler, _i| {
-//!             let x = sampler.standard_normal();
-//!             Ok(x * x)
-//!         },
-//!     )
-//!     .unwrap();
-//! let moments = out.moments();
-//! assert_eq!(moments.count(), 400);
-//! assert!((moments.mean() - 1.0).abs() < 0.2);
-//! // Same seed, different worker count: bit-identical outcome.
-//! let again = ParallelRunner::new(7)
-//!     .workers(1)
-//!     .run_scalar(
-//!         400,
-//!         |_, _| Ok::<(), std::convert::Infallible>(()),
-//!         |(), s, _| {
-//!             let x = s.standard_normal();
-//!             Ok(x * x)
-//!         },
-//!     )
-//!     .unwrap();
-//! assert_eq!(moments.mean(), again.moments().mean());
+//! let run = |workers: usize| {
+//!     let mut sink = (VecSink::new(), WelfordSink::new());
+//!     let out = ParallelRunner::new(7)
+//!         .workers(workers)
+//!         .run_streaming(
+//!             400,
+//!             |_worker, _sampler| Ok::<(), std::convert::Infallible>(()),
+//!             |(), sampler, _i| {
+//!                 let x = sampler.standard_normal();
+//!                 Ok(x * x)
+//!             },
+//!             &mut sink,
+//!         )
+//!         .unwrap();
+//!     assert_eq!(out.observed, 400);
+//!     sink
+//! };
+//! let (values, moments) = run(2);
+//! assert!((moments.moments().mean() - 1.0).abs() < 0.2);
+//! // Same seed, different worker count: bit-identical records.
+//! let (again, _) = run(1);
+//! assert_eq!(values.records(), again.records());
 //! ```
 
 use stats::sink::Sink;
@@ -104,39 +97,75 @@ const SHUTDOWN: usize = usize::MAX;
 const WORKER_STREAM_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Adapts a per-sample closure to the chunked `exec` contract of
-/// `run_engine`: for each index of the claimed chunk, derive its pure
-/// `(seed, i)` sampler stream, run the sample, emit the success, count the
-/// failure. Every scalar run flavor is this adapter with stride 1.
+/// [`ParallelRunner::execute`]: for each index of the claimed chunk, derive
+/// its pure `(seed, i)` sampler stream, run the sample, keep the success,
+/// count the failure. Every per-sample entry point is this adapter with
+/// stride 1.
 fn sample_chunk<W, T, E, S>(
     sample: &S,
-    worker: usize,
     state: &mut W,
     base: &Sampler,
     lo: usize,
     hi: usize,
-    emit: &(dyn Fn(usize, usize, T) + Sync),
+    out: &mut Vec<(usize, T)>,
 ) -> usize
 where
-    S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
+    S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E>,
 {
     let mut failed = 0;
     for i in lo..hi {
         let mut s = base.stream(i as u64);
         match sample(state, &mut s, i) {
-            Ok(t) => emit(worker, i, t),
+            Ok(t) => out.push((i, t)),
             Err(_) => failed += 1,
         }
     }
     failed
 }
 
-/// Confidence-interval stopping rule for [`ParallelRunner::run_scalar`].
+/// The exclusive end of the shard `offset .. offset + len`.
 ///
-/// The run ends at the first round boundary where at least `min_samples`
-/// samples have succeeded and the `z`-scaled half-width of the confidence
-/// interval on the mean is below `rel_half_width · |mean|`. A mean of zero
-/// never satisfies the relative criterion; use an absolute transform of the
-/// metric if that can occur.
+/// # Panics
+///
+/// Panics if the end overflows `usize` or reaches `usize::MAX` (reserved as
+/// the engine's shutdown sentinel).
+fn shard_end(offset: usize, len: usize) -> usize {
+    offset
+        .checked_add(len)
+        .filter(|&end| end < usize::MAX)
+        .expect("shard range must end below usize::MAX (the sample index space)")
+}
+
+/// Confidence-interval stopping rule, as a sink.
+///
+/// Fan it out next to the sinks that keep the results — `(EarlyStop, sink)`
+/// — and a full [`ParallelRunner::run_streaming`] ends at the first round
+/// boundary where at least `min_samples` records have arrived and the
+/// `z`-scaled half-width of the confidence interval on their mean is below
+/// `rel_half_width · |mean|`. The rule sees the same index-ordered record
+/// stream as every other sink, so the stopping point is identical for any
+/// worker count. A mean of zero never satisfies the relative criterion;
+/// use an absolute transform of the metric if that can occur.
+///
+/// # Example
+///
+/// ```
+/// use vscore::mc::{EarlyStop, ParallelRunner, VecSink};
+///
+/// let mut sink = (EarlyStop::relative(0.05).min_samples(50), VecSink::new());
+/// let out = ParallelRunner::new(5)
+///     .check_every(50)
+///     .run_streaming(
+///         100_000,
+///         |_, _| Ok::<(), std::convert::Infallible>(()),
+///         |(), s, _| Ok(10.0 + s.standard_normal()),
+///         &mut sink,
+///     )
+///     .unwrap();
+/// // The 5% interval on N(10, 1) closes after one 50-sample round.
+/// assert_eq!(out.attempted, 50);
+/// assert_eq!(sink.1.records().len(), 50);
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct EarlyStop {
     /// Target half-width of the CI, relative to the absolute mean.
@@ -145,6 +174,8 @@ pub struct EarlyStop {
     pub z: f64,
     /// Minimum number of successful samples before stopping is considered.
     pub min_samples: usize,
+    /// Moments of the records observed so far, in index order.
+    watched: Welford,
 }
 
 impl EarlyStop {
@@ -156,6 +187,7 @@ impl EarlyStop {
             rel_half_width,
             z: 1.96,
             min_samples: 64,
+            watched: Welford::new(),
         }
     }
 
@@ -172,120 +204,34 @@ impl EarlyStop {
         self.z = z;
         self
     }
+}
 
-    /// True when the accumulated moments meet the stopping criterion.
-    ///
-    /// This is *the* predicate both execution paths evaluate at round
-    /// boundaries — the buffered `run_scalar` and the streaming
-    /// `run_streaming` stay bit-identical because they share it, and
-    /// external progress loops (e.g. polling a
-    /// [`stats::sink::WelfordWatch`]) can reuse it verbatim.
-    #[must_use]
-    pub fn satisfied(&self, watched: &Welford) -> bool {
-        watched.count() >= self.min_samples as u64
-            && watched.ci_half_width(self.z) <= self.rel_half_width * watched.mean().abs()
+impl Sink for EarlyStop {
+    fn observe(&mut self, _index: usize, value: f64) {
+        self.watched.push(value);
+    }
+
+    fn satisfied(&self) -> bool {
+        let w = &self.watched;
+        w.count() >= self.min_samples as u64
+            && w.ci_half_width(self.z) <= self.rel_half_width * w.mean().abs()
     }
 }
 
-/// Outcome of a parallel Monte Carlo run.
-///
-/// Successful samples are stored as `(index, value)` pairs sorted by sample
-/// index; failed samples (the `sample` closure returned `Err`) are counted
-/// in `failures` and omitted, matching the skip-and-count convention of the
-/// sequential experiment loops.
-#[derive(Debug, Clone)]
-pub struct McOutcome<T> {
-    samples: Vec<(usize, T)>,
-    /// Samples whose closure returned an error (functional failures under
-    /// extreme mismatch, non-convergence, ...).
-    pub failures: usize,
-    /// Number of sample indices actually scheduled — equals the requested
-    /// count unless an [`EarlyStop`] rule ended the run sooner.
-    pub attempted: usize,
-    /// Worker threads the run executed on.
-    pub workers: usize,
-}
-
-impl<T> McOutcome<T> {
-    /// Number of successful samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no sample succeeded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The `(sample index, value)` pairs, ascending by index.
-    #[must_use]
-    pub fn samples(&self) -> &[(usize, T)] {
-        &self.samples
-    }
-
-    /// Successful sample values in index order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.samples.iter().map(|(_, t)| t)
-    }
-
-    /// Consumes the outcome into the values in index order.
-    #[must_use]
-    pub fn into_values(self) -> Vec<T> {
-        self.samples.into_iter().map(|(_, t)| t).collect()
-    }
-}
-
-impl McOutcome<f64> {
-    /// Streaming moments of the successful samples, accumulated in sample-
-    /// index order — bit-identical for any worker count.
-    #[must_use]
-    pub fn moments(&self) -> Welford {
-        let mut w = Welford::new();
-        for (_, x) in &self.samples {
-            w.push(*x);
-        }
-        w
-    }
-}
-
-/// Summary of a streaming Monte Carlo run — the counterpart of
-/// [`McOutcome`] when results flow to a [`Sink`] during the run instead of
-/// being buffered. The values themselves live in whatever state the sink
-/// kept; this carries the run accounting and the index-ordered moments.
+/// Accounting of a Monte Carlo run. The results themselves live in the
+/// sink the run fed.
 #[derive(Debug, Clone)]
 pub struct StreamOutcome {
     /// Samples whose closure returned an error (functional failures under
     /// extreme mismatch, non-convergence, ...).
     pub failures: usize,
     /// Number of sample indices actually scheduled — equals the requested
-    /// count unless an [`EarlyStop`] rule ended the run sooner.
+    /// count unless the sink's stopping rule ended the run sooner.
     pub attempted: usize,
     /// Worker threads the run executed on.
     pub workers: usize,
     /// Successful samples handed to the sink.
     pub observed: usize,
-    moments: Welford,
-}
-
-impl StreamOutcome {
-    /// Streaming moments of the observed samples, folded in sample-index
-    /// order — bit-identical to [`McOutcome::moments`] of a buffered
-    /// [`ParallelRunner::run_scalar`] of the same workload, for any worker
-    /// count. Empty for [`ParallelRunner::run_streaming_records`] runs
-    /// (generic records carry no scalar metric).
-    #[must_use]
-    pub fn moments(&self) -> Welford {
-        self.moments
-    }
-}
-
-/// Run accounting shared by the buffered and streaming execution paths.
-struct RunStats {
-    attempted: usize,
-    failures: usize,
-    workers: usize,
 }
 
 /// A deterministic, work-sharded Monte Carlo executor.
@@ -298,7 +244,6 @@ struct RunStats {
 pub struct ParallelRunner {
     workers: usize,
     seed: u64,
-    early_stop: Option<EarlyStop>,
     check_every: usize,
 }
 
@@ -310,7 +255,6 @@ impl ParallelRunner {
         ParallelRunner {
             workers,
             seed,
-            early_stop: None,
             check_every: 256,
         }
     }
@@ -328,24 +272,19 @@ impl ParallelRunner {
         self.workers
     }
 
-    /// Enables confidence-interval early stopping for
-    /// [`ParallelRunner::run_scalar`].
-    #[must_use]
-    pub fn early_stop(mut self, stop: EarlyStop) -> Self {
-        self.early_stop = Some(stop);
-        self
-    }
-
-    /// Sets the round granularity: the stopping rule is evaluated every
-    /// `n` samples (clamped to at least 1). Rounds are independent of the
-    /// worker count, keeping early-stopped runs deterministic.
+    /// Sets the round granularity: records fold into the sink, and a full
+    /// run asks [`Sink::satisfied`], every `n` samples (clamped to at least
+    /// 1). Rounds are independent of the worker count, keeping
+    /// early-stopped runs deterministic.
     #[must_use]
     pub fn check_every(mut self, n: usize) -> Self {
         self.check_every = n.max(1);
         self
     }
 
-    /// Runs `n` samples of a generic-valued experiment.
+    /// Runs samples `0..n`, streaming every successful `(index, record)`
+    /// into `sink` *during* the run — peak sample storage is
+    /// O(workers + check_every), independent of `n`.
     ///
     /// `build(worker_id, sampler)` constructs each worker's private state
     /// inside its thread (elaborated sessions, benches, factory templates);
@@ -355,73 +294,26 @@ impl ParallelRunner {
     ///
     /// `sample(state, sampler, i)` computes sample `i` with a sampler
     /// stream derived purely from the runner seed and `i`. An `Err` return
-    /// marks that sample failed and is counted, not propagated.
+    /// marks that sample failed: it is counted in
+    /// [`StreamOutcome::failures`] and never reaches the sink.
     ///
-    /// Early stopping does not apply (there is no scalar metric to watch);
-    /// use [`ParallelRunner::run_scalar`] for that.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first worker-state `build` error.
-    pub fn run<W, T, E, B, S>(&self, n: usize, build: B, sample: S) -> Result<McOutcome<T>, E>
-    where
-        T: Send,
-        E: Send,
-        B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
-    {
-        self.run_impl(n, build, sample, None)
-    }
-
-    /// [`ParallelRunner::run`] for scalar metrics, with the configured
-    /// [`EarlyStop`] rule applied at round boundaries. Moments of the
-    /// outcome come from [`McOutcome::moments`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first worker-state `build` error.
-    pub fn run_scalar<W, E, B, S>(&self, n: usize, build: B, sample: S) -> Result<McOutcome<f64>, E>
-    where
-        E: Send,
-        B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        S: Fn(&mut W, &mut Sampler, usize) -> Result<f64, E> + Sync,
-    {
-        self.run_impl(n, build, sample, Some(&|x: &f64| *x))
-    }
-
-    /// Runs `n` samples of a scalar experiment, streaming every successful
-    /// `(index, value)` record into `sink` *during* the run instead of
-    /// buffering it — peak sample storage is O(workers + check_every),
-    /// independent of `n`.
-    ///
-    /// Workers append records to per-worker shards; at every round boundary
-    /// (fixed multiples of [`ParallelRunner::check_every`] samples) the
-    /// coordinating thread folds the shards **in ascending sample-index
-    /// order** and hands the batch to the sink on the calling thread. The
-    /// sink therefore consumes one deterministic record sequence: its final
-    /// state — sketch markers, histogram counts, CSV bytes — is
-    /// bit-identical for any worker count, and [`StreamOutcome::moments`]
-    /// reproduces [`McOutcome::moments`] of the equivalent
-    /// [`ParallelRunner::run_scalar`] bit-exactly. The sink does not need
-    /// to be `Send`; it never leaves the calling thread.
-    ///
-    /// The configured [`EarlyStop`] rule is honoured at the same round
-    /// boundaries as `run_scalar`, so a stopped streaming run feeds the
-    /// sink exactly the sample prefix the buffered run would return.
+    /// At every round boundary the coordinating thread folds the worker
+    /// shards **in ascending sample-index order** into the sink on the
+    /// calling thread (the sink need not be `Send`), then ends the run if
+    /// the sink reports [`Sink::satisfied`] — see [`EarlyStop`].
     /// [`Sink::finish`] is called once after the final record of a
     /// completed (or early-stopped) run; a panic inside the sink shuts the
-    /// run down cleanly and re-raises on the calling thread, exactly like
-    /// a panic in a sample closure.
+    /// run down cleanly and re-raises on the calling thread, exactly like a
+    /// panic in a sample closure.
     ///
     /// # Example
     ///
     /// ```
-    /// use stats::sink::P2Quantiles;
-    /// use vscore::mc::ParallelRunner;
+    /// use vscore::mc::{ParallelRunner, TDigest};
     ///
-    /// // Stream E[X] and the 90th percentile of X ~ N(0,1) without
-    /// // buffering a single sample value.
-    /// let mut sketch = P2Quantiles::new(&[0.9]);
+    /// // Stream the 90th percentile of X ~ N(0,1) without buffering a
+    /// // single sample value.
+    /// let mut sketch = TDigest::new(100.0);
     /// let out = ParallelRunner::new(7)
     ///     .workers(2)
     ///     .run_streaming(
@@ -432,7 +324,6 @@ impl ParallelRunner {
     ///     )
     ///     .unwrap();
     /// assert_eq!(out.observed, 2000);
-    /// assert!(out.moments().mean().abs() < 0.1);
     /// assert!((sketch.quantile(0.9).unwrap() - 1.28).abs() < 0.15);
     /// ```
     ///
@@ -440,45 +331,12 @@ impl ParallelRunner {
     ///
     /// Propagates the first worker-state `build` error (the sink is left
     /// unfinished).
-    pub fn run_streaming<W, E, B, S, K>(
-        &self,
-        n: usize,
-        build: B,
-        sample: S,
-        sink: &mut K,
-    ) -> Result<StreamOutcome, E>
-    where
-        E: Send,
-        B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        S: Fn(&mut W, &mut Sampler, usize) -> Result<f64, E> + Sync,
-        K: Sink + ?Sized,
-    {
-        self.stream_impl(
-            0,
-            n,
-            self.check_every,
-            1,
-            build,
-            &|w, st: &mut W, base: &Sampler, lo, hi, emit: &(dyn Fn(usize, usize, f64) + Sync)| {
-                sample_chunk(&sample, w, st, base, lo, hi, emit)
-            },
-            sink,
-            Some(&|x: &f64| *x),
-            self.early_stop,
-        )
-    }
-
-    /// [`ParallelRunner::run_streaming`] for generic record types — e.g. a
-    /// scatter experiment streaming `(leakage, frequency)` pairs into a
-    /// two-column [`stats::sink::CsvSink`]. There is no scalar metric, so
-    /// [`EarlyStop`] does not apply and [`StreamOutcome::moments`] stays
-    /// empty; everything else (index-ordered fold, bit-identical sink
-    /// state, panic propagation) matches the scalar variant.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Propagates the first worker-state `build` error.
-    pub fn run_streaming_records<W, T, E, B, S, K>(
+    /// Panics if `n` is `usize::MAX` (reserved as the engine's shutdown
+    /// sentinel).
+    pub fn run_streaming<W, T, E, B, S, K>(
         &self,
         n: usize,
         build: B,
@@ -492,18 +350,17 @@ impl ParallelRunner {
         S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
         K: Sink<T> + ?Sized,
     {
-        self.stream_impl(
+        self.execute(
             0,
-            n,
+            shard_end(0, n),
             self.check_every,
             1,
-            build,
-            &|w, st: &mut W, base: &Sampler, lo, hi, emit: &(dyn Fn(usize, usize, T) + Sync)| {
-                sample_chunk(&sample, w, st, base, lo, hi, emit)
+            &build,
+            &|st: &mut W, base: &Sampler, lo, hi, out: &mut Vec<(usize, T)>| {
+                sample_chunk(&sample, st, base, lo, hi, out)
             },
             sink,
-            None,
-            None,
+            true,
         )
     }
 
@@ -524,14 +381,17 @@ impl ParallelRunner {
     /// count/min/max; [`stats::Welford`] moments to floating-point
     /// rounding (≲1e-12 relative — grouping pushes into shards moves the
     /// last bits, see [`stats::Welford::merge`]); [`stats::TDigest`]
-    /// quantiles within the digest's documented rank-error bound. The
-    /// determinism suite (`crates/core/tests/parallel_mc.rs`) pins all
-    /// three, including through the byte round-trip.
+    /// quantiles within the digest's documented rank-error bound; the
+    /// importance-sampling sinks ([`stats::WeightedMoments`],
+    /// [`stats::WeightedHistogram`], fed `(value, log_weight)` records)
+    /// bit-exactly, because they accumulate in exact fixed-point sums. The
+    /// determinism suite (`crates/core/tests/parallel_mc.rs`) pins all of
+    /// these, including through the byte round-trip.
     ///
-    /// The configured [`EarlyStop`] rule is **ignored**: a shard observes
-    /// only its slice of the samples, so a locally-evaluated CI rule would
-    /// make the executed sample set depend on the partitioning — exactly
-    /// what fleet merging must rule out. (Run accounting in the returned
+    /// A sink's stopping rule is **ignored**: a shard observes only its
+    /// slice of the samples, so a locally-evaluated rule would make the
+    /// executed sample set depend on the partitioning — exactly what fleet
+    /// merging must rule out. (Run accounting in the returned
     /// [`StreamOutcome`] is shard-local: `attempted` counts this shard's
     /// indices.)
     ///
@@ -570,80 +430,9 @@ impl ParallelRunner {
     /// assert!((m - s).abs() < 0.1); // within the documented rank error
     /// ```
     ///
-    /// # Errors
-    ///
-    /// Propagates the first worker-state `build` error (the sink is left
-    /// unfinished).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + len` overflows `usize` or reaches
-    /// `usize::MAX` (reserved as the engine's shutdown sentinel) — shard
-    /// specifications that cannot index a sample space are a caller bug.
-    pub fn run_streaming_range<W, E, B, S, K>(
-        &self,
-        offset: usize,
-        len: usize,
-        build: B,
-        sample: S,
-        sink: &mut K,
-    ) -> Result<StreamOutcome, E>
-    where
-        E: Send,
-        B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        S: Fn(&mut W, &mut Sampler, usize) -> Result<f64, E> + Sync,
-        K: Sink + ?Sized,
-    {
-        let end = offset
-            .checked_add(len)
-            .filter(|&end| end < usize::MAX)
-            .expect("shard range must end below usize::MAX (the sample index space)");
-        self.stream_impl(
-            offset,
-            end,
-            self.check_every,
-            1,
-            build,
-            &|w, st: &mut W, base: &Sampler, lo, hi, emit: &(dyn Fn(usize, usize, f64) + Sync)| {
-                sample_chunk(&sample, w, st, base, lo, hi, emit)
-            },
-            sink,
-            Some(&|x: &f64| *x),
-            None,
-        )
-    }
-
-    /// Executes the shard `offset .. offset + len` of an
-    /// **importance-sampling** experiment: the `sample` closure returns a
-    /// `(value, log_weight)` record — the metric drawn under a *proposal*
-    /// distribution plus its exact log-likelihood-ratio against the
-    /// nominal distribution — and every record flows through the unchanged
-    /// index-ordered fold into a weighted sink
-    /// ([`stats::WeightedMoments`], [`stats::WeightedHistogram`], or any
-    /// [`Sink<(f64, f64)>`](Sink) fan-out tuple of them).
-    ///
-    /// Everything [`ParallelRunner::run_streaming_range`] guarantees holds
-    /// verbatim: sample `i` draws the pure `(seed, i)` stream, records fold
-    /// in ascending index order, the sink state is bit-identical for any
-    /// worker count, and disjoint shards of one experiment merge through
-    /// the [`stats::WeightedSink`] byte codec. The weighted sinks
-    /// accumulate in exact fixed-point sums, so the merged-shard guarantee
-    /// is *stronger* than for Welford moments: merged bytes equal
-    /// single-run bytes exactly, for any partitioning. A configured
-    /// [`EarlyStop`] rule is ignored for the same reason as in
-    /// `run_streaming_range`, and [`StreamOutcome::moments`] stays empty —
-    /// unweighted moments of proposal draws estimate nothing about the
-    /// nominal distribution; read the weighted sink instead.
-    ///
-    /// With the nominal (identity) proposal every log-weight is exactly
-    /// `0.0` and the record values are the plain-MC stream bit-for-bit, so
-    /// degenerate IS runs reproduce unweighted runs exactly (pinned by the
-    /// determinism suite).
-    ///
-    /// # Example
-    ///
-    /// A 4σ tail probability, resolved with 4000 proposal draws — plain MC
-    /// would see roughly zero hits at this budget:
+    /// An importance-sampling shard is the same call with `(value,
+    /// log_weight)` records — here a 4σ tail probability, resolved with
+    /// 4000 proposal draws where plain MC would see roughly zero hits:
     ///
     /// ```
     /// use vscore::mc::{GaussianProposal, ParallelRunner, WeightedMoments};
@@ -652,7 +441,7 @@ impl ParallelRunner {
     /// let mut sink = WeightedMoments::above(4.0);
     /// ParallelRunner::new(11)
     ///     .workers(2)
-    ///     .run_streaming_is(
+    ///     .run_streaming_range(
     ///         0,
     ///         4000,
     ///         |_, _| Ok::<(), std::convert::Infallible>(()),
@@ -671,9 +460,10 @@ impl ParallelRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `offset + len` overflows the sample index space, as
-    /// [`ParallelRunner::run_streaming_range`].
-    pub fn run_streaming_is<W, E, B, S, K>(
+    /// Panics if `offset + len` overflows `usize` or reaches
+    /// `usize::MAX` (reserved as the engine's shutdown sentinel) — shard
+    /// specifications that cannot index a sample space are a caller bug.
+    pub fn run_streaming_range<W, T, E, B, S, K>(
         &self,
         offset: usize,
         len: usize,
@@ -682,32 +472,23 @@ impl ParallelRunner {
         sink: &mut K,
     ) -> Result<StreamOutcome, E>
     where
+        T: Send,
         E: Send,
         B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        S: Fn(&mut W, &mut Sampler, usize) -> Result<(f64, f64), E> + Sync,
-        K: Sink<(f64, f64)> + ?Sized,
+        S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
+        K: Sink<T> + ?Sized,
     {
-        let end = offset
-            .checked_add(len)
-            .filter(|&end| end < usize::MAX)
-            .expect("shard range must end below usize::MAX (the sample index space)");
-        self.stream_impl(
+        self.execute(
             offset,
-            end,
+            shard_end(offset, len),
             self.check_every,
             1,
-            build,
-            &|w,
-              st: &mut W,
-              base: &Sampler,
-              lo,
-              hi,
-              emit: &(dyn Fn(usize, usize, (f64, f64)) + Sync)| {
-                sample_chunk(&sample, w, st, base, lo, hi, emit)
+            &build,
+            &|st: &mut W, base: &Sampler, lo, hi, out: &mut Vec<(usize, T)>| {
+                sample_chunk(&sample, st, base, lo, hi, out)
             },
             sink,
-            None,
-            None,
+            false,
         )
     }
 
@@ -737,10 +518,10 @@ impl ParallelRunner {
     /// any worker count and any `lanes`. The determinism suite
     /// (`crates/core/tests/parallel_mc.rs`) pins this.
     ///
-    /// Like [`ParallelRunner::run_streaming_range`], a configured
-    /// [`EarlyStop`] rule is ignored (a batched shard is a fleet
-    /// primitive; locally-evaluated stopping would make the executed
-    /// sample set depend on the partitioning).
+    /// Like [`ParallelRunner::run_streaming_range`], a sink's stopping rule
+    /// is ignored (a batched shard is a fleet primitive; locally-evaluated
+    /// stopping would make the executed sample set depend on the
+    /// partitioning).
     ///
     /// # Example
     ///
@@ -788,7 +569,7 @@ impl ParallelRunner {
     /// returns a vector whose length differs from the chunk's lane count —
     /// dropping or inventing lane results would silently corrupt the
     /// merged statistics, so it is a contract violation, not an `Err`.
-    pub fn run_streaming_batched<W, E, B, S, K>(
+    pub fn run_streaming_batched<W, T, E, B, S, K>(
         &self,
         offset: usize,
         len: usize,
@@ -798,238 +579,94 @@ impl ParallelRunner {
         sink: &mut K,
     ) -> Result<StreamOutcome, E>
     where
+        T: Send,
         E: Send,
         B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        S: Fn(&mut W, usize, &mut [Sampler]) -> Vec<Result<f64, E>> + Sync,
-        K: Sink + ?Sized,
+        S: Fn(&mut W, usize, &mut [Sampler]) -> Vec<Result<T, E>> + Sync,
+        K: Sink<T> + ?Sized,
     {
-        let end = offset
-            .checked_add(len)
-            .filter(|&end| end < usize::MAX)
-            .expect("shard range must end below usize::MAX (the sample index space)");
         let k = lanes.get();
         // Rounds stay multiples of the lane count, so the only partial
         // chunk a worker ever sees is the genuine tail of the range.
         let round = self.check_every.div_ceil(k).saturating_mul(k);
-        self.stream_impl(
+        self.execute(
             offset,
-            end,
+            shard_end(offset, len),
             round,
             k,
-            build,
-            &|w, st: &mut W, base: &Sampler, lo, hi, emit: &(dyn Fn(usize, usize, f64) + Sync)| {
+            &build,
+            &|st: &mut W, base: &Sampler, lo, hi, out: &mut Vec<(usize, T)>| {
                 let mut samplers: Vec<Sampler> = (lo..hi).map(|i| base.stream(i as u64)).collect();
-                let out = batch(st, lo, &mut samplers);
+                let results = batch(st, lo, &mut samplers);
                 assert_eq!(
-                    out.len(),
+                    results.len(),
                     hi - lo,
                     "batch closure returned {} results for the {}-lane batch at sample {lo}",
-                    out.len(),
+                    results.len(),
                     hi - lo
                 );
                 let mut failed = 0;
-                for (j, r) in out.into_iter().enumerate() {
+                for (i, r) in (lo..).zip(results) {
                     match r {
-                        Ok(v) => emit(w, lo + j, v),
+                        Ok(t) => out.push((i, t)),
                         Err(_) => failed += 1,
                     }
                 }
                 failed
             },
             sink,
-            Some(&|x: &f64| *x),
-            None,
+            false,
         )
     }
 
-    /// Buffered execution: per-sample slots collected into an [`McOutcome`].
-    fn run_impl<W, T, E, B, S>(
-        &self,
-        n: usize,
-        build: B,
-        sample: S,
-        metric: Option<&dyn Fn(&T) -> f64>,
-    ) -> Result<McOutcome<T>, E>
-    where
-        T: Send,
-        E: Send,
-        B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
-    {
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let results = Mutex::new(slots);
-        // Without a stopping rule there is nothing to evaluate between
-        // rounds, so the whole run is one round.
-        let round = match (self.early_stop, metric.is_some()) {
-            (Some(_), true) => self.check_every,
-            _ => n.max(1),
-        };
-        // Early-stop accumulator: samples below a finished round's limit
-        // never change, so each slot is folded exactly once, in index
-        // order — bit-identical to a from-scratch refold, but O(round) per
-        // check instead of O(hi).
-        let mut watched = Welford::new();
-        let emit =
-            |_: usize, i: usize, t: T| results.lock().expect("no poisoned locks")[i] = Some(t);
-        let stats = self.run_engine(
-            0,
-            n,
-            round,
-            1,
-            &build,
-            &|w, st: &mut W, base: &Sampler, lo, hi| {
-                sample_chunk(&sample, w, st, base, lo, hi, &emit)
-            },
-            &mut |lo, hi| {
-                let (Some(stop), Some(metric)) = (self.early_stop, metric) else {
-                    return false;
-                };
-                if hi >= n {
-                    return false; // final round: the run is complete anyway
-                }
-                let res = results.lock().expect("no poisoned locks");
-                for t in res[lo..hi].iter().flatten() {
-                    watched.push(metric(t));
-                }
-                stop.satisfied(&watched)
-            },
-        )?;
-        let samples = results
-            .into_inner()
-            .expect("no poisoned locks")
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.map(|t| (i, t)))
-            .collect();
-        Ok(McOutcome {
-            samples,
-            failures: stats.failures,
-            attempted: stats.attempted,
-            workers: stats.workers,
-        })
-    }
-
-    /// Streaming execution over the sample index range `start..end`:
-    /// per-worker record shards folded into a sink in index order at every
-    /// round boundary. `exec` computes one claimed chunk of `stride`
-    /// consecutive indices, emitting successes through the provided
-    /// callback (scalar flavors adapt their per-sample closure via
-    /// [`sample_chunk`] with stride 1). `stop` is the early-stopping rule
-    /// to honour (`None` for generic records and for partitioned shards,
-    /// which must not let local state decide the executed sample set).
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn stream_impl<W, T, E, B, K>(
-        &self,
-        start: usize,
-        end: usize,
-        round: usize,
-        stride: usize,
-        build: B,
-        exec: &(dyn Fn(usize, &mut W, &Sampler, usize, usize, &(dyn Fn(usize, usize, T) + Sync)) -> usize
-              + Sync),
-        sink: &mut K,
-        metric: Option<&dyn Fn(&T) -> f64>,
-        stop: Option<EarlyStop>,
-    ) -> Result<StreamOutcome, E>
-    where
-        T: Send,
-        E: Send,
-        B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        K: Sink<T> + ?Sized,
-    {
-        let workers = self.workers.min((end - start).max(1));
-        let shards: Vec<Mutex<Vec<(usize, T)>>> =
-            (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-        let mut batch: Vec<(usize, T)> = Vec::new();
-        let mut moments = Welford::new();
-        let mut observed = 0usize;
-        let emit =
-            |w: usize, i: usize, t: T| shards[w].lock().expect("no poisoned locks").push((i, t));
-        let stats = self.run_engine(
-            start,
-            end,
-            round,
-            stride,
-            &build,
-            &|w, st: &mut W, base: &Sampler, lo, hi| exec(w, st, base, lo, hi, &emit),
-            &mut |_, hi| {
-                // Fold the shards in ascending sample-index order: the sink
-                // and the watched moments see one deterministic record
-                // stream, whatever the worker count. Each worker pops
-                // indices monotonically, so the concatenation sorts in one
-                // cheap pass over ~check_every records.
-                for shard in &shards {
-                    batch.append(&mut shard.lock().expect("no poisoned locks"));
-                }
-                batch.sort_unstable_by_key(|&(i, _)| i);
-                observed += batch.len();
-                if let Some(metric) = metric {
-                    for (_, t) in &batch {
-                        moments.push(metric(t));
-                    }
-                }
-                sink.merge(&mut batch);
-                batch.clear();
-                if hi < end {
-                    if let (Some(stop), Some(_)) = (stop, metric) {
-                        return stop.satisfied(&moments);
-                    }
-                }
-                false
-            },
-        )?;
-        sink.finish();
-        Ok(StreamOutcome {
-            failures: stats.failures,
-            attempted: stats.attempted,
-            workers: stats.workers,
-            observed,
-            moments,
-        })
-    }
-
-    /// The sharded execution engine shared by every run flavor, executing
-    /// the sample index range `start..end` (a full run passes `start = 0`;
-    /// a fleet shard passes its offset — sample `i` draws the same pure
+    /// The sharded execution engine behind every entry point, running the
+    /// sample index range `start..end` (a full run passes `start = 0`; a
+    /// fleet shard passes its offset — sample `i` draws the same pure
     /// `(seed, i)` stream either way).
     ///
     /// Workers claim chunks of `stride` consecutive indices from the
-    /// shared counter and run `exec(worker, state, sample_base, lo, hi)`
-    /// on each — the closure computes samples `lo..hi` (deriving each
-    /// index's pure stream itself), emits successes to its captured
-    /// destination, and returns the number of failures. Scalar runs pass
-    /// stride 1 ([`sample_chunk`] per index, exactly the historical
-    /// behavior); batched runs pass stride K so a batch-capable worker
-    /// sees K lanes per claim.
+    /// shared counter and run `exec(state, sample_base, lo, hi, out)` on
+    /// each — the closure computes samples `lo..hi` (deriving each index's
+    /// pure stream itself), pushes successes onto `out`, and returns the
+    /// number of failures. Per-sample runs pass stride 1 ([`sample_chunk`]
+    /// per index); batched runs pass stride K so a batch-capable worker
+    /// sees K lanes per claim. Each worker moves its records into its own
+    /// shard once per round.
     ///
-    /// After every round barrier the coordinator calls `fold(lo, hi)`
-    /// exactly once on the calling thread for the now-final contiguous
-    /// index range `lo..hi` — returning `true` stops the run at that round
-    /// boundary. A panic inside `exec` or `fold` (a sink panicking in
-    /// `observe`, say) shuts the run down cleanly and re-raises on the
-    /// coordinating thread.
-    fn run_engine<W, E, B>(
+    /// After every round barrier the coordinator folds the shards of the
+    /// now-final index range into `sink` in ascending index order on the
+    /// calling thread; when `honour_stop` is set and the range is not yet
+    /// exhausted, a [`Sink::satisfied`] sink ends the run at that boundary.
+    /// A panic inside `exec` or the sink shuts the run down cleanly and
+    /// re-raises on the coordinating thread.
+    #[allow(clippy::too_many_arguments)]
+    fn execute<W, T, E, B, X, K>(
         &self,
         start: usize,
         end: usize,
         round: usize,
         stride: usize,
         build: &B,
-        exec: &(dyn Fn(usize, &mut W, &Sampler, usize, usize) -> usize + Sync),
-        fold: &mut dyn FnMut(usize, usize) -> bool,
-    ) -> Result<RunStats, E>
+        exec: &X,
+        sink: &mut K,
+        honour_stop: bool,
+    ) -> Result<StreamOutcome, E>
     where
+        T: Send,
         E: Send,
         B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
+        X: Fn(&mut W, &Sampler, usize, usize, &mut Vec<(usize, T)>) -> usize + Sync,
+        K: Sink<T> + ?Sized,
     {
         let len = end - start;
         let workers = self.workers.min(len.max(1));
         if len == 0 {
-            return Ok(RunStats {
-                attempted: 0,
+            sink.finish();
+            return Ok(StreamOutcome {
                 failures: 0,
+                attempted: 0,
                 workers,
+                observed: 0,
             });
         }
 
@@ -1039,6 +676,8 @@ impl ParallelRunner {
         let sample_base = root.fork(0);
         let worker_base = root.fork(WORKER_STREAM_SALT);
 
+        let shards: Vec<Mutex<Vec<(usize, T)>>> =
+            (0..workers).map(|_| Mutex::new(Vec::new())).collect();
         let failures = AtomicUsize::new(0);
         let next = AtomicUsize::new(start);
         let limit = AtomicUsize::new(0);
@@ -1059,8 +698,9 @@ impl ParallelRunner {
             }
         };
 
+        let mut observed = 0usize;
         let attempted = std::thread::scope(|scope| {
-            for worker_id in 0..workers {
+            for (worker_id, shard) in shards.iter().enumerate() {
                 let (failures, exec) = (&failures, &exec);
                 let (next, limit, barrier) = (&next, &limit, &barrier);
                 let (setup_err, store_panic) = (&setup_err, &store_panic);
@@ -1084,6 +724,7 @@ impl ParallelRunner {
                             None
                         }
                     };
+                    let mut records = Vec::new();
                     barrier.wait(); // setup complete
                     loop {
                         barrier.wait(); // round start
@@ -1107,7 +748,7 @@ impl ParallelRunner {
                                 let chunk_hi = lo.saturating_add(stride).min(hi);
                                 let r =
                                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        exec(worker_id, st, sample_base, lo, chunk_hi)
+                                        exec(st, sample_base, lo, chunk_hi, &mut records)
                                     }));
                                 match r {
                                     Ok(0) => {}
@@ -1127,6 +768,10 @@ impl ParallelRunner {
                             // idle through the remaining barriers.
                             state = None;
                         }
+                        shard
+                            .lock()
+                            .expect("no poisoned locks")
+                            .append(&mut records);
                         barrier.wait(); // round end
                     }
                 });
@@ -1144,8 +789,8 @@ impl ParallelRunner {
             {
                 return shutdown(start);
             }
+            let mut batch: Vec<(usize, T)> = Vec::new();
             let mut hi = start;
-            let mut folded_to = start;
             while hi < end {
                 hi = (hi + round).min(end);
                 limit.store(hi, Ordering::SeqCst);
@@ -1154,9 +799,20 @@ impl ParallelRunner {
                 if panic_slot.lock().expect("no poisoned locks").is_some() {
                     return shutdown(hi);
                 }
-                let folded =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fold(folded_to, hi)));
-                folded_to = hi;
+                // Fold the shards in ascending sample-index order: the sink
+                // sees one deterministic record stream, whatever the worker
+                // count. Each worker pops indices monotonically, so the
+                // concatenation sorts in one cheap pass over ~round records.
+                let folded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    for shard in &shards {
+                        batch.append(&mut shard.lock().expect("no poisoned locks"));
+                    }
+                    batch.sort_unstable_by_key(|&(i, _)| i);
+                    observed += batch.len();
+                    sink.merge(&mut batch);
+                    batch.clear();
+                    honour_stop && hi < end && sink.satisfied()
+                }));
                 match folded {
                     Ok(true) => break,
                     Ok(false) => {}
@@ -1175,10 +831,12 @@ impl ParallelRunner {
         if let Some(e) = setup_err.into_inner().expect("no poisoned locks") {
             return Err(e);
         }
-        Ok(RunStats {
-            attempted: attempted - start,
+        sink.finish();
+        Ok(StreamOutcome {
             failures: failures.into_inner(),
+            attempted: attempted - start,
             workers,
+            observed,
         })
     }
 }

@@ -1,14 +1,13 @@
 //! Determinism contract of the parallel Monte Carlo executor.
 //!
-//! `ParallelRunner` promises that the set of `(sample index, value)` pairs
-//! and the merged moments are *bit-identical* for any worker count when
-//! each sample is a pure function of its derived sampler stream. These
-//! tests pin that down on the device-level workload (stateless), on a
-//! circuit-level SRAM workload (cold-started sessions), and for the
-//! round-boundary early-stopping rule — and extend the same contract to
-//! the streaming path: every shipped sink fed by `run_streaming` (P²
-//! sketch, histogram, CSV bytes, Welford moments) must end in bit-identical
-//! state for any worker count, under early stopping, and under panics.
+//! `ParallelRunner` promises that the `(sample index, record)` stream a
+//! sink receives is *bit-identical* for any worker count when each sample
+//! is a pure function of its derived sampler stream. These tests pin that
+//! down on the device-level workload (stateless) and on a circuit-level
+//! SRAM workload (cold-started sessions): every shipped sink — `VecSink`
+//! buffer, t-digest, histogram, CSV bytes, Welford moments — must end in
+//! bit-identical state for any worker count, under the sink-side
+//! `EarlyStop` rule, and under panics.
 
 use circuits::sram::{full_cell, SramDevices, SramSizing};
 use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
@@ -16,8 +15,8 @@ use spice::Session;
 use stats::histogram::Histogram;
 use stats::{Sampler, Welford};
 use vscore::mc::{
-    CsvSink, EarlyStop, GaussianProposal, McFactory, MergeableSink, P2Quantiles, ParallelRunner,
-    Sink, TDigest, VecSink, WeightedHistogram, WeightedMoments, WeightedSink, WelfordSink,
+    CsvSink, EarlyStop, GaussianProposal, McFactory, MergeableSink, ParallelRunner, Sink,
+    StreamOutcome, TDigest, VecSink, WeightedHistogram, WeightedMoments, WeightedSink, WelfordSink,
 };
 use vscore::metrics::DeviceMetrics;
 use vscore::sensitivity::{VariedModel, VsBuilder};
@@ -48,27 +47,34 @@ fn sram_factory(sampler: Sampler) -> McFactory {
     )
 }
 
-/// Runs the stateless device-level workload on `workers` threads.
+/// The `(index, value bits)` pairs a `VecSink` retained.
+fn bits(records: &VecSink) -> Vec<(usize, u64)> {
+    records
+        .records()
+        .iter()
+        .map(|&(i, x)| (i, x.to_bits()))
+        .collect()
+}
+
+/// Runs the stateless device-level workload on `workers` threads into a
+/// buffer and streaming moments.
 fn device_run(seed: u64, n: usize, workers: usize) -> (Vec<(usize, u64)>, Welford) {
     let b = builder();
     let sp = spec();
-    let out = ParallelRunner::new(seed)
+    let mut sink = (VecSink::new(), WelfordSink::new());
+    ParallelRunner::new(seed)
         .workers(workers)
-        .run_scalar(
+        .run_streaming(
             n,
             |_, _| Ok::<(), std::convert::Infallible>(()),
             |(), sampler, _| {
                 let delta = sp.sample(b.geometry(), || sampler.standard_normal());
                 Ok(DeviceMetrics::evaluate(b.build(delta).as_ref(), VDD).idsat)
             },
+            &mut sink,
         )
         .expect("infallible setup");
-    let bits = out
-        .samples()
-        .iter()
-        .map(|&(i, x)| (i, x.to_bits()))
-        .collect();
-    (bits, out.moments())
+    (bits(&sink.0), sink.1.moments())
 }
 
 #[test]
@@ -107,18 +113,13 @@ fn device_level_runs_depend_on_seed() {
 /// swaps. Cold-starting every sample makes each one a pure function of its
 /// sampler stream, so the bit-exactness guarantee applies; warm-started
 /// production loops trade that for speed (same statistics, last-bit drift).
-fn sram_run(seed: u64, n: usize, workers: usize) -> Vec<(usize, u64)> {
+fn sram_run(seed: u64, n: usize, workers: usize) -> (Vec<(usize, u64)>, StreamOutcome) {
     let sz = SramSizing::default();
-    let template = McFactory::vs(
-        VsParams::nmos_40nm(),
-        VsParams::pmos_40nm(),
-        spec(),
-        spec(),
-        Sampler::from_seed(0),
-    );
+    let template = sram_factory(Sampler::from_seed(0));
+    let mut records = VecSink::new();
     let out = ParallelRunner::new(seed)
         .workers(workers)
-        .run(
+        .run_streaming(
             n,
             |_, setup_sampler| {
                 let mut f = template.clone();
@@ -147,98 +148,75 @@ fn sram_run(seed: u64, n: usize, workers: usize) -> Vec<(usize, u64)> {
                 let op = session.dc_owned_with_guess(&[(*l, 0.0), (*r, VDD)])?;
                 Ok::<f64, spice::SpiceError>(op.voltage(*r))
             },
+            &mut records,
         )
         .expect("elaboration succeeds");
-    out.samples()
-        .iter()
-        .map(|&(i, x)| (i, x.to_bits()))
-        .collect()
+    (bits(&records), out)
 }
 
 #[test]
 fn sram_dc_runs_are_thread_count_invariant() {
-    let s1 = sram_run(99, 24, 1);
-    let s2 = sram_run(99, 24, 2);
-    let s8 = sram_run(99, 24, 8);
+    let (s1, out) = sram_run(99, 24, 1);
+    let (s2, _) = sram_run(99, 24, 2);
+    let (s8, _) = sram_run(99, 24, 8);
     assert!(s1.len() >= 20, "almost all draws converge");
+    assert_eq!(out.observed, s1.len());
+    assert_eq!(out.observed + out.failures, 24);
     assert_eq!(s1, s2);
     assert_eq!(s1, s8);
 }
 
 #[test]
-fn early_stop_is_deterministic_and_bounded() {
+fn early_stop_is_a_deterministic_sink_side_rule() {
+    // The stopping rule rides in the sink: a stopped run feeds every sink
+    // exactly the index prefix it scheduled, and stops at the same round
+    // boundary whatever the worker count.
     let run = |workers: usize| {
-        ParallelRunner::new(5)
+        let mut sink = (
+            EarlyStop::relative(0.05).min_samples(50),
+            (VecSink::new(), CsvSink::new(Vec::<u8>::new())),
+        );
+        let out = ParallelRunner::new(5)
             .workers(workers)
             .check_every(50)
-            .early_stop(EarlyStop::relative(0.05).min_samples(50))
-            .run_scalar(
+            .run_streaming(
                 100_000,
                 |_, _| Ok::<(), std::convert::Infallible>(()),
                 |(), s, _| Ok(10.0 + s.standard_normal()),
+                &mut sink,
             )
-            .expect("infallible")
+            .expect("infallible");
+        let (_, (records, csv)) = sink;
+        (out, records, csv.into_inner())
     };
-    let a = run(1);
-    let b = run(3);
+    let (a, records, csv) = run(1);
     // The 5% CI on N(10, 1) needs only a handful of rounds.
     assert!(a.attempted < 100_000, "early stop fired ({})", a.attempted);
+    assert_eq!(a.attempted % 50, 0, "stops on a round boundary");
+    let indices: Vec<usize> = records.records().iter().map(|&(i, _)| i).collect();
+    assert_eq!(indices, (0..a.attempted).collect::<Vec<_>>());
+    let m = Welford::from_slice(&records.clone().into_values());
+    assert!(m.ci_half_width(1.96) <= 0.05 * m.mean().abs());
+    // The CSV byte stream equals one generated from the buffered prefix.
+    let mut expected = Vec::new();
+    for &(i, x) in records.records() {
+        use std::io::Write as _;
+        writeln!(expected, "{i},{x}").unwrap();
+    }
+    assert_eq!(csv, expected);
+    let (b, records_b, csv_b) = run(3);
     assert_eq!(
         a.attempted, b.attempted,
         "stop point must not depend on workers"
     );
-    assert_eq!(a.moments().mean().to_bits(), b.moments().mean().to_bits());
-    assert_eq!(a.len(), b.len());
-    let m = a.moments();
-    assert!(m.ci_half_width(1.96) <= 0.05 * m.mean().abs());
-}
-
-#[test]
-fn failures_are_counted_not_fatal() {
-    let out = ParallelRunner::new(3)
-        .workers(2)
-        .run_scalar(
-            40,
-            |_, _| Ok::<(), &'static str>(()),
-            |(), _, i| {
-                if i % 4 == 0 {
-                    Err("synthetic")
-                } else {
-                    Ok(1.0)
-                }
-            },
-        )
-        .expect("setup is fine");
-    assert_eq!(out.failures, 10);
-    assert_eq!(out.len(), 30);
-    assert_eq!(out.attempted, 40);
-    // Indices of failed samples are absent from the sample set.
-    assert!(out.samples().iter().all(|(i, _)| i % 4 != 0));
-}
-
-#[test]
-fn setup_errors_propagate() {
-    let err = ParallelRunner::new(1)
-        .workers(4)
-        .run_scalar(
-            8,
-            |w, _| {
-                if w == 0 {
-                    Err("worker zero failed")
-                } else {
-                    Ok(())
-                }
-            },
-            |(), _, _| Ok(0.0),
-        )
-        .unwrap_err();
-    assert_eq!(err, "worker zero failed");
+    assert_eq!(bits(&records), bits(&records_b));
+    assert_eq!(csv, csv_b);
 }
 
 #[test]
 #[should_panic(expected = "synthetic sample panic")]
 fn sample_panics_propagate_instead_of_deadlocking() {
-    let _ = ParallelRunner::new(2).workers(3).run_scalar(
+    let _ = ParallelRunner::new(2).workers(3).run_streaming(
         64,
         |_, _| Ok::<(), std::convert::Infallible>(()),
         |(), _, i| {
@@ -247,13 +225,14 @@ fn sample_panics_propagate_instead_of_deadlocking() {
             }
             Ok(1.0)
         },
+        &mut WelfordSink::new(),
     );
 }
 
 #[test]
 #[should_panic(expected = "synthetic build panic")]
 fn build_panics_propagate_instead_of_deadlocking() {
-    let _ = ParallelRunner::new(2).workers(3).run_scalar(
+    let _ = ParallelRunner::new(2).workers(3).run_streaming(
         64,
         |w, _| {
             if w == 1 {
@@ -262,21 +241,22 @@ fn build_panics_propagate_instead_of_deadlocking() {
             Ok::<(), std::convert::Infallible>(())
         },
         |(), _, _| Ok(1.0),
+        &mut WelfordSink::new(),
     );
 }
 
 // ---------------------------------------------------------------------------
-// Streaming pipeline: run_streaming + sinks
+// Sinks: every shipped sink fed by run_streaming
 // ---------------------------------------------------------------------------
 
 /// Final state of every shipped sink after streaming the device-level
-/// workload: CSV bytes, P² estimates, histogram counts, Welford moments.
+/// workload: CSV bytes, t-digest estimates, histogram counts, Welford
+/// moments.
 struct SinkState {
     csv: Vec<u8>,
-    p2: Vec<(f64, u64)>,
+    digest: Vec<u64>,
     hist: Vec<u64>,
     welford: Welford,
-    moments: Welford,
     observed: usize,
 }
 
@@ -291,7 +271,7 @@ fn streaming_device_run(seed: u64, n: usize, workers: usize) -> SinkState {
     let mut sink = (
         (
             CsvSink::with_header(Vec::<u8>::new(), &["sample", "idsat_a"]),
-            P2Quantiles::new(&[0.1, 0.5, 0.9]),
+            TDigest::new(100.0),
         ),
         (Histogram::new(0.0, 2e-3, 32), WelfordSink::new()),
     );
@@ -307,17 +287,15 @@ fn streaming_device_run(seed: u64, n: usize, workers: usize) -> SinkState {
             &mut sink,
         )
         .expect("infallible setup");
-    let ((csv, p2), (hist, welford)) = sink;
+    let ((csv, digest), (hist, welford)) = sink;
     SinkState {
         csv: csv.into_inner(),
-        p2: p2
-            .estimates()
-            .into_iter()
-            .map(|(p, v)| (p, v.to_bits()))
+        digest: [0.1, 0.5, 0.9]
+            .iter()
+            .map(|&p| digest.quantile(p).expect("non-empty digest").to_bits())
             .collect(),
         hist: hist.counts().to_vec(),
         welford: welford.moments(),
-        moments: out.moments(),
         observed: out.observed,
     }
 }
@@ -337,133 +315,30 @@ fn streaming_sinks_are_bit_identical_for_any_worker_count() {
                 "seed {seed}: CSV bytes differ at {workers} workers"
             );
             assert_eq!(
-                r1.p2, rw.p2,
-                "seed {seed}: P² marker state differs at {workers} workers"
+                r1.digest, rw.digest,
+                "seed {seed}: t-digest state differs at {workers} workers"
             );
             assert_eq!(
                 r1.hist, rw.hist,
                 "seed {seed}: histogram counts differ at {workers} workers"
             );
             assert_eq!(r1.welford, rw.welford);
-            assert_eq!(r1.moments, rw.moments);
         }
     }
 }
 
 #[test]
-fn streaming_moments_match_buffered_run_scalar_bit_exactly() {
-    // Same workload through both execution paths: the streaming fold must
-    // reproduce the buffered moments to the last bit, and a VecSink must
-    // retain exactly the records run_scalar would have buffered.
-    let (_, buffered) = device_run(42, 256, 2);
+fn buffered_and_streamed_sinks_see_the_same_record_stream() {
+    // A VecSink buffer and the constant-size sinks of another run, at
+    // another worker count, describe one record stream: moments refolded
+    // from the buffer equal the streamed moments to the last bit.
+    let (records, _) = device_run(42, 256, 2);
     let r = streaming_device_run(42, 256, 3);
-    assert_eq!(buffered.mean().to_bits(), r.moments.mean().to_bits());
-    assert_eq!(
-        buffered.variance().to_bits(),
-        r.moments.variance().to_bits()
-    );
-    assert_eq!(buffered.count(), r.moments.count());
-    assert_eq!(buffered.min().to_bits(), r.moments.min().to_bits());
-    assert_eq!(buffered.max().to_bits(), r.moments.max().to_bits());
-    // The sink-side Welford sees the same stream as the coordinator fold.
-    assert_eq!(r.welford, r.moments);
-}
-
-/// The acceptance workload: cold-started SRAM DC samples, streaming vs
-/// buffered, records retained by an explicit VecSink.
-#[test]
-fn streaming_matches_buffered_on_sram_dc() {
-    let n = 16;
-    let sz = SramSizing::default();
-    let template = McFactory::vs(
-        VsParams::nmos_40nm(),
-        VsParams::pmos_40nm(),
-        spec(),
-        spec(),
-        Sampler::from_seed(0),
-    );
-    let build = |_: usize, setup_sampler: &mut Sampler| {
-        let mut f = template.clone();
-        f.set_sampler(setup_sampler.clone());
-        let devices = SramDevices::draw(sz, &mut f);
-        let (c, l, r) = full_cell(&devices, VDD);
-        let session = Session::elaborate(c)?;
-        Ok((session, l, r))
-    };
-    let sample = |(session, l, r): &mut (Session, _, _), sampler: &mut Sampler, _: usize| {
-        let mut f = template.clone();
-        f.set_sampler(sampler.clone());
-        let SramDevices { pd, pu, pg } = SramDevices::draw(sz, &mut f);
-        let [pd0, pd1] = pd;
-        let [pu0, pu1] = pu;
-        let [pg0, pg1] = pg;
-        session.swap_devices([
-            ("PD1", pd0),
-            ("PD2", pd1),
-            ("PU1", pu0),
-            ("PU2", pu1),
-            ("PG1", pg0),
-            ("PG2", pg1),
-        ])?;
-        session.invalidate_warm_start();
-        let op = session.dc_owned_with_guess(&[(*l, 0.0), (*r, VDD)])?;
-        Ok::<f64, spice::SpiceError>(op.voltage(*r))
-    };
-    let buffered = ParallelRunner::new(99)
-        .workers(2)
-        .run(n, build, sample)
-        .expect("elaboration succeeds");
-    let mut sink = VecSink::new();
-    let streamed = ParallelRunner::new(99)
-        .workers(3)
-        .run_streaming(n, build, sample, &mut sink)
-        .expect("elaboration succeeds");
-    assert_eq!(sink.records(), buffered.samples());
-    assert_eq!(streamed.failures, buffered.failures);
-    assert_eq!(streamed.observed, buffered.len());
-    let bm = buffered.moments();
-    assert_eq!(bm.mean().to_bits(), streamed.moments().mean().to_bits());
-    assert_eq!(
-        bm.variance().to_bits(),
-        streamed.moments().variance().to_bits()
-    );
-}
-
-#[test]
-fn streaming_early_stop_matches_run_scalar_at_the_same_round_boundary() {
-    // A stopped streaming run must feed its sink exactly the sample prefix
-    // the buffered run returns, and stop at the same round, whatever the
-    // worker count.
-    let runner = |workers: usize| {
-        ParallelRunner::new(5)
-            .workers(workers)
-            .check_every(50)
-            .early_stop(EarlyStop::relative(0.05).min_samples(50))
-    };
-    let build = |_: usize, _: &mut Sampler| Ok::<(), std::convert::Infallible>(());
-    let sample = |(): &mut (), s: &mut Sampler, _: usize| Ok(10.0 + s.standard_normal());
-    let buffered = runner(1)
-        .run_scalar(100_000, build, sample)
-        .expect("infallible");
-    assert!(buffered.attempted < 100_000, "early stop fired");
-    let mut sink = (VecSink::new(), CsvSink::new(Vec::<u8>::new()));
-    let streamed = runner(3)
-        .run_streaming(100_000, build, sample, &mut sink)
-        .expect("infallible");
-    let (records, csv) = sink;
-    assert_eq!(streamed.attempted, buffered.attempted);
-    assert_eq!(records.records(), buffered.samples());
-    assert_eq!(
-        streamed.moments().mean().to_bits(),
-        buffered.moments().mean().to_bits()
-    );
-    // The CSV byte stream equals one generated from the buffered prefix.
-    let mut expected = Vec::new();
-    for &(i, x) in buffered.samples() {
-        use std::io::Write as _;
-        writeln!(expected, "{i},{x}").unwrap();
+    let mut refold = Welford::new();
+    for &(_, x) in &records {
+        refold.push(f64::from_bits(x));
     }
-    assert_eq!(csv.into_inner(), expected);
+    assert_eq!(refold, r.welford);
 }
 
 #[test]
@@ -547,7 +422,7 @@ fn streaming_records_are_thread_count_invariant() {
         let mut sink = CsvSink::new(Vec::<u8>::new());
         let out = ParallelRunner::new(11)
             .workers(workers)
-            .run_streaming_records(
+            .run_streaming(
                 200,
                 |_, _| Ok::<(), std::convert::Infallible>(()),
                 |(), s, _| {
@@ -558,7 +433,6 @@ fn streaming_records_are_thread_count_invariant() {
             )
             .expect("infallible");
         assert_eq!(out.observed, 200);
-        assert!(out.moments().is_empty(), "record runs carry no metric");
         sink.into_inner()
     };
     let reference = run(1);
@@ -584,22 +458,8 @@ fn zero_samples_streaming_finishes_the_sink_empty() {
         .expect("no work");
     assert_eq!(out.observed, 0);
     assert_eq!(out.attempted, 0);
-    assert!(out.moments().is_empty());
+    assert!(sink.1.moments().is_empty());
     assert_eq!(sink.0.into_inner(), b"sample,value\n");
-}
-
-#[test]
-fn zero_samples_is_empty_outcome() {
-    let out = ParallelRunner::new(1)
-        .run_scalar(
-            0,
-            |_, _| Ok::<(), std::convert::Infallible>(()),
-            |(), _, _| Ok(1.0),
-        )
-        .expect("no work");
-    assert!(out.is_empty());
-    assert_eq!(out.attempted, 0);
-    assert!(out.moments().is_empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -675,7 +535,7 @@ fn partitioned_shards_merge_to_the_single_run_state() {
 
     // Single-run reference over the same index space, plus the buffered
     // sample values for exact empirical quantiles.
-    let mut single = fleet_sinks();
+    let mut single = (fleet_sinks(), VecSink::new());
     let b = builder();
     let sp = spec();
     let out = ParallelRunner::new(seed)
@@ -690,7 +550,8 @@ fn partitioned_shards_merge_to_the_single_run_state() {
             &mut single,
         )
         .expect("infallible setup");
-    let ((single_digest, single_hist), single_welford) = single;
+    let (((single_digest, single_hist), single_welford), values) = single;
+    let values = values.into_values();
     assert_eq!(out.observed, n);
 
     // Histogram: integer counts — bit-identical.
@@ -711,18 +572,6 @@ fn partitioned_shards_merge_to_the_single_run_state() {
     assert_eq!(digest.count(), single_digest.count());
     assert_eq!(digest.min().to_bits(), single_digest.min().to_bits());
     assert_eq!(digest.max().to_bits(), single_digest.max().to_bits());
-    let values: Vec<f64> = ParallelRunner::new(seed)
-        .workers(2)
-        .run_scalar(
-            n,
-            |_, _| Ok::<(), std::convert::Infallible>(()),
-            |(), sampler, _| {
-                let delta = sp.sample(b.geometry(), || sampler.standard_normal());
-                Ok(DeviceMetrics::evaluate(b.build(delta).as_ref(), VDD).idsat)
-            },
-        )
-        .expect("infallible setup")
-        .into_values();
     let sigma = single_m.std();
     for p in [0.05, 0.25, 0.5, 0.75, 0.95] {
         let exact = stats::descriptive::quantile(&values, p);
@@ -808,20 +657,17 @@ fn range_shards_draw_the_global_sample_streams() {
         .map(|&(i, v)| (i, v.to_bits()))
         .collect();
     assert_eq!(full_slice, shard_records);
-    // The shard's own moments fold in index order too.
-    assert_eq!(out.moments().count(), 50);
 }
 
-/// A shard must execute its whole slice even when the runner carries an
+/// A shard must execute its whole slice even when its sink carries an
 /// early-stopping rule: a locally evaluated CI stop would make the
-/// executed sample set depend on the partitioning.
+/// executed sample set depend on the partitioning. Batched shards too.
 #[test]
 fn range_shards_ignore_early_stop() {
-    let mut sink = WelfordSink::new();
-    let out = ParallelRunner::new(5)
-        .workers(2)
-        .check_every(8)
-        .early_stop(EarlyStop::relative(0.5).min_samples(4))
+    let runner = ParallelRunner::new(5).workers(2).check_every(8);
+    let stopping = || (EarlyStop::relative(0.5).min_samples(4), WelfordSink::new());
+    let mut sink = stopping();
+    let out = runner
         .run_streaming_range(
             16,
             96,
@@ -830,9 +676,29 @@ fn range_shards_ignore_early_stop() {
             &mut sink,
         )
         .expect("infallible setup");
+    assert!(sink.0.satisfied(), "the rule would have stopped a full run");
     assert_eq!(out.attempted, 96, "shard stopped early");
     assert_eq!(out.observed, 96);
-    assert_eq!(sink.moments().count(), 96);
+    assert_eq!(sink.1.moments().count(), 96);
+
+    let mut sink = stopping();
+    let out = runner
+        .run_streaming_batched(
+            16,
+            96,
+            std::num::NonZeroUsize::new(4).expect("k > 0"),
+            |_, _| Ok::<(), std::convert::Infallible>(()),
+            |(), _, samplers| {
+                samplers
+                    .iter_mut()
+                    .map(|s| Ok(10.0 + 0.01 * s.standard_normal()))
+                    .collect()
+            },
+            &mut sink,
+        )
+        .expect("infallible setup");
+    assert_eq!(out.attempted, 96, "batched shard stopped early");
+    assert_eq!(sink.1.moments().count(), 96);
 }
 
 // ---------------------------------------------------------------------------
@@ -1170,7 +1036,7 @@ fn zero_length_shard_finishes_the_sink_empty() {
 }
 
 // ---------------------------------------------------------------------------
-// Importance sampling: run_streaming_is + weighted sinks
+// Importance sampling: (value, log_weight) records + weighted sinks
 // ---------------------------------------------------------------------------
 
 /// The weighted fleet sink set: estimator + weighted histogram, fanned out
@@ -1191,7 +1057,7 @@ fn is_shard(seed: u64, offset: usize, len: usize, workers: usize) -> IsSinks {
     let mut sinks = is_sinks();
     ParallelRunner::new(seed)
         .workers(workers)
-        .run_streaming_is(
+        .run_streaming_range(
             offset,
             len,
             |_, _| Ok::<(), std::convert::Infallible>(()),
@@ -1227,7 +1093,7 @@ fn is_weighted_sink_bytes_are_worker_count_invariant() {
     assert!(m1.ess() > 0.0);
 }
 
-/// Disjoint `run_streaming_is` shards merged through the byte codec must
+/// Disjoint importance-sampling shards merged through the byte codec must
 /// reproduce the single-run sink bytes *exactly* — stronger than the
 /// Welford fleet guarantee, because the weighted sinks accumulate in
 /// exact fixed-point sums. Any partitioning, any per-shard worker count.
@@ -1265,7 +1131,7 @@ fn is_shards_merge_bit_identically_across_partitionings() {
     assert_eq!(single_h.total(), n as u64);
 }
 
-/// The nominal (shift = 0, scale = 1) proposal reduces `run_streaming_is`
+/// The nominal (shift = 0, scale = 1) proposal reduces an IS run
 /// to plain MC bit-exactly: the record values are the unweighted stream
 /// and every log-weight is +0.0.
 #[test]
@@ -1275,7 +1141,7 @@ fn nominal_proposal_reduces_to_plain_mc_bit_exactly() {
     let mut is_records: VecSink<(f64, f64)> = VecSink::new();
     ParallelRunner::new(seed)
         .workers(3)
-        .run_streaming_is(
+        .run_streaming_range(
             0,
             n,
             |_, _| Ok::<(), std::convert::Infallible>(()),
@@ -1321,7 +1187,7 @@ fn sram_is_run_is_worker_count_invariant_and_degenerates_to_plain_mc() {
         );
         ParallelRunner::new(5)
             .workers(workers)
-            .run_streaming_is(
+            .run_streaming_range(
                 0,
                 24,
                 |_, setup| {
@@ -1358,7 +1224,7 @@ fn sram_is_run_is_worker_count_invariant_and_degenerates_to_plain_mc() {
     let mut is_records: VecSink<(f64, f64)> = VecSink::new();
     ParallelRunner::new(5)
         .workers(2)
-        .run_streaming_is(
+        .run_streaming_range(
             0,
             12,
             |_, setup| {

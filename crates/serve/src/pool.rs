@@ -389,7 +389,7 @@ fn execute_gauss_tail(spec: &ExperimentSpec) -> RunResult {
     let mut sinks = WeightedSinkSet::for_spec(spec);
     let outcome = ParallelRunner::new(spec.seed)
         .workers(1)
-        .run_streaming_is(
+        .run_streaming_range(
             spec.offset,
             spec.len,
             |_, _| Ok::<(), SpiceError>(()),

@@ -5,16 +5,15 @@
 //! frequency sweep with a unit-magnitude excitation on one voltage source —
 //! the analysis the paper's Table IV runs on the SRAM cell ("SRAM AC").
 //!
-//! Run it through [`crate::session::Analysis::Ac`] (or the
-//! [`crate::Session::ac`]/[`crate::Session::ac_owned`] wrappers); Monte
-//! Carlo loops that resample devices between sweeps should use
-//! [`crate::Session::ac_batch`], which warm-starts the operating point from
-//! the previous sample. Either way the heavy lifting happens in an
-//! [`AcWorkspace`]: one pair of real `(G, C)` matrices refilled in place
-//! per linearization ([`Circuit::linearize_into`]), and one complex matrix,
-//! one factorization, and one right-hand side reused for every frequency
-//! point ([`CMatrix::assign_gc`] + [`numerics::complex::CLu`]) — the sweep
-//! hot loop performs no allocation beyond the returned solution vectors.
+//! Run it through [`crate::Session::ac_owned`]; Monte Carlo loops that
+//! resample devices between sweeps should use [`crate::Session::ac_batch`],
+//! which warm-starts the operating point from the previous sample. Either
+//! way the heavy lifting happens in an [`AcWorkspace`]: one pair of real
+//! `(G, C)` matrices refilled in place per linearization
+//! ([`Circuit::linearize_into`]), and one complex matrix, one
+//! factorization, and one right-hand side reused for every frequency point
+//! ([`CMatrix::assign_gc`] + [`numerics::complex::CLu`]) — the sweep hot
+//! loop performs no allocation beyond the returned solution vectors.
 
 use crate::elements::Element;
 use crate::error::SpiceError;
@@ -275,7 +274,7 @@ impl Circuit {
 /// side, all allocated once and refilled per operating point / frequency.
 ///
 /// [`crate::Session`] caches one of these and routes every
-/// [`crate::session::Analysis::Ac`] request (and [`crate::Session::ac_batch`])
+/// [`crate::Session::ac_owned`] and [`crate::Session::ac_batch`] sweep
 /// through it; build one directly when driving sweeps from your own
 /// operating points.
 ///

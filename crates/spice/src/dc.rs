@@ -1,8 +1,8 @@
 //! DC result types.
 //!
 //! The solver itself lives in [`crate::session::Session`]; elaborate a
-//! session once and run [`crate::session::Analysis::Dc`] /
-//! [`crate::session::Analysis::DcSweep`] requests against it.
+//! session once and run [`crate::Session::dc_owned`] /
+//! [`crate::Session::dc_sweep_owned`] against it.
 
 use crate::netlist::NodeId;
 

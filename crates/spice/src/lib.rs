@@ -11,18 +11,17 @@
 //!    [`mosfet::MosfetModel`]).
 //! 2. **Elaborate once** into a [`Session`]: validation, node/branch
 //!    layout, workspace and LU scratch allocation all happen a single time.
-//! 3. **Run many analyses** against the session — each [`Analysis`] request
-//!    ([`Analysis::Dc`], [`Analysis::DcSweep`], [`Analysis::Tran`],
-//!    [`Analysis::Ac`]) yields a stable [`RunId`] into the session's
-//!    [`ResultStore`], or use the `*_owned` shortcuts in hot loops.
+//! 3. **Run many analyses** against the session — [`Session::dc_owned`],
+//!    [`Session::dc_sweep_owned`], [`Session::tran_owned`] and
+//!    [`Session::ac_owned`] each return their result by value; the session
+//!    keeps no results of its own.
 //! 4. **Resample in place** for Monte Carlo: [`Session::swap_devices`] /
 //!    [`Session::swap_all_mosfets`] replace MOSFET instances without
-//!    re-parsing or re-elaborating, the next solve warm-starts from the
-//!    previous sample's operating point, and stored results of the
-//!    pre-swap circuit are invalidated. DC Monte Carlo batches go through
-//!    [`Session::dc_batch`], which stamps and LU-solves K mismatch lanes
-//!    at once (bit-identical per lane to the sequential scalar path) on
-//!    one topology traversal. AC Monte Carlo batches go through
+//!    re-parsing or re-elaborating, and the next solve warm-starts from
+//!    the previous sample's operating point. DC Monte Carlo batches go
+//!    through [`Session::dc_batch`], which stamps and LU-solves K mismatch
+//!    lanes at once (bit-identical per lane to the sequential scalar path)
+//!    on one topology traversal. AC Monte Carlo batches go through
 //!    [`Session::ac_batch`], which also amortizes the guessed
 //!    operating-point solve and the [`ac::AcWorkspace`] scratch across
 //!    samples.
@@ -42,7 +41,7 @@
 //! # Example
 //!
 //! ```
-//! use spice::{Analysis, Circuit, Session, Waveform};
+//! use spice::{Circuit, Session, Waveform};
 //!
 //! # fn main() -> Result<(), spice::SpiceError> {
 //! // A resistive divider: 1 V across two 1 kΩ resistors.
@@ -55,9 +54,9 @@
 //!
 //! // Elaborate once; run as many analyses as needed.
 //! let mut s = Session::elaborate(c)?;
-//! let op = s.run(Analysis::dc())?;
-//! assert!((s.results().dc(op).unwrap().voltage(mid) - 0.5).abs() < 1e-9);
-//! let sweep = s.dc_sweep("V1", &[0.0, 1.0, 2.0])?;
+//! let op = s.dc_owned()?;
+//! assert!((op.voltage(mid) - 0.5).abs() < 1e-9);
+//! let sweep = s.dc_sweep_owned("V1", &[0.0, 1.0, 2.0])?;
 //! assert!((sweep.voltages(mid)[2] - 1.0).abs() < 1e-9);
 //! # Ok(())
 //! # }
@@ -90,6 +89,6 @@ pub mod waveform;
 pub use dc::{DcResult, SweepResult};
 pub use error::SpiceError;
 pub use netlist::{Circuit, NodeId};
-pub use session::{Analysis, AnalysisResult, ResultStore, RunId, Session};
+pub use session::Session;
 pub use tran::{TranOptions, TranResult};
 pub use waveform::Waveform;

@@ -5,14 +5,14 @@
 //! node/branch layout, workspace and LU scratch allocation), and then runs
 //! any number of analyses against that fixed topology:
 //!
-//! * every [`Analysis`] request returns a stable [`RunId`] into the
-//!   session's [`ResultStore`];
-//! * `*_owned` convenience methods bypass the store for hot loops;
+//! * every analysis returns its result by value — [`Session::dc_owned`],
+//!   [`Session::dc_sweep_owned`], [`Session::tran_owned`],
+//!   [`Session::ac_owned`] — so nothing a session computes outlives the
+//!   circuit state it was computed on;
 //! * [`Session::swap_devices`] / [`Session::swap_all_mosfets`] resample
 //!   MOSFET instances *in place* — the Monte Carlo fast path: no re-parse,
 //!   no re-elaboration, and the next DC solve warm-starts from the previous
-//!   sample's operating point (stored results of the pre-swap circuit are
-//!   invalidated);
+//!   sample's operating point;
 //! * [`Session::ac_batch`] runs resample→sweep AC Monte Carlo batches,
 //!   amortizing the guessed operating-point solve and reusing one cached
 //!   [`AcWorkspace`] across all samples;
@@ -38,288 +38,13 @@ const SOURCE_STEPS: [f64; 8] = [0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 1.0];
 /// Maximum binary step-halving depth on transient Newton failure.
 const MAX_HALVINGS: usize = 10;
 
-/// Stable identifier of one analysis run within a session.
-///
-/// Ids are monotonically increasing and never reused, even after
-/// [`ResultStore::take`] or [`ResultStore::clear`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RunId(u64);
-
-impl std::fmt::Display for RunId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "run#{}", self.0)
-    }
-}
-
-/// An analysis request for [`Session::run`].
-#[derive(Debug, Clone)]
-pub enum Analysis {
-    /// Nonlinear DC operating point; `guess` seeds the Newton iteration
-    /// (empty for a cold start) and selects the state of bistable circuits.
-    Dc {
-        /// Initial node-voltage guesses.
-        guess: Vec<(NodeId, f64)>,
-    },
-    /// DC sweep of the named voltage source over `values`, warm-started
-    /// point to point. The source's waveform is restored afterwards.
-    DcSweep {
-        /// Voltage source to sweep.
-        source: String,
-        /// Swept DC values.
-        values: Vec<f64>,
-    },
-    /// Transient analysis.
-    Tran(TranOptions),
-    /// AC small-signal sweep: linearize at the DC operating point selected
-    /// by `guess` (empty for a cold start), apply a unit excitation on
-    /// `source`, solve at each frequency.
-    Ac {
-        /// Voltage source carrying the unit AC excitation.
-        source: String,
-        /// Sweep frequencies, Hz (all positive).
-        freqs: Vec<f64>,
-        /// Operating-point guesses for bistable circuits.
-        guess: Vec<(NodeId, f64)>,
-    },
-}
-
-impl Analysis {
-    /// A cold-start DC operating point request.
-    #[must_use]
-    pub fn dc() -> Self {
-        Analysis::Dc { guess: Vec::new() }
-    }
-
-    /// A DC operating point request seeded with node-voltage guesses.
-    #[must_use]
-    pub fn dc_with_guess(guess: &[(NodeId, f64)]) -> Self {
-        Analysis::Dc {
-            guess: guess.to_vec(),
-        }
-    }
-
-    /// A DC sweep request.
-    #[must_use]
-    pub fn dc_sweep(source: &str, values: &[f64]) -> Self {
-        Analysis::DcSweep {
-            source: source.to_string(),
-            values: values.to_vec(),
-        }
-    }
-
-    /// A transient request.
-    #[must_use]
-    pub fn tran(opts: TranOptions) -> Self {
-        Analysis::Tran(opts)
-    }
-
-    /// An AC sweep request (cold-start operating point).
-    #[must_use]
-    pub fn ac(source: &str, freqs: &[f64]) -> Self {
-        Analysis::Ac {
-            source: source.to_string(),
-            freqs: freqs.to_vec(),
-            guess: Vec::new(),
-        }
-    }
-
-    /// An AC sweep request with operating-point guesses.
-    #[must_use]
-    pub fn ac_with_guess(source: &str, freqs: &[f64], guess: &[(NodeId, f64)]) -> Self {
-        Analysis::Ac {
-            source: source.to_string(),
-            freqs: freqs.to_vec(),
-            guess: guess.to_vec(),
-        }
-    }
-}
-
-/// A completed analysis result.
-#[derive(Debug, Clone)]
-pub enum AnalysisResult {
-    /// DC operating point.
-    Dc(DcResult),
-    /// DC sweep.
-    Sweep(SweepResult),
-    /// Transient waveforms.
-    Tran(TranResult),
-    /// AC sweep.
-    Ac(AcResult),
-}
-
-impl AnalysisResult {
-    /// Short kind label ("dc", "sweep", "tran", "ac").
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            AnalysisResult::Dc(_) => "dc",
-            AnalysisResult::Sweep(_) => "sweep",
-            AnalysisResult::Tran(_) => "tran",
-            AnalysisResult::Ac(_) => "ac",
-        }
-    }
-
-    /// The DC result, if this run was a DC operating point.
-    #[must_use]
-    pub fn as_dc(&self) -> Option<&DcResult> {
-        match self {
-            AnalysisResult::Dc(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The sweep result, if this run was a DC sweep.
-    #[must_use]
-    pub fn as_sweep(&self) -> Option<&SweepResult> {
-        match self {
-            AnalysisResult::Sweep(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The transient result, if this run was a transient.
-    #[must_use]
-    pub fn as_tran(&self) -> Option<&TranResult> {
-        match self {
-            AnalysisResult::Tran(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The AC result, if this run was an AC sweep.
-    #[must_use]
-    pub fn as_ac(&self) -> Option<&AcResult> {
-        match self {
-            AnalysisResult::Ac(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Consumes into the DC result, if applicable.
-    #[must_use]
-    pub fn into_dc(self) -> Option<DcResult> {
-        match self {
-            AnalysisResult::Dc(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Consumes into the sweep result, if applicable.
-    #[must_use]
-    pub fn into_sweep(self) -> Option<SweepResult> {
-        match self {
-            AnalysisResult::Sweep(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Consumes into the transient result, if applicable.
-    #[must_use]
-    pub fn into_tran(self) -> Option<TranResult> {
-        match self {
-            AnalysisResult::Tran(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Consumes into the AC result, if applicable.
-    #[must_use]
-    pub fn into_ac(self) -> Option<AcResult> {
-        match self {
-            AnalysisResult::Ac(r) => Some(r),
-            _ => None,
-        }
-    }
-}
-
-/// Completed runs of a session, keyed by [`RunId`].
-///
-/// Runs are stored in completion order; ids are strictly increasing, so
-/// lookups binary-search. Long-lived Monte Carlo sessions should either use
-/// the `*_owned` methods on [`Session`] (which bypass the store) or call
-/// [`ResultStore::clear`] periodically.
-///
-/// In-place circuit mutation ([`Session::swap_device`] and friends,
-/// [`Session::set_source`]) invalidates the store: results recorded before
-/// the mutation describe a circuit that no longer exists, so their ids stop
-/// resolving ([`ResultStore::get`] returns `None`; ids are never reused).
-#[derive(Debug, Clone, Default)]
-pub struct ResultStore {
-    runs: Vec<(RunId, AnalysisResult)>,
-}
-
-impl ResultStore {
-    /// Looks up a run by id.
-    #[must_use]
-    pub fn get(&self, id: RunId) -> Option<&AnalysisResult> {
-        self.runs
-            .binary_search_by_key(&id, |(k, _)| *k)
-            .ok()
-            .map(|i| &self.runs[i].1)
-    }
-
-    /// Removes and returns a run by id.
-    pub fn take(&mut self, id: RunId) -> Option<AnalysisResult> {
-        self.runs
-            .binary_search_by_key(&id, |(k, _)| *k)
-            .ok()
-            .map(|i| self.runs.remove(i).1)
-    }
-
-    /// The DC result of a run, if it exists and was a DC operating point.
-    #[must_use]
-    pub fn dc(&self, id: RunId) -> Option<&DcResult> {
-        self.get(id).and_then(AnalysisResult::as_dc)
-    }
-
-    /// The sweep result of a run, if it exists and was a DC sweep.
-    #[must_use]
-    pub fn sweep(&self, id: RunId) -> Option<&SweepResult> {
-        self.get(id).and_then(AnalysisResult::as_sweep)
-    }
-
-    /// The transient result of a run, if it exists and was a transient.
-    #[must_use]
-    pub fn tran(&self, id: RunId) -> Option<&TranResult> {
-        self.get(id).and_then(AnalysisResult::as_tran)
-    }
-
-    /// The AC result of a run, if it exists and was an AC sweep.
-    #[must_use]
-    pub fn ac(&self, id: RunId) -> Option<&AcResult> {
-        self.get(id).and_then(AnalysisResult::as_ac)
-    }
-
-    /// Number of stored runs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// True when no runs are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    /// Iterates stored runs in completion order.
-    pub fn iter(&self) -> impl Iterator<Item = (RunId, &AnalysisResult)> {
-        self.runs.iter().map(|(id, r)| (*id, r))
-    }
-
-    /// Drops all stored runs (ids are never reused).
-    pub fn clear(&mut self) {
-        self.runs.clear();
-    }
-}
-
 /// A persistent simulation session: one elaborated circuit, reusable
 /// scratch, many analyses.
 ///
 /// # Example
 ///
 /// ```
-/// use spice::{Analysis, Circuit, Session, Waveform};
+/// use spice::{Circuit, Session, Waveform};
 ///
 /// # fn main() -> Result<(), spice::SpiceError> {
 /// let mut c = Circuit::new();
@@ -330,11 +55,11 @@ impl ResultStore {
 /// c.resistor("R2", mid, Circuit::GROUND, 1e3);
 ///
 /// let mut s = Session::elaborate(c)?;
-/// let op = s.run(Analysis::dc())?;
-/// assert!((s.results().dc(op).unwrap().voltage(mid) - 0.5).abs() < 1e-9);
+/// let op = s.dc_owned()?;
+/// assert!((op.voltage(mid) - 0.5).abs() < 1e-9);
 /// // Same elaboration, different stimulus: no rebuild.
 /// s.set_source("V1", Waveform::dc(2.0))?;
-/// let op2 = s.dc()?;
+/// let op2 = s.dc_owned()?;
 /// assert!((op2.voltage(mid) - 1.0).abs() < 1e-9);
 /// # Ok(())
 /// # }
@@ -347,8 +72,6 @@ pub struct Session {
     nn: usize,
     /// Element index of every MOSFET, by instance name.
     mos_by_name: HashMap<String, usize>,
-    store: ResultStore,
-    next_run: u64,
     /// Last converged DC unknown vector — warm start for the next DC solve.
     warm: Option<Vec<f64>>,
     /// Transient dynamic-state double buffer, reused across runs.
@@ -389,8 +112,6 @@ impl Session {
             ws,
             nn,
             mos_by_name,
-            store: ResultStore::default(),
-            next_run: 0,
             warm: None,
             state: TranState::default(),
             state_scratch: TranState::default(),
@@ -400,14 +121,13 @@ impl Session {
     }
 
     /// Re-elaborates this session's circuit into an independent session —
-    /// fresh workspace, result store, and warm-start state, same topology
-    /// and current device models.
+    /// fresh workspace and warm-start state, same topology and current
+    /// device models.
     ///
     /// This is the worker-setup path of parallel Monte Carlo: elaborate a
     /// topology once on the coordinating thread, then hand each worker its
     /// own replica ([`Session`] is `Send`; every worker swaps devices and
-    /// warm-starts independently). Results stored in this session are not
-    /// copied.
+    /// warm-starts independently).
     ///
     /// # Errors
     ///
@@ -427,8 +147,8 @@ impl Session {
     /// let mut s = Session::elaborate(c)?;
     /// let mut replica = s.replicate()?; // e.g. moved into a worker thread
     /// assert_eq!(
-    ///     s.dc()?.voltage(a).to_bits(),
-    ///     replica.dc()?.voltage(a).to_bits(),
+    ///     s.dc_owned()?.voltage(a).to_bits(),
+    ///     replica.dc_owned()?.voltage(a).to_bits(),
     /// );
     /// # Ok(())
     /// # }
@@ -445,207 +165,77 @@ impl Session {
         &self.circuit
     }
 
-    /// Completed runs.
-    #[must_use]
-    pub fn results(&self) -> &ResultStore {
-        &self.store
-    }
+    // ---- analyses --------------------------------------------------------
 
-    /// Mutable access to completed runs (for [`ResultStore::take`] /
-    /// [`ResultStore::clear`]).
-    pub fn results_mut(&mut self) -> &mut ResultStore {
-        &mut self.store
-    }
-
-    /// Runs an analysis and stores the result under a fresh [`RunId`].
+    /// DC operating point, warm-started from the previous converged solve
+    /// (cold on the first call).
     ///
     /// # Errors
     ///
-    /// Propagates convergence, singularity, and argument errors from the
-    /// underlying analysis.
-    pub fn run(&mut self, analysis: Analysis) -> Result<RunId, SpiceError> {
-        let result = self.run_inner(analysis)?;
-        let id = RunId(self.next_run);
-        self.next_run += 1;
-        self.store.runs.push((id, result));
-        Ok(id)
-    }
-
-    /// Runs an analysis and returns the result directly, bypassing the
-    /// store — the zero-overhead path for Monte Carlo loops.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::run`].
-    pub fn run_owned(&mut self, analysis: Analysis) -> Result<AnalysisResult, SpiceError> {
-        self.run_inner(analysis)
-    }
-
-    fn run_inner(&mut self, analysis: Analysis) -> Result<AnalysisResult, SpiceError> {
-        match analysis {
-            Analysis::Dc { guess } => {
-                let g = if guess.is_empty() {
-                    None
-                } else {
-                    Some(guess.as_slice())
-                };
-                let x = self.solve_dc_vec(g)?;
-                Ok(AnalysisResult::Dc(DcResult::new(x, self.nn)))
-            }
-            Analysis::DcSweep { source, values } => self
-                .run_dc_sweep(&source, &values)
-                .map(AnalysisResult::Sweep),
-            Analysis::Tran(opts) => self.run_tran(&opts).map(AnalysisResult::Tran),
-            Analysis::Ac {
-                source,
-                freqs,
-                guess,
-            } => {
-                let g = if guess.is_empty() {
-                    None
-                } else {
-                    Some(guess.as_slice())
-                };
-                self.run_ac(&source, &freqs, g).map(AnalysisResult::Ac)
-            }
-        }
-    }
-
-    // ---- typed convenience wrappers -------------------------------------
-
-    /// DC operating point; result stored and borrowed.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::run`].
-    pub fn dc(&mut self) -> Result<&DcResult, SpiceError> {
-        let id = self.run(Analysis::dc())?;
-        Ok(self.store.dc(id).expect("just stored"))
-    }
-
-    /// DC operating point with node-voltage guesses; result stored and
-    /// borrowed.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::run`].
-    pub fn dc_with_guess(&mut self, guess: &[(NodeId, f64)]) -> Result<&DcResult, SpiceError> {
-        let id = self.run(Analysis::dc_with_guess(guess))?;
-        Ok(self.store.dc(id).expect("just stored"))
-    }
-
-    /// DC sweep; result stored and borrowed.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::run`].
-    pub fn dc_sweep(&mut self, source: &str, values: &[f64]) -> Result<&SweepResult, SpiceError> {
-        let id = self.run(Analysis::dc_sweep(source, values))?;
-        Ok(self.store.sweep(id).expect("just stored"))
-    }
-
-    /// Transient; result stored and borrowed.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::run`].
-    pub fn tran(&mut self, opts: &TranOptions) -> Result<&TranResult, SpiceError> {
-        let id = self.run(Analysis::Tran(opts.clone()))?;
-        Ok(self.store.tran(id).expect("just stored"))
-    }
-
-    /// AC sweep (cold operating point); result stored and borrowed.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::run`].
-    pub fn ac(&mut self, source: &str, freqs: &[f64]) -> Result<&AcResult, SpiceError> {
-        let id = self.run(Analysis::ac(source, freqs))?;
-        Ok(self.store.ac(id).expect("just stored"))
-    }
-
-    /// AC sweep with operating-point guesses; result stored and borrowed.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::run`].
-    pub fn ac_with_guess(
-        &mut self,
-        source: &str,
-        freqs: &[f64],
-        guess: &[(NodeId, f64)],
-    ) -> Result<&AcResult, SpiceError> {
-        let id = self.run(Analysis::ac_with_guess(source, freqs, guess))?;
-        Ok(self.store.ac(id).expect("just stored"))
-    }
-
-    /// DC operating point, returned by value without touching the store.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::run`].
+    /// Propagates convergence and singularity errors.
     pub fn dc_owned(&mut self) -> Result<DcResult, SpiceError> {
-        Ok(self
-            .run_owned(Analysis::dc())?
-            .into_dc()
-            .expect("dc request yields dc result"))
+        self.dc_owned_with_guess(&[])
     }
 
-    /// [`Session::dc_owned`] with guesses.
+    /// DC operating point seeded with node-voltage guesses, which select
+    /// the state of bistable circuits; an empty guess is
+    /// [`Session::dc_owned`].
     ///
     /// # Errors
     ///
-    /// See [`Session::run`].
+    /// Propagates convergence and singularity errors.
     pub fn dc_owned_with_guess(&mut self, guess: &[(NodeId, f64)]) -> Result<DcResult, SpiceError> {
-        Ok(self
-            .run_owned(Analysis::dc_with_guess(guess))?
-            .into_dc()
-            .expect("dc request yields dc result"))
+        let x = self.solve_dc_vec((!guess.is_empty()).then_some(guess))?;
+        Ok(DcResult::new(x, self.nn))
     }
 
-    /// DC sweep, returned by value without touching the store.
+    /// DC sweep of the named voltage source over `values`, warm-started
+    /// point to point. The source's waveform is restored afterwards.
     ///
     /// # Errors
     ///
-    /// See [`Session::run`].
+    /// Returns [`SpiceError::InvalidArgument`] for an empty sweep,
+    /// [`SpiceError::BadNetlist`] for an unknown source, and propagates
+    /// convergence errors.
     pub fn dc_sweep_owned(
         &mut self,
         source: &str,
         values: &[f64],
     ) -> Result<SweepResult, SpiceError> {
-        Ok(self
-            .run_owned(Analysis::dc_sweep(source, values))?
-            .into_sweep()
-            .expect("sweep request yields sweep result"))
+        if values.is_empty() {
+            return Err(SpiceError::InvalidArgument {
+                context: "empty sweep".into(),
+            });
+        }
+        self.circuit.vsource_index(source)?;
+        let saved = self.circuit.vsource_waveform(source)?.clone();
+        let result = self.sweep_points(source, values);
+        self.circuit
+            .set_vsource(source, saved)
+            .expect("source existed above");
+        result
     }
 
-    /// Transient, returned by value without touching the store.
+    /// AC small-signal sweep: linearize at the DC operating point selected
+    /// by `guess` (empty for a cold start), apply a unit excitation on
+    /// `source`, solve at each frequency through the cached
+    /// [`AcWorkspace`].
     ///
     /// # Errors
     ///
-    /// See [`Session::run`].
-    pub fn tran_owned(&mut self, opts: &TranOptions) -> Result<TranResult, SpiceError> {
-        Ok(self
-            .run_owned(Analysis::Tran(opts.clone()))?
-            .into_tran()
-            .expect("tran request yields tran result"))
-    }
-
-    /// AC sweep, returned by value without touching the store.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::run`].
+    /// Returns [`SpiceError::InvalidArgument`] for an empty or non-positive
+    /// frequency list and [`SpiceError::BadNetlist`] for an unknown source —
+    /// both before any operating-point work — and propagates convergence
+    /// and singularity errors.
     pub fn ac_owned(
         &mut self,
         source: &str,
         freqs: &[f64],
         guess: &[(NodeId, f64)],
     ) -> Result<AcResult, SpiceError> {
-        Ok(self
-            .run_owned(Analysis::ac_with_guess(source, freqs, guess))?
-            .into_ac()
-            .expect("ac request yields ac result"))
+        self.validate_ac_args(source, freqs)?;
+        let x_op = self.solve_dc_vec((!guess.is_empty()).then_some(guess))?;
+        self.sweep_ac(source, freqs, &x_op)
     }
 
     // ---- in-place mutation ----------------------------------------------
@@ -653,29 +243,16 @@ impl Session {
     /// Replaces the waveform of an existing voltage source (sweeps, setup
     /// and hold searches) without re-elaboration.
     ///
-    /// Results stored before the change describe a circuit that no longer
-    /// exists, so the [`ResultStore`] is invalidated: their [`RunId`]s stop
-    /// resolving (see [`Session::swap_device`]).
-    ///
     /// # Errors
     ///
     /// Returns [`SpiceError::BadNetlist`] when the source is missing.
     pub fn set_source(&mut self, name: &str, wave: Waveform) -> Result<(), SpiceError> {
-        self.circuit.set_vsource(name, wave)?;
-        self.store.clear();
-        Ok(())
+        self.circuit.set_vsource(name, wave)
     }
 
     /// Replaces the compact model of one MOSFET instance in place. The
     /// node/branch layout, workspace, and LU scratch all stay valid; the
     /// next DC solve warm-starts from the previous operating point.
-    ///
-    /// Results stored before the swap were computed on a circuit that no
-    /// longer exists; keeping them readable would silently mix samples, so
-    /// the [`ResultStore`] is invalidated — stale [`RunId`]s stop resolving
-    /// ([`ResultStore::get`] returns `None`). Extract anything you need
-    /// (e.g. via [`ResultStore::take`]) before mutating, or use the
-    /// `*_owned` methods, whose results the store never holds.
     ///
     /// # Errors
     ///
@@ -694,7 +271,6 @@ impl Session {
         match &mut self.circuit.elements_mut()[idx] {
             Element::Mosfet { model: slot, .. } => {
                 *slot = model;
-                self.store.clear();
                 Ok(())
             }
             _ => unreachable!("mos_by_name only indexes MOSFETs"),
@@ -702,7 +278,6 @@ impl Session {
     }
 
     /// Replaces several MOSFET models in place; returns the number swapped.
-    /// Stored results are invalidated, as for [`Session::swap_device`].
     ///
     /// # Errors
     ///
@@ -724,8 +299,7 @@ impl Session {
     /// Resamples every MOSFET in the circuit: `f` receives each instance's
     /// name and current model and returns the replacement. Returns the
     /// number of devices swapped. This is the circuit-level Monte Carlo
-    /// inner loop — pair it with a mismatch-sampling factory. Stored
-    /// results are invalidated, as for [`Session::swap_device`].
+    /// inner loop — pair it with a mismatch-sampling factory.
     pub fn swap_all_mosfets<F>(&mut self, mut f: F) -> usize
     where
         F: FnMut(&str, &dyn MosfetModel) -> Box<dyn MosfetModel>,
@@ -736,9 +310,6 @@ impl Session {
                 *model = f(name, model.as_ref());
                 n += 1;
             }
-        }
-        if n > 0 {
-            self.store.clear();
         }
         n
     }
@@ -794,7 +365,7 @@ impl Session {
     ///
     /// Each lane is a set of device swaps applied *for that lane only* —
     /// the session's own circuit is left unchanged (unlike
-    /// [`Session::swap_devices`], and no stored results are invalidated).
+    /// [`Session::swap_devices`]).
     /// Every lane starts from the same entry state the scalar path would
     /// use: the `guess` node overrides when `Some` (matching
     /// [`Session::dc_owned_with_guess`]), otherwise the session's warm
@@ -1097,23 +668,6 @@ impl Session {
         })
     }
 
-    /// DC sweep with point-to-point warm starts; restores the swept
-    /// source's waveform afterwards.
-    fn run_dc_sweep(&mut self, source: &str, values: &[f64]) -> Result<SweepResult, SpiceError> {
-        if values.is_empty() {
-            return Err(SpiceError::InvalidArgument {
-                context: "empty sweep".into(),
-            });
-        }
-        self.circuit.vsource_index(source)?;
-        let saved = self.circuit.vsource_waveform(source)?.clone();
-        let result = self.sweep_points(source, values);
-        self.circuit
-            .set_vsource(source, saved)
-            .expect("source existed above");
-        result
-    }
-
     fn sweep_points(&mut self, source: &str, values: &[f64]) -> Result<SweepResult, SpiceError> {
         let n = self.circuit.n_unknowns();
         let mut points = Vec::with_capacity(values.len());
@@ -1146,10 +700,15 @@ impl Session {
         })
     }
 
-    /// Transient run: DC initial point, breakpoint-aligned fixed grid,
+    /// Transient analysis: DC initial point, breakpoint-aligned fixed grid,
     /// trapezoidal integration with backward-Euler restarts, recursive step
     /// halving on Newton failure.
-    fn run_tran(&mut self, opts: &TranOptions) -> Result<TranResult, SpiceError> {
+    ///
+    /// # Errors
+    ///
+    /// Propagates convergence errors of the initial point or of a step that
+    /// still fails after the maximum halving depth.
+    pub fn tran_owned(&mut self, opts: &TranOptions) -> Result<TranResult, SpiceError> {
         let mut x = self.solve_dc_vec(if opts.ic.is_empty() {
             None
         } else {
@@ -1272,19 +831,6 @@ impl Session {
         }
     }
 
-    /// AC small-signal sweep at the (possibly guess-selected) operating
-    /// point, through the cached [`AcWorkspace`].
-    fn run_ac(
-        &mut self,
-        source: &str,
-        freqs: &[f64],
-        guess: Option<&[(NodeId, f64)]>,
-    ) -> Result<AcResult, SpiceError> {
-        self.validate_ac_args(source, freqs)?;
-        let x_op = self.solve_dc_vec(guess)?;
-        self.sweep_ac(source, freqs, &x_op)
-    }
-
     /// Rejects bad AC arguments *before* any operating-point work, so a
     /// typo'd source name or empty frequency list costs no Newton solve
     /// and leaves the warm-start state untouched. (The [`AcWorkspace`]
@@ -1361,7 +907,7 @@ impl Session {
     /// from the previous operating point when one exists, otherwise (or on
     /// failure, or when the warm solution lands in a different stable
     /// state than `guess` selects) the full guessed path of
-    /// [`Session::dc_with_guess`].
+    /// [`Session::dc_owned_with_guess`].
     fn solve_dc_warm_or_guess(&mut self, guess: &[(NodeId, f64)]) -> Result<Vec<f64>, SpiceError> {
         if let Some(w) = self.warm.clone() {
             let dc = Mode::Dc {
@@ -1465,35 +1011,20 @@ mod tests {
     }
 
     #[test]
-    fn run_ids_are_stable_and_typed() {
+    fn analyses_return_results_by_value() {
         let (c, a, m) = divider();
-        let mut s = Session::elaborate(c).unwrap();
-        let id0 = s.run(Analysis::dc()).unwrap();
-        let id1 = s.run(Analysis::dc_sweep("V1", &[0.0, 1.0])).unwrap();
-        assert_ne!(id0, id1);
-        assert!(id0 < id1);
-        let op = s.results().dc(id0).unwrap();
-        assert!((op.voltage(m) - 1.0 / 3.0).abs() < 1e-6);
-        assert!((op.voltage(a) - 1.0).abs() < 1e-6);
-        // Kind mismatch yields None, not a panic.
-        assert!(s.results().tran(id0).is_none());
-        assert_eq!(s.results().get(id0).unwrap().kind(), "dc");
-        assert_eq!(s.results().len(), 2);
-        // take() removes; ids are never reused.
-        let taken = s.results_mut().take(id0).unwrap();
-        assert!(taken.as_dc().is_some());
-        assert!(s.results().get(id0).is_none());
-        let id2 = s.run(Analysis::dc()).unwrap();
-        assert!(id2 > id1);
-    }
-
-    #[test]
-    fn owned_runs_bypass_store() {
-        let (c, _, m) = divider();
         let mut s = Session::elaborate(c).unwrap();
         let op = s.dc_owned().unwrap();
         assert!((op.voltage(m) - 1.0 / 3.0).abs() < 1e-6);
-        assert!(s.results().is_empty());
+        assert!((op.voltage(a) - 1.0).abs() < 1e-6);
+        // An empty guess is the plain solve.
+        let again = s.dc_owned_with_guess(&[]).unwrap();
+        assert!((again.voltage(m) - op.voltage(m)).abs() < 1e-12);
+        assert!(matches!(
+            s.dc_sweep_owned("V1", &[]),
+            Err(SpiceError::InvalidArgument { .. })
+        ));
+        assert!(s.dc_sweep_owned("nope", &[1.0]).is_err());
     }
 
     #[test]
@@ -1657,36 +1188,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn swap_invalidates_stored_results() {
-        let (c, out) = inverter(0.9, 0.45);
-        let mut s = Session::elaborate(c).unwrap();
-        let id = s.run(Analysis::dc()).unwrap();
-        assert!(s.results().dc(id).is_some());
-        // In-place mutation: the stored run described a different circuit.
-        s.swap_device(
-            "MN",
-            Box::new(VsModel::nominal_nmos_40nm(Geometry::from_nm(150.0, 40.0))),
-        )
-        .unwrap();
-        assert!(
-            s.results().get(id).is_none(),
-            "stale RunId must not resolve"
-        );
-        assert!(s.results().is_empty());
-        // Ids keep increasing across the invalidation.
-        let id2 = s.run(Analysis::dc()).unwrap();
-        assert!(id2 > id);
-        assert!(s.results().dc(id2).is_some());
-        // swap_all_mosfets and set_source invalidate too.
-        s.swap_all_mosfets(|_, old| old.clone_box());
-        assert!(s.results().get(id2).is_none());
-        let id3 = s.run(Analysis::dc()).unwrap();
-        s.set_source("VIN", Waveform::dc(0.4)).unwrap();
-        assert!(s.results().get(id3).is_none());
-        let _ = out;
-    }
-
     /// An asymmetric cross-coupled inverter pair (latch): two stable
     /// states with distinct small-signal transfers.
     fn latch() -> (Circuit, NodeId, NodeId) {
@@ -1799,10 +1300,10 @@ mod tests {
         ckt.resistor("R1", vin, out, r);
         ckt.capacitor("C1", out, Circuit::GROUND, cap);
         let mut s = Session::elaborate(ckt).unwrap();
-        let res = s.ac("V1", &[fc]).unwrap();
+        let res = s.ac_owned("V1", &[fc], &[]).unwrap();
         let mag = res.magnitudes(out);
         assert!((mag[0] - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3);
-        assert!(s.run(Analysis::ac("V1", &[])).is_err());
-        assert!(s.run(Analysis::ac("nope", &[1.0])).is_err());
+        assert!(s.ac_owned("V1", &[], &[]).is_err());
+        assert!(s.ac_owned("nope", &[1.0], &[]).is_err());
     }
 }

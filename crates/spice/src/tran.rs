@@ -10,7 +10,7 @@ use crate::engine::{Integrator, TranState};
 use crate::netlist::{Circuit, NodeId};
 use mosfet::Bias;
 
-/// Options for a transient analysis ([`crate::session::Analysis::Tran`]).
+/// Options for a transient analysis ([`crate::Session::tran_owned`]).
 #[derive(Debug, Clone)]
 pub struct TranOptions {
     /// Simulation end time, s.

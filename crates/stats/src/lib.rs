@@ -10,14 +10,14 @@
 //! * [`descriptive`] — mean / variance / skewness / kurtosis / quantiles.
 //! * [`welford`] — streaming mean/variance accumulation with exact
 //!   [`Welford::merge`], for sharded and unbounded Monte Carlo runs.
-//! * [`sink`] — streaming result sinks (`Sink` trait, P² quantile sketch,
-//!   incremental CSV records, live-moment `WelfordSink`) consumed by the
-//!   parallel executor's `run_streaming`, so million-sample sweeps hold
-//!   O(workers) memory instead of buffering every value; plus the
-//!   [`sink::MergeableSink`] trait (merge + byte round-trip) that lets
-//!   independent runs combine their sketches.
+//! * [`sink`] — streaming result sinks (`Sink` trait, incremental CSV
+//!   records, `WelfordSink` moments, opt-in `VecSink` buffering) — the one
+//!   way results leave the parallel executor's `run_streaming`, so
+//!   million-sample sweeps hold O(workers) memory instead of buffering
+//!   every value; plus the [`sink::MergeableSink`] trait (merge + byte
+//!   round-trip) that lets independent runs combine their sketches.
 //! * [`tdigest`] — the mergeable t-digest quantile sketch (Dunning &
-//!   Ertl), the fleet-scale replacement for the single-stream P² sketch.
+//!   Ertl), the workspace's streaming quantile estimator.
 //! * [`importance`] — the rare-event engine: shifted/scaled Gaussian
 //!   proposals with exact log-likelihood-ratio weights, weighted
 //!   mergeable sinks ([`WeightedMoments`], [`WeightedHistogram`]) whose

@@ -7,29 +7,31 @@
 //! stream), so a sweep's peak memory stops scaling with the sample count.
 //!
 //! The parallel Monte Carlo executor (`vscore::mc::ParallelRunner::
-//! run_streaming`) feeds one sink per run: worker shards buffer records for
-//! the current round, and the coordinator folds the shards **in ascending
-//! sample-index order** before handing them to the sink. A sink therefore
-//! observes exactly the same record sequence for any worker count, which
-//! makes its final state — sketch markers, histogram counts, even raw CSV
-//! bytes — bit-identical across 1, 2, or 64 workers.
+//! run_streaming`) feeds one sink per run — a sink is the only way results
+//! leave a run: worker shards buffer records for the current round, and
+//! the coordinator folds the shards **in ascending sample-index order**
+//! before handing them to the sink. A sink therefore observes exactly the
+//! same record sequence for any worker count, which makes its final state
+//! — sketch centroids, histogram counts, even raw CSV bytes —
+//! bit-identical across 1, 2, or 64 workers.
 //!
 //! Shipped sinks:
 //!
-//! * [`P2Quantiles`] — the P² streaming quantile sketch (fixed markers, no
-//!   sample storage).
+//! * [`crate::tdigest::TDigest`] — the mergeable t-digest quantile sketch
+//!   (see the table below).
 //! * [`Histogram`] implements [`Sink`] directly — fixed-bin streaming
 //!   counts.
 //! * [`CsvSink`] — incremental `(index, value)` CSV records to any
 //!   [`std::io::Write`].
-//! * [`WelfordSink`] — streaming moments with an optional shared
-//!   [`WelfordSink::watch`] handle for live progress reporting.
+//! * [`WelfordSink`] — streaming moments.
 //! * [`VecSink`] — explicit opt-in buffering, for consumers (KDE, QQ
 //!   plots) that genuinely need the empirical sample.
-//! * [`crate::tdigest::TDigest`] — the mergeable t-digest quantile sketch
-//!   (see the table below).
 //! * `(A, B)` — a tuple of sinks fans every record out to both, so one run
-//!   can feed a CSV file, a sketch, and live moments at once.
+//!   can feed a CSV file, a sketch, and moments at once.
+//!
+//! A sink may also end a run early: [`Sink::satisfied`] is asked at every
+//! round boundary of a full run (`vscore::mc::EarlyStop` is the shipped
+//! confidence-interval rule).
 //!
 //! # Which sinks are mergeable
 //!
@@ -45,23 +47,14 @@
 //! | [`crate::tdigest::TDigest`] | yes | quantiles within the digest's documented rank-error bound of a single run over all the data |
 //! | [`Histogram`] | yes | bit-identical to the single-run histogram (integer bin counts add exactly) |
 //! | [`WelfordSink`] | yes | count/min/max bit-identical; mean/variance exact up to floating-point rounding (≲1e-12 relative — see [`Welford::merge`]) |
-//! | [`P2Quantiles`] | **no** | — |
 //! | [`CsvSink`] | no (concatenate the files out of band) | — |
 //! | [`VecSink`] | no (append the buffers) | — |
-//!
-//! `P2Quantiles` is *streaming but not mergeable by construction*: its
-//! five marker heights per level are a function of one observation
-//! *sequence*, and there is no operation that combines two runs' markers
-//! into the markers of the interleaved stream. Single-run pipelines keep
-//! using P² (slightly tighter central-quantile accuracy per byte);
-//! anything that must combine runs — fleet-scale tail estimates above
-//! all — uses [`crate::tdigest::TDigest`].
 //!
 //! # Example
 //!
 //! ```
-//! use stats::sink::{P2Quantiles, Sink};
-//! use stats::Sampler;
+//! use stats::sink::Sink;
+//! use stats::{Sampler, TDigest};
 //!
 //! // A custom sink is a few lines: count values above a threshold.
 //! struct Exceedance {
@@ -78,7 +71,7 @@
 //!
 //! // Fan one stream out to a quantile sketch and the custom sink.
 //! let mut sink = (
-//!     P2Quantiles::new(&[0.5, 0.9]),
+//!     TDigest::new(100.0),
 //!     Exceedance { threshold: 1.0, hits: 0 },
 //! );
 //! let mut s = Sampler::from_seed(7);
@@ -94,12 +87,10 @@
 //! ```
 
 use crate::codec::{put_f64, put_header, put_u64, Reader};
-use crate::descriptive::quantile_sorted;
 use crate::histogram::Histogram;
 use crate::tdigest::{Centroid, TDigest};
 use crate::welford::Welford;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 
 pub use crate::codec::CodecError;
 
@@ -112,8 +103,9 @@ pub use crate::codec::CodecError;
 ///
 /// The contract a driver (such as `ParallelRunner::run_streaming`) upholds:
 /// indices across all [`Sink::observe`]/[`Sink::merge`] calls are strictly
-/// increasing, and [`Sink::finish`] is called exactly once after the final
-/// record of a successfully completed run.
+/// increasing, [`Sink::satisfied`] is asked only between batches, and
+/// [`Sink::finish`] is called exactly once after the final record of a
+/// successfully completed run.
 pub trait Sink<T = f64> {
     /// Consumes one successful sample record.
     fn observe(&mut self, index: usize, value: T);
@@ -129,13 +121,24 @@ pub trait Sink<T = f64> {
         }
     }
 
+    /// True once the sink has seen enough records to end the run — a
+    /// stopping rule. A runner that honours stopping rules asks at every
+    /// batch boundary and stops feeding records once this returns `true`;
+    /// partitioned shard runs ignore it (a locally evaluated rule would
+    /// make the executed sample set depend on the partitioning). Never, by
+    /// default.
+    fn satisfied(&self) -> bool {
+        false
+    }
+
     /// Flushes and seals the sink after the final record. Called exactly
     /// once when a run completes (including early-stopped runs); not
     /// called when the run panics or fails during setup.
     fn finish(&mut self) {}
 }
 
-/// Fan-out: every record goes to both sinks, in order.
+/// Fan-out: every record goes to both sinks, in order; the pair is
+/// satisfied as soon as either half is.
 impl<T: Copy, A: Sink<T>, B: Sink<T>> Sink<T> for (A, B) {
     fn observe(&mut self, index: usize, value: T) {
         self.0.observe(index, value);
@@ -144,11 +147,15 @@ impl<T: Copy, A: Sink<T>, B: Sink<T>> Sink<T> for (A, B) {
 
     fn merge(&mut self, records: &mut Vec<(usize, T)>) {
         // Forward the batch through each inner sink's own `merge` so their
-        // overrides (e.g. `WelfordSink`'s per-batch watch publication) run.
+        // per-batch overrides (e.g. `VecSink`'s bulk append) run.
         let mut copy = records.clone();
         self.0.merge(&mut copy);
         self.1.merge(records);
         records.clear();
+    }
+
+    fn satisfied(&self) -> bool {
+        self.0.satisfied() || self.1.satisfied()
     }
 
     fn finish(&mut self) {
@@ -424,272 +431,6 @@ impl MergeableSink for Histogram {
 }
 
 // ---------------------------------------------------------------------------
-// P² quantile sketch
-// ---------------------------------------------------------------------------
-
-/// One 5-marker P² estimator for a single probability level.
-#[derive(Debug, Clone)]
-struct Marker {
-    /// Tracked probability level, strictly inside (0, 1).
-    p: f64,
-    /// Marker heights `q0 <= q1 <= q2 <= q3 <= q4`; `q2` is the estimate.
-    q: [f64; 5],
-    /// Actual marker positions (1-based observation ranks).
-    n: [f64; 5],
-    /// Desired marker positions.
-    np: [f64; 5],
-    /// Per-observation increments of the desired positions.
-    dn: [f64; 5],
-}
-
-impl Marker {
-    fn new(p: f64) -> Self {
-        Marker {
-            p,
-            q: [0.0; 5],
-            n: [1.0, 2.0, 3.0, 4.0, 5.0],
-            np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-        }
-    }
-
-    /// Initializes the heights from the first five (sorted) observations.
-    fn init(&mut self, sorted5: &[f64; 5]) {
-        self.q = *sorted5;
-    }
-
-    /// The piecewise-parabolic (P²) height update for interior marker `i`.
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (q, n) = (&self.q, &self.n);
-        q[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    /// The linear fallback height update when the parabola leaves the
-    /// bracketing heights.
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let (q, n) = (&self.q, &self.n);
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
-    }
-
-    /// Consumes one observation past the initialization phase.
-    fn push(&mut self, x: f64) {
-        // Locate the cell and stretch the extreme heights.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 1..4 {
-                if x >= self.q[i] {
-                    k = i;
-                }
-            }
-            k
-        };
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.np[i] += self.dn[i];
-        }
-        // Move interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            if (d >= 1.0 && self.n[i + 1] - self.n[i] > 1.0)
-                || (d <= -1.0 && self.n[i - 1] - self.n[i] < -1.0)
-            {
-                let d = d.signum();
-                let qp = self.parabolic(i, d);
-                self.q[i] = if self.q[i - 1] < qp && qp < self.q[i + 1] {
-                    qp
-                } else {
-                    self.linear(i, d)
-                };
-                self.n[i] += d;
-            }
-        }
-    }
-}
-
-/// Streaming quantile estimation with the P² algorithm (Jain & Chlamtac,
-/// 1985): five markers per tracked probability level, no sample storage.
-///
-/// Each level keeps the running minimum, maximum, and three interior
-/// markers whose heights are nudged toward the exact quantile positions by
-/// a piecewise-parabolic update — O(1) memory and O(levels) work per
-/// observation, whatever the stream length. The sketch is a pure function
-/// of the observation *sequence*, so feeding it an index-ordered Monte
-/// Carlo stream yields bit-identical estimates for any worker count.
-///
-/// # Accuracy
-///
-/// For smooth, unimodal distributions the estimate typically lands within
-/// a fraction of a percent of the exact sorted-sample quantile once a few
-/// thousand observations have streamed through (the crate tests pin
-/// |P² − exact| ≤ 0.02·σ for central levels and ≤ 0.05·σ for 5%/95% tails
-/// at n = 4000 on Gaussian data).
-/// Accuracy degrades where the density is low — the classic case is the
-/// median of a well-separated bimodal mixture, where any estimator
-/// interpolates across the gap; the tests bound that case too. Tail levels
-/// need proportionally more samples before the interior markers settle
-/// (expect ~1/(p·n) relative rank error at level `p`).
-///
-/// # Example
-///
-/// ```
-/// use stats::sink::P2Quantiles;
-/// use stats::Sampler;
-///
-/// let mut sketch = P2Quantiles::new(&[0.1, 0.5, 0.9]);
-/// let mut s = Sampler::from_seed(1);
-/// for _ in 0..4000 {
-///     sketch.push(s.normal(10.0, 2.0));
-/// }
-/// let med = sketch.quantile(0.5).unwrap();
-/// assert!((med - 10.0).abs() < 0.1);
-/// assert_eq!(sketch.count(), 4000);
-/// ```
-#[derive(Debug, Clone)]
-pub struct P2Quantiles {
-    markers: Vec<Marker>,
-    /// The first five observations, buffered until the markers initialize.
-    boot: Vec<f64>,
-    count: u64,
-    skipped: u64,
-    min: f64,
-    max: f64,
-}
-
-impl P2Quantiles {
-    /// A sketch tracking the given probability levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` is empty or any level lies outside the open
-    /// interval `(0, 1)` — the extremes are tracked exactly as
-    /// [`P2Quantiles::min`] / [`P2Quantiles::max`].
-    #[must_use]
-    pub fn new(levels: &[f64]) -> Self {
-        assert!(!levels.is_empty(), "no quantile levels to track");
-        for &p in levels {
-            assert!(
-                p > 0.0 && p < 1.0,
-                "quantile level {p} outside (0, 1); use min()/max() for the extremes"
-            );
-        }
-        P2Quantiles {
-            markers: levels.iter().map(|&p| Marker::new(p)).collect(),
-            boot: Vec::with_capacity(5),
-            count: 0,
-            skipped: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Consumes one observation.
-    ///
-    /// Non-finite values have no rank in an order statistic (and would
-    /// poison the marker heights), so they are skipped and tallied in
-    /// [`P2Quantiles::skipped`] instead of entering the sketch.
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            self.skipped += 1;
-            return;
-        }
-        self.count += 1;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        if self.count <= 5 {
-            self.boot.push(x);
-            if self.count == 5 {
-                let mut five = [0.0; 5];
-                five.copy_from_slice(&self.boot);
-                five.sort_by(f64::total_cmp);
-                for m in &mut self.markers {
-                    m.init(&five);
-                }
-            }
-        } else {
-            for m in &mut self.markers {
-                m.push(x);
-            }
-        }
-    }
-
-    /// The current estimate for a tracked level (exact float match with a
-    /// level passed to [`P2Quantiles::new`]); `None` for untracked levels
-    /// or an empty sketch. With fewer than five observations the estimate
-    /// interpolates the buffered sample directly.
-    #[must_use]
-    pub fn quantile(&self, p: f64) -> Option<f64> {
-        let marker = self.markers.iter().find(|m| m.p == p)?;
-        if self.count == 0 {
-            return None;
-        }
-        if self.count < 5 {
-            let mut sorted = self.boot.clone();
-            sorted.sort_by(f64::total_cmp);
-            return Some(quantile_sorted(&sorted, p));
-        }
-        Some(marker.q[2])
-    }
-
-    /// All tracked `(level, estimate)` pairs, in construction order.
-    #[must_use]
-    pub fn estimates(&self) -> Vec<(f64, f64)> {
-        self.markers
-            .iter()
-            .filter_map(|m| self.quantile(m.p).map(|v| (m.p, v)))
-            .collect()
-    }
-
-    /// Number of (finite) observations consumed.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Number of non-finite observations skipped (see
-    /// [`P2Quantiles::push`]) — nonzero here means the stream carries
-    /// degenerate values worth investigating.
-    #[must_use]
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
-    /// True when nothing has been observed yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Exact smallest observation (`+inf` when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Exact largest observation (`-inf` when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-impl Sink for P2Quantiles {
-    fn observe(&mut self, _index: usize, value: f64) {
-        self.push(value);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // CSV sink
 // ---------------------------------------------------------------------------
 
@@ -765,32 +506,11 @@ impl<W: Write> Sink<(f64, f64)> for CsvSink<W> {
 // Welford sink
 // ---------------------------------------------------------------------------
 
-/// A read handle onto a [`WelfordSink`]'s live moments.
-///
-/// Cloneable and `Send`: hand one to a progress-reporting thread while the
-/// run owns the sink. Snapshots update once per folded batch, not per
-/// observation.
-#[derive(Debug, Clone)]
-pub struct WelfordWatch(Arc<Mutex<Welford>>);
-
-impl WelfordWatch {
-    /// The moments as of the most recently folded batch.
-    #[must_use]
-    pub fn snapshot(&self) -> Welford {
-        *self.0.lock().expect("no poisoned locks")
-    }
-}
-
-/// Streaming moments as a [`Sink`]: live mean / variance / extrema /
+/// Streaming moments as a [`Sink`]: mean / variance / extrema /
 /// confidence-interval half-width without materializing any values.
-///
-/// Wraps [`Welford`]; [`WelfordSink::watch`] hands out a shared
-/// [`WelfordWatch`] that another thread can poll for progress reporting
-/// while the run is feeding the sink (updated at batch granularity).
 #[derive(Debug, Default)]
 pub struct WelfordSink {
     w: Welford,
-    shared: Option<Arc<Mutex<Welford>>>,
 }
 
 impl WelfordSink {
@@ -800,26 +520,10 @@ impl WelfordSink {
         WelfordSink::default()
     }
 
-    /// A shared read handle, updated after every folded batch (and on
-    /// [`Sink::finish`]).
-    pub fn watch(&mut self) -> WelfordWatch {
-        let cell = self
-            .shared
-            .get_or_insert_with(|| Arc::new(Mutex::new(self.w)))
-            .clone();
-        WelfordWatch(cell)
-    }
-
     /// The accumulated moments.
     #[must_use]
     pub fn moments(&self) -> Welford {
         self.w
-    }
-
-    fn publish(&self) {
-        if let Some(cell) = &self.shared {
-            *cell.lock().expect("no poisoned locks") = self.w;
-        }
     }
 }
 
@@ -827,28 +531,15 @@ impl Sink for WelfordSink {
     fn observe(&mut self, _index: usize, value: f64) {
         self.w.push(value);
     }
-
-    fn merge(&mut self, records: &mut Vec<(usize, f64)>) {
-        for (_, value) in records.drain(..) {
-            self.w.push(value);
-        }
-        self.publish();
-    }
-
-    fn finish(&mut self) {
-        self.publish();
-    }
 }
 
 /// Byte tag `'W'`: delegates to [`Welford::to_bytes`] /
 /// [`Welford::from_bytes`] (42 bytes, bit-exact round trip); merging is
 /// [`Welford::merge`] — count/min/max combine exactly, mean/variance up to
-/// floating-point rounding. A reconstructed sink starts without a watch
-/// handle; call [`WelfordSink::watch`] again if live progress is needed.
+/// floating-point rounding.
 impl MergeableSink for WelfordSink {
     fn merge_from(&mut self, other: &Self) {
         self.w.merge(&other.w);
-        self.publish();
     }
 
     /// Welford states have no configuration to mismatch; this never fails.
@@ -864,7 +555,6 @@ impl MergeableSink for WelfordSink {
     fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         Ok(WelfordSink {
             w: Welford::from_bytes(bytes)?,
-            shared: None,
         })
     }
 }
@@ -919,146 +609,7 @@ impl<T> Sink<T> for VecSink<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::descriptive::quantile;
     use crate::sampler::Sampler;
-
-    /// Draws from a well-separated symmetric bimodal mixture:
-    /// 0.5·N(-3, 0.5²) + 0.5·N(3, 0.5²).
-    fn bimodal(s: &mut Sampler) -> f64 {
-        if s.uniform() < 0.5 {
-            s.normal(-3.0, 0.5)
-        } else {
-            s.normal(3.0, 0.5)
-        }
-    }
-
-    #[test]
-    fn p2_matches_exact_quantiles_on_gaussian() {
-        // The documented accuracy bounds at n = 4000, σ = 2: central levels
-        // (0.25..0.75) within 0.02·σ of the exact sorted-sample quantile,
-        // tail levels within 0.05·σ (fewer effective samples per marker).
-        let levels = [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95];
-        for seed in [3u64, 11, 77] {
-            let mut s = Sampler::from_seed(seed);
-            let xs: Vec<f64> = (0..4000).map(|_| s.normal(5.0, 2.0)).collect();
-            let mut sketch = P2Quantiles::new(&levels);
-            for &x in &xs {
-                sketch.push(x);
-            }
-            for &p in &levels {
-                let exact = quantile(&xs, p);
-                let est = sketch.quantile(p).unwrap();
-                let tol = if (0.25..=0.75).contains(&p) {
-                    0.02
-                } else {
-                    0.05
-                };
-                assert!(
-                    (est - exact).abs() <= tol * 2.0,
-                    "seed {seed} p{p}: P² {est:.4} vs exact {exact:.4}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn p2_matches_exact_quantiles_on_bimodal() {
-        // In-mode levels stay tight. The median falls in the near-empty
-        // gap between the modes, where *any* estimator interpolates across
-        // ~6 units of support — the documented weak spot; bound it by a
-        // fraction of the mode separation rather than of σ.
-        let mut s = Sampler::from_seed(19);
-        let xs: Vec<f64> = (0..6000).map(|_| bimodal(&mut s)).collect();
-        let mut sketch = P2Quantiles::new(&[0.1, 0.25, 0.5, 0.75, 0.9]);
-        for &x in &xs {
-            sketch.push(x);
-        }
-        for p in [0.1, 0.25, 0.75, 0.9] {
-            let exact = quantile(&xs, p);
-            let est = sketch.quantile(p).unwrap();
-            assert!(
-                (est - exact).abs() <= 0.05,
-                "p{p}: P² {est:.4} vs exact {exact:.4}"
-            );
-        }
-        let exact_med = quantile(&xs, 0.5);
-        let est_med = sketch.quantile(0.5).unwrap();
-        assert!(
-            (est_med - exact_med).abs() <= 1.5,
-            "median: P² {est_med:.4} vs exact {exact_med:.4} (mode gap is 6)"
-        );
-    }
-
-    #[test]
-    fn p2_small_samples_interpolate_buffer() {
-        let mut sketch = P2Quantiles::new(&[0.5]);
-        assert!(sketch.quantile(0.5).is_none());
-        assert!(sketch.is_empty());
-        for x in [3.0, 1.0, 2.0] {
-            sketch.push(x);
-        }
-        // Exact interpolated median of {1, 2, 3}.
-        assert_eq!(sketch.quantile(0.5), Some(2.0));
-        assert_eq!(sketch.quantile(0.9), None, "untracked level");
-        assert_eq!(sketch.min(), 1.0);
-        assert_eq!(sketch.max(), 3.0);
-        assert_eq!(sketch.count(), 3);
-    }
-
-    #[test]
-    fn p2_extremes_are_exact_and_estimates_ordered() {
-        let mut s = Sampler::from_seed(4);
-        let xs: Vec<f64> = (0..2000).map(|_| s.normal(0.0, 1.0)).collect();
-        let mut sketch = P2Quantiles::new(&[0.1, 0.5, 0.9]);
-        for &x in &xs {
-            sketch.push(x);
-        }
-        let lo = xs.iter().fold(f64::INFINITY, |m, &v| m.min(v));
-        let hi = xs.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
-        assert_eq!(sketch.min(), lo);
-        assert_eq!(sketch.max(), hi);
-        let est = sketch.estimates();
-        assert_eq!(est.len(), 3);
-        assert!(est[0].1 < est[1].1 && est[1].1 < est[2].1);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside (0, 1)")]
-    fn p2_rejects_extreme_levels() {
-        let _ = P2Quantiles::new(&[0.0]);
-    }
-
-    #[test]
-    fn p2_skips_non_finite_observations() {
-        // One policy for every stream position: non-finite values never
-        // enter the sketch (no rank, would poison the marker heights) and
-        // are tallied instead — the noisy stream ends bit-identical to
-        // the clean one.
-        let mut s = Sampler::from_seed(8);
-        let xs: Vec<f64> = (0..500).map(|_| s.normal(0.0, 1.0)).collect();
-        let mut clean = P2Quantiles::new(&[0.5]);
-        let mut noisy = P2Quantiles::new(&[0.5]);
-        for &x in &xs {
-            clean.push(x);
-        }
-        noisy.push(f64::NAN); // before marker initialization
-        for (i, &x) in xs.iter().enumerate() {
-            noisy.push(x);
-            if i == 100 {
-                noisy.push(f64::INFINITY);
-                noisy.push(f64::NEG_INFINITY);
-            }
-        }
-        assert_eq!(noisy.skipped(), 3);
-        assert_eq!(clean.skipped(), 0);
-        assert_eq!(noisy.count(), 500);
-        assert_eq!(
-            clean.quantile(0.5).unwrap().to_bits(),
-            noisy.quantile(0.5).unwrap().to_bits()
-        );
-        assert_eq!(clean.min(), noisy.min());
-        assert_eq!(clean.max(), noisy.max());
-    }
 
     #[test]
     fn csv_sink_writes_round_trip_records() {
@@ -1086,37 +637,54 @@ mod tests {
     }
 
     #[test]
-    fn welford_sink_matches_direct_accumulation_and_publishes() {
+    fn welford_sink_matches_direct_accumulation() {
         let mut s = Sampler::from_seed(9);
         let xs: Vec<f64> = (0..200).map(|_| s.normal(1.0, 0.3)).collect();
         let mut sink = WelfordSink::new();
-        let watch = sink.watch();
-        // Before any batch folds, the watch sees the empty state.
-        assert!(watch.snapshot().is_empty());
         let mut batch: Vec<(usize, f64)> = xs.iter().copied().enumerate().collect();
         sink.merge(&mut batch);
         assert!(batch.is_empty(), "merge must drain the batch");
         sink.finish();
-        let direct = Welford::from_slice(&xs);
-        assert_eq!(sink.moments(), direct);
-        assert_eq!(watch.snapshot(), direct);
+        assert_eq!(sink.moments(), Welford::from_slice(&xs));
     }
 
     #[test]
     fn tuple_sink_fans_out_batches_through_inner_merges() {
-        let mut sink = (WelfordSink::new(), P2Quantiles::new(&[0.5]));
-        // The fan-out must invoke the inner sinks' own `merge` overrides:
-        // a tuple-wrapped WelfordSink still publishes to its watch handle
-        // at batch granularity, not only at finish().
-        let watch = sink.0.watch();
+        let mut sink = (VecSink::new(), (WelfordSink::new(), TDigest::new(100.0)));
         let mut batch: Vec<(usize, f64)> = (0..100).map(|i| (i, i as f64)).collect();
         sink.merge(&mut batch);
         assert!(batch.is_empty());
-        assert_eq!(watch.snapshot().count(), 100, "watch updates per batch");
         sink.finish();
-        assert_eq!(sink.0.moments().count(), 100);
-        assert_eq!(sink.1.count(), 100);
-        assert!((sink.1.quantile(0.5).unwrap() - 49.5).abs() < 2.0);
+        let (records, (moments, digest)) = sink;
+        assert_eq!(records.records().len(), 100);
+        assert_eq!(moments.moments().count(), 100);
+        assert_eq!(digest.count(), 100);
+        assert!((digest.quantile(0.5).unwrap() - 49.5).abs() < 2.0);
+    }
+
+    #[test]
+    fn tuple_sink_is_satisfied_when_either_half_is() {
+        /// Satisfied once it has seen `need` records.
+        struct Quota {
+            seen: usize,
+            need: usize,
+        }
+        impl Sink for Quota {
+            fn observe(&mut self, _index: usize, _value: f64) {
+                self.seen += 1;
+            }
+            fn satisfied(&self) -> bool {
+                self.seen >= self.need
+            }
+        }
+        let mut sink = (WelfordSink::new(), Quota { seen: 0, need: 3 });
+        assert!(!sink.satisfied(), "the shipped sinks never stop a run");
+        sink.merge(&mut vec![(0, 1.0), (1, 2.0)]);
+        assert!(!sink.satisfied());
+        sink.observe(2, 3.0);
+        assert!(sink.satisfied());
+        let flipped = (Quota { seen: 3, need: 3 }, VecSink::new());
+        assert!(flipped.satisfied());
     }
 
     #[test]
@@ -1215,18 +783,6 @@ mod tests {
         assert_eq!(m.max(), direct.max());
         assert!((m.mean() - direct.mean()).abs() <= 1e-12 * direct.mean().abs());
         assert!((m.variance() - direct.variance()).abs() <= 1e-12 * direct.variance());
-    }
-
-    #[test]
-    fn merge_from_publishes_to_the_watch() {
-        let mut a = WelfordSink::new();
-        let watch = a.watch();
-        let mut b = WelfordSink::new();
-        for i in 0..10 {
-            b.observe(i, f64::from(i as u8));
-        }
-        a.merge_from(&b);
-        assert_eq!(watch.snapshot().count(), 10);
     }
 
     #[test]

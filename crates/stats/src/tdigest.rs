@@ -1,12 +1,10 @@
 //! The t-digest quantile sketch (Dunning & Ertl), merging variant.
 //!
-//! [`crate::sink::P2Quantiles`] answers quantile questions in O(1) memory
-//! but is **not mergeable**: its marker heights are a function of one
-//! observation *sequence*, so two independent runs cannot combine their
-//! tail estimates. The [`TDigest`] is the standard mergeable replacement —
-//! independent shards (processes, machines) each build a digest, the
-//! digests merge, and the merged tail quantiles carry the same rank-error
-//! bound as a single-run digest over all the data. That is the primitive
+//! A streaming quantile sketch answers quantile questions in O(1) memory;
+//! the [`TDigest`] is the *mergeable* one — independent shards (processes,
+//! machines) each build a digest, the digests merge, and the merged tail
+//! quantiles carry the same rank-error bound as a single-run digest over
+//! all the data. That is the primitive
 //! fleet-scale Monte Carlo aggregation stands on (see
 //! `ParallelRunner::run_streaming_range` in `vscore::mc` and the
 //! "Fleet aggregation" section of `ARCHITECTURE.md`).
@@ -52,9 +50,9 @@ const BUFFER_FACTOR: f64 = 5.0;
 /// merging variant with the `k1` scale function).
 ///
 /// Memory is O(compression): roughly `2·δ` centroids plus a `5·δ`
-/// observation buffer, independent of the stream length. Unlike
-/// [`crate::sink::P2Quantiles`], two digests over disjoint data
-/// [`TDigest::merge_from`] into one whose estimates cover the union — the
+/// observation buffer, independent of the stream length. Two digests over
+/// disjoint data [`TDigest::merge_from`] into one whose estimates cover the
+/// union — the
 /// primitive that lets independent Monte Carlo shards combine tail
 /// estimates (`stats::sink::MergeableSink` adds the byte round-trip for
 /// shipping digests between processes).
@@ -64,15 +62,15 @@ const BUFFER_FACTOR: f64 = 5.0;
 /// The `k1` scale bounds every centroid's rank extent by
 /// `~4·q(1−q)·n/δ + 1`, so the quantile estimate at level `q` carries a
 /// relative *rank* error of O(`q(1−q)/δ`) — tightest exactly where tail
-/// quantiles live. The crate tests pin the same value-domain bounds as the
-/// P² sketch at δ = 100, n = 4000 on Gaussian data: |est − exact| ≤ 0.02·σ
-/// for central levels (0.25–0.75) and ≤ 0.05·σ at the 5%/95% tails — and
-/// additionally that digests merged from disjoint shards (including
-/// through [`crate::sink::MergeableSink::to_bytes`]) stay within those
-/// same bounds, which a single-stream sketch cannot offer at all.
+/// quantiles live. The crate tests pin value-domain bounds at δ = 100,
+/// n = 4000 on Gaussian data: |est − exact| ≤ 0.02·σ for central levels
+/// (0.25–0.75) and ≤ 0.05·σ at the 5%/95% tails — and additionally that
+/// digests merged from disjoint shards (including through
+/// [`crate::sink::MergeableSink::to_bytes`]) stay within those same
+/// bounds, which a single-stream sketch cannot offer at all.
 ///
 /// Non-finite observations have no rank; they are skipped and tallied in
-/// [`TDigest::skipped`], exactly like `P2Quantiles::skipped`.
+/// [`TDigest::skipped`].
 #[derive(Debug, Clone)]
 pub struct TDigest {
     compression: f64,
@@ -451,7 +449,7 @@ mod tests {
     use crate::sampler::Sampler;
 
     /// Draws from a well-separated symmetric bimodal mixture:
-    /// 0.5·N(-3, 0.5²) + 0.5·N(3, 0.5²) (the P² accuracy suite's fixture).
+    /// 0.5·N(-3, 0.5²) + 0.5·N(3, 0.5²).
     fn bimodal(s: &mut Sampler) -> f64 {
         if s.uniform() < 0.5 {
             s.normal(-3.0, 0.5)
@@ -462,9 +460,9 @@ mod tests {
 
     #[test]
     fn matches_exact_quantiles_on_gaussian() {
-        // The documented accuracy bounds at δ = 100, n = 4000, σ = 2 — the
-        // same pins as the P² suite: central levels within 0.02·σ of the
-        // exact sorted-sample quantile, 5%/95% tails within 0.05·σ.
+        // The documented accuracy bounds at δ = 100, n = 4000, σ = 2:
+        // central levels within 0.02·σ of the exact sorted-sample
+        // quantile, 5%/95% tails within 0.05·σ.
         let levels = [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95];
         for seed in [3u64, 11, 77] {
             let mut s = Sampler::from_seed(seed);
@@ -493,8 +491,7 @@ mod tests {
     fn matches_exact_quantiles_on_bimodal() {
         // In-mode levels stay tight; the median falls in the near-empty
         // gap between the modes where any estimator interpolates across
-        // ~6 units of support — bound it by a fraction of the separation,
-        // mirroring the P² bimodal test.
+        // ~6 units of support — bound it by a fraction of the separation.
         let mut s = Sampler::from_seed(19);
         let xs: Vec<f64> = (0..6000).map(|_| bimodal(&mut s)).collect();
         let mut d = TDigest::new(100.0);
@@ -595,7 +592,7 @@ mod tests {
     fn skips_non_finite_observations() {
         // One policy for every stream position: non-finite values never
         // enter the sketch and are tallied — the noisy stream ends
-        // bit-identical to the clean one (matching P²'s behaviour).
+        // bit-identical to the clean one.
         let mut s = Sampler::from_seed(8);
         let xs: Vec<f64> = (0..500).map(|_| s.normal(0.0, 1.0)).collect();
         let mut clean = TDigest::new(100.0);
@@ -626,7 +623,7 @@ mod tests {
     fn merge_covers_the_union_within_the_documented_bound() {
         // Three disjoint shards of one Gaussian sample merge into a digest
         // whose quantiles obey the same pinned bounds as a single digest
-        // over all the data — the property P² cannot offer.
+        // over all the data.
         let mut s = Sampler::from_seed(31);
         let xs: Vec<f64> = (0..6000).map(|_| s.normal(5.0, 2.0)).collect();
         let mut whole = TDigest::new(100.0);

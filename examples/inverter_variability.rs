@@ -10,7 +10,7 @@ use statvs::circuits::cells::InverterSizing;
 use statvs::circuits::delay::{DelayBench, GateKind};
 use statvs::stats::histogram::Histogram;
 use statvs::stats::{Sampler, Summary};
-use statvs::vscore::mc::{McFactory, ParallelRunner};
+use statvs::vscore::mc::{McFactory, ParallelRunner, VecSink};
 use statvs::vscore::pipeline::{extract_statistical_vs_model, ExtractionConfig};
 
 const N_SAMPLES: usize = 150;
@@ -47,7 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Shard samples across every available core: each worker
         // elaborates its own bench once, then swaps freshly drawn devices
         // into the live session per sample instead of rebuilding netlists.
-        let outcome = ParallelRunner::new(100).run_scalar(
+        // The histogram and skewness need the whole sample, so the delays
+        // stream into an explicit buffer.
+        let mut delays = VecSink::new();
+        let outcome = ParallelRunner::new(100).run_streaming(
             N_SAMPLES,
             |_, setup| {
                 let mut f = template.clone();
@@ -66,14 +69,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let dt = bench.default_dt();
                 bench.measure_delay(dt)
             },
+            &mut delays,
         )?;
         if outcome.failures > 0 {
             println!("({} functional failures skipped)", outcome.failures);
         }
-        if outcome.is_empty() {
+        if outcome.observed == 0 {
             return Err(format!("{family}: every Monte Carlo sample failed").into());
         }
-        let delays = outcome.into_values();
+        let delays = delays.into_values();
         let s = Summary::from_slice(&delays);
         println!(
             "\n{family}: mean {:.2} ps, σ {:.3} ps ({:.1}% of mean), skew {:+.2}",

@@ -5,15 +5,15 @@
 //! VS model — sharded across every available core, with a confidence-
 //! interval stopping rule that ends each run as soon as the mean SNM is
 //! pinned down to ±1%. SNM values are never buffered: they stream into a
-//! `WelfordSink` (live moments) and a P² quantile sketch (the
-//! 5th-percentile yield margin) as the run progresses.
+//! `WelfordSink` (moments), a t-digest (the 5th-percentile yield margin)
+//! and the `EarlyStop` rule as the run progresses.
 //!
 //! Run with `cargo run --release --example sram_snm`.
 
 use statvs::circuits::cells::NominalVsFactory;
 use statvs::circuits::sram::{butterfly, SnmBench, SnmMode, SramDevices, SramSizing};
 use statvs::stats::Sampler;
-use statvs::vscore::mc::{EarlyStop, McFactory, P2Quantiles, ParallelRunner, WelfordSink};
+use statvs::vscore::mc::{EarlyStop, McFactory, ParallelRunner, TDigest, WelfordSink};
 use statvs::vscore::pipeline::{extract_statistical_vs_model, ExtractionConfig};
 
 const VDD: f64 = 0.9;
@@ -71,30 +71,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // 50-sample round boundary where the 95% CI half-width on the mean
         // SNM drops below 1% — deterministically, whatever the core count.
         //
-        // Results stream: each SNM record folds into the moment
-        // accumulator and the P² sketch the moment its round completes,
-        // so the run holds O(workers) sample memory however large the
-        // budget grows.
-        let mut sink = (WelfordSink::new(), P2Quantiles::new(&[0.05]));
-        let outcome = ParallelRunner::new(3000)
-            .check_every(50)
-            .early_stop(EarlyStop::relative(0.01).min_samples(100))
-            .run_streaming(
-                N_SAMPLES,
-                |_, setup| {
-                    let mut f = template.clone();
-                    f.set_sampler(setup.clone());
-                    SnmBench::new(sz, VDD, mode, 61, &mut f)
-                },
-                |bench, sampler, _| {
-                    let mut f = template.clone();
-                    f.set_sampler(sampler.clone());
-                    bench.resample(sz, &mut f)?;
-                    bench.snm()
-                },
-                &mut sink,
-            )?;
-        let (moments, sketch) = sink;
+        // Results stream: each SNM record folds into the stopping rule, the
+        // moment accumulator and the t-digest the moment its round
+        // completes, so the run holds O(workers) sample memory however
+        // large the budget grows.
+        let mut sink = (
+            EarlyStop::relative(0.01).min_samples(100),
+            (WelfordSink::new(), TDigest::new(100.0)),
+        );
+        let outcome = ParallelRunner::new(3000).check_every(50).run_streaming(
+            N_SAMPLES,
+            |_, setup| {
+                let mut f = template.clone();
+                f.set_sampler(setup.clone());
+                SnmBench::new(sz, VDD, mode, 61, &mut f)
+            },
+            |bench, sampler, _| {
+                let mut f = template.clone();
+                f.set_sampler(sampler.clone());
+                bench.resample(sz, &mut f)?;
+                bench.snm()
+            },
+            &mut sink,
+        )?;
+        let (_, (moments, sketch)) = sink;
         let m = moments.moments();
         println!(
             "\n{label} SNM over {} samples ({} budgeted, {} workers): mean {:.1} mV, σ {:.2} mV, min {:.1} mV, p5 {:.1} mV, 95% CI ±{:.1}%",

@@ -45,10 +45,10 @@
 //! Samples shard across cores through `vscore::mc::ParallelRunner`: each
 //! worker owns its own elaborated session (`spice::Session::replicate`),
 //! each sample draws from a stream derived purely from the seed and the
-//! sample index, and per-worker results merge through the streaming
-//! `stats::Welford` accumulator — deterministic (bit-identical sample
-//! sets and moments) for any worker count, with optional early stopping
-//! on confidence-interval width. `ARCHITECTURE.md` at the repo root
+//! sample index, and every result streams into a `stats::sink::Sink` in
+//! sample-index order — deterministic (bit-identical sample sets and
+//! sketches) for any worker count, with optional early stopping on
+//! confidence-interval width. `ARCHITECTURE.md` at the repo root
 //! diagrams the crate graph, the session lifecycle, and the parallel
 //! Monte Carlo data flow.
 //!
