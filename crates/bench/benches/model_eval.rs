@@ -2,7 +2,8 @@
 //!
 //! The microscopic root of the paper's Table IV runtime claim — the VS
 //! model needs fewer operations per (I, Q) evaluation than a full-featured
-//! BSIM4-class model.
+//! BSIM4-class model — plus the exact DC evaluation (current and its three
+//! conductances) every circuit stamp runs.
 
 use mosfet::{bsim::BsimModel, vs::VsModel, Bias, Geometry, MosfetModel};
 use vsbench::microbench::{maybe_write_json, measure};
@@ -29,6 +30,18 @@ fn main() {
     results.push(measure("ids_eval_64pts/bsim", || {
         for &bias in &biases {
             sink += kit.ids(bias);
+        }
+    }));
+    // One exact current-plus-conductances evaluation: what a Newton
+    // stamp costs per MOSFET.
+    results.push(measure("dc_eval_64pts/vs", || {
+        for &bias in &biases {
+            sink += vs.eval_dc(bias).gm;
+        }
+    }));
+    results.push(measure("dc_eval_64pts/bsim", || {
+        for &bias in &biases {
+            sink += kit.eval_dc(bias).gm;
         }
     }));
     results.push(measure("charge_eval_64pts/vs", || {

@@ -3,12 +3,18 @@
 //!
 //! The paper compares a Verilog-A VS implementation against BSIM4's
 //! optimized C, reporting 4.2x runtime and 8.7x memory advantages. Here both
-//! models run inside the *same* simulator, so the comparison isolates the
-//! models themselves: evaluation cost (the VS model is ~2x fewer
-//! floating-point operations and transcendentals) and per-instance state
-//! (`size_of` the model structs). Absolute ratios are therefore smaller
-//! than the paper's cross-runtime numbers; the *direction* (VS cheaper on
-//! both axes) is the reproduced claim.
+//! models run inside the *same* simulator and are differentiated the *same*
+//! way: each writes its core equations once, generic over plain and dual
+//! numbers, and every Newton stamp, transient charge stamp and AC
+//! linearization takes one exact `eval_dc`/`eval_charges` evaluation —
+//! the simulator-side counterpart of the Verilog-A compiler's automatic
+//! differentiation. The comparison therefore isolates the models
+//! themselves: evaluation cost (the VS model is ~2x fewer floating-point
+//! operations and transcendentals, and its dual evaluation carries that
+//! ratio over) and per-instance state (`size_of` the model structs).
+//! Absolute ratios are therefore smaller than the paper's cross-runtime
+//! numbers; the *direction* (VS cheaper on both axes) is the reproduced
+//! claim.
 
 use super::ExpResult;
 use crate::report::{eng, TextTable};

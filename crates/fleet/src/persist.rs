@@ -20,14 +20,15 @@
 //! would be trusted.
 //!
 //! On restore, every defense is checked: manifest binding (campaign
-//! identity), file digest, artifact seal, and meta-vs-manifest shard
-//! identity. Anything wrong demotes the entry to a *skip* — the shard is
-//! recomputed — rather than poisoning the merge, because determinism
-//! makes recomputation merely slow, while trusting corrupt bytes would
-//! be silently wrong forever.
+//! identity and the engine that computes its shards), file digest,
+//! artifact seal, and meta-vs-manifest shard identity. Anything wrong
+//! demotes the entry to a *skip* — the shard is recomputed — rather than
+//! poisoning the merge, because determinism makes recomputation merely
+//! slow, while trusting corrupt bytes would be silently wrong forever.
 
 use crate::coordinator::FleetSpec;
 use crate::merge::ShardPayload;
+use serve::ENGINE_FINGERPRINT;
 use stats::artifact::{fnv1a64, seal, section_tag, Artifact};
 use stats::codec::{self, CodecError, Reader};
 use std::fmt;
@@ -94,12 +95,14 @@ pub struct Restored {
 }
 
 /// The canonical campaign binding for `spec` — the identity the manifest
-/// is locked to. Floats are rendered as exact bit patterns so two specs
-/// bind equal iff every field is bit-identical.
+/// is locked to: the engine fingerprint and every spec field. Floats are
+/// rendered as exact bit patterns so two specs bind equal iff every field
+/// is bit-identical; a campaign journaled by another engine refuses to
+/// resume rather than mix its shards with this engine's.
 #[must_use]
 pub fn binding(spec: &FleetSpec) -> Vec<u8> {
     let mut s = format!(
-        "circuit={};analysis={};seed={};total={}",
+        "engine={ENGINE_FINGERPRINT};circuit={};analysis={};seed={};total={}",
         spec.circuit,
         spec.analysis.as_deref().unwrap_or("-"),
         spec.seed,
@@ -400,6 +403,26 @@ mod tests {
         assert_eq!(restored.skipped.len(), 2);
         assert!(restored.skipped[0].reason.contains("digest mismatch"));
         assert!(restored.skipped[1].reason.contains("unreadable"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_manifest_bound_by_another_engine_refuses_to_resume() {
+        let dir = temp_dir("engine");
+        fs::create_dir_all(&dir).unwrap();
+        // The same campaign, journaled by an engine of another epoch.
+        let stale = String::from_utf8(binding(&spec()))
+            .unwrap()
+            .replace(ENGINE_FINGERPRINT, "an-older-engine");
+        assert_ne!(stale.as_bytes(), binding(&spec()));
+        drop(Manifest::open_or_create(&dir.join(MANIFEST_NAME), stale.as_bytes()).unwrap());
+
+        assert!(matches!(
+            CampaignStore::open(&dir, &spec()),
+            Err(StoreError::Manifest(ManifestError::Codec(
+                CodecError::Mismatch(_)
+            )))
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 

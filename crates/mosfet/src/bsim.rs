@@ -23,9 +23,13 @@
 //! never sees these coefficients — it only observes metric variances, which
 //! is exactly the information a real design kit exposes.
 
-use crate::model::{drain_partition, fold, Bias, Charges, MosfetModel};
+use crate::dual::Scalar;
+use crate::model::{
+    drain_partition, fold, terminal_charges, Bias, ChargeEval, Charges, DcEval, MosfetModel,
+};
 use crate::types::{units, Geometry, Polarity, PHI_T};
 use crate::variation::{MismatchSpec, VariationDelta};
+use crate::vs::softplus;
 
 /// Parameters of the BSIM4-like model (SI units, canonical NMOS frame).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,17 +172,6 @@ impl BsimParams {
     }
 }
 
-/// Numerically safe `ln(1 + exp(x))`.
-fn softplus(x: f64) -> f64 {
-    if x > 35.0 {
-        x
-    } else if x < -35.0 {
-        x.exp()
-    } else {
-        x.exp().ln_1p()
-    }
-}
-
 /// A BSIM-like model instance: parameters + geometry + mismatch.
 ///
 /// # Example
@@ -288,60 +281,88 @@ impl BsimModel {
     /// what the paper's Table IV compares; the leakage components are folded
     /// into the drain-source branch (documented simplification — they do
     /// not separately load gate/bulk here).
-    fn core(&self, vgs: f64, vds: f64, vbs: f64) -> (f64, f64, f64, f64) {
+    ///
+    /// Generic over plain values and duals, like the VS core, so both
+    /// models are differentiated the same way.
+    fn core<T: Scalar>(&self, vgs: T, vds: T, vbs: T) -> (T, T, T, T) {
         let p = &self.params;
         let e = &self.eff;
+        let one = T::constant(1.0);
         // Body effect with a clamp that keeps the sqrt real under forward bias.
-        let phib = (p.phi_s - vbs).max(0.1 * p.phi_s);
+        let phib = (T::constant(p.phi_s) - vbs).max(0.1 * p.phi_s);
         // Short-channel Vth roll-off (BSIM DVT0/DVT1 form).
         let sce =
             p.dvt0_sce * ((-e.leff / (2.0 * p.lt_sce)).exp() + 2.0 * (-e.leff / p.lt_sce).exp());
         // Drain-induced threshold shift (DITS, long-range drain coupling).
-        let dits = p.dits * (1.0 - (-vds / (2.0 * PHI_T)).exp());
-        let vth = e.vth0 - sce + p.gamma * (phib.sqrt() - p.phi_s.sqrt()) - e.dibl * vds - dits;
+        let dits = (one - (-vds / (2.0 * PHI_T)).exp()) * p.dits;
+        let vth = T::constant(e.vth0 - sce) + (phib.sqrt() - p.phi_s.sqrt()) * p.gamma
+            - vds * e.dibl
+            - dits;
         let nphit = p.nfac * PHI_T;
-        let vgsteff_raw = nphit * softplus((vgs - vth) / nphit);
+        let vgsteff_raw = softplus((vgs - vth) / nphit) * nphit;
         // Poly-gate depletion reduces the effective gate drive at high bias.
-        let vgsteff = vgsteff_raw / (1.0 + vgsteff_raw / (2.0 * p.vpoly)).sqrt();
-        let ueff = e.u0 / (1.0 + p.theta * vgsteff + p.theta2 * vgsteff * vgsteff);
-        let esat_l = 2.0 * p.vsat * e.leff / ueff;
+        let vgsteff = vgsteff_raw / (vgsteff_raw / (2.0 * p.vpoly) + 1.0).sqrt();
+        let ueff = T::constant(e.u0) / (vgsteff * p.theta + 1.0 + vgsteff * p.theta2 * vgsteff);
+        let esat_l = T::constant(2.0 * p.vsat * e.leff) / ueff;
         let vg2 = vgsteff + 2.0 * PHI_T;
         let vdsat = esat_l * vg2 / (esat_l + vg2);
         // BSIM smooth minimum of (vds, vdsat).
         let t = vdsat - vds - DELTA_SMOOTH;
-        let vdseff = vdsat - 0.5 * (t + (t * t + 4.0 * DELTA_SMOOTH * vdsat).sqrt());
-        let bulk = 1.0 - vdseff / (2.0 * vg2);
+        let vdseff = vdsat - (t + (t * t + vdsat * (4.0 * DELTA_SMOOTH)).sqrt()) * 0.5;
+        let bulk = one - vdseff / (vg2 * 2.0);
         let ids_ch =
-            ueff * e.cox * (e.weff / e.leff) * vgsteff * bulk * vdseff / (1.0 + vdseff / esat_l);
+            ueff * e.cox * (e.weff / e.leff) * vgsteff * bulk * vdseff / (vdseff / esat_l + 1.0);
         // Source/drain series resistance folded in (BSIM RDSMOD=0 style).
-        let gch = if vdseff > 1e-12 { ids_ch / vdseff } else { 0.0 };
-        let ids0 = ids_ch / (1.0 + gch * p.rdsw / e.weff);
-        let mut ids = ids0 * (1.0 + (vds - vdseff) / p.va);
+        // The channel conductance `ids_ch / vdseff` takes its limit below
+        // 1 pV, so the slope at vds = 0 still sees the series resistance.
+        let gch = if vdseff.value() > 1e-12 {
+            ids_ch / vdseff
+        } else {
+            ueff * e.cox * (e.weff / e.leff) * vgsteff * bulk / (vdseff / esat_l + 1.0)
+        };
+        let ids0 = ids_ch / (gch * p.rdsw / e.weff + 1.0);
+        let mut ids = ids0 * ((vds - vdseff) / p.va + 1.0);
         // Impact ionization in the saturation region.
         let vdiff = (vds - vdseff).max(0.0);
-        if vdiff > 0.0 {
-            ids *= 1.0 + p.alpha_ii * vdiff * (-p.beta_ii / (vdiff + 0.1)).exp();
+        if vdiff.value() > 0.0 {
+            let ii = (T::constant(-p.beta_ii) / (vdiff + 0.1)).exp();
+            ids = ids * (vdiff * p.alpha_ii * ii + 1.0);
         }
         // GIDL: high drain-to-gate field at the drain overlap.
         let vdg = vds - vgs;
-        if vdg > 0.0 {
-            ids += p.a_gidl * e.weff * vdg * (-p.b_gidl / (vdg + 0.05)).exp() * vds.signum();
+        if vdg.value() > 0.0 {
+            let gidl = (T::constant(-p.b_gidl) / (vdg + 0.05)).exp();
+            ids = ids + vdg * (p.a_gidl * e.weff) * gidl * vds.value().signum();
         }
         // Gate tunneling (direct tunneling shape, folded into d-s).
-        if vgs > 0.0 {
-            ids += p.jg_gate
-                * e.weff
-                * e.leff
-                * vgs
-                * vgs
-                * (-p.vg_gate / (0.05 + vgs * 0.1)).exp()
-                * (vgs / p.vg_gate).tanh()
-                * 1e-3;
+        if vgs.value() > 0.0 {
+            let tunnel = (T::constant(-p.vg_gate) / (vgs * 0.1 + 0.05)).exp();
+            ids = ids
+                + vgs
+                    * (p.jg_gate * e.weff * e.leff)
+                    * vgs
+                    * tunnel
+                    * (vgs / p.vg_gate).tanh()
+                    * 1e-3;
         }
         // Reverse-biased junction diodes at drain and source.
-        let i_jun = p.js_jun * e.weff * e.leff * (((vbs - vds) / PHI_T).exp() - 1.0).min(0.0);
-        ids -= i_jun * 1e-3;
+        let i_jun = (((vbs - vds) / PHI_T).exp() - 1.0).min(0.0) * (p.js_jun * e.weff * e.leff);
+        ids = ids - i_jun * 1e-3;
         (ids, vgsteff, vdseff, vdsat)
+    }
+
+    /// Canonical-frame terminal charges `[qg, qd, qs, qb]`.
+    fn canonical_charges<T: Scalar>(&self, vgs: T, vds: T, vbs: T) -> [T; 4] {
+        let (_, vgsteff, vdseff, vdsat) = self.core(vgs, vds, vbs);
+        let e = &self.eff;
+        let qch = vgsteff * (e.weff * e.leff * e.cox);
+        let sat = if vdsat.value() > 0.0 {
+            (vdseff / vdsat).clamp(0.0, 1.0)
+        } else {
+            T::constant(0.0)
+        };
+        let covw = self.params.cov * e.weff;
+        terminal_charges(qch, drain_partition(sat), covw, vgs, vds)
     }
 }
 
@@ -362,24 +383,21 @@ impl MosfetModel for BsimModel {
 
     fn charges(&self, bias: Bias) -> Charges {
         let f = fold(self.polarity, bias);
-        let (_, vgsteff, vdseff, vdsat) = self.core(f.vgs, f.vds, f.vbs);
-        let e = &self.eff;
-        let qch = e.weff * e.leff * e.cox * vgsteff;
-        let sat = if vdsat > 0.0 {
-            (vdseff / vdsat).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        let pd = drain_partition(sat);
-        let covw = self.params.cov * e.weff;
-        let vgd = f.vgs - f.vds;
-        let q = Charges {
-            qg: qch + covw * f.vgs + covw * vgd,
-            qd: -pd * qch - covw * vgd,
-            qs: -(1.0 - pd) * qch - covw * f.vgs,
-            qb: 0.0,
-        };
-        f.unfold_charges(q)
+        let [qg, qd, qs, qb] = self.canonical_charges(f.vgs, f.vds, f.vbs);
+        f.unfold_charges(Charges { qg, qd, qs, qb })
+    }
+
+    fn eval_dc(&self, bias: Bias) -> DcEval {
+        let f = fold(self.polarity, bias);
+        let (vgs, vds, vbs) = f.seeds();
+        let (ids, _, _, _) = self.core(vgs, vds, vbs);
+        f.unfold_dc(ids)
+    }
+
+    fn eval_charges(&self, bias: Bias) -> ChargeEval {
+        let f = fold(self.polarity, bias);
+        let (vgs, vds, vbs) = f.seeds();
+        f.unfold_charge_eval(self.canonical_charges(vgs, vds, vbs))
     }
 
     fn name(&self) -> &'static str {

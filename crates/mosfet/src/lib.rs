@@ -11,9 +11,12 @@
 //!   (the "golden" reference). It is deliberately a different physical
 //!   formulation, so VS-vs-golden comparisons exercise real model mismatch.
 //!
-//! For batched Monte Carlo evaluation, [`soa::VsSoa`] regroups K VS
-//! instances into structure-of-arrays columns with bit-identical currents
-//! per lane.
+//! Both models write their core equations once, generic over
+//! [`dual::Scalar`]: evaluated on `f64` they give currents and charges,
+//! evaluated on [`dual::Dual`] numbers they give the exact conductances and
+//! capacitances a circuit simulator stamps ([`MosfetModel::eval_dc`],
+//! [`MosfetModel::eval_charges`]) — the automatic differentiation a
+//! Verilog-A compiler performs for the paper's implementation.
 //!
 //! Per-instance mismatch enters through [`variation::VariationDelta`]
 //! (additive perturbations of the statistical parameter set of Table I of
@@ -37,13 +40,13 @@
 //! ```
 
 pub mod bsim;
+pub mod dual;
 pub mod model;
-pub mod soa;
 pub mod temperature;
 pub mod types;
 pub mod variation;
 pub mod vs;
 
-pub use model::{Bias, Charges, MosfetModel};
+pub use model::{Bias, ChargeEval, Charges, DcEval, MosfetModel};
 pub use types::{Geometry, Polarity, PHI_T};
 pub use variation::{MismatchSpec, StatParam, VariationDelta};

@@ -24,7 +24,10 @@
 //! so `vxo` is **not** an independent statistical parameter — exactly the
 //! independence argument the paper uses to keep the BPV system well-posed.
 
-use crate::model::{drain_partition, fold, Bias, Charges, MosfetModel};
+use crate::dual::Scalar;
+use crate::model::{
+    drain_partition, fold, terminal_charges, Bias, ChargeEval, Charges, DcEval, MosfetModel,
+};
 use crate::types::{units, Geometry, Polarity, PHI_T};
 use crate::variation::VariationDelta;
 
@@ -118,26 +121,25 @@ impl VsParams {
     }
 }
 
-/// Numerically safe `ln(1 + exp(x))`. Shared with the SoA evaluator
-/// ([`crate::soa`]) so batched lanes run the exact scalar guard branches.
-pub(crate) fn softplus(x: f64) -> f64 {
-    if x > 35.0 {
+/// Numerically safe `ln(1 + exp(x))`. Shared with the BSIM-like kit.
+pub(crate) fn softplus<T: Scalar>(x: T) -> T {
+    if x.value() > 35.0 {
         x
-    } else if x < -35.0 {
+    } else if x.value() < -35.0 {
         x.exp()
     } else {
         x.exp().ln_1p()
     }
 }
 
-/// Numerically safe logistic `1 / (1 + exp(x))`. Shared with [`crate::soa`].
-pub(crate) fn logistic(x: f64) -> f64 {
-    if x > 35.0 {
+/// Numerically safe logistic `1 / (1 + exp(x))`.
+fn logistic<T: Scalar>(x: T) -> T {
+    if x.value() > 35.0 {
         (-x).exp()
-    } else if x < -35.0 {
-        1.0
+    } else if x.value() < -35.0 {
+        T::constant(1.0)
     } else {
-        1.0 / (1.0 + x.exp())
+        (x.exp() + 1.0).recip()
     }
 }
 
@@ -163,26 +165,24 @@ pub struct VsModel {
     eff: EffectiveVs,
 }
 
-/// Mismatch-adjusted parameter values. `pub(crate)` so the SoA batch view
-/// ([`crate::soa::VsSoa`]) can copy the *cached* effective values verbatim
-/// instead of recomputing them — what keeps batched lanes bit-identical.
+/// Mismatch-adjusted parameter values, cached at construction.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct EffectiveVs {
-    pub(crate) vt0: f64,
-    pub(crate) leff: f64,
-    pub(crate) weff: f64,
-    pub(crate) mu: f64,
-    pub(crate) cinv: f64,
-    pub(crate) vxo: f64,
-    pub(crate) dibl: f64,
+struct EffectiveVs {
+    vt0: f64,
+    leff: f64,
+    weff: f64,
+    mu: f64,
+    cinv: f64,
+    vxo: f64,
+    dibl: f64,
     /// Precomputed `α φt` (Fermi transition width).
-    pub(crate) aphit: f64,
+    aphit: f64,
     /// Precomputed `n0 φt` (subthreshold slope).
-    pub(crate) nphit: f64,
+    nphit: f64,
     /// Precomputed saturation voltage scale `vxo Leff / µ`.
-    pub(crate) vdsats: f64,
+    vdsats: f64,
     /// Precomputed `1/β`.
-    pub(crate) inv_beta: f64,
+    inv_beta: f64,
 }
 
 impl VsModel {
@@ -260,11 +260,6 @@ impl VsModel {
         &self.params
     }
 
-    /// The cached effective (mismatch-adjusted) quantities.
-    pub(crate) fn eff(&self) -> &EffectiveVs {
-        &self.eff
-    }
-
     /// The applied mismatch.
     pub fn variation(&self) -> VariationDelta {
         self.delta
@@ -290,22 +285,40 @@ impl VsModel {
         self.eff.leff
     }
 
-    /// Core canonical-frame evaluation: returns `(qixo, fsat)` with
-    /// `qixo` in C/m².
-    fn core(&self, vgs: f64, vds: f64, vbs: f64) -> (f64, f64) {
+    /// Core canonical-frame evaluation, generic over plain values and
+    /// duals: returns `(qixo, fsat)` with `qixo` in C/m².
+    fn core<T: Scalar>(&self, vgs: T, vds: T, vbs: T) -> (T, T) {
         let p = &self.params;
         let e = &self.eff;
-        let vt = e.vt0 - e.dibl * vds - p.body_k * vbs;
+        let vt = T::constant(e.vt0) - vds * e.dibl - vbs * p.body_k;
         let ff = logistic((vgs - (vt - e.aphit / 2.0)) / e.aphit);
-        let qixo = e.cinv * e.nphit * softplus((vgs - (vt - e.aphit * ff)) / e.nphit);
-        let vdsat = e.vdsats * (1.0 - ff) + PHI_T * ff;
+        let qixo = softplus((vgs - (vt - ff * e.aphit)) / e.nphit) * (e.cinv * e.nphit);
+        let vdsat = (T::constant(1.0) - ff) * e.vdsats + ff * PHI_T;
         let x = vds / vdsat;
-        let fsat = if x <= 0.0 {
-            0.0
+        let fsat = if x.value() <= 0.0 {
+            // fsat(0) = 0 with slope 1: `x - x` keeps the partials, so gds
+            // at vds = 0 is the linear-region conductance.
+            x - x.value()
         } else {
-            x / (1.0 + x.powf(p.beta)).powf(e.inv_beta)
+            x / (x.powf(p.beta) + 1.0).powf(e.inv_beta)
         };
         (qixo, fsat)
+    }
+
+    /// Canonical-frame drain current (paper Eq. (2)).
+    fn current<T: Scalar>(&self, vgs: T, vds: T, vbs: T) -> T {
+        let (qixo, fsat) = self.core(vgs, vds, vbs);
+        qixo * self.eff.weff * self.eff.vxo * fsat
+    }
+
+    /// Canonical-frame terminal charges `[qg, qd, qs, qb]`.
+    fn canonical_charges<T: Scalar>(&self, vgs: T, vds: T, vbs: T) -> [T; 4] {
+        let (qixo, fsat) = self.core(vgs, vds, vbs);
+        let e = &self.eff;
+        // Channel inversion charge magnitude.
+        let qch = qixo * (e.weff * e.leff);
+        let covw = self.params.cov * e.weff;
+        terminal_charges(qch, drain_partition(fsat), covw, vgs, vds)
     }
 }
 
@@ -320,27 +333,25 @@ impl MosfetModel for VsModel {
 
     fn ids(&self, bias: Bias) -> f64 {
         let f = fold(self.polarity, bias);
-        let (qixo, fsat) = self.core(f.vgs, f.vds, f.vbs);
-        let id = self.eff.weff * qixo * self.eff.vxo * fsat;
-        f.unfold_current(id)
+        f.unfold_current(self.current(f.vgs, f.vds, f.vbs))
     }
 
     fn charges(&self, bias: Bias) -> Charges {
         let f = fold(self.polarity, bias);
-        let (qixo, fsat) = self.core(f.vgs, f.vds, f.vbs);
-        let e = &self.eff;
-        // Channel inversion charge magnitude.
-        let qch = e.weff * e.leff * qixo;
-        let pd = drain_partition(fsat);
-        let covw = self.params.cov * e.weff;
-        let vgd = f.vgs - f.vds;
-        let q = Charges {
-            qg: qch + covw * f.vgs + covw * vgd,
-            qd: -pd * qch - covw * vgd,
-            qs: -(1.0 - pd) * qch - covw * f.vgs,
-            qb: 0.0,
-        };
-        f.unfold_charges(q)
+        let [qg, qd, qs, qb] = self.canonical_charges(f.vgs, f.vds, f.vbs);
+        f.unfold_charges(Charges { qg, qd, qs, qb })
+    }
+
+    fn eval_dc(&self, bias: Bias) -> DcEval {
+        let f = fold(self.polarity, bias);
+        let (vgs, vds, vbs) = f.seeds();
+        f.unfold_dc(self.current(vgs, vds, vbs))
+    }
+
+    fn eval_charges(&self, bias: Bias) -> ChargeEval {
+        let f = fold(self.polarity, bias);
+        let (vgs, vds, vbs) = f.seeds();
+        f.unfold_charge_eval(self.canonical_charges(vgs, vds, vbs))
     }
 
     fn name(&self) -> &'static str {
@@ -349,10 +360,6 @@ impl MosfetModel for VsModel {
 
     fn clone_box(&self) -> Box<dyn MosfetModel> {
         Box::new(self.clone())
-    }
-
-    fn as_vs(&self) -> Option<&VsModel> {
-        Some(self)
     }
 }
 

@@ -2,11 +2,13 @@
 //! points and geometries from a small in-file PRNG (deterministic, seeded).
 //!
 //! These check the *contract* of [`mosfet::MosfetModel`]: smoothness,
-//! source/drain symmetry, monotonicity, charge conservation — on both the
-//! VS model and the BSIM-like kit.
+//! source/drain symmetry, monotonicity, charge conservation, and exact
+//! derivatives from `eval_dc`/`eval_charges` — on both the VS model and
+//! the BSIM-like kit.
 
 use mosfet::{
-    bsim::BsimModel, vs::VsModel, Bias, Geometry, MosfetModel, Polarity, StatParam, VariationDelta,
+    bsim::BsimModel, vs::VsModel, Bias, ChargeEval, Charges, DcEval, Geometry, MosfetModel,
+    Polarity, StatParam, VariationDelta,
 };
 
 /// SplitMix64: a tiny deterministic generator for test-case sampling.
@@ -225,5 +227,215 @@ fn cgg_is_positive_and_grows_with_area() {
         let c_big = big.cgg(bias);
         assert!(c_small > 0.0);
         assert!(c_big > 1.5 * c_small);
+    }
+}
+
+/// Both models, both polarities, nominal and with mismatch.
+fn derivative_models() -> Vec<Box<dyn MosfetModel>> {
+    let g = Geometry::from_nm(600.0, 40.0);
+    let delta = VariationDelta {
+        dvt0: 0.021,
+        dleff: -1.3e-9,
+        dmu: -5e-4,
+        ..VariationDelta::zero()
+    };
+    let mut out = models(g);
+    out.push(Box::new(VsModel::with_variation(
+        mosfet::vs::VsParams::nmos_40nm(),
+        Polarity::Nmos,
+        g,
+        delta,
+    )));
+    out.push(Box::new(BsimModel::with_variation(
+        mosfet::bsim::BsimParams::pmos_40nm(),
+        Polarity::Pmos,
+        g,
+        delta,
+    )));
+    out
+}
+
+/// Physical biases (polarity sign applied) over a grid that covers both
+/// `vds` signs (the source/drain fold), forward and reverse body bias, and
+/// gate drives from -3.5 V to 4 V, which push the VS model's
+/// `softplus`/`logistic` arguments past both ±35 guards. `|vds| >= 10 mV`
+/// keeps the grid off the fold itself.
+fn derivative_biases(sign: f64) -> Vec<Bias> {
+    let mut out = Vec::new();
+    for i in 0..=60 {
+        let vgs = -3.5 + 0.125 * f64::from(i);
+        for vds in [
+            -1.5, -0.9, -0.5, -0.2, -0.05, -0.01, 0.01, 0.05, 0.2, 0.5, 0.9, 1.5,
+        ] {
+            for vbs in [-0.4, -0.1, 0.0, 0.3] {
+                out.push(Bias {
+                    vgs: sign * vgs,
+                    vds: sign * vds,
+                    vbs: sign * vbs,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// `bias` with `dv` added to terminal voltage `k` (vgs, vds, vbs).
+fn nudge(bias: Bias, k: usize, dv: f64) -> Bias {
+    let mut b = bias;
+    match k {
+        0 => b.vgs += dv,
+        1 => b.vds += dv,
+        _ => b.vbs += dv,
+    }
+    b
+}
+
+/// Central difference of `f` along terminal voltage `k`.
+fn central(f: impl Fn(Bias) -> f64, bias: Bias, k: usize) -> f64 {
+    const H: f64 = 1e-6;
+    (f(nudge(bias, k, H)) - f(nudge(bias, k, -H))) / (2.0 * H)
+}
+
+#[test]
+fn eval_dc_partials_match_central_differences() {
+    for m in derivative_models() {
+        for bias in derivative_biases(m.polarity().sign()) {
+            let ev = m.eval_dc(bias);
+            let exact = [ev.gm, ev.gds, ev.gmb];
+            let scale = exact.iter().map(|g| g.abs()).sum::<f64>();
+            for (k, &g) in exact.iter().enumerate() {
+                let fd = central(|b| m.ids(b), bias, k);
+                assert!(
+                    (g - fd).abs() <= 1e-6 * scale,
+                    "{} {:?} at {bias:?}: d/dv{k} exact {g:e}, central {fd:e}",
+                    m.name(),
+                    m.polarity()
+                );
+            }
+        }
+    }
+}
+
+/// At vds = 0 exactly, both models branch (VS: `fsat(0) = 0`; BSIM: the
+/// channel conductance limit); the exact `gds` must still be the
+/// linear-region conductance, which Newton needs to start from a flat
+/// guess.
+#[test]
+fn eval_dc_at_zero_vds_is_the_linear_region_conductance() {
+    const H: f64 = 1e-7;
+    for m in derivative_models() {
+        let s = m.polarity().sign();
+        for vgs in [0.3, 0.6, 0.9] {
+            for vbs in [-0.2, 0.0] {
+                let bias = Bias {
+                    vgs: s * vgs,
+                    vds: 0.0,
+                    vbs: s * vbs,
+                };
+                let gds = m.eval_dc(bias).gds;
+                // One-sided slope into the device's forward region.
+                let fd = (m.ids(nudge(bias, 1, s * H)) - m.ids(bias)) / (s * H);
+                assert!(
+                    gds > 0.0 && (gds - fd).abs() < 1e-4 * gds,
+                    "{} {:?} at {bias:?}: gds {gds:e}, forward difference {fd:e}",
+                    m.name(),
+                    m.polarity()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn eval_charges_partials_match_central_differences() {
+    for m in derivative_models() {
+        for bias in derivative_biases(m.polarity().sign()) {
+            let ev = m.eval_charges(bias);
+            for (t, row) in ev.dq.iter().enumerate() {
+                let scale = row.iter().map(|c| c.abs()).sum::<f64>();
+                for (k, &c) in row.iter().enumerate() {
+                    let fd = central(|b| m.charges(b).terminals()[t], bias, k);
+                    assert!(
+                        (c - fd).abs() <= 1e-6 * scale,
+                        "{} {:?} at {bias:?}: dq{t}/dv{k} exact {c:e}, central {fd:e}",
+                        m.name(),
+                        m.polarity()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn eval_values_are_bit_identical_to_plain_evaluation() {
+    for m in derivative_models() {
+        for bias in derivative_biases(m.polarity().sign()) {
+            assert_eq!(m.eval_dc(bias).ids.to_bits(), m.ids(bias).to_bits());
+            let (q, plain) = (m.eval_charges(bias).q, m.charges(bias));
+            assert_eq!(
+                q.terminals().map(f64::to_bits),
+                plain.terminals().map(f64::to_bits)
+            );
+        }
+    }
+}
+
+/// A model that provides values only, like a counting wrapper or a test
+/// double: it inherits the trait's default derivatives.
+#[derive(Debug, Clone)]
+struct ValuesOnly(VsModel);
+
+impl MosfetModel for ValuesOnly {
+    fn polarity(&self) -> Polarity {
+        self.0.polarity()
+    }
+    fn geometry(&self) -> Geometry {
+        self.0.geometry()
+    }
+    fn ids(&self, bias: Bias) -> f64 {
+        self.0.ids(bias)
+    }
+    fn charges(&self, bias: Bias) -> Charges {
+        self.0.charges(bias)
+    }
+    fn name(&self) -> &'static str {
+        "values-only"
+    }
+    fn clone_box(&self) -> Box<dyn MosfetModel> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn default_eval_takes_forward_differences() {
+    // The forward differences circuit stamps took before the models
+    // differentiated themselves: a 1 µV step per terminal voltage.
+    const STEP: f64 = 1e-6;
+    let m = ValuesOnly(VsModel::nominal_pmos_40nm(Geometry::from_nm(600.0, 40.0)));
+    for bias in derivative_biases(-1.0) {
+        let id0 = m.ids(bias);
+        let d = |k: usize| (m.ids(nudge(bias, k, STEP)) - id0) / STEP;
+        let expected = DcEval {
+            ids: id0,
+            gm: d(0),
+            gds: d(1),
+            gmb: d(2),
+        };
+        assert_eq!(m.eval_dc(bias), expected);
+
+        let q0 = m.charges(bias).terminals();
+        let mut dq = [[0.0; 3]; 4];
+        for k in 0..3 {
+            let qp = m.charges(nudge(bias, k, STEP)).terminals();
+            for t in 0..4 {
+                dq[t][k] = (qp[t] - q0[t]) / STEP;
+            }
+        }
+        let expected = ChargeEval {
+            q: m.charges(bias),
+            dq,
+        };
+        assert_eq!(m.eval_charges(bias), expected);
     }
 }

@@ -15,6 +15,10 @@
 //!   collision in the file name is caught by the key comparison; corrupt
 //!   bytes are caught by the seal.
 //!
+//! The key also names the engine ([`spice::ENGINE_FINGERPRINT`]): a result
+//! is a pure function of its spec *for one engine*, so an entry another
+//! build computed is a miss and recomputes.
+//!
 //! Each cache entry is a sealed [`stats::artifact`] container:
 //! a `'K'` section (the canonical spec key), an `'R'` section (scalar run
 //! accounting), then the tagged sketch payloads exactly as computed
@@ -32,17 +36,18 @@ pub const KEY_TAG: u8 = b'K';
 /// Section tag for the scalar run accounting.
 pub const META_TAG: u8 = b'R';
 
-/// The canonical identity of a run: every [`ExperimentSpec`] field,
-/// rendered so two specs share a key iff they are bit-identical (floats
-/// by exact bit pattern).
+/// The canonical identity of a run: the engine fingerprint and every
+/// [`ExperimentSpec`] field, rendered so two specs share a key iff they
+/// are bit-identical (floats by exact bit pattern).
 #[must_use]
 pub fn cache_key(spec: &ExperimentSpec) -> String {
     let (hlo, hhi, hbins) = spec.histogram;
     let (pshift, pscale) = spec.proposal;
     format!(
-        "circuit={};analysis={};seed={};offset={};len={};total={};\
+        "engine={};circuit={};analysis={};seed={};offset={};len={};total={};\
          sinks={}{}{}{}{};histogram={:016x}:{:016x}:{hbins};tdigest={:016x};\
          proposal={:016x}:{:016x};threshold={:016x}",
+        spice::ENGINE_FINGERPRINT,
         spec.circuit,
         spec.analysis,
         spec.seed,

@@ -32,6 +32,10 @@ pub mod pool;
 pub mod routes;
 pub mod store;
 
+/// The engine every result this server computes comes from; part of the
+/// replay-cache key ([`cache::cache_key`]).
+pub use spice::ENGINE_FINGERPRINT;
+
 use cache::ReplayCache;
 use error::ApiError;
 use http::{read_request, write_json_response, HttpError};

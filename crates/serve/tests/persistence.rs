@@ -11,12 +11,16 @@
 //! recompute.
 //!
 //! The replay is sound because a run result is a pure function of its
-//! spec (every Monte Carlo sample is derived from `(seed, index)`), and
-//! it is safe because the cache verifies the artifact seal, the
-//! whole-file checksum, and the embedded canonical key before serving.
+//! spec (every Monte Carlo sample is derived from `(seed, index)`) for one
+//! engine, and it is safe because the cache verifies the artifact seal,
+//! the whole-file checksum, and the embedded canonical key — which names
+//! the engine — before serving.
 
+use serve::cache::KEY_TAG;
 use serve::json::Json;
-use serve::{Server, ServerConfig};
+use serve::{Server, ServerConfig, ENGINE_FINGERPRINT};
+use stats::artifact::{seal, Artifact};
+use stats::codec::{self, Reader};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -202,6 +206,67 @@ fn replay_cache_survives_a_server_restart() {
         fingerprint.0,
         "different seeds produce different sketches"
     );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn entries_from_another_engine_recompute() {
+    const SEED: u64 = 29;
+    const LEN: usize = 40;
+    let dir = temp_dir("engine");
+    let cfg = ServerConfig {
+        artifact_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+
+    let server = Server::bind(&cfg).expect("server boots").start();
+    let addr = server.addr();
+    let (id, _) = post_shard(addr, SEED, 0, LEN);
+    let first = await_run(addr, id);
+    let fingerprint = result_fingerprint(&first);
+    server.shutdown();
+
+    // Re-label the spilled entry as another engine's result for the same
+    // spec: identical sketch bytes, a key naming an older engine, resealed
+    // so seal and checksum are valid, and left under this engine's file
+    // name — the worst case a stale entry could present.
+    let entry = std::fs::read_dir(&dir)
+        .expect("artifact dir exists")
+        .filter_map(|e| e.ok())
+        .find(|e| e.file_name().to_string_lossy().ends_with(".svaf"))
+        .expect("one spilled entry");
+    let artifact =
+        Artifact::from_bytes(&std::fs::read(entry.path()).expect("readable")).expect("sealed");
+    let mut key = Reader::with_header(&artifact.sections[0], KEY_TAG).expect("key section");
+    let key = String::from_utf8(key.take_bytes().expect("key bytes")).expect("utf-8 key");
+    assert!(
+        key.contains(ENGINE_FINGERPRINT),
+        "the cache key names the engine: {key}"
+    );
+    let mut stale = Vec::new();
+    codec::put_header(&mut stale, KEY_TAG);
+    codec::put_bytes(
+        &mut stale,
+        key.replace(ENGINE_FINGERPRINT, "an-older-engine")
+            .as_bytes(),
+    );
+    let mut sections = artifact.sections.clone();
+    sections[0] = stale;
+    std::fs::write(entry.path(), seal(&sections)).expect("writable");
+
+    let server = Server::bind(&cfg).expect("server reboots").start();
+    let addr = server.addr();
+    let (id, envelope) = post_shard(addr, SEED, 0, LEN);
+    assert_eq!(
+        envelope.get("cached"),
+        None,
+        "another engine's entry must not be replayed: {}",
+        envelope.to_text()
+    );
+    let recomputed = await_run(addr, id);
+    assert_eq!(cached_flag(&recomputed), Some(false));
+    assert_eq!(result_fingerprint(&recomputed), fingerprint);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,14 +16,12 @@
 //! loop performs no allocation beyond the returned solution vectors.
 
 use crate::elements::Element;
+use crate::engine::{mos_capacitances, MosStamp};
 use crate::error::SpiceError;
 use crate::netlist::{Circuit, NodeId};
 use mosfet::Bias;
 use numerics::complex::{CLu, CMatrix, C64};
 use numerics::Matrix;
-
-/// Perturbation step for small-signal linearization (V).
-const FD_STEP: f64 = 1e-6;
 
 /// Result of an AC sweep: complex node voltages per frequency.
 #[derive(Debug, Clone)]
@@ -167,96 +165,24 @@ impl Circuit {
                         vds: volt(*d) - volt(*s),
                         vbs: volt(*b) - volt(*s),
                     };
-                    let id0 = model.ids(bias);
-                    let d_of = |db: Bias| (model.ids(db) - id0) / FD_STEP;
-                    let gm = d_of(Bias {
-                        vgs: bias.vgs + FD_STEP,
-                        ..bias
-                    });
-                    let gds = d_of(Bias {
-                        vds: bias.vds + FD_STEP,
-                        ..bias
-                    });
-                    let gmb = if b == s {
-                        0.0
-                    } else {
-                        d_of(Bias {
-                            vbs: bias.vbs + FD_STEP,
-                            ..bias
-                        })
-                    };
-                    let (du, gu, su, bu) = (d.unknown(), gate.unknown(), s.unknown(), b.unknown());
-                    let gsum = gm + gds + gmb;
-                    // Drain row of the transconductance stamp.
-                    if let Some(i) = du {
-                        if let Some(j) = gu {
-                            g[(i, j)] += gm;
-                        }
-                        g[(i, i)] += gds;
-                        if let Some(j) = bu {
-                            g[(i, j)] += gmb;
-                        }
-                        if let Some(j) = su {
-                            g[(i, j)] -= gsum;
-                        }
-                    }
-                    if let Some(i) = su {
-                        if let Some(j) = gu {
-                            g[(i, j)] -= gm;
-                        }
-                        if let Some(j) = du {
-                            g[(i, j)] -= gds;
-                        }
-                        if let Some(j) = bu {
-                            g[(i, j)] -= gmb;
-                        }
-                        g[(i, i)] += gsum;
-                    }
-                    // Charge derivatives -> capacitance stamps.
-                    let q0 = model.charges(bias);
-                    let dq = |db: Bias| {
-                        let qp = model.charges(db);
-                        [
-                            (qp.qg - q0.qg) / FD_STEP,
-                            (qp.qd - q0.qd) / FD_STEP,
-                            (qp.qs - q0.qs) / FD_STEP,
-                            (qp.qb - q0.qb) / FD_STEP,
-                        ]
-                    };
-                    let c_vgs = dq(Bias {
-                        vgs: bias.vgs + FD_STEP,
-                        ..bias
-                    });
-                    let c_vds = dq(Bias {
-                        vds: bias.vds + FD_STEP,
-                        ..bias
-                    });
-                    let c_vbs = if b == s {
-                        [0.0; 4]
-                    } else {
-                        dq(Bias {
-                            vbs: bias.vbs + FD_STEP,
-                            ..bias
-                        })
-                    };
-                    let terms = [gu, du, su, bu];
-                    for (t_i, &row) in terms.iter().enumerate() {
+                    // The Newton stamp's conductances and the transient
+                    // stamp's capacitances: exact small-signal parameters
+                    // from the device's own derivatives.
+                    let bulk_tied = b == s;
+                    let nodes = [d.unknown(), gate.unknown(), s.unknown(), b.unknown()];
+                    MosStamp::new(model.as_ref(), bias, bulk_tied).write(
+                        nodes,
+                        |i, j, v| g[(i, j)] += v,
+                        |_, _| {},
+                    );
+                    let (_, caps) = mos_capacitances(model.as_ref(), bias, bulk_tied);
+                    let [du, gu, su, bu] = nodes;
+                    for (row, caps) in [gu, du, su, bu].into_iter().zip(caps) {
                         let Some(row) = row else { continue };
-                        let cg = c_vgs[t_i];
-                        let cd = c_vds[t_i];
-                        let cb = c_vbs[t_i];
-                        let cs = -(cg + cd + cb);
-                        if let Some(j) = gu {
-                            c[(row, j)] += cg;
-                        }
-                        if let Some(j) = du {
-                            c[(row, j)] += cd;
-                        }
-                        if let Some(j) = su {
-                            c[(row, j)] += cs;
-                        }
-                        if let Some(j) = bu {
-                            c[(row, j)] += cb;
+                        for (col, cap) in [gu, du, su, bu].into_iter().zip(caps) {
+                            if let Some(j) = col {
+                                c[(row, j)] += cap;
+                            }
                         }
                     }
                 }

@@ -12,51 +12,17 @@
 //! `batch_equivalence` suite pins.
 //!
 //! Static elements (resistors, sources) evaluate once per element and
-//! stamp into every active lane; MOSFETs evaluate per lane through
-//! [`LaneModels`] — structure-of-arrays columns
-//! ([`mosfet::soa::VsSoa`]) when every lane is a Virtual Source model,
-//! boxed dynamic dispatch otherwise.
+//! stamp into every active lane; MOSFETs evaluate per lane through the
+//! lane's own model and the scalar path's stamp
+//! ([`crate::engine::MosStamp`]), so the device is differentiated at one
+//! site for both paths.
 
 use crate::elements::Element;
-use crate::engine::{mos_dc_stamp, volt, GMIN_FLOOR, I_TOL, KCL_TOL, MAX_DV, MAX_NEWTON, V_TOL};
+use crate::engine::{volt, MosStamp, GMIN_FLOOR, I_TOL, KCL_TOL, MAX_DV, MAX_NEWTON, V_TOL};
 use crate::error::SpiceError;
 use crate::netlist::Circuit;
-use mosfet::soa::VsSoa;
 use mosfet::{Bias, MosfetModel};
 use numerics::blu::{BLu, BMatrix};
-
-/// K models for one MOSFET element, one per batch lane.
-pub(crate) enum LaneModels<'a> {
-    /// All lanes are Virtual Source instances of one polarity: evaluate
-    /// through statically dispatched SoA columns (boxed: the column
-    /// handles dwarf the `Dyn` variant, and the enum lives in a
-    /// per-element `Vec`).
-    Soa(Box<VsSoa>),
-    /// Mixed or non-VS lanes: per-lane dynamic dispatch.
-    Dyn(Vec<&'a dyn MosfetModel>),
-}
-
-impl<'a> LaneModels<'a> {
-    /// Regroups one model per lane, preferring the SoA fast path.
-    pub(crate) fn from_lanes(models: &[&'a dyn MosfetModel]) -> Self {
-        let vs: Option<Vec<_>> = models.iter().map(|m| m.as_vs()).collect();
-        if let Some(vs) = vs {
-            if let Some(soa) = VsSoa::from_models(vs) {
-                return LaneModels::Soa(Box::new(soa));
-            }
-        }
-        LaneModels::Dyn(models.to_vec())
-    }
-
-    /// Drain current of lane `l` — bit-identical to the boxed model's
-    /// `ids` in both arms (see [`VsSoa::ids`]).
-    fn ids(&self, l: usize, bias: Bias) -> f64 {
-        match self {
-            LaneModels::Soa(soa) => soa.ids(l, bias),
-            LaneModels::Dyn(models) => models[l].ids(bias),
-        }
-    }
-}
 
 /// Scratch space for batched DC Newton solves, reused across batches by
 /// [`crate::session::Session`]. All per-lane vectors are lane-major: lane
@@ -99,13 +65,14 @@ impl BatchWorkspace {
 }
 
 /// Assembles the DC companion-model system for every lane where `active`
-/// is `true`, in one pass over the topology. Per lane, the element visit
+/// is `true`, in one pass over the topology. `mos[m][l]` is MOSFET `m`
+/// (in element order) of lane `l`. Per lane, the element visit
 /// order — and therefore every floating-point accumulation — matches the
 /// scalar [`crate::engine::assemble`] exactly.
 #[allow(clippy::too_many_arguments)]
 fn assemble_batch(
     circuit: &Circuit,
-    mos: &[LaneModels<'_>],
+    mos: &[Vec<&dyn MosfetModel>],
     xs: &[f64],
     gmin: f64,
     source_scale: f64,
@@ -188,12 +155,9 @@ fn assemble_batch(
                 }
             }
             Element::Mosfet { d, g, s, b: nb, .. } => {
-                let lm = &mos[m_idx];
+                let models = &mos[m_idx];
                 let bulk_tied = nb == s;
-                let du = d.unknown();
-                let gu = g.unknown();
-                let su = s.unknown();
-                let bu = nb.unknown();
+                let nodes = [d.unknown(), g.unknown(), s.unknown(), nb.unknown()];
                 for l in lanes() {
                     let x = &xs[l * n..(l + 1) * n];
                     let vd = volt(x, *d);
@@ -205,34 +169,13 @@ fn assemble_batch(
                         vds: vd - vs,
                         vbs: vb - vs,
                     };
-                    let st = mos_dc_stamp(|db| lm.ids(l, db), bias, bulk_tied);
                     let lane = a.lane_mut(l);
-                    if let Some(i) = du {
-                        if let Some(j) = gu {
-                            lane[i * n + j] += st.gm;
-                        }
-                        lane[i * n + i] += st.gds;
-                        if let Some(j) = bu {
-                            lane[i * n + j] += st.gmb;
-                        }
-                        if let Some(j) = su {
-                            lane[i * n + j] -= st.gsum;
-                        }
-                        b[l * n + i] -= st.ieq;
-                    }
-                    if let Some(i) = su {
-                        if let Some(j) = gu {
-                            lane[i * n + j] -= st.gm;
-                        }
-                        if let Some(j) = du {
-                            lane[i * n + j] -= st.gds;
-                        }
-                        if let Some(j) = bu {
-                            lane[i * n + j] -= st.gmb;
-                        }
-                        lane[i * n + i] += st.gsum;
-                        b[l * n + i] += st.ieq;
-                    }
+                    let rhs = &mut b[l * n..(l + 1) * n];
+                    MosStamp::new(models[l], bias, bulk_tied).write(
+                        nodes,
+                        |i, j, v| lane[i * n + j] += v,
+                        |i, v| rhs[i] += v,
+                    );
                 }
                 m_idx += 1;
             }
@@ -248,7 +191,7 @@ fn assemble_batch(
 /// iteration.
 pub(crate) fn newton_batch(
     circuit: &Circuit,
-    mos: &[LaneModels<'_>],
+    mos: &[Vec<&dyn MosfetModel>],
     x0: &[f64],
     ws: &mut BatchWorkspace,
 ) -> Vec<Result<Vec<f64>, SpiceError>> {

@@ -8,11 +8,9 @@
 use crate::elements::Element;
 use crate::error::SpiceError;
 use crate::netlist::Circuit;
-use mosfet::Bias;
+use mosfet::{Bias, MosfetModel};
 use numerics::{lu::Lu, Matrix};
 
-/// Voltage perturbation for device-model finite differences (V).
-pub(crate) const FD_STEP: f64 = 1e-6;
 /// Conductance floor from every node to ground (numerical safety net).
 pub(crate) const GMIN_FLOOR: f64 = 1e-12;
 /// Maximum Newton voltage update per iteration (V) — exponential device
@@ -128,52 +126,81 @@ pub(crate) fn volt(x: &[f64], node: crate::netlist::NodeId) -> f64 {
 /// DC companion-model values of one MOSFET at a bias point: the stamp the
 /// Newton loop writes into the conductance block and right-hand side.
 pub(crate) struct MosStamp {
-    pub(crate) gm: f64,
-    pub(crate) gds: f64,
-    pub(crate) gmb: f64,
+    gm: f64,
+    gds: f64,
+    gmb: f64,
     /// `gm + gds + gmb` — the source-column entry.
-    pub(crate) gsum: f64,
+    gsum: f64,
     /// Linearization constant `Id - gm·vgs - gds·vds - gmb·vbs`.
-    pub(crate) ieq: f64,
+    ieq: f64,
 }
 
-/// Evaluates the DC companion model of one MOSFET through `ids`.
-///
-/// Shared by the scalar [`assemble`] and the batched stamp loop
-/// ([`crate::batch`]): both paths run this exact finite-difference and
-/// linearization sequence, which is what makes batched lanes bit-identical
-/// to scalar solves.
-///
-/// Forward differences: cheaper than central, and Newton only needs an
-/// approximate Jacobian (convergence is checked on the update norm, not
-/// the Jacobian quality).
-pub(crate) fn mos_dc_stamp(ids: impl Fn(Bias) -> f64, bias: Bias, bulk_tied: bool) -> MosStamp {
-    let id0 = ids(bias);
-    let d_of = |db: Bias| (ids(db) - id0) / FD_STEP;
-    let gm = d_of(Bias {
-        vgs: bias.vgs + FD_STEP,
-        ..bias
-    });
-    let gds = d_of(Bias {
-        vds: bias.vds + FD_STEP,
-        ..bias
-    });
-    let gmb = if bulk_tied {
-        0.0
-    } else {
-        d_of(Bias {
-            vbs: bias.vbs + FD_STEP,
-            ..bias
-        })
-    };
-    let ieq = id0 - gm * bias.vgs - gds * bias.vds - gmb * bias.vbs;
-    MosStamp {
-        gm,
-        gds,
-        gmb,
-        gsum: gm + gds + gmb,
-        ieq,
+impl MosStamp {
+    /// The companion model of `model` at `bias`, from one
+    /// [`MosfetModel::eval_dc`] — the device's single differentiation
+    /// site. The scalar [`assemble`], the batched stamp loop
+    /// ([`crate::batch`]) and the AC linearization all build their stamps
+    /// here, which is what makes batched lanes bit-identical to scalar
+    /// solves. A bulk tied to the source contributes no `gmb`.
+    pub(crate) fn new(model: &dyn MosfetModel, bias: Bias, bulk_tied: bool) -> Self {
+        let ev = model.eval_dc(bias);
+        let gmb = if bulk_tied { 0.0 } else { ev.gmb };
+        MosStamp {
+            gm: ev.gm,
+            gds: ev.gds,
+            gmb,
+            gsum: ev.gm + ev.gds + gmb,
+            ieq: ev.ids - ev.gm * bias.vgs - ev.gds * bias.vds - gmb * bias.vbs,
+        }
     }
+
+    /// Writes the stamp for terminal unknowns `[d, g, s, b]`: conductances
+    /// through `add(row, col, value)`, the linearization constant through
+    /// `rhs(row, value)`. Row `d` carries `+Id` (current leaving node `d`
+    /// into the channel), row `s` carries `-Id`.
+    pub(crate) fn write(
+        &self,
+        [du, gu, su, bu]: [Option<usize>; 4],
+        mut add: impl FnMut(usize, usize, f64),
+        mut rhs: impl FnMut(usize, f64),
+    ) {
+        // dI/dv_g = gm, dI/dv_d = gds, dI/dv_b = gmb,
+        // dI/dv_s = -(gm + gds + gmb).
+        for (row, sign) in [(du, 1.0), (su, -1.0)] {
+            let Some(i) = row else { continue };
+            if let Some(j) = gu {
+                add(i, j, sign * self.gm);
+            }
+            if let Some(j) = du {
+                add(i, j, sign * self.gds);
+            }
+            if let Some(j) = bu {
+                add(i, j, sign * self.gmb);
+            }
+            if let Some(j) = su {
+                add(i, j, -sign * self.gsum);
+            }
+            rhs(i, -sign * self.ieq);
+        }
+    }
+}
+
+/// Terminal charges of one MOSFET at `bias` and their partials with
+/// respect to the node voltages, from one [`MosfetModel::eval_charges`]:
+/// row `t` of the returned capacitances (terminals in `[g, d, s, b]`
+/// order) holds `∂q_t/∂v` for the gate, drain, source and bulk node
+/// voltages. A bulk tied to the source contributes no `∂q/∂vbs`.
+pub(crate) fn mos_capacitances(
+    model: &dyn MosfetModel,
+    bias: Bias,
+    bulk_tied: bool,
+) -> ([f64; 4], [[f64; 4]; 4]) {
+    let ev = model.eval_charges(bias);
+    let caps = ev.dq.map(|[cg, cd, cb]| {
+        let cb = if bulk_tied { 0.0 } else { cb };
+        [cg, cd, -(cg + cd + cb), cb]
+    });
+    (ev.q.terminals(), caps)
 }
 
 /// Adds `g` between nodes `a` and `b` in the conductance block.
@@ -287,81 +314,23 @@ pub fn assemble(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspac
                     vds: vd - vs,
                     vbs: vb - vs,
                 };
-                // --- static current ---
                 let bulk_tied = b == s;
-                let st = mos_dc_stamp(|db| model.ids(db), bias, bulk_tied);
-                // Row d gains +Id (current leaving node d into the channel
-                // towards the source); row s gains -Id.
-                let du = d.unknown();
-                let gu = g.unknown();
-                let su = s.unknown();
-                let bu = b.unknown();
-                // Conductance entries: dI/dv_g = gm, dI/dv_d = gds,
-                // dI/dv_b = gmb, dI/dv_s = -(gm + gds + gmb).
-                if let Some(i) = du {
-                    if let Some(j) = gu {
-                        ws.a[(i, j)] += st.gm;
-                    }
-                    ws.a[(i, i)] += st.gds;
-                    if let Some(j) = bu {
-                        ws.a[(i, j)] += st.gmb;
-                    }
-                    if let Some(j) = su {
-                        ws.a[(i, j)] -= st.gsum;
-                    }
-                    ws.b[i] -= st.ieq;
-                }
-                if let Some(i) = su {
-                    if let Some(j) = gu {
-                        ws.a[(i, j)] -= st.gm;
-                    }
-                    if let Some(j) = du {
-                        ws.a[(i, j)] -= st.gds;
-                    }
-                    if let Some(j) = bu {
-                        ws.a[(i, j)] -= st.gmb;
-                    }
-                    ws.a[(i, i)] += st.gsum;
-                    ws.b[i] += st.ieq;
-                }
+                let nodes = [d.unknown(), g.unknown(), s.unknown(), b.unknown()];
+                MosStamp::new(model.as_ref(), bias, bulk_tied).write(
+                    nodes,
+                    |i, j, v| ws.a[(i, j)] += v,
+                    |i, v| ws.b[i] += v,
+                );
                 // --- charge storage (transient only) ---
                 if let Mode::Tran {
                     method, h, state, ..
                 } = mode
                 {
-                    let q0 = model.charges(bias);
-                    let dq = |db: Bias| {
-                        let qp = model.charges(db);
-                        [
-                            (qp.qg - q0.qg) / FD_STEP,
-                            (qp.qd - q0.qd) / FD_STEP,
-                            (qp.qs - q0.qs) / FD_STEP,
-                            (qp.qb - q0.qb) / FD_STEP,
-                        ]
-                    };
-                    // Partial derivatives of each terminal charge wrt vgs/vds/vbs.
-                    let c_vgs = dq(Bias {
-                        vgs: bias.vgs + FD_STEP,
-                        ..bias
-                    });
-                    let c_vds = dq(Bias {
-                        vds: bias.vds + FD_STEP,
-                        ..bias
-                    });
-                    let c_vbs = if bulk_tied {
-                        [0.0; 4]
-                    } else {
-                        dq(Bias {
-                            vbs: bias.vbs + FD_STEP,
-                            ..bias
-                        })
-                    };
-                    let q_now = [q0.qg, q0.qd, q0.qs, q0.qb];
+                    let (q_now, caps) = mos_capacitances(model.as_ref(), bias, bulk_tied);
                     let q_prev = state.mos_q[m_idx];
                     let i_prev = state.mos_i[m_idx];
+                    let [du, gu, su, bu] = nodes;
                     let terms = [gu, du, su, bu];
-                    // dq_t/dv_g = c_vgs[t]; dq_t/dv_d = c_vds[t];
-                    // dq_t/dv_b = c_vbs[t]; dq_t/dv_s = -(sum).
                     for t_i in 0..4 {
                         let Some(row) = terms[t_i] else { continue };
                         let (k, i_const) = match method {
@@ -369,21 +338,11 @@ pub fn assemble(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspac
                             Integrator::Trapezoidal => (2.0 / h, -i_prev[t_i]),
                         };
                         // i_t = k (q_t(v) - q_prev) + i_const, linearized at x.
-                        let cg = c_vgs[t_i];
-                        let cd = c_vds[t_i];
-                        let cb = c_vbs[t_i];
-                        let cs = -(cg + cd + cb);
-                        if let Some(j) = gu {
-                            ws.a[(row, j)] += k * cg;
-                        }
-                        if let Some(j) = du {
-                            ws.a[(row, j)] += k * cd;
-                        }
-                        if let Some(j) = su {
-                            ws.a[(row, j)] += k * cs;
-                        }
-                        if let Some(j) = bu {
-                            ws.a[(row, j)] += k * cb;
+                        let [cg, cd, cs, cb] = caps[t_i];
+                        for (col, c) in [(gu, cg), (du, cd), (su, cs), (bu, cb)] {
+                            if let Some(j) = col {
+                                ws.a[(row, j)] += k * c;
+                            }
                         }
                         let lin_at_x = cg * vg + cd * vd + cs * vs + cb * vb;
                         let ieq_t = k * (q_now[t_i] - q_prev[t_i]) + i_const - k * lin_at_x;

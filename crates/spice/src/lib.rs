@@ -86,6 +86,30 @@ pub mod session;
 pub mod tran;
 pub mod waveform;
 
+/// The numerics epoch as a literal, for [`NUMERICS_EPOCH`] and
+/// [`ENGINE_FINGERPRINT`].
+macro_rules! numerics_epoch {
+    () => {
+        1
+    };
+}
+
+/// Bumped by every change that moves result bits — device derivatives,
+/// stamp order, solver tolerances — even by one ulp. Epoch 1: exact
+/// dual-number device derivatives replaced forward differences.
+pub const NUMERICS_EPOCH: u32 = numerics_epoch!();
+
+/// Identity of the engine that computes results: the workspace version
+/// and [`NUMERICS_EPOCH`]. The serve replay cache keys and the fleet
+/// campaign manifests include it, so bytes another engine computed are
+/// recomputed rather than served or merged.
+pub const ENGINE_FINGERPRINT: &str = concat!(
+    "statvs-",
+    env!("CARGO_PKG_VERSION"),
+    "+numerics.",
+    numerics_epoch!()
+);
+
 pub use dc::{DcResult, SweepResult};
 pub use error::SpiceError;
 pub use netlist::{Circuit, NodeId};

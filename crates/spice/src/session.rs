@@ -20,7 +20,7 @@
 //!   sweeps) without rebuilding the netlist.
 
 use crate::ac::{AcResult, AcWorkspace};
-use crate::batch::{newton_batch, BatchWorkspace, LaneModels};
+use crate::batch::{newton_batch, BatchWorkspace};
 use crate::dc::{DcResult, SweepResult};
 use crate::elements::Element;
 use crate::engine::{newton, Integrator, Mode, TranState, Workspace};
@@ -494,10 +494,8 @@ impl Session {
                     tables[ord][l] = model.as_ref();
                 }
             }
-            let lane_models: Vec<LaneModels<'_>> =
-                tables.iter().map(|t| LaneModels::from_lanes(t)).collect();
             let ws = self.batch_ws.as_mut().expect("allocated above");
-            newton_batch(&self.circuit, &lane_models, &x0, ws)
+            newton_batch(&self.circuit, &tables, &x0, ws)
         };
 
         // Fallback phase: lanes the batched plain Newton could not converge

@@ -218,7 +218,11 @@ fn sigkilled_campaign_resumes_without_redispatch_and_merges_identically() {
         histogram: Some((0.0, 0.9, 48)),
         tdigest_compression: None,
     };
-    const SHARDS: usize = 6;
+    // Many small shards: all are dispatched at once and polled on one
+    // back-off schedule, so shards finishing between two polls journal
+    // together. With few shards a fast engine finishes them all before
+    // the first poll that sees one, and the kill window closes.
+    const SHARDS: usize = 24;
     let plan = plan_shards(spec.total, SHARDS);
 
     // The workers are owned by the *test*, not by the doomed coordinator
@@ -242,7 +246,7 @@ fn sigkilled_campaign_resumes_without_redispatch_and_merges_identically() {
             "--samples",
             "6000",
             "--shards",
-            "6",
+            "24",
             "--seed",
             "13",
             "--histogram",
