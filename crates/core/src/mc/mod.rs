@@ -20,14 +20,11 @@
 //! however long the run; an [`EarlyStop`] rule fanned out next to the
 //! sinks ends a run once the mean is pinned down. Beyond one process,
 //! [`ParallelRunner::run_streaming_range`] executes a disjoint shard of
-//! the index space, and [`ParallelRunner::run_streaming_batched`] hands
-//! batch-capable workers K consecutive indices per claim (tiled as
-//! [`plan_batches`] describes) for K-lane hot paths like
-//! `spice::Session::dc_batch`, so independent processes/machines combine
-//! their [`MergeableSink`] sketches ([`TDigest`], [`Histogram`],
-//! [`WelfordSink`], and the importance-sampling [`WeightedSink`]s fed
-//! `(value, log_weight)` records) afterwards. `ARCHITECTURE.md` at the
-//! repo root diagrams the data flow.
+//! the index space, so independent processes/machines combine their
+//! [`MergeableSink`] sketches ([`TDigest`], [`Histogram`], [`WelfordSink`],
+//! and the importance-sampling [`WeightedSink`]s fed `(value, log_weight)`
+//! records) afterwards. `ARCHITECTURE.md` at the repo root diagrams the
+//! data flow.
 //!
 //! # Example
 //!
@@ -69,7 +66,7 @@ pub mod shard;
 
 pub use manifest::{Manifest, ManifestEntry, ManifestError};
 pub use parallel::{EarlyStop, ParallelRunner, StreamOutcome};
-pub use shard::{plan_batches, plan_shards, BatchPlanError, Shard};
+pub use shard::{plan_shards, Shard};
 // The sink vocabulary consumed by `ParallelRunner`, re-exported so Monte
 // Carlo call sites need a single import path.
 pub use stats::histogram::Histogram;

@@ -39,16 +39,12 @@
 //!   sinks. Rounds are fixed multiples of [`ParallelRunner::check_every`]
 //!   samples (independent of the worker count), so the stopping sample
 //!   count is deterministic as well.
-//! * **Shards and batches.** [`ParallelRunner::run_streaming_range`] runs
-//!   one disjoint slice of the sample index space — the same pure
-//!   `(seed, i)` streams, the same index-ordered fold — so N *processes or
-//!   machines* each execute a shard of one experiment and merge their
+//! * **Shards.** [`ParallelRunner::run_streaming_range`] runs one disjoint
+//!   slice of the sample index space — the same pure `(seed, i)` streams,
+//!   the same index-ordered fold — so N *processes or machines* each
+//!   execute a shard of one experiment and merge their
 //!   [`stats::sink::MergeableSink`] states afterwards, independent of how
-//!   the space was partitioned. [`ParallelRunner::run_streaming_batched`]
-//!   hands workers *chunks* of K consecutive indices, so a batch-capable
-//!   worker (e.g. [`spice::Session::dc_batch`] stamping and LU-solving K
-//!   mismatch lanes at once) amortizes per-sample overhead without changing
-//!   the result.
+//!   the space was partitioned.
 //!
 //! Records are generic: scalar metrics stream as `f64`, scatter
 //! experiments as `(f64, f64)` pairs, and importance-sampling runs as
@@ -87,7 +83,6 @@
 
 use stats::sink::Sink;
 use stats::{Sampler, Welford};
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -95,33 +90,6 @@ use std::sync::{Barrier, Mutex};
 const SHUTDOWN: usize = usize::MAX;
 /// Salt separating worker-setup streams from per-sample streams.
 const WORKER_STREAM_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// Adapts a per-sample closure to the chunked `exec` contract of
-/// [`ParallelRunner::execute`]: for each index of the claimed chunk, derive
-/// its pure `(seed, i)` sampler stream, run the sample, keep the success,
-/// count the failure. Every per-sample entry point is this adapter with
-/// stride 1.
-fn sample_chunk<W, T, E, S>(
-    sample: &S,
-    state: &mut W,
-    base: &Sampler,
-    lo: usize,
-    hi: usize,
-    out: &mut Vec<(usize, T)>,
-) -> usize
-where
-    S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E>,
-{
-    let mut failed = 0;
-    for i in lo..hi {
-        let mut s = base.stream(i as u64);
-        match sample(state, &mut s, i) {
-            Ok(t) => out.push((i, t)),
-            Err(_) => failed += 1,
-        }
-    }
-    failed
-}
 
 /// The exclusive end of the shard `offset .. offset + len`.
 ///
@@ -350,18 +318,7 @@ impl ParallelRunner {
         S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
         K: Sink<T> + ?Sized,
     {
-        self.execute(
-            0,
-            shard_end(0, n),
-            self.check_every,
-            1,
-            &build,
-            &|st: &mut W, base: &Sampler, lo, hi, out: &mut Vec<(usize, T)>| {
-                sample_chunk(&sample, st, base, lo, hi, out)
-            },
-            sink,
-            true,
-        )
+        self.execute(0, shard_end(0, n), &build, &sample, sink, true)
     }
 
     /// Executes the disjoint shard `offset .. offset + len` of a larger
@@ -478,176 +435,30 @@ impl ParallelRunner {
         S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
         K: Sink<T> + ?Sized,
     {
-        self.execute(
-            offset,
-            shard_end(offset, len),
-            self.check_every,
-            1,
-            &build,
-            &|st: &mut W, base: &Sampler, lo, hi, out: &mut Vec<(usize, T)>| {
-                sample_chunk(&sample, st, base, lo, hi, out)
-            },
-            sink,
-            false,
-        )
+        self.execute(offset, shard_end(offset, len), &build, &sample, sink, false)
     }
 
-    /// Executes the shard `offset .. offset + len` with workers claiming
-    /// **batches of `lanes` consecutive sample indices** instead of one
-    /// index at a time — the entry point for batch-capable hot paths such
-    /// as [`spice::Session::dc_batch`], which stamps and LU-solves K
-    /// mismatch lanes in one pass.
-    ///
-    /// `batch(state, base_index, samplers)` computes samples `base_index ..
-    /// base_index + samplers.len()`: `samplers[j]` is the pure
-    /// `(seed, base_index + j)` stream — exactly the sampler the scalar
-    /// path would hand sample `base_index + j` — and the returned vector
-    /// reports each lane's outcome in order (`Err` lanes are counted as
-    /// failures, not propagated: per-lane failure isolation). All chunks
-    /// hold `lanes` indices except the final chunk of the range, which
-    /// holds exactly the remaining tail (see
-    /// [`plan_batches`](super::plan_batches) for the tiling this
-    /// guarantees).
-    ///
-    /// **Determinism:** because lane `j` draws the same pure stream and
-    /// records still fold in ascending index order at fixed round
-    /// boundaries (rounds are rounded up to a multiple of `lanes`), a
-    /// batched run whose `batch` closure computes each lane exactly like
-    /// the scalar `sample` closure produces **bit-identical sink state**
-    /// to [`ParallelRunner::run_streaming_range`] of the same shard — for
-    /// any worker count and any `lanes`. The determinism suite
-    /// (`crates/core/tests/parallel_mc.rs`) pins this.
-    ///
-    /// Like [`ParallelRunner::run_streaming_range`], a sink's stopping rule
-    /// is ignored (a batched shard is a fleet primitive; locally-evaluated
-    /// stopping would make the executed sample set depend on the
-    /// partitioning).
-    ///
-    /// # Example
-    ///
-    /// A batched run is bit-identical to the scalar streaming run when
-    /// each lane mirrors the scalar closure:
-    ///
-    /// ```
-    /// use stats::sink::VecSink;
-    /// use vscore::mc::ParallelRunner;
-    ///
-    /// let runner = ParallelRunner::new(7).workers(2);
-    /// let mut scalar = VecSink::new();
-    /// runner
-    ///     .run_streaming(
-    ///         100,
-    ///         |_, _| Ok::<(), std::convert::Infallible>(()),
-    ///         |(), s, _| Ok(s.standard_normal()),
-    ///         &mut scalar,
-    ///     )
-    ///     .unwrap();
-    /// let mut batched = VecSink::new();
-    /// let out = runner
-    ///     .run_streaming_batched(
-    ///         0,
-    ///         100,
-    ///         std::num::NonZeroUsize::new(8).unwrap(),
-    ///         |_, _| Ok::<(), std::convert::Infallible>(()),
-    ///         |(), _base, samplers| samplers.iter_mut().map(|s| Ok(s.standard_normal())).collect(),
-    ///         &mut batched,
-    ///     )
-    ///     .unwrap();
-    /// assert_eq!(out.observed, 100); // 12 full batches + a 4-lane tail
-    /// assert_eq!(scalar.records(), batched.records());
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first worker-state `build` error (the sink is left
-    /// unfinished).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + len` overflows the sample index space (as
-    /// [`ParallelRunner::run_streaming_range`]), or if the `batch` closure
-    /// returns a vector whose length differs from the chunk's lane count —
-    /// dropping or inventing lane results would silently corrupt the
-    /// merged statistics, so it is a contract violation, not an `Err`.
-    pub fn run_streaming_batched<W, T, E, B, S, K>(
-        &self,
-        offset: usize,
-        len: usize,
-        lanes: NonZeroUsize,
-        build: B,
-        batch: S,
-        sink: &mut K,
-    ) -> Result<StreamOutcome, E>
-    where
-        T: Send,
-        E: Send,
-        B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        S: Fn(&mut W, usize, &mut [Sampler]) -> Vec<Result<T, E>> + Sync,
-        K: Sink<T> + ?Sized,
-    {
-        let k = lanes.get();
-        // Rounds stay multiples of the lane count, so the only partial
-        // chunk a worker ever sees is the genuine tail of the range.
-        let round = self.check_every.div_ceil(k).saturating_mul(k);
-        self.execute(
-            offset,
-            shard_end(offset, len),
-            round,
-            k,
-            &build,
-            &|st: &mut W, base: &Sampler, lo, hi, out: &mut Vec<(usize, T)>| {
-                let mut samplers: Vec<Sampler> = (lo..hi).map(|i| base.stream(i as u64)).collect();
-                let results = batch(st, lo, &mut samplers);
-                assert_eq!(
-                    results.len(),
-                    hi - lo,
-                    "batch closure returned {} results for the {}-lane batch at sample {lo}",
-                    results.len(),
-                    hi - lo
-                );
-                let mut failed = 0;
-                for (i, r) in (lo..).zip(results) {
-                    match r {
-                        Ok(t) => out.push((i, t)),
-                        Err(_) => failed += 1,
-                    }
-                }
-                failed
-            },
-            sink,
-            false,
-        )
-    }
-
-    /// The sharded execution engine behind every entry point, running the
+    /// The sharded execution engine behind both entry points, running the
     /// sample index range `start..end` (a full run passes `start = 0`; a
     /// fleet shard passes its offset — sample `i` draws the same pure
     /// `(seed, i)` stream either way).
     ///
-    /// Workers claim chunks of `stride` consecutive indices from the
-    /// shared counter and run `exec(state, sample_base, lo, hi, out)` on
-    /// each — the closure computes samples `lo..hi` (deriving each index's
-    /// pure stream itself), pushes successes onto `out`, and returns the
-    /// number of failures. Per-sample runs pass stride 1 ([`sample_chunk`]
-    /// per index); batched runs pass stride K so a batch-capable worker
-    /// sees K lanes per claim. Each worker moves its records into its own
-    /// shard once per round.
+    /// Workers claim one index at a time from the shared counter, run
+    /// `sample` on that index's pure stream, and move their records into
+    /// their own shard once per round.
     ///
     /// After every round barrier the coordinator folds the shards of the
     /// now-final index range into `sink` in ascending index order on the
     /// calling thread; when `honour_stop` is set and the range is not yet
     /// exhausted, a [`Sink::satisfied`] sink ends the run at that boundary.
-    /// A panic inside `exec` or the sink shuts the run down cleanly and
+    /// A panic inside `sample` or the sink shuts the run down cleanly and
     /// re-raises on the coordinating thread.
-    #[allow(clippy::too_many_arguments)]
-    fn execute<W, T, E, B, X, K>(
+    fn execute<W, T, E, B, S, K>(
         &self,
         start: usize,
         end: usize,
-        round: usize,
-        stride: usize,
         build: &B,
-        exec: &X,
+        sample: &S,
         sink: &mut K,
         honour_stop: bool,
     ) -> Result<StreamOutcome, E>
@@ -655,7 +466,7 @@ impl ParallelRunner {
         T: Send,
         E: Send,
         B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        X: Fn(&mut W, &Sampler, usize, usize, &mut Vec<(usize, T)>) -> usize + Sync,
+        S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
         K: Sink<T> + ?Sized,
     {
         let len = end - start;
@@ -701,7 +512,7 @@ impl ParallelRunner {
         let mut observed = 0usize;
         let attempted = std::thread::scope(|scope| {
             for (worker_id, shard) in shards.iter().enumerate() {
-                let (failures, exec) = (&failures, &exec);
+                let (failures, sample) = (&failures, &sample);
                 let (next, limit, barrier) = (&next, &limit, &barrier);
                 let (setup_err, store_panic) = (&setup_err, &store_panic);
                 let (sample_base, worker_base) = (&sample_base, &worker_base);
@@ -734,26 +545,23 @@ impl ParallelRunner {
                         }
                         let mut poisoned = false;
                         if let Some(st) = state.as_mut() {
-                            // Bounded chunk pop: a worker claims `stride`
-                            // consecutive indices, clamped to `hi` — round
-                            // boundaries lose no sample indices, and the
-                            // final claim of the range is exactly the
-                            // remaining tail (a partial batch, never a
-                            // dropped or duplicated one).
-                            while let Ok(lo) =
+                            // Bounded pop: a worker never claims an index at
+                            // or past the round limit, so round boundaries
+                            // lose no sample indices.
+                            while let Ok(i) =
                                 next.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |i| {
-                                    (i < hi).then(|| i.saturating_add(stride).min(hi))
+                                    (i < hi).then_some(i + 1)
                                 })
                             {
-                                let chunk_hi = lo.saturating_add(stride).min(hi);
+                                let mut stream = sample_base.stream(i as u64);
                                 let r =
                                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        exec(st, sample_base, lo, chunk_hi, &mut records)
+                                        sample(st, &mut stream, i)
                                     }));
                                 match r {
-                                    Ok(0) => {}
-                                    Ok(failed) => {
-                                        failures.fetch_add(failed, Ordering::SeqCst);
+                                    Ok(Ok(t)) => records.push((i, t)),
+                                    Ok(Err(_)) => {
+                                        failures.fetch_add(1, Ordering::SeqCst);
                                     }
                                     Err(p) => {
                                         store_panic(p);
@@ -792,7 +600,7 @@ impl ParallelRunner {
             let mut batch: Vec<(usize, T)> = Vec::new();
             let mut hi = start;
             while hi < end {
-                hi = (hi + round).min(end);
+                hi = (hi + self.check_every).min(end);
                 limit.store(hi, Ordering::SeqCst);
                 barrier.wait(); // round start
                 barrier.wait(); // round end: all samples < hi are final

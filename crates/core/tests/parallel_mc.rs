@@ -661,12 +661,11 @@ fn range_shards_draw_the_global_sample_streams() {
 
 /// A shard must execute its whole slice even when its sink carries an
 /// early-stopping rule: a locally evaluated CI stop would make the
-/// executed sample set depend on the partitioning. Batched shards too.
+/// executed sample set depend on the partitioning.
 #[test]
 fn range_shards_ignore_early_stop() {
     let runner = ParallelRunner::new(5).workers(2).check_every(8);
-    let stopping = || (EarlyStop::relative(0.5).min_samples(4), WelfordSink::new());
-    let mut sink = stopping();
+    let mut sink = (EarlyStop::relative(0.5).min_samples(4), WelfordSink::new());
     let out = runner
         .run_streaming_range(
             16,
@@ -680,340 +679,6 @@ fn range_shards_ignore_early_stop() {
     assert_eq!(out.attempted, 96, "shard stopped early");
     assert_eq!(out.observed, 96);
     assert_eq!(sink.1.moments().count(), 96);
-
-    let mut sink = stopping();
-    let out = runner
-        .run_streaming_batched(
-            16,
-            96,
-            std::num::NonZeroUsize::new(4).expect("k > 0"),
-            |_, _| Ok::<(), std::convert::Infallible>(()),
-            |(), _, samplers| {
-                samplers
-                    .iter_mut()
-                    .map(|s| Ok(10.0 + 0.01 * s.standard_normal()))
-                    .collect()
-            },
-            &mut sink,
-        )
-        .expect("infallible setup");
-    assert_eq!(out.attempted, 96, "batched shard stopped early");
-    assert_eq!(sink.1.moments().count(), 96);
-}
-
-// ---------------------------------------------------------------------------
-// Batched execution: run_streaming_batched
-// ---------------------------------------------------------------------------
-
-/// Streams the stateless device-level workload with `run_streaming_batched`
-/// at the given lane count, retaining records and CSV bytes.
-fn batched_device_run(
-    seed: u64,
-    offset: usize,
-    len: usize,
-    k: usize,
-    workers: usize,
-) -> (Vec<(usize, u64)>, Vec<u8>) {
-    let b = builder();
-    let sp = spec();
-    let mut sink = (VecSink::new(), CsvSink::new(Vec::<u8>::new()));
-    ParallelRunner::new(seed)
-        .workers(workers)
-        .run_streaming_batched(
-            offset,
-            len,
-            std::num::NonZeroUsize::new(k).expect("k > 0"),
-            |_, _| Ok::<(), std::convert::Infallible>(()),
-            |(), _base, samplers| {
-                samplers
-                    .iter_mut()
-                    .map(|sampler| {
-                        let delta = sp.sample(b.geometry(), || sampler.standard_normal());
-                        Ok(DeviceMetrics::evaluate(b.build(delta).as_ref(), VDD).idsat)
-                    })
-                    .collect()
-            },
-            &mut sink,
-        )
-        .expect("infallible setup");
-    let (records, csv) = sink;
-    (
-        records
-            .records()
-            .iter()
-            .map(|&(i, v)| (i, v.to_bits()))
-            .collect(),
-        csv.into_inner(),
-    )
-}
-
-/// The batched determinism pin: when each lane mirrors the scalar closure,
-/// sink records and raw CSV bytes are bit-identical to the scalar
-/// streaming run — for every lane count and every worker count, including
-/// lane counts that leave a partial tail batch.
-#[test]
-fn batched_streaming_is_bit_identical_to_scalar_for_any_workers_and_lanes() {
-    let (seed, n) = (31u64, 100);
-    let b = builder();
-    let sp = spec();
-    let mut scalar = (VecSink::new(), CsvSink::new(Vec::<u8>::new()));
-    ParallelRunner::new(seed)
-        .workers(2)
-        .run_streaming(
-            n,
-            |_, _| Ok::<(), std::convert::Infallible>(()),
-            |(), sampler, _| {
-                let delta = sp.sample(b.geometry(), || sampler.standard_normal());
-                Ok(DeviceMetrics::evaluate(b.build(delta).as_ref(), VDD).idsat)
-            },
-            &mut scalar,
-        )
-        .expect("infallible setup");
-    let reference: Vec<(usize, u64)> = scalar
-        .0
-        .records()
-        .iter()
-        .map(|&(i, v)| (i, v.to_bits()))
-        .collect();
-    let reference_csv = scalar.1.into_inner();
-    // 100 % 3 and 100 % 8 are nonzero: both lane counts exercise the tail.
-    for k in [1usize, 3, 8] {
-        for workers in [1usize, 2, 3] {
-            let (records, csv) = batched_device_run(seed, 0, n, k, workers);
-            assert_eq!(
-                records, reference,
-                "records differ at k = {k}, {workers} workers"
-            );
-            assert_eq!(
-                csv, reference_csv,
-                "CSV bytes differ at k = {k}, {workers} workers"
-            );
-        }
-    }
-}
-
-/// A batched shard draws the global `(seed, i)` streams, like the scalar
-/// range primitive.
-#[test]
-fn batched_range_shard_matches_the_scalar_shard() {
-    let seed = 91u64;
-    let b = builder();
-    let sp = spec();
-    let mut shard = VecSink::new();
-    ParallelRunner::new(seed)
-        .workers(3)
-        .run_streaming_range(
-            40,
-            50,
-            |_, _| Ok::<(), std::convert::Infallible>(()),
-            |(), sampler, _| {
-                let delta = sp.sample(b.geometry(), || sampler.standard_normal());
-                Ok(DeviceMetrics::evaluate(b.build(delta).as_ref(), VDD).idsat)
-            },
-            &mut shard,
-        )
-        .expect("infallible setup");
-    let scalar: Vec<(usize, u64)> = shard
-        .records()
-        .iter()
-        .map(|&(i, v)| (i, v.to_bits()))
-        .collect();
-    let (batched, _) = batched_device_run(seed, 40, 50, 8, 2);
-    assert_eq!(batched, scalar);
-}
-
-/// The tail-batch regression at the executor level: the chunks workers
-/// actually execute are exactly the `plan_batches` tiling of the shard —
-/// full-width batches plus one exact-remainder tail, no index dropped,
-/// none executed twice.
-#[test]
-fn executed_batches_match_the_plan_batches_tiling() {
-    use std::sync::Mutex;
-    let (offset, len, k) = (7usize, 101, 8);
-    let chunks: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
-    let mut sink = VecSink::new();
-    let out = ParallelRunner::new(3)
-        .workers(3)
-        .run_streaming_batched(
-            offset,
-            len,
-            std::num::NonZeroUsize::new(k).expect("k > 0"),
-            |_, _| Ok::<(), std::convert::Infallible>(()),
-            |(), base, samplers| {
-                chunks
-                    .lock()
-                    .expect("no poisoned locks")
-                    .push((base, samplers.len()));
-                samplers
-                    .iter_mut()
-                    .map(|s| Ok(s.standard_normal()))
-                    .collect()
-            },
-            &mut sink,
-        )
-        .expect("infallible setup");
-    assert_eq!(out.attempted, len);
-    assert_eq!(out.observed, len);
-    let mut executed = chunks.into_inner().expect("no poisoned locks");
-    executed.sort_unstable();
-    let plan: Vec<(usize, usize)> = vscore::mc::plan_batches(offset, len, k)
-        .expect("valid plan")
-        .iter()
-        .map(|s| (s.offset, s.len))
-        .collect();
-    assert_eq!(executed, plan, "executed chunks are not the planned tiling");
-    // Every index of the shard reached the sink exactly once, in order.
-    let indices: Vec<usize> = sink.records().iter().map(|&(i, _)| i).collect();
-    assert_eq!(indices, (offset..offset + len).collect::<Vec<_>>());
-}
-
-/// `Err` lanes inside a batch are counted as failures and skipped in the
-/// sink — identical to scalar per-sample failures.
-#[test]
-fn batched_lane_failures_are_counted_not_fatal() {
-    let mut sink = VecSink::new();
-    let out = ParallelRunner::new(3)
-        .workers(2)
-        .run_streaming_batched(
-            0,
-            40,
-            std::num::NonZeroUsize::new(4).expect("k > 0"),
-            |_, _| Ok::<(), &'static str>(()),
-            |(), base, samplers| {
-                (0..samplers.len())
-                    .map(|j| {
-                        if (base + j) % 4 == 0 {
-                            Err("synthetic")
-                        } else {
-                            Ok(1.0)
-                        }
-                    })
-                    .collect()
-            },
-            &mut sink,
-        )
-        .expect("setup is fine");
-    assert_eq!(out.failures, 10);
-    assert_eq!(out.observed, 30);
-    assert_eq!(out.attempted, 40);
-    assert!(sink.records().iter().all(|(i, _)| i % 4 != 0));
-}
-
-/// The acceptance integration: SRAM DC Monte Carlo through
-/// `Session::dc_batch` inside `run_streaming_batched` produces
-/// bit-identical sink records to the scalar cold-start streaming run.
-#[test]
-fn batched_sram_dc_matches_scalar_streaming_bit_exactly() {
-    use mosfet::MosfetModel;
-    let n = 16;
-    let sz = SramSizing::default();
-    let template = McFactory::vs(
-        VsParams::nmos_40nm(),
-        VsParams::pmos_40nm(),
-        spec(),
-        spec(),
-        Sampler::from_seed(0),
-    );
-    let lane_draw =
-        |template: &McFactory, sampler: &Sampler| -> Vec<(&'static str, Box<dyn MosfetModel>)> {
-            let mut f = template.clone();
-            f.set_sampler(sampler.clone());
-            let SramDevices { pd, pu, pg } = SramDevices::draw(sz, &mut f);
-            let [pd0, pd1] = pd;
-            let [pu0, pu1] = pu;
-            let [pg0, pg1] = pg;
-            vec![
-                ("PD1", pd0),
-                ("PD2", pd1),
-                ("PU1", pu0),
-                ("PU2", pu1),
-                ("PG1", pg0),
-                ("PG2", pg1),
-            ]
-        };
-    let build = |_: usize, setup_sampler: &mut Sampler| {
-        let mut f = template.clone();
-        f.set_sampler(setup_sampler.clone());
-        let devices = SramDevices::draw(sz, &mut f);
-        let (c, l, r) = full_cell(&devices, VDD);
-        let session = Session::elaborate(c)?;
-        Ok::<_, spice::SpiceError>((session, l, r))
-    };
-    let mut scalar = VecSink::new();
-    ParallelRunner::new(99)
-        .workers(2)
-        .run_streaming(
-            n,
-            build,
-            |(session, l, r), sampler, _| {
-                session.swap_devices(lane_draw(&template, sampler))?;
-                session.invalidate_warm_start();
-                let op = session.dc_owned_with_guess(&[(*l, 0.0), (*r, VDD)])?;
-                Ok::<f64, spice::SpiceError>(op.voltage(*r))
-            },
-            &mut scalar,
-        )
-        .expect("elaboration succeeds");
-    let reference: Vec<(usize, u64)> = scalar
-        .records()
-        .iter()
-        .map(|&(i, v)| (i, v.to_bits()))
-        .collect();
-    assert_eq!(reference.len(), n, "all draws converge at this seed");
-    for k in [3usize, 8] {
-        let mut sink = VecSink::new();
-        ParallelRunner::new(99)
-            .workers(2)
-            .run_streaming_batched(
-                0,
-                n,
-                std::num::NonZeroUsize::new(k).expect("k > 0"),
-                build,
-                |(session, l, r), _base, samplers| {
-                    let lanes: Vec<_> = samplers.iter().map(|s| lane_draw(&template, s)).collect();
-                    session.invalidate_warm_start();
-                    match session.dc_batch(lanes, Some(&[(*l, 0.0), (*r, VDD)])) {
-                        Ok(ops) => ops
-                            .into_iter()
-                            .map(|res| res.map(|op| op.voltage(*r)))
-                            .collect(),
-                        Err(e) => samplers.iter().map(|_| Err(e.clone())).collect(),
-                    }
-                },
-                &mut sink,
-            )
-            .expect("elaboration succeeds");
-        let batched: Vec<(usize, u64)> = sink
-            .records()
-            .iter()
-            .map(|&(i, v)| (i, v.to_bits()))
-            .collect();
-        assert_eq!(batched, reference, "k = {k} batched SRAM run drifted");
-    }
-}
-
-/// Degenerate batched runs behave like degenerate scalar runs.
-#[test]
-fn zero_length_batched_run_finishes_the_sink_empty() {
-    let mut sink = WelfordSink::new();
-    let out = ParallelRunner::new(3)
-        .run_streaming_batched(
-            1000,
-            0,
-            std::num::NonZeroUsize::new(8).expect("k > 0"),
-            |_, _| Ok::<(), std::convert::Infallible>(()),
-            |(), _, samplers| {
-                samplers
-                    .iter_mut()
-                    .map(|s| Ok(s.standard_normal()))
-                    .collect()
-            },
-            &mut sink,
-        )
-        .expect("no work");
-    assert_eq!(out.attempted, 0);
-    assert_eq!(out.observed, 0);
-    assert!(sink.moments().is_empty());
 }
 
 /// Degenerate shards behave like degenerate runs: nothing executes, the

@@ -6,9 +6,6 @@
 //! * [`Matrix`] — a small dense row-major matrix with the usual arithmetic.
 //! * [`lu`] — LU decomposition with partial pivoting (the workhorse of the
 //!   MNA circuit solver).
-//! * [`blu`] — K-lane batched LU over lane-major structure-of-arrays
-//!   storage (the batched Monte Carlo DC hot path), bit-identical per lane
-//!   to [`lu`] because both run the same elimination kernel.
 //! * [`qr`] — Householder QR and linear least squares (used to solve the
 //!   stacked backward-propagation-of-variance system).
 //! * [`cholesky`] — Cholesky factorization (covariance manipulation,
@@ -38,7 +35,6 @@
 //! assert!((r[0] - 1.0).abs() < 1e-12 && (r[1] - 2.0).abs() < 1e-12);
 //! ```
 
-pub mod blu;
 pub mod cholesky;
 pub mod complex;
 pub mod error;

@@ -6,22 +6,22 @@
 //! worker session out of the template's pool (replicating from the master
 //! via [`Session::replicate`] only when the pool is empty), runs the
 //! requested shard through
-//! [`ParallelRunner::run_streaming_batched`](vscore::mc::ParallelRunner::run_streaming_batched)
-//! — K mismatch lanes stamped and LU-solved per [`Session::dc_batch`]
-//! call — and returns the session for the next job, so a long-running
-//! server pays netlist validation and MNA elaboration once per template,
-//! not once per request.
+//! [`ParallelRunner::run_streaming_range`](vscore::mc::ParallelRunner::run_streaming_range)
+//! — per sample: draw the devices, swap them in, cold-start the DC solve
+//! from the cell's two-node guess — and returns the session for the next
+//! job, so a long-running server pays netlist validation and MNA
+//! elaboration once per template, not once per request.
 //!
 //! Determinism is the protocol's backbone: every sample is a pure function
-//! of `(seed, index)` (cold-started solves, per-lane device draws from
-//! the sampler stream, lanes bit-identical to the scalar path), so two
-//! servers handed disjoint shards of one experiment produce sketch bytes
-//! that merge to the same state as a single local run over the union —
-//! the property the loopback e2e test pins.
+//! of `(seed, index)` (device draws from the sample's own stream,
+//! cold-started solves), so two servers handed disjoint shards of one
+//! experiment produce sketch bytes that merge to the same state as a
+//! single local run over the union — the property the loopback e2e test
+//! pins.
 
 use crate::store::{ExperimentSpec, RunFailure, RunResult};
 use circuits::sram::{full_cell, SramDevices, SramSizing};
-use mosfet::{vs::VsParams, Geometry, MismatchSpec, MosfetModel, Polarity};
+use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
 use spice::{NodeId, Session, SpiceError};
 use stats::histogram::Histogram;
 use stats::sink::{Sink, WelfordSink};
@@ -37,12 +37,6 @@ const VDD: f64 = 0.9;
 /// Cap on idle pooled sessions per template; replicas beyond this are
 /// dropped at check-in instead of accumulating without bound.
 const MAX_IDLE_SESSIONS: usize = 8;
-
-/// Mismatch lanes per batched DC solve on the SRAM template. Eight keeps
-/// the K-lane workspace small while amortizing the stamp traversal and
-/// per-sample device construction; the executed sample set and merged
-/// sketch bytes are independent of this value (lane bit-identity).
-const DC_BATCH_LANES: std::num::NonZeroUsize = std::num::NonZeroUsize::new(8).unwrap();
 
 /// The paper-units mismatch specification every built-in template draws
 /// from (Table II: `A_VT` 2.3 mV·µm, `A_alpha2/3` 3.71 %·µm, `A_beta`
@@ -81,22 +75,14 @@ pub struct TemplateInfo {
     pub default_histogram: (f64, f64, usize),
 }
 
-/// A checked-out SRAM worker: one elaborated full-cell session plus the
-/// internal node ids the metric reads.
-struct SramWorker {
-    session: Session,
-    l: NodeId,
-    r: NodeId,
-}
-
 /// The SRAM template's runtime: master session, metric node ids, and the
-/// idle-worker pool. Boxed inside [`TemplateRuntime`] so session-less
+/// pool of idle replicas. Boxed inside [`TemplateRuntime`] so session-less
 /// template variants stay small.
 struct SramRuntime {
     master: Session,
     l: NodeId,
     r: NodeId,
-    idle: Mutex<Vec<SramWorker>>,
+    idle: Mutex<Vec<Session>>,
 }
 
 /// Per-template runtime state: the master session (elaborated once at
@@ -252,91 +238,64 @@ impl Engine {
         master: &Session,
         l: NodeId,
         r: NodeId,
-        idle: &Mutex<Vec<SramWorker>>,
+        idle: &Mutex<Vec<Session>>,
     ) -> Result<RunResult, RunFailure> {
         // Check a worker session out of the pool; replicate from the
         // master only when the pool is dry (first request, or more
         // concurrent jobs than ever before).
-        let worker = {
-            let pooled = idle.lock().expect("no poisoned locks").pop();
-            match pooled {
-                Some(w) => w,
-                None => SramWorker {
-                    session: master.replicate().map_err(|e| {
-                        RunFailure::transient(format!("session replication failed: {e}"))
-                    })?,
-                    l,
-                    r,
-                },
-            }
+        let pooled = idle.lock().expect("no poisoned locks").pop();
+        let session = match pooled {
+            Some(s) => s,
+            None => master
+                .replicate()
+                .map_err(|e| RunFailure::transient(format!("session replication failed: {e}")))?,
         };
 
         let sz = SramSizing::default();
         let factory = vs_factory();
-        let cell = Mutex::new(worker);
-        // K lanes per solve: one topology traversal stamps all K mismatch
-        // draws and a batched LU factors them together. Each lane is
-        // bit-identical to the old scalar "swap devices, cold-start,
-        // solve from the guess" sample (the `spice` batch_equivalence
-        // suite pins this), so shard bytes — and therefore fleet merges
-        // and the loopback e2e — are unchanged by the batching.
-        let batch = |(): &mut (), _base: usize, samplers: &mut [Sampler]| {
-            let lanes: Vec<Vec<(&'static str, Box<dyn MosfetModel>)>> = samplers
-                .iter()
-                .map(|sampler| {
-                    let mut f = factory.clone();
-                    f.set_sampler(sampler.clone());
-                    let SramDevices { pd, pu, pg } = SramDevices::draw(sz, &mut f);
-                    let [pd0, pd1] = pd;
-                    let [pu0, pu1] = pu;
-                    let [pg0, pg1] = pg;
-                    vec![
-                        ("PD1", pd0),
-                        ("PD2", pd1),
-                        ("PU1", pu0),
-                        ("PU2", pu1),
-                        ("PG1", pg0),
-                        ("PG2", pg1),
-                    ]
-                })
-                .collect();
-            let mut w = cell.lock().expect("no poisoned locks");
-            // Cold-start every batch: each lane departs from the pure
-            // guess-built point, so every sample stays a pure function of
-            // `(seed, index)` — what makes shards posted to different
-            // servers merge bit-identically with a single run.
-            w.session.invalidate_warm_start();
-            let (wl, wr) = (w.l, w.r);
-            match w.session.dc_batch(lanes, Some(&[(wl, 0.0), (wr, VDD)])) {
-                Ok(ops) => ops
-                    .into_iter()
-                    .map(|lane| lane.map(|op| op.voltage(wr)))
-                    .collect(),
-                // A whole-batch error (validation, not convergence) fails
-                // every lane of the chunk; per-lane solver failures are
-                // already isolated inside `dc_batch`.
-                Err(e) => samplers.iter().map(|_| Err(e.clone())).collect(),
-            }
+        let guess = [(l, 0.0), (r, VDD)];
+        let cell = Mutex::new(session);
+        let sample = |(): &mut (), sampler: &mut Sampler, _i: usize| {
+            let mut f = factory.clone();
+            f.set_sampler(sampler.clone());
+            let SramDevices { pd, pu, pg } = SramDevices::draw(sz, &mut f);
+            let [pd1, pd2] = pd;
+            let [pu1, pu2] = pu;
+            let [pg1, pg2] = pg;
+            let mut session = cell.lock().expect("no poisoned locks");
+            session.swap_devices([
+                ("PD1", pd1),
+                ("PD2", pd2),
+                ("PU1", pu1),
+                ("PU2", pu2),
+                ("PG1", pg1),
+                ("PG2", pg2),
+            ])?;
+            // Cold-start every sample from the guess, so it stays a pure
+            // function of `(seed, index)` — what makes shards posted to
+            // different servers merge bit-identically with a single run.
+            session.invalidate_warm_start();
+            let op = session.dc_owned_with_guess(&guess)?;
+            Ok(op.voltage(r))
         };
 
         let mut sinks = SinkSet::for_spec(spec);
         let outcome = ParallelRunner::new(spec.seed)
             .workers(1)
-            .run_streaming_batched(
+            .run_streaming_range(
                 spec.offset,
                 spec.len,
-                DC_BATCH_LANES,
-                |_, _| Ok(()),
-                batch,
+                |_, _| Ok::<(), SpiceError>(()),
+                sample,
                 &mut sinks,
             )
-            .map_err(|e| RunFailure::transient(format!("shard setup failed: {e}")))?;
+            .expect("SRAM shard setup is infallible");
 
         // Return the session for the next job (bounded pool).
-        let worker = cell.into_inner().expect("no poisoned locks");
+        let session = cell.into_inner().expect("no poisoned locks");
         let mut pool = idle.lock().expect("no poisoned locks");
         if pool.len() < MAX_IDLE_SESSIONS {
-            pool.push(worker);
+            pool.push(session);
         }
         drop(pool);
 

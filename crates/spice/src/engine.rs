@@ -12,16 +12,16 @@ use mosfet::{Bias, MosfetModel};
 use numerics::{lu::Lu, Matrix};
 
 /// Conductance floor from every node to ground (numerical safety net).
-pub(crate) const GMIN_FLOOR: f64 = 1e-12;
+const GMIN_FLOOR: f64 = 1e-12;
 /// Maximum Newton voltage update per iteration (V) — exponential device
 /// damping.
-pub(crate) const MAX_DV: f64 = 0.12;
+const MAX_DV: f64 = 0.12;
 /// Node-voltage convergence tolerance (V).
-pub(crate) const V_TOL: f64 = 1e-7;
+const V_TOL: f64 = 1e-7;
 /// Branch-current convergence tolerance (A).
-pub(crate) const I_TOL: f64 = 1e-10;
+const I_TOL: f64 = 1e-10;
 /// Newton iteration budget per solve.
-pub(crate) const MAX_NEWTON: usize = 400;
+const MAX_NEWTON: usize = 400;
 
 /// Transient integration method for the current step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,7 +119,7 @@ impl Workspace {
 }
 
 /// Voltage of `node` under the unknown vector `x` (0 for ground).
-pub(crate) fn volt(x: &[f64], node: crate::netlist::NodeId) -> f64 {
+fn volt(x: &[f64], node: crate::netlist::NodeId) -> f64 {
     node.unknown().map_or(0.0, |i| x[i])
 }
 
@@ -138,10 +138,8 @@ pub(crate) struct MosStamp {
 impl MosStamp {
     /// The companion model of `model` at `bias`, from one
     /// [`MosfetModel::eval_dc`] — the device's single differentiation
-    /// site. The scalar [`assemble`], the batched stamp loop
-    /// ([`crate::batch`]) and the AC linearization all build their stamps
-    /// here, which is what makes batched lanes bit-identical to scalar
-    /// solves. A bulk tied to the source contributes no `gmb`.
+    /// site. [`assemble`] and the AC linearization both build their stamps
+    /// here. A bulk tied to the source contributes no `gmb`.
     pub(crate) fn new(model: &dyn MosfetModel, bias: Bias, bulk_tied: bool) -> Self {
         let ev = model.eval_dc(bias);
         let gmb = if bulk_tied { 0.0 } else { ev.gmb };
@@ -372,7 +370,7 @@ pub fn kcl_residual(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Work
 }
 
 /// KCL current acceptance threshold (A) for weakly-converged iterates.
-pub(crate) const KCL_TOL: f64 = 1e-10;
+const KCL_TOL: f64 = 1e-10;
 
 /// Newton-Raphson with per-iteration voltage damping.
 ///

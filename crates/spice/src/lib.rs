@@ -18,13 +18,12 @@
 //! 4. **Resample in place** for Monte Carlo: [`Session::swap_devices`] /
 //!    [`Session::swap_all_mosfets`] replace MOSFET instances without
 //!    re-parsing or re-elaborating, and the next solve warm-starts from
-//!    the previous sample's operating point. DC Monte Carlo batches go
-//!    through [`Session::dc_batch`], which stamps and LU-solves K mismatch
-//!    lanes at once (bit-identical per lane to the sequential scalar path)
-//!    on one topology traversal. AC Monte Carlo batches go through
-//!    [`Session::ac_batch`], which also amortizes the guessed
-//!    operating-point solve and the [`ac::AcWorkspace`] scratch across
-//!    samples.
+//!    the previous sample's operating point. [`Session::dc_batch`] solves
+//!    a list of mismatch lanes one after another through the same DC
+//!    solver, leaving the session's devices as it found them. AC Monte
+//!    Carlo batches go through [`Session::ac_batch`], which also amortizes
+//!    the guessed operating-point solve and the [`ac::AcWorkspace`]
+//!    scratch across samples.
 //!
 //! Analyses: nonlinear DC operating point (damped Newton-Raphson with gmin
 //! and source-stepping continuation), warm-started DC sweeps (butterfly
@@ -73,7 +72,6 @@
 //! parallel Monte Carlo data flow.
 
 pub mod ac;
-mod batch;
 pub mod dc;
 pub mod elements;
 pub mod engine;

@@ -20,7 +20,6 @@
 //!   sweeps) without rebuilding the netlist.
 
 use crate::ac::{AcResult, AcWorkspace};
-use crate::batch::{newton_batch, BatchWorkspace};
 use crate::dc::{DcResult, SweepResult};
 use crate::elements::Element;
 use crate::engine::{newton, Integrator, Mode, TranState, Workspace};
@@ -80,10 +79,6 @@ pub struct Session {
     /// AC sweep scratch (linearization + complex system), allocated on the
     /// first AC request and reused for every sweep after that.
     ac_ws: Option<AcWorkspace>,
-    /// Batched DC scratch (K-lane matrices + batched LU), allocated on the
-    /// first [`Session::dc_batch`] call and reused while the lane count
-    /// stays the same.
-    batch_ws: Option<BatchWorkspace>,
 }
 
 impl Session {
@@ -116,7 +111,6 @@ impl Session {
             state: TranState::default(),
             state_scratch: TranState::default(),
             ac_ws: None,
-            batch_ws: None,
         })
     }
 
@@ -260,20 +254,34 @@ impl Session {
     pub fn swap_device(
         &mut self,
         name: &str,
-        model: Box<dyn MosfetModel>,
+        mut model: Box<dyn MosfetModel>,
     ) -> Result<(), SpiceError> {
-        let idx = *self
-            .mos_by_name
+        let idx = self.mos_index(name)?;
+        self.exchange_models([(idx, &mut model)]);
+        Ok(())
+    }
+
+    /// Element index of the MOSFET named `name`.
+    fn mos_index(&self, name: &str) -> Result<usize, SpiceError> {
+        self.mos_by_name
             .get(name)
+            .copied()
             .ok_or_else(|| SpiceError::BadNetlist {
                 context: format!("no MOSFET named {name}"),
-            })?;
-        match &mut self.circuit.elements_mut()[idx] {
-            Element::Mosfet { model: slot, .. } => {
-                *slot = model;
-                Ok(())
+            })
+    }
+
+    /// Exchanges each model with the circuit's model at its element index,
+    /// in iteration order.
+    fn exchange_models<'a>(
+        &mut self,
+        swaps: impl IntoIterator<Item = (usize, &'a mut Box<dyn MosfetModel>)>,
+    ) {
+        for (idx, model) in swaps {
+            match &mut self.circuit.elements_mut()[idx] {
+                Element::Mosfet { model: slot, .. } => std::mem::swap(slot, model),
+                _ => unreachable!("mos_by_name only indexes MOSFETs"),
             }
-            _ => unreachable!("mos_by_name only indexes MOSFETs"),
         }
     }
 
@@ -337,8 +345,8 @@ impl Session {
 
     /// Replaces the warm-start vector with a caller-provided operating
     /// point (e.g. one captured from [`Session::warm_start`] on another
-    /// session). The batched-vs-scalar equivalence suite uses this to pin
-    /// scalar reference solves to the exact entry state of a batch.
+    /// session). The `dc_batch` equivalence suite uses this to pin scalar
+    /// reference solves to the exact entry state of a batch.
     ///
     /// # Errors
     ///
@@ -358,35 +366,29 @@ impl Session {
         Ok(())
     }
 
-    /// Solves the DC operating point of K Monte Carlo lanes in one batched
-    /// pass: one traversal of the topology stamps all K MNA systems
-    /// (structure-of-arrays MOSFET evaluation where possible), and a K-lane
-    /// batched LU factors and solves them together.
+    /// Solves the DC operating point of several Monte Carlo lanes, one
+    /// after another, each through [`Session::dc_owned_with_guess`].
     ///
     /// Each lane is a set of device swaps applied *for that lane only* —
     /// the session's own circuit is left unchanged (unlike
-    /// [`Session::swap_devices`]).
-    /// Every lane starts from the same entry state the scalar path would
-    /// use: the `guess` node overrides when `Some` (matching
-    /// [`Session::dc_owned_with_guess`]), otherwise the session's warm
-    /// start (matching [`Session::dc_owned`]).
+    /// [`Session::swap_devices`]). Every lane starts from the same entry
+    /// state: the `guess` node overrides when `guess` is `Some` and
+    /// non-empty (matching [`Session::dc_owned_with_guess`]), otherwise the
+    /// session's warm start as it was on entry (matching
+    /// [`Session::dc_owned`]).
     ///
-    /// **Determinism contract:** lane `i` is bit-identical to running the
-    /// scalar path sequentially — swap lane `i`'s devices, solve with the
-    /// same guess/warm entry state. The batched Newton runs the exact
-    /// scalar operation sequence per lane, and any lane the batched plain
-    /// Newton cannot converge falls back to the full scalar continuation
-    /// ladder individually (per-lane failure isolation: one bad draw fails
-    /// one lane, never the batch). After the batch, the session's warm
-    /// start is what a sequential sweep would leave: the last lane's
-    /// solution on success, cleared on failure.
+    /// **Determinism contract:** lane `i` is bit-identical to swapping lane
+    /// `i`'s devices into the session and solving from that entry state. A
+    /// lane that does not converge fails alone, never the batch. After the
+    /// batch, the session's warm start is what a sequential sweep would
+    /// leave: the last lane's solution on success, cleared on failure.
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::InvalidArgument`] for an empty batch (`K = 0`)
-    /// and [`SpiceError::BadNetlist`] when a lane names an unknown MOSFET —
-    /// both checked before any solve. Per-lane convergence failures are
-    /// reported in the corresponding entry of the returned vector.
+    /// Returns [`SpiceError::InvalidArgument`] for an empty batch and
+    /// [`SpiceError::BadNetlist`] when any lane names an unknown MOSFET —
+    /// both checked before any swap or solve. Per-lane convergence failures
+    /// are reported in the corresponding entry of the returned vector.
     ///
     /// # Example
     ///
@@ -425,130 +427,44 @@ impl Session {
     where
         S: AsRef<str>,
     {
-        let k = lanes.len();
-        if k == 0 {
+        if lanes.is_empty() {
             return Err(SpiceError::InvalidArgument {
-                context: "dc_batch requires at least one lane (K = 0)".into(),
+                context: "dc_batch requires at least one lane".into(),
             });
         }
-        // Resolve every lane's swaps to element indices up front, so an
-        // unknown device name costs no solve.
-        let mut overrides: Vec<Vec<(usize, Box<dyn MosfetModel>)>> = Vec::with_capacity(k);
-        for lane in lanes {
-            let mut resolved = Vec::with_capacity(lane.len());
-            for (name, model) in lane {
-                let name = name.as_ref();
-                let idx = *self
-                    .mos_by_name
-                    .get(name)
-                    .ok_or_else(|| SpiceError::BadNetlist {
-                        context: format!("no MOSFET named {name}"),
-                    })?;
-                resolved.push((idx, model));
-            }
-            overrides.push(resolved);
-        }
-
-        // Shared entry state: exactly the x0 the scalar path would build.
-        let n = self.circuit.n_unknowns();
-        let mut x0 = vec![0.0; n];
-        match guess {
-            Some(g) => {
-                for &(node, v) in g {
-                    if let Some(i) = node.unknown() {
-                        x0[i] = v;
-                    }
-                }
-            }
-            None => {
-                if let Some(w) = &self.warm {
-                    x0.copy_from_slice(w);
-                }
-            }
-        }
-
-        if !self.batch_ws.as_ref().is_some_and(|ws| ws.fits(n, k)) {
-            self.batch_ws = Some(BatchWorkspace::new(n, self.nn, k)?);
-        }
-
-        // Batched phase: plain Newton on all lanes at once.
-        let outcomes = {
-            // Per-MOSFET lane tables: the session's current model unless the
-            // lane overrides it (last override wins, as sequential
-            // `swap_devices` would leave it).
-            let mut tables: Vec<Vec<&dyn MosfetModel>> = Vec::new();
-            let mut mos_idx: Vec<usize> = Vec::new();
-            for (idx, e) in self.circuit.elements().iter().enumerate() {
-                if let Element::Mosfet { model, .. } = e {
-                    mos_idx.push(idx);
-                    tables.push(vec![model.as_ref(); k]);
-                }
-            }
-            for (l, lane) in overrides.iter().enumerate() {
-                for (idx, model) in lane {
-                    // `mos_idx` is built in element order, so it is sorted;
-                    // every override index came from `mos_by_name`.
-                    let ord = mos_idx
-                        .binary_search(idx)
-                        .expect("override index resolves to a MOSFET element");
-                    tables[ord][l] = model.as_ref();
-                }
-            }
-            let ws = self.batch_ws.as_mut().expect("allocated above");
-            newton_batch(&self.circuit, &tables, &x0, ws)
-        };
-
-        // Fallback phase: lanes the batched plain Newton could not converge
-        // rerun the full scalar continuation ladder individually, from the
-        // same entry state (bit-identical by construction — it is the same
-        // code the scalar path runs).
-        let entry_warm = self.warm.clone();
-        let mut results: Vec<Result<Vec<f64>, SpiceError>> = Vec::with_capacity(k);
-        for (l, out) in outcomes.into_iter().enumerate() {
-            match out {
-                Ok(x) => results.push(Ok(x)),
-                Err(_) => {
-                    self.warm.clone_from(&entry_warm);
-                    let lane = &mut overrides[l];
-                    for (idx, model) in lane.iter_mut() {
-                        if let Element::Mosfet { model: slot, .. } =
-                            &mut self.circuit.elements_mut()[*idx]
-                        {
-                            std::mem::swap(slot, model);
-                        }
-                    }
-                    // The batched phase already ran (and failed) the exact
-                    // plain-Newton attempt `solve_dc_vec` would start with,
-                    // so resume the scalar procedure at the ladder.
-                    let r = self.solve_dc_ladder(guess, &x0);
-                    for (idx, model) in lane.iter_mut().rev() {
-                        if let Element::Mosfet { model: slot, .. } =
-                            &mut self.circuit.elements_mut()[*idx]
-                        {
-                            std::mem::swap(slot, model);
-                        }
-                    }
-                    results.push(r);
-                }
-            }
-        }
-
-        // Exit warm start: what a sequential scalar sweep of the lanes
-        // would leave behind — the last lane's solution, or nothing if the
-        // last lane failed.
-        self.warm = match results.last() {
-            Some(Ok(x)) => Some(x.clone()),
-            _ => None,
-        };
-        Ok(results
+        // Resolve every lane's names before any swap, so an unknown device
+        // fails the batch with the session untouched.
+        let mut resolved = lanes
             .into_iter()
-            .map(|r| r.map(|x| DcResult::new(x, self.nn)))
-            .collect())
+            .map(|lane| {
+                lane.into_iter()
+                    .map(|(name, model)| Ok((self.mos_index(name.as_ref())?, model)))
+                    .collect::<Result<Vec<_>, SpiceError>>()
+            })
+            .collect::<Result<Vec<_>, SpiceError>>()?;
+        let guess = guess.unwrap_or_default();
+        let entry_warm = self.warm.clone();
+        let mut results = Vec::with_capacity(resolved.len());
+        for lane in &mut resolved {
+            self.warm.clone_from(&entry_warm);
+            self.exchange_models(lane.iter_mut().map(|(idx, model)| (*idx, model)));
+            results.push(self.dc_owned_with_guess(guess));
+            // Swapping back in reverse order restores the session's own
+            // models even when a lane names a device twice.
+            self.exchange_models(lane.iter_mut().rev().map(|(idx, model)| (*idx, model)));
+        }
+        // The last lane's solve left its solution as the warm start, or
+        // none if it failed.
+        Ok(results)
     }
 
     // ---- analysis engines -----------------------------------------------
 
-    /// Nonlinear DC solve with warm starting and the continuation ladder.
+    /// Nonlinear DC solve: plain Newton from the guess-built or warm entry
+    /// point, then gmin stepping, then source stepping, then — for a
+    /// guessed or warm entry whose basin may no longer exist for this
+    /// sample — one cold retry of the whole procedure. A success becomes
+    /// the warm start; a failure leaves none.
     fn solve_dc_vec(&mut self, guess: Option<&[(NodeId, f64)]>) -> Result<Vec<f64>, SpiceError> {
         let n = self.circuit.n_unknowns();
         let mut x0 = vec![0.0; n];
@@ -578,31 +494,10 @@ impl Session {
             self.warm = Some(x.clone());
             return Ok(x);
         }
-        self.solve_dc_ladder(guess, &x0)
-    }
 
-    /// The continuation ladder [`Session::solve_dc_vec`] falls back to once
-    /// plain Newton from `x0` has failed: gmin stepping, then source
-    /// stepping, then — for a guessed or warm entry whose basin may no
-    /// longer exist for this sample — one cold retry of the whole
-    /// procedure. [`Session::dc_batch`] enters here directly for lanes
-    /// whose batched phase failed: that phase *is* the plain-Newton attempt
-    /// from the same entry state (bit-identical by construction), so
-    /// rerunning it before the ladder would be pure redundant work.
-    fn solve_dc_ladder(
-        &mut self,
-        guess: Option<&[(NodeId, f64)]>,
-        x0: &[f64],
-    ) -> Result<Vec<f64>, SpiceError> {
-        let n = self.circuit.n_unknowns();
-        let dc = Mode::Dc {
-            gmin: 0.0,
-            source_scale: 1.0,
-        };
         // Gmin stepping: relax with a large shunt conductance, then tighten.
-        let cold = vec![0.0; n];
-        let start: &[f64] = if guess.is_some() { x0 } else { &cold };
-        let mut x = start.to_vec();
+        let start = if guess.is_some() { x0 } else { vec![0.0; n] };
+        let mut x = start.clone();
         let mut ok = true;
         for &gmin in &GMIN_STEPS {
             match newton(
@@ -629,7 +524,7 @@ impl Session {
         }
 
         // Source stepping: ramp all independent sources from zero.
-        let mut x = start.to_vec();
+        let mut x = start;
         let mut stepping_failed = None;
         for &scale in &SOURCE_STEPS {
             match newton(

@@ -1,12 +1,13 @@
-//! Batched-vs-scalar DC equivalence suite.
+//! The `Session::dc_batch` contract suite.
 //!
 //! `Session::dc_batch` promises that lane `i` of a K-lane batch is
 //! **bit-identical** to running the scalar path sequentially: swap lane
 //! `i`'s devices, solve from the same entry state. These tests pin that
 //! promise on a hand-built 6T SRAM cell under random mismatch draws, for
-//! K ∈ {1, 4, 8}, from both cold (guess-built) and warm (seeded
-//! operating point) starts — plus per-lane failure isolation and the
-//! typed validation of the batch APIs.
+//! K ∈ {1, 4, 8}, from cold (guess-built), warm (seeded operating point)
+//! and empty-guess starts — plus per-lane failure isolation, the exit warm
+//! start a sequential sweep would leave, and typed validation that leaves
+//! the session untouched.
 //!
 //! Self-contained by design: mismatch normals come from a hand-rolled
 //! splitmix64 + Box-Muller generator keyed purely by `(seed, lane index)`,
@@ -135,6 +136,12 @@ fn bits(op: &spice::DcResult) -> Vec<u64> {
     op.raw().iter().map(|x| x.to_bits()).collect()
 }
 
+/// The session's warm start as bit patterns (`None` when cleared).
+fn warm_bits(s: &Session) -> Option<Vec<u64>> {
+    s.warm_start()
+        .map(|w| w.iter().map(|x| x.to_bits()).collect())
+}
+
 /// Scalar reference for one lane from a cold start: swap the lane's
 /// devices, clear the warm start, solve from the node guess.
 fn scalar_cold(s: &mut Session, seed: u64, lane: usize, guess: &[(NodeId, f64)]) -> Vec<u64> {
@@ -171,6 +178,11 @@ fn cold_start_lanes_are_bit_identical_to_scalar() {
                 "cold-start lane {i} of K = {k} diverged from the scalar path"
             );
         }
+        assert_eq!(
+            warm_bits(&batched),
+            reference.last().cloned(),
+            "K = {k} batch must leave the last lane's solution as the warm start"
+        );
     }
 }
 
@@ -215,6 +227,51 @@ fn warm_start_lanes_are_bit_identical_to_scalar() {
                 "warm-start lane {i} of K = {k} diverged from the scalar path"
             );
         }
+        assert_eq!(
+            warm_bits(&batched),
+            reference.last().cloned(),
+            "K = {k} batch must leave the last lane's solution as the warm start"
+        );
+    }
+}
+
+/// An empty guess is no guess, as in `dc_owned_with_guess(&[])`: every
+/// lane warm-starts from the session's stored state instead of from an
+/// all-zero point.
+#[test]
+fn empty_guess_lanes_warm_start_like_scalar() {
+    let seed = 0xe1e1_0000;
+    let (c, l, r) = cell();
+    let mut scalar = Session::elaborate(c).expect("valid cell");
+    // The stored state: the nominal cell latched at l = 0, r = VDD.
+    scalar
+        .dc_owned_with_guess(&[(l, 0.0), (r, VDD)])
+        .expect("nominal converges");
+    let w0 = scalar
+        .warm_start()
+        .expect("solve left a warm start")
+        .to_vec();
+    let k = 8;
+    let reference: Vec<Vec<u64>> = (0..k)
+        .map(|i| {
+            scalar.seed_warm_start(w0.clone()).expect("right length");
+            scalar.swap_devices(draw(seed, i)).expect("known names");
+            bits(&scalar.dc_owned_with_guess(&[]).expect("scalar converges"))
+        })
+        .collect();
+    let (c, _, _) = cell();
+    let mut batched = Session::elaborate(c).expect("valid cell");
+    batched.seed_warm_start(w0).expect("right length");
+    let lanes: Vec<_> = (0..k).map(|i| draw(seed, i)).collect();
+    let ops = batched.dc_batch(lanes, Some(&[])).expect("valid batch");
+    for (i, op) in ops.iter().enumerate() {
+        let op = op.as_ref().expect("batched lane converges");
+        assert!(op.voltage(r) > 0.8, "lane {i} lost the stored state");
+        assert_eq!(
+            bits(op),
+            reference[i],
+            "empty-guess lane {i} diverged from the scalar path"
+        );
     }
 }
 
@@ -284,6 +341,23 @@ fn failed_lane_is_isolated_and_neighbors_stay_bit_identical() {
             );
         }
     }
+    assert_eq!(
+        warm_bits(&batched),
+        reference[k - 1],
+        "a healthy last lane must leave its solution as the warm start"
+    );
+
+    // With the NaN lane last, the batch leaves no warm start, as a
+    // sequential sweep ending in a failed solve would.
+    let lanes: Vec<Vec<(&str, Box<dyn MosfetModel>)>> =
+        vec![draw(seed, 0), vec![("PD1", Box::new(NanModel))]];
+    let ops = batched.dc_batch(lanes, Some(&guess)).expect("valid batch");
+    assert!(ops[0].is_ok() && ops[1].is_err());
+    assert_eq!(
+        warm_bits(&batched),
+        None,
+        "a failed last lane must clear the warm start"
+    );
 
     // The batch never touches the session's own devices: a nominal solve
     // afterwards matches a fresh session's nominal solve bit for bit.
@@ -309,7 +383,7 @@ fn failed_lane_is_isolated_and_neighbors_stay_bit_identical() {
 
 #[test]
 fn empty_batches_and_unknown_names_are_typed_errors() {
-    let (c, _, _) = cell();
+    let (c, l, r) = cell();
     let mut s = Session::elaborate(c).expect("valid cell");
     let err = s
         .dc_batch(Vec::<Vec<(&str, Box<dyn MosfetModel>)>>::new(), None)
@@ -324,6 +398,29 @@ fn empty_batches_and_unknown_names_are_typed_errors() {
     assert!(
         matches!(err, SpiceError::BadNetlist { .. }),
         "unexpected error for unknown name: {err}"
+    );
+
+    // A bad name in a later lane fails the batch before any lane is
+    // swapped in: the session's devices and warm start stay as they were.
+    let err = s
+        .dc_batch(vec![draw(7, 0), vec![("NOPE", nominal("PD1"))]], None)
+        .expect_err("unknown device in lane 1 must be rejected");
+    assert!(
+        matches!(err, SpiceError::BadNetlist { .. }),
+        "unexpected error for unknown name in lane 1: {err}"
+    );
+    assert!(s.warm_start().is_none(), "rejected batch left a warm start");
+    let guess = [(l, 0.0), (r, VDD)];
+    let after = s.dc_owned_with_guess(&guess).expect("nominal converges");
+    let (c, _, _) = cell();
+    let mut fresh = Session::elaborate(c).expect("valid cell");
+    let expected = fresh
+        .dc_owned_with_guess(&guess)
+        .expect("nominal converges");
+    assert_eq!(
+        bits(&after),
+        bits(&expected),
+        "rejected batch mutated the circuit"
     );
 }
 
