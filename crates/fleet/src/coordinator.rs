@@ -26,9 +26,9 @@
 //! counts, kill schedules, and retry orderings — the property the
 //! `fleet_e2e` suite pins against a single-process reference.
 
-use crate::client::{ClientError, HttpClient};
 use crate::merge::{merge_payloads, MergeError, MergedResult, ShardPayload};
 use crate::persist::{CampaignStore, StoreError};
+use serve::http::{ClientError, HttpClient};
 use serve::json::{num, obj, s, Json};
 use serve::store::hex_decode;
 use std::collections::{BTreeMap, BTreeSet};

@@ -17,8 +17,6 @@
 //!
 //! Modules:
 //!
-//! - [`client`] — a zero-dependency HTTP/1.1 client over `TcpStream`,
-//!   with typed transport faults (refused, timeout, truncated).
 //! - [`worker`] — spawn/kill local `statvs serve` child processes; the
 //!   fault-injection primitive for the e2e suite.
 //! - [`coordinator`] — the dispatch → poll → retry state machine.
@@ -28,15 +26,17 @@
 //!   [`Coordinator::run_shards_resumable`]: a killed campaign restarted
 //!   over the same store recomputes only the shards that were in flight,
 //!   and the resumed merge is bit-identical to an uninterrupted run.
+//!
+//! The wire is `serve::http`, the HTTP/1.1 layer both ends share; its
+//! [`HttpClient`] and [`ClientError`] are re-exported here.
 
-pub mod client;
 pub mod coordinator;
 pub mod merge;
 pub mod persist;
 pub mod worker;
 
-pub use client::{ClientError, HttpClient};
 pub use coordinator::{Coordinator, FleetConfig, FleetError, FleetEvent, FleetReport, FleetSpec};
 pub use merge::{merge_payloads, MergeError, MergedResult, ShardPayload};
 pub use persist::{CampaignStore, RestoreSkip, Restored, StoreError};
+pub use serve::http::{ClientError, HttpClient};
 pub use worker::LocalWorker;

@@ -96,6 +96,39 @@ fn stalling_worker_times_out_instead_of_hanging() {
 }
 
 #[test]
+fn trickling_worker_times_out_within_the_io_timeout() {
+    // A complete, valid response, 40 bytes at 200 ms each: every read
+    // completes inside the 300 ms I/O timeout, the whole response takes 8 s.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind trickling worker");
+    let addr = listener.local_addr().unwrap();
+    let worker = std::thread::spawn(move || {
+        let Ok((mut stream, _)) = listener.accept() else {
+            return;
+        };
+        let _ = stream.read(&mut [0u8; 4096]);
+        for byte in b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}".chunks(1) {
+            std::thread::sleep(Duration::from_millis(200));
+            if stream.write_all(byte).is_err() {
+                break;
+            }
+        }
+    });
+    let started = Instant::now();
+    let err = client()
+        .exchange(addr, "GET", "/healthz", None)
+        .expect_err("the whole response takes 8 s");
+    assert_eq!(err, ClientError::Timeout);
+    assert!(
+        started.elapsed() < Duration::from_millis(900),
+        "timeout took {:?}",
+        started.elapsed()
+    );
+    worker
+        .join()
+        .expect("the worker exits once the client hangs up");
+}
+
+#[test]
 fn truncated_responses_are_detected() {
     // Headers promise 500 bytes; the worker closes after 5.
     let addr = scripted_worker(

@@ -53,16 +53,6 @@ impl ApiError {
         }
     }
 
-    /// `413` — the request body exceeds the configured cap.
-    #[must_use]
-    pub fn payload_too_large(limit: usize) -> Self {
-        ApiError {
-            status: 413,
-            code: "payload_too_large",
-            message: format!("request body exceeds the {limit}-byte limit"),
-        }
-    }
-
     /// `503` — the bounded job queue is full; retry later.
     #[must_use]
     pub fn queue_full(capacity: usize) -> Self {
@@ -104,13 +94,14 @@ impl From<HttpError> for ApiError {
             HttpError::PayloadTooLarge => ApiError {
                 status: 413,
                 code: "payload_too_large",
-                message: e.to_string(),
+                message: "request body exceeds the configured limit".to_string(),
             },
-            HttpError::BadRequest(_) | HttpError::ConnectionClosed => {
-                ApiError::bad_request(e.to_string())
+            HttpError::Malformed(what) | HttpError::Truncated(what) => {
+                ApiError::bad_request(format!("malformed request: {what}"))
             }
             // Unreachable in practice: the connection handler drops the
-            // socket on I/O errors instead of responding.
+            // socket on these instead of responding.
+            HttpError::ConnectionClosed => ApiError::bad_request(e.to_string()),
             HttpError::Io(_) => ApiError::internal(),
         }
     }
@@ -141,7 +132,8 @@ mod tests {
     #[test]
     fn http_errors_map_to_statuses() {
         assert_eq!(ApiError::from(HttpError::PayloadTooLarge).status, 413);
-        assert_eq!(ApiError::from(HttpError::BadRequest("x")).status, 400);
+        assert_eq!(ApiError::from(HttpError::Malformed("x")).status, 400);
+        assert_eq!(ApiError::from(HttpError::Truncated("x")).status, 400);
         assert_eq!(
             ApiError::from(HttpError::Io(std::io::ErrorKind::TimedOut)).status,
             500

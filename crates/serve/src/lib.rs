@@ -2,11 +2,14 @@
 //!
 //! This crate turns the workspace's Monte Carlo engine into a long-running
 //! HTTP service with zero external dependencies: a hand-rolled HTTP/1.1
-//! layer ([`http`]), an in-repo JSON codec ([`json`]), structured error
-//! envelopes ([`error`]), a template registry with per-circuit session
-//! pools ([`pool`]), a run store plus bounded job queue ([`store`]), and
-//! an optional disk-backed replay cache ([`cache`]) that survives
-//! restarts, all on `std::net::TcpListener` and plain threads.
+//! layer for both ends of the wire ([`http`]: the server's request parser
+//! and the protocol's [`http::HttpClient`] share one framing reader and
+//! one whole-message timeout rule), an in-repo JSON codec ([`json`]),
+//! structured error envelopes ([`error`]), a template registry with
+//! per-circuit session pools ([`pool`]), a run store plus bounded job
+//! queue ([`store`]), and an optional disk-backed replay cache
+//! ([`cache`]) that survives restarts, all on `std::net::TcpListener` and
+//! plain threads.
 //!
 //! The protocol is shard-oriented: a `POST /experiments` body names a
 //! circuit template, a seed, and a `{offset, len}` shard of the sample
@@ -38,7 +41,7 @@ pub use spice::ENGINE_FINGERPRINT;
 
 use cache::ReplayCache;
 use error::ApiError;
-use http::{read_request, write_json_response, HttpError};
+use http::{read_request, write_json_response, Deadline, HttpError};
 use pool::Engine;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -49,8 +52,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use store::{JobQueue, RunFailure, RunStore};
 
-/// Per-connection socket timeout: a stalled peer cannot pin a connection
-/// thread forever.
+/// Per-connection socket timeout: it bounds reading a whole request (and
+/// writing each response chunk), so a stalled or trickling peer cannot
+/// pin a connection thread.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Server tunables. `Default` binds an ephemeral loopback port — the bin
@@ -276,14 +280,11 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<ServerCtx>, shutdown: &Arc<Atom
 /// One connection, one exchange: read a request, dispatch, write the
 /// response. Panics in route handling are caught and answered with a
 /// `500` envelope — the no-panic contract covers the whole request path.
+/// Reading the request and any post-error drain share one
+/// [`SOCKET_TIMEOUT`] deadline; when it passes, the connection is dropped.
 fn handle_connection(stream: TcpStream, ctx: &ServerCtx) {
-    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut stream = stream;
+    let mut reader = BufReader::new(Deadline::new(&stream, SOCKET_TIMEOUT));
     // On the success path `read_request` consumed the exact body, so the
     // socket can close cleanly. On request-level errors the peer may
     // still be sending a body we refused to buffer — drain it (bounded)
@@ -305,7 +306,7 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx) {
             (api.status, api.to_json())
         }
     };
-    let _ = write_json_response(&mut stream, status, &body.to_text());
+    let _ = write_json_response(&mut &stream, status, &body.to_text());
     if drain_before_close {
         let _ = std::io::copy(
             &mut std::io::Read::take(reader, 1 << 20),

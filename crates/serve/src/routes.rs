@@ -117,27 +117,8 @@ fn post_experiment(req: &Request, ctx: &ServerCtx) -> Result<(u16, Json), ApiErr
     if let Some(result) = ctx.cache.as_ref().and_then(|cache| cache.load(&spec)) {
         let id = ctx.store.create(spec.clone());
         ctx.store.complete(id, result);
-        return Ok((
-            202,
-            obj(vec![(
-                "run",
-                obj(vec![
-                    ("id", num(id as f64)),
-                    ("status", s(RunStatus::Done.as_str())),
-                    ("cached", Json::Bool(true)),
-                    ("circuit", s(&spec.circuit)),
-                    ("analysis", s(&spec.analysis)),
-                    ("seed", num(spec.seed as f64)),
-                    (
-                        "shard",
-                        obj(vec![
-                            ("offset", num(spec.offset as f64)),
-                            ("len", num(spec.len as f64)),
-                        ]),
-                    ),
-                ]),
-            )]),
-        ));
+        let run = run_head(id, RunStatus::Done, true, &spec);
+        return Ok((202, obj(vec![("run", obj(run))])));
     }
     let id = ctx.store.create(spec.clone());
     if let Err(e) = ctx.queue.push(id) {
@@ -149,26 +130,8 @@ fn post_experiment(req: &Request, ctx: &ServerCtx) -> Result<(u16, Json), ApiErr
         );
         return Err(e);
     }
-    Ok((
-        202,
-        obj(vec![(
-            "run",
-            obj(vec![
-                ("id", num(id as f64)),
-                ("status", s(RunStatus::Queued.as_str())),
-                ("circuit", s(&spec.circuit)),
-                ("analysis", s(&spec.analysis)),
-                ("seed", num(spec.seed as f64)),
-                (
-                    "shard",
-                    obj(vec![
-                        ("offset", num(spec.offset as f64)),
-                        ("len", num(spec.len as f64)),
-                    ]),
-                ),
-            ]),
-        )]),
-    ))
+    let run = run_head(id, RunStatus::Queued, false, &spec);
+    Ok((202, obj(vec![("run", obj(run))])))
 }
 
 fn get_run(path: &str, ctx: &ServerCtx) -> Result<(u16, Json), ApiError> {
@@ -183,12 +146,20 @@ fn get_run(path: &str, ctx: &ServerCtx) -> Result<(u16, Json), ApiError> {
     Ok((200, obj(vec![("run", run_json(&record))])))
 }
 
-/// Renders one run record; shared by `GET /runs/{id}` and tests.
-fn run_json(record: &RunRecord) -> Json {
-    let spec = &record.spec;
-    let mut members = vec![
-        ("id", num(record.id as f64)),
-        ("status", s(record.status.as_str())),
+/// The members every run envelope starts with, in wire order: the `202`
+/// submission replies and `GET /runs/{id}` all render them here. `cached`
+/// appears, right after `status`, only on a replay-cache hit.
+fn run_head(
+    id: u64,
+    status: RunStatus,
+    cached: bool,
+    spec: &ExperimentSpec,
+) -> Vec<(&'static str, Json)> {
+    let mut members = vec![("id", num(id as f64)), ("status", s(status.as_str()))];
+    if cached {
+        members.push(("cached", Json::Bool(true)));
+    }
+    members.extend([
         ("circuit", s(&spec.circuit)),
         ("analysis", s(&spec.analysis)),
         ("seed", num(spec.seed as f64)),
@@ -199,7 +170,13 @@ fn run_json(record: &RunRecord) -> Json {
                 ("len", num(spec.len as f64)),
             ]),
         ),
-    ];
+    ]);
+    members
+}
+
+/// Renders one run record for `GET /runs/{id}`.
+fn run_json(record: &RunRecord) -> Json {
+    let mut members = run_head(record.id, record.status, false, &record.spec);
     if let Some(failure) = &record.error {
         // Structured, not a bare string: a coordinator branches on
         // `retryable` to decide between re-issuing the shard and aborting
@@ -634,8 +611,6 @@ mod tests {
         Request {
             method: method.to_string(),
             path: path.to_string(),
-            query: None,
-            headers: Vec::new(),
             body: body.as_bytes().to_vec(),
         }
     }
@@ -674,10 +649,13 @@ mod tests {
         assert_eq!(run.get("id").and_then(Json::as_u64), Some(1));
         assert_eq!(run.get("status").and_then(Json::as_str), Some("queued"));
         assert_eq!(ctx.queue.depth(), 1);
-        // The record is immediately resolvable.
+        // The record is immediately resolvable, and a queued run renders
+        // the same run head on submission and on lookup.
+        let submitted = run.to_text();
         let (status, reply) = handle(&request("GET", "/runs/1", ""), &ctx);
         assert_eq!(status, 200);
         let run = reply.get("run").unwrap();
+        assert_eq!(run.to_text(), submitted);
         assert_eq!(run.get("status").and_then(Json::as_str), Some("queued"));
         assert_eq!(
             run.get("shard")

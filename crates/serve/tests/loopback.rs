@@ -16,8 +16,11 @@
 //! A third test drives every abuse path (garbage framing, bad JSON,
 //! unknown routes, oversized bodies, mismatched sketch merges) and checks
 //! each one comes back as a structured error envelope, never a dropped
-//! connection or a panic.
+//! connection or a panic. A fourth trickles a request one header byte at
+//! a time and checks the server cuts the connection off at its socket
+//! timeout instead of answering.
 
+use serve::http::{read_response, HttpClient};
 use serve::json::Json;
 use serve::pool::Engine;
 use serve::store::{hex_decode, ExperimentSpec};
@@ -25,25 +28,21 @@ use serve::{Server, ServerConfig};
 use stats::histogram::Histogram;
 use stats::sink::{MergeableSink, WelfordSink};
 use stats::TDigest;
-use std::io::{Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::RecvTimeoutError;
 use std::time::{Duration, Instant};
 
-/// One HTTP exchange: returns the status code and parsed JSON body.
+/// One HTTP exchange through the protocol's client: returns the status
+/// code and parsed JSON body.
 fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, Json) {
-    let payload = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len()
-    );
-    let (status, text) = raw_exchange(addr, request.as_bytes());
-    let json = Json::parse(&text)
-        .unwrap_or_else(|e| panic!("{method} {path}: body {text:?} is not JSON: {e}"));
-    (status, json)
+    HttpClient::default()
+        .exchange(addr, method, path, body)
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"))
 }
 
-/// Sends raw bytes and returns `(status, body_text)`; the server closes
-/// the connection after one response.
+/// Sends raw bytes and reads the one response with the protocol's own
+/// reader: returns `(status, body_text)`.
 fn raw_exchange(addr: SocketAddr, request: &[u8]) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect to loopback server");
     stream
@@ -53,17 +52,9 @@ fn raw_exchange(addr: SocketAddr, request: &[u8]) -> (u16, String) {
     // Half-close: tells the server no more bytes are coming, so its
     // bounded post-error drain sees EOF immediately.
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .unwrap_or_else(|| panic!("unframed response: {response:?}"));
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {head:?}"));
-    (status, body.to_string())
+    let (status, body) =
+        read_response(&mut BufReader::new(&stream), 1 << 20).expect("one framed response");
+    (status, String::from_utf8(body).expect("UTF-8 body"))
 }
 
 /// Polls `GET /runs/{id}` until the run leaves the queue, returning its
@@ -374,5 +365,46 @@ fn hostile_inputs_get_envelopes_not_panics() {
     assert_eq!(status, 200);
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
 
+    handle.shutdown();
+}
+
+#[test]
+fn a_trickling_client_is_cut_off_at_the_socket_timeout() {
+    // The server's per-connection `SOCKET_TIMEOUT` (5 s), plus slack.
+    let bound = Duration::from_secs(5 + 1);
+    let handle = Server::bind(&ServerConfig::default())
+        .expect("server boots")
+        .start();
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect to loopback server");
+    let started = Instant::now();
+    let mut writer = stream.try_clone().expect("clone the socket");
+    let (stop, stopped) = std::sync::mpsc::channel::<()>();
+    // One header byte every 1.5 s: each read the server makes completes
+    // well inside its socket timeout, so only a deadline on the whole
+    // request can end the exchange.
+    let trickler = std::thread::spawn(move || {
+        let _ = writer.write_all(b"GET /healthz HTTP/1.1\r\nX-Trickle: ");
+        while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(Duration::from_millis(1500))
+        {
+            if writer.write_all(b"a").is_err() {
+                break;
+            }
+        }
+    });
+    stream.set_read_timeout(Some(bound)).unwrap();
+    let mut reply = Vec::new();
+    let outcome = stream.read_to_end(&mut reply).map_err(|e| e.kind());
+    let held = started.elapsed();
+    drop(stop);
+    trickler.join().expect("trickler exits");
+    // EOF, or a reset over the unread trickle; a read timeout means the
+    // server still holds the connection.
+    let timed_out = matches!(outcome, Err(ErrorKind::WouldBlock | ErrorKind::TimedOut));
+    assert!(!timed_out && held <= bound, "{outcome:?} after {held:?}");
+    assert!(
+        reply.is_empty(),
+        "a trickled request must be dropped unanswered: {:?}",
+        String::from_utf8_lossy(&reply)
+    );
     handle.shutdown();
 }

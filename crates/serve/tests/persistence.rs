@@ -17,41 +17,21 @@
 //! the engine — before serving.
 
 use serve::cache::KEY_TAG;
+use serve::http::HttpClient;
 use serve::json::Json;
 use serve::{Server, ServerConfig, ENGINE_FINGERPRINT};
 use stats::artifact::{seal, Artifact};
 use stats::codec::{self, Reader};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// One HTTP exchange: returns the status code and parsed JSON body.
+/// One HTTP exchange through the protocol's client: returns the status
+/// code and parsed JSON body.
 fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, Json) {
-    let payload = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len()
-    );
-    let mut stream = TcpStream::connect(addr).expect("connect to loopback server");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(request.as_bytes()).expect("send request");
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, text) = response
-        .split_once("\r\n\r\n")
-        .unwrap_or_else(|| panic!("unframed response: {response:?}"));
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {head:?}"));
-    let json = Json::parse(text)
-        .unwrap_or_else(|e| panic!("{method} {path}: body {text:?} is not JSON: {e}"));
-    (status, json)
+    HttpClient::default()
+        .exchange(addr, method, path, body)
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"))
 }
 
 /// Polls `GET /runs/{id}` until the run leaves the queue.
