@@ -8,14 +8,15 @@
 //! * **Circuit level** (Figs. 5–9's and Table IV's workload): repeated
 //!   solves of one SRAM topology with resampled devices, comparing the
 //!   legacy shape (rebuild + re-elaborate every sample; per-point AC
-//!   matrices) against the session shape (`Session::swap_devices` +
+//!   matrices) against the session shape (`SramDevices::swap_into` +
 //!   warm-started re-solve; `Session::ac_batch` + reused `AcWorkspace`)
-//!   and the cold-started DC sample `statvs serve` runs per shard sample.
+//!   and the cold-started DC sample `statvs serve` runs per shard sample
+//!   (`circuits::sram::cold_dc_sample`).
 //!
 //! Run `cargo bench --bench mc_throughput -- --json BENCH_mc_throughput.json`
 //! to refresh the perf-trajectory baseline at the repo root.
 
-use circuits::sram::{SnmBench, SnmMode, SramDevices, SramSizing};
+use circuits::sram::{cold_dc_sample, SnmBench, SnmMode, SramDevices, SramSizing};
 use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
 use numerics::complex::{CMatrix, C64};
 use spice::Session;
@@ -151,19 +152,8 @@ fn main() {
         results.push(measure("sram_dc_sample/session_swap", || {
             seed += 1;
             let mut f = mc_factory(seed);
-            let SramDevices { pd, pu, pg } = SramDevices::draw(sz, &mut f);
-            let [pd0, pd1] = pd;
-            let [pu0, pu1] = pu;
-            let [pg0, pg1] = pg;
-            session
-                .swap_devices([
-                    ("PD1", pd0),
-                    ("PD2", pd1),
-                    ("PU1", pu0),
-                    ("PU2", pu1),
-                    ("PG1", pg0),
-                    ("PG2", pg1),
-                ])
+            SramDevices::draw(sz, &mut f)
+                .swap_into(&mut session)
                 .expect("known instances");
             if let Ok(op) = session.dc_owned() {
                 assert!(op.voltage(r).is_finite());
@@ -184,7 +174,7 @@ fn main() {
     // buffered shape); the `streaming_1t` entry runs the *identical*
     // build/sample closures into realistic constant-size sinks (Welford
     // moments + a t-digest) instead. Peak sample storage drops from O(n)
-    // to O(workers + check_every) in-flight records; the per-sample cost
+    // to O(workers + round) in-flight records; the per-sample cost
     // must stay within noise of the buffered `parallel_1t` entry (the sink
     // fold is nanoseconds against a ~20 µs DC solve).
     {
@@ -203,26 +193,13 @@ fn main() {
             assert!(op.voltage(r).is_finite());
             Ok(s)
         };
-        let swap_draw = |session: &mut Session, sampler: &Sampler| {
+        let draw = |sampler: &Sampler| {
             let mut f = mc_factory(0);
             f.set_sampler(sampler.clone());
-            let SramDevices { pd, pu, pg } = SramDevices::draw(sz, &mut f);
-            let [pd0, pd1] = pd;
-            let [pu0, pu1] = pu;
-            let [pg0, pg1] = pg;
-            session
-                .swap_devices([
-                    ("PD1", pd0),
-                    ("PD2", pd1),
-                    ("PU1", pu0),
-                    ("PU2", pu1),
-                    ("PG1", pg0),
-                    ("PG2", pg1),
-                ])
-                .expect("known instances");
+            SramDevices::draw(sz, &mut f)
         };
         let sample = |session: &mut Session, sampler: &mut Sampler, _: usize| {
-            swap_draw(session, sampler);
+            draw(sampler).swap_into(session).expect("known instances");
             // Extreme draws may fail to converge; counted, not fatal —
             // part of the measured workload.
             session.dc_owned().map(|op| op.voltage(r))
@@ -238,7 +215,7 @@ fn main() {
                 let mut samples = VecSink::new();
                 let out = ParallelRunner::new(run_seed)
                     .workers(threads)
-                    .run_streaming(PAR_BATCH, build, sample, &mut samples)
+                    .run_streaming_range(0, PAR_BATCH, build, sample, &mut samples)
                     .expect("replication succeeds");
                 assert_eq!(samples.records().len() + out.failures, PAR_BATCH);
             });
@@ -254,7 +231,7 @@ fn main() {
             let mut sink = (WelfordSink::new(), TDigest::new(100.0));
             let out = ParallelRunner::new(run_seed)
                 .workers(1)
-                .run_streaming(PAR_BATCH, build, sample, &mut sink)
+                .run_streaming_range(0, PAR_BATCH, build, sample, &mut sink)
                 .expect("replication succeeds");
             assert_eq!(out.observed + out.failures, PAR_BATCH);
             assert!(sink.0.moments().count() == out.observed as u64);
@@ -269,11 +246,8 @@ fn main() {
         // `sram6t_dc` shard: draw, swap the six devices, drop the warm
         // start, and solve from the two-node guess, so every sample pays
         // the cold solve a pure function of `(seed, index)` needs.
-        let guess = [(l, 0.0), (r, 0.9)];
         let cold = |session: &mut Session, sampler: &mut Sampler, _: usize| {
-            swap_draw(session, sampler);
-            session.invalidate_warm_start();
-            session.dc_owned_with_guess(&guess).map(|op| op.voltage(r))
+            cold_dc_sample(session, draw(sampler), l, r, 0.9)
         };
         let mut run_seed = 0u64;
         let m = measure("sram_dc_mc_batch512/aggregate_cold_1t", || {
@@ -322,19 +296,8 @@ fn main() {
             results.push(measure("sram_ac_sample/per_point", || {
                 seed += 1;
                 let mut f = mc_factory(seed);
-                let SramDevices { pd, pu, pg } = SramDevices::draw(sz, &mut f);
-                let [pd0, pd1] = pd;
-                let [pu0, pu1] = pu;
-                let [pg0, pg1] = pg;
-                session
-                    .swap_devices([
-                        ("PD1", pd0),
-                        ("PD2", pd1),
-                        ("PU1", pu0),
-                        ("PU2", pu1),
-                        ("PG1", pg0),
-                        ("PG2", pg1),
-                    ])
+                SramDevices::draw(sz, &mut f)
+                    .swap_into(&mut session)
                     .expect("known instances");
                 // A guessed solve ignores the warm start — exactly the
                 // pre-batching per-sample behaviour.
@@ -363,19 +326,8 @@ fn main() {
             results.push(measure("sram_ac_sample/workspace_guessed", || {
                 seed += 1;
                 let mut f = mc_factory(seed);
-                let SramDevices { pd, pu, pg } = SramDevices::draw(sz, &mut f);
-                let [pd0, pd1] = pd;
-                let [pu0, pu1] = pu;
-                let [pg0, pg1] = pg;
-                session
-                    .swap_devices([
-                        ("PD1", pd0),
-                        ("PD2", pd1),
-                        ("PU1", pu0),
-                        ("PU2", pu1),
-                        ("PG1", pg0),
-                        ("PG2", pg1),
-                    ])
+                SramDevices::draw(sz, &mut f)
+                    .swap_into(&mut session)
                     .expect("known instances");
                 if let Ok(ac) = session.ac_owned("VBL", &freqs, &guess) {
                     assert!(ac.magnitudes(l)[0].is_finite());

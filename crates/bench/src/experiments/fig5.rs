@@ -34,7 +34,8 @@ pub fn delay_samples(
     let mut delays = VecSink::new();
     let out = ctx
         .runner(seed_salt)
-        .run_streaming(
+        .run_streaming_range(
+            0,
             n,
             |_, setup| {
                 let mut f = ctx.factory(family, setup.clone());

@@ -4,7 +4,7 @@
 //! This is the repo's canonical streaming experiment: each
 //! `(leakage, frequency)` pair flows straight from the Monte Carlo run
 //! into an incremental CSV file and two constant-size moment accumulators
-//! through [`vscore::mc::ParallelRunner::run_streaming`] — no
+//! through [`vscore::mc::ParallelRunner::run_streaming_range`] — no
 //! per-sample buffering, so the scatter scales to paper-size (and larger)
 //! sample counts in O(workers) memory.
 
@@ -64,7 +64,8 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
         // index order as rounds complete.
         let out = ctx
             .runner(0xf16_6000)
-            .run_streaming(
+            .run_streaming_range(
+                0,
                 n,
                 |_, setup| {
                     let mut f = ctx.factory(family, setup.clone());

@@ -37,7 +37,8 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
         let mut setup_times = VecSink::new();
         let out = ctx
             .runner(0xd1f_f000)
-            .run_streaming(
+            .run_streaming_range(
+                0,
                 n,
                 |_, setup| {
                     let mut f = ctx.factory(family, setup.clone());

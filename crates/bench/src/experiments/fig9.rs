@@ -69,7 +69,8 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
             // KDE curve, QQ plot, and skewness are genuinely whole-sample
             // statistics.
             let mut sink = (VecSink::new(), TDigest::new(100.0));
-            let out = ctx.runner(0x54a8).run_streaming(
+            let out = ctx.runner(0x54a8).run_streaming_range(
+                0,
                 n,
                 |_, setup| {
                     let mut last_err = None;

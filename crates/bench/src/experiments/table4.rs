@@ -48,7 +48,8 @@ fn run_workload(
     let runner = ctx.runner(0x7ab4);
     let done = match cell {
         "nand2" => runner
-            .run_streaming(
+            .run_streaming_range(
+                0,
                 n,
                 |_, setup| {
                     let mut f = ctx.factory(family, setup.clone());
@@ -68,7 +69,8 @@ fn run_workload(
             )
             .map(|o| o.observed),
         "dff" => runner
-            .run_streaming(
+            .run_streaming_range(
+                0,
                 n,
                 |_, setup| {
                     let mut f = ctx.factory(family, setup.clone());
@@ -96,7 +98,8 @@ fn run_workload(
             let sram_freqs = spice::ac::log_sweep(1e6, 1e11, 5);
             let sz = SramSizing::default();
             runner
-                .run_streaming(
+                .run_streaming_range(
+                    0,
                     n,
                     |_, setup| {
                         // Retry non-convergent construction draws; the

@@ -73,6 +73,29 @@ impl SramDevices {
             pg: [f.nmos(ga), f.nmos(ga)],
         }
     }
+
+    /// Swaps these six devices into a session elaborated from
+    /// [`full_cell`], under the instance names it gives them. Returns the
+    /// number swapped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::BadNetlist`] if the session is not a full cell.
+    pub fn swap_into(self, session: &mut Session) -> Result<usize, SpiceError> {
+        let SramDevices {
+            pd: [pd1, pd2],
+            pu: [pu1, pu2],
+            pg: [pg1, pg2],
+        } = self;
+        session.swap_devices([
+            ("PD1", pd1),
+            ("PD2", pd2),
+            ("PU1", pu1),
+            ("PU2", pu2),
+            ("PG1", pg1),
+            ("PG2", pg2),
+        ])
+    }
 }
 
 /// Voltage transfer curve of one half-cell: sweeps the input (the opposite
@@ -338,6 +361,32 @@ pub fn full_cell(devices: &SramDevices, vdd_value: f64) -> (Circuit, spice::Node
     (c, l, r)
 }
 
+/// One cold-started DC sample of the full cell, the sample `statvs serve`
+/// runs for its `sram6t_dc` template: swap `devices` into `session` (a
+/// [`full_cell`] elaboration), drop the warm start, solve from the
+/// `(l, 0)`/`(r, vdd)` guess and return v(r).
+///
+/// The solve departs from the guess, never from the session's previous
+/// operating point, so the result is a pure function of the devices
+/// whatever the session solved before — what lets disjoint shards run on
+/// different sessions merge bit-identically.
+///
+/// # Errors
+///
+/// Propagates swap and DC-solve failures.
+pub fn cold_dc_sample(
+    session: &mut Session,
+    devices: SramDevices,
+    l: spice::NodeId,
+    r: spice::NodeId,
+    vdd: f64,
+) -> Result<f64, SpiceError> {
+    devices.swap_into(session)?;
+    session.invalidate_warm_start();
+    let op = session.dc_owned_with_guess(&[(l, 0.0), (r, vdd)])?;
+    Ok(op.voltage(r))
+}
+
 /// AC read-disturb analysis of the full cell (the paper's Table IV "SRAM
 /// AC" workload): small-signal transfer from a bit-line perturbation to the
 /// low storage node, across frequency. Returns the per-frequency transfer
@@ -525,18 +574,7 @@ impl ReadDisturbBench {
         sz: SramSizing,
         f: &mut dyn DeviceFactory,
     ) -> Result<(), SpiceError> {
-        let SramDevices { pd, pu, pg } = SramDevices::draw(sz, f);
-        let [pd0, pd1] = pd;
-        let [pu0, pu1] = pu;
-        let [pg0, pg1] = pg;
-        self.session.swap_devices([
-            ("PD1", pd0),
-            ("PD2", pd1),
-            ("PU1", pu0),
-            ("PU2", pu1),
-            ("PG1", pg0),
-            ("PG2", pg1),
-        ])?;
+        SramDevices::draw(sz, f).swap_into(&mut self.session)?;
         Ok(())
     }
 
@@ -630,6 +668,24 @@ mod tests {
         let op1 = s.dc_owned_with_guess(&[(l, VDD), (r, 0.0)]).unwrap();
         assert!(op1.voltage(l) > 0.75 * VDD);
         assert!(op1.voltage(r) < 0.35 * VDD);
+    }
+
+    /// A cold sample depends on its devices alone: on a session that last
+    /// solved another cell into the opposite state it returns the bits of
+    /// a fresh elaboration's guessed solve.
+    #[test]
+    fn cold_sample_forgets_the_session_history() {
+        let sz = SramSizing::default();
+        let (c, l, r) = full_cell(&SramDevices::draw(sz, &mut NominalVsFactory), VDD);
+        let mut fresh = Session::elaborate(c).unwrap();
+        let want = fresh.dc_owned_with_guess(&[(l, 0.0), (r, VDD)]).unwrap();
+        let (c, l, r) = full_cell(&SramDevices::draw(sz, &mut NominalBsimFactory), VDD);
+        let mut s = Session::elaborate(c).unwrap();
+        s.dc_owned_with_guess(&[(l, VDD), (r, 0.0)]).unwrap();
+        let devices = SramDevices::draw(sz, &mut NominalVsFactory);
+        let got = cold_dc_sample(&mut s, devices, l, r, VDD).unwrap();
+        assert_eq!(got.to_bits(), want.voltage(r).to_bits());
+        assert!(got > 0.75 * VDD);
     }
 
     /// Regression for the eye-assignment bug: shifting one inverter's

@@ -13,18 +13,18 @@
 //! Either level shards across threads with [`ParallelRunner`] (see
 //! [`parallel`]): each worker owns its elaborated sessions, each sample
 //! draws from a stream derived purely from `(seed, sample index)`, and the
-//! outcome is bit-identical for any worker count. Results leave a run one
+//! outcome is bit-identical for any worker count. A run has one entry
+//! point, [`ParallelRunner::run_streaming_range`], and results leave it one
 //! way — streamed to a [`Sink`] (quantile sketch, histogram, incremental
-//! CSV, moments, or an explicit [`VecSink`] buffer) via
-//! [`ParallelRunner::run_streaming`], which holds O(workers) sample memory
-//! however long the run; an [`EarlyStop`] rule fanned out next to the
-//! sinks ends a run once the mean is pinned down. Beyond one process,
-//! [`ParallelRunner::run_streaming_range`] executes a disjoint shard of
-//! the index space, so independent processes/machines combine their
-//! [`MergeableSink`] sketches ([`TDigest`], [`Histogram`], [`WelfordSink`],
-//! and the importance-sampling [`WeightedSink`]s fed `(value, log_weight)`
-//! records) afterwards. `ARCHITECTURE.md` at the repo root diagrams the
-//! data flow.
+//! CSV, moments, or an explicit [`VecSink`] buffer), which holds O(workers)
+//! sample memory however long the run. A whole experiment is the range at
+//! offset 0; a disjoint range is a shard, so independent processes/machines
+//! combine their [`MergeableSink`] sketches ([`TDigest`], [`Histogram`],
+//! [`WelfordSink`], and the importance-sampling [`WeightedMoments`] and
+//! [`WeightedHistogram`] fed `(value, log_weight)` records) afterwards. A
+//! caller that wants to stop once an estimate is pinned down runs
+//! consecutive ranges into one sink and tests the estimate between them.
+//! `ARCHITECTURE.md` at the repo root diagrams the data flow.
 //!
 //! # Example
 //!
@@ -46,7 +46,8 @@
 //! let mut idsat = WelfordSink::new();
 //! ParallelRunner::new(42)
 //!     .workers(2)
-//!     .run_streaming(
+//!     .run_streaming_range(
+//!         0,
 //!         64,
 //!         |_w, _s| Ok::<(), std::convert::Infallible>(()),
 //!         |(), sampler, _i| {
@@ -65,13 +66,13 @@ pub mod parallel;
 pub mod shard;
 
 pub use manifest::{Manifest, ManifestEntry, ManifestError};
-pub use parallel::{EarlyStop, ParallelRunner, StreamOutcome};
+pub use parallel::{ParallelRunner, StreamOutcome};
 pub use shard::{plan_shards, Shard};
 // The sink vocabulary consumed by `ParallelRunner`, re-exported so Monte
 // Carlo call sites need a single import path.
 pub use stats::histogram::Histogram;
 pub use stats::importance::{
-    ExactSum, GaussianProposal, Statistic, WeightedHistogram, WeightedMoments, WeightedSink,
+    ExactSum, GaussianProposal, Statistic, WeightedHistogram, WeightedMoments,
 };
 pub use stats::sink::{CodecError, CsvSink, MergeableSink, Sink, VecSink, WelfordSink};
 pub use stats::tdigest::TDigest;
@@ -239,12 +240,6 @@ impl McFactory {
             draws: 0,
             log_weight: 0.0,
         }
-    }
-
-    /// Reseeds the internal sampler (one seed per Monte Carlo trial keeps
-    /// trials independent and reproducible).
-    pub fn reseed(&mut self, seed: u64) {
-        self.sampler = Sampler::from_seed(seed);
     }
 
     /// Replaces the internal sampler with an externally derived stream —

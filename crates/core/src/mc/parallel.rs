@@ -1,12 +1,14 @@
 //! Work-sharded, deterministic parallel Monte Carlo execution.
 //!
 //! [`ParallelRunner`] spreads the samples of one Monte Carlo experiment
-//! across `std::thread` workers. Results leave a run one way: every
-//! successful `(index, record)` pair streams into a [`Sink`] — a quantile
-//! sketch, a histogram, a CSV writer, moments, or a [`stats::sink::VecSink`]
-//! when the empirical sample itself is needed. The returned
-//! [`StreamOutcome`] carries only the run accounting. Four properties shape
-//! the design:
+//! across `std::thread` workers. It has one entry point,
+//! [`ParallelRunner::run_streaming_range`], which runs the sample indices
+//! `offset .. offset + len`: a whole experiment is the range starting at 0.
+//! Results leave a run one way: every successful `(index, record)` pair
+//! streams into a [`Sink`] — a quantile sketch, a histogram, a CSV writer,
+//! moments, or a [`stats::sink::VecSink`] when the empirical sample itself
+//! is needed. The returned [`StreamOutcome`] carries only the run
+//! accounting. Four properties shape the design:
 //!
 //! * **Elaborate once per worker.** Worker state (an elaborated
 //!   [`spice::Session`], a bench, a device factory template) is built once
@@ -18,11 +20,12 @@
 //!   [`stats::Sampler::stream`]`(i)` of the runner's base sampler — a pure
 //!   function of `(seed, i)` — and work is handed out by index from a
 //!   shared counter. Workers append records to per-worker shards, and at
-//!   every round boundary the coordinating thread folds the shards into the
-//!   sink **in ascending sample-index order**. The sink therefore consumes
-//!   one record sequence: its final state — sketch centroids, histogram
-//!   counts, CSV bytes — is bit-identical for 1, 2, or 64 workers, while
-//!   peak sample storage stays O(workers + check_every) instead of O(n).
+//!   every round boundary (every 256 samples) the coordinating thread folds
+//!   the shards into the sink **in ascending sample-index order**. The sink
+//!   therefore consumes one record sequence: its final state — sketch
+//!   centroids, histogram counts, CSV bytes — is bit-identical for 1, 2, or
+//!   64 workers, while peak sample storage stays O(workers + round) instead
+//!   of O(n).
 //!
 //!   The guarantee is as strong as the sample closure is pure: if a sample
 //!   reads mutable worker state whose value depends on scheduling history —
@@ -32,19 +35,16 @@
 //!   mismatch draws are exactly the same devices). Call
 //!   [`spice::Session::invalidate_warm_start`] per sample when bit-exact
 //!   reproducibility matters more than the warm-start speedup.
-//! * **Sink-side stopping.** A full run ([`ParallelRunner::run_streaming`])
-//!   asks its sink [`Sink::satisfied`] at every round boundary and ends
-//!   there once it answers `true`. [`EarlyStop`] is the shipped rule — a
-//!   confidence-interval test on the mean, fanned out next to the real
-//!   sinks. Rounds are fixed multiples of [`ParallelRunner::check_every`]
-//!   samples (independent of the worker count), so the stopping sample
-//!   count is deterministic as well.
-//! * **Shards.** [`ParallelRunner::run_streaming_range`] runs one disjoint
-//!   slice of the sample index space — the same pure `(seed, i)` streams,
-//!   the same index-ordered fold — so N *processes or machines* each
-//!   execute a shard of one experiment and merge their
-//!   [`stats::sink::MergeableSink`] states afterwards, independent of how
-//!   the space was partitioned.
+//! * **Caller-side stopping.** A run always executes its whole range. To
+//!   stop once an estimate is pinned down, run consecutive ranges into the
+//!   same sink and test the estimate between them: the sink sees the same
+//!   index-ordered stream as one range over the union, so the stopping
+//!   range is the same for any worker count.
+//! * **Shards.** Ranges also split one experiment across *processes or
+//!   machines*: each runs a disjoint slice of the index space on the same
+//!   pure `(seed, i)` streams, and their [`stats::sink::MergeableSink`]
+//!   states merge afterwards, independent of how the space was
+//!   partitioned.
 //!
 //! Records are generic: scalar metrics stream as `f64`, scatter
 //! experiments as `(f64, f64)` pairs, and importance-sampling runs as
@@ -61,7 +61,8 @@
 //!     let mut sink = (VecSink::new(), WelfordSink::new());
 //!     let out = ParallelRunner::new(7)
 //!         .workers(workers)
-//!         .run_streaming(
+//!         .run_streaming_range(
+//!             0,
 //!             400,
 //!             |_worker, _sampler| Ok::<(), std::convert::Infallible>(()),
 //!             |(), sampler, _i| {
@@ -82,7 +83,7 @@
 //! ```
 
 use stats::sink::Sink;
-use stats::{Sampler, Welford};
+use stats::Sampler;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -90,6 +91,9 @@ use std::sync::{Barrier, Mutex};
 const SHUTDOWN: usize = usize::MAX;
 /// Salt separating worker-setup streams from per-sample streams.
 const WORKER_STREAM_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Samples per round: records fold into the sink at every round boundary.
+/// Rounds are independent of the worker count.
+const ROUND: usize = 256;
 
 /// The exclusive end of the shard `offset .. offset + len`.
 ///
@@ -104,88 +108,6 @@ fn shard_end(offset: usize, len: usize) -> usize {
         .expect("shard range must end below usize::MAX (the sample index space)")
 }
 
-/// Confidence-interval stopping rule, as a sink.
-///
-/// Fan it out next to the sinks that keep the results — `(EarlyStop, sink)`
-/// — and a full [`ParallelRunner::run_streaming`] ends at the first round
-/// boundary where at least `min_samples` records have arrived and the
-/// `z`-scaled half-width of the confidence interval on their mean is below
-/// `rel_half_width · |mean|`. The rule sees the same index-ordered record
-/// stream as every other sink, so the stopping point is identical for any
-/// worker count. A mean of zero never satisfies the relative criterion;
-/// use an absolute transform of the metric if that can occur.
-///
-/// # Example
-///
-/// ```
-/// use vscore::mc::{EarlyStop, ParallelRunner, VecSink};
-///
-/// let mut sink = (EarlyStop::relative(0.05).min_samples(50), VecSink::new());
-/// let out = ParallelRunner::new(5)
-///     .check_every(50)
-///     .run_streaming(
-///         100_000,
-///         |_, _| Ok::<(), std::convert::Infallible>(()),
-///         |(), s, _| Ok(10.0 + s.standard_normal()),
-///         &mut sink,
-///     )
-///     .unwrap();
-/// // The 5% interval on N(10, 1) closes after one 50-sample round.
-/// assert_eq!(out.attempted, 50);
-/// assert_eq!(sink.1.records().len(), 50);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct EarlyStop {
-    /// Target half-width of the CI, relative to the absolute mean.
-    pub rel_half_width: f64,
-    /// Normal quantile of the interval (1.96 ~ 95%).
-    pub z: f64,
-    /// Minimum number of successful samples before stopping is considered.
-    pub min_samples: usize,
-    /// Moments of the records observed so far, in index order.
-    watched: Welford,
-}
-
-impl EarlyStop {
-    /// A 95% (`z = 1.96`) rule with the given relative half-width and a
-    /// 64-sample floor.
-    #[must_use]
-    pub fn relative(rel_half_width: f64) -> Self {
-        EarlyStop {
-            rel_half_width,
-            z: 1.96,
-            min_samples: 64,
-            watched: Welford::new(),
-        }
-    }
-
-    /// Overrides the minimum sample count.
-    #[must_use]
-    pub fn min_samples(mut self, n: usize) -> Self {
-        self.min_samples = n;
-        self
-    }
-
-    /// Overrides the normal quantile.
-    #[must_use]
-    pub fn z(mut self, z: f64) -> Self {
-        self.z = z;
-        self
-    }
-}
-
-impl Sink for EarlyStop {
-    fn observe(&mut self, _index: usize, value: f64) {
-        self.watched.push(value);
-    }
-
-    fn satisfied(&self) -> bool {
-        let w = &self.watched;
-        w.count() >= self.min_samples as u64
-            && w.ci_half_width(self.z) <= self.rel_half_width * w.mean().abs()
-    }
-}
-
 /// Accounting of a Monte Carlo run. The results themselves live in the
 /// sink the run fed.
 #[derive(Debug, Clone)]
@@ -193,8 +115,7 @@ pub struct StreamOutcome {
     /// Samples whose closure returned an error (functional failures under
     /// extreme mismatch, non-convergence, ...).
     pub failures: usize,
-    /// Number of sample indices actually scheduled — equals the requested
-    /// count unless the sink's stopping rule ended the run sooner.
+    /// Sample indices the run scheduled: the range length.
     pub attempted: usize,
     /// Worker threads the run executed on.
     pub workers: usize,
@@ -206,13 +127,12 @@ pub struct StreamOutcome {
 ///
 /// See the [module docs](self) for the determinism contract and a runnable
 /// example. Construct with [`ParallelRunner::new`] (worker count defaults
-/// to the machine's available parallelism) and adjust with the builder
-/// methods.
+/// to the machine's available parallelism) and adjust with
+/// [`ParallelRunner::workers`].
 #[derive(Debug, Clone)]
 pub struct ParallelRunner {
     workers: usize,
     seed: u64,
-    check_every: usize,
 }
 
 impl ParallelRunner {
@@ -220,11 +140,7 @@ impl ParallelRunner {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        ParallelRunner {
-            workers,
-            seed,
-            check_every: 256,
-        }
+        ParallelRunner { workers, seed }
     }
 
     /// Overrides the worker count (clamped to at least 1).
@@ -234,25 +150,10 @@ impl ParallelRunner {
         self
     }
 
-    /// Configured worker count.
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.workers
-    }
-
-    /// Sets the round granularity: records fold into the sink, and a full
-    /// run asks [`Sink::satisfied`], every `n` samples (clamped to at least
-    /// 1). Rounds are independent of the worker count, keeping
-    /// early-stopped runs deterministic.
-    #[must_use]
-    pub fn check_every(mut self, n: usize) -> Self {
-        self.check_every = n.max(1);
-        self
-    }
-
-    /// Runs samples `0..n`, streaming every successful `(index, record)`
-    /// into `sink` *during* the run — peak sample storage is
-    /// O(workers + check_every), independent of `n`.
+    /// Runs the samples `offset .. offset + len` of an experiment,
+    /// streaming every successful `(index, record)` into `sink` *during*
+    /// the run — peak sample storage is O(workers + round), independent of
+    /// `len`. A whole experiment is the range at offset 0.
     ///
     /// `build(worker_id, sampler)` constructs each worker's private state
     /// inside its thread (elaborated sessions, benches, factory templates);
@@ -261,96 +162,46 @@ impl ParallelRunner {
     /// overwritten per sample (as device-swapping benches do).
     ///
     /// `sample(state, sampler, i)` computes sample `i` with a sampler
-    /// stream derived purely from the runner seed and `i`. An `Err` return
-    /// marks that sample failed: it is counted in
-    /// [`StreamOutcome::failures`] and never reaches the sink.
+    /// stream derived purely from the runner seed and `i`, whatever the
+    /// range: the union of the records of disjoint ranges *is* the record
+    /// stream of one range over the union, however the index space is
+    /// partitioned. An `Err` return marks that sample failed: it is counted
+    /// in [`StreamOutcome::failures`] and never reaches the sink.
     ///
     /// At every round boundary the coordinating thread folds the worker
     /// shards **in ascending sample-index order** into the sink on the
-    /// calling thread (the sink need not be `Send`), then ends the run if
-    /// the sink reports [`Sink::satisfied`] — see [`EarlyStop`].
-    /// [`Sink::finish`] is called once after the final record of a
-    /// completed (or early-stopped) run; a panic inside the sink shuts the
-    /// run down cleanly and re-raises on the calling thread, exactly like a
-    /// panic in a sample closure.
+    /// calling thread (the sink need not be `Send`). [`Sink::finish`] is
+    /// called once after the run's final record; a panic inside the sink
+    /// shuts the run down cleanly and re-raises on the calling thread,
+    /// exactly like a panic in a sample closure.
     ///
-    /// # Example
+    /// The range is the unit of both scaling and stopping:
     ///
-    /// ```
-    /// use vscore::mc::{ParallelRunner, TDigest};
+    /// * **Fleet shards.** N processes or machines each run one disjoint
+    ///   range of the same `(seed, total)` experiment, serialize their
+    ///   [`stats::sink::MergeableSink`] states, and an aggregator merges
+    ///   them. Merged sketch guarantees (partitioned-and-merged vs
+    ///   single-run state): exact for [`stats::histogram::Histogram`] bin
+    ///   counts and for every count/min/max; [`stats::Welford`] moments to
+    ///   floating-point rounding (≲1e-12 relative — grouping pushes into
+    ///   shards moves the last bits, see [`stats::Welford::merge`]);
+    ///   [`stats::TDigest`] quantiles within the digest's documented
+    ///   rank-error bound; the importance-sampling sinks
+    ///   ([`stats::WeightedMoments`], [`stats::WeightedHistogram`], fed
+    ///   `(value, log_weight)` records) bit-exactly, because they
+    ///   accumulate in exact fixed-point sums. The determinism suite
+    ///   (`crates/core/tests/parallel_mc.rs`) pins all of these, including
+    ///   through the byte round-trip.
+    /// * **Stopping rules.** A caller that wants to stop once an estimate
+    ///   is pinned down runs consecutive ranges into one sink and tests
+    ///   its own statistic between them. The sink sees the same record
+    ///   stream as a single range over the union, so the stopping range
+    ///   does not depend on the worker count. (Each range calls
+    ///   [`Sink::finish`], which for a [`stats::TDigest`] compresses the
+    ///   buffered records.)
     ///
-    /// // Stream the 90th percentile of X ~ N(0,1) without buffering a
-    /// // single sample value.
-    /// let mut sketch = TDigest::new(100.0);
-    /// let out = ParallelRunner::new(7)
-    ///     .workers(2)
-    ///     .run_streaming(
-    ///         2000,
-    ///         |_, _| Ok::<(), std::convert::Infallible>(()),
-    ///         |(), s, _| Ok(s.standard_normal()),
-    ///         &mut sketch,
-    ///     )
-    ///     .unwrap();
-    /// assert_eq!(out.observed, 2000);
-    /// assert!((sketch.quantile(0.9).unwrap() - 1.28).abs() < 0.15);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first worker-state `build` error (the sink is left
-    /// unfinished).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is `usize::MAX` (reserved as the engine's shutdown
-    /// sentinel).
-    pub fn run_streaming<W, T, E, B, S, K>(
-        &self,
-        n: usize,
-        build: B,
-        sample: S,
-        sink: &mut K,
-    ) -> Result<StreamOutcome, E>
-    where
-        T: Send,
-        E: Send,
-        B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
-        K: Sink<T> + ?Sized,
-    {
-        self.execute(0, shard_end(0, n), &build, &sample, sink, true)
-    }
-
-    /// Executes the disjoint shard `offset .. offset + len` of a larger
-    /// experiment's sample index space, streaming into `sink` — the
-    /// fleet-scale primitive: N processes or machines each run one shard
-    /// of the same `(seed, total)` experiment, serialize their
-    /// [`stats::sink::MergeableSink`] states, and an aggregator merges
-    /// them.
-    ///
-    /// Sample `i` draws from exactly the same pure `(seed, i)` stream as
-    /// in a single [`ParallelRunner::run_streaming`] over the whole index
-    /// space, and the shard's records fold into the sink in ascending
-    /// index order — so the union of shard streams *is* the single-run
-    /// stream, however the space is partitioned. Merged sketch guarantees
-    /// (partitioned-and-merged vs single-run state): exact for
-    /// [`stats::histogram::Histogram`] bin counts and for every
-    /// count/min/max; [`stats::Welford`] moments to floating-point
-    /// rounding (≲1e-12 relative — grouping pushes into shards moves the
-    /// last bits, see [`stats::Welford::merge`]); [`stats::TDigest`]
-    /// quantiles within the digest's documented rank-error bound; the
-    /// importance-sampling sinks ([`stats::WeightedMoments`],
-    /// [`stats::WeightedHistogram`], fed `(value, log_weight)` records)
-    /// bit-exactly, because they accumulate in exact fixed-point sums. The
-    /// determinism suite (`crates/core/tests/parallel_mc.rs`) pins all of
-    /// these, including through the byte round-trip.
-    ///
-    /// A sink's stopping rule is **ignored**: a shard observes only its
-    /// slice of the samples, so a locally-evaluated rule would make the
-    /// executed sample set depend on the partitioning — exactly what fleet
-    /// merging must rule out. (Run accounting in the returned
-    /// [`StreamOutcome`] is shard-local: `attempted` counts this shard's
-    /// indices.)
+    /// Run accounting in the returned [`StreamOutcome`] is range-local:
+    /// `attempted` counts this range's indices.
     ///
     /// # Example
     ///
@@ -376,7 +227,7 @@ impl ParallelRunner {
     /// }
     /// let mut single = TDigest::new(100.0);
     /// runner
-    ///     .run_streaming(3000, |_, _| Ok(()), sample, &mut single)
+    ///     .run_streaming_range(0, 3000, |_, _| Ok(()), sample, &mut single)
     ///     .unwrap();
     /// assert_eq!(merged.count(), single.count());
     /// assert_eq!(merged.min(), single.min()); // extrema merge exactly
@@ -435,41 +286,15 @@ impl ParallelRunner {
         S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
         K: Sink<T> + ?Sized,
     {
-        self.execute(offset, shard_end(offset, len), &build, &sample, sink, false)
-    }
-
-    /// The sharded execution engine behind both entry points, running the
-    /// sample index range `start..end` (a full run passes `start = 0`; a
-    /// fleet shard passes its offset — sample `i` draws the same pure
-    /// `(seed, i)` stream either way).
-    ///
-    /// Workers claim one index at a time from the shared counter, run
-    /// `sample` on that index's pure stream, and move their records into
-    /// their own shard once per round.
-    ///
-    /// After every round barrier the coordinator folds the shards of the
-    /// now-final index range into `sink` in ascending index order on the
-    /// calling thread; when `honour_stop` is set and the range is not yet
-    /// exhausted, a [`Sink::satisfied`] sink ends the run at that boundary.
-    /// A panic inside `sample` or the sink shuts the run down cleanly and
-    /// re-raises on the coordinating thread.
-    fn execute<W, T, E, B, S, K>(
-        &self,
-        start: usize,
-        end: usize,
-        build: &B,
-        sample: &S,
-        sink: &mut K,
-        honour_stop: bool,
-    ) -> Result<StreamOutcome, E>
-    where
-        T: Send,
-        E: Send,
-        B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
-        K: Sink<T> + ?Sized,
-    {
-        let len = end - start;
+        // Workers claim one index at a time from the shared counter, run
+        // `sample` on that index's pure stream, and move their records into
+        // their own shard once per round. After every round barrier the
+        // coordinator folds the shards of the now-final index range into
+        // `sink` in ascending index order on the calling thread. A panic
+        // inside `sample` or the sink shuts the run down cleanly and
+        // re-raises on the coordinating thread.
+        let (start, end) = (offset, shard_end(offset, len));
+        let (build, sample) = (&build, &sample);
         let workers = self.workers.min(len.max(1));
         if len == 0 {
             sink.finish();
@@ -510,9 +335,9 @@ impl ParallelRunner {
         };
 
         let mut observed = 0usize;
-        let attempted = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (worker_id, shard) in shards.iter().enumerate() {
-                let (failures, sample) = (&failures, &sample);
+                let failures = &failures;
                 let (next, limit, barrier) = (&next, &limit, &barrier);
                 let (setup_err, store_panic) = (&setup_err, &store_panic);
                 let (sample_base, worker_base) = (&sample_base, &worker_base);
@@ -586,26 +411,18 @@ impl ParallelRunner {
             }
 
             // ---- coordinator ------------------------------------------------
-            let shutdown = |hi: usize| {
-                limit.store(SHUTDOWN, Ordering::SeqCst);
-                barrier.wait();
-                hi
-            };
             barrier.wait(); // setup complete
-            if setup_err.lock().expect("no poisoned locks").is_some()
-                || panic_slot.lock().expect("no poisoned locks").is_some()
-            {
-                return shutdown(start);
-            }
+            let set_up = setup_err.lock().expect("no poisoned locks").is_none()
+                && panic_slot.lock().expect("no poisoned locks").is_none();
             let mut batch: Vec<(usize, T)> = Vec::new();
             let mut hi = start;
-            while hi < end {
-                hi = (hi + self.check_every).min(end);
+            while set_up && hi < end {
+                hi = (hi + ROUND).min(end);
                 limit.store(hi, Ordering::SeqCst);
                 barrier.wait(); // round start
                 barrier.wait(); // round end: all samples < hi are final
                 if panic_slot.lock().expect("no poisoned locks").is_some() {
-                    return shutdown(hi);
+                    break;
                 }
                 // Fold the shards in ascending sample-index order: the sink
                 // sees one deterministic record stream, whatever the worker
@@ -619,18 +436,14 @@ impl ParallelRunner {
                     observed += batch.len();
                     sink.merge(&mut batch);
                     batch.clear();
-                    honour_stop && hi < end && sink.satisfied()
                 }));
-                match folded {
-                    Ok(true) => break,
-                    Ok(false) => {}
-                    Err(p) => {
-                        store_panic(p);
-                        return shutdown(hi);
-                    }
+                if let Err(p) = folded {
+                    store_panic(p);
+                    break;
                 }
             }
-            shutdown(hi)
+            limit.store(SHUTDOWN, Ordering::SeqCst);
+            barrier.wait();
         });
 
         if let Some(p) = panic_slot.into_inner().expect("no poisoned locks") {
@@ -642,7 +455,7 @@ impl ParallelRunner {
         sink.finish();
         Ok(StreamOutcome {
             failures: failures.into_inner(),
-            attempted: attempted - start,
+            attempted: len,
             workers,
             observed,
         })

@@ -6,8 +6,8 @@
 //! down on the device-level workload (stateless) and on a circuit-level
 //! SRAM workload (cold-started sessions): every shipped sink — `VecSink`
 //! buffer, t-digest, histogram, CSV bytes, Welford moments — must end in
-//! bit-identical state for any worker count, under the sink-side
-//! `EarlyStop` rule, and under panics.
+//! bit-identical state for any worker count, across a caller's consecutive
+//! ranges, and under panics.
 
 use circuits::sram::{full_cell, SramDevices, SramSizing};
 use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
@@ -15,8 +15,8 @@ use spice::Session;
 use stats::histogram::Histogram;
 use stats::{Sampler, Welford};
 use vscore::mc::{
-    CsvSink, EarlyStop, GaussianProposal, McFactory, MergeableSink, ParallelRunner, Sink,
-    StreamOutcome, TDigest, VecSink, WeightedHistogram, WeightedMoments, WeightedSink, WelfordSink,
+    CsvSink, GaussianProposal, McFactory, MergeableSink, ParallelRunner, Sink, StreamOutcome,
+    TDigest, VecSink, WeightedHistogram, WeightedMoments, WelfordSink,
 };
 use vscore::metrics::DeviceMetrics;
 use vscore::sensitivity::{VariedModel, VsBuilder};
@@ -64,7 +64,8 @@ fn device_run(seed: u64, n: usize, workers: usize) -> (Vec<(usize, u64)>, Welfor
     let mut sink = (VecSink::new(), WelfordSink::new());
     ParallelRunner::new(seed)
         .workers(workers)
-        .run_streaming(
+        .run_streaming_range(
+            0,
             n,
             |_, _| Ok::<(), std::convert::Infallible>(()),
             |(), sampler, _| {
@@ -119,7 +120,8 @@ fn sram_run(seed: u64, n: usize, workers: usize) -> (Vec<(usize, u64)>, StreamOu
     let mut records = VecSink::new();
     let out = ParallelRunner::new(seed)
         .workers(workers)
-        .run_streaming(
+        .run_streaming_range(
+            0,
             n,
             |_, setup_sampler| {
                 let mut f = template.clone();
@@ -167,56 +169,10 @@ fn sram_dc_runs_are_thread_count_invariant() {
 }
 
 #[test]
-fn early_stop_is_a_deterministic_sink_side_rule() {
-    // The stopping rule rides in the sink: a stopped run feeds every sink
-    // exactly the index prefix it scheduled, and stops at the same round
-    // boundary whatever the worker count.
-    let run = |workers: usize| {
-        let mut sink = (
-            EarlyStop::relative(0.05).min_samples(50),
-            (VecSink::new(), CsvSink::new(Vec::<u8>::new())),
-        );
-        let out = ParallelRunner::new(5)
-            .workers(workers)
-            .check_every(50)
-            .run_streaming(
-                100_000,
-                |_, _| Ok::<(), std::convert::Infallible>(()),
-                |(), s, _| Ok(10.0 + s.standard_normal()),
-                &mut sink,
-            )
-            .expect("infallible");
-        let (_, (records, csv)) = sink;
-        (out, records, csv.into_inner())
-    };
-    let (a, records, csv) = run(1);
-    // The 5% CI on N(10, 1) needs only a handful of rounds.
-    assert!(a.attempted < 100_000, "early stop fired ({})", a.attempted);
-    assert_eq!(a.attempted % 50, 0, "stops on a round boundary");
-    let indices: Vec<usize> = records.records().iter().map(|&(i, _)| i).collect();
-    assert_eq!(indices, (0..a.attempted).collect::<Vec<_>>());
-    let m = Welford::from_slice(&records.clone().into_values());
-    assert!(m.ci_half_width(1.96) <= 0.05 * m.mean().abs());
-    // The CSV byte stream equals one generated from the buffered prefix.
-    let mut expected = Vec::new();
-    for &(i, x) in records.records() {
-        use std::io::Write as _;
-        writeln!(expected, "{i},{x}").unwrap();
-    }
-    assert_eq!(csv, expected);
-    let (b, records_b, csv_b) = run(3);
-    assert_eq!(
-        a.attempted, b.attempted,
-        "stop point must not depend on workers"
-    );
-    assert_eq!(bits(&records), bits(&records_b));
-    assert_eq!(csv, csv_b);
-}
-
-#[test]
 #[should_panic(expected = "synthetic sample panic")]
 fn sample_panics_propagate_instead_of_deadlocking() {
-    let _ = ParallelRunner::new(2).workers(3).run_streaming(
+    let _ = ParallelRunner::new(2).workers(3).run_streaming_range(
+        0,
         64,
         |_, _| Ok::<(), std::convert::Infallible>(()),
         |(), _, i| {
@@ -232,7 +188,8 @@ fn sample_panics_propagate_instead_of_deadlocking() {
 #[test]
 #[should_panic(expected = "synthetic build panic")]
 fn build_panics_propagate_instead_of_deadlocking() {
-    let _ = ParallelRunner::new(2).workers(3).run_streaming(
+    let _ = ParallelRunner::new(2).workers(3).run_streaming_range(
+        0,
         64,
         |w, _| {
             if w == 1 {
@@ -246,7 +203,7 @@ fn build_panics_propagate_instead_of_deadlocking() {
 }
 
 // ---------------------------------------------------------------------------
-// Sinks: every shipped sink fed by run_streaming
+// Sinks: every shipped sink fed by run_streaming_range
 // ---------------------------------------------------------------------------
 
 /// Final state of every shipped sink after streaming the device-level
@@ -277,7 +234,8 @@ fn streaming_device_run(seed: u64, n: usize, workers: usize) -> SinkState {
     );
     let out = ParallelRunner::new(seed)
         .workers(workers)
-        .run_streaming(
+        .run_streaming_range(
+            0,
             n,
             |_, _| Ok::<(), std::convert::Infallible>(()),
             |(), sampler, _| {
@@ -346,7 +304,8 @@ fn streaming_counts_failures_and_skips_them_in_the_sink() {
     let mut sink = (VecSink::new(), WelfordSink::new());
     let out = ParallelRunner::new(3)
         .workers(2)
-        .run_streaming(
+        .run_streaming_range(
+            0,
             40,
             |_, _| Ok::<(), &'static str>(()),
             |(), _, i| {
@@ -380,15 +339,13 @@ fn sink_panics_propagate_on_the_coordinating_thread() {
             }
         }
     }
-    let _ = ParallelRunner::new(2)
-        .workers(3)
-        .check_every(8)
-        .run_streaming(
-            64,
-            |_, _| Ok::<(), std::convert::Infallible>(()),
-            |(), _, _| Ok(1.0),
-            &mut Exploding,
-        );
+    let _ = ParallelRunner::new(2).workers(3).run_streaming_range(
+        0,
+        64,
+        |_, _| Ok::<(), std::convert::Infallible>(()),
+        |(), _, _| Ok(1.0),
+        &mut Exploding,
+    );
 }
 
 #[test]
@@ -396,7 +353,8 @@ fn streaming_setup_errors_propagate_and_leave_the_sink_unfinished() {
     let mut sink = CsvSink::with_header(Vec::<u8>::new(), &["sample", "value"]);
     let err = ParallelRunner::new(1)
         .workers(4)
-        .run_streaming(
+        .run_streaming_range(
+            0,
             8,
             |w, _| {
                 if w == 0 {
@@ -422,7 +380,8 @@ fn streaming_records_are_thread_count_invariant() {
         let mut sink = CsvSink::new(Vec::<u8>::new());
         let out = ParallelRunner::new(11)
             .workers(workers)
-            .run_streaming(
+            .run_streaming_range(
+                0,
                 200,
                 |_, _| Ok::<(), std::convert::Infallible>(()),
                 |(), s, _| {
@@ -449,7 +408,8 @@ fn zero_samples_streaming_finishes_the_sink_empty() {
         WelfordSink::new(),
     );
     let out = ParallelRunner::new(1)
-        .run_streaming(
+        .run_streaming_range(
+            0,
             0,
             |_, _| Ok::<(), std::convert::Infallible>(()),
             |(), _, _| Ok(1.0),
@@ -540,7 +500,8 @@ fn partitioned_shards_merge_to_the_single_run_state() {
     let sp = spec();
     let out = ParallelRunner::new(seed)
         .workers(2)
-        .run_streaming(
+        .run_streaming_range(
+            0,
             n,
             |_, _| Ok::<(), std::convert::Infallible>(()),
             |(), sampler, _| {
@@ -638,7 +599,7 @@ fn range_shards_draw_the_global_sample_streams() {
     let mut full = VecSink::new();
     ParallelRunner::new(seed)
         .workers(2)
-        .run_streaming(n, |_, _| Ok(()), sample, &mut full)
+        .run_streaming_range(0, n, |_, _| Ok(()), sample, &mut full)
         .expect("infallible setup");
     let mut shard = VecSink::new();
     let out = ParallelRunner::new(seed)
@@ -659,26 +620,110 @@ fn range_shards_draw_the_global_sample_streams() {
     assert_eq!(full_slice, shard_records);
 }
 
-/// A shard must execute its whole slice even when its sink carries an
-/// early-stopping rule: a locally evaluated CI stop would make the
-/// executed sample set depend on the partitioning.
+/// The sink state a caller-driven stopping loop relies on: the buffered
+/// records, CSV bytes, Welford bytes and histogram bytes.
+struct RangedState {
+    records: Vec<(usize, u64)>,
+    csv: Vec<u8>,
+    welford: Vec<u8>,
+    hist: Vec<u8>,
+}
+
+/// Streams the device-level workload through `ranges`, in order, into one
+/// sink.
+fn ranged_device_run(seed: u64, ranges: &[(usize, usize)], workers: usize) -> RangedState {
+    let b = builder();
+    let sp = spec();
+    let mut sink = (
+        (VecSink::new(), CsvSink::new(Vec::<u8>::new())),
+        (WelfordSink::new(), Histogram::new(0.0, 2e-3, 32)),
+    );
+    let runner = ParallelRunner::new(seed).workers(workers);
+    for &(offset, len) in ranges {
+        runner
+            .run_streaming_range(
+                offset,
+                len,
+                |_, _| Ok::<(), std::convert::Infallible>(()),
+                |(), sampler, _| {
+                    let delta = sp.sample(b.geometry(), || sampler.standard_normal());
+                    Ok(DeviceMetrics::evaluate(b.build(delta).as_ref(), VDD).idsat)
+                },
+                &mut sink,
+            )
+            .expect("infallible setup");
+    }
+    let ((records, csv), (welford, hist)) = sink;
+    RangedState {
+        records: bits(&records),
+        csv: csv.into_inner(),
+        welford: welford.to_bytes(),
+        hist: MergeableSink::to_bytes(&hist),
+    }
+}
+
+/// Consecutive ranges into one sink are one range over their union: the
+/// sink sees the same record stream, so its state is byte-identical. (A
+/// t-digest is left out: each range's `finish` compresses its buffer.)
 #[test]
-fn range_shards_ignore_early_stop() {
-    let runner = ParallelRunner::new(5).workers(2).check_every(8);
-    let mut sink = (EarlyStop::relative(0.5).min_samples(4), WelfordSink::new());
-    let out = runner
-        .run_streaming_range(
-            16,
-            96,
-            |_, _| Ok::<(), std::convert::Infallible>(()),
-            |(), sampler, _| Ok(10.0 + 0.01 * sampler.standard_normal()),
-            &mut sink,
-        )
-        .expect("infallible setup");
-    assert!(sink.0.satisfied(), "the rule would have stopped a full run");
-    assert_eq!(out.attempted, 96, "shard stopped early");
-    assert_eq!(out.observed, 96);
-    assert_eq!(sink.1.moments().count(), 96);
+fn consecutive_ranges_feed_a_sink_like_one_range_over_their_union() {
+    let whole = ranged_device_run(17, &[(0, 300)], 1);
+    assert_eq!(whole.records.len(), 300);
+    for workers in [1, 3] {
+        // Uneven ranges, none aligned to a round boundary.
+        let split = ranged_device_run(17, &[(0, 50), (50, 7), (57, 243)], workers);
+        assert_eq!(split.records, whole.records, "{workers} workers");
+        assert_eq!(split.csv, whole.csv, "{workers} workers");
+        assert_eq!(split.welford, whole.welford, "{workers} workers");
+        assert_eq!(split.hist, whole.hist, "{workers} workers");
+    }
+}
+
+/// The caller-driven stopping loop: consecutive 50-sample ranges of
+/// N(10, 1) into one sink, stopping once the 95% CI half-width on the mean
+/// is within 1% of it. Returns the samples run, the records and the
+/// Welford bytes.
+fn ci_stopped_run(workers: usize) -> (usize, Vec<(usize, u64)>, Vec<u8>) {
+    let runner = ParallelRunner::new(5).workers(workers);
+    let mut sink = (VecSink::new(), WelfordSink::new());
+    let mut run = 0;
+    loop {
+        runner
+            .run_streaming_range(
+                run,
+                50,
+                |_, _| Ok::<(), std::convert::Infallible>(()),
+                |(), s, _| Ok(10.0 + s.standard_normal()),
+                &mut sink,
+            )
+            .expect("infallible setup");
+        run += 50;
+        let m = sink.1.moments();
+        if m.ci_half_width(1.96) <= 0.01 * m.mean().abs() || run >= 100_000 {
+            break;
+        }
+    }
+    (run, bits(&sink.0), sink.1.to_bytes())
+}
+
+#[test]
+fn a_caller_stopping_rule_stops_at_the_same_range_for_any_worker_count() {
+    let (run, records, welford) = ci_stopped_run(1);
+    // The 1% interval on N(10, 1) needs ~384 samples: several ranges.
+    assert!((200..100_000).contains(&run), "stopped after {run}");
+    let indices: Vec<usize> = records.iter().map(|&(i, _)| i).collect();
+    assert_eq!(indices, (0..run).collect::<Vec<_>>());
+    // The range before the last did not satisfy the rule.
+    let values: Vec<f64> = records.iter().map(|&(_, x)| f64::from_bits(x)).collect();
+    let before = Welford::from_slice(&values[..run - 50]);
+    assert!(before.ci_half_width(1.96) > 0.01 * before.mean().abs());
+    for workers in [2, 3] {
+        assert_eq!(
+            ci_stopped_run(workers),
+            (run, records.clone(), welford.clone()),
+            "stop point or sink state differs at {workers} workers"
+        );
+    }
 }
 
 /// Degenerate shards behave like degenerate runs: nothing executes, the
@@ -817,7 +862,8 @@ fn nominal_proposal_reduces_to_plain_mc_bit_exactly() {
     let mut plain: VecSink<f64> = VecSink::new();
     ParallelRunner::new(seed)
         .workers(2)
-        .run_streaming(
+        .run_streaming_range(
+            0,
             n,
             |_, _| Ok::<(), std::convert::Infallible>(()),
             |(), sampler, _| Ok(sampler.standard_normal()),
@@ -916,7 +962,8 @@ fn sram_is_run_is_worker_count_invariant_and_degenerates_to_plain_mc() {
     let mut plain_records: VecSink<f64> = VecSink::new();
     ParallelRunner::new(5)
         .workers(3)
-        .run_streaming(
+        .run_streaming_range(
+            0,
             12,
             |_, setup| {
                 let mut f = sram_factory(setup.fork(0));

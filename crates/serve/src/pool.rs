@@ -7,10 +7,11 @@
 //! via [`Session::replicate`] only when the pool is empty), runs the
 //! requested shard through
 //! [`ParallelRunner::run_streaming_range`](vscore::mc::ParallelRunner::run_streaming_range)
-//! — per sample: draw the devices, swap them in, cold-start the DC solve
-//! from the cell's two-node guess — and returns the session for the next
-//! job, so a long-running server pays netlist validation and MNA
-//! elaboration once per template, not once per request.
+//! — per sample: draw the devices, then [`cold_dc_sample`] swaps them in
+//! and cold-starts the DC solve from the cell's two-node guess — and
+//! returns the session for the next job, so a long-running server pays
+//! netlist validation and MNA elaboration once per template, not once per
+//! request.
 //!
 //! Determinism is the protocol's backbone: every sample is a pure function
 //! of `(seed, index)` (device draws from the sample's own stream,
@@ -20,7 +21,7 @@
 //! pins.
 
 use crate::store::{ExperimentSpec, RunFailure, RunResult};
-use circuits::sram::{full_cell, SramDevices, SramSizing};
+use circuits::sram::{cold_dc_sample, full_cell, SramDevices, SramSizing};
 use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
 use spice::{NodeId, Session, SpiceError};
 use stats::histogram::Histogram;
@@ -253,30 +254,16 @@ impl Engine {
 
         let sz = SramSizing::default();
         let factory = vs_factory();
-        let guess = [(l, 0.0), (r, VDD)];
         let cell = Mutex::new(session);
         let sample = |(): &mut (), sampler: &mut Sampler, _i: usize| {
             let mut f = factory.clone();
             f.set_sampler(sampler.clone());
-            let SramDevices { pd, pu, pg } = SramDevices::draw(sz, &mut f);
-            let [pd1, pd2] = pd;
-            let [pu1, pu2] = pu;
-            let [pg1, pg2] = pg;
-            let mut session = cell.lock().expect("no poisoned locks");
-            session.swap_devices([
-                ("PD1", pd1),
-                ("PD2", pd2),
-                ("PU1", pu1),
-                ("PU2", pu2),
-                ("PG1", pg1),
-                ("PG2", pg2),
-            ])?;
+            let devices = SramDevices::draw(sz, &mut f);
             // Cold-start every sample from the guess, so it stays a pure
             // function of `(seed, index)` — what makes shards posted to
             // different servers merge bit-identically with a single run.
-            session.invalidate_warm_start();
-            let op = session.dc_owned_with_guess(&guess)?;
-            Ok(op.voltage(r))
+            let mut session = cell.lock().expect("no poisoned locks");
+            cold_dc_sample(&mut session, devices, l, r, VDD)
         };
 
         let mut sinks = SinkSet::for_spec(spec);
@@ -345,7 +332,7 @@ fn execute_device_idsat(spec: &ExperimentSpec) -> RunResult {
 fn execute_gauss_tail(spec: &ExperimentSpec) -> RunResult {
     let (shift, scale) = spec.proposal;
     let proposal = GaussianProposal::new(shift, scale);
-    let mut sinks = WeightedSinkSet::for_spec(spec);
+    let mut sinks = ImportanceSinkSet::for_spec(spec);
     let outcome = ParallelRunner::new(spec.seed)
         .workers(1)
         .run_streaming_range(
@@ -367,19 +354,19 @@ fn execute_gauss_tail(spec: &ExperimentSpec) -> RunResult {
 /// The per-run weighted sink bundle for importance-sampled templates:
 /// the tail estimator always (it feeds the run report), the weighted
 /// histogram only when its payload is requested.
-pub struct WeightedSinkSet {
+pub struct ImportanceSinkSet {
     /// Always-on nominal-tail estimator `P(X > threshold)`.
     pub moments: WeightedMoments,
     /// Weighted histogram of the nominal distribution, when requested.
     pub histogram: Option<WeightedHistogram>,
 }
 
-impl WeightedSinkSet {
+impl ImportanceSinkSet {
     /// Builds the bundle a spec asked for.
     #[must_use]
     pub fn for_spec(spec: &ExperimentSpec) -> Self {
         let (lo, hi, bins) = spec.histogram;
-        WeightedSinkSet {
+        ImportanceSinkSet {
             moments: WeightedMoments::above(spec.threshold),
             histogram: spec
                 .want_whistogram
@@ -388,7 +375,7 @@ impl WeightedSinkSet {
     }
 }
 
-impl Sink<(f64, f64)> for WeightedSinkSet {
+impl Sink<(f64, f64)> for ImportanceSinkSet {
     fn observe(&mut self, index: usize, record: (f64, f64)) {
         self.moments.observe(index, record);
         if let Some(h) = &mut self.histogram {
@@ -458,7 +445,6 @@ mod tests {
     use super::*;
     use crate::store::ExperimentSpec;
     use stats::sink::MergeableSink;
-    use stats::WeightedSink;
 
     fn spec(circuit: &str, seed: u64, offset: usize, len: usize) -> ExperimentSpec {
         ExperimentSpec {

@@ -11,7 +11,6 @@
 use crate::error::ApiError;
 use crate::pool::SinkSet;
 use stats::sink::MergeableSink;
-use stats::WeightedSink;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
@@ -176,7 +175,7 @@ impl RunResult {
         observed: u64,
         failures: u64,
         spec: &ExperimentSpec,
-        sinks: crate::pool::WeightedSinkSet,
+        sinks: crate::pool::ImportanceSinkSet,
     ) -> Self {
         RunResult {
             observed,
@@ -188,7 +187,7 @@ impl RunResult {
             histogram_bytes: None,
             tdigest_bytes: None,
             wmoments_bytes: spec.want_wmoments.then(|| sinks.moments.to_bytes()),
-            whistogram_bytes: sinks.histogram.as_ref().map(WeightedSink::to_bytes),
+            whistogram_bytes: sinks.histogram.as_ref().map(MergeableSink::to_bytes),
             cached: false,
         }
     }

@@ -216,7 +216,7 @@ fn disjoint_shards_over_http_merge_to_the_single_process_run() {
 
 #[test]
 fn weighted_shards_over_http_merge_to_the_whole_range_run() {
-    use stats::{WeightedHistogram, WeightedMoments, WeightedSink};
+    use stats::{WeightedHistogram, WeightedMoments};
 
     let server = Server::bind(&ServerConfig::default()).expect("server boots");
     let addr = server.addr();

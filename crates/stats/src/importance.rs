@@ -17,9 +17,10 @@
 //!   statistic, plus the Kish effective-sample-size diagnostic) and the
 //!   [`WeightedHistogram`] (per-bin weighted mass — the estimated
 //!   *nominal* density in regions only the proposal can reach).
-//! * The [`WeightedSink`] trait — `merge_from` plus the `[tag, version]`
-//!   byte codec of `stats::codec` — so IS shards merge across processes
-//!   and machines exactly like [`crate::sink::MergeableSink`] sketches.
+//! * Both weighted sinks implement [`MergeableSink`]`<(f64, f64)>` —
+//!   `merge_from` plus the `[tag, version]` byte codec of `stats::codec` —
+//!   so IS shards merge across processes and machines like every other
+//!   sketch.
 //!
 //! # Exact accumulation
 //!
@@ -57,7 +58,7 @@
 
 use crate::codec::{put_f64, put_header, put_u64, put_u8, CodecError, Reader};
 use crate::sampler::Sampler;
-use crate::sink::Sink;
+use crate::sink::{MergeableSink, Sink};
 
 /// A shifted/scaled Gaussian proposal `q = N(shift, scale²)` for
 /// importance sampling against the standard-normal nominal density.
@@ -386,47 +387,6 @@ impl ExactSum {
     }
 }
 
-/// The sink byte-codec contract for importance-sampling accumulators —
-/// the weighted-record counterpart of [`crate::sink::MergeableSink`]
-/// (which is pinned to unweighted `f64` records). Implementors consume
-/// `(value, log_weight)` records, merge across shards, and round-trip
-/// through the self-describing `[tag, version]` byte codec of
-/// `stats::codec`, so IS shard state crosses process and machine
-/// boundaries like any other sketch.
-pub trait WeightedSink: Sink<(f64, f64)> + Sized {
-    /// Merges another shard's accumulated state into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two states are structurally incompatible; use
-    /// [`WeightedSink::try_merge_from`] on wire-facing paths.
-    fn merge_from(&mut self, other: &Self) {
-        if let Err(e) = self.try_merge_from(other) {
-            panic!("{e}");
-        }
-    }
-
-    /// The fallible merge: refuses structurally incompatible states with
-    /// [`CodecError::Mismatch`] and leaves `self` untouched on error.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Mismatch`] when the configurations differ.
-    fn try_merge_from(&mut self, other: &Self) -> Result<(), CodecError>;
-
-    /// Serializes the full accumulated state.
-    #[must_use]
-    fn to_bytes(&self) -> Vec<u8>;
-
-    /// Reconstructs a sink from [`WeightedSink::to_bytes`] output,
-    /// validating the header and every invariant.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CodecError`] variant describing how the payload is invalid.
-    fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError>;
-}
-
 /// Which statistic of the nominal distribution a [`WeightedMoments`]
 /// estimates from its weighted records.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -658,7 +618,7 @@ impl Sink<(f64, f64)> for WeightedMoments {
 /// Byte-codec tag for [`WeightedMoments`].
 const MOMENTS_TAG: u8 = b'I';
 
-impl WeightedSink for WeightedMoments {
+impl MergeableSink<(f64, f64)> for WeightedMoments {
     fn try_merge_from(&mut self, other: &Self) -> Result<(), CodecError> {
         let (mode_a, t_a) = self.statistic.wire();
         let (mode_b, t_b) = other.statistic.wire();
@@ -869,7 +829,7 @@ const WHIST_TAG: u8 = b'G';
 /// [`Reader::take_count`].
 const WHIST_MIN_BIN_BYTES: usize = 11;
 
-impl WeightedSink for WeightedHistogram {
+impl MergeableSink<(f64, f64)> for WeightedHistogram {
     fn try_merge_from(&mut self, other: &Self) -> Result<(), CodecError> {
         if self.lo.to_bits() != other.lo.to_bits()
             || self.hi.to_bits() != other.hi.to_bits()

@@ -12,7 +12,7 @@
 //!   [`Welford::merge`], for sharded and unbounded Monte Carlo runs.
 //! * [`sink`] — streaming result sinks (`Sink` trait, incremental CSV
 //!   records, `WelfordSink` moments, opt-in `VecSink` buffering) — the one
-//!   way results leave the parallel executor's `run_streaming`, so
+//!   way results leave the parallel executor's `run_streaming_range`, so
 //!   million-sample sweeps hold O(workers) memory instead of buffering
 //!   every value; plus the [`sink::MergeableSink`] trait (merge + byte
 //!   round-trip) that lets independent runs combine their sketches.
@@ -33,8 +33,6 @@
 //!   with a linearity metric to quantify non-Gaussianity.
 //! * [`ellipse`] — bivariate mean/covariance and 1/2/3-sigma confidence
 //!   ellipses (Fig. 4).
-//! * [`correlation`] — Pearson correlation.
-//! * [`ks`] — a Kolmogorov-Smirnov normality check.
 //! * [`codec`] — the compact `[tag, version]` byte encoding behind every
 //!   mergeable sketch's wire format, with typed [`codec::CodecError`]s.
 //! * [`artifact`] — the persistent artifact container: framed,
@@ -60,14 +58,12 @@
 pub mod artifact;
 pub mod codec;
 pub mod corners;
-pub mod correlation;
 pub mod descriptive;
 pub mod ellipse;
 pub mod gaussian;
 pub mod histogram;
 pub mod importance;
 pub mod kde;
-pub mod ks;
 pub mod qq;
 pub mod sampler;
 pub mod sink;
@@ -75,9 +71,7 @@ pub mod tdigest;
 pub mod welford;
 
 pub use descriptive::Summary;
-pub use importance::{
-    ExactSum, GaussianProposal, Statistic, WeightedHistogram, WeightedMoments, WeightedSink,
-};
+pub use importance::{ExactSum, GaussianProposal, Statistic, WeightedHistogram, WeightedMoments};
 pub use sampler::Sampler;
 pub use sink::{MergeableSink, Sink};
 pub use tdigest::TDigest;

@@ -7,12 +7,12 @@
 //! stream), so a sweep's peak memory stops scaling with the sample count.
 //!
 //! The parallel Monte Carlo executor (`vscore::mc::ParallelRunner::
-//! run_streaming`) feeds one sink per run — a sink is the only way results
-//! leave a run: worker shards buffer records for the current round, and
-//! the coordinator folds the shards **in ascending sample-index order**
-//! before handing them to the sink. A sink therefore observes exactly the
-//! same record sequence for any worker count, which makes its final state
-//! — sketch centroids, histogram counts, even raw CSV bytes —
+//! run_streaming_range`) feeds one sink per run — a sink is the only way
+//! results leave a run: worker shards buffer records for the current
+//! round, and the coordinator folds the shards **in ascending sample-index
+//! order** before handing them to the sink. A sink therefore observes
+//! exactly the same record sequence for any worker count, which makes its
+//! final state — sketch centroids, histogram counts, even raw CSV bytes —
 //! bit-identical across 1, 2, or 64 workers.
 //!
 //! Shipped sinks:
@@ -28,10 +28,8 @@
 //!   plots) that genuinely need the empirical sample.
 //! * `(A, B)` — a tuple of sinks fans every record out to both, so one run
 //!   can feed a CSV file, a sketch, and moments at once.
-//!
-//! A sink may also end a run early: [`Sink::satisfied`] is asked at every
-//! round boundary of a full run (`vscore::mc::EarlyStop` is the shipped
-//! confidence-interval rule).
+//! * [`crate::WeightedMoments`] and [`crate::WeightedHistogram`] — the
+//!   importance-sampling sinks, fed `(value, log_weight)` records.
 //!
 //! # Which sinks are mergeable
 //!
@@ -47,6 +45,8 @@
 //! | [`crate::tdigest::TDigest`] | yes | quantiles within the digest's documented rank-error bound of a single run over all the data |
 //! | [`Histogram`] | yes | bit-identical to the single-run histogram (integer bin counts add exactly) |
 //! | [`WelfordSink`] | yes | count/min/max bit-identical; mean/variance exact up to floating-point rounding (≲1e-12 relative — see [`Welford::merge`]) |
+//! | [`crate::WeightedMoments`] | yes, over `(value, log_weight)` records | bit-identical to the single-run state (exact fixed-point sums) |
+//! | [`crate::WeightedHistogram`] | yes, over `(value, log_weight)` records | bit-identical to the single-run state (integer counts, exact fixed-point bin masses) |
 //! | [`CsvSink`] | no (concatenate the files out of band) | — |
 //! | [`VecSink`] | no (append the buffers) | — |
 //!
@@ -101,11 +101,10 @@ pub use crate::codec::CodecError;
 /// the shipped sinks are all O(1) in the sample count except the explicit
 /// [`VecSink`].
 ///
-/// The contract a driver (such as `ParallelRunner::run_streaming`) upholds:
-/// indices across all [`Sink::observe`]/[`Sink::merge`] calls are strictly
-/// increasing, [`Sink::satisfied`] is asked only between batches, and
-/// [`Sink::finish`] is called exactly once after the final record of a
-/// successfully completed run.
+/// The contract a runner (such as `ParallelRunner::run_streaming_range`)
+/// upholds: indices across all [`Sink::observe`]/[`Sink::merge`] calls of
+/// one run are strictly increasing, and [`Sink::finish`] is called once per
+/// run, after its final record.
 pub trait Sink<T = f64> {
     /// Consumes one successful sample record.
     fn observe(&mut self, index: usize, value: T);
@@ -121,24 +120,14 @@ pub trait Sink<T = f64> {
         }
     }
 
-    /// True once the sink has seen enough records to end the run — a
-    /// stopping rule. A runner that honours stopping rules asks at every
-    /// batch boundary and stops feeding records once this returns `true`;
-    /// partitioned shard runs ignore it (a locally evaluated rule would
-    /// make the executed sample set depend on the partitioning). Never, by
-    /// default.
-    fn satisfied(&self) -> bool {
-        false
-    }
-
-    /// Flushes and seals the sink after the final record. Called exactly
-    /// once when a run completes (including early-stopped runs); not
-    /// called when the run panics or fails during setup.
+    /// Flushes and seals the sink after the final record of a run. Called
+    /// once per run — a sink fed by consecutive runs (a caller's stopping
+    /// loop) sees one call per run — and not when the run panics or fails
+    /// during setup.
     fn finish(&mut self) {}
 }
 
-/// Fan-out: every record goes to both sinks, in order; the pair is
-/// satisfied as soon as either half is.
+/// Fan-out: every record goes to both sinks, in order.
 impl<T: Copy, A: Sink<T>, B: Sink<T>> Sink<T> for (A, B) {
     fn observe(&mut self, index: usize, value: T) {
         self.0.observe(index, value);
@@ -152,10 +141,6 @@ impl<T: Copy, A: Sink<T>, B: Sink<T>> Sink<T> for (A, B) {
         self.0.merge(&mut copy);
         self.1.merge(records);
         records.clear();
-    }
-
-    fn satisfied(&self) -> bool {
-        self.0.satisfied() || self.1.satisfied()
     }
 
     fn finish(&mut self) {
@@ -178,6 +163,10 @@ impl Sink for Histogram {
 
 /// A [`Sink`] whose final state combines with another instance's — the
 /// fleet-aggregation contract.
+///
+/// The record type `T` is the sink's: `f64` for the unweighted sketches,
+/// `(value, log_weight)` pairs for the importance-sampling sinks
+/// ([`crate::WeightedMoments`], [`crate::WeightedHistogram`]).
 ///
 /// N processes (or machines) each run a disjoint shard of one experiment's
 /// sample index space (`ParallelRunner::run_streaming_range` in
@@ -222,7 +211,7 @@ impl Sink for Histogram {
 /// // P(X <= 1.645) = 95% for a standard normal.
 /// assert!((a.quantile(0.95).unwrap() - 1.645).abs() < 0.1);
 /// ```
-pub trait MergeableSink: Sink + Sized {
+pub trait MergeableSink<T = f64>: Sink<T> + Sized {
     /// Folds another sink's accumulated state into this one, as if every
     /// observation behind `other` had streamed here.
     ///
@@ -660,31 +649,6 @@ mod tests {
         assert_eq!(moments.moments().count(), 100);
         assert_eq!(digest.count(), 100);
         assert!((digest.quantile(0.5).unwrap() - 49.5).abs() < 2.0);
-    }
-
-    #[test]
-    fn tuple_sink_is_satisfied_when_either_half_is() {
-        /// Satisfied once it has seen `need` records.
-        struct Quota {
-            seen: usize,
-            need: usize,
-        }
-        impl Sink for Quota {
-            fn observe(&mut self, _index: usize, _value: f64) {
-                self.seen += 1;
-            }
-            fn satisfied(&self) -> bool {
-                self.seen >= self.need
-            }
-        }
-        let mut sink = (WelfordSink::new(), Quota { seen: 0, need: 3 });
-        assert!(!sink.satisfied(), "the shipped sinks never stop a run");
-        sink.merge(&mut vec![(0, 1.0), (1, 2.0)]);
-        assert!(!sink.satisfied());
-        sink.observe(2, 3.0);
-        assert!(sink.satisfied());
-        let flipped = (Quota { seen: 3, need: 3 }, VecSink::new());
-        assert!(flipped.satisfied());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use stats::gaussian;
 use stats::sink::Sink;
-use stats::{GaussianProposal, Sampler, WeightedHistogram, WeightedMoments, WeightedSink};
+use stats::{GaussianProposal, MergeableSink, Sampler, WeightedHistogram, WeightedMoments};
 
 /// One IS estimate of `Φ̄(t)` with a mean-`shift` unit-scale proposal.
 fn estimate_tail(seed: u64, n: usize, shift: f64, t: f64) -> WeightedMoments {

@@ -50,7 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // The histogram and skewness need the whole sample, so the delays
         // stream into an explicit buffer.
         let mut delays = VecSink::new();
-        let outcome = ParallelRunner::new(100).run_streaming(
+        let outcome = ParallelRunner::new(100).run_streaming_range(
+            0,
             N_SAMPLES,
             |_, setup| {
                 let mut f = template.clone();

@@ -2,22 +2,24 @@
 //!
 //! Traces a nominal butterfly plot as ASCII art, then runs a parallel
 //! Monte Carlo on READ and HOLD static noise margins with the statistical
-//! VS model — sharded across every available core, with a confidence-
-//! interval stopping rule that ends each run as soon as the mean SNM is
-//! pinned down to ±1%. SNM values are never buffered: they stream into a
-//! `WelfordSink` (moments), a t-digest (the 5th-percentile yield margin)
-//! and the `EarlyStop` rule as the run progresses.
+//! VS model — sharded across every available core, in consecutive
+//! 50-sample ranges that stop as soon as the mean SNM is pinned down to
+//! ±1%. SNM values are never buffered: they stream into a `WelfordSink`
+//! (moments, and the stopping test) and a t-digest (the 5th-percentile
+//! yield margin) as the run progresses.
 //!
 //! Run with `cargo run --release --example sram_snm`.
 
 use statvs::circuits::cells::NominalVsFactory;
 use statvs::circuits::sram::{butterfly, SnmBench, SnmMode, SramDevices, SramSizing};
 use statvs::stats::Sampler;
-use statvs::vscore::mc::{EarlyStop, McFactory, ParallelRunner, TDigest, WelfordSink};
+use statvs::vscore::mc::{McFactory, ParallelRunner, TDigest, WelfordSink};
 use statvs::vscore::pipeline::{extract_statistical_vs_model, ExtractionConfig};
 
 const VDD: f64 = 0.9;
 const N_SAMPLES: usize = 400;
+/// Samples per range: the stopping test runs between ranges.
+const RANGE: usize = 50;
 
 fn ascii_butterfly(c1: &[(f64, f64)], c2: &[(f64, f64)]) {
     const W: usize = 56;
@@ -67,34 +69,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (mode, label) in [(SnmMode::Read, "READ"), (SnmMode::Hold, "HOLD")] {
         // Each worker elaborates both half-cell sessions once; every
         // sample swaps six freshly drawn devices in place and re-sweeps
-        // with warm starts. The stopping rule ends the run at the first
-        // 50-sample round boundary where the 95% CI half-width on the mean
-        // SNM drops below 1% — deterministically, whatever the core count.
+        // with warm starts. Consecutive 50-sample ranges feed one sink, and
+        // the loop stops at the first range after which the 95% CI
+        // half-width on the mean SNM is below 1% (with at least 100
+        // samples) — deterministically, whatever the core count, because
+        // the sink sees the same index-ordered records as one long run.
         //
-        // Results stream: each SNM record folds into the stopping rule, the
-        // moment accumulator and the t-digest the moment its round
-        // completes, so the run holds O(workers) sample memory however
-        // large the budget grows.
-        let mut sink = (
-            EarlyStop::relative(0.01).min_samples(100),
-            (WelfordSink::new(), TDigest::new(100.0)),
-        );
-        let outcome = ParallelRunner::new(3000).check_every(50).run_streaming(
-            N_SAMPLES,
-            |_, setup| {
-                let mut f = template.clone();
-                f.set_sampler(setup.clone());
-                SnmBench::new(sz, VDD, mode, 61, &mut f)
-            },
-            |bench, sampler, _| {
-                let mut f = template.clone();
-                f.set_sampler(sampler.clone());
-                bench.resample(sz, &mut f)?;
-                bench.snm()
-            },
-            &mut sink,
-        )?;
-        let (_, (moments, sketch)) = sink;
+        // Results stream: each SNM record folds into the moment
+        // accumulator and the t-digest the moment its round completes, so
+        // the run holds O(workers) sample memory however large the budget
+        // grows.
+        let runner = ParallelRunner::new(3000);
+        let mut sink = (WelfordSink::new(), TDigest::new(100.0));
+        let mut run = 0;
+        let outcome = loop {
+            let outcome = runner.run_streaming_range(
+                run,
+                RANGE,
+                |_, setup| {
+                    let mut f = template.clone();
+                    f.set_sampler(setup.clone());
+                    SnmBench::new(sz, VDD, mode, 61, &mut f)
+                },
+                |bench, sampler, _| {
+                    let mut f = template.clone();
+                    f.set_sampler(sampler.clone());
+                    bench.resample(sz, &mut f)?;
+                    bench.snm()
+                },
+                &mut sink,
+            )?;
+            run += RANGE;
+            let m = sink.0.moments();
+            let pinned = m.count() >= 100 && m.ci_half_width(1.96) <= 0.01 * m.mean().abs();
+            if pinned || run >= N_SAMPLES {
+                break outcome;
+            }
+        };
+        let (moments, sketch) = sink;
         let m = moments.moments();
         println!(
             "\n{label} SNM over {} samples ({} budgeted, {} workers): mean {:.1} mV, σ {:.2} mV, min {:.1} mV, p5 {:.1} mV, 95% CI ±{:.1}%",

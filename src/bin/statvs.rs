@@ -32,7 +32,7 @@ use stats::artifact::{section_tag, Artifact, Journal};
 use stats::codec::Reader;
 use stats::histogram::Histogram;
 use stats::sink::{MergeableSink, WelfordSink};
-use stats::{TDigest, WeightedHistogram, WeightedMoments, WeightedSink};
+use stats::{TDigest, WeightedHistogram, WeightedMoments};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -47,10 +47,10 @@
 //! each sample draws from a stream derived purely from the seed and the
 //! sample index, and every result streams into a `stats::sink::Sink` in
 //! sample-index order — deterministic (bit-identical sample sets and
-//! sketches) for any worker count, with optional early stopping on
-//! confidence-interval width. `ARCHITECTURE.md` at the repo root
-//! diagrams the crate graph, the session lifecycle, and the parallel
-//! Monte Carlo data flow.
+//! sketches) for any worker count; a caller can stop on
+//! confidence-interval width between consecutive sample ranges.
+//! `ARCHITECTURE.md` at the repo root diagrams the crate graph, the
+//! session lifecycle, and the parallel Monte Carlo data flow.
 //!
 //! # Quickstart
 //!
