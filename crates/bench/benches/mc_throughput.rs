@@ -163,12 +163,13 @@ fn main() {
 
     // ---- circuit level: parallel + streaming SRAM DC Monte Carlo --------
     // The same per-sample workload as sram_dc_sample/session_swap, sharded
-    // with ParallelRunner: one replicated session per worker, per-sample
-    // device swaps from deterministically derived streams, warm-started
-    // solves. One measured iteration = a PAR_BATCH-sample run (including
-    // worker spawn + Session::replicate setup); the recorded entries are
-    // normalized per sample, so aggregate throughput across threads is
-    // directly comparable with the single-session baseline above.
+    // with ParallelRunner: one session per worker, elaborated in the setup
+    // closure, per-sample device swaps from deterministically derived
+    // streams, warm-started solves. One measured iteration = a
+    // PAR_BATCH-sample run (including worker spawn + elaboration); the
+    // recorded entries are normalized per sample, so aggregate throughput
+    // across threads is directly comparable with the single-session
+    // baseline above.
     //
     // The `parallel_*` entries keep every sample in a `VecSink` (the
     // buffered shape); the `streaming_1t` entry runs the *identical*
@@ -182,11 +183,10 @@ fn main() {
         let mut f0 = mc_factory(0);
         let devices = SramDevices::draw(sz, &mut f0);
         let (c, l, r) = circuits::sram::full_cell(&devices, 0.9);
-        let master = Session::elaborate(c).expect("well-formed");
         // One shared pair of workload closures: the buffered and streaming
         // entries must measure exactly the same per-sample work.
         let build = |_: usize, _: &mut Sampler| {
-            let mut s = master.replicate()?;
+            let mut s = Session::elaborate(c.clone())?;
             // Select the basin once per worker; samples then warm-start
             // from the previous operating point.
             let op = s.dc_owned_with_guess(&[(l, 0.0), (r, 0.9)])?;
@@ -216,7 +216,7 @@ fn main() {
                 let out = ParallelRunner::new(run_seed)
                     .workers(threads)
                     .run_streaming_range(0, PAR_BATCH, build, sample, &mut samples)
-                    .expect("replication succeeds");
+                    .expect("elaboration succeeds");
                 assert_eq!(samples.records().len() + out.failures, PAR_BATCH);
             });
             results.push(Measurement {
@@ -232,7 +232,7 @@ fn main() {
             let out = ParallelRunner::new(run_seed)
                 .workers(1)
                 .run_streaming_range(0, PAR_BATCH, build, sample, &mut sink)
-                .expect("replication succeeds");
+                .expect("elaboration succeeds");
             assert_eq!(out.observed + out.failures, PAR_BATCH);
             assert!(sink.0.moments().count() == out.observed as u64);
         });
@@ -256,7 +256,7 @@ fn main() {
             let out = ParallelRunner::new(run_seed)
                 .workers(1)
                 .run_streaming_range(0, PAR_BATCH, build, cold, &mut sink)
-                .expect("replication succeeds");
+                .expect("elaboration succeeds");
             assert_eq!(out.observed + out.failures, PAR_BATCH);
             assert!(sink.0.moments().count() == out.observed as u64);
         });

@@ -8,7 +8,7 @@ use crate::report::{eng, write_csv, TextTable};
 use crate::ExperimentContext;
 use circuits::cells::InverterSizing;
 use circuits::delay::GateKind;
-use stats::corners::upper_corner;
+use stats::corners::{upper_corner, MIN_SAMPLES};
 use stats::kde::Kde;
 use stats::qq::QqPlot;
 use stats::Summary;
@@ -60,7 +60,13 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
                 &["normal_quantile", "delay_quantile_s"],
                 qq.points.iter().map(|p| vec![p.theoretical, p.sample]),
             )?;
-            let corner = upper_corner(&samples, 3.0);
+            // Reduced-scale runs can leave too few samples for a 3σ
+            // corner; the table says so instead of aborting the run.
+            let corner_err = if samples.len() >= MIN_SAMPLES {
+                format!("{:+.1}", 100.0 * upper_corner(&samples, 3.0).corner_error)
+            } else {
+                "n/a".to_string()
+            };
             table.row(vec![
                 format!("{vdd}"),
                 family.to_string(),
@@ -68,7 +74,7 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
                 eng(s.std, "s"),
                 format!("{:+.3}", s.skewness),
                 format!("{:.5}", qq.linearity_r),
-                format!("{:+.1}", 100.0 * corner.corner_error),
+                corner_err,
                 failures.to_string(),
             ]);
             if family == "vs" {

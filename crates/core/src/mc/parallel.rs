@@ -14,8 +14,8 @@
 //!   [`spice::Session`], a bench, a device factory template) is built once
 //!   by the `build` closure inside each worker thread — the per-sample fast
 //!   path (swap devices, warm-started re-solve) never crosses a thread
-//!   boundary. Use [`spice::Session::replicate`] to hand every worker its
-//!   own copy of a shared elaboration.
+//!   boundary. Elaborate each worker's session there from a clone of one
+//!   shared [`spice::Circuit`].
 //! * **Thread-count-invariant determinism.** Sample `i` always draws from
 //!   [`stats::Sampler::stream`]`(i)` of the runner's base sampler — a pure
 //!   function of `(seed, i)` — and work is handed out by index from a

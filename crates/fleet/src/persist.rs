@@ -29,7 +29,7 @@
 use crate::coordinator::FleetSpec;
 use crate::merge::ShardPayload;
 use serve::ENGINE_FINGERPRINT;
-use stats::artifact::{fnv1a64, seal, section_tag, Artifact};
+use stats::artifact::{fnv1a64, seal, Artifact};
 use stats::codec::{self, CodecError, Reader};
 use std::fmt;
 use std::fs;
@@ -288,17 +288,6 @@ impl CampaignStore {
         }
         Ok(payload)
     }
-}
-
-/// The first section of every shard artifact: its tag identifies the
-/// container kind for tools like `statvs export`.
-#[must_use]
-pub fn is_shard_artifact(artifact: &Artifact) -> bool {
-    artifact
-        .sections
-        .first()
-        .and_then(|s| section_tag(s))
-        .is_some_and(|t| t == SHARD_META_TAG)
 }
 
 #[cfg(test)]

@@ -29,13 +29,6 @@ pub enum NumericsError {
         /// Residual or error measure at the final iterate.
         residual: f64,
     },
-    /// A root-finding bracket did not actually bracket a sign change.
-    InvalidBracket {
-        /// Function value at the left end.
-        fa: f64,
-        /// Function value at the right end.
-        fb: f64,
-    },
     /// Invalid argument (empty input, non-finite value, bad tolerance, ...).
     InvalidArgument {
         /// Human-readable description.
@@ -63,9 +56,6 @@ impl fmt::Display for NumericsError {
                 f,
                 "{algorithm} failed to converge after {iterations} iterations (residual {residual:.3e})"
             ),
-            NumericsError::InvalidBracket { fa, fb } => {
-                write!(f, "bracket does not contain a sign change (f(a)={fa:.3e}, f(b)={fb:.3e})")
-            }
             NumericsError::InvalidArgument { context } => {
                 write!(f, "invalid argument: {context}")
             }
@@ -92,7 +82,6 @@ mod tests {
                 iterations: 100,
                 residual: 1.0,
             },
-            NumericsError::InvalidBracket { fa: 1.0, fb: 2.0 },
             NumericsError::InvalidArgument {
                 context: "empty".into(),
             },

@@ -1,95 +1,19 @@
-//! Finite-difference derivatives and Jacobians.
-//!
-//! Every sensitivity `∂e_i/∂p_j` in the paper's BPV system (Eq. (10)) is
-//! computed numerically: the VS model is cheap enough that central
-//! differences with relative steps are both accurate and simple.
+//! Forward-difference Jacobians for Levenberg-Marquardt ([`crate::lm`]).
 
 use crate::Matrix;
 
-/// Relative step used when no explicit step is given. `cbrt(eps)` is the
-/// textbook-optimal scale for central differences.
-pub const DEFAULT_REL_STEP: f64 = 6.055e-6; // f64::EPSILON.cbrt()
+/// Relative step of [`jacobian_fwd`]: `sqrt(eps)` is the textbook-optimal
+/// scale for forward differences.
+const REL_STEP: f64 = 1.49e-8;
 
-/// Central-difference derivative of a scalar function at `x`.
+/// Forward-difference Jacobian of `f: R^n -> R^m` reusing a precomputed
+/// `f0 = f(x)`. The result is `m x n`, and column `j` steps `x_j` by
+/// `REL_STEP * max(|x_j|, 1)` so the step stays meaningful near zero.
 ///
-/// The step is `rel_step * max(|x|, 1)` so it stays meaningful near zero.
-///
-/// ```
-/// let d = numerics::jacobian::derivative(|x| x * x, 3.0, None);
-/// assert!((d - 6.0).abs() < 1e-6);
-/// ```
-pub fn derivative<F>(mut f: F, x: f64, rel_step: Option<f64>) -> f64
-where
-    F: FnMut(f64) -> f64,
-{
-    let h = rel_step.unwrap_or(DEFAULT_REL_STEP) * x.abs().max(1.0);
-    (f(x + h) - f(x - h)) / (2.0 * h)
-}
-
-/// Central-difference partial derivative `∂f/∂x_j` of `f: R^n -> R`.
-///
-/// # Panics
-///
-/// Panics if `j >= x.len()`.
-pub fn partial<F>(mut f: F, x: &[f64], j: usize, rel_step: Option<f64>) -> f64
-where
-    F: FnMut(&[f64]) -> f64,
-{
-    assert!(j < x.len(), "partial: index out of bounds");
-    let h = rel_step.unwrap_or(DEFAULT_REL_STEP) * x[j].abs().max(1.0);
-    let mut xp = x.to_vec();
-    let mut xm = x.to_vec();
-    xp[j] += h;
-    xm[j] -= h;
-    (f(&xp) - f(&xm)) / (2.0 * h)
-}
-
-/// Gradient of `f: R^n -> R` by central differences.
-pub fn gradient<F>(mut f: F, x: &[f64], rel_step: Option<f64>) -> Vec<f64>
-where
-    F: FnMut(&[f64]) -> f64,
-{
-    (0..x.len())
-        .map(|j| partial(&mut f, x, j, rel_step))
-        .collect()
-}
-
-/// Jacobian of a vector-valued function `f: R^n -> R^m` by central
-/// differences. The result is `m x n`.
-///
-/// `m` is inferred from one evaluation of `f` at `x`.
-pub fn jacobian<F>(mut f: F, x: &[f64], rel_step: Option<f64>) -> Matrix
-where
-    F: FnMut(&[f64]) -> Vec<f64>,
-{
-    let n = x.len();
-    let f0 = f(x);
-    let m = f0.len();
-    let mut jac = Matrix::zeros(m, n);
-    let mut xp = x.to_vec();
-    let mut xm = x.to_vec();
-    for j in 0..n {
-        let h = rel_step.unwrap_or(DEFAULT_REL_STEP) * x[j].abs().max(1.0);
-        xp[j] = x[j] + h;
-        xm[j] = x[j] - h;
-        let fp = f(&xp);
-        let fm = f(&xm);
-        debug_assert_eq!(fp.len(), m, "jacobian: inconsistent output length");
-        for i in 0..m {
-            jac[(i, j)] = (fp[i] - fm[i]) / (2.0 * h);
-        }
-        xp[j] = x[j];
-        xm[j] = x[j];
-    }
-    jac
-}
-
-/// Forward-difference Jacobian reusing a precomputed `f(x)`.
-///
-/// Cheaper than [`jacobian`] (n+0 instead of 2n extra evaluations) at the
-/// cost of first-order accuracy; used inside Levenberg-Marquardt where the
-/// residual at `x` is already available.
-pub fn jacobian_fwd<F>(mut f: F, x: &[f64], f0: &[f64], rel_step: Option<f64>) -> Matrix
+/// It costs `n` extra evaluations (central differences would cost `2n`)
+/// at first-order accuracy; Levenberg-Marquardt already holds the
+/// residual at `x`.
+pub fn jacobian_fwd<F>(mut f: F, x: &[f64], f0: &[f64]) -> Matrix
 where
     F: FnMut(&[f64]) -> Vec<f64>,
 {
@@ -97,10 +21,8 @@ where
     let m = f0.len();
     let mut jac = Matrix::zeros(m, n);
     let mut xp = x.to_vec();
-    // sqrt(eps) is optimal for forward differences.
-    let base = rel_step.unwrap_or(1.49e-8);
     for j in 0..n {
-        let h = base * x[j].abs().max(1.0);
+        let h = REL_STEP * x[j].abs().max(1.0);
         xp[j] = x[j] + h;
         let fp = f(&xp);
         debug_assert_eq!(fp.len(), m, "jacobian_fwd: inconsistent output length");
@@ -117,51 +39,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn derivative_of_exponential() {
-        let d = derivative(|x| x.exp(), 1.0, None);
-        assert!((d - 1.0_f64.exp()).abs() < 1e-7);
-    }
-
-    #[test]
-    fn partial_of_quadratic_form() {
-        // f(x, y) = x^2 y; df/dx = 2xy, df/dy = x^2.
-        let f = |v: &[f64]| v[0] * v[0] * v[1];
-        let x = [2.0, 3.0];
-        assert!((partial(f, &x, 0, None) - 12.0).abs() < 1e-5);
-        assert!((partial(f, &x, 1, None) - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gradient_matches_partials() {
-        let f = |v: &[f64]| v[0].sin() + v[1].cos();
-        let x = [0.4, 1.3];
-        let g = gradient(f, &x, None);
-        assert!((g[0] - 0.4_f64.cos()).abs() < 1e-8);
-        assert!((g[1] + 1.3_f64.sin()).abs() < 1e-8);
-    }
-
-    #[test]
-    fn jacobian_of_linear_map_is_exact() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, -1.0], &[0.5, 0.0]]);
-        let a2 = a.clone();
-        let j = jacobian(move |x| a2.matvec(x), &[0.7, -0.3], None);
-        assert!((&j - &a).norm_max() < 1e-8);
-    }
-
-    #[test]
-    fn forward_jacobian_close_to_central() {
+    fn forward_jacobian_close_to_analytic() {
         let f = |x: &[f64]| vec![x[0] * x[1], x[0].exp()];
         let x = [1.0, 2.0];
         let f0 = f(&x);
-        let jf = jacobian_fwd(f, &x, &f0, None);
-        let jc = jacobian(f, &x, None);
-        assert!((&jf - &jc).norm_max() < 1e-6);
-    }
-
-    #[test]
-    fn step_scales_near_zero() {
-        // Derivative of |x| * x at 0 is 0; the guarded step must not blow up.
-        let d = derivative(|x| x.abs() * x, 0.0, None);
-        assert!(d.abs() < 1e-4);
+        let jf = jacobian_fwd(f, &x, &f0);
+        // d(x0 x1) = (x1, x0); d(exp x0) = (exp x0, 0).
+        let exact = Matrix::from_rows(&[&[2.0, 1.0], &[1.0_f64.exp(), 0.0]]);
+        assert!((&jf - &exact).norm_max() < 1e-6);
     }
 }

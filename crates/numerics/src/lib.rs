@@ -12,12 +12,16 @@
 //!   confidence ellipses).
 //! * [`nnls`] — non-negative least squares via an active-set method
 //!   (variances must not go negative during BPV extraction).
-//! * [`roots`] — Brent's method and bisection for 1-D root finding
-//!   (threshold-crossing times, setup-time search).
-//! * [`jacobian`] — central finite-difference derivatives and Jacobians
-//!   (all model sensitivities in the paper's Eq. (10) are numerical).
+//! * [`roots`] — the linear threshold crossing between two samples (the
+//!   delay measurements of `spice::measure`).
 //! * [`lm`] — Levenberg-Marquardt nonlinear least squares (nominal VS
-//!   parameter extraction against the golden kit, paper Fig. 1).
+//!   parameter extraction against the golden kit, paper Fig. 1), with its
+//!   forward-difference Jacobian in [`jacobian`].
+//!
+//! Two numerical searches live with their callers instead: the D
+//! flip-flop setup-time search bisects a pass/fail capture predicate
+//! (`circuits::dff::setup_time`), and the Eq. (10) sensitivities are
+//! central differences in `vscore::sensitivity`.
 //!
 //! `ARCHITECTURE.md` at the repo root places this crate at the base of the
 //! workspace's crate graph.

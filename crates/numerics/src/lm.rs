@@ -158,7 +158,7 @@ where
     }
     let mut cost = 0.5 * crate::dot(&r, &r);
 
-    let mut jac = jacobian::jacobian_fwd(&mut f, &x, &r, None);
+    let mut jac = jacobian::jacobian_fwd(&mut f, &x, &r);
     n_evals += n;
     let mut jtj = jac.gram();
     let mut g = jac.matvec_t(&r);
@@ -243,7 +243,7 @@ where
             x = x_new;
             r = r_new;
             cost = cost_new;
-            jac = jacobian::jacobian_fwd(&mut f, &x, &r, None);
+            jac = jacobian::jacobian_fwd(&mut f, &x, &r);
             n_evals += n;
             jtj = jac.gram();
             g = jac.matvec_t(&r);

@@ -1,168 +1,5 @@
-//! 1-D root finding: Brent's method and bisection.
-//!
-//! Used for threshold-crossing interpolation in waveform measurements and for
-//! the setup-time binary search on the D flip-flop benchmark.
-
-use crate::NumericsError;
-
-/// Options for the bracketing root finders.
-#[derive(Debug, Clone, Copy)]
-pub struct RootOptions {
-    /// Absolute tolerance on the abscissa.
-    pub x_tol: f64,
-    /// Absolute tolerance on the function value.
-    pub f_tol: f64,
-    /// Maximum number of iterations.
-    pub max_iter: usize,
-}
-
-impl Default for RootOptions {
-    fn default() -> Self {
-        RootOptions {
-            x_tol: 1e-12,
-            f_tol: 1e-14,
-            max_iter: 120,
-        }
-    }
-}
-
-/// Finds a root of `f` in `[a, b]` with Brent's method.
-///
-/// Combines bisection, secant, and inverse quadratic interpolation; always
-/// converges for a valid bracket, typically superlinearly.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::InvalidBracket`] if `f(a)` and `f(b)` do not have
-/// opposite signs, and [`NumericsError::NoConvergence`] if the iteration
-/// budget is exhausted (practically unreachable for continuous `f`).
-///
-/// # Example
-///
-/// ```
-/// use numerics::roots::{brent, RootOptions};
-///
-/// # fn main() -> Result<(), numerics::NumericsError> {
-/// let root = brent(|x| x * x - 2.0, 0.0, 2.0, RootOptions::default())?;
-/// assert!((root - 2.0_f64.sqrt()).abs() < 1e-10);
-/// # Ok(())
-/// # }
-/// ```
-pub fn brent<F>(mut f: F, a: f64, b: f64, opts: RootOptions) -> Result<f64, NumericsError>
-where
-    F: FnMut(f64) -> f64,
-{
-    let (mut a, mut b) = (a, b);
-    let mut fa = f(a);
-    let mut fb = f(b);
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa.signum() == fb.signum() {
-        return Err(NumericsError::InvalidBracket { fa, fb });
-    }
-    // Ensure |f(b)| <= |f(a)| so b is the best iterate.
-    if fa.abs() < fb.abs() {
-        std::mem::swap(&mut a, &mut b);
-        std::mem::swap(&mut fa, &mut fb);
-    }
-    let mut c = a;
-    let mut fc = fa;
-    let mut d = b - a;
-    let mut mflag = true;
-
-    for _ in 0..opts.max_iter {
-        if fb.abs() < opts.f_tol || (b - a).abs() < opts.x_tol {
-            return Ok(b);
-        }
-        let mut s = if fa != fc && fb != fc {
-            // Inverse quadratic interpolation.
-            a * fb * fc / ((fa - fb) * (fa - fc))
-                + b * fa * fc / ((fb - fa) * (fb - fc))
-                + c * fa * fb / ((fc - fa) * (fc - fb))
-        } else {
-            // Secant.
-            b - fb * (b - a) / (fb - fa)
-        };
-        let lo = (3.0 * a + b) / 4.0;
-        let cond1 = !((lo.min(b) < s) && (s < lo.max(b)));
-        let cond2 = mflag && (s - b).abs() >= (b - c).abs() / 2.0;
-        let cond3 = !mflag && (s - b).abs() >= d.abs() / 2.0;
-        let cond4 = mflag && (b - c).abs() < opts.x_tol;
-        let cond5 = !mflag && d.abs() < opts.x_tol;
-        if cond1 || cond2 || cond3 || cond4 || cond5 {
-            s = (a + b) / 2.0;
-            mflag = true;
-        } else {
-            mflag = false;
-        }
-        let fs = f(s);
-        d = b - c;
-        c = b;
-        fc = fb;
-        if fa.signum() != fs.signum() {
-            b = s;
-            fb = fs;
-        } else {
-            a = s;
-            fa = fs;
-        }
-        if fa.abs() < fb.abs() {
-            std::mem::swap(&mut a, &mut b);
-            std::mem::swap(&mut fa, &mut fb);
-        }
-    }
-    Err(NumericsError::NoConvergence {
-        algorithm: "brent",
-        iterations: opts.max_iter,
-        residual: fb.abs(),
-    })
-}
-
-/// Plain bisection; slower than [`brent`] but useful when `f` is expensive
-/// and noisy (e.g. a pass/fail transient simulation in the setup-time search,
-/// where the "function" is effectively a step).
-///
-/// # Errors
-///
-/// Same error conditions as [`brent`].
-pub fn bisect<F>(mut f: F, a: f64, b: f64, opts: RootOptions) -> Result<f64, NumericsError>
-where
-    F: FnMut(f64) -> f64,
-{
-    let (mut a, mut b) = (a, b);
-    let mut fa = f(a);
-    let fb = f(b);
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa.signum() == fb.signum() {
-        return Err(NumericsError::InvalidBracket { fa, fb });
-    }
-    for _ in 0..opts.max_iter {
-        let m = 0.5 * (a + b);
-        if (b - a).abs() < opts.x_tol {
-            return Ok(m);
-        }
-        let fm = f(m);
-        if fm == 0.0 || fm.abs() < opts.f_tol {
-            return Ok(m);
-        }
-        if fm.signum() == fa.signum() {
-            a = m;
-            fa = fm;
-        } else {
-            b = m;
-        }
-    }
-    Ok(0.5 * (a + b))
-}
+//! 1-D root finding on sampled data: the linear threshold crossing that
+//! `spice::measure` interpolates between two waveform samples.
 
 /// Linear interpolation of the crossing `y(x) = level` between two samples.
 ///
@@ -192,58 +29,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn brent_finds_cubic_root() {
-        let r = brent(
-            |x| (x + 3.0) * (x - 1.0) * (x - 1.0) * (x - 1.0),
-            -4.0,
-            0.0,
-            RootOptions::default(),
-        )
-        .unwrap();
-        assert!((r + 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn brent_rejects_bad_bracket() {
-        assert!(matches!(
-            brent(|x| x * x + 1.0, -1.0, 1.0, RootOptions::default()),
-            Err(NumericsError::InvalidBracket { .. })
-        ));
-    }
-
-    #[test]
-    fn brent_accepts_exact_endpoint_root() {
-        let r = brent(|x| x, 0.0, 1.0, RootOptions::default()).unwrap();
-        assert_eq!(r, 0.0);
-    }
-
-    #[test]
-    fn bisect_converges_on_step_like_function() {
-        // Discontinuous step at x = 0.3: bisection still localizes it.
-        let r = bisect(
-            |x| if x < 0.3 { -1.0 } else { 1.0 },
-            0.0,
-            1.0,
-            RootOptions {
-                x_tol: 1e-9,
-                ..RootOptions::default()
-            },
-        )
-        .unwrap();
-        assert!((r - 0.3).abs() < 1e-8);
-    }
-
-    #[test]
     fn crossing_interpolation() {
         assert_eq!(linear_crossing(0.0, 0.0, 2.0, 4.0, 1.0), Some(0.5));
         assert_eq!(linear_crossing(0.0, 0.0, 1.0, 0.5, 1.0), None);
         // Exact hit at the left sample.
         assert_eq!(linear_crossing(1.0, 1.0, 2.0, 3.0, 1.0), Some(1.0));
-    }
-
-    #[test]
-    fn brent_transcendental() {
-        let r = brent(|x| x.cos() - x, 0.0, 1.0, RootOptions::default()).unwrap();
-        assert!((r.cos() - r).abs() < 1e-10);
     }
 }

@@ -155,18 +155,6 @@ fn nnls_is_nonnegative_and_no_worse_than_clamped_ls() {
 }
 
 #[test]
-fn brent_finds_roots_of_shifted_cubics() {
-    let mut rng = TestRng(0x16);
-    for _ in 0..64 {
-        let shift = rng.range(-5.0, 5.0);
-        // f(x) = x^3 - shift has a unique real root at cbrt(shift).
-        let f = |x: f64| x * x * x - shift;
-        let r = roots::brent(f, -10.0, 10.0, roots::RootOptions::default()).unwrap();
-        assert!((r - shift.cbrt()).abs() < 1e-7);
-    }
-}
-
-#[test]
 fn linear_crossing_is_exact_for_lines() {
     let mut rng = TestRng(0x17);
     let slopes = [-2.0, -0.5, 0.5, 2.0];

@@ -1,12 +1,12 @@
-//! `statvs serve` — simulation-as-a-service over pooled [`spice::Session`]s.
+//! `statvs serve` — simulation-as-a-service over HTTP.
 //!
 //! This crate turns the workspace's Monte Carlo engine into a long-running
 //! HTTP service with zero external dependencies: a hand-rolled HTTP/1.1
 //! layer for both ends of the wire ([`http`]: the server's request parser
 //! and the protocol's [`http::HttpClient`] share one framing reader and
 //! one whole-message timeout rule), an in-repo JSON codec ([`json`]),
-//! structured error envelopes ([`error`]), a template registry with
-//! per-circuit session pools ([`pool`]), a run store plus bounded job
+//! structured error envelopes ([`error`]), a template registry and its
+//! execution engine ([`pool`]), a run store plus bounded job
 //! queue ([`store`]), and an optional disk-backed replay cache
 //! ([`cache`]) that survives restarts, all on `std::net::TcpListener` and
 //! plain threads.
@@ -91,7 +91,7 @@ impl Default for ServerConfig {
 
 /// The state every connection and worker thread shares.
 pub struct ServerCtx {
-    /// Template registry and session pools.
+    /// Template registry and execution engine.
     pub engine: Engine,
     /// Run id → record map.
     pub store: RunStore,
@@ -108,8 +108,8 @@ pub struct ServerCtx {
 }
 
 impl ServerCtx {
-    /// Builds the shared state, elaborating every template's master
-    /// session and opening the replay cache when configured.
+    /// Builds the shared state, elaborating the circuit templates and
+    /// opening the replay cache when configured.
     ///
     /// # Errors
     ///
@@ -334,8 +334,8 @@ fn run_worker(ctx: &ServerCtx) {
                 ctx.store.complete(id, result);
             }
             Ok(Err(failure)) => ctx.store.fail(id, failure),
-            // A panic is a bug, but one this worker hit with this pool
-            // state; re-issuing the pure (seed, offset, len) shard on a
+            // A panic is a bug, but one this worker hit on this shard;
+            // re-issuing the pure (seed, offset, len) shard on a
             // healthy worker is safe and can succeed.
             Err(_) => ctx.store.fail(
                 id,

@@ -1,17 +1,15 @@
-//! Circuit templates and the pooled-`Session` execution engine.
+//! Circuit templates and the execution engine.
 //!
 //! Every experiment the server accepts targets a **circuit template**: a
-//! named, pre-registered workload whose topology is elaborated once at
-//! server startup into a master [`spice::Session`]. Job execution checks a
-//! worker session out of the template's pool (replicating from the master
-//! via [`Session::replicate`] only when the pool is empty), runs the
-//! requested shard through
-//! [`ParallelRunner::run_streaming_range`](vscore::mc::ParallelRunner::run_streaming_range)
-//! — per sample: draw the devices, then [`cold_dc_sample`] swaps them in
-//! and cold-starts the DC solve from the cell's two-node guess — and
-//! returns the session for the next job, so a long-running server pays
-//! netlist validation and MNA elaboration once per template, not once per
-//! request.
+//! named, pre-registered workload listed in a static table. The
+//! `sram6t_dc` template's cell — a [`full_cell`] of nominal VS devices —
+//! is built and elaborated once at server startup, so a cell that cannot
+//! elaborate fails the boot. Each job runs its shard through
+//! [`ParallelRunner::run_streaming_range`](vscore::mc::ParallelRunner::run_streaming_range),
+//! whose setup closure elaborates the job's own [`spice::Session`] from
+//! that cell; per sample, the devices are drawn and [`cold_dc_sample`]
+//! swaps them in and cold-starts the DC solve from the cell's two-node
+//! guess. No session outlives its job.
 //!
 //! Determinism is the protocol's backbone: every sample is a pure function
 //! of `(seed, index)` (device draws from the sample's own stream,
@@ -21,23 +19,19 @@
 //! pins.
 
 use crate::store::{ExperimentSpec, RunFailure, RunResult};
+use circuits::cells::NominalVsFactory;
 use circuits::sram::{cold_dc_sample, full_cell, SramDevices, SramSizing};
 use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
-use spice::{NodeId, Session, SpiceError};
+use spice::{Circuit, NodeId, Session, SpiceError};
 use stats::histogram::Histogram;
 use stats::sink::{Sink, WelfordSink};
 use stats::{GaussianProposal, Sampler, TDigest, WeightedHistogram, WeightedMoments};
-use std::sync::Mutex;
 use vscore::mc::{McFactory, ParallelRunner};
 use vscore::metrics::DeviceMetrics;
 use vscore::sensitivity::{VariedModel, VsBuilder};
 
 /// Supply voltage shared by the built-in templates (the paper's 0.9 V).
 const VDD: f64 = 0.9;
-
-/// Cap on idle pooled sessions per template; replicas beyond this are
-/// dropped at check-in instead of accumulating without bound.
-const MAX_IDLE_SESSIONS: usize = 8;
 
 /// The paper-units mismatch specification every built-in template draws
 /// from (Table II: `A_VT` 2.3 mV·µm, `A_alpha2/3` 3.71 %·µm, `A_beta`
@@ -76,131 +70,71 @@ pub struct TemplateInfo {
     pub default_histogram: (f64, f64, usize),
 }
 
-/// The SRAM template's runtime: master session, metric node ids, and the
-/// pool of idle replicas. Boxed inside [`TemplateRuntime`] so session-less
-/// template variants stay small.
-struct SramRuntime {
-    master: Session,
+/// The template registry, in registration order; [`Engine::execute`]
+/// dispatches on the same ids.
+static TEMPLATES: [TemplateInfo; 3] = [
+    TemplateInfo {
+        id: "sram6t_dc",
+        description: "6T SRAM cell DC operating point under within-die \
+                      mismatch; metric = right storage node voltage",
+        analyses: &["dc"],
+        unit: "V",
+        default_histogram: (0.0, VDD, 64),
+    },
+    TemplateInfo {
+        id: "device_idsat",
+        description: "single 600nm/40nm NMOS saturation current under \
+                      Pelgrom mismatch; metric = Idsat",
+        analyses: &["dc"],
+        unit: "A",
+        default_histogram: (0.0, 2e-3, 64),
+    },
+    TemplateInfo {
+        id: "gauss_tail",
+        description: "standard-normal tail probability P(Z > threshold) \
+                      by mean-shift importance sampling; metric = Z \
+                      under the proposal, with exact log-weights",
+        analyses: &["is"],
+        unit: "1",
+        default_histogram: (-4.0, 8.0, 48),
+    },
+];
+
+/// The execution engine: the template registry plus the `sram6t_dc`
+/// cell every SRAM job elaborates its session from. One engine is shared
+/// (behind `Arc`) by every server worker thread.
+pub struct Engine {
+    /// The 6T cell of nominal VS devices, wired by [`full_cell`].
+    cell: Circuit,
+    /// Its left and right storage nodes.
     l: NodeId,
     r: NodeId,
-    idle: Mutex<Vec<Session>>,
-}
-
-/// Per-template runtime state: the master session (elaborated once at
-/// startup) plus the idle-worker pool.
-enum TemplateRuntime {
-    /// 6T SRAM cell DC operating point; pooled sessions.
-    SramDc(Box<SramRuntime>),
-    /// Device-level Idsat Monte Carlo; no circuit session needed.
-    DeviceIdsat,
-    /// Standard-normal tail probability by mean-shift importance
-    /// sampling; pure stats, no circuit session needed.
-    GaussTail,
-}
-
-/// One registered template: the static description plus runtime state.
-struct Template {
-    info: TemplateInfo,
-    runtime: TemplateRuntime,
-}
-
-/// The execution engine: the template registry with its session pools.
-/// One engine is shared (behind `Arc`) by every server worker thread.
-pub struct Engine {
-    templates: Vec<Template>,
 }
 
 impl Engine {
-    /// Builds the engine, elaborating each template's master session.
-    /// Startup is the right time to pay (and surface) elaboration cost:
-    /// a server that cannot build its circuits must fail to boot, not
-    /// fail its first request.
+    /// Builds the engine and elaborates the SRAM cell once. Startup is
+    /// the right time to surface elaboration errors: a server that cannot
+    /// build its circuits must fail to boot, not fail its first request.
     ///
     /// # Errors
     ///
-    /// Propagates [`SpiceError`] from master-session elaboration.
+    /// Propagates [`SpiceError`] from elaborating the cell.
     pub fn new() -> Result<Self, SpiceError> {
-        let sz = SramSizing::default();
-        let mut f = vs_factory();
-        let devices = SramDevices::draw(sz, &mut f);
-        let (circuit, l, r) = full_cell(&devices, VDD);
-        let master = Session::elaborate(circuit)?;
-        Ok(Engine {
-            templates: vec![
-                Template {
-                    info: TemplateInfo {
-                        id: "sram6t_dc",
-                        description: "6T SRAM cell DC operating point under within-die \
-                                      mismatch; metric = right storage node voltage",
-                        analyses: &["dc"],
-                        unit: "V",
-                        default_histogram: (0.0, VDD, 64),
-                    },
-                    runtime: TemplateRuntime::SramDc(Box::new(SramRuntime {
-                        master,
-                        l,
-                        r,
-                        idle: Mutex::new(Vec::new()),
-                    })),
-                },
-                Template {
-                    info: TemplateInfo {
-                        id: "device_idsat",
-                        description: "single 600nm/40nm NMOS saturation current under \
-                                      Pelgrom mismatch; metric = Idsat",
-                        analyses: &["dc"],
-                        unit: "A",
-                        default_histogram: (0.0, 2e-3, 64),
-                    },
-                    runtime: TemplateRuntime::DeviceIdsat,
-                },
-                Template {
-                    info: TemplateInfo {
-                        id: "gauss_tail",
-                        description: "standard-normal tail probability P(Z > threshold) \
-                                      by mean-shift importance sampling; metric = Z \
-                                      under the proposal, with exact log-weights",
-                        analyses: &["is"],
-                        unit: "1",
-                        default_histogram: (-4.0, 8.0, 48),
-                    },
-                    runtime: TemplateRuntime::GaussTail,
-                },
-            ],
-        })
+        let devices = SramDevices::draw(SramSizing::default(), &mut NominalVsFactory);
+        let (cell, l, r) = full_cell(&devices, VDD);
+        Session::elaborate(cell.clone())?;
+        Ok(Engine { cell, l, r })
     }
 
     /// The registered templates, in registration order.
     pub fn templates(&self) -> impl Iterator<Item = &TemplateInfo> {
-        self.templates.iter().map(|t| &t.info)
+        TEMPLATES.iter()
     }
 
     /// Looks a template up by id.
     #[must_use]
     pub fn template(&self, id: &str) -> Option<&TemplateInfo> {
-        self.templates
-            .iter()
-            .find(|t| t.info.id == id)
-            .map(|t| &t.info)
-    }
-
-    /// Idle pooled sessions per template (template id, idle count) — a
-    /// health metric.
-    #[must_use]
-    pub fn pool_sizes(&self) -> Vec<(&'static str, usize)> {
-        self.templates
-            .iter()
-            .map(|t| {
-                let idle = match &t.runtime {
-                    TemplateRuntime::SramDc(rt) => {
-                        let idle = &rt.idle;
-                        idle.lock().expect("no poisoned locks").len()
-                    }
-                    TemplateRuntime::DeviceIdsat | TemplateRuntime::GaussTail => 0,
-                };
-                (t.info.id, idle)
-            })
-            .collect()
+        TEMPLATES.iter().find(|t| t.id == id)
     }
 
     /// Executes one experiment shard to completion, streaming into the
@@ -214,56 +148,31 @@ impl Engine {
     /// the coordinator: an unknown template (already rejected at spec
     /// validation, so only a registry drift can reach here) is fatal —
     /// re-issuing the identical shard anywhere fails the same way — while
-    /// a session replication failure is transient (another worker, or a
-    /// later attempt with a less loaded pool, can succeed).
+    /// a session elaboration failure is transient (another worker, or a
+    /// later attempt, can succeed).
     pub fn execute(&self, spec: &ExperimentSpec) -> Result<RunResult, RunFailure> {
-        let template = self
-            .templates
-            .iter()
-            .find(|t| t.info.id == spec.circuit)
-            .ok_or_else(|| {
-                RunFailure::fatal(format!("unknown circuit template `{}`", spec.circuit))
-            })?;
-        match &template.runtime {
-            TemplateRuntime::SramDc(rt) => {
-                self.execute_sram(spec, &rt.master, rt.l, rt.r, &rt.idle)
-            }
-            TemplateRuntime::DeviceIdsat => Ok(execute_device_idsat(spec)),
-            TemplateRuntime::GaussTail => Ok(execute_gauss_tail(spec)),
+        match spec.circuit.as_str() {
+            "sram6t_dc" => self.execute_sram(spec),
+            "device_idsat" => Ok(execute_device_idsat(spec)),
+            "gauss_tail" => Ok(execute_gauss_tail(spec)),
+            other => Err(RunFailure::fatal(format!(
+                "unknown circuit template `{other}`"
+            ))),
         }
     }
 
-    fn execute_sram(
-        &self,
-        spec: &ExperimentSpec,
-        master: &Session,
-        l: NodeId,
-        r: NodeId,
-        idle: &Mutex<Vec<Session>>,
-    ) -> Result<RunResult, RunFailure> {
-        // Check a worker session out of the pool; replicate from the
-        // master only when the pool is dry (first request, or more
-        // concurrent jobs than ever before).
-        let pooled = idle.lock().expect("no poisoned locks").pop();
-        let session = match pooled {
-            Some(s) => s,
-            None => master
-                .replicate()
-                .map_err(|e| RunFailure::transient(format!("session replication failed: {e}")))?,
-        };
-
+    /// The SRAM template: the job elaborates its own session from the
+    /// engine's cell in the runner's setup closure, and every sample
+    /// cold-starts from the guess, so it stays a pure function of
+    /// `(seed, index)` — what makes shards posted to different servers
+    /// merge bit-identically with a single run.
+    fn execute_sram(&self, spec: &ExperimentSpec) -> Result<RunResult, RunFailure> {
         let sz = SramSizing::default();
         let factory = vs_factory();
-        let cell = Mutex::new(session);
-        let sample = |(): &mut (), sampler: &mut Sampler, _i: usize| {
+        let sample = |session: &mut Session, sampler: &mut Sampler, _i: usize| {
             let mut f = factory.clone();
             f.set_sampler(sampler.clone());
-            let devices = SramDevices::draw(sz, &mut f);
-            // Cold-start every sample from the guess, so it stays a pure
-            // function of `(seed, index)` — what makes shards posted to
-            // different servers merge bit-identically with a single run.
-            let mut session = cell.lock().expect("no poisoned locks");
-            cold_dc_sample(&mut session, devices, l, r, VDD)
+            cold_dc_sample(session, SramDevices::draw(sz, &mut f), self.l, self.r, VDD)
         };
 
         let mut sinks = SinkSet::for_spec(spec);
@@ -272,20 +181,11 @@ impl Engine {
             .run_streaming_range(
                 spec.offset,
                 spec.len,
-                |_, _| Ok::<(), SpiceError>(()),
+                |_, _| Session::elaborate(self.cell.clone()),
                 sample,
                 &mut sinks,
             )
-            .expect("SRAM shard setup is infallible");
-
-        // Return the session for the next job (bounded pool).
-        let session = cell.into_inner().expect("no poisoned locks");
-        let mut pool = idle.lock().expect("no poisoned locks");
-        if pool.len() < MAX_IDLE_SESSIONS {
-            pool.push(session);
-        }
-        drop(pool);
-
+            .map_err(|e| RunFailure::transient(format!("session elaboration failed: {e}")))?;
         Ok(RunResult::collect(
             outcome.observed as u64,
             outcome.failures as u64,
@@ -493,6 +393,10 @@ mod tests {
         assert_eq!(ids, vec!["sram6t_dc", "device_idsat", "gauss_tail"]);
         assert!(engine.template("sram6t_dc").is_some());
         assert!(engine.template("nope").is_none());
+        // `execute` dispatches on the ids the registry lists.
+        for t in engine.templates() {
+            assert!(engine.execute(&spec(t.id, 1, 0, 2)).is_ok(), "{}", t.id);
+        }
     }
 
     #[test]
@@ -554,25 +458,17 @@ mod tests {
             .is_err());
     }
 
+    /// A shard's result is a pure function of its spec: re-executing it
+    /// after the engine ran another seed at another offset returns the
+    /// same result, bit for bit.
     #[test]
-    fn sram_pool_reuses_sessions_across_jobs() {
+    fn sram_shards_are_pure_functions_of_the_spec() {
         let engine = Engine::new().expect("templates elaborate");
-        assert_eq!(
-            engine.pool_sizes(),
-            vec![("sram6t_dc", 0), ("device_idsat", 0), ("gauss_tail", 0)]
-        );
-        let r1 = engine.execute(&spec("sram6t_dc", 3, 0, 8)).unwrap();
-        assert_eq!(
-            engine.pool_sizes()[0],
-            ("sram6t_dc", 1),
-            "the session returned to the pool"
-        );
-        let r2 = engine.execute(&spec("sram6t_dc", 3, 0, 8)).unwrap();
-        // A pooled (reused) session reproduces the fresh session's run
-        // bit-for-bit: every sample is cold-started pure (seed, i).
-        assert_eq!(r1.welford_bytes, r2.welford_bytes);
-        assert_eq!(r1.histogram_bytes, r2.histogram_bytes);
-        assert_eq!(engine.pool_sizes()[0], ("sram6t_dc", 1));
+        let first = engine.execute(&spec("sram6t_dc", 3, 0, 8)).unwrap();
+        engine.execute(&spec("sram6t_dc", 4, 64, 8)).unwrap();
+        let again = engine.execute(&spec("sram6t_dc", 3, 0, 8)).unwrap();
+        assert_eq!(first, again);
+        assert_eq!(first.observed + first.failures, 8);
     }
 
     #[test]

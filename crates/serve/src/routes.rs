@@ -9,7 +9,7 @@
 //! - `GET /runs/{id}` — the run's lifecycle snapshot; finished runs carry
 //!   moments plus hex-encoded mergeable-sketch bytes.
 //! - `GET /circuits` — the template registry.
-//! - `GET /healthz` — liveness plus queue/pool gauges.
+//! - `GET /healthz` — liveness plus run-count, queue-depth and worker gauges.
 //!
 //! Spec validation is strict: unknown fields are rejected, not ignored,
 //! so a typo'd `"samlpes"` fails loudly instead of silently running a
@@ -61,18 +61,11 @@ fn dispatch(req: &Request, ctx: &ServerCtx) -> Result<(u16, Json), ApiError> {
 }
 
 fn healthz(ctx: &ServerCtx) -> Json {
-    let pools = ctx
-        .engine
-        .pool_sizes()
-        .into_iter()
-        .map(|(id, idle)| (id, num(idle as f64)))
-        .collect();
     obj(vec![
         ("status", s("ok")),
         ("runs", num(ctx.store.len() as f64)),
         ("queue_depth", num(ctx.queue.depth() as f64)),
         ("workers", num(ctx.workers as f64)),
-        ("idle_sessions", obj(pools)),
     ])
 }
 

@@ -65,9 +65,9 @@
 //! `ac_sweep`, and the singular trace accessors) were deprecated in 0.2
 //! and removed in 0.3; elaborate a [`Session`] instead.
 //!
-//! Sessions are `Send`, and [`Session::replicate`] re-elaborates the same
-//! topology into an independent session — the setup step of the parallel
-//! Monte Carlo executor in the `vscore` crate. `ARCHITECTURE.md` at the
+//! Sessions are `Send`: each worker of the parallel Monte Carlo executor
+//! in the `vscore` crate elaborates its own session from a cloned
+//! [`Circuit`] in its setup closure. `ARCHITECTURE.md` at the
 //! repo root diagrams the crate graph, the session lifecycle, and the
 //! parallel Monte Carlo data flow.
 

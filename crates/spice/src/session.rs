@@ -114,43 +114,6 @@ impl Session {
         })
     }
 
-    /// Re-elaborates this session's circuit into an independent session —
-    /// fresh workspace and warm-start state, same topology and current
-    /// device models.
-    ///
-    /// This is the worker-setup path of parallel Monte Carlo: elaborate a
-    /// topology once on the coordinating thread, then hand each worker its
-    /// own replica ([`Session`] is `Send`; every worker swaps devices and
-    /// warm-starts independently).
-    ///
-    /// # Errors
-    ///
-    /// Re-validation cannot fail for a circuit that already elaborated, but
-    /// the signature mirrors [`Session::elaborate`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use spice::{Circuit, Session, Waveform};
-    ///
-    /// # fn main() -> Result<(), spice::SpiceError> {
-    /// let mut c = Circuit::new();
-    /// let a = c.node("a");
-    /// c.vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0));
-    /// c.resistor("R1", a, Circuit::GROUND, 1e3);
-    /// let mut s = Session::elaborate(c)?;
-    /// let mut replica = s.replicate()?; // e.g. moved into a worker thread
-    /// assert_eq!(
-    ///     s.dc_owned()?.voltage(a).to_bits(),
-    ///     replica.dc_owned()?.voltage(a).to_bits(),
-    /// );
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn replicate(&self) -> Result<Self, SpiceError> {
-        Session::elaborate(self.circuit.clone())
-    }
-
     /// The elaborated circuit (read-only: the session owns the layout, so
     /// structural edits go through [`Session::swap_devices`] and
     /// [`Session::set_source`]).
@@ -982,28 +945,6 @@ mod tests {
                 Box::new(VsModel::nominal_pmos_40nm(Geometry::from_nm(80.0, 40.0)))
             )
             .is_err());
-    }
-
-    #[test]
-    fn replicate_is_independent() {
-        fn assert_send<T: Send>(_: &T) {}
-        let (c, out) = inverter(0.9, 0.45);
-        let mut s = Session::elaborate(c).unwrap();
-        let v = s.dc_owned().unwrap().voltage(out);
-        let mut r = s.replicate().unwrap();
-        assert_send(&r); // replicas cross thread boundaries
-                         // Same cold-start solve path: bit-identical result.
-        assert_eq!(r.dc_owned().unwrap().voltage(out).to_bits(), v.to_bits());
-        // Mutating the replica leaves the original untouched.
-        r.swap_device(
-            "MN",
-            Box::new(VsModel::nominal_nmos_40nm(Geometry::from_nm(150.0, 40.0))),
-        )
-        .unwrap();
-        let v_r = r.dc_owned().unwrap().voltage(out);
-        assert!((v_r - v).abs() > 1e-6, "weaker NMOS must move the output");
-        // (Warm-started, so only approximately equal to the cold solve.)
-        assert!((s.dc_owned().unwrap().voltage(out) - v).abs() < 1e-9);
     }
 
     #[test]

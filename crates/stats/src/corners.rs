@@ -29,14 +29,20 @@ pub struct CornerReport {
     pub corner_error: f64,
 }
 
+/// The smallest sample [`upper_corner`] accepts: below it, tail quantiles
+/// would be meaningless.
+pub const MIN_SAMPLES: usize = 100;
+
 /// Computes the upper `k`-sigma corner report of a sample.
 ///
 /// # Panics
 ///
-/// Panics if the sample has fewer than 100 points (tail quantiles would be
-/// meaningless) or `k <= 0`.
+/// Panics if the sample has fewer than [`MIN_SAMPLES`] points or `k <= 0`.
 pub fn upper_corner(samples: &[f64], k: f64) -> CornerReport {
-    assert!(samples.len() >= 100, "corner analysis needs >= 100 samples");
+    assert!(
+        samples.len() >= MIN_SAMPLES,
+        "corner analysis needs >= {MIN_SAMPLES} samples"
+    );
     assert!(k > 0.0, "sigma level must be positive");
     let s = Summary::from_slice(samples);
     let p = gaussian::cdf(k);

@@ -4,10 +4,10 @@
 //! MOSFET Model"* (Yu et al., DATE 2013) as a Rust workspace. This facade
 //! crate re-exports the individual subsystem crates:
 //!
-//! * [`numerics`] — dense/complex linear algebra, NNLS, root finding,
-//!   Levenberg-Marquardt with Marquardt scaling.
-//! * [`stats`] — sampling, estimators, KDE, QQ, confidence ellipses, KS
-//!   tests, SSTA corner analysis.
+//! * [`numerics`] — dense/complex linear algebra, NNLS, threshold
+//!   crossings, Levenberg-Marquardt with Marquardt scaling.
+//! * [`stats`] — sampling, estimators, KDE, QQ, confidence ellipses, SSTA
+//!   corner analysis.
 //! * [`mosfet`] — the Virtual Source compact model and the BSIM4-like
 //!   golden baseline, with per-instance mismatch and temperature derating.
 //! * [`spice`] — a **session-based** MNA circuit simulator: build a
@@ -24,9 +24,9 @@
 //!   staged nominal fitting with CV correction, Monte Carlo, Verilog-A
 //!   export.
 //! * [`serve`] — simulation-as-a-service: the `statvs serve` HTTP server
-//!   over pooled sessions, with a shard-oriented protocol whose returned
-//!   sketch bytes merge bit-identically across servers (zero external
-//!   dependencies: in-repo HTTP/1.1 and JSON codecs).
+//!   for registered circuit templates, with a shard-oriented protocol
+//!   whose returned sketch bytes merge bit-identically across servers
+//!   (zero external dependencies: in-repo HTTP/1.1 and JSON codecs).
 //! * [`fleet`] — the client half of that protocol: the `statvs fleet`
 //!   coordinator that shards a campaign across serve workers, re-issues
 //!   shards lost to killed or stalled workers, and merges the returned
@@ -43,7 +43,7 @@
 //! operating point.
 //!
 //! Samples shard across cores through `vscore::mc::ParallelRunner`: each
-//! worker owns its own elaborated session (`spice::Session::replicate`),
+//! worker elaborates its own session in the runner's setup closure,
 //! each sample draws from a stream derived purely from the seed and the
 //! sample index, and every result streams into a `stats::sink::Sink` in
 //! sample-index order — deterministic (bit-identical sample sets and
