@@ -1,13 +1,12 @@
 //! Artifact container I/O cost: sealing a shard-sized result, the fully
-//! verified decode (per-section + whole-file FNV-1a checks), streaming
-//! writes through [`stats::artifact::ArtifactWriter`], and the raw
-//! checksum throughput that bounds all of them.
+//! verified decode (per-section + whole-file FNV-1a checks), and the raw
+//! checksum throughput that bounds both.
 //!
 //! The persistence layer runs once per completed shard, so the figure of
 //! merit is "cheap next to a shard's Monte Carlo work" — these numbers
 //! make the overhead visible instead of assumed.
 
-use stats::artifact::{fnv1a64, seal, Artifact, ArtifactWriter};
+use stats::artifact::{fnv1a64, seal, Artifact};
 use stats::histogram::Histogram;
 use stats::sink::{MergeableSink, Sink, WelfordSink};
 use stats::TDigest;
@@ -47,13 +46,6 @@ fn main() {
     results.push(measure("artifact_decode_verified/shard_result", || {
         let artifact = Artifact::from_bytes(&sealed).expect("sealed bytes decode");
         assert_eq!(artifact.sections.len(), sections.len());
-    }));
-    results.push(measure("artifact_stream_write/shard_result", || {
-        let mut writer = ArtifactWriter::new(std::io::sink()).expect("sink writes");
-        for section in &sections {
-            writer.append(section).expect("sink writes");
-        }
-        writer.finish().expect("sink writes");
     }));
 
     let megabyte = vec![0xa5_u8; 1 << 20];

@@ -22,10 +22,10 @@
 //! transient simulations varying the data-to-clock delay, binary-searching
 //! the pass/fail boundary — ~20x more SPICE runs per sample than a
 //! combinational cell. The bench owns one elaborated [`Session`]: every
-//! search candidate re-targets the data waveform in place
-//! ([`DffBench::set_setup`] / [`DffBench::set_hold`]) instead of rebuilding
-//! and re-elaborating the netlist, and Monte Carlo samples swap device
-//! models in place through [`DffBench::resample`].
+//! search candidate re-targets the data edge in place
+//! ([`DffBench::set_setup`]) instead of rebuilding and re-elaborating the
+//! netlist, and Monte Carlo samples swap device models in place through
+//! [`DffBench::resample`].
 
 use crate::cells::{add_inverter, add_pass_nmos, resample_devices, DeviceFactory, InverterSizing};
 use spice::{Circuit, NodeId, Session, SpiceError, TranOptions, Waveform};
@@ -77,17 +77,6 @@ fn setup_wave(vdd: f64, t_setup: f64) -> Waveform {
     Waveform::step(0.0, vdd, T_CLK - t_setup, T_EDGE)
 }
 
-/// The data waveform of a hold measurement (paper Eq. (11)): a solid '1'
-/// capture whose data falls back at `t_hold` after the clock edge.
-fn hold_wave(vdd: f64, t_hold: f64) -> Waveform {
-    Waveform::Pwl(vec![
-        (T_CLK - 250e-12, 0.0),
-        (T_CLK - 250e-12 + T_EDGE, vdd),
-        (T_CLK + t_hold, vdd),
-        (T_CLK + t_hold + T_EDGE, 0.0),
-    ])
-}
-
 impl DffBench {
     /// Builds the flip-flop capturing a rising data edge that occurs
     /// `t_setup` before the clock rising edge.
@@ -95,29 +84,11 @@ impl DffBench {
     /// The FF initializes with `d = 0` flowing through the transparent
     /// master (clk low), so a successful capture flips `q` from 0 to 1.
     pub fn new(sz: DffSizing, vdd_value: f64, t_setup: f64, f: &mut dyn DeviceFactory) -> Self {
-        Self::assemble(vdd_value, setup_wave(vdd_value, t_setup), sz, f)
-    }
-
-    /// Builds the flip-flop for a **hold** measurement (paper Eq. (11)):
-    /// data rises long before the clock edge (a solid '1' capture) and then
-    /// falls back at `t_hold` after the edge. Too small a hold time lets the
-    /// falling data corrupt the master before it latches.
-    pub fn new_hold(sz: DffSizing, vdd_value: f64, t_hold: f64, f: &mut dyn DeviceFactory) -> Self {
-        Self::assemble(vdd_value, hold_wave(vdd_value, t_hold), sz, f)
-    }
-
-    /// Shared construction: data source, clocks, latches, output buffer.
-    fn assemble(
-        vdd_value: f64,
-        data_wave: Waveform,
-        sz: DffSizing,
-        f: &mut dyn DeviceFactory,
-    ) -> Self {
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
         let d = c.node("d");
         c.vsource("VDD", vdd, Circuit::GROUND, Waveform::dc(vdd_value));
-        c.vsource("VD", d, Circuit::GROUND, data_wave);
+        c.vsource("VD", d, Circuit::GROUND, setup_wave(vdd_value, t_setup));
         let clk = c.node("clk");
         let clkb = c.node("clkb");
         let n1 = c.node("n1");
@@ -173,13 +144,6 @@ impl DffBench {
     pub fn set_setup(&mut self, t_setup: f64) {
         self.session
             .set_source("VD", setup_wave(self.vdd_value, t_setup))
-            .expect("bench always creates VD");
-    }
-
-    /// Re-targets the data fall to `t_hold` after the clock edge.
-    pub fn set_hold(&mut self, t_hold: f64) {
-        self.session
-            .set_source("VD", hold_wave(self.vdd_value, t_hold))
             .expect("bench always creates VD");
     }
 
@@ -278,48 +242,6 @@ pub fn setup_time(
     Ok(0.5 * (lo + hi))
 }
 
-/// Binary-searches the minimum hold time for the captured value to survive
-/// (paper Eq. (11): `t1 - t2 > Thold`). The search window runs from
-/// `t_min` (may be negative: data may fall before the nominal edge instant
-/// thanks to the finite clock slope) to `t_max`.
-///
-/// # Errors
-///
-/// Returns an error when even `t_max` of hold fails, or the simulator fails.
-pub fn hold_time(
-    bench: &mut DffBench,
-    t_min: f64,
-    t_max: f64,
-    resolution: f64,
-    dt: f64,
-) -> Result<f64, SpiceError> {
-    bench.set_hold(t_max);
-    if !bench.captures(dt)? {
-        return Err(SpiceError::NoConvergence {
-            analysis: "hold time",
-            detail: format!("capture fails even with {t_max:.3e} s of hold"),
-        });
-    }
-    bench.set_hold(t_min);
-    if bench.captures(dt)? {
-        // Data can fall arbitrarily early (within the window) without
-        // corrupting the latch: the hold constraint is at (or below) t_min.
-        return Ok(t_min);
-    }
-    let mut lo = t_min;
-    let mut hi = t_max;
-    while hi - lo > resolution {
-        let mid = 0.5 * (lo + hi);
-        bench.set_hold(mid);
-        if bench.captures(dt)? {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Ok(0.5 * (lo + hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,35 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn hold_bench_captures_with_generous_hold() {
-        let mut f = NominalVsFactory;
-        let mut bench = DffBench::new_hold(DffSizing::default(), 0.9, 200e-12, &mut f);
-        assert!(
-            bench.captures(DT).unwrap(),
-            "long hold must keep the capture"
-        );
-    }
-
-    #[test]
-    fn hold_bench_fails_when_data_falls_before_edge() {
-        let mut f = NominalVsFactory;
-        // Data drops 150 ps BEFORE the edge: the master tracks it back to 0.
-        let mut bench = DffBench::new_hold(DffSizing::default(), 0.9, -150e-12, &mut f);
-        assert!(!bench.captures(DT).unwrap());
-    }
-
-    #[test]
-    fn hold_time_is_bounded() {
-        let mut f = NominalVsFactory;
-        let mut bench = DffBench::new_hold(DffSizing::default(), 0.9, 150e-12, &mut f);
-        let th = hold_time(&mut bench, -150e-12, 150e-12, 2e-12, DT).unwrap();
-        assert!(
-            (-150e-12..100e-12).contains(&th),
-            "hold time = {th:.3e} out of expected range"
-        );
-    }
-
-    #[test]
     fn setup_time_is_finite_and_positive() {
         let mut f = NominalVsFactory;
         let mut bench = DffBench::new(DffSizing::default(), 0.9, 250e-12, &mut f);
@@ -380,17 +273,5 @@ mod tests {
             ts > 1e-12 && ts < 200e-12,
             "setup time = {ts:.3e} out of expected range"
         );
-    }
-
-    #[test]
-    fn one_bench_serves_setup_and_hold_searches() {
-        // The session-based bench swaps its data waveform freely: a setup
-        // search followed by a hold search on the same elaboration.
-        let mut f = NominalVsFactory;
-        let mut bench = DffBench::new(DffSizing::default(), 0.9, 250e-12, &mut f);
-        let ts = setup_time(&mut bench, 250e-12, 4e-12, DT).unwrap();
-        let th = hold_time(&mut bench, -150e-12, 150e-12, 4e-12, DT).unwrap();
-        assert!(ts > 0.0);
-        assert!(th < ts, "hold {th:.3e} should sit below setup {ts:.3e}");
     }
 }

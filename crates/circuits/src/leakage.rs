@@ -5,8 +5,7 @@
 //! Leakage is the supply current at a static input state; we average the
 //! input-low and input-high states (both states occur in operation).
 
-use crate::cells::{DeviceFactory, InverterSizing};
-use crate::delay::{DelayBench, GateKind};
+use crate::delay::DelayBench;
 use spice::{SpiceError, Waveform};
 
 /// One leakage/frequency sample.
@@ -58,32 +57,20 @@ pub fn leakage_frequency_of(bench: &mut DelayBench) -> Result<LeakageFrequency, 
     })
 }
 
-/// One-shot convenience: builds an inverter FO3 bench from the factory and
-/// measures it once.
-///
-/// # Errors
-///
-/// Propagates DC/transient failures from the simulator.
-pub fn measure_leakage_frequency(
-    sz: InverterSizing,
-    vdd: f64,
-    f: &mut dyn DeviceFactory,
-) -> Result<LeakageFrequency, SpiceError> {
-    let mut bench = DelayBench::fo3(GateKind::Inverter, sz, vdd, f);
-    leakage_frequency_of(&mut bench)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cells::{NominalBsimFactory, NominalVsFactory};
+    use crate::cells::{DeviceFactory, InverterSizing, NominalBsimFactory, NominalVsFactory};
+    use crate::delay::GateKind;
+
+    fn inverter_fo3(f: &mut dyn DeviceFactory) -> LeakageFrequency {
+        let sz = InverterSizing::from_nm(600.0, 300.0, 40.0);
+        leakage_frequency_of(&mut DelayBench::fo3(GateKind::Inverter, sz, 0.9, f)).unwrap()
+    }
 
     #[test]
     fn nominal_leakage_and_frequency_are_physical() {
-        let mut f = NominalVsFactory;
-        let lf =
-            measure_leakage_frequency(InverterSizing::from_nm(600.0, 300.0, 40.0), 0.9, &mut f)
-                .unwrap();
+        let lf = inverter_fo3(&mut NominalVsFactory);
         // Leakage: nA..µA scale for these widths; frequency: tens of GHz.
         assert!(
             lf.leakage > 1e-12 && lf.leakage < 1e-5,
@@ -100,11 +87,8 @@ mod tests {
 
     #[test]
     fn both_model_families_agree_on_scale() {
-        let sz = InverterSizing::from_nm(600.0, 300.0, 40.0);
-        let mut fv = NominalVsFactory;
-        let mut fb = NominalBsimFactory;
-        let a = measure_leakage_frequency(sz, 0.9, &mut fv).unwrap();
-        let b = measure_leakage_frequency(sz, 0.9, &mut fb).unwrap();
+        let a = inverter_fo3(&mut NominalVsFactory);
+        let b = inverter_fo3(&mut NominalBsimFactory);
         // Same order of magnitude in frequency (the models are fit-matched
         // later; nominal defaults are just close).
         let ratio = a.frequency / b.frequency;

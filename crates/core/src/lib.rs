@@ -38,7 +38,6 @@
 //! ```
 
 pub mod bpv;
-pub mod correlated;
 pub mod fit;
 pub mod kit;
 pub mod mc;

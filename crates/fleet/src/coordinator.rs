@@ -29,7 +29,7 @@
 use crate::merge::{merge_payloads, MergeError, MergedResult, ShardPayload};
 use crate::persist::{CampaignStore, StoreError};
 use serve::http::{ClientError, HttpClient};
-use serve::json::{num, obj, s, Json};
+use serve::json::{num, obj, s, Json, MAX_EXACT_INT};
 use serve::store::hex_decode;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
@@ -43,7 +43,8 @@ pub struct FleetSpec {
     pub circuit: String,
     /// Analysis kind; `None` uses the template's default.
     pub analysis: Option<String>,
-    /// Base RNG seed shared by every shard.
+    /// Base RNG seed shared by every shard; at most
+    /// [`MAX_EXACT_INT`] (2⁵³ − 1), because it travels as a JSON number.
     pub seed: u64,
     /// Total sample count of the campaign; sent with every shard so the
     /// server can reject inconsistent `(offset, len)` requests.
@@ -179,8 +180,8 @@ pub enum FleetEvent {
 pub enum FleetError {
     /// No workers were configured.
     NoWorkers,
-    /// The shard plan is unusable (zero-length or overlapping shards,
-    /// shards escaping `0..total`).
+    /// The campaign cannot be planned: zero-length or overlapping shards,
+    /// shards escaping `0..total`, or a seed above [`MAX_EXACT_INT`].
     BadPlan(String),
     /// A worker rejected the spec or reported a non-retryable failure;
     /// re-issuing the identical shard cannot succeed.
@@ -387,6 +388,13 @@ impl Coordinator {
         observe: &mut dyn FnMut(&FleetEvent),
     ) -> Result<FleetReport, FleetError> {
         let start = Instant::now();
+        if spec.seed > MAX_EXACT_INT {
+            return Err(FleetError::BadPlan(format!(
+                "seed {} exceeds {MAX_EXACT_INT} (2^53 - 1), the largest integer \
+                 a JSON number carries exactly",
+                spec.seed
+            )));
+        }
         let distinct = validate_plan(shards, spec.total)?;
         let mut slots: Vec<Slot> = distinct
             .into_iter()
@@ -874,6 +882,31 @@ mod tests {
             ),
             Err(FleetError::BadPlan(_))
         ));
+    }
+
+    #[test]
+    fn seeds_from_two_to_the_53_are_refused_before_any_dispatch() {
+        let cfg = FleetConfig {
+            max_attempts: 1,
+            ..FleetConfig::default()
+        };
+        let coordinator = Coordinator::new(vec!["127.0.0.1:9".parse().unwrap()], cfg).unwrap();
+        for seed in [MAX_EXACT_INT + 1, MAX_EXACT_INT + 2, u64::MAX] {
+            let mut events = 0;
+            let outcome = coordinator.run_shards(
+                &FleetSpec { seed, ..spec() },
+                &[Shard {
+                    offset: 0,
+                    len: 100,
+                }],
+                &mut |_| events += 1,
+            );
+            assert!(
+                matches!(outcome, Err(FleetError::BadPlan(_))),
+                "seed {seed}: {outcome:?}"
+            );
+            assert_eq!(events, 0, "seed {seed} reached a worker");
+        }
     }
 
     #[test]

@@ -42,7 +42,6 @@
 pub mod bsim;
 pub mod dual;
 pub mod model;
-pub mod temperature;
 pub mod types;
 pub mod variation;
 pub mod vs;

@@ -171,7 +171,6 @@ struct EffectiveVs {
     vt0: f64,
     leff: f64,
     weff: f64,
-    mu: f64,
     cinv: f64,
     vxo: f64,
     dibl: f64,
@@ -237,7 +236,6 @@ impl VsModel {
             vt0: params.vt0 + delta.dvt0,
             leff,
             weff,
-            mu,
             cinv,
             vxo,
             dibl: dibl_new,
@@ -268,21 +266,6 @@ impl VsModel {
     /// Effective injection velocity after the Eq. (5) coupling, m/s.
     pub fn vxo_eff(&self) -> f64 {
         self.eff.vxo
-    }
-
-    /// Effective (mismatch-adjusted) mobility, m²/(V·s).
-    pub fn mu_eff(&self) -> f64 {
-        self.eff.mu
-    }
-
-    /// Effective (mismatch-adjusted) threshold voltage at zero bias, V.
-    pub fn vt0_eff(&self) -> f64 {
-        self.eff.vt0
-    }
-
-    /// Effective channel length after LER mismatch, m.
-    pub fn leff_eff(&self) -> f64 {
-        self.eff.leff
     }
 
     /// Core canonical-frame evaluation, generic over plain values and

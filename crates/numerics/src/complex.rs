@@ -59,14 +59,6 @@ impl C64 {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> C64 {
-        C64 {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// The 1-norm `|re| + |im|` — a cheap magnitude surrogate (within a
     /// factor of √2 of [`C64::abs`], zero iff the value is zero) used for
     /// pivot selection, where only relative size matters and `hypot`'s
@@ -442,7 +434,6 @@ mod tests {
         assert_eq!(prod, C64::new(-11.0, 2.0));
         let q = prod / b;
         assert!((q.re - a.re).abs() < 1e-12 && (q.im - a.im).abs() < 1e-12);
-        assert_eq!(a.conj().im, -4.0);
         assert_eq!(-a, C64::new(-3.0, -4.0));
         assert!(a.is_finite());
     }

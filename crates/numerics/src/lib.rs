@@ -87,18 +87,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// `y += alpha * x` in place.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,13 +96,6 @@ mod tests {
         assert_eq!(norm2(&[]), 0.0);
         assert_eq!(norm_inf(&[]), 0.0);
         assert!((dot(&[1.0, 2.0], &[3.0, 4.0]) - 11.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
     }
 
     #[test]

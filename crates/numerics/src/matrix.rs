@@ -115,16 +115,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutably borrows row `i` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row index out of bounds");
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Copies column `j` into a new vector.
     ///
     /// # Panics
@@ -236,11 +226,6 @@ impl Matrix {
             }
         }
         g
-    }
-
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        crate::norm2(&self.data)
     }
 
     /// Maximum absolute entry.

@@ -138,44 +138,6 @@ pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
     Qr::factor(a)?.solve_least_squares(b)
 }
 
-/// Weighted least squares: solves `min || W^(1/2) (A x - b) ||_2` where `w`
-/// holds per-row weights (must be non-negative).
-///
-/// # Errors
-///
-/// Returns [`NumericsError::DimensionMismatch`] on inconsistent sizes or
-/// [`NumericsError::InvalidArgument`] if a weight is negative, plus any QR
-/// factorization error.
-pub fn wlstsq(a: &Matrix, b: &[f64], w: &[f64]) -> Result<Vec<f64>, NumericsError> {
-    let m = a.rows();
-    if b.len() != m || w.len() != m {
-        return Err(NumericsError::DimensionMismatch {
-            context: format!(
-                "weighted lstsq: A is {}x{}, b has {}, w has {}",
-                m,
-                a.cols(),
-                b.len(),
-                w.len()
-            ),
-        });
-    }
-    if let Some(&bad) = w.iter().find(|&&wi| wi < 0.0 || !wi.is_finite()) {
-        return Err(NumericsError::InvalidArgument {
-            context: format!("negative or non-finite weight {bad}"),
-        });
-    }
-    let mut aw = a.clone();
-    let mut bw = b.to_vec();
-    for i in 0..m {
-        let s = w[i].sqrt();
-        for v in aw.row_mut(i) {
-            *v *= s;
-        }
-        bw[i] *= s;
-    }
-    lstsq(&aw, &bw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,22 +190,5 @@ mod tests {
     fn underdetermined_rejected() {
         let a = Matrix::zeros(2, 3);
         assert!(Qr::factor(&a).is_err());
-    }
-
-    #[test]
-    fn weighted_least_squares_prefers_heavy_rows() {
-        // Two inconsistent measurements of a scalar; weights pick the answer.
-        let a = Matrix::from_rows(&[&[1.0], &[1.0]]);
-        let b = [0.0, 1.0];
-        let x = wlstsq(&a, &b, &[1.0, 3.0]).unwrap();
-        assert!((x[0] - 0.75).abs() < 1e-12);
-        let x_eq = wlstsq(&a, &b, &[1.0, 1.0]).unwrap();
-        assert!((x_eq[0] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn negative_weight_rejected() {
-        let a = Matrix::from_rows(&[&[1.0], &[1.0]]);
-        assert!(wlstsq(&a, &[0.0, 1.0], &[1.0, -1.0]).is_err());
     }
 }

@@ -9,8 +9,10 @@
 //! which is what lets the HTTP layer promise structured error envelopes
 //! for arbitrary request bodies.
 //!
-//! Numbers are IEEE `f64` (the only number JSON interchange guarantees);
-//! integers round-trip exactly up to 2⁵³. Object member order is
+//! Numbers are IEEE `f64` (the only number JSON interchange guarantees).
+//! Integers are exact up to [`MAX_EXACT_INT`] (2⁵³ − 1), the range
+//! [`Json::as_u64`] accepts: from 2⁵³ on, neighbouring integers parse to
+//! the same `f64` (2⁵³ + 1 reads as 2⁵³). Object member order is
 //! preserved, so serialization is deterministic.
 
 use std::fmt;
@@ -19,6 +21,10 @@ use std::fmt;
 /// experiment spec, and small enough that recursion cannot overflow the
 /// stack of a connection-handler thread.
 const MAX_DEPTH: usize = 64;
+
+/// The largest integer a JSON number carries exactly, 2⁵³ − 1: the
+/// inclusive upper bound of [`Json::as_u64`].
+pub const MAX_EXACT_INT: u64 = (1 << 53) - 1;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,12 +65,12 @@ impl Json {
     }
 
     /// The value as a non-negative integer, if it is a number holding one
-    /// exactly (rejects fractions and anything beyond 2⁵³, where `f64`
-    /// stops being exact).
+    /// exactly: rejects fractions and anything above [`MAX_EXACT_INT`],
+    /// because a number parsed as 2⁵³ may have been written as 2⁵³ + 1.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -675,5 +681,10 @@ mod tests {
         assert_eq!(Json::Num(3.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(9.1e15).as_u64(), None, "beyond exact range");
+        assert_eq!(
+            Json::Num(9_007_199_254_740_991.0).as_u64(),
+            Some(MAX_EXACT_INT)
+        );
+        assert_eq!(Json::Num(9_007_199_254_740_992.0).as_u64(), None, "2^53");
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::error::ApiError;
 use crate::http::Request;
-use crate::json::{num, obj, s, Json};
+use crate::json::{num, obj, s, Json, MAX_EXACT_INT};
 use crate::store::{hex_encode, ExperimentSpec, RunFailure, RunRecord, RunResult, RunStatus};
 use crate::ServerCtx;
 
@@ -274,9 +274,11 @@ fn parse_spec(body: &Json, ctx: &ServerCtx) -> Result<ExperimentSpec, ApiError> 
 
     let seed = match body.get("seed") {
         None => 0,
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| ApiError::bad_request("`seed` must be a non-negative integer"))?,
+        Some(v) => v.as_u64().ok_or_else(|| {
+            ApiError::bad_request(format!(
+                "`seed` must be an integer in 0..={MAX_EXACT_INT} (2^53 - 1)"
+            ))
+        })?,
     };
 
     let (offset, len, total) = parse_shard(body, ctx.max_samples)?;

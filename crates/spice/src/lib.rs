@@ -76,7 +76,6 @@ pub mod dc;
 pub mod elements;
 pub mod engine;
 pub mod error;
-pub mod io;
 pub mod measure;
 pub mod netlist;
 pub mod parser;

@@ -87,15 +87,6 @@ pub fn average(times: &[f64], values: &[f64]) -> f64 {
     integral / (times[times.len() - 1] - times[0])
 }
 
-/// Final settled value (the last sample).
-///
-/// # Panics
-///
-/// Panics on empty input.
-pub fn final_value(values: &[f64]) -> f64 {
-    *values.last().expect("empty waveform")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,10 +144,5 @@ mod tests {
     fn average_of_ramp() {
         let (t, v) = ramp();
         assert!((average(&t, &v) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn final_value_is_last() {
-        assert_eq!(final_value(&[1.0, 2.0, 3.0]), 3.0);
     }
 }

@@ -285,12 +285,6 @@ impl Session {
         n
     }
 
-    /// Number of MOSFET instances in the elaborated circuit.
-    #[must_use]
-    pub fn mosfet_count(&self) -> usize {
-        self.mos_by_name.len()
-    }
-
     /// Drops the warm-start operating point, forcing the next DC solve to
     /// run the full continuation ladder from zero. Rarely needed — swapping
     /// devices intentionally keeps the warm start — but useful when a
@@ -622,7 +616,7 @@ impl Session {
             if h <= 0.0 {
                 continue;
             }
-            let method = if restart || !opts.trapezoidal {
+            let method = if restart {
                 Integrator::BackwardEuler
             } else {
                 Integrator::Trapezoidal
@@ -951,7 +945,8 @@ mod tests {
     fn swap_all_mosfets_counts_devices() {
         let (c, _) = inverter(0.9, 0.45);
         let mut s = Session::elaborate(c).unwrap();
-        assert_eq!(s.mosfet_count(), 2);
+        let is_mosfet = |e: &&Element| matches!(e, Element::Mosfet { .. });
+        assert_eq!(s.circuit().elements().iter().filter(is_mosfet).count(), 2);
         let n = s.swap_all_mosfets(|_, old| old.clone_box());
         assert_eq!(n, 2);
     }

@@ -20,10 +20,6 @@ pub struct TranOptions {
     /// Initial node-voltage guesses for the t=0 operating point (selects the
     /// state of bistable circuits).
     pub ic: Vec<(NodeId, f64)>,
-    /// Use trapezoidal integration (second order) with backward-Euler
-    /// startup. `false` forces backward Euler everywhere — more damped,
-    /// first-order accurate; exposed for the integration-accuracy ablation.
-    pub trapezoidal: bool,
 }
 
 impl TranOptions {
@@ -38,7 +34,6 @@ impl TranOptions {
             tstop,
             dt,
             ic: Vec::new(),
-            trapezoidal: true,
         }
     }
 
@@ -46,13 +41,6 @@ impl TranOptions {
     #[must_use]
     pub fn with_ic(mut self, node: NodeId, v: f64) -> Self {
         self.ic.push((node, v));
-        self
-    }
-
-    /// Forces backward Euler for every step.
-    #[must_use]
-    pub fn backward_euler(mut self) -> Self {
-        self.trapezoidal = false;
         self
     }
 }
@@ -326,49 +314,5 @@ mod tests {
     #[should_panic]
     fn bad_options_panic() {
         TranOptions::new(1e-9, 0.0);
-    }
-
-    /// Integration-order ablation: at the same step size, trapezoidal beats
-    /// backward Euler by a large factor on a smooth RC response.
-    #[test]
-    fn trapezoidal_beats_backward_euler() {
-        let r = 1e3;
-        let c = 1e-9;
-        let tau = r * c;
-        let build = || {
-            let mut ckt = Circuit::new();
-            let vin = ckt.node("in");
-            let out = ckt.node("out");
-            ckt.vsource(
-                "V1",
-                vin,
-                Circuit::GROUND,
-                Waveform::step(0.0, 1.0, 0.0, 1e-12),
-            );
-            ckt.resistor("R1", vin, out, r);
-            ckt.capacitor("C1", out, Circuit::GROUND, c);
-            (ckt, out)
-        };
-        let max_err = |res: &TranResult, out: NodeId| {
-            let v = res.voltages(out);
-            res.times()
-                .iter()
-                .zip(&v)
-                .map(|(&t, &vi)| (vi - (1.0 - (-t / tau).exp())).abs())
-                .fold(0.0_f64, f64::max)
-        };
-        let (ckt, out) = build();
-        let coarse = tau / 12.0;
-        let mut s = session(ckt);
-        let trap = s.tran_owned(&TranOptions::new(4.0 * tau, coarse)).unwrap();
-        let be = s
-            .tran_owned(&TranOptions::new(4.0 * tau, coarse).backward_euler())
-            .unwrap();
-        let e_trap = max_err(&trap, out);
-        let e_be = max_err(&be, out);
-        assert!(
-            e_trap < 0.4 * e_be,
-            "trap err {e_trap:.2e} should be well below BE err {e_be:.2e}"
-        );
     }
 }

@@ -29,7 +29,7 @@
 //!
 //! Two read modes share the framing:
 //!
-//! * **Sealed** ([`Artifact::from_bytes`] / [`ArtifactReader`]) — the
+//! * **Sealed** ([`seal`] / [`Artifact::from_bytes`]) — the
 //!   footer is mandatory; truncation anywhere, a flipped byte anywhere,
 //!   a wrong section count, or trailing bytes all fail with a typed
 //!   [`CodecError`]. Shard artifacts and the serve replay cache use this
@@ -45,8 +45,6 @@
 //! MAC and does not claim tamper resistance).
 
 use crate::codec::CodecError;
-use crate::sink::MergeableSink;
-use std::io::{self, Write};
 
 /// The four magic bytes opening every artifact file.
 pub const MAGIC: [u8; 4] = *b"SVAF";
@@ -63,20 +61,16 @@ const END_MARKER: u8 = b'E';
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds `bytes` into a running FNV-1a 64 state.
-fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+/// The FNV-1a 64-bit hash — the checksum and digest function of the
+/// artifact layer.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = FNV_OFFSET;
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
-}
-
-/// The FNV-1a 64-bit hash — the checksum and digest function of the
-/// artifact layer.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_extend(FNV_OFFSET, bytes)
 }
 
 /// The 5-byte file header (magic + format version), for code that frames
@@ -105,87 +99,23 @@ pub fn section_tag(payload: &[u8]) -> Option<u8> {
     payload.first().copied()
 }
 
-/// Streaming sealed-artifact writer: header on construction, one section
-/// per [`ArtifactWriter::append`], footer on [`ArtifactWriter::finish`].
-///
-/// The writer keeps a running checksum of every byte it emits, so the
-/// footer seals the exact file contents without a second pass.
-pub struct ArtifactWriter<W: Write> {
-    out: W,
-    hash: u64,
-    sections: u64,
-}
-
-impl<W: Write> ArtifactWriter<W> {
-    /// Opens a new artifact on `out`, writing the header immediately.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `out`.
-    pub fn new(mut out: W) -> io::Result<Self> {
-        let header = header_bytes();
-        out.write_all(&header)?;
-        Ok(ArtifactWriter {
-            out,
-            hash: fnv1a64(&header),
-            sections: 0,
-        })
-    }
-
-    /// Appends one section carrying `payload`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        let frame = frame_section(payload);
-        self.out.write_all(&frame)?;
-        self.hash = fnv1a64_extend(self.hash, &frame);
-        self.sections += 1;
-        Ok(())
-    }
-
-    /// Appends a section carrying a sketch's [`MergeableSink::to_bytes`]
-    /// payload.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn append_sink<S: MergeableSink>(&mut self, sink: &S) -> io::Result<()> {
-        self.append(&sink.to_bytes())
-    }
-
-    /// Seals the artifact: writes the footer (section count + whole-file
-    /// checksum), flushes, and returns the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn finish(mut self) -> io::Result<W> {
-        let mut tail = Vec::with_capacity(9);
-        tail.push(END_MARKER);
-        tail.extend_from_slice(&self.sections.to_le_bytes());
-        self.out.write_all(&tail)?;
-        // The file checksum covers everything before its own field,
-        // including the end marker and section count just written.
-        let hash = fnv1a64_extend(self.hash, &tail);
-        self.out.write_all(&hash.to_le_bytes())?;
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
-
-/// Seals `sections` into an in-memory artifact — the one-shot counterpart
-/// of [`ArtifactWriter`] for callers that already hold every payload.
+/// Seals `sections` into an in-memory artifact: header, one frame per
+/// payload, then the footer.
 #[must_use]
 pub fn seal<P: AsRef<[u8]>>(sections: impl IntoIterator<Item = P>) -> Vec<u8> {
-    let mut writer = ArtifactWriter::new(Vec::new()).expect("Vec writes are infallible");
+    let mut bytes = header_bytes().to_vec();
+    let mut count = 0u64;
     for payload in sections {
-        writer
-            .append(payload.as_ref())
-            .expect("Vec writes are infallible");
+        bytes.extend_from_slice(&frame_section(payload.as_ref()));
+        count += 1;
     }
-    writer.finish().expect("Vec writes are infallible")
+    bytes.push(END_MARKER);
+    bytes.extend_from_slice(&count.to_le_bytes());
+    // The file checksum covers everything before its own field,
+    // including the end marker and section count just written.
+    let hash = fnv1a64(&bytes);
+    bytes.extend_from_slice(&hash.to_le_bytes());
+    bytes
 }
 
 /// Validates the header shared by sealed artifacts and journals; returns
@@ -202,121 +132,37 @@ fn parse_header(bytes: &[u8]) -> Result<usize, CodecError> {
     }
 }
 
-/// Streaming reader over a sealed artifact's bytes: validates the header
-/// up front, then yields one checksum-verified section per call until the
-/// footer proves the file complete.
-pub struct ArtifactReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    hash: u64,
-    sections: u64,
-    finished: bool,
-}
-
-impl<'a> ArtifactReader<'a> {
-    /// Validates the magic/version header and positions the cursor on the
-    /// first section.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] on a short header,
-    /// [`CodecError::Invalid`] on wrong magic, [`CodecError::Version`] on
-    /// a container version this build does not understand.
-    pub fn new(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let pos = parse_header(bytes)?;
-        Ok(ArtifactReader {
-            bytes,
-            pos,
-            hash: fnv1a64(&bytes[..pos]),
-            sections: 0,
-            finished: false,
-        })
+/// Reads the section frame whose `'S'` marker sits at `pos`: `Ok(None)`
+/// when the bytes end inside the frame, otherwise its checksum-verified
+/// payload and the position after the frame.
+fn read_frame(bytes: &[u8], pos: usize) -> Result<Option<(&[u8], usize)>, CodecError> {
+    let Some(len_bytes) = bytes.get(pos + 1..pos + 9) else {
+        return Ok(None);
+    };
+    let len = u64::from_le_bytes(len_bytes.try_into().expect("8-byte chunk"));
+    let body_start = pos + 9;
+    let remaining = (bytes.len() - body_start) as u64;
+    // The payload plus its 8-byte checksum must fit in the bytes actually
+    // present — a corrupted length field fails here, before any slicing
+    // sized by it.
+    if len.checked_add(8).is_none_or(|need| need > remaining) {
+        return Ok(None);
     }
-
-    /// Yields the next section payload, or `Ok(None)` once the footer has
-    /// verified the whole file.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] when the file ends before the footer,
-    /// [`CodecError::Checksum`] on any section or file checksum mismatch,
-    /// [`CodecError::Invalid`] on an unknown marker or a footer whose
-    /// section count disagrees, [`CodecError::Trailing`] on bytes after
-    /// the footer.
-    pub fn next_section(&mut self) -> Result<Option<&'a [u8]>, CodecError> {
-        if self.finished {
-            return Ok(None);
-        }
-        let marker = *self.bytes.get(self.pos).ok_or(CodecError::Truncated)?;
-        match marker {
-            SECTION_MARKER => {
-                let len_bytes = self
-                    .bytes
-                    .get(self.pos + 1..self.pos + 9)
-                    .ok_or(CodecError::Truncated)?;
-                let len = u64::from_le_bytes(len_bytes.try_into().expect("8-byte chunk"));
-                let body_start = self.pos + 9;
-                let remaining = (self.bytes.len() - body_start) as u64;
-                // The payload plus its 8-byte checksum must fit in the
-                // bytes actually present — a corrupted length field fails
-                // here, before any slicing sized by it.
-                if len.checked_add(8).is_none_or(|need| need > remaining) {
-                    return Err(CodecError::Truncated);
-                }
-                let len = len as usize;
-                let payload = &self.bytes[body_start..body_start + len];
-                let stored = u64::from_le_bytes(
-                    self.bytes[body_start + len..body_start + len + 8]
-                        .try_into()
-                        .expect("8-byte chunk"),
-                );
-                let found = fnv1a64(payload);
-                if stored != found {
-                    return Err(CodecError::Checksum {
-                        expected: stored,
-                        found,
-                    });
-                }
-                let frame_end = body_start + len + 8;
-                self.hash = fnv1a64_extend(self.hash, &self.bytes[self.pos..frame_end]);
-                self.pos = frame_end;
-                self.sections += 1;
-                Ok(Some(payload))
-            }
-            END_MARKER => {
-                let head = self
-                    .bytes
-                    .get(self.pos..self.pos + 9)
-                    .ok_or(CodecError::Truncated)?;
-                let count = u64::from_le_bytes(head[1..9].try_into().expect("8-byte chunk"));
-                if count != self.sections {
-                    return Err(CodecError::Invalid(
-                        "artifact footer section count mismatch",
-                    ));
-                }
-                let stored = u64::from_le_bytes(
-                    self.bytes
-                        .get(self.pos + 9..self.pos + 17)
-                        .ok_or(CodecError::Truncated)?
-                        .try_into()
-                        .expect("8-byte chunk"),
-                );
-                let found = fnv1a64_extend(self.hash, head);
-                if stored != found {
-                    return Err(CodecError::Checksum {
-                        expected: stored,
-                        found,
-                    });
-                }
-                if self.pos + 17 != self.bytes.len() {
-                    return Err(CodecError::Trailing);
-                }
-                self.finished = true;
-                Ok(None)
-            }
-            _ => Err(CodecError::Invalid("unknown artifact section marker")),
-        }
+    let body_end = body_start + len as usize;
+    let payload = &bytes[body_start..body_end];
+    let stored = u64::from_le_bytes(
+        bytes[body_end..body_end + 8]
+            .try_into()
+            .expect("8-byte chunk"),
+    );
+    let found = fnv1a64(payload);
+    if stored != found {
+        return Err(CodecError::Checksum {
+            expected: stored,
+            found,
+        });
     }
+    Ok(Some((payload, body_end + 8)))
 }
 
 /// A fully decoded sealed artifact: every section payload, in file order,
@@ -332,14 +178,50 @@ impl Artifact {
     ///
     /// # Errors
     ///
-    /// Every [`CodecError`] from [`ArtifactReader`]: truncation anywhere,
-    /// any checksum mismatch, wrong magic, an unknown container version,
-    /// a lying section count, or trailing bytes.
+    /// [`CodecError::Truncated`] when the file ends before the footer,
+    /// [`CodecError::Checksum`] on any section or file checksum mismatch,
+    /// [`CodecError::Invalid`] on wrong magic, an unknown marker or a
+    /// footer whose section count disagrees, [`CodecError::Version`] on a
+    /// container version this build does not understand, and
+    /// [`CodecError::Trailing`] on bytes after the footer.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut reader = ArtifactReader::new(bytes)?;
+        let mut pos = parse_header(bytes)?;
         let mut sections = Vec::new();
-        while let Some(payload) = reader.next_section()? {
-            sections.push(payload.to_vec());
+        loop {
+            match bytes.get(pos) {
+                Some(&SECTION_MARKER) => {
+                    let (payload, next) = read_frame(bytes, pos)?.ok_or(CodecError::Truncated)?;
+                    sections.push(payload.to_vec());
+                    pos = next;
+                }
+                Some(&END_MARKER) => break,
+                Some(_) => return Err(CodecError::Invalid("unknown artifact section marker")),
+                None => return Err(CodecError::Truncated),
+            }
+        }
+        let head = bytes.get(pos..pos + 9).ok_or(CodecError::Truncated)?;
+        let count = u64::from_le_bytes(head[1..9].try_into().expect("8-byte chunk"));
+        if count != sections.len() as u64 {
+            return Err(CodecError::Invalid(
+                "artifact footer section count mismatch",
+            ));
+        }
+        let stored = u64::from_le_bytes(
+            bytes
+                .get(pos + 9..pos + 17)
+                .ok_or(CodecError::Truncated)?
+                .try_into()
+                .expect("8-byte chunk"),
+        );
+        let found = fnv1a64(&bytes[..pos + 9]);
+        if stored != found {
+            return Err(CodecError::Checksum {
+                expected: stored,
+                found,
+            });
+        }
+        if pos + 17 != bytes.len() {
+            return Err(CodecError::Trailing);
         }
         Ok(Artifact { sections })
     }
@@ -371,7 +253,7 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Header violations as in [`ArtifactReader::new`];
+    /// Header violations as in [`Artifact::from_bytes`];
     /// [`CodecError::Checksum`] when a *complete* section fails its
     /// checksum (torn appends only ever truncate, so a bad checksum on a
     /// full frame is genuine corruption); [`CodecError::Invalid`] on a
@@ -379,46 +261,23 @@ impl Journal {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut pos = parse_header(bytes)?;
         let mut sections = Vec::new();
-        loop {
-            if pos == bytes.len() {
-                return Ok(Journal {
-                    sections,
-                    torn: false,
-                });
-            }
+        while pos < bytes.len() {
             if bytes[pos] != SECTION_MARKER {
                 return Err(CodecError::Invalid("unknown artifact section marker"));
             }
-            let torn = Journal {
-                sections: sections.clone(),
-                torn: true,
-            };
-            let Some(len_bytes) = bytes.get(pos + 1..pos + 9) else {
-                return Ok(torn);
-            };
-            let len = u64::from_le_bytes(len_bytes.try_into().expect("8-byte chunk"));
-            let body_start = pos + 9;
-            let remaining = (bytes.len() - body_start) as u64;
-            if len.checked_add(8).is_none_or(|need| need > remaining) {
-                return Ok(torn);
-            }
-            let len = len as usize;
-            let payload = &bytes[body_start..body_start + len];
-            let stored = u64::from_le_bytes(
-                bytes[body_start + len..body_start + len + 8]
-                    .try_into()
-                    .expect("8-byte chunk"),
-            );
-            let found = fnv1a64(payload);
-            if stored != found {
-                return Err(CodecError::Checksum {
-                    expected: stored,
-                    found,
+            let Some((payload, next)) = read_frame(bytes, pos)? else {
+                return Ok(Journal {
+                    sections,
+                    torn: true,
                 });
-            }
+            };
             sections.push(payload.to_vec());
-            pos = body_start + len + 8;
+            pos = next;
         }
+        Ok(Journal {
+            sections,
+            torn: false,
+        })
     }
 }
 
@@ -529,16 +388,6 @@ mod tests {
             Journal::from_bytes(&sealed).unwrap_err(),
             CodecError::Invalid("unknown artifact section marker")
         );
-    }
-
-    #[test]
-    fn writer_and_seal_agree_byte_for_byte() {
-        let payloads = [&[b'W', 1, 2, 3][..], &[b'H', 1][..]];
-        let mut writer = ArtifactWriter::new(Vec::new()).unwrap();
-        for p in payloads {
-            writer.append(p).unwrap();
-        }
-        assert_eq!(writer.finish().unwrap(), seal(payloads));
     }
 
     #[test]

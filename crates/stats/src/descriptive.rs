@@ -105,15 +105,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Unbiased sample standard deviation.
-///
-/// # Panics
-///
-/// Panics if `xs` is empty.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    Summary::from_slice(xs).std
-}
-
 /// Linear-interpolated sample quantile, `q` in `[0, 1]`.
 ///
 /// Uses the common "type 7" (Excel/NumPy default) definition.

@@ -1,8 +1,10 @@
 //! Standard normal distribution functions.
 //!
 //! The inverse cdf (Acklam's rational approximation, refined by one Halley
-//! step) drives QQ-plot theoretical quantiles; the cdf (via `erfc`-style
-//! rational approximation) drives the KS normality test.
+//! step) drives QQ-plot theoretical quantiles. The rational [`cdf`]
+//! (absolute error ~1.5e-7) gives the k-sigma probabilities of
+//! [`crate::corners`] and [`crate::ellipse`]; tail probabilities, which
+//! that absolute error swamps, come from [`tail`].
 
 /// 1/sqrt(2*pi).
 const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
@@ -19,7 +21,9 @@ pub fn pdf(x: f64) -> f64 {
 /// Standard normal cumulative distribution function.
 ///
 /// Uses the Abramowitz-Stegun 7.1.26-style rational approximation of `erf`
-/// with |error| < 1.5e-7, adequate for all statistical tests in this crate.
+/// with |error| < 1.5e-7: enough for the k-sigma percentile of
+/// [`crate::corners`] and the k-sigma region of [`crate::ellipse`]. Use
+/// [`tail`] for tail probabilities.
 pub fn cdf(x: f64) -> f64 {
     // cdf(x) = 0.5 * erfc(-x / sqrt(2))
     0.5 * erfc(-x / std::f64::consts::SQRT_2)

@@ -174,11 +174,6 @@ impl Sampler {
         assert!(std >= 0.0, "normal: negative standard deviation");
         mean + std * self.standard_normal()
     }
-
-    /// A vector of `n` independent standard normal deviates.
-    pub fn standard_normal_vec(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.standard_normal()).collect()
-    }
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
+use vscore::mc::manifest::BINDING_TAG;
 
 const USAGE: &str = "usage: statvs <serve|fleet|export> [flags]
 
@@ -417,12 +418,15 @@ fn export_command(args: &[String]) -> ExitCode {
     };
 
     // Shard results and cache entries are sealed; campaign manifests are
-    // footerless journals. Try the strict shape first so corruption in a
-    // sealed file is never silently shrugged off as "journal".
+    // footerless journals that open with their campaign binding. Only such
+    // a journal is read as one, so a sealed file that lost its footer or
+    // was cut mid-section is never silently shrugged off as "journal".
     let sections = match Artifact::from_bytes(&bytes) {
         Ok(artifact) => artifact.sections,
         Err(sealed_err) => match Journal::from_bytes(&bytes) {
-            Ok(journal) => {
+            Ok(journal)
+                if journal.sections.first().and_then(|s| section_tag(s)) == Some(BINDING_TAG) =>
+            {
                 if journal.torn {
                     eprintln!(
                         "statvs export: note: {} ends in a torn (incomplete) section; \
@@ -432,7 +436,7 @@ fn export_command(args: &[String]) -> ExitCode {
                 }
                 journal.sections
             }
-            Err(_) => {
+            _ => {
                 eprintln!(
                     "statvs export: {} is not a readable artifact: {sealed_err}",
                     path.display()

@@ -9,18 +9,19 @@
 //! * [`stats`] — sampling, estimators, KDE, QQ, confidence ellipses, SSTA
 //!   corner analysis.
 //! * [`mosfet`] — the Virtual Source compact model and the BSIM4-like
-//!   golden baseline, with per-instance mismatch and temperature derating.
+//!   golden baseline, with per-instance mismatch.
 //! * [`spice`] — a **session-based** MNA circuit simulator: build a
 //!   `Circuit`, elaborate it once into a `spice::Session`, then run any
 //!   number of DC / sweep / transient / AC analyses against it, resampling
 //!   MOSFETs in place (`Session::swap_devices`) between Monte Carlo
-//!   samples. SPICE-netlist parsing and CSV export included.
+//!   samples. SPICE-netlist parsing included.
 //! * [`circuits`] — benchmark cells: INV/NAND2 FO3, D flip-flop
-//!   (setup/hold), 6T SRAM (butterfly, SNM, AC read disturb). Every bench
+//!   (setup time), 6T SRAM (butterfly, SNM, AC read disturb). Every bench
 //!   owns a persistent session and exposes `resample(..)` for in-place
 //!   Monte Carlo.
 //! * [`vscore`] — the statistical modeling flow itself: Pelgrom scaling,
-//!   backward propagation of variance (BPV, independent and correlated),
+//!   backward propagation of variance (BPV, under the paper's Eq. (9)
+//!   independence assumption),
 //!   staged nominal fitting with CV correction, Monte Carlo, Verilog-A
 //!   export.
 //! * [`serve`] — simulation-as-a-service: the `statvs serve` HTTP server
