@@ -10,13 +10,15 @@
 //!   legacy shape (rebuild + re-elaborate every sample; per-point AC
 //!   matrices) against the session shape (`SramDevices::swap_into` +
 //!   warm-started re-solve; `Session::ac_batch` + reused `AcWorkspace`)
-//!   and the cold-started DC sample `statvs serve` runs per shard sample
-//!   (`circuits::sram::cold_dc_sample`).
+//!   and the DC sample `statvs serve` runs per shard sample
+//!   (`circuits::sram::dc_sample_from`, started from the nominal cell's
+//!   operating point).
 //!
 //! Run `cargo bench --bench mc_throughput -- --json BENCH_mc_throughput.json`
 //! to refresh the perf-trajectory baseline at the repo root.
 
-use circuits::sram::{cold_dc_sample, SnmBench, SnmMode, SramDevices, SramSizing};
+use circuits::cells::NominalVsFactory;
+use circuits::sram::{dc_sample_from, SnmBench, SnmMode, SramDevices, SramSizing};
 use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
 use numerics::complex::{CMatrix, C64};
 use spice::Session;
@@ -242,26 +244,35 @@ fn main() {
             iters: m.iters * PAR_BATCH as u64,
         });
 
-        // The `cold_1t` entry runs the per-sample work of a served
-        // `sram6t_dc` shard: draw, swap the six devices, drop the warm
-        // start, and solve from the two-node guess, so every sample pays
-        // the cold solve a pure function of `(seed, index)` needs.
-        let cold = |session: &mut Session, sampler: &mut Sampler, _: usize| {
-            cold_dc_sample(session, draw(sampler), l, r, 0.9)
+        // The `served_1t` entry runs the per-sample work of a served
+        // `sram6t_dc` shard: draw, swap the six devices, and solve from
+        // the nominal cell's operating point (solved once, outside the
+        // timing) with the two-node guess as the fallback, so every sample
+        // stays a pure function of `(seed, index)`.
+        let nominal = SramDevices::draw(sz, &mut NominalVsFactory);
+        let (nominal_cell, _, _) = circuits::sram::full_cell(&nominal, 0.9);
+        let op = Session::elaborate(nominal_cell)
+            .expect("well-formed")
+            .dc_owned_with_guess(&[(l, 0.0), (r, 0.9)])
+            .expect("the nominal cell solves")
+            .raw()
+            .to_vec();
+        let served = |session: &mut Session, sampler: &mut Sampler, _: usize| {
+            dc_sample_from(session, draw(sampler), &op, l, r, 0.9)
         };
         let mut run_seed = 0u64;
-        let m = measure("sram_dc_mc_batch512/aggregate_cold_1t", || {
+        let m = measure("sram_dc_mc_batch512/aggregate_served_1t", || {
             run_seed += 1;
             let mut sink = (WelfordSink::new(), TDigest::new(100.0));
             let out = ParallelRunner::new(run_seed)
                 .workers(1)
-                .run_streaming_range(0, PAR_BATCH, build, cold, &mut sink)
+                .run_streaming_range(0, PAR_BATCH, build, served, &mut sink)
                 .expect("elaboration succeeds");
             assert_eq!(out.observed + out.failures, PAR_BATCH);
             assert!(sink.0.moments().count() == out.observed as u64);
         });
         results.push(Measurement {
-            label: "sram_dc_sample/cold_1t".to_string(),
+            label: "sram_dc_sample/served_1t".to_string(),
             secs_per_iter: m.secs_per_iter / PAR_BATCH as f64,
             iters: m.iters * PAR_BATCH as u64,
         });

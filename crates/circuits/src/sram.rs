@@ -361,29 +361,35 @@ pub fn full_cell(devices: &SramDevices, vdd_value: f64) -> (Circuit, spice::Node
     (c, l, r)
 }
 
-/// One cold-started DC sample of the full cell, the sample `statvs serve`
-/// runs for its `sram6t_dc` template: swap `devices` into `session` (a
-/// [`full_cell`] elaboration), drop the warm start, solve from the
-/// `(l, 0)`/`(r, vdd)` guess and return v(r).
+/// One DC sample of the full cell, the sample `statvs serve` runs for
+/// its `sram6t_dc` template: swap `devices` into `session` (a
+/// [`full_cell`] elaboration), solve from `start` through
+/// [`Session::dc_owned_from`] with the `(l, 0)`/`(r, vdd)` guess, and
+/// return v(r).
 ///
-/// The solve departs from the guess, never from the session's previous
-/// operating point, so the result is a pure function of the devices
-/// whatever the session solved before — what lets disjoint shards run on
-/// different sessions merge bit-identically.
+/// `start` is a full unknown vector of the cell, such as the nominal
+/// cell's operating point. When Newton fails from there, or lands in the
+/// other storage state, the sample runs the guessed solve of
+/// [`Session::dc_owned_with_guess`] instead. The solve never departs from
+/// the session's previous operating point, so the result is a pure
+/// function of the devices and `start` whatever the session solved
+/// before — what lets disjoint shards run on different sessions merge
+/// bit-identically.
 ///
 /// # Errors
 ///
-/// Propagates swap and DC-solve failures.
-pub fn cold_dc_sample(
+/// Propagates swap and DC-solve failures, and
+/// [`SpiceError::InvalidArgument`] for a `start` of the wrong length.
+pub fn dc_sample_from(
     session: &mut Session,
     devices: SramDevices,
+    start: &[f64],
     l: spice::NodeId,
     r: spice::NodeId,
     vdd: f64,
 ) -> Result<f64, SpiceError> {
     devices.swap_into(session)?;
-    session.invalidate_warm_start();
-    let op = session.dc_owned_with_guess(&[(l, 0.0), (r, vdd)])?;
+    let op = session.dc_owned_from(start, &[(l, 0.0), (r, vdd)])?;
     Ok(op.voltage(r))
 }
 
@@ -670,21 +676,27 @@ mod tests {
         assert!(op1.voltage(r) < 0.35 * VDD);
     }
 
-    /// A cold sample depends on its devices alone: on a session that last
-    /// solved another cell into the opposite state it returns the bits of
-    /// a fresh elaboration's guessed solve.
+    /// A sample depends on its devices and start alone: on a session that
+    /// last solved a BSIM cell into the opposite state it returns the bits
+    /// of a fresh elaboration's sample.
     #[test]
-    fn cold_sample_forgets_the_session_history() {
+    fn sample_from_a_start_forgets_the_session_history() {
         let sz = SramSizing::default();
         let (c, l, r) = full_cell(&SramDevices::draw(sz, &mut NominalVsFactory), VDD);
+        let start = Session::elaborate(c.clone())
+            .unwrap()
+            .dc_owned_with_guess(&[(l, 0.0), (r, VDD)])
+            .unwrap()
+            .raw()
+            .to_vec();
+        let bsim = || SramDevices::draw(sz, &mut NominalBsimFactory);
         let mut fresh = Session::elaborate(c).unwrap();
-        let want = fresh.dc_owned_with_guess(&[(l, 0.0), (r, VDD)]).unwrap();
-        let (c, l, r) = full_cell(&SramDevices::draw(sz, &mut NominalBsimFactory), VDD);
+        let want = dc_sample_from(&mut fresh, bsim(), &start, l, r, VDD).unwrap();
+        let (c, l, r) = full_cell(&bsim(), VDD);
         let mut s = Session::elaborate(c).unwrap();
         s.dc_owned_with_guess(&[(l, VDD), (r, 0.0)]).unwrap();
-        let devices = SramDevices::draw(sz, &mut NominalVsFactory);
-        let got = cold_dc_sample(&mut s, devices, l, r, VDD).unwrap();
-        assert_eq!(got.to_bits(), want.voltage(r).to_bits());
+        let got = dc_sample_from(&mut s, bsim(), &start, l, r, VDD).unwrap();
+        assert_eq!(got.to_bits(), want.to_bits());
         assert!(got > 0.75 * VDD);
     }
 

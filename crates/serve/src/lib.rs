@@ -14,7 +14,8 @@
 //! The protocol is shard-oriented: a `POST /experiments` body names a
 //! circuit template, a seed, and a `{offset, len}` shard of the sample
 //! index space. Because every sample is a pure function of `(seed, index)`
-//! (cold-started solves over [`vscore::mc::ParallelRunner::run_streaming_range`]),
+//! (solves from a start the template fixes, over
+//! [`vscore::mc::ParallelRunner::run_streaming_range`]),
 //! disjoint shards posted to *different servers* return mergeable-sketch
 //! bytes whose merge is bit-identical to one local run over the union —
 //! the server is a fleet building block, not just a remote for-loop.

@@ -3,24 +3,25 @@
 //! Every experiment the server accepts targets a **circuit template**: a
 //! named, pre-registered workload listed in a static table. The
 //! `sram6t_dc` template's cell — a [`full_cell`] of nominal VS devices —
-//! is built and elaborated once at server startup, so a cell that cannot
-//! elaborate fails the boot. Each job runs its shard through
+//! is built, elaborated and solved from its `(l, 0)`/`(r, VDD)` guess
+//! once at server startup, so a cell that cannot elaborate or converge
+//! fails the boot. Each job runs its shard through
 //! [`ParallelRunner::run_streaming_range`](vscore::mc::ParallelRunner::run_streaming_range),
 //! whose setup closure elaborates the job's own [`spice::Session`] from
-//! that cell; per sample, the devices are drawn and [`cold_dc_sample`]
-//! swaps them in and cold-starts the DC solve from the cell's two-node
-//! guess. No session outlives its job.
+//! that cell; per sample, the devices are drawn and [`dc_sample_from`]
+//! swaps them in and starts Newton from the nominal cell's operating
+//! point, falling back to the guessed solve. No session outlives its job.
 //!
 //! Determinism is the protocol's backbone: every sample is a pure function
-//! of `(seed, index)` (device draws from the sample's own stream,
-//! cold-started solves), so two servers handed disjoint shards of one
-//! experiment produce sketch bytes that merge to the same state as a
-//! single local run over the union — the property the loopback e2e test
-//! pins.
+//! of `(seed, index)` (device draws from the sample's own stream, solves
+//! from a start fixed by the template), so two servers handed disjoint
+//! shards of one experiment produce sketch bytes that merge to the same
+//! state as a single local run over the union — the property the loopback
+//! e2e test pins.
 
 use crate::store::{ExperimentSpec, RunFailure, RunResult};
 use circuits::cells::NominalVsFactory;
-use circuits::sram::{cold_dc_sample, full_cell, SramDevices, SramSizing};
+use circuits::sram::{dc_sample_from, full_cell, SramDevices, SramSizing};
 use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
 use spice::{Circuit, NodeId, Session, SpiceError};
 use stats::histogram::Histogram;
@@ -101,7 +102,8 @@ static TEMPLATES: [TemplateInfo; 3] = [
 ];
 
 /// The execution engine: the template registry plus the `sram6t_dc`
-/// cell every SRAM job elaborates its session from. One engine is shared
+/// cell every SRAM job elaborates its session from, and that cell's
+/// operating point every SRAM sample starts from. One engine is shared
 /// (behind `Arc`) by every server worker thread.
 pub struct Engine {
     /// The 6T cell of nominal VS devices, wired by [`full_cell`].
@@ -109,21 +111,27 @@ pub struct Engine {
     /// Its left and right storage nodes.
     l: NodeId,
     r: NodeId,
+    /// The cell's solution vector in the `(l, 0)`/`(r, VDD)` state.
+    op: Vec<f64>,
 }
 
 impl Engine {
-    /// Builds the engine and elaborates the SRAM cell once. Startup is
-    /// the right time to surface elaboration errors: a server that cannot
-    /// build its circuits must fail to boot, not fail its first request.
+    /// Builds the engine, elaborates the SRAM cell once and solves its
+    /// nominal operating point. Startup is the right time to surface
+    /// these errors: a server that cannot build its circuits must fail to
+    /// boot, not fail its first request.
     ///
     /// # Errors
     ///
-    /// Propagates [`SpiceError`] from elaborating the cell.
+    /// Propagates [`SpiceError`] from elaborating or solving the cell.
     pub fn new() -> Result<Self, SpiceError> {
         let devices = SramDevices::draw(SramSizing::default(), &mut NominalVsFactory);
         let (cell, l, r) = full_cell(&devices, VDD);
-        Session::elaborate(cell.clone())?;
-        Ok(Engine { cell, l, r })
+        let op = Session::elaborate(cell.clone())?
+            .dc_owned_with_guess(&[(l, 0.0), (r, VDD)])?
+            .raw()
+            .to_vec();
+        Ok(Engine { cell, l, r, op })
     }
 
     /// The registered templates, in registration order.
@@ -163,7 +171,8 @@ impl Engine {
 
     /// The SRAM template: the job elaborates its own session from the
     /// engine's cell in the runner's setup closure, and every sample
-    /// cold-starts from the guess, so it stays a pure function of
+    /// starts from the engine's nominal operating point, which the
+    /// template alone fixes, so it stays a pure function of
     /// `(seed, index)` — what makes shards posted to different servers
     /// merge bit-identically with a single run.
     fn execute_sram(&self, spec: &ExperimentSpec) -> Result<RunResult, RunFailure> {
@@ -172,7 +181,8 @@ impl Engine {
         let sample = |session: &mut Session, sampler: &mut Sampler, _i: usize| {
             let mut f = factory.clone();
             f.set_sampler(sampler.clone());
-            cold_dc_sample(session, SramDevices::draw(sz, &mut f), self.l, self.r, VDD)
+            let devices = SramDevices::draw(sz, &mut f);
+            dc_sample_from(session, devices, &self.op, self.l, self.r, VDD)
         };
 
         let mut sinks = SinkSet::for_spec(spec);
@@ -344,7 +354,7 @@ impl Sink for SinkSet {
 mod tests {
     use super::*;
     use crate::store::ExperimentSpec;
-    use stats::sink::MergeableSink;
+    use stats::sink::{MergeableSink, VecSink};
 
     fn spec(circuit: &str, seed: u64, offset: usize, len: usize) -> ExperimentSpec {
         ExperimentSpec {
@@ -469,6 +479,47 @@ mod tests {
         let again = engine.execute(&spec("sram6t_dc", 3, 0, 8)).unwrap();
         assert_eq!(first, again);
         assert_eq!(first.observed + first.failures, 8);
+    }
+
+    /// Starting from the nominal operating point moves a served sample by
+    /// solver tolerance only: over 2,000 paper-spec cells it lands in the
+    /// storage state of the guessed solve, within 1e-5 V of it.
+    #[test]
+    fn nominal_start_agrees_with_the_guessed_solve() {
+        let engine = Engine::new().expect("templates elaborate");
+        let (l, r) = (engine.l, engine.r);
+        let factory = vs_factory();
+        let draw = |sampler: &Sampler| {
+            let mut f = factory.clone();
+            f.set_sampler(sampler.clone());
+            SramDevices::draw(SramSizing::default(), &mut f)
+        };
+        let sample = |session: &mut Session, sampler: &mut Sampler, _i: usize| {
+            let from = dc_sample_from(session, draw(sampler), &engine.op, l, r, VDD)?;
+            draw(sampler).swap_into(session)?;
+            session.invalidate_warm_start();
+            let guessed = session.dc_owned_with_guess(&[(l, 0.0), (r, VDD)])?;
+            Ok::<_, SpiceError>((from, guessed.voltage(r)))
+        };
+        let mut pairs = VecSink::new();
+        let outcome = ParallelRunner::new(19)
+            .workers(1)
+            .run_streaming_range(
+                0,
+                2_000,
+                |_, _| Session::elaborate(engine.cell.clone()),
+                sample,
+                &mut pairs,
+            )
+            .expect("the cell elaborates");
+        assert_eq!((outcome.observed, outcome.failures), (2_000, 0));
+        for &(i, (from, guessed)) in pairs.records() {
+            assert_eq!(from > VDD / 2.0, guessed > VDD / 2.0, "sample {i}");
+            assert!(
+                (from - guessed).abs() <= 1e-5,
+                "sample {i}: {from} vs {guessed}"
+            );
+        }
     }
 
     #[test]

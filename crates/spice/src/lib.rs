@@ -18,12 +18,15 @@
 //! 4. **Resample in place** for Monte Carlo: [`Session::swap_devices`] /
 //!    [`Session::swap_all_mosfets`] replace MOSFET instances without
 //!    re-parsing or re-elaborating, and the next solve warm-starts from
-//!    the previous sample's operating point. [`Session::dc_batch`] solves
-//!    a list of mismatch lanes one after another through the same DC
-//!    solver, leaving the session's devices as it found them. AC Monte
-//!    Carlo batches go through [`Session::ac_batch`], which also amortizes
-//!    the guessed operating-point solve and the [`ac::AcWorkspace`]
-//!    scratch across samples.
+//!    the previous sample's operating point. [`Session::dc_owned_from`]
+//!    starts from a caller-held vector instead (served samples pass the
+//!    nominal cell's operating point) and falls back to a guess.
+//!    [`Session::dc_batch`] solves a list of mismatch lanes one after
+//!    another through the same DC solver, leaving the session's devices
+//!    as it found them. AC Monte Carlo batches go through
+//!    [`Session::ac_batch`], which also amortizes the guessed
+//!    operating-point solve and the [`ac::AcWorkspace`] scratch across
+//!    samples.
 //!
 //! Analyses: nonlinear DC operating point (damped Newton-Raphson with gmin
 //! and source-stepping continuation), warm-started DC sweeps (butterfly
@@ -87,13 +90,15 @@ pub mod waveform;
 /// [`ENGINE_FINGERPRINT`].
 macro_rules! numerics_epoch {
     () => {
-        1
+        2
     };
 }
 
 /// Bumped by every change that moves result bits — device derivatives,
-/// stamp order, solver tolerances — even by one ulp. Epoch 1: exact
-/// dual-number device derivatives replaced forward differences.
+/// stamp order, solver tolerances, solver start points — even by one ulp.
+/// Epoch 1: exact dual-number device derivatives replaced forward
+/// differences. Epoch 2: served `sram6t_dc` samples start Newton from the
+/// nominal cell's operating point instead of a two-node guess.
 pub const NUMERICS_EPOCH: u32 = numerics_epoch!();
 
 /// Identity of the engine that computes results: the workspace version

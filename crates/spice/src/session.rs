@@ -146,6 +146,30 @@ impl Session {
         Ok(DcResult::new(x, self.nn))
     }
 
+    /// DC operating point from a caller-held start vector, such as a
+    /// nominal circuit's solution: plain Newton from `start`, falling back
+    /// to the guessed path of [`Session::dc_owned_with_guess`] when Newton
+    /// fails or converges in a different stable state than `guess`
+    /// selects. This is the warm-or-guess path of [`Session::ac_batch`],
+    /// entered from `start` instead of the previous solve, so the result
+    /// depends on the circuit, `start` and `guess` alone, whatever the
+    /// session solved before. A success becomes the warm start.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::InvalidArgument`] when `start` does not have
+    /// one entry per circuit unknown, leaving the warm start as it was,
+    /// and propagates convergence and singularity errors.
+    pub fn dc_owned_from(
+        &mut self,
+        start: &[f64],
+        guess: &[(NodeId, f64)],
+    ) -> Result<DcResult, SpiceError> {
+        self.seed_warm_start(start.to_vec())?;
+        let x = self.solve_dc_warm_or_guess(guess)?;
+        Ok(DcResult::new(x, self.nn))
+    }
+
     /// DC sweep of the named voltage source over `values`, warm-started
     /// point to point. The source's waveform is restored afterwards.
     ///
@@ -303,7 +327,11 @@ impl Session {
     /// Replaces the warm-start vector with a caller-provided operating
     /// point (e.g. one captured from [`Session::warm_start`] on another
     /// session). The `dc_batch` equivalence suite uses this to pin scalar
-    /// reference solves to the exact entry state of a batch.
+    /// reference solves to the exact entry state of a batch. The next
+    /// [`Session::dc_owned`] runs its continuation ladder from zero if
+    /// Newton fails from here; [`Session::dc_owned_from`] seeds the same
+    /// vector and falls back to a guess instead, like
+    /// [`Session::ac_batch`].
     ///
     /// # Errors
     ///
@@ -711,7 +739,9 @@ impl Session {
     /// converges to a *different* stable state than the guess selects
     /// (an extreme mismatch draw flipped a marginal cell), the warm start
     /// is discarded and the solve re-pins the basin from the guess — the
-    /// result never silently depends on the sample order.
+    /// result never silently depends on the sample order. The operating
+    /// point goes through the same warm-or-guess solve as
+    /// [`Session::dc_owned_from`], entered from the previous solve.
     ///
     /// # Errors
     ///
@@ -753,11 +783,11 @@ impl Session {
         self.sweep_ac(source, freqs, &x_op)
     }
 
-    /// Warm-or-guess DC solve backing [`Session::ac_batch`]: plain Newton
-    /// from the previous operating point when one exists, otherwise (or on
-    /// failure, or when the warm solution lands in a different stable
-    /// state than `guess` selects) the full guessed path of
-    /// [`Session::dc_owned_with_guess`].
+    /// Warm-or-guess DC solve backing [`Session::ac_batch`] and
+    /// [`Session::dc_owned_from`]: plain Newton from the warm start when
+    /// one exists, otherwise (or on failure, or when the warm solution
+    /// lands in a different stable state than `guess` selects) the full
+    /// guessed path of [`Session::dc_owned_with_guess`].
     fn solve_dc_warm_or_guess(&mut self, guess: &[(NodeId, f64)]) -> Result<Vec<f64>, SpiceError> {
         if let Some(w) = self.warm.clone() {
             let dc = Mode::Dc {
@@ -1063,6 +1093,93 @@ mod tests {
             (other.magnitudes(a)[0] - want.magnitudes(a)[0]).abs() > 1e-3 * want.magnitudes(a)[0],
             "states indistinguishable: the repin test proves nothing"
         );
+    }
+
+    const VDD: f64 = 0.9;
+
+    /// A 6T SRAM cell of nominal VS devices wired for READ (word line and
+    /// both bit lines at `VDD`): a bistable circuit with supply branches.
+    fn sram_cell() -> (Circuit, NodeId, NodeId) {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let l = c.node("l");
+        let r = c.node("r");
+        let bl = c.node("bl");
+        let blb = c.node("blb");
+        let wl = c.node("wl");
+        for (name, node) in [("VDD", vdd), ("VBL", bl), ("VBLB", blb), ("VWL", wl)] {
+            c.vsource(name, node, Circuit::GROUND, Waveform::dc(VDD));
+        }
+        let nmos = |w| Box::new(VsModel::nominal_nmos_40nm(Geometry::from_nm(w, 40.0)));
+        let pmos = |w| Box::new(VsModel::nominal_pmos_40nm(Geometry::from_nm(w, 40.0)));
+        let gnd = Circuit::GROUND;
+        c.mosfet("PU1", l, r, vdd, vdd, pmos(80.0));
+        c.mosfet("PD1", l, r, gnd, gnd, nmos(150.0));
+        c.mosfet("PG1", bl, wl, l, gnd, nmos(100.0));
+        c.mosfet("PU2", r, l, vdd, vdd, pmos(80.0));
+        c.mosfet("PD2", r, l, gnd, gnd, nmos(150.0));
+        c.mosfet("PG2", blb, wl, r, gnd, nmos(100.0));
+        (c, l, r)
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Started from the cell's other stable state, Newton converges in the
+    /// wrong basin, and the guessed ladder must take over exactly.
+    #[test]
+    fn dc_owned_from_falls_back_to_the_exact_guessed_solve() {
+        let (c, l, r) = sram_cell();
+        let guess = [(l, 0.0), (r, VDD)];
+        let want = Session::elaborate(c.clone())
+            .unwrap()
+            .dc_owned_with_guess(&guess)
+            .unwrap();
+        let flipped = Session::elaborate(c.clone())
+            .unwrap()
+            .dc_owned_with_guess(&[(l, VDD), (r, 0.0)])
+            .unwrap();
+        assert!(flipped.voltage(r) < 0.35 * VDD, "the cell must latch");
+        let mut s = Session::elaborate(c).unwrap();
+        let got = s.dc_owned_from(flipped.raw(), &guess).unwrap();
+        assert_eq!(bits(got.raw()), bits(want.raw()));
+        assert!(got.voltage(r) > 0.75 * VDD);
+        assert_eq!(s.warm_start().map(bits), Some(bits(want.raw())));
+    }
+
+    #[test]
+    fn dc_owned_from_rejects_a_start_of_the_wrong_length() {
+        let (c, l, r) = sram_cell();
+        let guess = [(l, 0.0), (r, VDD)];
+        let mut s = Session::elaborate(c).unwrap();
+        let n = s.circuit().n_unknowns();
+        assert!(matches!(
+            s.dc_owned_from(&vec![0.0; n - 1], &guess),
+            Err(SpiceError::InvalidArgument { .. })
+        ));
+        assert!(s.warm_start().is_none());
+        let op = s.dc_owned_with_guess(&guess).unwrap();
+        assert!(matches!(
+            s.dc_owned_from(&vec![0.0; n + 1], &guess),
+            Err(SpiceError::InvalidArgument { .. })
+        ));
+        assert_eq!(s.warm_start().map(bits), Some(bits(op.raw())));
+    }
+
+    #[test]
+    fn dc_owned_from_an_operating_point_returns_it() {
+        let (c, l, r) = sram_cell();
+        let guess = [(l, 0.0), (r, VDD)];
+        let op = Session::elaborate(c.clone())
+            .unwrap()
+            .dc_owned_with_guess(&guess)
+            .unwrap();
+        let got = Session::elaborate(c)
+            .unwrap()
+            .dc_owned_from(op.raw(), &guess)
+            .unwrap();
+        assert!((got.voltage(r) - op.voltage(r)).abs() <= 1e-12);
     }
 
     #[test]
