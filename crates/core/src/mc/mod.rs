@@ -61,11 +61,9 @@
 //! assert!(idsat.moments().std() > 0.0);
 //! ```
 
-pub mod manifest;
 pub mod parallel;
 pub mod shard;
 
-pub use manifest::{Manifest, ManifestEntry, ManifestError};
 pub use parallel::{ParallelRunner, StreamOutcome};
 pub use shard::{plan_shards, Shard};
 // The sink vocabulary consumed by `ParallelRunner`, re-exported so Monte

@@ -27,11 +27,11 @@
 //! `fleet_e2e` suite pins against a single-process reference.
 
 use crate::merge::{merge_payloads, MergeError, MergedResult, ShardPayload};
-use crate::persist::{CampaignStore, StoreError};
+use crate::persist::CampaignStore;
 use serve::http::{ClientError, HttpClient};
 use serve::json::{num, obj, s, Json, MAX_EXACT_INT};
 use serve::store::hex_decode;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 use vscore::mc::{plan_shards, Shard};
@@ -165,10 +165,11 @@ pub enum FleetEvent {
         /// The shard.
         shard: Shard,
     },
-    /// A campaign-store entry was rejected (missing, corrupt, or
-    /// mismatched artifact); its shard will be recomputed.
+    /// A planned shard's artifact in the campaign store could not be
+    /// trusted (unreadable, broken seal, or another key); the shard will
+    /// be recomputed.
     RestoreSkipped {
-        /// The artifact file the manifest pointed at.
+        /// The artifact file.
         artifact: String,
         /// Why it was rejected.
         reason: String,
@@ -202,8 +203,8 @@ pub enum FleetError {
     },
     /// The collected payloads refused to merge (corrupt worker output).
     Merge(MergeError),
-    /// The campaign store failed to persist or recover durable state.
-    Store(StoreError),
+    /// The campaign store failed to persist a completed shard.
+    Store(std::io::Error),
 }
 
 impl std::fmt::Display for FleetError {
@@ -223,7 +224,7 @@ impl std::fmt::Display for FleetError {
                 "shard {shard} exhausted its {attempts} attempts; last error: {last_error}"
             ),
             FleetError::Merge(e) => write!(f, "merge refused: {e}"),
-            FleetError::Store(e) => write!(f, "{e}"),
+            FleetError::Store(e) => write!(f, "campaign store i/o error: {e}"),
         }
     }
 }
@@ -233,12 +234,6 @@ impl std::error::Error for FleetError {}
 impl From<MergeError> for FleetError {
     fn from(e: MergeError) -> Self {
         FleetError::Merge(e)
-    }
-}
-
-impl From<StoreError> for FleetError {
-    fn from(e: StoreError) -> Self {
-        FleetError::Store(e)
     }
 }
 
@@ -356,12 +351,12 @@ impl Coordinator {
         self.run_campaign(spec, shards, None, observe)
     }
 
-    /// Runs a campaign backed by a [`CampaignStore`]: shards already
-    /// durable in the store are restored instead of dispatched, and every
-    /// newly completed shard is persisted before it counts — so a
+    /// Runs a campaign backed by a [`CampaignStore`]: planned shards
+    /// already saved in the store are restored instead of dispatched, and
+    /// every newly completed shard is persisted before it counts — so a
     /// `SIGKILL` at any instant loses at most the shards in flight, and a
-    /// restart with the same store recomputes only those. Determinism
-    /// makes the resumed merge bit-identical to an uninterrupted run.
+    /// rerun over the same store recomputes only those. Determinism makes
+    /// the resumed merge bit-identical to an uninterrupted run.
     ///
     /// # Errors
     ///
@@ -372,7 +367,7 @@ impl Coordinator {
         &self,
         spec: &FleetSpec,
         shards: &[Shard],
-        store: &mut CampaignStore,
+        store: &CampaignStore,
         observe: &mut dyn FnMut(&FleetEvent),
     ) -> Result<FleetReport, FleetError> {
         self.run_campaign(spec, shards, Some(store), observe)
@@ -384,7 +379,7 @@ impl Coordinator {
         &self,
         spec: &FleetSpec,
         shards: &[Shard],
-        mut store: Option<&mut CampaignStore>,
+        store: Option<&CampaignStore>,
         observe: &mut dyn FnMut(&FleetEvent),
     ) -> Result<FleetReport, FleetError> {
         let start = Instant::now();
@@ -408,28 +403,20 @@ impl Coordinator {
 
         let mut payloads: Vec<ShardPayload> = Vec::with_capacity(slots.len());
         let mut restored = 0usize;
-        if let Some(store) = store.as_deref_mut() {
-            let recovered = store.restore();
-            for skip in recovered.skipped {
-                observe(&FleetEvent::RestoreSkipped {
-                    artifact: skip.artifact,
-                    reason: skip.reason,
-                });
-            }
-            // Only payloads whose shard is exactly in this plan are
-            // usable; anything else (a different partition) is ignored
-            // and recomputed.
-            let by_shard: BTreeMap<Shard, ShardPayload> = recovered
-                .payloads
-                .into_iter()
-                .map(|p| (p.shard, p))
-                .collect();
+        if let Some(store) = store {
             for slot in &mut slots {
-                if let Some(payload) = by_shard.get(&slot.shard) {
-                    payloads.push(payload.clone());
-                    slot.state = SlotState::Done;
-                    restored += 1;
-                    observe(&FleetEvent::Restored { shard: slot.shard });
+                match store.load(slot.shard) {
+                    Ok(Some(payload)) => {
+                        payloads.push(payload);
+                        slot.state = SlotState::Done;
+                        restored += 1;
+                        observe(&FleetEvent::Restored { shard: slot.shard });
+                    }
+                    Ok(None) => {}
+                    Err(reason) => observe(&FleetEvent::RestoreSkipped {
+                        artifact: store.path(slot.shard).display().to_string(),
+                        reason,
+                    }),
                 }
             }
         }
@@ -540,8 +527,8 @@ impl Coordinator {
                                 // a crash after this line can restore it,
                                 // a crash before recomputes it — never a
                                 // completed-but-lost shard.
-                                if let Some(store) = store.as_deref_mut() {
-                                    store.save(&payload)?;
+                                if let Some(store) = store {
+                                    store.save(&payload).map_err(FleetError::Store)?;
                                 }
                                 payloads.push(*payload);
                                 slot.state = SlotState::Done;

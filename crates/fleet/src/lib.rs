@@ -21,11 +21,13 @@
 //!   fault-injection primitive for the e2e suite.
 //! - [`coordinator`] — the dispatch → poll → retry state machine.
 //! - [`merge`] — order-independent, duplicate-tolerant payload merging.
-//! - [`persist`] — the durable campaign store (sealed shard artifacts +
-//!   crash-tolerant manifest) behind
-//!   [`Coordinator::run_shards_resumable`]: a killed campaign restarted
-//!   over the same store recomputes only the shards that were in flight,
-//!   and the resumed merge is bit-identical to an uninterrupted run.
+//! - [`persist`] — the durable campaign store behind
+//!   [`Coordinator::run_shards_resumable`]: each completed shard is a
+//!   sealed artifact keyed by its campaign, engine and `(offset, len)`,
+//!   through the same `serve::cache` layer as serve's replay cache. A
+//!   killed campaign rerun over the same directory recomputes only the
+//!   shards that were in flight, and the resumed merge is bit-identical
+//!   to an uninterrupted run.
 //!
 //! The wire is `serve::http`, the HTTP/1.1 layer both ends share; its
 //! [`HttpClient`] and [`ClientError`] are re-exported here.
@@ -37,6 +39,6 @@ pub mod worker;
 
 pub use coordinator::{Coordinator, FleetConfig, FleetError, FleetEvent, FleetReport, FleetSpec};
 pub use merge::{merge_payloads, MergeError, MergedResult, ShardPayload};
-pub use persist::{CampaignStore, RestoreSkip, Restored, StoreError};
+pub use persist::CampaignStore;
 pub use serve::http::{ClientError, HttpClient};
 pub use worker::LocalWorker;

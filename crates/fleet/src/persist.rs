@@ -1,104 +1,46 @@
-//! Campaign persistence: durable shard artifacts plus the manifest that
-//! makes a killed campaign resumable.
+//! Campaign persistence: one keyed, sealed artifact per completed shard,
+//! so a killed campaign rerun over the same directory recomputes only the
+//! shards that were in flight.
 //!
-//! A [`CampaignStore`] owns one directory:
+//! A [`CampaignStore`] keeps its shards through [`KeyedArtifacts`], the
+//! layer `serve`'s replay cache uses too: each shard is
+//! `<dir>/shard-<fnv1a64(key):016x>.svaf`, a sealed [`stats::artifact`]
+//! container whose `'K'` key is the campaign [`binding`] followed by the
+//! shard's `offset` and `len`. After the key come a `'P'` meta section
+//! (shard identity + sample accounting) and the shard's tagged sketch
+//! payloads exactly as the worker shipped them (`'W'` Welford, optional
+//! `'H'` histogram, optional `'T'` t-digest).
 //!
-//! ```text
-//! <dir>/manifest.svaf          crash-tolerant journal (vscore::mc::manifest)
-//! <dir>/shard-{offset}-{len}.svaf   sealed artifact per completed shard
-//! ```
+//! Resume is one lookup per planned shard. A missing file means the shard
+//! was never saved. A file that fails its seal or carries another key
+//! (another campaign or engine, or a file-name hash collision) is an
+//! error, which the coordinator reports and recomputes rather than
+//! poisoning the merge: determinism makes recomputation merely slow,
+//! while trusting corrupt bytes would be silently wrong forever. Because
+//! every key names its campaign, campaigns may share a directory; each
+//! finds only its own shards, and none overwrites another's.
 //!
-//! Each shard artifact is a **sealed** [`stats::artifact`] container
-//! holding a `'P'` meta section (shard identity + sample accounting)
-//! followed by the shard's tagged sketch payloads exactly as the worker
-//! shipped them (`'W'` Welford, optional `'H'` histogram, `'T'`
-//! t-digest). The artifact is written to a temp file and renamed into
-//! place, then the manifest records `(offset, len)`, the artifact's file
-//! name, and the FNV-1a 64 digest of its complete file bytes — in that
-//! order, so a crash at any point leaves either a resumable state or an
-//! orphan temp file, never a manifest entry pointing at garbage that
-//! would be trusted.
-//!
-//! On restore, every defense is checked: manifest binding (campaign
-//! identity and the engine that computes its shards), file digest,
-//! artifact seal, and meta-vs-manifest shard identity. Anything wrong
-//! demotes the entry to a *skip* — the shard is recomputed — rather than
-//! poisoning the merge, because determinism makes recomputation merely
-//! slow, while trusting corrupt bytes would be silently wrong forever.
+//! Durability: a shard is written to a temp file and renamed into place,
+//! with no fsync. A `SIGKILL` loses only the shards in flight; after a
+//! power loss, a torn artifact fails its seal and recomputes.
 
 use crate::coordinator::FleetSpec;
 use crate::merge::ShardPayload;
+use serve::cache::KeyedArtifacts;
 use serve::ENGINE_FINGERPRINT;
-use stats::artifact::{fnv1a64, seal, Artifact};
+use stats::artifact::Artifact;
 use stats::codec::{self, CodecError, Reader};
-use std::fmt;
-use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
-use vscore::mc::manifest::{Manifest, ManifestEntry, ManifestError};
 use vscore::mc::Shard;
 
 /// Section tag for the shard meta (identity + accounting) payload.
 pub const SHARD_META_TAG: u8 = b'P';
-/// File name of the manifest inside a campaign directory.
-pub const MANIFEST_NAME: &str = "manifest.svaf";
 
-/// Why the campaign store could not persist or recover state.
-#[derive(Debug)]
-pub enum StoreError {
-    /// A file operation failed.
-    Io(std::io::Error),
-    /// The manifest refused to open or append (corrupt, or bound to a
-    /// different campaign).
-    Manifest(ManifestError),
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::Io(e) => write!(f, "campaign store i/o error: {e}"),
-            StoreError::Manifest(e) => write!(f, "campaign store: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-impl From<std::io::Error> for StoreError {
-    fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e)
-    }
-}
-
-impl From<ManifestError> for StoreError {
-    fn from(e: ManifestError) -> Self {
-        StoreError::Manifest(e)
-    }
-}
-
-/// A manifest entry that could not be restored and will be recomputed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RestoreSkip {
-    /// The artifact file name the manifest pointed at.
-    pub artifact: String,
-    /// Why it was rejected.
-    pub reason: String,
-}
-
-/// What a restore recovered: trustworthy payloads plus the entries it
-/// refused.
-#[derive(Debug, Default)]
-pub struct Restored {
-    /// Fully verified shard payloads, ready to merge.
-    pub payloads: Vec<ShardPayload>,
-    /// Entries demoted to recomputation, with reasons.
-    pub skipped: Vec<RestoreSkip>,
-}
-
-/// The canonical campaign binding for `spec` — the identity the manifest
-/// is locked to: the engine fingerprint and every spec field. Floats are
-/// rendered as exact bit patterns so two specs bind equal iff every field
-/// is bit-identical; a campaign journaled by another engine refuses to
-/// resume rather than mix its shards with this engine's.
+/// The canonical campaign binding for `spec`: the engine fingerprint and
+/// every spec field. Floats are rendered as exact bit patterns so two
+/// specs bind equal iff every field is bit-identical; a shard that
+/// another campaign or engine saved never loads into this one.
 #[must_use]
 pub fn binding(spec: &FleetSpec) -> Vec<u8> {
     let mut s = format!(
@@ -125,7 +67,7 @@ pub fn binding(spec: &FleetSpec) -> Vec<u8> {
     s.into_bytes()
 }
 
-/// Encodes a shard payload as sealed-artifact sections.
+/// Encodes a shard payload's sections after the key.
 fn payload_sections(payload: &ShardPayload) -> Vec<Vec<u8>> {
     let mut meta = Vec::new();
     codec::put_header(&mut meta, SHARD_META_TAG);
@@ -143,12 +85,12 @@ fn payload_sections(payload: &ShardPayload) -> Vec<Vec<u8>> {
     sections
 }
 
-/// Decodes a shard payload back out of a verified artifact.
+/// Decodes a shard payload from its sections after the key.
 fn payload_from_artifact(artifact: &Artifact) -> Result<ShardPayload, CodecError> {
     let meta = artifact
         .sections
         .first()
-        .ok_or(CodecError::Invalid("shard artifact has no sections"))?;
+        .ok_or(CodecError::Invalid("shard artifact has no meta section"))?;
     let mut r = Reader::with_header(meta, SHARD_META_TAG)?;
     let offset = r.take_u64()? as usize;
     let len = r.take_u64()? as usize;
@@ -171,130 +113,80 @@ fn payload_from_artifact(artifact: &Artifact) -> Result<ShardPayload, CodecError
     })
 }
 
-/// The durable half of a campaign: a directory of sealed shard artifacts
-/// indexed by a crash-tolerant manifest.
+/// The durable half of a campaign: its completed shards as keyed, sealed
+/// artifacts in one directory.
 #[derive(Debug)]
 pub struct CampaignStore {
-    dir: PathBuf,
-    manifest: Manifest,
+    files: KeyedArtifacts,
+    binding: Vec<u8>,
 }
 
 impl CampaignStore {
-    /// Opens (or initializes) the campaign store in `dir` for `spec`,
-    /// creating the directory and manifest as needed.
+    /// Opens the store for `spec`'s campaign in `dir`, creating the
+    /// directory as needed. Other campaigns' shards in `dir` are left
+    /// alone.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on directory/file failures;
-    /// [`StoreError::Manifest`] when an existing manifest is corrupt or
-    /// bound to a *different* campaign — resuming someone else's shards
-    /// is refused, never silently merged.
-    pub fn open(dir: &Path, spec: &FleetSpec) -> Result<Self, StoreError> {
-        fs::create_dir_all(dir)?;
-        let manifest = Manifest::open_or_create(&dir.join(MANIFEST_NAME), &binding(spec))?;
+    /// Propagates the directory-creation failure.
+    pub fn open(dir: &Path, spec: &FleetSpec) -> io::Result<Self> {
         Ok(CampaignStore {
-            dir: dir.to_path_buf(),
-            manifest,
+            files: KeyedArtifacts::open(dir, "shard")?,
+            binding: binding(spec),
         })
     }
 
-    /// Opens the store that owns `manifest_path` (its parent directory).
+    /// The key of `shard`: the campaign binding, then `offset` and `len`.
+    fn key(&self, shard: Shard) -> Vec<u8> {
+        let mut key = self.binding.clone();
+        key.extend_from_slice(format!(";offset={};len={}", shard.offset, shard.len).as_bytes());
+        key
+    }
+
+    /// The file that holds `shard`'s artifact.
+    #[must_use]
+    pub fn path(&self, shard: Shard) -> PathBuf {
+        self.files.path(&self.key(shard))
+    }
+
+    /// Persists one completed shard (temp file + rename).
     ///
     /// # Errors
     ///
-    /// As [`CampaignStore::open`].
-    pub fn open_manifest(manifest_path: &Path, spec: &FleetSpec) -> Result<Self, StoreError> {
-        let dir = manifest_path.parent().unwrap_or(Path::new("."));
-        fs::create_dir_all(dir)?;
-        let manifest = Manifest::open_or_create(manifest_path, &binding(spec))?;
-        Ok(CampaignStore {
-            dir: dir.to_path_buf(),
-            manifest,
-        })
+    /// Propagates file-system failures.
+    pub fn save(&self, payload: &ShardPayload) -> io::Result<()> {
+        self.files
+            .write(&self.key(payload.shard), payload_sections(payload))
     }
 
-    /// The campaign directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The manifest path inside the campaign directory.
-    #[must_use]
-    pub fn manifest_path(&self) -> PathBuf {
-        self.dir.join(MANIFEST_NAME)
-    }
-
-    /// Persists one completed shard durably: sealed artifact via temp
-    /// file + rename, then the fsynced manifest entry.
+    /// Loads `shard`'s payload: `Ok(None)` when it was never saved.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] if any write, rename, or manifest append fails.
-    pub fn save(&mut self, payload: &ShardPayload) -> Result<(), StoreError> {
-        let name = format!("shard-{}-{}.svaf", payload.shard.offset, payload.shard.len);
-        let bytes = seal(payload_sections(payload));
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, self.dir.join(&name))?;
-        self.manifest.record(ManifestEntry {
-            offset: payload.shard.offset,
-            len: payload.shard.len,
-            digest: fnv1a64(&bytes),
-            artifact: name,
-        })?;
-        Ok(())
-    }
-
-    /// Recovers every trustworthy shard payload the manifest knows about.
-    /// Entries whose artifact is missing, corrupt, digest-mismatched, or
-    /// inconsistent with the manifest are returned as skips (to be
-    /// recomputed), never as payloads.
-    #[must_use]
-    pub fn restore(&self) -> Restored {
-        let mut out = Restored::default();
-        for entry in self.manifest.entries() {
-            match self.restore_entry(entry) {
-                Ok(payload) => out.payloads.push(payload),
-                Err(reason) => out.skipped.push(RestoreSkip {
-                    artifact: entry.artifact.clone(),
-                    reason,
-                }),
-            }
-        }
-        out
-    }
-
-    /// Verifies and decodes one manifest entry's artifact.
-    fn restore_entry(&self, entry: &ManifestEntry) -> Result<ShardPayload, String> {
-        let path = self.dir.join(&entry.artifact);
-        let bytes = fs::read(&path).map_err(|e| format!("unreadable artifact: {e}"))?;
-        let found = fnv1a64(&bytes);
-        if found != entry.digest {
-            return Err(format!(
-                "digest mismatch: manifest {:#018x}, file {found:#018x}",
-                entry.digest
-            ));
-        }
-        let artifact =
-            Artifact::from_bytes(&bytes).map_err(|e| format!("artifact decode error: {e}"))?;
+    /// Why the artifact cannot be trusted: unreadable, broken seal,
+    /// another key, or a payload that does not decode as `shard`'s.
+    pub fn load(&self, shard: Shard) -> Result<Option<ShardPayload>, String> {
+        let Some(artifact) = self.files.read(&self.key(shard))? else {
+            return Ok(None);
+        };
         let payload =
             payload_from_artifact(&artifact).map_err(|e| format!("shard payload error: {e}"))?;
-        if payload.shard.offset != entry.offset || payload.shard.len != entry.len {
-            return Err(format!(
-                "shard identity mismatch: manifest says ({}, {}), artifact says {}",
-                entry.offset, entry.len, payload.shard
-            ));
+        if payload.shard != shard {
+            return Err(format!("the artifact holds shard {}", payload.shard));
         }
-        Ok(payload)
+        Ok(Some(payload))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serve::cache::KEY_TAG;
+    use stats::artifact::seal;
     use stats::histogram::Histogram;
     use stats::sink::{MergeableSink, Sink, WelfordSink};
+    use std::collections::BTreeMap;
+    use std::fs;
 
     fn spec() -> FleetSpec {
         FleetSpec {
@@ -335,43 +227,70 @@ mod tests {
         dir
     }
 
+    /// Every file in `dir`, by name, with its bytes.
+    fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (
+                    e.file_name().to_string_lossy().into_owned(),
+                    fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn save_then_restore_round_trips_bit_exactly() {
         let dir = temp_dir("roundtrip");
         let a = payload(0, &[0.1, 0.4, 0.9]);
         let b = payload(3, &[0.2, 0.6]);
-        let mut store = CampaignStore::open(&dir, &spec()).unwrap();
+        let store = CampaignStore::open(&dir, &spec()).unwrap();
         store.save(&a).unwrap();
         store.save(&b).unwrap();
         drop(store);
 
         let store = CampaignStore::open(&dir, &spec()).unwrap();
-        let restored = store.restore();
-        assert!(restored.skipped.is_empty());
-        assert_eq!(restored.payloads, vec![a, b]);
+        assert_eq!(store.load(a.shard), Ok(Some(a)));
+        assert_eq!(store.load(b.shard), Ok(Some(b)));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn a_different_campaign_cannot_adopt_the_store() {
-        let dir = temp_dir("binding");
-        let mut store = CampaignStore::open(&dir, &spec()).unwrap();
-        store.save(&payload(0, &[0.5])).unwrap();
-        drop(store);
+    fn campaigns_sharing_a_directory_restore_only_their_own_shards() {
+        let dir = temp_dir("shared");
+        let mut other_spec = spec();
+        other_spec.seed += 1;
+        let mine = CampaignStore::open(&dir, &spec()).unwrap();
+        let other = CampaignStore::open(&dir, &other_spec).unwrap();
+        let a = payload(0, &[0.1, 0.2]);
+        let b = payload(2, &[0.3, 0.4]);
+        mine.save(&a).unwrap();
+        mine.save(&b).unwrap();
+        let before = files(&dir);
 
-        let mut other = spec();
-        other.seed = 10;
-        assert!(matches!(
-            CampaignStore::open(&dir, &other),
-            Err(StoreError::Manifest(_))
-        ));
+        // The other campaign saves the same shard identity with its own
+        // values: a separate file, and mine stay byte-identical.
+        let theirs = payload(0, &[0.7, 0.8]);
+        other.save(&theirs).unwrap();
+        let after = files(&dir);
+        assert_eq!(after.len(), 3);
+        for (name, bytes) in &before {
+            assert_eq!(after.get(name), Some(bytes), "{name} changed");
+        }
+
+        assert_eq!(other.load(b.shard), Ok(None));
+        assert_eq!(other.load(theirs.shard), Ok(Some(theirs)));
+        assert_eq!(mine.load(a.shard), Ok(Some(a)));
+        assert_eq!(mine.load(b.shard), Ok(Some(b)));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn corrupt_or_missing_artifacts_become_skips_not_payloads() {
+    fn corrupt_or_missing_artifacts_never_load_as_payloads() {
         let dir = temp_dir("skips");
-        let mut store = CampaignStore::open(&dir, &spec()).unwrap();
+        let store = CampaignStore::open(&dir, &spec()).unwrap();
         let a = payload(0, &[0.1, 0.2]);
         let b = payload(2, &[0.3, 0.4]);
         let c = payload(4, &[0.5, 0.6]);
@@ -380,38 +299,48 @@ mod tests {
         store.save(&c).unwrap();
 
         // Corrupt b's artifact in place; delete c's outright.
-        let b_path = dir.join("shard-2-2.svaf");
+        let b_path = store.path(b.shard);
         let mut bytes = fs::read(&b_path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         fs::write(&b_path, &bytes).unwrap();
-        fs::remove_file(dir.join("shard-4-2.svaf")).unwrap();
+        fs::remove_file(store.path(c.shard)).unwrap();
 
-        let restored = store.restore();
-        assert_eq!(restored.payloads, vec![a]);
-        assert_eq!(restored.skipped.len(), 2);
-        assert!(restored.skipped[0].reason.contains("digest mismatch"));
-        assert!(restored.skipped[1].reason.contains("unreadable"));
+        assert_eq!(store.load(a.shard), Ok(Some(a)));
+        let reason = store.load(b.shard).unwrap_err();
+        assert!(reason.contains("broken seal"), "{reason}");
+        assert_eq!(store.load(c.shard), Ok(None), "a missing shard recomputes");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn a_manifest_bound_by_another_engine_refuses_to_resume() {
+    fn shards_from_another_engine_load_as_errors() {
         let dir = temp_dir("engine");
-        fs::create_dir_all(&dir).unwrap();
-        // The same campaign, journaled by an engine of another epoch.
-        let stale = String::from_utf8(binding(&spec()))
-            .unwrap()
-            .replace(ENGINE_FINGERPRINT, "an-older-engine");
-        assert_ne!(stale.as_bytes(), binding(&spec()));
-        drop(Manifest::open_or_create(&dir.join(MANIFEST_NAME), stale.as_bytes()).unwrap());
+        let store = CampaignStore::open(&dir, &spec()).unwrap();
+        let a = payload(0, &[0.5]);
+        store.save(&a).unwrap();
 
-        assert!(matches!(
-            CampaignStore::open(&dir, &spec()),
-            Err(StoreError::Manifest(ManifestError::Codec(
-                CodecError::Mismatch(_)
-            )))
-        ));
+        // Re-label the artifact as another engine's result for the same
+        // shard: identical payload sections, a key naming an older engine,
+        // resealed so seal and checksum are valid, and left under this
+        // shard's file name.
+        let path = store.path(a.shard);
+        let artifact = Artifact::from_bytes(&fs::read(&path).unwrap()).unwrap();
+        let mut r = Reader::with_header(&artifact.sections[0], KEY_TAG).unwrap();
+        let key = String::from_utf8(r.take_bytes().unwrap()).unwrap();
+        assert!(key.contains(ENGINE_FINGERPRINT), "{key}");
+        let mut stale = Vec::new();
+        codec::put_header(&mut stale, KEY_TAG);
+        codec::put_bytes(
+            &mut stale,
+            key.replace(ENGINE_FINGERPRINT, "an-older-engine")
+                .as_bytes(),
+        );
+        let mut sections = artifact.sections;
+        sections[0] = stale;
+        fs::write(&path, seal(&sections)).unwrap();
+
+        assert!(store.load(a.shard).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 

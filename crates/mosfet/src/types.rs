@@ -107,11 +107,6 @@ pub mod units {
         v * 1e-9
     }
 
-    /// Micrometers to meters.
-    pub fn um(v: f64) -> f64 {
-        v * 1e-6
-    }
-
     /// µF/cm² to F/m² (gate capacitance per area).
     pub fn uf_per_cm2(v: f64) -> f64 {
         v * 1e-2
@@ -125,11 +120,6 @@ pub mod units {
     /// cm/s to m/s (injection velocity).
     pub fn cm_per_s(v: f64) -> f64 {
         v * 1e-2
-    }
-
-    /// Amps to µA (for reporting).
-    pub fn to_ua(v: f64) -> f64 {
-        v * 1e6
     }
 
     /// fF/µm to F/m (overlap capacitance per width).

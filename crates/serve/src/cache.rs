@@ -1,6 +1,21 @@
-//! The replay cache: finished run results spilled to sealed artifacts so
-//! an identical resubmission — same template, spec, seed, and shard — is
-//! served from disk, across process restarts, with `cached: true`.
+//! Keyed artifacts on disk, and the replay cache built on them.
+//!
+//! [`KeyedArtifacts`] is the one way the system keeps a result on disk: a
+//! directory of sealed [`stats::artifact`] containers, each named
+//! `<prefix>-<fnv1a64(key):016x>.svaf` and opening with a `'K'` section
+//! that holds the key itself. A write goes to a temp file that is then
+//! renamed into place; a read verifies the seal, the whole-file checksum
+//! and the stored key before it returns the sections after the key. A
+//! hash collision in the file name is caught by the key comparison;
+//! corrupt bytes are caught by the seal. Two stores share this layer, and
+//! both start every key with the engine fingerprint
+//! ([`spice::ENGINE_FINGERPRINT`]), so bytes another build computed never
+//! load: the replay cache here (prefix `run`) and `statvs fleet`'s
+//! campaign store (prefix `shard`, in the fleet crate).
+//!
+//! The replay cache spills finished run results so an identical
+//! resubmission — same template, spec, seed, and shard — is served from
+//! disk, across process restarts, with `cached: true`.
 //!
 //! Correctness rests on the workspace determinism contract: a run result
 //! is a pure function of its [`ExperimentSpec`], so replaying stored
@@ -9,20 +24,14 @@
 //!
 //! * **store** failures are ignored by the caller (the computed result is
 //!   still returned; the next identical run just recomputes), and
-//! * **load** is paranoid: the artifact seal, the whole-file checksum,
-//!   and the embedded canonical spec key are all verified, and *any*
-//!   imperfection is a cache miss, never a served result. A hash
-//!   collision in the file name is caught by the key comparison; corrupt
-//!   bytes are caught by the seal.
+//! * **load** is paranoid: *any* read error is a cache miss, never a
+//!   served result.
 //!
-//! The key also names the engine ([`spice::ENGINE_FINGERPRINT`]): a result
-//! is a pure function of its spec *for one engine*, so an entry another
-//! build computed is a miss and recomputes.
-//!
-//! Each cache entry is a sealed [`stats::artifact`] container:
-//! a `'K'` section (the canonical spec key), an `'R'` section (scalar run
-//! accounting), then the tagged sketch payloads exactly as computed
-//! (`'W'`/`'H'`/`'T'`/`'I'`/`'G'`), named `run-<fnv64(key)>.svaf`.
+//! The key is [`cache_key`]: the engine fingerprint and every spec field,
+//! since a result is a pure function of its spec *for one engine*. After
+//! the key, an entry holds an `'R'` section (scalar run accounting), then
+//! the tagged sketch payloads exactly as computed
+//! (`'W'`/`'H'`/`'T'`/`'I'`/`'G'`).
 
 use crate::store::{ExperimentSpec, RunResult};
 use stats::artifact::{fnv1a64, seal, Artifact};
@@ -31,7 +40,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Section tag for the canonical spec key.
+/// Section tag for the key that opens every keyed artifact.
 pub const KEY_TAG: u8 = b'K';
 /// Section tag for the scalar run accounting.
 pub const META_TAG: u8 = b'R';
@@ -68,10 +77,99 @@ pub fn cache_key(spec: &ExperimentSpec) -> String {
     )
 }
 
+/// A directory of sealed artifacts, each named by the hash of a key it
+/// carries (see the module docs).
+#[derive(Debug)]
+pub struct KeyedArtifacts {
+    dir: PathBuf,
+    prefix: &'static str,
+}
+
+impl KeyedArtifacts {
+    /// Opens (creating if needed) `dir` for artifacts named `<prefix>-…`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the directory-creation failure.
+    pub fn open(dir: &Path, prefix: &'static str) -> io::Result<Self> {
+        fs::create_dir_all(dir)?;
+        Ok(KeyedArtifacts {
+            dir: dir.to_path_buf(),
+            prefix,
+        })
+    }
+
+    /// The directory.
+    #[must_use]
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// The file that holds `key`'s artifact.
+    #[must_use]
+    pub fn path(&self, key: &[u8]) -> PathBuf {
+        self.dir
+            .join(format!("{}-{:016x}.svaf", self.prefix, fnv1a64(key)))
+    }
+
+    /// Seals `key` followed by `sections` into `key`'s file (temp file +
+    /// rename).
+    ///
+    /// # Errors
+    ///
+    /// Propagates file-system failures.
+    pub fn write(&self, key: &[u8], sections: Vec<Vec<u8>>) -> io::Result<()> {
+        let mut key_section = Vec::new();
+        codec::put_header(&mut key_section, KEY_TAG);
+        codec::put_bytes(&mut key_section, key);
+        let bytes = seal(std::iter::once(key_section).chain(sections));
+        let path = self.path(key);
+        let tmp = path.with_extension("svaf.tmp");
+        fs::write(&tmp, &bytes)?;
+        fs::rename(&tmp, &path)
+    }
+
+    /// Reads `key`'s artifact: `Ok(None)` when its file does not exist,
+    /// otherwise the sections after the key.
+    ///
+    /// # Errors
+    ///
+    /// Why the file cannot be trusted: it is unreadable, fails its seal or
+    /// checksum, or carries another key.
+    pub fn read(&self, key: &[u8]) -> Result<Option<Artifact>, String> {
+        let bytes = match fs::read(self.path(key)) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(format!("unreadable: {e}")),
+        };
+        let mut artifact = Artifact::from_bytes(&bytes).map_err(|e| format!("broken seal: {e}"))?;
+        if artifact.sections.is_empty() {
+            return Err("no key section".to_string());
+        }
+        let stored = stored_key(&artifact.sections.remove(0))
+            .map_err(|e| format!("unreadable key section: {e}"))?;
+        if stored != key {
+            // The file name hash collided with another key, or the file
+            // was written for another engine or campaign: never the
+            // result asked for.
+            return Err("the stored key differs".to_string());
+        }
+        Ok(Some(artifact))
+    }
+}
+
+/// Decodes a `'K'` section.
+fn stored_key(section: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut r = Reader::with_header(section, KEY_TAG)?;
+    let key = r.take_bytes()?;
+    r.finish()?;
+    Ok(key)
+}
+
 /// A directory of sealed run artifacts keyed by canonical spec.
 #[derive(Debug)]
 pub struct ReplayCache {
-    dir: PathBuf,
+    files: KeyedArtifacts,
 }
 
 impl ReplayCache {
@@ -81,37 +179,26 @@ impl ReplayCache {
     ///
     /// Propagates the directory-creation failure.
     pub fn open(dir: &Path) -> io::Result<Self> {
-        fs::create_dir_all(dir)?;
         Ok(ReplayCache {
-            dir: dir.to_path_buf(),
+            files: KeyedArtifacts::open(dir, "run")?,
         })
     }
 
     /// The cache directory.
     #[must_use]
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.files.dir()
     }
 
-    fn entry_path(&self, key: &str) -> PathBuf {
-        self.dir
-            .join(format!("run-{:016x}.svaf", fnv1a64(key.as_bytes())))
-    }
-
-    /// Spills one finished result durably (temp file + rename).
+    /// Spills one finished result (temp file + rename).
     ///
     /// # Errors
     ///
     /// Propagates file-system failures; callers treat the cache as
     /// best-effort and may ignore them.
     pub fn store(&self, spec: &ExperimentSpec, result: &RunResult) -> io::Result<()> {
-        let key = cache_key(spec);
-        let bytes = seal(entry_sections(&key, result));
-        let path = self.entry_path(&key);
-        let tmp = path.with_extension("svaf.tmp");
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, &path)?;
-        Ok(())
+        self.files
+            .write(cache_key(spec).as_bytes(), entry_sections(result))
     }
 
     /// Replays a stored result for `spec`, if a fully verified entry
@@ -119,19 +206,13 @@ impl ReplayCache {
     /// mismatch, key collision, malformed meta — is a miss (`None`).
     #[must_use]
     pub fn load(&self, spec: &ExperimentSpec) -> Option<RunResult> {
-        let key = cache_key(spec);
-        let bytes = fs::read(self.entry_path(&key)).ok()?;
-        let artifact = Artifact::from_bytes(&bytes).ok()?;
-        result_from_artifact(&key, &artifact).ok()
+        let artifact = self.files.read(cache_key(spec).as_bytes()).ok().flatten()?;
+        result_from_artifact(&artifact).ok()
     }
 }
 
-/// Encodes one cache entry's sections.
-fn entry_sections(key: &str, result: &RunResult) -> Vec<Vec<u8>> {
-    let mut key_section = Vec::new();
-    codec::put_header(&mut key_section, KEY_TAG);
-    codec::put_bytes(&mut key_section, key.as_bytes());
-
+/// Encodes one cache entry's sections after the key.
+fn entry_sections(result: &RunResult) -> Vec<Vec<u8>> {
     let mut meta = Vec::new();
     codec::put_header(&mut meta, META_TAG);
     codec::put_u64(&mut meta, result.observed);
@@ -140,7 +221,7 @@ fn entry_sections(key: &str, result: &RunResult) -> Vec<Vec<u8>> {
     codec::put_f64(&mut meta, result.mean);
     codec::put_f64(&mut meta, result.variance);
 
-    let mut sections = vec![key_section, meta];
+    let mut sections = vec![meta];
     for bytes in [
         &result.welford_bytes,
         &result.histogram_bytes,
@@ -156,23 +237,11 @@ fn entry_sections(key: &str, result: &RunResult) -> Vec<Vec<u8>> {
     sections
 }
 
-/// Decodes and verifies one cache entry against the expected key.
-fn result_from_artifact(key: &str, artifact: &Artifact) -> Result<RunResult, CodecError> {
-    let key_section = artifact
-        .sections
-        .first()
-        .ok_or(CodecError::Invalid("cache entry has no sections"))?;
-    let mut r = Reader::with_header(key_section, KEY_TAG)?;
-    if r.take_bytes()? != key.as_bytes() {
-        // The file name hash collided with a different spec; serving it
-        // would be silently wrong, so it is merely a miss.
-        return Err(CodecError::Mismatch("cache entry key differs"));
-    }
-    r.finish()?;
-
+/// Decodes one cache entry's sections after the key.
+fn result_from_artifact(artifact: &Artifact) -> Result<RunResult, CodecError> {
     let meta = artifact
         .sections
-        .get(1)
+        .first()
         .ok_or(CodecError::Invalid("cache entry lacks a meta section"))?;
     let mut r = Reader::with_header(meta, META_TAG)?;
     let observed = r.take_u64()?;
@@ -291,7 +360,7 @@ mod tests {
         let cache = temp_cache("corrupt");
         let spec = spec();
         cache.store(&spec, &result()).unwrap();
-        let path = cache.entry_path(&cache_key(&spec));
+        let path = cache.files.path(cache_key(&spec).as_bytes());
         let mut bytes = fs::read(&path).unwrap();
         for i in 0..bytes.len() {
             bytes[i] ^= 0xa5;
@@ -319,8 +388,8 @@ mod tests {
         let mut b = a.clone();
         b.seed = 77;
         fs::rename(
-            cache.entry_path(&cache_key(&a)),
-            cache.entry_path(&cache_key(&b)),
+            cache.files.path(cache_key(&a).as_bytes()),
+            cache.files.path(cache_key(&b).as_bytes()),
         )
         .unwrap();
         assert!(

@@ -7,9 +7,10 @@
 //! one whole-message timeout rule), an in-repo JSON codec ([`json`]),
 //! structured error envelopes ([`error`]), a template registry and its
 //! execution engine ([`pool`]), a run store plus bounded job
-//! queue ([`store`]), and an optional disk-backed replay cache
-//! ([`cache`]) that survives restarts, all on `std::net::TcpListener` and
-//! plain threads.
+//! queue ([`store`]), and an optional disk-backed replay cache that
+//! survives restarts ([`cache`], whose keyed-artifact layer fleet's
+//! campaign store shares), all on `std::net::TcpListener` and plain
+//! threads.
 //!
 //! The protocol is shard-oriented: a `POST /experiments` body names a
 //! circuit template, a seed, and a `{offset, len}` shard of the sample
@@ -36,8 +37,9 @@ pub mod pool;
 pub mod routes;
 pub mod store;
 
-/// The engine every result this server computes comes from; part of the
-/// replay-cache key ([`cache::cache_key`]).
+/// The engine every result this server computes comes from; part of
+/// every stored artifact's key ([`cache::cache_key`] here, the campaign
+/// binding in fleet).
 pub use spice::ENGINE_FINGERPRINT;
 
 use cache::ReplayCache;

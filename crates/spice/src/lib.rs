@@ -102,9 +102,9 @@ macro_rules! numerics_epoch {
 pub const NUMERICS_EPOCH: u32 = numerics_epoch!();
 
 /// Identity of the engine that computes results: the workspace version
-/// and [`NUMERICS_EPOCH`]. The serve replay cache keys and the fleet
-/// campaign manifests include it, so bytes another engine computed are
-/// recomputed rather than served or merged.
+/// and [`NUMERICS_EPOCH`]. Every stored artifact's key includes it
+/// (serve's replay-cache entries and fleet's campaign shards), so bytes
+/// another engine computed are recomputed rather than served or merged.
 pub const ENGINE_FINGERPRINT: &str = concat!(
     "statvs-",
     env!("CARGO_PKG_VERSION"),

@@ -6,8 +6,8 @@
 //! self-describing `[tag, version]` payload from [`crate::codec`]. This
 //! module gives those payloads a durable home: an **artifact** is a file
 //! of such payloads, each wrapped in a length-prefixed, individually
-//! checksummed section, under a magic/version header and (for sealed
-//! artifacts) a whole-file checksum footer:
+//! checksummed section, under a magic/version header and a whole-file
+//! checksum footer that seals it:
 //!
 //! ```text
 //! offset  size  field
@@ -20,25 +20,20 @@
 //! ·       N     │ payload — a [tag, version] sketch body   │
 //! ·       8     │ FNV-1a 64 checksum of the payload        │
 //!               └──────────────────────────────────────────┘
-//!               ┌─ footer (sealed artifacts only) ─────────┐
+//!               ┌─ footer ─────────────────────────────────┐
 //! ·       1     │ 'E' end marker                           │
 //! ·       8     │ section count           (u64 LE)         │
 //! ·       8     │ FNV-1a 64 checksum of every prior byte   │
 //!               └──────────────────────────────────────────┘
 //! ```
 //!
-//! Two read modes share the framing:
-//!
-//! * **Sealed** ([`seal`] / [`Artifact::from_bytes`]) — the
-//!   footer is mandatory; truncation anywhere, a flipped byte anywhere,
-//!   a wrong section count, or trailing bytes all fail with a typed
-//!   [`CodecError`]. Shard artifacts and the serve replay cache use this
-//!   mode: a corrupted file can never be mistaken for a result.
-//! * **Journal** ([`Journal::from_bytes`]) — no footer; sections are
-//!   appended over time and a *torn trailing section* (a crash mid-append)
-//!   is tolerated and reported, while corruption of any complete section
-//!   is still a hard error. The shard manifest uses this mode to survive
-//!   `SIGKILL` between appends.
+//! [`seal`] writes an artifact and [`Artifact::from_bytes`] reads one, in
+//! a single read mode: the footer is mandatory, and truncation anywhere,
+//! a flipped byte anywhere, a wrong section count, or trailing bytes all
+//! fail with a typed [`CodecError`]. Fleet shard artifacts and serve's
+//! replay-cache entries are both such files (written through
+//! `serve::cache::KeyedArtifacts`), so a corrupted file can never be
+//! mistaken for a result.
 //!
 //! Every checksum is FNV-1a 64 ([`fnv1a64`]) — tiny, dependency-free, and
 //! plenty for detecting at-rest corruption (it is not a cryptographic
@@ -55,7 +50,7 @@ pub const FORMAT_VERSION: u8 = 1;
 
 /// Marker byte opening each section frame.
 const SECTION_MARKER: u8 = b'S';
-/// Marker byte opening the sealed footer.
+/// Marker byte opening the footer.
 const END_MARKER: u8 = b'E';
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -73,15 +68,15 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The 5-byte file header (magic + format version), for code that frames
-/// a journal by hand (the shard manifest appends to an open file).
+/// The 5-byte file header (magic + format version) that opens every
+/// artifact.
 #[must_use]
 pub fn header_bytes() -> [u8; 5] {
     [MAGIC[0], MAGIC[1], MAGIC[2], MAGIC[3], FORMAT_VERSION]
 }
 
 /// Wraps one payload in a section frame (`'S'`, length, payload,
-/// payload checksum) — the unit a journal appends atomically.
+/// payload checksum), the unit [`seal`] repeats once per section.
 #[must_use]
 pub fn frame_section(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(payload.len() + 17);
@@ -118,8 +113,7 @@ pub fn seal<P: AsRef<[u8]>>(sections: impl IntoIterator<Item = P>) -> Vec<u8> {
     bytes
 }
 
-/// Validates the header shared by sealed artifacts and journals; returns
-/// the cursor position after it.
+/// Validates the file header; returns the cursor position after it.
 fn parse_header(bytes: &[u8]) -> Result<usize, CodecError> {
     let magic = bytes.get(..4).ok_or(CodecError::Truncated)?;
     if magic != MAGIC {
@@ -132,13 +126,10 @@ fn parse_header(bytes: &[u8]) -> Result<usize, CodecError> {
     }
 }
 
-/// Reads the section frame whose `'S'` marker sits at `pos`: `Ok(None)`
-/// when the bytes end inside the frame, otherwise its checksum-verified
-/// payload and the position after the frame.
-fn read_frame(bytes: &[u8], pos: usize) -> Result<Option<(&[u8], usize)>, CodecError> {
-    let Some(len_bytes) = bytes.get(pos + 1..pos + 9) else {
-        return Ok(None);
-    };
+/// Reads the section frame whose `'S'` marker sits at `pos`: its
+/// checksum-verified payload and the position after the frame.
+fn read_frame(bytes: &[u8], pos: usize) -> Result<(&[u8], usize), CodecError> {
+    let len_bytes = bytes.get(pos + 1..pos + 9).ok_or(CodecError::Truncated)?;
     let len = u64::from_le_bytes(len_bytes.try_into().expect("8-byte chunk"));
     let body_start = pos + 9;
     let remaining = (bytes.len() - body_start) as u64;
@@ -146,7 +137,7 @@ fn read_frame(bytes: &[u8], pos: usize) -> Result<Option<(&[u8], usize)>, CodecE
     // present — a corrupted length field fails here, before any slicing
     // sized by it.
     if len.checked_add(8).is_none_or(|need| need > remaining) {
-        return Ok(None);
+        return Err(CodecError::Truncated);
     }
     let body_end = body_start + len as usize;
     let payload = &bytes[body_start..body_end];
@@ -162,10 +153,10 @@ fn read_frame(bytes: &[u8], pos: usize) -> Result<Option<(&[u8], usize)>, CodecE
             found,
         });
     }
-    Ok(Some((payload, body_end + 8)))
+    Ok((payload, body_end + 8))
 }
 
-/// A fully decoded sealed artifact: every section payload, in file order,
+/// A fully decoded artifact: every section payload, in file order,
 /// each already checksum-verified.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Artifact {
@@ -174,7 +165,7 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// Decodes and verifies a sealed artifact.
+    /// Decodes and verifies an artifact.
     ///
     /// # Errors
     ///
@@ -190,7 +181,7 @@ impl Artifact {
         loop {
             match bytes.get(pos) {
                 Some(&SECTION_MARKER) => {
-                    let (payload, next) = read_frame(bytes, pos)?.ok_or(CodecError::Truncated)?;
+                    let (payload, next) = read_frame(bytes, pos)?;
                     sections.push(payload.to_vec());
                     pos = next;
                 }
@@ -233,51 +224,6 @@ impl Artifact {
             .iter()
             .map(Vec::as_slice)
             .find(|s| section_tag(s) == Some(tag))
-    }
-}
-
-/// A decoded journal: an unsealed artifact whose trailing section may be
-/// torn by a crash mid-append.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Journal {
-    /// The complete, checksum-verified section payloads in append order.
-    pub sections: Vec<Vec<u8>>,
-    /// Whether a torn (incomplete) trailing section was discarded — the
-    /// signature of a crash between append and completion, distinct from
-    /// corruption (which is a hard error).
-    pub torn: bool,
-}
-
-impl Journal {
-    /// Decodes a journal, tolerating a torn trailing section.
-    ///
-    /// # Errors
-    ///
-    /// Header violations as in [`Artifact::from_bytes`];
-    /// [`CodecError::Checksum`] when a *complete* section fails its
-    /// checksum (torn appends only ever truncate, so a bad checksum on a
-    /// full frame is genuine corruption); [`CodecError::Invalid`] on a
-    /// marker byte that is neither a section nor absent.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut pos = parse_header(bytes)?;
-        let mut sections = Vec::new();
-        while pos < bytes.len() {
-            if bytes[pos] != SECTION_MARKER {
-                return Err(CodecError::Invalid("unknown artifact section marker"));
-            }
-            let Some((payload, next)) = read_frame(bytes, pos)? else {
-                return Ok(Journal {
-                    sections,
-                    torn: true,
-                });
-            };
-            sections.push(payload.to_vec());
-            pos = next;
-        }
-        Ok(Journal {
-            sections,
-            torn: false,
-        })
     }
 }
 
@@ -351,42 +297,6 @@ mod tests {
         assert_eq!(
             Artifact::from_bytes(b"SVAF\x63").unwrap_err(),
             CodecError::Version(0x63)
-        );
-    }
-
-    #[test]
-    fn journals_tolerate_torn_tails_but_not_corruption() {
-        let mut bytes = header_bytes().to_vec();
-        bytes.extend_from_slice(&frame_section(&[b'C', 1, 9]));
-        let second = frame_section(&[b'C', 1, 10, 11]);
-        bytes.extend_from_slice(&second);
-
-        let whole = Journal::from_bytes(&bytes).unwrap();
-        assert_eq!(whole.sections.len(), 2);
-        assert!(!whole.torn);
-
-        // A crash can truncate the trailing append at any byte; the
-        // complete first section must always survive.
-        let first_end = bytes.len() - second.len();
-        for cut in first_end..bytes.len() {
-            let journal = Journal::from_bytes(&bytes[..cut]).unwrap();
-            assert_eq!(journal.sections.len(), 1, "cut at {cut}");
-            assert_eq!(journal.torn, cut != first_end);
-        }
-
-        // Corrupting a complete section is a hard error, not a torn tail.
-        let mut corrupted = bytes.clone();
-        corrupted[first_end - 2] ^= 0xff;
-        assert!(matches!(
-            Journal::from_bytes(&corrupted).unwrap_err(),
-            CodecError::Checksum { .. }
-        ));
-
-        // A sealed artifact is not a journal: its footer marker is alien.
-        let sealed = seal([&[b'C', 1][..]]);
-        assert_eq!(
-            Journal::from_bytes(&sealed).unwrap_err(),
-            CodecError::Invalid("unknown artifact section marker")
         );
     }
 

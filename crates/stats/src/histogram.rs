@@ -177,15 +177,6 @@ impl Histogram {
         let norm = self.total.max(1) as f64 * self.bin_width();
         self.counts.iter().map(|&c| c as f64 / norm).collect()
     }
-
-    /// Iterator over `(bin_center, density)` pairs — ready for plotting.
-    pub fn density_points(&self) -> Vec<(f64, f64)> {
-        self.density()
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| (self.bin_center(i), d))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -281,13 +272,5 @@ mod tests {
         b.add(0.9);
         a.try_absorb(&b).unwrap();
         assert_eq!(a.counts(), &[0, 0, 1, 1]);
-    }
-
-    #[test]
-    fn density_points_align_with_bins() {
-        let h = Histogram::from_data(&[0.0, 1.0], 2);
-        let pts = h.density_points();
-        assert_eq!(pts.len(), 2);
-        assert!(pts[0].0 < pts[1].0);
     }
 }

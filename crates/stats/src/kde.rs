@@ -55,20 +55,6 @@ impl Kde {
         }
     }
 
-    /// Builds a KDE with an explicit bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty or `bandwidth <= 0`.
-    pub fn with_bandwidth(xs: &[f64], bandwidth: f64) -> Self {
-        assert!(!xs.is_empty(), "KDE of empty sample");
-        assert!(bandwidth > 0.0, "bandwidth must be positive");
-        Kde {
-            xs: xs.to_vec(),
-            bandwidth,
-        }
-    }
-
     /// The bandwidth in use.
     pub fn bandwidth(&self) -> f64 {
         self.bandwidth
@@ -135,12 +121,6 @@ mod tests {
         // Valley at 0 should be far below the modes.
         assert!(kde.density(0.0) < 0.3 * kde.density(3.0));
         assert!(kde.density(0.0) < 0.3 * kde.density(-3.0));
-    }
-
-    #[test]
-    fn explicit_bandwidth_is_respected() {
-        let kde = Kde::with_bandwidth(&[0.0, 1.0], 0.25);
-        assert_eq!(kde.bandwidth(), 0.25);
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! * [`codec`] — the compact `[tag, version]` byte encoding behind every
 //!   mergeable sketch's wire format, with typed [`codec::CodecError`]s.
 //! * [`artifact`] — the persistent artifact container: framed,
-//!   checksummed files of sketch payloads (sealed artifacts and
-//!   crash-tolerant journals) for resumable campaigns and replay caches.
+//!   checksummed, sealed files of sketch payloads for resumable campaigns
+//!   and replay caches.
 //!
 //! `ARCHITECTURE.md` at the repo root shows how these pieces feed the
 //! parallel Monte Carlo executor (`vscore::mc`).

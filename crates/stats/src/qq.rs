@@ -79,18 +79,6 @@ impl QqPlot {
             intercept,
         }
     }
-
-    /// Maximum absolute deviation of the sample quantiles from the fitted
-    /// line, normalized by the fitted slope. A scale-free "bend" metric:
-    /// ~0 for Gaussian data, growing as tails distort.
-    pub fn max_deviation(&self) -> f64 {
-        let denom = self.slope.abs().max(1e-300);
-        self.points
-            .iter()
-            .map(|p| (p.sample - (self.intercept + self.slope * p.theoretical)).abs())
-            .fold(0.0_f64, f64::max)
-            / denom
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +98,6 @@ mod tests {
             "intercept {}",
             qq.intercept
         );
-        assert!(qq.max_deviation() < 0.5);
     }
 
     #[test]

@@ -128,16 +128,6 @@ impl Sampler {
         (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform deviate in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn uniform_in(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo < hi, "uniform_in: empty interval");
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Standard normal deviate via Box-Muller (polar form).
     ///
     /// The polar transform yields deviates in pairs; the second deviate of
@@ -212,15 +202,6 @@ mod tests {
             "kurt {}",
             sum.excess_kurtosis
         );
-    }
-
-    #[test]
-    fn uniform_in_respects_bounds() {
-        let mut s = Sampler::from_seed(5);
-        for _ in 0..1000 {
-            let x = s.uniform_in(-2.0, -1.0);
-            assert!((-2.0..-1.0).contains(&x));
-        }
     }
 
     #[test]

@@ -10,21 +10,17 @@
 //! * 500 randomized seal → decode round trips over mixed payloads (raw
 //!   bytes and real sketch serializations),
 //! * truncation at **every byte offset**, with the section boundaries
-//!   called out explicitly (sealed mode: always an error; journal mode:
-//!   a boundary cut is a clean prefix, a mid-frame cut is a torn tail),
+//!   called out explicitly (a cut there is still an error),
 //! * a single-byte mutation sweep over **every byte** of sealed
-//!   artifacts under several XOR masks,
-//! * garbage and near-miss headers, and
-//! * journal-specific torn-tail and corrupted-frame cases.
+//!   artifacts under several XOR masks, and
+//! * garbage and near-miss headers.
 //!
 //! Variant expectations are pinned (wrong magic is `Invalid`, future
 //! version is `Version`, flipped payload byte is `Checksum`, bytes after
 //! the footer are `Trailing`) so error reporting stays stable, not just
 //! "some error".
 
-use stats::artifact::{
-    fnv1a64, frame_section, header_bytes, seal, Artifact, Journal, FORMAT_VERSION,
-};
+use stats::artifact::{fnv1a64, frame_section, header_bytes, seal, Artifact, FORMAT_VERSION};
 use stats::codec::CodecError;
 use stats::histogram::Histogram;
 use stats::sink::{MergeableSink, Sink, WelfordSink};
@@ -89,15 +85,6 @@ fn gen_sections(rng: &mut Rng) -> Vec<Vec<u8>> {
     (0..rng.below(8)).map(|_| gen_payload(rng)).collect()
 }
 
-/// Journal bytes for the same sections: header + frames, no footer.
-fn journal_bytes(sections: &[Vec<u8>]) -> Vec<u8> {
-    let mut bytes = header_bytes().to_vec();
-    for s in sections {
-        bytes.extend_from_slice(&frame_section(s));
-    }
-    bytes
-}
-
 /// Byte offsets where one frame ends and the next begins (header end
 /// first, then after each section frame) — the "section boundary" cuts
 /// the satellite task names explicitly.
@@ -124,15 +111,6 @@ fn five_hundred_seeded_round_trips() {
             artifact.sections, sections,
             "case {case}: sealed round trip"
         );
-
-        // The same sections as a footerless journal round-trip cleanly.
-        let journal = Journal::from_bytes(&journal_bytes(&sections))
-            .unwrap_or_else(|e| panic!("case {case}: journal failed to decode: {e}"));
-        assert_eq!(
-            journal.sections, sections,
-            "case {case}: journal round trip"
-        );
-        assert!(!journal.torn, "case {case}: a complete journal is not torn");
     }
 }
 
@@ -155,7 +133,6 @@ fn truncation_at_section_boundaries() {
     let mut sections = gen_sections(&mut rng);
     sections.push(gen_payload(&mut rng)); // at least one section
     let sealed = seal(&sections);
-    let journal = journal_bytes(&sections);
 
     for (i, &cut) in boundaries(&sections).iter().enumerate() {
         // Sealed mode: a boundary cut lost the footer — typed error.
@@ -166,20 +143,6 @@ fn truncation_at_section_boundaries() {
             ),
             "sealed boundary cut {i} must be Truncated"
         );
-        // Journal mode: a boundary cut is exactly a clean shorter
-        // journal — the first i sections, not torn.
-        let j = Journal::from_bytes(&journal[..cut]).expect("boundary cut journal decodes");
-        assert_eq!(j.sections, sections[..i].to_vec(), "boundary cut {i}");
-        assert!(!j.torn, "a cut between frames is clean, not torn");
-    }
-
-    // One byte past a boundary starts (but cannot finish) a frame: the
-    // journal reports the torn tail and keeps the clean prefix.
-    let bounds = boundaries(&sections);
-    for (i, &cut) in bounds[..bounds.len() - 1].iter().enumerate() {
-        let j = Journal::from_bytes(&journal[..cut + 1]).expect("torn journal decodes");
-        assert_eq!(j.sections, sections[..i].to_vec());
-        assert!(j.torn, "a mid-frame cut after boundary {i} must be torn");
     }
 }
 
@@ -245,16 +208,9 @@ fn garbage_headers_are_rejected_with_pinned_variants() {
         let mut rng = Rng::new(0xbad0 + case);
         let len = rng.below(64) as usize;
         let bytes: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
-        let outcome = std::panic::catch_unwind(|| {
-            (
-                Artifact::from_bytes(&bytes).map(drop),
-                Journal::from_bytes(&bytes).map(drop),
-            )
-        });
-        let (sealed, journal) =
-            outcome.unwrap_or_else(|_| panic!("case {case}: garbage input panicked"));
+        let outcome = std::panic::catch_unwind(|| Artifact::from_bytes(&bytes).map(drop));
+        let sealed = outcome.unwrap_or_else(|_| panic!("case {case}: garbage input panicked"));
         assert!(sealed.is_err(), "case {case}: garbage decoded as sealed");
-        assert!(journal.is_err(), "case {case}: garbage decoded as journal");
     }
 }
 
@@ -340,23 +296,6 @@ fn corruption_variants_are_the_documented_ones() {
     assert!(
         matches!(Artifact::from_bytes(&trailing), Err(CodecError::Trailing)),
         "bytes after the footer must be Trailing"
-    );
-
-    // A journal whose *complete* frame is corrupted is a hard error —
-    // torn-tail tolerance never excuses checksum failures.
-    let mut journal = journal_bytes(&sections);
-    journal[header_len + 9 + 2] ^= 0x20;
-    match Journal::from_bytes(&journal) {
-        Err(CodecError::Checksum { expected, found }) => assert_ne!(expected, found),
-        other => panic!("journal flip: expected Checksum, got {other:?}"),
-    }
-
-    // An unknown frame marker inside a journal is Invalid, not torn.
-    let mut marker = journal_bytes(&sections);
-    marker[header_len] = b'X';
-    assert!(
-        matches!(Journal::from_bytes(&marker), Err(CodecError::Invalid(_))),
-        "unknown marker must be Invalid"
     );
 
     // A wrong footer section count in a sealed artifact is Invalid.

@@ -6,14 +6,13 @@
 //! it shards one experiment across serve workers (spawned locally or
 //! already running), re-issues shards lost to dead or stalled workers,
 //! and merges the returned sketch bytes into one campaign result; and
-//! `statvs export` decodes a persisted artifact (a shard result, a
-//! replay-cache entry, or a campaign manifest) to CSV or PSF text for
-//! external tools.
+//! `statvs export` decodes a persisted artifact (a campaign shard or a
+//! replay-cache entry) to CSV or PSF text for external tools.
 //!
 //! With `--artifact-dir`, both long-running commands persist: the server
 //! spills finished runs to a replay cache that survives restarts, and the
-//! fleet journals completed shards so `--resume <manifest>` recomputes
-//! only what was in flight when a campaign died.
+//! fleet saves completed shards, so rerunning a campaign with the same
+//! directory recomputes only what was in flight when it died.
 //!
 //! ```text
 //! statvs serve [--port N] [--workers N] [--queue N] [--artifact-dir DIR]
@@ -21,14 +20,14 @@
 //!              [--worker HOST:PORT]... [--spawn N] [--threads N]
 //!              [--retries N] [--deadline SECS]
 //!              [--histogram LO:HI:BINS] [--tdigest COMPRESSION]
-//!              [--artifact-dir DIR | --resume MANIFEST]
+//!              [--artifact-dir DIR]
 //! statvs export <artifact.svaf> [--csv|--psf]
 //! ```
 
 use fleet::coordinator::FleetEvent;
 use fleet::{CampaignStore, Coordinator, FleetConfig, FleetSpec, LocalWorker};
 use serve::{Server, ServerConfig};
-use stats::artifact::{section_tag, Artifact, Journal};
+use stats::artifact::{section_tag, Artifact};
 use stats::codec::Reader;
 use stats::histogram::Histogram;
 use stats::sink::{MergeableSink, WelfordSink};
@@ -37,7 +36,6 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
-use vscore::mc::manifest::BINDING_TAG;
 
 const USAGE: &str = "usage: statvs <serve|fleet|export> [flags]
 
@@ -64,10 +62,9 @@ const USAGE: &str = "usage: statvs <serve|fleet|export> [flags]
   --deadline SECS       per-shard straggler deadline            (default 300)
   --histogram LO:HI:BINS  explicit histogram    (default: template's own)
   --tdigest COMPRESSION   explicit t-digest compression (default: server's)
-  --artifact-dir DIR    persist completed shards (manifest + artifacts)
-                        into DIR so a killed campaign can resume
-  --resume MANIFEST     resume from a campaign manifest: restored shards
-                        are not re-dispatched, and the merged result is
+  --artifact-dir DIR    persist completed shards into DIR; rerunning with
+                        the same DIR resumes: saved shards are not
+                        re-dispatched, and the merged result is
                         bit-identical to an uninterrupted run
 
   export      decode a persisted artifact to text on stdout
@@ -154,7 +151,6 @@ struct FleetArgs {
     histogram: Option<(f64, f64, usize)>,
     tdigest: Option<f64>,
     artifact_dir: Option<PathBuf>,
-    resume: Option<PathBuf>,
 }
 
 fn fleet_command(args: &[String]) -> ExitCode {
@@ -172,7 +168,6 @@ fn fleet_command(args: &[String]) -> ExitCode {
         histogram: None,
         tdigest: None,
         artifact_dir: None,
-        resume: None,
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -201,7 +196,6 @@ fn fleet_command(args: &[String]) -> ExitCode {
             "--artifact-dir" => take(it.next(), flag, |v| {
                 a.artifact_dir = Some(PathBuf::from(v));
             }),
-            "--resume" => take(it.next(), flag, |v| a.resume = Some(PathBuf::from(v))),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -276,22 +270,12 @@ fn fleet_command(args: &[String]) -> ExitCode {
         coordinator.workers().len()
     );
 
-    // `--resume` points at an existing manifest; `--artifact-dir` opens
-    // (or creates) a campaign store in a directory. Both end in the same
-    // place: a store the coordinator restores from and journals into.
-    let mut store = match (&a.resume, &a.artifact_dir) {
-        (Some(manifest), _) => match CampaignStore::open_manifest(manifest, &spec) {
-            Ok(store) => Some(store),
-            Err(e) => {
-                eprintln!(
-                    "statvs fleet: cannot resume from {}: {e}",
-                    manifest.display()
-                );
-                return ExitCode::FAILURE;
+    let store = match &a.artifact_dir {
+        Some(dir) => match CampaignStore::open(dir, &spec) {
+            Ok(store) => {
+                println!("statvs fleet: saving completed shards to {}", dir.display());
+                Some(store)
             }
-        },
-        (None, Some(dir)) => match CampaignStore::open(dir, &spec) {
-            Ok(store) => Some(store),
             Err(e) => {
                 eprintln!(
                     "statvs fleet: cannot open artifact dir {}: {e}",
@@ -300,14 +284,8 @@ fn fleet_command(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        (None, None) => None,
+        None => None,
     };
-    if let Some(store) = &store {
-        println!(
-            "statvs fleet: journaling completed shards to {}",
-            store.manifest_path().display()
-        );
-    }
 
     let mut observe = |event: &FleetEvent| match event {
         FleetEvent::Dispatched {
@@ -330,7 +308,7 @@ fn fleet_command(args: &[String]) -> ExitCode {
             println!("  artifact {artifact} ignored ({reason}); shard will recompute");
         }
     };
-    let report = match &mut store {
+    let report = match &store {
         Some(store) => coordinator.run_shards_resumable(&spec, &plan, store, &mut observe),
         None => coordinator.run_shards(&spec, &plan, &mut observe),
     };
@@ -417,33 +395,15 @@ fn export_command(args: &[String]) -> ExitCode {
         }
     };
 
-    // Shard results and cache entries are sealed; campaign manifests are
-    // footerless journals that open with their campaign binding. Only such
-    // a journal is read as one, so a sealed file that lost its footer or
-    // was cut mid-section is never silently shrugged off as "journal".
     let sections = match Artifact::from_bytes(&bytes) {
         Ok(artifact) => artifact.sections,
-        Err(sealed_err) => match Journal::from_bytes(&bytes) {
-            Ok(journal)
-                if journal.sections.first().and_then(|s| section_tag(s)) == Some(BINDING_TAG) =>
-            {
-                if journal.torn {
-                    eprintln!(
-                        "statvs export: note: {} ends in a torn (incomplete) section; \
-                         exporting the clean prefix",
-                        path.display()
-                    );
-                }
-                journal.sections
-            }
-            _ => {
-                eprintln!(
-                    "statvs export: {} is not a readable artifact: {sealed_err}",
-                    path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        },
+        Err(e) => {
+            eprintln!(
+                "statvs export: {} is not a readable artifact: {e}",
+                path.display()
+            );
+            return ExitCode::FAILURE;
+        }
     };
 
     let decoded: Vec<(String, Vec<(String, String)>)> =
@@ -612,32 +572,11 @@ fn try_section_rows(
             r.finish()?;
             ("shard_meta".to_string(), rows)
         }
-        b'B' => {
-            let mut r = Reader::with_header(payload, b'B')?;
-            let binding = String::from_utf8_lossy(&r.take_bytes()?).into_owned();
-            r.finish()?;
-            (
-                "campaign_binding".to_string(),
-                vec![row("binding", binding)],
-            )
-        }
-        b'C' => {
-            let mut r = Reader::with_header(payload, b'C')?;
-            let mut rows = vec![
-                row("offset", r.take_u64()?),
-                row("len", r.take_u64()?),
-                row("digest", format!("{:016x}", r.take_u64()?)),
-            ];
-            let name = String::from_utf8_lossy(&r.take_bytes()?).into_owned();
-            r.finish()?;
-            rows.push(row("artifact", name));
-            ("manifest_entry".to_string(), rows)
-        }
         b'K' => {
             let mut r = Reader::with_header(payload, b'K')?;
             let key = String::from_utf8_lossy(&r.take_bytes()?).into_owned();
             r.finish()?;
-            ("cache_key".to_string(), vec![row("key", key)])
+            ("key".to_string(), vec![row("key", key)])
         }
         b'R' => {
             let mut r = Reader::with_header(payload, b'R')?;

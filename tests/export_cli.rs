@@ -1,9 +1,9 @@
-//! `statvs export` over the files a campaign store writes: a sealed shard
-//! artifact and the manifest journal decode to CSV rows, while a shard
-//! artifact that lost its footer or was cut mid-section is refused with
-//! exit status 1 instead of being read as a journal.
+//! `statvs export` over the file a campaign store writes: a sealed shard
+//! artifact decodes to CSV rows, key first, while a shard artifact that
+//! lost its footer or was cut mid-section is refused with exit status 1.
 
 use fleet::{CampaignStore, FleetSpec, ShardPayload};
+use serve::ENGINE_FINGERPRINT;
 use stats::sink::{MergeableSink, Sink, WelfordSink};
 use std::path::Path;
 use std::process::{Command, Output};
@@ -34,7 +34,7 @@ fn store_artifacts_export_and_damaged_shards_are_refused() {
     for i in 0..100 {
         welford.observe(i, i as f64);
     }
-    let mut store = CampaignStore::open(&dir, &spec).expect("store opens");
+    let store = CampaignStore::open(&dir, &spec).expect("store opens");
     store
         .save(&ShardPayload {
             shard: Shard {
@@ -49,26 +49,29 @@ fn store_artifacts_export_and_damaged_shards_are_refused() {
         })
         .expect("shard persists");
 
-    let shard = dir.join("shard-0-100.svaf");
-    let out = export(&shard);
+    // The shard's file name is the hash of its key: take it from the
+    // directory, where it is the only file.
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("store directory lists")
+        .map(|e| e.expect("directory entry").path())
+        .collect();
+    assert_eq!(files.len(), 1, "{files:?}");
+    let shard = &files[0];
+    let out = export(shard);
     let csv = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "shard export failed: {out:?}");
-    assert!(csv.contains("0,shard_meta,offset,0\n"), "{csv}");
-    assert!(csv.contains("0,shard_meta,len,100\n"), "{csv}");
-    assert!(csv.contains("1,welford,count,100\n"), "{csv}");
-
-    let out = export(&store.manifest_path());
-    let csv = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "manifest export failed: {out:?}");
-    assert!(csv.contains("0,campaign_binding,binding,"), "{csv}");
     assert!(
-        csv.contains("1,manifest_entry,artifact,shard-0-100.svaf\n"),
+        csv.lines()
+            .any(|l| l.starts_with("0,key,key,") && l.contains(ENGINE_FINGERPRINT)),
         "{csv}"
     );
+    assert!(csv.contains("1,shard_meta,offset,0\n"), "{csv}");
+    assert!(csv.contains("1,shard_meta,len,100\n"), "{csv}");
+    assert!(csv.contains("2,welford,count,100\n"), "{csv}");
 
     // Footerless: every section frame is intact, only the 17-byte footer
     // is gone. Mid-section: the cut falls inside the Welford frame.
-    let bytes = std::fs::read(&shard).expect("shard artifact reads");
+    let bytes = std::fs::read(shard).expect("shard artifact reads");
     for (name, cut) in [("footerless", bytes.len() - 17), ("cut", bytes.len() - 30)] {
         let damaged = dir.join(format!("{name}.svaf"));
         std::fs::write(&damaged, &bytes[..cut]).expect("damaged copy writes");

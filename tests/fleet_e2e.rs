@@ -16,7 +16,6 @@ use fleet::coordinator::{Coordinator, FleetConfig, FleetEvent, FleetSpec};
 use fleet::{CampaignStore, HttpClient, LocalWorker};
 use serve::pool::Engine;
 use serve::store::ExperimentSpec;
-use stats::artifact::{section_tag, Journal};
 use stats::sink::{MergeableSink, WelfordSink};
 use stats::Welford;
 use std::path::{Path, PathBuf};
@@ -186,25 +185,21 @@ fn killed_worker_is_reissued_and_the_merge_is_byte_identical() {
     assert_matches_reference(&report.merged, &spec, "kill/retry campaign");
 }
 
-/// Completed `'C'` entries currently journaled in a campaign manifest,
-/// read without opening (and thus without ever writing) the file.
-fn manifest_entries(manifest: &Path) -> usize {
-    let Ok(bytes) = std::fs::read(manifest) else {
+/// Completed shards currently saved in a campaign directory: its `.svaf`
+/// shard artifacts (a shard still being written is a `.svaf.tmp` file).
+fn shard_artifacts(dir: &Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
     };
-    let Ok(journal) = Journal::from_bytes(&bytes) else {
-        return 0;
-    };
-    journal
-        .sections
-        .iter()
-        .filter(|s| section_tag(s) == Some(b'C'))
+    entries
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|ext| ext == "svaf"))
         .count()
 }
 
 /// Resume equivalence, end to end: a real `statvs fleet` coordinator
-/// *process* is `SIGKILL`ed mid-campaign after journaling at least one
-/// completed shard, then the campaign is resumed from its manifest.
+/// *process* is `SIGKILL`ed mid-campaign after saving at least one
+/// completed shard, then the campaign resumes from its artifact directory.
 /// Restored shards must not be re-dispatched, and the merged result must
 /// be byte-identical to the no-fault single-process reference — a
 /// crash costs wall-clock, never correctness.
@@ -219,7 +214,7 @@ fn sigkilled_campaign_resumes_without_redispatch_and_merges_identically() {
         tdigest_compression: None,
     };
     // Many small shards: all are dispatched at once and polled on one
-    // back-off schedule, so shards finishing between two polls journal
+    // back-off schedule, so shards finishing between two polls are saved
     // together. With few shards a fast engine finishes them all before
     // the first poll that sees one, and the kill window closes.
     const SHARDS: usize = 24;
@@ -233,9 +228,8 @@ fn sigkilled_campaign_resumes_without_redispatch_and_merges_identically() {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("statvs_resume_e2e_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let manifest = dir.join("manifest.svaf");
 
-    // First life: the real CLI, journaling into --artifact-dir.
+    // First life: the real CLI, saving shards into --artifact-dir.
     let mut child = std::process::Command::new(binary())
         .args([
             "fleet",
@@ -263,10 +257,10 @@ fn sigkilled_campaign_resumes_without_redispatch_and_merges_identically() {
         .spawn()
         .expect("fleet coordinator child spawns");
 
-    // Wait for at least one completed shard to reach the manifest, then
+    // Wait for at least one completed shard to reach the directory, then
     // SIGKILL the coordinator — mid-campaign, with shards in flight.
     let deadline = Instant::now() + Duration::from_secs(120);
-    while manifest_entries(&manifest) == 0 {
+    while shard_artifacts(&dir) == 0 {
         if let Some(status) = child.try_wait().expect("child pollable") {
             panic!("coordinator finished ({status}) before it could be killed");
         }
@@ -278,21 +272,21 @@ fn sigkilled_campaign_resumes_without_redispatch_and_merges_identically() {
     }
     child.kill().expect("SIGKILL the coordinator");
     let _ = child.wait();
-    let journaled = manifest_entries(&manifest);
+    let journaled = shard_artifacts(&dir);
     assert!(journaled >= 1, "the kill window saw a journaled shard");
     assert!(
         journaled < SHARDS,
         "the campaign must die unfinished for resume to mean anything"
     );
 
-    // Second life: resume from the manifest. Completed shards come back
+    // Second life: resume from the directory. Completed shards come back
     // from disk; only the remainder is dispatched.
-    let mut store = CampaignStore::open(&dir, &spec).expect("store reopens");
+    let store = CampaignStore::open(&dir, &spec).expect("store reopens");
     let coordinator =
         Coordinator::new(vec![worker_a.addr(), worker_b.addr()], config()).expect("two workers");
     let mut events: Vec<FleetEvent> = Vec::new();
     let report = coordinator
-        .run_shards_resumable(&spec, &plan, &mut store, &mut |event| {
+        .run_shards_resumable(&spec, &plan, &store, &mut |event| {
             events.push(event.clone());
         })
         .expect("resumed campaign succeeds");
