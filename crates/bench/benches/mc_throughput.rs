@@ -7,12 +7,12 @@
 //!   families.
 //! * **Circuit level** (Figs. 5–9's and Table IV's workload): repeated
 //!   solves of one SRAM topology with resampled devices, comparing the
-//!   legacy shape (rebuild + re-elaborate every sample; per-point AC
-//!   matrices) against the session shape (`SramDevices::swap_into` +
-//!   warm-started re-solve; `Session::ac_batch` + reused `AcWorkspace`)
-//!   and the DC sample `statvs serve` runs per shard sample
-//!   (`circuits::sram::dc_sample_from`, started from the nominal cell's
-//!   operating point).
+//!   rebuild shape (construct + re-elaborate every sample) against the
+//!   session shape (`SramDevices::swap_into` + warm-started re-solve;
+//!   `Session::ac_batch` + reused `AcWorkspace`) and the DC sample
+//!   `statvs serve` runs per shard sample (`circuits::sram::dc_sample_from`,
+//!   started from the nominal cell's operating point). Every arm solves
+//!   through the library's own kernels, the path production runs.
 //!
 //! Run `cargo bench --bench mc_throughput -- --json BENCH_mc_throughput.json`
 //! to refresh the perf-trajectory baseline at the repo root.
@@ -20,7 +20,6 @@
 use circuits::cells::NominalVsFactory;
 use circuits::sram::{dc_sample_from, SnmBench, SnmMode, SramDevices, SramSizing};
 use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
-use numerics::complex::{CMatrix, C64};
 use spice::Session;
 use stats::Sampler;
 use vsbench::microbench::{maybe_write_json, measure, Measurement};
@@ -36,59 +35,6 @@ fn mc_factory(seed: u64) -> McFactory {
         spec,
         Sampler::from_seed(seed),
     )
-}
-
-/// The seed's consuming complex solve, reproduced verbatim for the
-/// `sram_ac_sample/per_point` "before" arm: `hypot` pivot selection, a full
-/// Smith division per multiplier, and the right-hand side folded through
-/// the elimination — the kernel the pre-batching AC path ran per frequency
-/// point (the library kernel has since been optimized, so using it here
-/// would understate the before/after gap).
-fn legacy_complex_solve(mut m: CMatrix, b: &[C64]) -> Option<Vec<C64>> {
-    let n = m.order();
-    let mut x = b.to_vec();
-    for k in 0..n {
-        let mut p = k;
-        let mut pmax = m.at(k, k).abs();
-        for i in (k + 1)..n {
-            let v = m.at(i, k).abs();
-            if v > pmax {
-                pmax = v;
-                p = i;
-            }
-        }
-        if !(pmax > 1e-300) || !pmax.is_finite() {
-            return None;
-        }
-        if p != k {
-            for j in 0..n {
-                let tmp = m.at(k, j);
-                *m.at_mut(k, j) = m.at(p, j);
-                *m.at_mut(p, j) = tmp;
-            }
-            x.swap(k, p);
-        }
-        let pivot = m.at(k, k);
-        for i in (k + 1)..n {
-            let mult = m.at(i, k) / pivot;
-            if mult != C64::ZERO {
-                for j in (k + 1)..n {
-                    let v = m.at(k, j);
-                    *m.at_mut(i, j) = m.at(i, j) - mult * v;
-                }
-                x[i] = x[i] - mult * x[k];
-            }
-            *m.at_mut(i, k) = mult;
-        }
-    }
-    for i in (0..n).rev() {
-        let mut s = x[i];
-        for j in (i + 1)..n {
-            s = s - m.at(i, j) * x[j];
-        }
-        x[i] = s / m.at(i, i);
-    }
-    Some(x)
 }
 
 fn main() {
@@ -281,52 +227,16 @@ fn main() {
     // ---- circuit level: SRAM AC (the paper's Table IV workload) ---------
     // One Monte Carlo sample = resample the six cell devices, solve the
     // "l low" operating point, linearize, sweep 26 log-spaced frequency
-    // points. Three shapes of the same workload:
+    // points. Two shapes of the same workload:
     //
-    // * "per_point" — the pre-batching architecture: a guessed DC solve
-    //   every sample, a freshly allocated linearization, and a freshly
-    //   allocated + fully factored complex matrix per frequency point.
     // * "workspace_guessed" — `Session::ac_owned`: the cached AcWorkspace
-    //   removes the per-point/per-sample allocation, but the operating
-    //   point still re-runs the guessed solve every sample.
+    //   holds the linearization and complex LU storage, but the operating
+    //   point re-runs the guessed solve every sample.
     // * "batched" — `ReadDisturbBench::run` → `Session::ac_batch`: the
     //   operating point additionally warm-starts from the previous sample.
     {
         let freqs = spice::ac::log_sweep(1e6, 1e11, 5);
         let sz = SramSizing::default();
-        {
-            let mut seed = 0u64;
-            let mut f0 = mc_factory(0);
-            let devices = SramDevices::draw(sz, &mut f0);
-            let (c, l, r) = circuits::sram::full_cell(&devices, 0.9);
-            let mut session = Session::elaborate(c).expect("well-formed");
-            let guess = [(l, 0.0), (r, 0.9)];
-            let nn = session.circuit().node_count() - 1;
-            let src_idx = session.circuit().vsource_index("VBL").expect("VBL exists");
-            let li = l.unknown().expect("storage node is not ground");
-            results.push(measure("sram_ac_sample/per_point", || {
-                seed += 1;
-                let mut f = mc_factory(seed);
-                SramDevices::draw(sz, &mut f)
-                    .swap_into(&mut session)
-                    .expect("known instances");
-                // A guessed solve ignores the warm start — exactly the
-                // pre-batching per-sample behaviour.
-                let Ok(op) = session.dc_owned_with_guess(&guess) else {
-                    return; // extreme draws may fail; part of the workload
-                };
-                let lin = session.circuit().linearize(op.raw());
-                let n = lin.g.rows();
-                let mut b = vec![C64::ZERO; n];
-                b[nn + src_idx] = C64::ONE;
-                for &fr in &freqs {
-                    let omega = 2.0 * std::f64::consts::PI * fr;
-                    let m = CMatrix::from_gc(&lin.g, &lin.c, omega);
-                    let x = legacy_complex_solve(m, &b).expect("AC point solves");
-                    assert!(x[li].abs().is_finite());
-                }
-            }));
-        }
         {
             let mut seed = 0u64;
             let mut f0 = mc_factory(0);

@@ -98,28 +98,6 @@ impl SramDevices {
     }
 }
 
-/// Voltage transfer curve of one half-cell: sweeps the input (the opposite
-/// storage node) and records this half-cell's output node, including the
-/// access-transistor load in READ mode.
-///
-/// Returns `(v_in, v_out)` pairs with `v_in` ascending.
-///
-/// # Errors
-///
-/// Propagates DC-sweep failures.
-pub fn half_cell_vtc(
-    pd: &dyn mosfet::MosfetModel,
-    pu: &dyn mosfet::MosfetModel,
-    pg: &dyn mosfet::MosfetModel,
-    vdd_value: f64,
-    mode: SnmMode,
-    n_points: usize,
-) -> Result<Vec<(f64, f64)>, SpiceError> {
-    let (c, out) = half_cell_circuit(pd, pu, pg, vdd_value, mode);
-    let mut session = Session::elaborate(c)?;
-    half_cell_vtc_on(&mut session, out, vdd_value, n_points)
-}
-
 /// Builds one half-cell circuit; returns it plus the output node.
 fn half_cell_circuit(
     pd: &dyn mosfet::MosfetModel,
@@ -170,44 +148,6 @@ fn half_cell_vtc_on(
         .zip(sweep.voltages(out))
         .map(|(&x, y)| (x, y))
         .collect())
-}
-
-/// Both butterfly curves of a cell.
-///
-/// Curve 1 is the left half-cell's VTC `(v_r, v_l = f1(v_r))` re-expressed
-/// in the `(v_l, v_r)` plane; curve 2 is the right half-cell's VTC
-/// `(v_l, v_r = f2(v_l))` directly. Plotting both in the `(v_l, v_r)` plane
-/// gives the butterfly.
-///
-/// # Errors
-///
-/// Propagates sweep failures.
-pub fn butterfly(
-    devices: &SramDevices,
-    vdd: f64,
-    mode: SnmMode,
-    n_points: usize,
-) -> Result<(ButterflyCurve, ButterflyCurve), SpiceError> {
-    // Right half drives v_r from v_l.
-    let curve2 = half_cell_vtc(
-        devices.pd[1].as_ref(),
-        devices.pu[1].as_ref(),
-        devices.pg[1].as_ref(),
-        vdd,
-        mode,
-        n_points,
-    )?;
-    // Left half drives v_l from v_r; express as (v_l, v_r) pairs.
-    let vtc1 = half_cell_vtc(
-        devices.pd[0].as_ref(),
-        devices.pu[0].as_ref(),
-        devices.pg[0].as_ref(),
-        vdd,
-        mode,
-        n_points,
-    )?;
-    let curve1: Vec<(f64, f64)> = vtc1.into_iter().map(|(v_r, v_l)| (v_l, v_r)).collect();
-    Ok((curve1, curve2))
 }
 
 /// Linear interpolation on `(t, v)` samples sorted ascending by `t`,
@@ -273,8 +213,8 @@ fn lobe_snm(corner_curve: &[(f64, f64)], bound_curve: &[(f64, f64)], v_max: f64)
 /// Static noise margin of a butterfly: the smaller of the two maximal
 /// squares inscribed in the eyes.
 ///
-/// `curve1` and `curve2` are the outputs of [`butterfly`], both in the
-/// `(v_l, v_r)` plane.
+/// `curve1` and `curve2` are the outputs of [`SnmBench::curves`], both in
+/// the `(v_l, v_r)` plane.
 pub fn snm(curve1: &[(f64, f64)], curve2: &[(f64, f64)], vdd: f64) -> f64 {
     let (eye1, eye2) = eye_margins(curve1, curve2, vdd);
     eye1.min(eye2)
@@ -393,43 +333,6 @@ pub fn dc_sample_from(
     Ok(op.voltage(r))
 }
 
-/// AC read-disturb analysis of the full cell (the paper's Table IV "SRAM
-/// AC" workload): small-signal transfer from a bit-line perturbation to the
-/// low storage node, across frequency. Returns the per-frequency transfer
-/// magnitudes at the low node.
-///
-/// # Errors
-///
-/// Propagates operating-point and AC-solve failures.
-pub fn read_disturb_ac(
-    devices: &SramDevices,
-    vdd: f64,
-    freqs: &[f64],
-) -> Result<Vec<f64>, SpiceError> {
-    let (c, l, r) = full_cell(devices, vdd);
-    let mut session = Session::elaborate(c)?;
-    // Bias into the "l low" stable state; the AC sweep linearizes there.
-    let ac = session.ac_owned("VBL", freqs, &[(l, 0.0), (r, vdd)])?;
-    Ok(ac.magnitudes(l))
-}
-
-/// Convenience: draw devices, trace the butterfly, and return the SNM.
-///
-/// # Errors
-///
-/// Propagates sweep failures.
-pub fn measure_snm(
-    sz: SramSizing,
-    vdd: f64,
-    mode: SnmMode,
-    n_points: usize,
-    f: &mut dyn DeviceFactory,
-) -> Result<f64, SpiceError> {
-    let devices = SramDevices::draw(sz, f);
-    let (c1, c2) = butterfly(&devices, vdd, mode, n_points)?;
-    Ok(snm(&c1, &c2, vdd))
-}
-
 /// A persistent SNM Monte Carlo bench: both half-cell sessions elaborated
 /// once; every sample swaps six fresh devices in place and re-sweeps with
 /// warm starts.
@@ -503,8 +406,12 @@ impl SnmBench {
         Ok(())
     }
 
-    /// Traces both butterfly curves on the current devices (both in the
-    /// `(v_l, v_r)` plane, as for [`butterfly`]).
+    /// Traces both butterfly curves on the current devices.
+    ///
+    /// Curve 1 is the left half-cell's VTC `(v_r, v_l = f1(v_r))`
+    /// re-expressed in the `(v_l, v_r)` plane; curve 2 is the right
+    /// half-cell's VTC `(v_l, v_r = f2(v_l))` directly. Plotting both in the
+    /// `(v_l, v_r)` plane gives the butterfly.
     ///
     /// # Errors
     ///
@@ -584,10 +491,11 @@ impl ReadDisturbBench {
         Ok(())
     }
 
-    /// Per-frequency transfer magnitudes from the bit line into the low
-    /// storage node (see [`read_disturb_ac`]), via the batched AC path:
-    /// the first call selects the "l low" state from the guess, subsequent
-    /// calls warm-start from the previous sample's operating point.
+    /// Per-frequency transfer magnitudes from a bit-line perturbation into
+    /// the low storage node (the paper's Table IV "SRAM AC" workload), via
+    /// the batched AC path: the first call selects the "l low" state from
+    /// the guess, subsequent calls warm-start from the previous sample's
+    /// operating point.
     ///
     /// # Errors
     ///
@@ -622,10 +530,16 @@ mod tests {
         assert!((s - VDD / 2.0).abs() < 0.05, "ideal SNM = {s}");
     }
 
+    /// The SNM of one freshly built bench.
+    fn measure_snm(mode: SnmMode, n_points: usize, f: &mut dyn DeviceFactory) -> f64 {
+        let mut bench = SnmBench::new(SramSizing::default(), VDD, mode, n_points, f).unwrap();
+        bench.snm().unwrap()
+    }
+
     #[test]
     fn hold_snm_in_expected_range() {
         let mut f = NominalVsFactory;
-        let s = measure_snm(SramSizing::default(), VDD, SnmMode::Hold, 61, &mut f).unwrap();
+        let s = measure_snm(SnmMode::Hold, 61, &mut f);
         // Paper Fig. 9(e): hold SNM ~0.26-0.36 V.
         assert!((0.15..0.45).contains(&s), "hold SNM = {s}");
     }
@@ -633,8 +547,8 @@ mod tests {
     #[test]
     fn read_snm_smaller_than_hold() {
         let mut f = NominalVsFactory;
-        let hold = measure_snm(SramSizing::default(), VDD, SnmMode::Hold, 61, &mut f).unwrap();
-        let read = measure_snm(SramSizing::default(), VDD, SnmMode::Read, 61, &mut f).unwrap();
+        let hold = measure_snm(SnmMode::Hold, 61, &mut f);
+        let read = measure_snm(SnmMode::Read, 61, &mut f);
         assert!(read < hold, "read {read} must be below hold {hold}");
         assert!(read > 0.02, "read SNM = {read} collapsed");
     }
@@ -642,18 +556,21 @@ mod tests {
     #[test]
     fn bsim_kit_gives_comparable_margins() {
         let mut f = NominalBsimFactory;
-        let hold = measure_snm(SramSizing::default(), VDD, SnmMode::Hold, 61, &mut f).unwrap();
-        let read = measure_snm(SramSizing::default(), VDD, SnmMode::Read, 61, &mut f).unwrap();
+        let hold = measure_snm(SnmMode::Hold, 61, &mut f);
+        let read = measure_snm(SnmMode::Read, 61, &mut f);
         assert!((0.15..0.45).contains(&hold), "hold = {hold}");
         assert!(read < hold);
     }
 
     #[test]
     fn read_mode_squashes_low_level() {
-        let mut f = NominalVsFactory;
-        let devices = SramDevices::draw(SramSizing::default(), &mut f);
-        let (_, hold_curve) = butterfly(&devices, VDD, SnmMode::Hold, 41).unwrap();
-        let (_, read_curve) = butterfly(&devices, VDD, SnmMode::Read, 41).unwrap();
+        let curves = |mode| {
+            let mut bench =
+                SnmBench::new(SramSizing::default(), VDD, mode, 41, &mut NominalVsFactory).unwrap();
+            bench.curves().unwrap()
+        };
+        let (_, hold_curve) = curves(SnmMode::Hold);
+        let (_, read_curve) = curves(SnmMode::Read);
         // At v_l = Vdd the half-cell output is low; in READ the access
         // transistor pulls it up from 0.
         let hold_low = hold_curve.last().unwrap().1;
@@ -761,13 +678,11 @@ mod tests {
     }
 
     #[test]
-    fn snm_bench_matches_one_shot_measurement() {
+    fn snm_bench_nominal_resample_keeps_the_snm() {
         let sz = SramSizing::default();
         let mut f = NominalVsFactory;
-        let one_shot = measure_snm(sz, VDD, SnmMode::Read, 41, &mut f).unwrap();
         let mut bench = SnmBench::new(sz, VDD, SnmMode::Read, 41, &mut f).unwrap();
         let s1 = bench.snm().unwrap();
-        assert!((s1 - one_shot).abs() < 1e-6, "{s1} vs {one_shot}");
         // Nominal resample: same devices, same SNM, no re-elaboration.
         bench.resample(sz, &mut f).unwrap();
         let s2 = bench.snm().unwrap();
@@ -775,17 +690,12 @@ mod tests {
     }
 
     #[test]
-    fn read_disturb_bench_matches_one_shot() {
+    fn read_disturb_bench_nominal_resample_keeps_the_transfer() {
         let sz = SramSizing::default();
         let mut f = NominalVsFactory;
-        let devices = SramDevices::draw(sz, &mut f);
         let freqs = [1e6, 1e9];
-        let one_shot = read_disturb_ac(&devices, VDD, &freqs).unwrap();
         let mut bench = ReadDisturbBench::new(sz, VDD, &mut f).unwrap();
         let a = bench.run(&freqs).unwrap();
-        for (x, y) in a.iter().zip(&one_shot) {
-            assert!((x - y).abs() < 1e-6 * y.abs().max(1e-12), "{x} vs {y}");
-        }
         bench.resample(sz, &mut f).unwrap();
         let b = bench.run(&freqs).unwrap();
         for (x, y) in a.iter().zip(&b) {
@@ -796,8 +706,8 @@ mod tests {
     #[test]
     fn read_disturb_transfer_rolls_off() {
         let mut f = NominalVsFactory;
-        let devices = SramDevices::draw(SramSizing::default(), &mut f);
-        let mags = read_disturb_ac(&devices, VDD, &[1e6, 1e9, 1e13]).unwrap();
+        let mut bench = ReadDisturbBench::new(SramSizing::default(), VDD, &mut f).unwrap();
+        let mags = bench.run(&[1e6, 1e9, 1e13]).unwrap();
         // Finite low-frequency coupling from the bit line into the cell,
         // rolling off at very high frequency... through the access device
         // the node is resistively divided, so the transfer must stay below 1.

@@ -32,11 +32,13 @@ pub fn measure_cinv(kit: &GoldenKit, polarity: Polarity, geom: Geometry) -> f64 
     use mosfet::bsim::BsimModel;
     let dev = BsimModel::new(kit.corner(polarity).params, polarity, geom);
     let s = polarity.sign();
-    let cgg = dev.cgg(Bias {
-        vgs: s * kit.vdd,
-        vds: 0.0,
-        vbs: 0.0,
-    });
+    let cgg = dev
+        .eval_charges(Bias {
+            vgs: s * kit.vdd,
+            vds: 0.0,
+            vbs: 0.0,
+        })
+        .dq[0][0];
     let cov = VsParams::nmos_40nm().cov;
     ((cgg - 2.0 * cov * geom.w) / geom.area()).max(1e-4)
 }

@@ -14,7 +14,8 @@ pub struct DeviceMetrics {
     pub idsat: f64,
     /// `log10` of the off-current magnitude at `Vgs = 0, |Vds| = Vdd`.
     pub log10_ioff: f64,
-    /// Gate capacitance `dQg/dVgs` at `|Vgs| = Vdd, Vds = 0`, F.
+    /// Gate capacitance `∂Qg/∂Vgs` at `|Vgs| = Vdd, Vds = 0`, F: the exact
+    /// partial from [`MosfetModel::eval_charges`].
     pub cgg: f64,
 }
 
@@ -37,11 +38,13 @@ impl DeviceMetrics {
             })
             .abs()
             .max(1e-30);
-        let cgg = model.cgg(Bias {
-            vgs: s * vdd,
-            vds: 0.0,
-            vbs: 0.0,
-        });
+        let cgg = model
+            .eval_charges(Bias {
+                vgs: s * vdd,
+                vds: 0.0,
+                vbs: 0.0,
+            })
+            .dq[0][0];
         DeviceMetrics {
             idsat,
             log10_ioff: ioff.log10(),

@@ -159,25 +159,6 @@ pub trait MosfetModel: Send + Sync + std::fmt::Debug {
         }
         ChargeEval { q, dq }
     }
-
-    /// Gate capacitance `dQg/dVgs` at the given bias, by central difference.
-    /// This is the `Cgg` electrical metric used in BPV extraction.
-    fn cgg(&self, bias: Bias) -> f64 {
-        let h = 1e-4;
-        let qp = self
-            .charges(Bias {
-                vgs: bias.vgs + h,
-                ..bias
-            })
-            .qg;
-        let qm = self
-            .charges(Bias {
-                vgs: bias.vgs - h,
-                ..bias
-            })
-            .qg;
-        (qp - qm) / (2.0 * h)
-    }
 }
 
 impl Clone for Box<dyn MosfetModel> {

@@ -549,11 +549,13 @@ mod tests {
     fn cgg_in_inversion_tracks_gate_capacitance() {
         let m = nmos();
         let g = m.geometry();
-        let cgg = m.cgg(Bias {
-            vgs: 0.9,
-            vds: 0.0,
-            vbs: 0.0,
-        });
+        let cgg = m
+            .eval_charges(Bias {
+                vgs: 0.9,
+                vds: 0.0,
+                vbs: 0.0,
+            })
+            .dq[0][0];
         let c_ox = m.params().cinv * g.area() + 2.0 * m.params().cov * g.w;
         assert!(
             cgg > 0.3 * c_ox && cgg < 1.5 * c_ox,

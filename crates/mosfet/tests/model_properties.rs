@@ -223,8 +223,8 @@ fn cgg_is_positive_and_grows_with_area() {
             vds: 0.0,
             vbs: 0.0,
         };
-        let c_small = small.cgg(bias);
-        let c_big = big.cgg(bias);
+        let c_small = small.eval_charges(bias).dq[0][0];
+        let c_big = big.eval_charges(bias).dq[0][0];
         assert!(c_small > 0.0);
         assert!(c_big > 1.5 * c_small);
     }

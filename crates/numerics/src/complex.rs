@@ -1,22 +1,17 @@
-//! Minimal complex arithmetic and complex linear solves for AC analysis.
+//! Minimal complex arithmetic for AC analysis.
 //!
 //! The AC small-signal analysis solves `(G + jωC) x = b` per frequency
-//! point; this module provides the complex scalar type, a dense complex
-//! matrix, and LU solvers over it. Kept deliberately small — only what the
-//! simulator needs (the allowed dependency list has no complex-number
-//! crate).
+//! point; this module provides the complex scalar type and a dense complex
+//! matrix. Kept deliberately small — only what the simulator needs (the
+//! allowed dependency list has no complex-number crate).
 //!
-//! Two solve shapes:
-//!
-//! * [`CMatrix::solve`] — one-shot, consuming: convenient for a single
-//!   system.
-//! * [`CLu`] — a reusable factorization object mirroring [`crate::lu::Lu`]:
-//!   [`CLu::refactor`] re-eliminates a same-order matrix into the existing
-//!   storage and [`CLu::solve_into`] writes into a caller-provided vector,
-//!   so a frequency sweep factors and solves hundreds of points with zero
-//!   allocation (pair with [`CMatrix::assign_gc`]).
+//! The systems are factored by [`CLu`], the crate's one LU ([`Lu`]) over
+//! [`C64`]: [`CLu::refactor`] re-eliminates a same-order matrix into the
+//! existing storage and [`CLu::solve_into`] writes into a caller-provided
+//! vector, so a frequency sweep factors and solves hundreds of points with
+//! zero allocation (pair with [`CMatrix::assign_gc`]).
 
-use crate::NumericsError;
+use crate::lu::{Dense, Lu};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
 /// A complex number with `f64` components.
@@ -200,81 +195,22 @@ impl CMatrix {
             }
         }
     }
+}
 
-    /// Solves `A x = b` by LU with partial pivoting, consuming the matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::SingularMatrix`] on pivot breakdown and
-    /// [`NumericsError::DimensionMismatch`] on rhs length mismatch.
-    pub fn solve(self, b: &[C64]) -> Result<Vec<C64>, NumericsError> {
-        if b.len() != self.n {
-            return Err(NumericsError::DimensionMismatch {
-                context: format!("complex solve: rhs {} for order {}", b.len(), self.n),
-            });
-        }
-        CLu::factor_owned(self)?.solve(b)
+impl Dense for CMatrix {
+    type Scalar = C64;
+
+    fn shape(&self) -> (usize, usize) {
+        (self.n, self.n)
+    }
+
+    fn entries(&self) -> &[C64] {
+        &self.data
     }
 }
 
-/// The elimination kernel shared by every [`CLu`] entry point: factors `lu`
-/// in place (combined unit-lower L and upper U), filling `perm`.
-///
-/// Two hot-loop choices, sized for the AC-sweep workload (hundreds of
-/// factorizations of a small dense matrix per Monte Carlo sample): pivots
-/// are selected on the cheap [`C64::norm1`] instead of `hypot`, and each
-/// column's multipliers use one precomputed pivot reciprocal instead of a
-/// full complex division per row.
-fn eliminate(
-    lu: &mut CMatrix,
-    perm: &mut [usize],
-    inv_diag: &mut [C64],
-) -> Result<(), NumericsError> {
-    let n = lu.n;
-    for (i, p) in perm.iter_mut().enumerate() {
-        *p = i;
-    }
-    for k in 0..n {
-        // Pivot on the 1-norm (order-of-magnitude selection only).
-        let mut p = k;
-        let mut pmax = lu.at(k, k).norm1();
-        for i in (k + 1)..n {
-            let v = lu.at(i, k).norm1();
-            if v > pmax {
-                pmax = v;
-                p = i;
-            }
-        }
-        if !(pmax > 1e-300) || !pmax.is_finite() {
-            return Err(NumericsError::SingularMatrix { pivot: k });
-        }
-        if p != k {
-            for j in 0..n {
-                let tmp = lu.at(k, j);
-                *lu.at_mut(k, j) = lu.at(p, j);
-                *lu.at_mut(p, j) = tmp;
-            }
-            perm.swap(k, p);
-        }
-        let inv_pivot = lu.at(k, k).recip();
-        inv_diag[k] = inv_pivot;
-        for i in (k + 1)..n {
-            let m = lu.at(i, k) * inv_pivot;
-            if m != C64::ZERO {
-                for j in (k + 1)..n {
-                    let v = lu.at(k, j);
-                    *lu.at_mut(i, j) = lu.at(i, j) - m * v;
-                }
-            }
-            *lu.at_mut(i, k) = m;
-        }
-    }
-    Ok(())
-}
-
-/// A complex LU factorization `P A = L U` with partial pivoting, mirroring
-/// [`crate::lu::Lu`]: the factorization owns reusable storage, so repeated
-/// same-order systems refactor and solve without allocating.
+/// The complex LU factorization `P A = L U` of the AC sweep: [`Lu`] over
+/// [`C64`], the kernel that factors the DC solver's real Jacobians.
 ///
 /// # Example
 ///
@@ -300,125 +236,7 @@ fn eliminate(
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct CLu {
-    /// Combined L (below diagonal, unit diagonal implied) and U (on/above).
-    lu: CMatrix,
-    /// Row permutation: `perm[i]` is the original row stored at position `i`.
-    perm: Vec<usize>,
-    /// Reciprocals of U's diagonal, saved during elimination so every
-    /// back-substitution multiplies instead of dividing.
-    inv_diag: Vec<C64>,
-}
-
-impl CLu {
-    /// Factors a complex matrix into fresh storage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::SingularMatrix`] when a pivot underflows.
-    pub fn factor(a: &CMatrix) -> Result<Self, NumericsError> {
-        CLu::factor_owned(a.clone())
-    }
-
-    /// [`CLu::factor`] taking ownership of the matrix — no copy.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CLu::factor`].
-    pub fn factor_owned(mut a: CMatrix) -> Result<Self, NumericsError> {
-        let mut perm: Vec<usize> = (0..a.n).collect();
-        let mut inv_diag = vec![C64::ZERO; a.n];
-        eliminate(&mut a, &mut perm, &mut inv_diag)?;
-        Ok(CLu {
-            lu: a,
-            perm,
-            inv_diag,
-        })
-    }
-
-    /// Re-factors a same-order matrix into this object's existing storage —
-    /// no allocation. This is the hot path of a frequency sweep: assemble
-    /// `G + jωC` with [`CMatrix::assign_gc`], refactor, solve.
-    ///
-    /// On error the factorization is left in an unusable state; call
-    /// `refactor` again with a valid matrix before solving.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CLu::factor`], plus [`NumericsError::DimensionMismatch`]
-    /// when `a`'s order differs from the stored one.
-    pub fn refactor(&mut self, a: &CMatrix) -> Result<(), NumericsError> {
-        let n = self.lu.n;
-        if a.n != n {
-            return Err(NumericsError::DimensionMismatch {
-                context: format!("refactor of order-{} matrix into order-{} CLu", a.n, n),
-            });
-        }
-        self.lu.data.copy_from_slice(&a.data);
-        eliminate(&mut self.lu, &mut self.perm, &mut self.inv_diag)
-    }
-
-    /// Solves `A x = b` using the stored factorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::DimensionMismatch`] if `b.len()` does not
-    /// match the matrix order.
-    pub fn solve(&self, b: &[C64]) -> Result<Vec<C64>, NumericsError> {
-        let mut x = vec![C64::ZERO; self.lu.n];
-        self.solve_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`CLu::solve`] into caller-provided storage — no allocation. `x`
-    /// must have the factorization's order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::DimensionMismatch`] if `b` or `x` does not
-    /// match the matrix order.
-    pub fn solve_into(&self, b: &[C64], x: &mut [C64]) -> Result<(), NumericsError> {
-        let n = self.lu.n;
-        if b.len() != n || x.len() != n {
-            return Err(NumericsError::DimensionMismatch {
-                context: format!(
-                    "rhs length {} / out length {} for order-{} CLu",
-                    b.len(),
-                    x.len(),
-                    n
-                ),
-            });
-        }
-        // Apply permutation: y = P b.
-        for (xi, &p) in x.iter_mut().zip(&self.perm) {
-            *xi = b[p];
-        }
-        // Forward substitution with unit-lower L.
-        for i in 1..n {
-            let mut s = x[i];
-            for j in 0..i {
-                s = s - self.lu.at(i, j) * x[j];
-            }
-            x[i] = s;
-        }
-        // Back substitution with U (pivot reciprocals cached at factor
-        // time, so the sweep hot loop never divides).
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in (i + 1)..n {
-                s = s - self.lu.at(i, j) * x[j];
-            }
-            x[i] = s * self.inv_diag[i];
-        }
-        Ok(())
-    }
-
-    /// Order of the factored matrix.
-    pub fn order(&self) -> usize {
-        self.lu.n
-    }
-}
+pub type CLu = Lu<C64>;
 
 #[cfg(test)]
 mod tests {
@@ -447,26 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn complex_solve_known_system() {
-        // (1+j) x + y = 2 ; x - y = j  => solve and verify by substitution.
-        let mut m = CMatrix::zeros(2);
-        *m.at_mut(0, 0) = C64::new(1.0, 1.0);
-        *m.at_mut(0, 1) = C64::ONE;
-        *m.at_mut(1, 0) = C64::ONE;
-        *m.at_mut(1, 1) = -C64::ONE;
-        let b = [C64::new(2.0, 0.0), C64::imag(1.0)];
-        let m2 = m.clone();
-        let x = m.solve(&b).unwrap();
-        for i in 0..2 {
-            let mut s = C64::ZERO;
-            for j in 0..2 {
-                s += m2.at(i, j) * x[j];
-            }
-            assert!((s - b[i]).abs() < 1e-12, "row {i}: {s:?} vs {:?}", b[i]);
-        }
-    }
-
-    #[test]
     fn from_gc_builds_impedance_matrix() {
         let g = crate::Matrix::from_diag(&[2.0]);
         let c = crate::Matrix::from_diag(&[1e-9]);
@@ -492,88 +290,5 @@ mod tests {
         let g = crate::Matrix::from_diag(&[2.0]);
         let c = crate::Matrix::from_diag(&[1e-9]);
         CMatrix::zeros(2).assign_gc(&g, &c, 1.0);
-    }
-
-    #[test]
-    fn singular_detected() {
-        let m = CMatrix::zeros(2);
-        assert!(m.solve(&[C64::ONE, C64::ONE]).is_err());
-    }
-
-    /// A dense well-conditioned complex system for the CLu tests.
-    fn test_matrix(scale: f64) -> CMatrix {
-        let mut m = CMatrix::zeros(3);
-        *m.at_mut(0, 0) = C64::new(3.0 * scale, 1.0);
-        *m.at_mut(0, 1) = C64::new(1.0, -2.0);
-        *m.at_mut(0, 2) = C64::new(0.5, 0.0);
-        *m.at_mut(1, 0) = C64::new(0.0, 1.0);
-        *m.at_mut(1, 1) = C64::new(-2.0, 2.0 * scale);
-        *m.at_mut(1, 2) = C64::new(1.0, 1.0);
-        *m.at_mut(2, 0) = C64::new(1.0, 0.0);
-        *m.at_mut(2, 1) = C64::new(0.0, -1.0);
-        *m.at_mut(2, 2) = C64::new(4.0 * scale, -1.0);
-        m
-    }
-
-    fn residual(a: &CMatrix, x: &[C64], b: &[C64]) -> f64 {
-        let n = a.order();
-        let mut worst = 0.0_f64;
-        for i in 0..n {
-            let mut s = C64::ZERO;
-            for j in 0..n {
-                s += a.at(i, j) * x[j];
-            }
-            worst = worst.max((s - b[i]).abs());
-        }
-        worst
-    }
-
-    #[test]
-    fn clu_matches_consuming_solve() {
-        let a = test_matrix(1.0);
-        let b = [C64::new(1.0, 0.0), C64::new(0.0, 1.0), C64::new(-2.0, 3.0)];
-        let f = CLu::factor(&a).unwrap();
-        let x = f.solve(&b).unwrap();
-        assert!(residual(&a, &x, &b) < 1e-12);
-        let x2 = a.clone().solve(&b).unwrap();
-        for (l, r) in x.iter().zip(&x2) {
-            assert!((*l - *r).abs() < 1e-12);
-        }
-        assert_eq!(f.order(), 3);
-    }
-
-    #[test]
-    fn clu_refactor_reuses_storage_and_recovers_from_singular() {
-        let a = test_matrix(1.0);
-        let b = [C64::ONE, C64::imag(1.0), C64::new(1.0, 1.0)];
-        let mut f = CLu::factor(&a).unwrap();
-        // Refactor with a different matrix: solutions track the new system.
-        let a2 = test_matrix(-2.5);
-        f.refactor(&a2).unwrap();
-        let mut x = vec![C64::ZERO; 3];
-        f.solve_into(&b, &mut x).unwrap();
-        assert!(residual(&a2, &x, &b) < 1e-12);
-        // A singular refactor errors, then a valid one recovers.
-        assert!(f.refactor(&CMatrix::zeros(3)).is_err());
-        f.refactor(&a).unwrap();
-        f.solve_into(&b, &mut x).unwrap();
-        assert!(residual(&a, &x, &b) < 1e-12);
-        // Order mismatches are rejected everywhere.
-        assert!(f.refactor(&CMatrix::zeros(2)).is_err());
-        assert!(f.solve(&[C64::ONE]).is_err());
-        let mut short = vec![C64::ZERO; 2];
-        assert!(f.solve_into(&b, &mut short).is_err());
-    }
-
-    #[test]
-    fn clu_pivots_on_magnitude() {
-        // Leading zero forces a row swap, as in the real LU.
-        let mut a = CMatrix::zeros(2);
-        *a.at_mut(0, 1) = C64::ONE;
-        *a.at_mut(1, 0) = C64::new(0.0, 1.0);
-        let b = [C64::new(2.0, 0.0), C64::new(0.0, 3.0)];
-        let x = CLu::factor(&a).unwrap().solve(&b).unwrap();
-        assert!((x[0] - C64::new(3.0, 0.0)).abs() < 1e-14);
-        assert!((x[1] - C64::new(2.0, 0.0)).abs() < 1e-14);
     }
 }

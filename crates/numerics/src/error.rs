@@ -10,7 +10,7 @@ pub enum NumericsError {
         /// Pivot index at which breakdown was detected.
         pivot: usize,
     },
-    /// A matrix was not positive definite during Cholesky factorization.
+    /// A covariance matrix was not positive definite.
     NotPositiveDefinite {
         /// Diagonal index at which breakdown was detected.
         index: usize,

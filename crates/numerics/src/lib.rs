@@ -4,12 +4,12 @@
 //! statistical Virtual Source MOSFET modeling flow:
 //!
 //! * [`Matrix`] — a small dense row-major matrix with the usual arithmetic.
-//! * [`lu`] — LU decomposition with partial pivoting (the workhorse of the
-//!   MNA circuit solver).
+//! * [`lu`] — LU decomposition with partial pivoting, one kernel over real
+//!   and complex systems (the workhorse of the MNA circuit solver: DC and
+//!   transient Newton, and the AC sweep).
+//! * [`complex`] — the complex scalar and matrix of AC analysis.
 //! * [`qr`] — Householder QR and linear least squares (used to solve the
 //!   stacked backward-propagation-of-variance system).
-//! * [`cholesky`] — Cholesky factorization (covariance manipulation,
-//!   confidence ellipses).
 //! * [`nnls`] — non-negative least squares via an active-set method
 //!   (variances must not go negative during BPV extraction).
 //! * [`roots`] — the linear threshold crossing between two samples (the
@@ -39,7 +39,6 @@
 //! assert!((r[0] - 1.0).abs() < 1e-12 && (r[1] - 2.0).abs() < 1e-12);
 //! ```
 
-pub mod cholesky;
 pub mod complex;
 pub mod error;
 pub mod jacobian;

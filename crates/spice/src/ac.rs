@@ -12,8 +12,9 @@
 //! `(G, C)` matrices refilled in place per linearization
 //! ([`Circuit::linearize_into`]), and one complex matrix, one
 //! factorization, and one right-hand side reused for every frequency point
-//! ([`CMatrix::assign_gc`] + [`numerics::complex::CLu`]) — the sweep hot
-//! loop performs no allocation beyond the returned solution vectors.
+//! ([`CMatrix::assign_gc`] + [`numerics::complex::CLu`], the DC solver's
+//! LU kernel over complex scalars) — the sweep hot loop performs no
+//! allocation beyond the returned solution vectors.
 
 use crate::elements::Element;
 use crate::engine::{mos_capacitances, MosStamp};

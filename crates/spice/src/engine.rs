@@ -80,7 +80,7 @@ pub struct Workspace {
     a: Matrix,
     b: Vec<f64>,
     /// Reused LU factorization storage (order n once initialized).
-    lu: Option<Lu>,
+    lu: Option<Lu<f64>>,
     /// Newton update scratch.
     x_new: Vec<f64>,
 }

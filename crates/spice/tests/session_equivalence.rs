@@ -7,7 +7,7 @@
 //! fresh elaborations across random mismatch draws.
 
 use mosfet::{vs::VsModel, Geometry, MosfetModel, StatParam, VariationDelta};
-use numerics::complex::{CMatrix, C64};
+use numerics::complex::{CLu, CMatrix, C64};
 use spice::{parser, Circuit, NodeId, Session, TranOptions, Waveform};
 
 /// The three-stage inverter chain from `examples/netlist_sim.rs`.
@@ -63,8 +63,8 @@ fn ac_reference_per_point(c: &Circuit, x_op: &[f64], source: &str, freqs: &[f64]
         .iter()
         .map(|&f| {
             let omega = 2.0 * std::f64::consts::PI * f;
-            CMatrix::from_gc(&lin.g, &lin.c, omega)
-                .solve(&b)
+            CLu::factor(&CMatrix::from_gc(&lin.g, &lin.c, omega))
+                .and_then(|f| f.solve(&b))
                 .expect("reference AC point solves")
         })
         .collect()

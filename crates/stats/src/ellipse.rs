@@ -4,9 +4,11 @@
 //! (Ion, log10 Ioff) joint distribution predicted by the VS and golden
 //! models. An ellipse at "k-sigma" is the contour of the fitted bivariate
 //! Gaussian that would contain the same probability mass as the ±kσ interval
-//! of a 1-D Gaussian.
+//! of a 1-D Gaussian. The contour maps a circle through the covariance's
+//! lower-triangular Cholesky factor `L` (`L Lᵀ = Σ`), which for a 2×2
+//! covariance is three closed-form entries.
 
-use numerics::{cholesky::Cholesky, Matrix, NumericsError};
+use numerics::NumericsError;
 
 /// Mean and covariance of a bivariate sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,9 +64,25 @@ impl Bivariate {
         }
     }
 
-    /// Covariance matrix as a 2x2 [`Matrix`].
-    pub fn covariance_matrix(&self) -> Matrix {
-        Matrix::from_rows(&[&[self.var_x, self.cov_xy], &[self.cov_xy, self.var_y]])
+    /// The covariance's Cholesky factor `[l00, l10, l11]`: the lower
+    /// triangle of `L` with `L Lᵀ = [[var_x, cov_xy], [cov_xy, var_y]]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericsError::NotPositiveDefinite`] at the first diagonal
+    /// whose squared entry is not strictly positive and finite.
+    fn cholesky(&self) -> Result<[f64; 3], NumericsError> {
+        let root = |s: f64, index| {
+            if s <= 0.0 || !s.is_finite() {
+                Err(NumericsError::NotPositiveDefinite { index })
+            } else {
+                Ok(s.sqrt())
+            }
+        };
+        let l00 = root(self.var_x, 0)?;
+        let l10 = self.cov_xy / l00;
+        let l11 = root(self.var_y - l10 * l10, 1)?;
+        Ok([l00, l10, l11])
     }
 
     /// Points of the k-sigma confidence ellipse, as `n_points` (x, y) pairs.
@@ -92,12 +110,16 @@ impl Bivariate {
         let p = crate::gaussian::cdf(k_sigma) - crate::gaussian::cdf(-k_sigma);
         // Mahalanobis radius for that mass in 2-D (chi-square with 2 dof).
         let r = (-2.0 * (1.0 - p).ln()).sqrt();
-        let ch = Cholesky::factor(&self.covariance_matrix())?;
+        let [l00, l10, l11] = self.cholesky()?;
         let pts = (0..n_points)
             .map(|i| {
                 let th = 2.0 * std::f64::consts::PI * i as f64 / n_points as f64;
                 let z = [r * th.cos(), r * th.sin()];
-                let v = ch.correlate(&z);
+                // v = L z, each row summed from zero.
+                let mut v = [0.0; 2];
+                v[0] += l00 * z[0];
+                v[1] += l10 * z[0];
+                v[1] += l11 * z[1];
                 (self.mean_x + v[0], self.mean_y + v[1])
             })
             .collect();
@@ -108,12 +130,17 @@ impl Bivariate {
     ///
     /// # Errors
     ///
-    /// Returns an error when the covariance matrix is singular.
+    /// Returns an error when the covariance matrix is not positive definite
+    /// (degenerate sample).
     pub fn mahalanobis2(&self, x: f64, y: f64) -> Result<f64, NumericsError> {
-        let ch = Cholesky::factor(&self.covariance_matrix())?;
+        let [l00, l10, l11] = self.cholesky()?;
         let d = [x - self.mean_x, y - self.mean_y];
-        let v = ch.solve(&d)?;
-        Ok(d[0] * v[0] + d[1] * v[1])
+        // Σ v = d: forward substitution with L, then back with Lᵀ.
+        let w0 = d[0] / l00;
+        let w1 = (d[1] - l10 * w0) / l11;
+        let v1 = w1 / l11;
+        let v0 = (w0 - l10 * v1) / l00;
+        Ok(d[0] * v0 + d[1] * v1)
     }
 }
 

@@ -11,7 +11,7 @@
 //! Run with `cargo run --release --example sram_snm`.
 
 use statvs::circuits::cells::NominalVsFactory;
-use statvs::circuits::sram::{butterfly, SnmBench, SnmMode, SramDevices, SramSizing};
+use statvs::circuits::sram::{SnmBench, SnmMode, SramSizing};
 use statvs::stats::Sampler;
 use statvs::vscore::mc::{McFactory, ParallelRunner, TDigest, WelfordSink};
 use statvs::vscore::pipeline::{extract_statistical_vs_model, ExtractionConfig};
@@ -47,9 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sz = SramSizing::default();
 
     // Nominal butterfly (READ mode — the stress case).
-    let mut nominal = NominalVsFactory;
-    let devices = SramDevices::draw(sz, &mut nominal);
-    let (c1, c2) = butterfly(&devices, VDD, SnmMode::Read, 61)?;
+    let (c1, c2) = SnmBench::new(sz, VDD, SnmMode::Read, 61, &mut NominalVsFactory)?.curves()?;
     println!("nominal READ butterfly:");
     ascii_butterfly(&c1, &c2);
 
