@@ -91,24 +91,9 @@ impl DelayBench {
         }
     }
 
-    /// Read access to the underlying circuit.
-    pub fn circuit(&self) -> &Circuit {
-        self.session.circuit()
-    }
-
     /// The underlying session (leakage analysis, custom stimuli).
     pub fn session_mut(&mut self) -> &mut Session {
         &mut self.session
-    }
-
-    /// Input node.
-    pub fn input(&self) -> NodeId {
-        self.input
-    }
-
-    /// Output node.
-    pub fn output(&self) -> NodeId {
-        self.output
     }
 
     /// Supply voltage the bench was built for.

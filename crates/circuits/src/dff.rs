@@ -28,7 +28,7 @@
 //! [`DffBench::resample`].
 
 use crate::cells::{add_inverter, add_pass_nmos, resample_devices, DeviceFactory, InverterSizing};
-use spice::{Circuit, NodeId, Session, SpiceError, TranOptions, Waveform};
+use spice::{Circuit, Session, SpiceError, TranOptions, Waveform};
 
 /// Device sizing of the flip-flop.
 #[derive(Debug, Clone, Copy)]
@@ -59,7 +59,6 @@ impl Default for DffSizing {
 #[derive(Debug)]
 pub struct DffBench {
     session: Session,
-    q: NodeId,
     vdd_value: f64,
     t_clk_edge: f64,
 }
@@ -128,15 +127,9 @@ impl DffBench {
 
         DffBench {
             session: Session::elaborate(c).expect("bench netlist is well-formed"),
-            q,
             vdd_value,
             t_clk_edge: T_CLK,
         }
-    }
-
-    /// The underlying circuit.
-    pub fn circuit(&self) -> &Circuit {
-        self.session.circuit()
     }
 
     /// Re-targets the data edge to `t_setup` before the clock edge —
@@ -196,11 +189,6 @@ impl DffBench {
         let v_q_int = res.voltages(q_int);
         let v_final = *v_q_int.last().expect("non-empty transient");
         Ok(v_final > 0.5 * self.vdd_value)
-    }
-
-    /// Q output node (buffered, inverted sense of `q_int`).
-    pub fn q(&self) -> NodeId {
-        self.q
     }
 }
 

@@ -29,7 +29,7 @@
 //! # Example
 //!
 //! ```
-//! use numerics::{Matrix, Vector};
+//! use numerics::Matrix;
 //!
 //! // Solve a small linear system A x = b.
 //! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
@@ -51,12 +51,6 @@ pub mod roots;
 
 pub use error::NumericsError;
 pub use matrix::Matrix;
-
-/// A dense column vector, stored as a plain `Vec<f64>`.
-///
-/// Kept as a type alias rather than a newtype so that callers can use all of
-/// the standard slice/vec machinery directly.
-pub type Vector = Vec<f64>;
 
 /// Euclidean norm of a slice.
 ///

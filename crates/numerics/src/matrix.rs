@@ -130,11 +130,6 @@ impl Matrix {
         &self.data
     }
 
-    /// The underlying row-major data slice, mutably.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Fills the matrix with zeros in place (for re-use across solver iterations).
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);

@@ -4,6 +4,10 @@
 //! capacitance matrices `(G, C)`, then solves `(G + jωC) x = b` across a
 //! frequency sweep with a unit-magnitude excitation on one voltage source —
 //! the analysis the paper's Table IV runs on the SRAM cell ("SRAM AC").
+//! Both matrices come from [`crate::engine`]'s one linearization of every
+//! element: `G` is the DC Newton matrix at the operating point (the
+//! resistive stamps plus the gmin floor) and `C` the charge partials
+//! `∂q/∂v` that the transient companion scales by `1/h` or `2/h`.
 //!
 //! Run it through [`crate::Session::ac_owned`]; Monte Carlo loops that
 //! resample devices between sweeps should use [`crate::Session::ac_batch`],
@@ -16,11 +20,9 @@
 //! LU kernel over complex scalars) — the sweep hot loop performs no
 //! allocation beyond the returned solution vectors.
 
-use crate::elements::Element;
-use crate::engine::{mos_capacitances, MosStamp};
+use crate::engine::{charge_stamp, stamp_resistive, GMIN_FLOOR};
 use crate::error::SpiceError;
 use crate::netlist::{Circuit, NodeId};
-use mosfet::Bias;
 use numerics::complex::{CLu, CMatrix, C64};
 use numerics::Matrix;
 
@@ -56,12 +58,6 @@ impl AcResult {
     #[must_use]
     pub fn magnitudes(&self, node: NodeId) -> Vec<f64> {
         self.voltages(node).into_iter().map(C64::abs).collect()
-    }
-
-    /// Voltage phase trace (radians) of a node across the sweep.
-    #[must_use]
-    pub fn phases(&self, node: NodeId) -> Vec<f64> {
-        self.voltages(node).into_iter().map(C64::arg).collect()
     }
 }
 
@@ -116,82 +112,26 @@ impl Circuit {
         );
         lin.g.fill_zero();
         lin.c.fill_zero();
-        let g = &mut lin.g;
-        let c = &mut lin.c;
-        let volt = |node: NodeId| node.unknown().map_or(0.0, |i| x_op[i]);
-        let stamp_g = |gm: &mut Matrix, a: Option<usize>, b: Option<usize>, v: f64| {
-            if let Some(i) = a {
-                gm[(i, i)] += v;
-            }
-            if let Some(j) = b {
-                gm[(j, j)] += v;
-            }
-            if let (Some(i), Some(j)) = (a, b) {
-                gm[(i, j)] -= v;
-                gm[(j, i)] -= v;
-            }
-        };
-        let mut v_idx = 0usize;
+        // `G` is the DC Newton matrix at `x_op` (the right-hand side is
+        // dropped) and `C` holds the charge partials.
+        let mut branch = nn;
         for e in self.elements() {
-            match e {
-                Element::Resistor { a, b, r, .. } => {
-                    stamp_g(g, a.unknown(), b.unknown(), 1.0 / r);
-                }
-                Element::Capacitor { a, b, c: cap, .. } => {
-                    stamp_g(c, a.unknown(), b.unknown(), *cap);
-                }
-                Element::Vsource { pos, neg, .. } => {
-                    let row = nn + v_idx;
-                    if let Some(i) = pos.unknown() {
-                        g[(i, row)] += 1.0;
-                        g[(row, i)] += 1.0;
-                    }
-                    if let Some(j) = neg.unknown() {
-                        g[(j, row)] -= 1.0;
-                        g[(row, j)] -= 1.0;
-                    }
-                    v_idx += 1;
-                }
-                Element::Isource { .. } => {} // open in small signal
-                Element::Mosfet {
-                    d,
-                    g: gate,
-                    s,
-                    b,
-                    model,
-                    ..
-                } => {
-                    let bias = Bias {
-                        vgs: volt(*gate) - volt(*s),
-                        vds: volt(*d) - volt(*s),
-                        vbs: volt(*b) - volt(*s),
-                    };
-                    // The Newton stamp's conductances and the transient
-                    // stamp's capacitances: exact small-signal parameters
-                    // from the device's own derivatives.
-                    let bulk_tied = b == s;
-                    let nodes = [d.unknown(), gate.unknown(), s.unknown(), b.unknown()];
-                    MosStamp::new(model.as_ref(), bias, bulk_tied).write(
-                        nodes,
-                        |i, j, v| g[(i, j)] += v,
-                        |_, _| {},
-                    );
-                    let (_, caps) = mos_capacitances(model.as_ref(), bias, bulk_tied);
-                    let [du, gu, su, bu] = nodes;
-                    for (row, caps) in [gu, du, su, bu].into_iter().zip(caps) {
-                        let Some(row) = row else { continue };
-                        for (col, cap) in [gu, du, su, bu].into_iter().zip(caps) {
-                            if let Some(j) = col {
-                                c[(row, j)] += cap;
-                            }
-                        }
-                    }
-                }
+            stamp_resistive(
+                e,
+                x_op,
+                &mut branch,
+                0.0,
+                1.0,
+                |i, j, v| lin.g[(i, j)] += v,
+                |_, _| {},
+            );
+            if let Some(ch) = charge_stamp(e, x_op, true) {
+                ch.write_partials(1.0, |i, j, v| lin.c[(i, j)] += v);
             }
         }
         // Gmin floor on node diagonals (matches the DC assembly).
         for i in 0..nn {
-            g[(i, i)] += 1e-12;
+            lin.g[(i, i)] += GMIN_FLOOR;
         }
     }
 }
@@ -358,7 +298,7 @@ mod tests {
             .ac_owned("V1", &[fc / 100.0, fc, fc * 100.0], &[])
             .unwrap();
         let mag = res.magnitudes(out);
-        let ph = res.phases(out);
+        let phase = res.voltages(out)[1].arg();
         assert!((mag[0] - 1.0).abs() < 1e-3, "passband |H| = {}", mag[0]);
         assert!(
             (mag[1] - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3,
@@ -367,9 +307,8 @@ mod tests {
         );
         assert!(mag[2] < 0.011, "stopband |H| = {}", mag[2]);
         assert!(
-            (ph[1] + std::f64::consts::FRAC_PI_4).abs() < 1e-3,
-            "phase(fc) = {}",
-            ph[1]
+            (phase + std::f64::consts::FRAC_PI_4).abs() < 1e-3,
+            "phase(fc) = {phase}"
         );
     }
 

@@ -1,18 +1,36 @@
-//! MNA assembly and the damped Newton-Raphson solver.
+//! MNA assembly, the one linearization of every element, and the damped
+//! Newton-Raphson solver.
 //!
 //! The unknown vector is `x = [v_1 .. v_{N-1}, i_1 .. i_M]`: node voltages
-//! (ground eliminated) followed by voltage-source branch currents. Nonlinear
-//! devices are stamped as SPICE-style companion models, so each Newton
-//! iteration solves the linear system `A(x_k) · x_{k+1} = b(x_k)`.
+//! (ground eliminated) followed by voltage-source branch currents. Every
+//! element is linearized here, once, in two parts that DC, transient and
+//! AC analysis all read:
+//!
+//! * the **resistive stamp** (`stamp_resistive`): conductances and
+//!   constant currents — resistors, voltage-source incidence and values,
+//!   current sources, and each MOSFET's channel current through
+//!   [`MosfetModel::eval_dc`]; capacitors are open;
+//! * the **charge stamp** (`charge_stamp`): the charges of an element's
+//!   charge terminals and their partials `∂q/∂v` — a linear capacitor is
+//!   the two-terminal charge `±c·(v_a − v_b)`, a MOSFET's four terminal
+//!   charges come from [`MosfetModel::eval_charges`].
+//!
+//! [`assemble`] writes the resistive stamp and, in transient mode, the
+//! charge-conserving companion `i = k·(q − q_prev) + i_const` of every
+//! charge terminal, so each Newton iteration solves the linear system
+//! `A(x_k) · x_{k+1} = b(x_k)`. The AC linearization
+//! ([`Circuit::linearize_into`]) takes `G` from the same resistive stamp
+//! and `C` from the same charge partials, and [`TranState`] keeps one
+//! charge and one current per charge terminal between time steps.
 
 use crate::elements::Element;
 use crate::error::SpiceError;
-use crate::netlist::Circuit;
+use crate::netlist::{Circuit, NodeId};
 use mosfet::{Bias, MosfetModel};
 use numerics::{lu::Lu, Matrix};
 
 /// Conductance floor from every node to ground (numerical safety net).
-const GMIN_FLOOR: f64 = 1e-12;
+pub(crate) const GMIN_FLOOR: f64 = 1e-12;
 /// Maximum Newton voltage update per iteration (V) — exponential device
 /// damping.
 const MAX_DV: f64 = 0.12;
@@ -33,17 +51,74 @@ pub enum Integrator {
     Trapezoidal,
 }
 
-/// Dynamic (charge-storage) state carried between transient steps.
+impl Integrator {
+    /// The coefficient `k` of the charge companion
+    /// `i = k·(q − q_prev) + i_const` of one charge terminal over a step of
+    /// size `h`.
+    fn k(self, h: f64) -> f64 {
+        match self {
+            Integrator::BackwardEuler => 1.0 / h,
+            Integrator::Trapezoidal => 2.0 / h,
+        }
+    }
+
+    /// The constant `i_const` of that companion, for a terminal whose
+    /// current at the previous step was `i_prev`.
+    fn i_const(self, i_prev: f64) -> f64 {
+        match self {
+            Integrator::BackwardEuler => 0.0,
+            Integrator::Trapezoidal => -i_prev,
+        }
+    }
+
+    /// The current of one charge terminal at the end of an accepted step
+    /// of size `h` over which its charge moved by `dq`.
+    fn current(self, h: f64, dq: f64, i_prev: f64) -> f64 {
+        match self {
+            Integrator::BackwardEuler => dq / h,
+            Integrator::Trapezoidal => 2.0 * dq / h - i_prev,
+        }
+    }
+}
+
+/// Dynamic (charge-storage) state carried between transient steps: the
+/// charge and the charging current of every charge terminal (see the
+/// module docs) at the previous accepted step, in element order.
 #[derive(Debug, Clone, Default)]
 pub struct TranState {
-    /// Per-capacitor branch voltage at the previous accepted step.
-    pub cap_v: Vec<f64>,
-    /// Per-capacitor branch current at the previous accepted step.
-    pub cap_i: Vec<f64>,
-    /// Per-MOSFET terminal charges `(qg, qd, qs, qb)` at the previous step.
-    pub mos_q: Vec<[f64; 4]>,
-    /// Per-MOSFET terminal charging currents at the previous step.
-    pub mos_i: Vec<[f64; 4]>,
+    q: Vec<f64>,
+    i: Vec<f64>,
+}
+
+impl TranState {
+    /// Refills the state with the charges at the solved operating point
+    /// `x` and zero currents, reusing the buffers' capacity.
+    pub(crate) fn init(&mut self, circuit: &Circuit, x: &[f64]) {
+        self.q.clear();
+        for e in circuit.elements() {
+            if let Some(ch) = charge_stamp(e, x, false) {
+                self.q.extend_from_slice(&ch.q[..ch.len]);
+            }
+        }
+        self.i.clear();
+        self.i.resize(self.q.len(), 0.0);
+    }
+
+    /// Advances the state in place to the end of an accepted step of size
+    /// `h` taken by `method`, whose solution is `x`.
+    pub(crate) fn advance(&mut self, circuit: &Circuit, x: &[f64], h: f64, method: Integrator) {
+        let mut slot = 0;
+        for e in circuit.elements() {
+            let Some(ch) = charge_stamp(e, x, false) else {
+                continue;
+            };
+            for &q in &ch.q[..ch.len] {
+                self.i[slot] = method.current(h, q - self.q[slot], self.i[slot]);
+                self.q[slot] = q;
+                slot += 1;
+            }
+        }
+    }
 }
 
 /// What kind of system to assemble.
@@ -119,13 +194,24 @@ impl Workspace {
 }
 
 /// Voltage of `node` under the unknown vector `x` (0 for ground).
-fn volt(x: &[f64], node: crate::netlist::NodeId) -> f64 {
+fn volt(x: &[f64], node: NodeId) -> f64 {
     node.unknown().map_or(0.0, |i| x[i])
+}
+
+/// The bias of a MOSFET with drain, gate, source and bulk nodes `d`, `g`,
+/// `s`, `b` under the unknown vector `x`.
+fn mos_bias(x: &[f64], d: NodeId, g: NodeId, s: NodeId, b: NodeId) -> Bias {
+    let vs = volt(x, s);
+    Bias {
+        vgs: volt(x, g) - vs,
+        vds: volt(x, d) - vs,
+        vbs: volt(x, b) - vs,
+    }
 }
 
 /// DC companion-model values of one MOSFET at a bias point: the stamp the
 /// Newton loop writes into the conductance block and right-hand side.
-pub(crate) struct MosStamp {
+struct MosStamp {
     gm: f64,
     gds: f64,
     gmb: f64,
@@ -138,9 +224,8 @@ pub(crate) struct MosStamp {
 impl MosStamp {
     /// The companion model of `model` at `bias`, from one
     /// [`MosfetModel::eval_dc`] — the device's single differentiation
-    /// site. [`assemble`] and the AC linearization both build their stamps
-    /// here. A bulk tied to the source contributes no `gmb`.
-    pub(crate) fn new(model: &dyn MosfetModel, bias: Bias, bulk_tied: bool) -> Self {
+    /// site. A bulk tied to the source contributes no `gmb`.
+    fn new(model: &dyn MosfetModel, bias: Bias, bulk_tied: bool) -> Self {
         let ev = model.eval_dc(bias);
         let gmb = if bulk_tied { 0.0 } else { ev.gmb };
         MosStamp {
@@ -156,7 +241,7 @@ impl MosStamp {
     /// through `add(row, col, value)`, the linearization constant through
     /// `rhs(row, value)`. Row `d` carries `+Id` (current leaving node `d`
     /// into the channel), row `s` carries `-Id`.
-    pub(crate) fn write(
+    fn write(
         &self,
         [du, gu, su, bu]: [Option<usize>; 4],
         mut add: impl FnMut(usize, usize, f64),
@@ -183,50 +268,153 @@ impl MosStamp {
     }
 }
 
-/// Terminal charges of one MOSFET at `bias` and their partials with
-/// respect to the node voltages, from one [`MosfetModel::eval_charges`]:
-/// row `t` of the returned capacitances (terminals in `[g, d, s, b]`
-/// order) holds `∂q_t/∂v` for the gate, drain, source and bulk node
-/// voltages. A bulk tied to the source contributes no `∂q/∂vbs`.
-pub(crate) fn mos_capacitances(
-    model: &dyn MosfetModel,
-    bias: Bias,
-    bulk_tied: bool,
-) -> ([f64; 4], [[f64; 4]; 4]) {
-    let ev = model.eval_charges(bias);
-    let caps = ev.dq.map(|[cg, cd, cb]| {
-        let cb = if bulk_tied { 0.0 } else { cb };
-        [cg, cd, -(cg + cd + cb), cb]
-    });
-    (ev.q.terminals(), caps)
+/// Writes the resistive part of element `e` linearized at `x`:
+/// conductances through `add(row, col, value)` and constant currents
+/// through `rhs(row, value)`, where a current leaving a node is negative.
+/// A resistor stamps its conductance, a voltage source its branch
+/// incidence and value into row `*branch` (which it then advances), a
+/// current source its current, and a MOSFET its [`MosStamp`]. Sources take
+/// their value at `time`, scaled by `source_scale`. Capacitors are open:
+/// they are all charge (see [`charge_stamp`]).
+#[inline]
+pub(crate) fn stamp_resistive(
+    e: &Element,
+    x: &[f64],
+    branch: &mut usize,
+    time: f64,
+    source_scale: f64,
+    mut add: impl FnMut(usize, usize, f64),
+    mut rhs: impl FnMut(usize, f64),
+) {
+    match e {
+        Element::Resistor { a, b, r, .. } => {
+            let g = 1.0 / r;
+            let (a, b) = (a.unknown(), b.unknown());
+            if let Some(i) = a {
+                add(i, i, g);
+            }
+            if let Some(j) = b {
+                add(j, j, g);
+            }
+            if let (Some(i), Some(j)) = (a, b) {
+                add(i, j, -g);
+                add(j, i, -g);
+            }
+        }
+        Element::Capacitor { .. } => {}
+        Element::Vsource { pos, neg, wave, .. } => {
+            let row = *branch;
+            *branch += 1;
+            if let Some(i) = pos.unknown() {
+                add(i, row, 1.0);
+                add(row, i, 1.0);
+            }
+            if let Some(j) = neg.unknown() {
+                add(j, row, -1.0);
+                add(row, j, -1.0);
+            }
+            rhs(row, wave.value(time) * source_scale);
+        }
+        Element::Isource { pos, neg, wave, .. } => {
+            // Current into pos = current leaving neg.
+            let i = wave.value(time) * source_scale;
+            if let Some(row) = neg.unknown() {
+                rhs(row, -i);
+            }
+            if let Some(row) = pos.unknown() {
+                rhs(row, i);
+            }
+        }
+        Element::Mosfet {
+            d, g, s, b, model, ..
+        } => {
+            let nodes = [d.unknown(), g.unknown(), s.unknown(), b.unknown()];
+            MosStamp::new(model.as_ref(), mos_bias(x, *d, *g, *s, *b), b == s)
+                .write(nodes, add, rhs);
+        }
+    }
 }
 
-/// Adds `g` between nodes `a` and `b` in the conductance block.
-fn stamp_conductance(ws: &mut Workspace, a: Option<usize>, b: Option<usize>, g: f64) {
-    if let Some(i) = a {
-        ws.a[(i, i)] += g;
-    }
-    if let Some(j) = b {
-        ws.a[(j, j)] += g;
-    }
-    if let (Some(i), Some(j)) = (a, b) {
-        ws.a[(i, j)] -= g;
-        ws.a[(j, i)] -= g;
+/// The charges of one element's charge terminals at a linearization
+/// point, and their partials: `dq[t][u] = ∂q_t/∂v_u`, the derivative of
+/// terminal `t`'s charge with respect to terminal `u`'s node voltage.
+pub(crate) struct ChargeStamp {
+    /// The terminal nodes; the first `len` are used.
+    nodes: [NodeId; 4],
+    len: usize,
+    q: [f64; 4],
+    dq: [[f64; 4]; 4],
+}
+
+impl ChargeStamp {
+    /// Writes `k·∂q_t/∂v_u` through `add(row, col, value)` for every
+    /// terminal pair off ground.
+    #[inline(always)]
+    pub(crate) fn write_partials(&self, k: f64, mut add: impl FnMut(usize, usize, f64)) {
+        for t in 0..self.len {
+            let Some(row) = self.nodes[t].unknown() else {
+                continue;
+            };
+            for u in 0..self.len {
+                if let Some(col) = self.nodes[u].unknown() {
+                    add(row, col, k * self.dq[t][u]);
+                }
+            }
+        }
     }
 }
 
-/// Adds a current source of `i_ab` flowing from `a` into `b` (i.e. leaving
-/// node `a`), to the right-hand side.
-fn stamp_current(ws: &mut Workspace, a: Option<usize>, b: Option<usize>, i_ab: f64) {
-    if let Some(i) = a {
-        ws.b[i] -= i_ab;
-    }
-    if let Some(j) = b {
-        ws.b[j] += i_ab;
+/// The charge stamp of element `e` at `x`, or `None` for an element that
+/// stores no charge. A capacitor has terminals `[a, b]` with charges
+/// `±c·(v_a − v_b)`; a MOSFET has `[g, d, s, b]`, from one
+/// [`MosfetModel::eval_charges`], with no `∂q/∂v_bs` when the bulk is tied
+/// to the source. With `partials` false the MOSFET's charges come from
+/// [`MosfetModel::charges`] alone and `dq` is left zero: the form the
+/// transient state reads, which needs no derivative.
+// Always inlined, like `ChargeStamp::write_partials`, so that no caller
+// builds the whole stamp in memory: each reads only part of it, and an
+// out-of-line stamp made transient assembly about 10% slower.
+#[inline(always)]
+pub(crate) fn charge_stamp(e: &Element, x: &[f64], partials: bool) -> Option<ChargeStamp> {
+    match e {
+        Element::Capacitor { a, b, c, .. } => {
+            let c = *c;
+            let q = c * (volt(x, *a) - volt(x, *b));
+            Some(ChargeStamp {
+                nodes: [*a, *b, Circuit::GROUND, Circuit::GROUND],
+                len: 2,
+                q: [q, -q, 0.0, 0.0],
+                dq: [[c, -c, 0.0, 0.0], [-c, c, 0.0, 0.0], [0.0; 4], [0.0; 4]],
+            })
+        }
+        Element::Mosfet {
+            d, g, s, b, model, ..
+        } => {
+            let bias = mos_bias(x, *d, *g, *s, *b);
+            let (q, dq) = if partials {
+                let ev = model.eval_charges(bias);
+                let dq = ev.dq.map(|[cg, cd, cb]| {
+                    let cb = if b == s { 0.0 } else { cb };
+                    [cg, cd, -(cg + cd + cb), cb]
+                });
+                (ev.q, dq)
+            } else {
+                (model.charges(bias), [[0.0; 4]; 4])
+            };
+            Some(ChargeStamp {
+                nodes: [*g, *d, *s, *b],
+                len: 4,
+                q: q.terminals(),
+                dq,
+            })
+        }
+        _ => None,
     }
 }
 
-/// Assembles the companion-model MNA system at linearization point `x`.
+/// Assembles the companion-model MNA system at linearization point `x`:
+/// the gmin floor, then each element's resistive stamp and, in transient
+/// mode, the companion of each of its charge terminals.
 pub fn assemble(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspace) {
     ws.a.fill_zero();
     ws.b.iter_mut().for_each(|v| *v = 0.0);
@@ -243,120 +431,47 @@ pub fn assemble(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspac
         ws.a[(i, i)] += GMIN_FLOOR + gmin;
     }
 
-    let mut v_idx = 0usize; // voltage-source branch counter
-    let mut c_idx = 0usize; // capacitor counter
-    let mut m_idx = 0usize; // mosfet counter
-
+    let mut branch = ws.nn;
+    let mut slot = 0; // charge-terminal index into the transient state
     for e in circuit.elements() {
-        match e {
-            Element::Resistor { a, b, r, .. } => {
-                stamp_conductance(ws, a.unknown(), b.unknown(), 1.0 / r);
-            }
-            Element::Capacitor { a, b, c, .. } => {
-                match mode {
-                    Mode::Dc { .. } => {} // open in DC
-                    Mode::Tran {
-                        method, h, state, ..
-                    } => {
-                        let v_prev = state.cap_v[c_idx];
-                        let i_prev = state.cap_i[c_idx];
-                        let (geq, ieq) = match method {
-                            Integrator::BackwardEuler => {
-                                let g = c / h;
-                                (g, g * v_prev)
-                            }
-                            Integrator::Trapezoidal => {
-                                let g = 2.0 * c / h;
-                                (g, g * v_prev + i_prev)
-                            }
-                        };
-                        stamp_conductance(ws, a.unknown(), b.unknown(), geq);
-                        // i = geq * v - ieq; the constant part is a source
-                        // from a to b of -ieq.
-                        stamp_current(ws, a.unknown(), b.unknown(), -ieq);
-                    }
-                }
-                c_idx += 1;
-            }
-            Element::Vsource { pos, neg, wave, .. } => {
-                let row = ws.nn + v_idx;
-                if let Some(i) = pos.unknown() {
-                    ws.a[(i, row)] += 1.0;
-                    ws.a[(row, i)] += 1.0;
-                }
-                if let Some(j) = neg.unknown() {
-                    ws.a[(j, row)] -= 1.0;
-                    ws.a[(row, j)] -= 1.0;
-                }
-                ws.b[row] = wave.value(time) * source_scale;
-                v_idx += 1;
-            }
-            Element::Isource { pos, neg, wave, .. } => {
-                // Current into pos = current leaving neg.
-                stamp_current(
-                    ws,
-                    neg.unknown(),
-                    pos.unknown(),
-                    wave.value(time) * source_scale,
-                );
-            }
-            Element::Mosfet {
-                d, g, s, b, model, ..
-            } => {
-                let vd = volt(x, *d);
-                let vg = volt(x, *g);
-                let vs = volt(x, *s);
-                let vb = volt(x, *b);
-                let bias = Bias {
-                    vgs: vg - vs,
-                    vds: vd - vs,
-                    vbs: vb - vs,
-                };
-                let bulk_tied = b == s;
-                let nodes = [d.unknown(), g.unknown(), s.unknown(), b.unknown()];
-                MosStamp::new(model.as_ref(), bias, bulk_tied).write(
-                    nodes,
-                    |i, j, v| ws.a[(i, j)] += v,
-                    |i, v| ws.b[i] += v,
-                );
-                // --- charge storage (transient only) ---
-                if let Mode::Tran {
-                    method, h, state, ..
-                } = mode
-                {
-                    let (q_now, caps) = mos_capacitances(model.as_ref(), bias, bulk_tied);
-                    let q_prev = state.mos_q[m_idx];
-                    let i_prev = state.mos_i[m_idx];
-                    let [du, gu, su, bu] = nodes;
-                    let terms = [gu, du, su, bu];
-                    for t_i in 0..4 {
-                        let Some(row) = terms[t_i] else { continue };
-                        let (k, i_const) = match method {
-                            Integrator::BackwardEuler => (1.0 / h, 0.0),
-                            Integrator::Trapezoidal => (2.0 / h, -i_prev[t_i]),
-                        };
-                        // i_t = k (q_t(v) - q_prev) + i_const, linearized at x.
-                        let [cg, cd, cs, cb] = caps[t_i];
-                        for (col, c) in [(gu, cg), (du, cd), (su, cs), (bu, cb)] {
-                            if let Some(j) = col {
-                                ws.a[(row, j)] += k * c;
-                            }
-                        }
-                        let lin_at_x = cg * vg + cd * vd + cs * vs + cb * vb;
-                        let ieq_t = k * (q_now[t_i] - q_prev[t_i]) + i_const - k * lin_at_x;
-                        ws.b[row] -= ieq_t;
-                    }
-                    m_idx += 1;
-                }
-            }
+        stamp_resistive(
+            e,
+            x,
+            &mut branch,
+            time,
+            source_scale,
+            |i, j, v| ws.a[(i, j)] += v,
+            |i, v| ws.b[i] += v,
+        );
+        let Mode::Tran {
+            method, h, state, ..
+        } = mode
+        else {
+            continue;
+        };
+        let Some(ch) = charge_stamp(e, x, true) else {
+            continue;
+        };
+        let k = method.k(*h);
+        ch.write_partials(k, |i, j, v| ws.a[(i, j)] += v);
+        let v = ch.nodes.map(|n| volt(x, n));
+        for t in 0..ch.len {
+            let Some(row) = ch.nodes[t].unknown() else {
+                continue;
+            };
+            // i_t = k (q_t(v) - q_prev) + i_const, linearized at x.
+            let i_const = method.i_const(state.i[slot + t]);
+            let lin_at_x: f64 = (0..ch.len).map(|u| ch.dq[t][u] * v[u]).sum();
+            ws.b[row] -= k * (ch.q[t] - state.q[slot + t]) + i_const - k * lin_at_x;
         }
+        slot += ch.len;
     }
 }
 
 /// KCL residual of the node equations at `x`: assembles the companion
 /// system at `x` and returns `max_i |(A x - b)_i|` over the node rows —
 /// the net current error at each node in amps.
-pub fn kcl_residual(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspace) -> f64 {
+fn kcl_residual(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspace) -> f64 {
     assemble(circuit, x, mode, ws);
     let mut worst = 0.0_f64;
     for i in 0..ws.nn {
@@ -442,7 +557,9 @@ pub fn newton(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
     use crate::waveform::Waveform;
+    use mosfet::{vs::VsModel, Geometry};
 
     #[test]
     fn divider_assembles_and_solves() {
@@ -511,5 +628,78 @@ mod tests {
         .unwrap();
         // No current path: the floating node floats to ~v(a).
         assert!((x[f.unknown().unwrap()] - 1.0).abs() < 1e-3);
+    }
+
+    /// DC, transient and AC analysis read one linearization: at an
+    /// inverter's operating point (driven through a source resistor, with a
+    /// load capacitor), the AC `G` is the DC Newton matrix, and a
+    /// backward-Euler step adds exactly the AC `C` over `h` to it.
+    #[test]
+    fn analyses_share_one_linearization() {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let vin = c.node("in");
+        let gate = c.node("gate");
+        let out = c.node("out");
+        c.vsource("VDD", vdd, Circuit::GROUND, Waveform::dc(0.9));
+        c.vsource("VIN", vin, Circuit::GROUND, Waveform::dc(0.42));
+        c.resistor("RS", vin, gate, 1e3);
+        let geom = |w| Geometry::from_nm(w, 40.0);
+        c.mosfet(
+            "MP",
+            out,
+            gate,
+            vdd,
+            vdd,
+            Box::new(VsModel::nominal_pmos_40nm(geom(600.0))),
+        );
+        c.mosfet(
+            "MN",
+            out,
+            gate,
+            Circuit::GROUND,
+            Circuit::GROUND,
+            Box::new(VsModel::nominal_nmos_40nm(geom(300.0))),
+        );
+        c.capacitor("CL", out, Circuit::GROUND, 1e-15);
+        let mut session = Session::elaborate(c.clone()).unwrap();
+        let x = session.dc_owned().unwrap().raw().to_vec();
+
+        let lin = c.linearize(&x);
+        let mut ws = Workspace::new(&c);
+        let dc = Mode::Dc {
+            gmin: 0.0,
+            source_scale: 1.0,
+        };
+        assemble(&c, &x, &dc, &mut ws);
+        let a_dc = ws.a.clone();
+        let mut state = TranState::default();
+        state.init(&c, &x);
+        let h = 1e-12;
+        let be = Mode::Tran {
+            method: Integrator::BackwardEuler,
+            h,
+            t: h,
+            state: &state,
+        };
+        assemble(&c, &x, &be, &mut ws);
+
+        for i in 0..ws.n {
+            for j in 0..ws.n {
+                // Only the floor's place in the sum differs.
+                let (g, a) = (lin.g[(i, j)], a_dc[(i, j)]);
+                assert!((g - a).abs() <= 1e-12 * a.abs(), "G[{i},{j}] {g} vs DC {a}");
+                let (step, want) = (ws.a[(i, j)] - a, lin.c[(i, j)] / h);
+                let scale = ws.a[(i, j)].abs().max(a.abs());
+                assert!(
+                    (step - want).abs() <= 1e-12 * scale,
+                    "BE - DC [{i},{j}] {step} vs C/h {want}"
+                );
+            }
+        }
+        // The capacitor and both MOSFETs do reach `C`.
+        let o = out.unknown().unwrap();
+        let gt = gate.unknown().unwrap();
+        assert!(lin.c[(o, o)] > 1e-15 && lin.c[(gt, gt)] > 0.0);
     }
 }

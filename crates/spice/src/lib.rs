@@ -32,8 +32,9 @@
 //! and source-stepping continuation), warm-started DC sweeps (butterfly
 //! curves, VTCs), transient (trapezoidal with backward-Euler startup,
 //! charge-conserving companion models), AC small-signal sweeps, plus
-//! [`measure`] helpers (threshold crossings, propagation delay, source
-//! currents for leakage/power).
+//! [`measure`] helpers (level crossings and the first crossing after a
+//! time). All of them read one linearization of every element, in
+//! [`engine`].
 //!
 //! Accessor naming across result types: scalar-per-node accessors are
 //! singular ([`DcResult::voltage`]); trace accessors are plural
@@ -94,8 +95,11 @@ macro_rules! numerics_epoch {
     };
 }
 
-/// Bumped by every change that moves result bits — device derivatives,
-/// stamp order, solver tolerances, solver start points — even by one ulp.
+/// Bumped by every change that can move the bits of a result `serve`
+/// returns or a store keeps (replay-cache entries, campaign shards) —
+/// device derivatives, stamp order, solver tolerances, solver start points
+/// — even by one ulp. A change that moves only results nothing serves or
+/// stores, such as transients or extraction outputs, keeps the epoch.
 /// Epoch 1: exact dual-number device derivatives replaced forward
 /// differences. Epoch 2: served `sram6t_dc` samples start Newton from the
 /// nominal cell's operating point instead of a two-node guess.

@@ -1,4 +1,4 @@
-//! Waveform measurements: crossings, propagation delay, averages.
+//! Waveform measurements: level crossings.
 
 use numerics::roots::linear_crossing;
 
@@ -55,38 +55,6 @@ pub fn cross_time(
         .map(|(t, _)| t)
 }
 
-/// Propagation delay from the input's crossing of `level` (given edge) to
-/// the output's next crossing of `level` (any edge).
-///
-/// Returns `None` when either crossing is missing — e.g. a functional
-/// failure in a Monte Carlo sample.
-pub fn prop_delay(
-    times: &[f64],
-    input: &[f64],
-    output: &[f64],
-    level: f64,
-    input_edge: Edge,
-) -> Option<f64> {
-    let t_in = cross_time(times, input, level, input_edge, 0.0)?;
-    let t_out = cross_time(times, output, level, Edge::Any, t_in)?;
-    Some(t_out - t_in)
-}
-
-/// Trapezoidal time-average of a waveform.
-///
-/// # Panics
-///
-/// Panics if the waveform has fewer than 2 points or mismatched lengths.
-pub fn average(times: &[f64], values: &[f64]) -> f64 {
-    assert_eq!(times.len(), values.len(), "waveform length mismatch");
-    assert!(times.len() >= 2, "average needs at least two samples");
-    let mut integral = 0.0;
-    for i in 1..times.len() {
-        integral += 0.5 * (values[i] + values[i - 1]) * (times[i] - times[i - 1]);
-    }
-    integral / (times[times.len() - 1] - times[0])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,28 +89,8 @@ mod tests {
     }
 
     #[test]
-    fn delay_between_shifted_ramps() {
-        let t: Vec<f64> = (0..=100).map(|i| i as f64 * 0.1e-9).collect();
-        let vin: Vec<f64> = t.iter().map(|&x| (x / 5e-9).min(1.0)).collect();
-        let vout: Vec<f64> = t
-            .iter()
-            .map(|&x| ((x - 2e-9) / 5e-9).clamp(0.0, 1.0))
-            .collect();
-        let d = prop_delay(&t, &vin, &vout, 0.5, Edge::Rising).unwrap();
-        assert!((d - 2e-9).abs() < 1e-12, "delay = {d}");
-    }
-
-    #[test]
     fn missing_crossing_returns_none() {
         let (t, v) = ramp();
         assert_eq!(cross_time(&t, &v, 2.0, Edge::Any, 0.0), None);
-        let flat = vec![0.0; t.len()];
-        assert_eq!(prop_delay(&t, &v, &flat, 0.5, Edge::Rising), None);
-    }
-
-    #[test]
-    fn average_of_ramp() {
-        let (t, v) = ramp();
-        assert!((average(&t, &v) - 0.5).abs() < 1e-12);
     }
 }

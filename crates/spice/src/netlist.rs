@@ -315,7 +315,7 @@ mod tests {
         c.vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0));
         c.set_vsource("V1", Waveform::dc(2.0)).unwrap();
         if let Element::Vsource { wave, .. } = &c.elements()[0] {
-            assert_eq!(wave.dc_value(), 2.0);
+            assert_eq!(wave.value(0.0), 2.0);
         } else {
             panic!("expected vsource");
         }

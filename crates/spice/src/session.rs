@@ -73,9 +73,8 @@ pub struct Session {
     mos_by_name: HashMap<String, usize>,
     /// Last converged DC unknown vector — warm start for the next DC solve.
     warm: Option<Vec<f64>>,
-    /// Transient dynamic-state double buffer, reused across runs.
+    /// Transient charge state, reused across runs.
     state: TranState,
-    state_scratch: TranState,
     /// AC sweep scratch (linearization + complex system), allocated on the
     /// first AC request and reused for every sweep after that.
     ac_ws: Option<AcWorkspace>,
@@ -109,7 +108,6 @@ impl Session {
             mos_by_name,
             warm: None,
             state: TranState::default(),
-            state_scratch: TranState::default(),
             ac_ws: None,
         })
     }
@@ -592,25 +590,30 @@ impl Session {
         } else {
             Some(&opts.ic)
         })?;
-        crate::tran::init_state(&self.circuit, &x, &mut self.state);
+        self.state.init(&self.circuit, &x);
 
-        // Build the time grid: multiples of dt plus all waveform breakpoints.
-        let mut grid: Vec<f64> = Vec::new();
-        let n_steps = (opts.tstop / opts.dt).ceil() as usize;
-        for k in 1..=n_steps {
-            grid.push((k as f64 * opts.dt).min(opts.tstop));
-        }
-        for e in self.circuit.elements() {
-            let wave = match e {
-                Element::Vsource { wave, .. } | Element::Isource { wave, .. } => wave,
-                _ => continue,
-            };
-            for bp in wave.breakpoints(opts.tstop) {
-                if bp > 0.0 {
-                    grid.push(bp);
+        // Every source breakpoint after t=0: the time grid includes them,
+        // and integration restarts with BE after crossing one.
+        let breakpoints: Vec<f64> = self
+            .circuit
+            .elements()
+            .iter()
+            .filter_map(|e| match e {
+                Element::Vsource { wave, .. } | Element::Isource { wave, .. } => {
+                    Some(wave.breakpoints(opts.tstop))
                 }
-            }
-        }
+                _ => None,
+            })
+            .flatten()
+            .filter(|&bp| bp > 0.0)
+            .collect();
+
+        // The time grid: multiples of dt plus the breakpoints.
+        let n_steps = (opts.tstop / opts.dt).ceil() as usize;
+        let mut grid: Vec<f64> = (1..=n_steps)
+            .map(|k| (k as f64 * opts.dt).min(opts.tstop))
+            .chain(breakpoints.iter().copied())
+            .collect();
         grid.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
         grid.dedup_by(|a, b| (*a - *b).abs() < 1e-18);
 
@@ -620,25 +623,7 @@ impl Session {
         snapshots.push(x.clone());
 
         let mut t_prev = 0.0;
-        // Breakpoint times where integration must restart with BE.
         let mut restart = true;
-        let bp_set: Vec<f64> = {
-            let mut v: Vec<f64> = self
-                .circuit
-                .elements()
-                .iter()
-                .filter_map(|e| match e {
-                    Element::Vsource { wave, .. } | Element::Isource { wave, .. } => {
-                        Some(wave.breakpoints(opts.tstop))
-                    }
-                    _ => None,
-                })
-                .flatten()
-                .collect();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-            v
-        };
-
         for &t in &grid {
             let h = t - t_prev;
             if h <= 0.0 {
@@ -653,7 +638,7 @@ impl Session {
             times.push(t);
             snapshots.push(x.clone());
             // Restart integration right after crossing a breakpoint.
-            restart = bp_set
+            restart = breakpoints
                 .iter()
                 .any(|&bp| bp > t_prev + 1e-18 && bp <= t + 1e-18);
             t_prev = t;
@@ -682,15 +667,7 @@ impl Session {
         };
         match newton(&self.circuit, x, &mode, &mut self.ws) {
             Ok(x_new) => {
-                crate::tran::update_state(
-                    &self.circuit,
-                    &x_new,
-                    &self.state,
-                    h,
-                    method,
-                    &mut self.state_scratch,
-                );
-                std::mem::swap(&mut self.state, &mut self.state_scratch);
+                self.state.advance(&self.circuit, &x_new, h, method);
                 *x = x_new;
                 Ok(())
             }

@@ -1,14 +1,13 @@
-//! Transient options/result types and dynamic-state bookkeeping.
+//! Transient analysis options and results.
 //!
-//! The integration loop itself (fixed base step with waveform-breakpoint
+//! The integration loop (fixed base step with waveform-breakpoint
 //! alignment, trapezoidal with backward-Euler restarts, recursive step
-//! halving) lives in [`crate::session::Session`]; the state-update kernels
-//! it uses are here, next to the element definitions they mirror.
+//! halving) lives in [`crate::session::Session::tran_owned`]. The charge
+//! companion it assembles every step and the charge state it carries
+//! between steps ([`crate::engine::TranState`]) are in [`crate::engine`],
+//! built from the same per-element linearization as DC and AC analysis.
 
-use crate::elements::Element;
-use crate::engine::{Integrator, TranState};
-use crate::netlist::{Circuit, NodeId};
-use mosfet::Bias;
+use crate::netlist::NodeId;
 
 /// Options for a transient analysis ([`crate::Session::tran_owned`]).
 #[derive(Debug, Clone)]
@@ -97,100 +96,10 @@ impl TranResult {
     }
 }
 
-/// Fills `st` with the dynamic (charge-storage) state implied by the solved
-/// operating point `x`, reusing the buffers' capacity.
-pub(crate) fn init_state(circuit: &Circuit, x: &[f64], st: &mut TranState) {
-    let volt = |n: NodeId| n.unknown().map_or(0.0, |i| x[i]);
-    st.cap_v.clear();
-    st.cap_i.clear();
-    st.mos_q.clear();
-    st.mos_i.clear();
-    for e in circuit.elements() {
-        match e {
-            Element::Capacitor { a, b, .. } => {
-                st.cap_v.push(volt(*a) - volt(*b));
-                st.cap_i.push(0.0);
-            }
-            Element::Mosfet {
-                d, g, s, b, model, ..
-            } => {
-                let bias = Bias {
-                    vgs: volt(*g) - volt(*s),
-                    vds: volt(*d) - volt(*s),
-                    vbs: volt(*b) - volt(*s),
-                };
-                let q = model.charges(bias);
-                st.mos_q.push([q.qg, q.qd, q.qs, q.qb]);
-                st.mos_i.push([0.0; 4]);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Writes the dynamic state at the end of an accepted step into `out`
-/// (reusing capacity), given the previous state `prev` and the new solution
-/// `x`.
-pub(crate) fn update_state(
-    circuit: &Circuit,
-    x: &[f64],
-    prev: &TranState,
-    h: f64,
-    method: Integrator,
-    out: &mut TranState,
-) {
-    let volt = |n: NodeId| n.unknown().map_or(0.0, |i| x[i]);
-    out.cap_v.clear();
-    out.cap_i.clear();
-    out.mos_q.clear();
-    out.mos_i.clear();
-    let mut c_idx = 0;
-    let mut m_idx = 0;
-    for e in circuit.elements() {
-        match e {
-            Element::Capacitor { a, b, c, .. } => {
-                let v_new = volt(*a) - volt(*b);
-                let v_old = prev.cap_v[c_idx];
-                let i_new = match method {
-                    Integrator::BackwardEuler => c / h * (v_new - v_old),
-                    Integrator::Trapezoidal => 2.0 * c / h * (v_new - v_old) - prev.cap_i[c_idx],
-                };
-                out.cap_v.push(v_new);
-                out.cap_i.push(i_new);
-                c_idx += 1;
-            }
-            Element::Mosfet {
-                d, g, s, b, model, ..
-            } => {
-                let bias = Bias {
-                    vgs: volt(*g) - volt(*s),
-                    vds: volt(*d) - volt(*s),
-                    vbs: volt(*b) - volt(*s),
-                };
-                let q = model.charges(bias);
-                let q_new = [q.qg, q.qd, q.qs, q.qb];
-                let q_old = prev.mos_q[m_idx];
-                let mut i_new = [0.0; 4];
-                for t in 0..4 {
-                    i_new[t] = match method {
-                        Integrator::BackwardEuler => (q_new[t] - q_old[t]) / h,
-                        Integrator::Trapezoidal => {
-                            2.0 * (q_new[t] - q_old[t]) / h - prev.mos_i[m_idx][t]
-                        }
-                    };
-                }
-                out.mos_q.push(q_new);
-                out.mos_i.push(i_new);
-                m_idx += 1;
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netlist::Circuit;
     use crate::session::Session;
     use crate::waveform::Waveform;
 

@@ -38,8 +38,7 @@ impl Waveform {
         Waveform::Pwl(vec![(t0, v_low), (t0 + rise, v_high)])
     }
 
-    /// Value at time `t`. For DC analysis use `t = 0` semantics via
-    /// [`Waveform::dc_value`].
+    /// Value at time `t`. DC analysis reads the value at `t = 0`.
     pub fn value(&self, t: f64) -> f64 {
         match self {
             Waveform::Dc(v) => *v,
@@ -91,15 +90,6 @@ impl Waveform {
                 }
                 points[points.len() - 1].1
             }
-        }
-    }
-
-    /// The value used during DC analysis (time-zero / initial value).
-    pub fn dc_value(&self) -> f64 {
-        match self {
-            Waveform::Dc(v) => *v,
-            Waveform::Pulse { v1, .. } => *v1,
-            Waveform::Pwl(points) => points.first().map_or(0.0, |p| p.1),
         }
     }
 
@@ -155,7 +145,6 @@ mod tests {
         let w = Waveform::dc(1.5);
         assert_eq!(w.value(0.0), 1.5);
         assert_eq!(w.value(1e9), 1.5);
-        assert_eq!(w.dc_value(), 1.5);
         assert!(w.breakpoints(1.0).is_empty());
     }
 
@@ -175,7 +164,7 @@ mod tests {
         assert_eq!(w.value(1.3), 1.0); // flat top
         assert!((w.value(1.7) - 0.5).abs() < 1e-12); // mid-fall
         assert_eq!(w.value(3.0), 0.0);
-        assert_eq!(w.dc_value(), 0.0);
+        assert_eq!(w.value(0.0), 0.0);
     }
 
     #[test]

@@ -129,15 +129,16 @@ fn inverter_transient_switches_both_models() {
         let rise =
             spice::measure::cross_time(t, &vout, VDD / 2.0, spice::measure::Edge::Rising, tf);
         assert!(rise.is_some(), "{label}: output never recovered");
-        // Delay is in the ps range for these loads.
-        let delay = spice::measure::prop_delay(
-            t,
-            &res.voltages(s.circuit().find_node("in").unwrap()),
-            &vout,
-            VDD / 2.0,
-            spice::measure::Edge::Rising,
-        )
-        .unwrap();
+        // Delay, from the input's rising crossing to the output's next
+        // crossing, is in the ps range for these loads.
+        let vin = res.voltages(s.circuit().find_node("in").unwrap());
+        let t_in =
+            spice::measure::cross_time(t, &vin, VDD / 2.0, spice::measure::Edge::Rising, 0.0)
+                .unwrap();
+        let t_out =
+            spice::measure::cross_time(t, &vout, VDD / 2.0, spice::measure::Edge::Any, t_in)
+                .unwrap();
+        let delay = t_out - t_in;
         assert!(
             delay > 0.2e-12 && delay < 100e-12,
             "{label}: delay = {delay:.3e}"

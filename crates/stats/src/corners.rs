@@ -47,7 +47,7 @@ pub fn upper_corner(samples: &[f64], k: f64) -> CornerReport {
     let s = Summary::from_slice(samples);
     let p = gaussian::cdf(k);
     let percentile_corner = quantile(samples, p);
-    let gaussian_corner = s.mean + k * s.sigma();
+    let gaussian_corner = s.mean + k * s.std;
     let spread = percentile_corner - s.mean;
     let corner_error = if spread.abs() > 0.0 {
         (gaussian_corner - percentile_corner) / spread
@@ -61,13 +61,6 @@ pub fn upper_corner(samples: &[f64], k: f64) -> CornerReport {
         gaussian_corner,
         percentile_corner,
         corner_error,
-    }
-}
-
-impl Summary {
-    /// Alias used by corner analysis (`std` under its conventional name).
-    pub fn sigma(&self) -> f64 {
-        self.std
     }
 }
 

@@ -81,18 +81,6 @@ impl Summary {
             excess_kurtosis,
         }
     }
-
-    /// Coefficient of variation `std / |mean|` — the paper reports device
-    /// mismatch as `σ/µ` (e.g. Fig. 3).
-    ///
-    /// Returns infinity when the mean is zero.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            self.std / self.mean.abs()
-        }
-    }
 }
 
 /// Sample mean.
@@ -176,7 +164,6 @@ mod tests {
         assert_eq!(s.std, 0.0);
         assert_eq!(s.skewness, 0.0);
         assert_eq!(s.excess_kurtosis, 0.0);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]
@@ -212,11 +199,5 @@ mod tests {
     #[should_panic]
     fn quantile_out_of_range_panics() {
         quantile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn cv_of_zero_mean() {
-        let s = Summary::from_slice(&[-1.0, 1.0]);
-        assert!(s.cv().is_infinite());
     }
 }

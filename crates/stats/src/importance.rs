@@ -94,16 +94,6 @@ impl GaussianProposal {
         GaussianProposal::new(0.0, 1.0)
     }
 
-    /// The proposal's mean shift.
-    pub fn shift(&self) -> f64 {
-        self.shift
-    }
-
-    /// The proposal's sigma scale.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
     /// Draws one deviate from the proposal.
     ///
     /// The nominal proposal computes `0.0 + 1.0 * z`, which is `z`
@@ -495,11 +485,6 @@ impl WeightedMoments {
             sum_y2: ExactSum::new(),
             sum_g: ExactSum::new(),
         }
-    }
-
-    /// The statistic being estimated.
-    pub fn statistic(&self) -> Statistic {
-        self.statistic
     }
 
     /// Accumulates one weighted record.

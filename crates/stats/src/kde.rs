@@ -55,11 +55,6 @@ impl Kde {
         }
     }
 
-    /// The bandwidth in use.
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
-    }
-
     /// Density estimate at `x`.
     pub fn density(&self, x: f64) -> f64 {
         let h = self.bandwidth;
@@ -126,7 +121,6 @@ mod tests {
     #[test]
     fn constant_sample_gets_tiny_bandwidth_without_panic() {
         let kde = Kde::from_sample(&[7.0; 20]);
-        assert!(kde.bandwidth() > 0.0);
         assert!(kde.density(7.0) > 0.0);
     }
 
