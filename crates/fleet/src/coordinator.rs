@@ -10,15 +10,34 @@
 //! have produced. The coordinator exploits exactly that:
 //!
 //! ```text
-//!   plan            dispatch                 poll                merge
-//!   ─────────       ────────────────         ────────────        ─────────────
-//!   0..N split  →   POST /experiments   →    GET /runs/{id}  →   dedupe by shard,
-//!   into shards     round-robin over         capped exp.         sort by offset,
-//!                   workers                  backoff             try_merge_from
-//!                        ▲                      │
+//!   plan            dispatch                 poll                       merge
+//!   ─────────       ────────────────         ─────────────────────      ─────────────
+//!   0..N split  →   POST /experiments   →    GET /runs/{id}         →   dedupe by shard,
+//!   into shards     round-robin over         capped exp. backoff;       sort by offset,
+//!                   workers; 503             idle pauses held on the    try_merge_from
+//!                   queue_full → wait        oldest in-flight shard
+//!                        ▲                   (Prefer: wait)
+//!                        │                      │
 //!                        └── re-issue on ───────┘
 //!                            kill / deadline / retryable failure
 //! ```
+//!
+//! Each in-flight shard is polled on its own backoff schedule (25 ms
+//! doubling to a 500 ms cap by default). Between polls the loop does not
+//! sleep: it spends the pause until the next scheduled instant in one
+//! `GET /runs/{id}` with `Prefer: wait` on its earliest-dispatched
+//! in-flight shard, which a `statvs serve` worker answers as soon as that
+//! shard finishes. A campaign therefore ends when its last shard does,
+//! not at the next poll instant after it. The held wait never exceeds the
+//! pause, so no scheduled poll, dispatch retry or straggler check runs
+//! later than the schedule says, and against a server that ignores the
+//! preference the loop sleeps out the pause as before.
+//!
+//! A worker whose job queue is full answers a dispatch with `503
+//! queue_full`. That is back-pressure, not a fault: the shard waits on
+//! the dispatch backoff without using one of its attempts, and only a
+//! shard refused for longer than [`FleetConfig::shard_deadline`] fails
+//! the campaign.
 //!
 //! Retries and merge order cannot change the answer: duplicate results
 //! dedupe by shard identity, and merging happens in sorted shard order
@@ -97,10 +116,12 @@ impl FleetSpec {
 pub struct FleetConfig {
     /// Dispatch attempts per shard before the campaign fails; each
     /// attempt targets the next worker round-robin, so consecutive
-    /// retries of one shard land on different workers.
+    /// retries of one shard land on different workers. A dispatch refused
+    /// by a full queue is not an attempt.
     pub max_attempts: usize,
     /// Per-shard wall-clock deadline from dispatch; a shard still
-    /// unfinished past it is a straggler and gets re-issued.
+    /// unfinished past it is a straggler and gets re-issued. It also
+    /// bounds how long full queues may keep refusing a shard's dispatch.
     pub shard_deadline: Duration,
     /// First poll interval after a dispatch.
     pub poll_initial: Duration,
@@ -109,7 +130,8 @@ pub struct FleetConfig {
     /// Consecutive failed polls (connect refused, timeout, truncation)
     /// before the worker is presumed dead and the shard re-issued.
     pub max_poll_faults: usize,
-    /// Connect/I-O timeouts for every exchange.
+    /// Connect/I-O timeouts for every exchange. A held poll asks for at
+    /// most half the I/O timeout, so its reply never reads as a timeout.
     pub client: HttpClient,
 }
 
@@ -192,7 +214,8 @@ pub enum FleetError {
         /// The server's reason.
         reason: String,
     },
-    /// A shard burned through every dispatch attempt.
+    /// A shard burned through every dispatch attempt, or full queues
+    /// refused its dispatch for longer than the shard deadline.
     Exhausted {
         /// The shard that gave up.
         shard: Shard,
@@ -252,6 +275,10 @@ pub struct FleetReport {
     pub wall: Duration,
 }
 
+/// Longest idle pause of the coordinator loop, and so the longest wait a
+/// held poll asks for.
+const MAX_PAUSE: Duration = Duration::from_millis(100);
+
 /// Per-shard lifecycle inside the coordinator loop.
 enum SlotState {
     /// Waiting to be dispatched (again); `not_before` implements the
@@ -275,12 +302,29 @@ struct Slot {
     state: SlotState,
     attempts: usize,
     last_error: String,
+    /// When full queues first refused the shard since its last accepted
+    /// dispatch, and how many refusals there have been since.
+    refused: Option<(Instant, usize)>,
+}
+
+impl Slot {
+    /// When the slot next wants attention; `None` once it is done.
+    fn wake(&self) -> Option<Instant> {
+        match self.state {
+            SlotState::Pending { not_before } => Some(not_before),
+            SlotState::InFlight { next_poll, .. } => Some(next_poll),
+            SlotState::Done => None,
+        }
+    }
 }
 
 /// How one dispatch attempt failed.
 enum DispatchFault {
     /// Worth retrying on another worker.
     Transient(String),
+    /// The worker's job queue is full (`503 queue_full`): back-pressure
+    /// from a healthy worker, so the shard waits without using an attempt.
+    QueueFull(String),
     /// The spec itself was rejected; no retry can succeed.
     Fatal(String),
 }
@@ -398,6 +442,7 @@ impl Coordinator {
                 state: SlotState::Pending { not_before: start },
                 attempts: 0,
                 last_error: String::new(),
+                refused: None,
             })
             .collect();
 
@@ -424,22 +469,15 @@ impl Coordinator {
         let mut cursor = 0usize; // round-robin worker cursor
         let mut dispatches = 0usize;
         let mut reissues = 0usize;
-        let mut remaining = slots.len() - restored;
 
-        while remaining > 0 {
+        // Every slot is collected once, so the payloads count the done ones.
+        while payloads.len() < slots.len() {
             let now = Instant::now();
-            // The earliest instant any sleeping slot wants attention.
-            let mut wake: Option<Instant> = None;
-            let track = |t: Instant, wake: &mut Option<Instant>| {
-                *wake = Some(wake.map_or(t, |w: Instant| w.min(t)));
-            };
-
             for slot in &mut slots {
                 match slot.state {
                     SlotState::Done => {}
                     SlotState::Pending { not_before } => {
                         if now < not_before {
-                            track(not_before, &mut wake);
                             continue;
                         }
                         if slot.attempts >= self.cfg.max_attempts {
@@ -451,9 +489,10 @@ impl Coordinator {
                         }
                         let worker = cursor % self.workers.len();
                         cursor += 1;
-                        slot.attempts += 1;
                         match self.dispatch(self.workers[worker], spec, slot.shard) {
                             Ok(run_id) => {
+                                slot.attempts += 1;
+                                slot.refused = None;
                                 dispatches += 1;
                                 if slot.attempts > 1 {
                                     reissues += 1;
@@ -464,16 +503,14 @@ impl Coordinator {
                                     run_id,
                                     attempt: slot.attempts,
                                 });
-                                let next_poll = now + self.cfg.poll_initial;
                                 slot.state = SlotState::InFlight {
                                     worker,
                                     run_id,
                                     dispatched: now,
-                                    next_poll,
+                                    next_poll: now + self.cfg.poll_initial,
                                     interval: self.cfg.poll_initial,
                                     poll_faults: 0,
                                 };
-                                track(next_poll, &mut wake);
                             }
                             Err(DispatchFault::Fatal(reason)) => {
                                 return Err(FleetError::Fatal {
@@ -481,7 +518,25 @@ impl Coordinator {
                                     reason,
                                 });
                             }
+                            Err(DispatchFault::QueueFull(reason)) => {
+                                let (since, refusals) = slot.refused.get_or_insert((now, 0));
+                                *refusals += 1;
+                                if now.duration_since(*since) > self.cfg.shard_deadline {
+                                    return Err(FleetError::Exhausted {
+                                        shard: slot.shard,
+                                        attempts: slot.attempts,
+                                        last_error: format!(
+                                            "refused by full queues for over the {:?} \
+                                             deadline: {reason}",
+                                            self.cfg.shard_deadline
+                                        ),
+                                    });
+                                }
+                                let not_before = now + dispatch_backoff(&self.cfg, *refusals);
+                                slot.state = SlotState::Pending { not_before };
+                            }
                             Err(DispatchFault::Transient(reason)) => {
+                                slot.attempts += 1;
                                 observe(&FleetEvent::Retrying {
                                     shard: slot.shard,
                                     worker: Some(self.workers[worker]),
@@ -491,118 +546,47 @@ impl Coordinator {
                                 slot.last_error = reason;
                                 let not_before = now + dispatch_backoff(&self.cfg, slot.attempts);
                                 slot.state = SlotState::Pending { not_before };
-                                track(not_before, &mut wake);
                             }
                         }
                     }
-                    SlotState::InFlight {
-                        worker,
-                        run_id,
-                        dispatched,
-                        next_poll,
-                        interval,
-                        poll_faults,
-                    } => {
+                    SlotState::InFlight { next_poll, .. } => {
                         if now < next_poll {
-                            track(next_poll, &mut wake);
                             continue;
                         }
-                        let addr = self.workers[worker];
-                        let reissue = |slot: &mut Slot,
-                                       observe: &mut dyn FnMut(&FleetEvent),
-                                       reason: String,
-                                       now: Instant| {
-                            observe(&FleetEvent::Retrying {
-                                shard: slot.shard,
-                                worker: Some(addr),
-                                attempt: slot.attempts,
-                                reason: reason.clone(),
-                            });
-                            slot.last_error = reason;
-                            slot.state = SlotState::Pending { not_before: now };
-                        };
-                        match self.poll(addr, run_id, slot.shard) {
-                            PollVerdict::Done(payload) => {
-                                // Persist before counting the shard done:
-                                // a crash after this line can restore it,
-                                // a crash before recomputes it — never a
-                                // completed-but-lost shard.
-                                if let Some(store) = store {
-                                    store.save(&payload).map_err(FleetError::Store)?;
-                                }
-                                payloads.push(*payload);
-                                slot.state = SlotState::Done;
-                                remaining -= 1;
-                                observe(&FleetEvent::Completed {
-                                    shard: slot.shard,
-                                    worker: addr,
-                                });
-                            }
-                            PollVerdict::NotYet => {
-                                if now.duration_since(dispatched) > self.cfg.shard_deadline {
-                                    reissue(
-                                        slot,
-                                        observe,
-                                        format!(
-                                            "straggler: no result within the {:?} deadline",
-                                            self.cfg.shard_deadline
-                                        ),
-                                        now,
-                                    );
-                                    continue;
-                                }
-                                let interval = (interval * 2).min(self.cfg.poll_max);
-                                let next_poll = now + interval;
-                                slot.state = SlotState::InFlight {
-                                    worker,
-                                    run_id,
-                                    dispatched,
-                                    next_poll,
-                                    interval,
-                                    poll_faults: 0,
-                                };
-                                track(next_poll, &mut wake);
-                            }
-                            PollVerdict::Reissue(reason) => reissue(slot, observe, reason, now),
-                            PollVerdict::Fatal(reason) => {
-                                return Err(FleetError::Fatal {
-                                    shard: slot.shard,
-                                    reason,
-                                });
-                            }
-                            PollVerdict::Unreachable(reason) => {
-                                let poll_faults = poll_faults + 1;
-                                if poll_faults >= self.cfg.max_poll_faults {
-                                    reissue(
-                                        slot,
-                                        observe,
-                                        format!("worker presumed dead: {reason}"),
-                                        now,
-                                    );
-                                    continue;
-                                }
-                                let next_poll = now + interval;
-                                slot.state = SlotState::InFlight {
-                                    worker,
-                                    run_id,
-                                    dispatched,
-                                    next_poll,
-                                    interval,
-                                    poll_faults,
-                                };
-                                track(next_poll, &mut wake);
-                            }
-                        }
+                        let verdict = self.poll(slot, None);
+                        self.settle(slot, verdict, Some(now), store, &mut payloads, observe)?;
                     }
                 }
             }
 
-            if remaining > 0 {
-                if let Some(wake) = wake {
-                    let pause = wake.saturating_duration_since(Instant::now());
-                    std::thread::sleep(pause.min(Duration::from_millis(100)));
+            // The idle pause, until the earliest instant a slot wants
+            // attention, is spent in a held poll of the oldest in-flight
+            // shard (ties go to the lower offset): a server that honours
+            // `Prefer: wait` answers as soon as that shard finishes. When
+            // the reply leaves the shard in flight (a transport fault, or a
+            // server that ignores the preference and answers at once), the
+            // rest of the pause is slept, so the loop polls no faster than
+            // its schedule.
+            let Some(wake) = slots.iter().filter_map(Slot::wake).min() else {
+                break; // every slot is done
+            };
+            let until = wake.min(Instant::now() + MAX_PAUSE);
+            let pause = until.saturating_duration_since(Instant::now());
+            let oldest = slots
+                .iter_mut()
+                .filter_map(|slot| match slot.state {
+                    SlotState::InFlight { dispatched, .. } => Some((dispatched, slot)),
+                    _ => None,
+                })
+                .min_by_key(|(dispatched, _)| *dispatched);
+            if let Some((_, slot)) = oldest.filter(|_| !pause.is_zero()) {
+                let verdict = self.poll(slot, Some(pause.min(self.cfg.client.io_timeout / 2)));
+                self.settle(slot, verdict, None, store, &mut payloads, observe)?;
+                if !matches!(slot.state, SlotState::InFlight { .. }) {
+                    continue;
                 }
             }
+            std::thread::sleep(until.saturating_duration_since(Instant::now()));
         }
 
         let merged = merge_payloads(payloads)?;
@@ -617,9 +601,9 @@ impl Coordinator {
 
     /// One dispatch attempt against `addr`: `POST /experiments`, expect a
     /// `202` with a run id. A `400` means the spec itself is wrong — no
-    /// worker will ever accept it, so it is fatal; everything else
-    /// (transport faults, `503` queue-full, `5xx`) is load or a dead
-    /// worker and worth retrying elsewhere.
+    /// worker will ever accept it, so it is fatal; a `503 queue_full` is
+    /// back-pressure; everything else (transport faults, other `5xx`) is
+    /// a dead or failing worker and worth retrying elsewhere.
     fn dispatch(
         &self,
         addr: SocketAddr,
@@ -638,6 +622,9 @@ impl Coordinator {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| DispatchFault::Transient("202 reply lacked a run id".to_string())),
             Ok((400, reply)) => Err(DispatchFault::Fatal(error_message(&reply))),
+            Ok((503, reply)) if error_code(&reply) == Some("queue_full") => {
+                Err(DispatchFault::QueueFull(error_message(&reply)))
+            }
             Ok((status, reply)) => Err(DispatchFault::Transient(format!(
                 "dispatch got status {status}: {}",
                 error_message(&reply)
@@ -646,14 +633,19 @@ impl Coordinator {
         }
     }
 
-    /// One poll of `GET /runs/{run_id}` on `addr`.
-    fn poll(&self, addr: SocketAddr, run_id: u64, shard: Shard) -> PollVerdict {
-        match self
-            .cfg
-            .client
-            .exchange(addr, "GET", &format!("/runs/{run_id}"), None)
-        {
-            Ok((200, body)) => classify_run(&body, shard),
+    /// One poll of an in-flight slot's run: `GET /runs/{run_id}` on its
+    /// worker, held for up to `wait` when one is given.
+    fn poll(&self, slot: &Slot, wait: Option<Duration>) -> PollVerdict {
+        let SlotState::InFlight { worker, run_id, .. } = slot.state else {
+            unreachable!("only in-flight slots are polled");
+        };
+        let (addr, path) = (self.workers[worker], format!("/runs/{run_id}"));
+        let reply = match wait {
+            None => self.cfg.client.exchange(addr, "GET", &path, None),
+            Some(wait) => self.cfg.client.get_held(addr, &path, wait),
+        };
+        match reply {
+            Ok((200, body)) => classify_run(&body, slot.shard),
             // The worker restarted and lost its run store: the run id is
             // gone, but the worker is healthy — re-issue.
             Ok((404, _)) => PollVerdict::Reissue(format!("worker lost run {run_id} (404)")),
@@ -670,6 +662,111 @@ impl Coordinator {
             Err(e) => PollVerdict::Reissue(e.to_string()),
         }
     }
+
+    /// Applies one poll's verdict to an in-flight slot, for scheduled and
+    /// held polls alike: `done` collects the payload, saved to the store
+    /// first when one backs the campaign; a failed, lost or straggling run
+    /// re-issues the shard, or aborts the campaign when the failure is
+    /// fatal; a transport fault counts toward
+    /// [`FleetConfig::max_poll_faults`]. `scheduled` is the instant a
+    /// scheduled poll was due: only such a poll moves the slot's next poll
+    /// and its backoff; a held poll (`None`) leaves the schedule as it was.
+    fn settle(
+        &self,
+        slot: &mut Slot,
+        verdict: PollVerdict,
+        scheduled: Option<Instant>,
+        store: Option<&CampaignStore>,
+        payloads: &mut Vec<ShardPayload>,
+        observe: &mut dyn FnMut(&FleetEvent),
+    ) -> Result<(), FleetError> {
+        let SlotState::InFlight {
+            worker,
+            run_id,
+            dispatched,
+            next_poll,
+            interval,
+            poll_faults,
+        } = slot.state
+        else {
+            unreachable!("only in-flight slots are polled");
+        };
+        let now = scheduled.unwrap_or_else(Instant::now);
+        let addr = self.workers[worker];
+        let mut reissue = |slot: &mut Slot, reason: String| {
+            observe(&FleetEvent::Retrying {
+                shard: slot.shard,
+                worker: Some(addr),
+                attempt: slot.attempts,
+                reason: reason.clone(),
+            });
+            slot.last_error = reason;
+            slot.state = SlotState::Pending { not_before: now };
+        };
+        let in_flight = |next_poll, interval, poll_faults| SlotState::InFlight {
+            worker,
+            run_id,
+            dispatched,
+            next_poll,
+            interval,
+            poll_faults,
+        };
+        match verdict {
+            PollVerdict::Done(payload) => {
+                // Persist before counting the shard done: a crash after
+                // this line can restore it, a crash before recomputes it —
+                // never a completed-but-lost shard.
+                if let Some(store) = store {
+                    store.save(&payload).map_err(FleetError::Store)?;
+                }
+                payloads.push(*payload);
+                slot.state = SlotState::Done;
+                observe(&FleetEvent::Completed {
+                    shard: slot.shard,
+                    worker: addr,
+                });
+            }
+            PollVerdict::NotYet if now.duration_since(dispatched) > self.cfg.shard_deadline => {
+                reissue(
+                    slot,
+                    format!(
+                        "straggler: no result within the {:?} deadline",
+                        self.cfg.shard_deadline
+                    ),
+                );
+            }
+            PollVerdict::NotYet => {
+                if scheduled.is_some() {
+                    let interval = (interval * 2).min(self.cfg.poll_max);
+                    slot.state = in_flight(now + interval, interval, 0);
+                }
+            }
+            PollVerdict::Reissue(reason) => reissue(slot, reason),
+            PollVerdict::Fatal(reason) => {
+                return Err(FleetError::Fatal {
+                    shard: slot.shard,
+                    reason,
+                });
+            }
+            PollVerdict::Unreachable(reason) => {
+                let poll_faults = poll_faults + 1;
+                if poll_faults >= self.cfg.max_poll_faults {
+                    reissue(slot, format!("worker presumed dead: {reason}"));
+                } else {
+                    let next_poll = scheduled.map_or(next_poll, |now| now + interval);
+                    slot.state = in_flight(next_poll, interval, poll_faults);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The machine-readable code of a server error envelope, when it has one.
+fn error_code(body: &Json) -> Option<&str> {
+    body.get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Json::as_str)
 }
 
 /// Pulls the human-readable message out of a server error envelope,

@@ -3,9 +3,11 @@
 //! This crate is the client half of the serve protocol: it takes one
 //! experiment (circuit, seed, total sample count), splits its sample
 //! index space into disjoint `(offset, len)` shards, dispatches them to
-//! one or more workers over HTTP, polls with capped exponential backoff,
-//! re-issues shards whose workers die, stall, or fail retryably, and
-//! merges the returned sketch bytes into a single campaign result.
+//! one or more workers over HTTP, polls with capped exponential backoff
+//! (spending each idle pause in a held poll that a worker answers as soon
+//! as the shard finishes), re-issues shards whose workers die, stall, or
+//! fail retryably, and merges the returned sketch bytes into a single
+//! campaign result.
 //!
 //! Everything rests on the determinism contract from `vscore::mc`: each
 //! Monte Carlo sample is a pure function of `(seed, index)`, so the union

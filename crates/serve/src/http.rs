@@ -12,10 +12,13 @@
 //! Both parsers share one head reader (start line plus headers, at most
 //! 8 KiB per line and 64 headers) and one `Content-Length` body reader
 //! under a byte cap. An absent `Content-Length` means an empty body, and
-//! any `Transfer-Encoding` but `identity` is refused. On a socket, both
-//! ends read through a deadline that bounds the whole message, not each
-//! read, so a peer trickling bytes cannot hold an exchange past its
-//! timeout.
+//! any `Transfer-Encoding` but `identity` is refused. Of the other
+//! headers only RFC 7240's `Prefer: wait=S` is kept: a request's
+//! [`Request::wait`] asks `GET /runs/{id}` to hold its reply until the run
+//! settles ([`HttpClient::get_held`] sends it), and the response reader
+//! discards it. On a socket, both ends read through a deadline that
+//! bounds the whole message, not each read, so a peer trickling bytes
+//! cannot hold an exchange past its timeout.
 //!
 //! Every limit is explicit and every violation is a typed [`HttpError`]:
 //! the server answers framing faults with a `400` envelope and oversized
@@ -47,6 +50,11 @@ pub struct Request {
     pub path: String,
     /// The request body (empty unless `Content-Length` said otherwise).
     pub body: Vec<u8>,
+    /// How long the client lets the server hold its reply, from the first
+    /// well-formed `Prefer: wait=S` preference (`S` in seconds, integer
+    /// or decimal). A malformed, negative or non-finite value is ignored,
+    /// as RFC 7240 §2 asks of a preference a server does not understand.
+    pub wait: Option<Duration>,
 }
 
 /// Why a message could not be read. The server answers each variant
@@ -136,17 +144,38 @@ fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, HttpError> {
         .map_err(|_| HttpError::Malformed("non-UTF-8 header data"))
 }
 
+/// The `wait` preference of one `Prefer` header value, when it holds a
+/// well-formed one: preferences are comma-separated, each may carry
+/// `;`-parameters, and the value is a plain decimal number of seconds
+/// (optionally quoted). Anything else yields `None`.
+fn prefer_wait(value: &str) -> Option<Duration> {
+    value.split(',').find_map(|preference| {
+        let preference = preference.split(';').next()?;
+        let (name, secs) = preference.split_once('=')?;
+        if !name.trim().eq_ignore_ascii_case("wait") {
+            return None;
+        }
+        let secs = secs.trim().trim_matches('"');
+        if !secs.bytes().all(|b| b.is_ascii_digit() || b == b'.') {
+            return None;
+        }
+        Duration::try_from_secs_f64(secs.parse().ok()?).ok()
+    })
+}
+
 /// Reads one message: the start line, parsed by `start` before any header
-/// is read; the headers, of which only the framing ones are kept; and the
-/// `Content-Length` body. A declaration over `max_body` fails with
-/// [`HttpError::PayloadTooLarge`] *before* any body byte is buffered.
+/// is read; the headers, of which only the framing ones and the first
+/// well-formed `Prefer: wait` are kept; and the `Content-Length` body. A
+/// declaration over `max_body` fails with [`HttpError::PayloadTooLarge`]
+/// *before* any body byte is buffered.
 fn read_message<R: BufRead, T>(
     reader: &mut R,
     max_body: usize,
     start: impl FnOnce(&str) -> Result<T, HttpError>,
-) -> Result<(T, Vec<u8>), HttpError> {
+) -> Result<(T, Option<Duration>, Vec<u8>), HttpError> {
     let start = start(&read_line(reader)?.ok_or(HttpError::ConnectionClosed)?)?;
     let mut length = None;
+    let mut wait = None;
     let mut headers = 0;
     loop {
         let line = read_line(reader)?.ok_or(HttpError::Truncated("unterminated head"))?;
@@ -172,6 +201,8 @@ fn read_message<R: BufRead, T>(
             && !value.eq_ignore_ascii_case("identity")
         {
             return Err(HttpError::Malformed("unsupported transfer encoding"));
+        } else if name.eq_ignore_ascii_case("prefer") && wait.is_none() {
+            wait = prefer_wait(value);
         }
     }
     let declared = length.unwrap_or(0);
@@ -183,7 +214,7 @@ fn read_message<R: BufRead, T>(
         ErrorKind::UnexpectedEof => HttpError::Truncated("body shorter than Content-Length"),
         kind => HttpError::Io(kind),
     })?;
-    Ok((start, body))
+    Ok((start, wait, body))
 }
 
 /// Reads and parses one request. `max_body` caps the accepted
@@ -194,7 +225,7 @@ fn read_message<R: BufRead, T>(
 /// See [`HttpError`]; the caller maps each variant onto a response (or
 /// drops the connection for I/O errors).
 pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, HttpError> {
-    let ((method, path), body) = read_message(reader, max_body, |line| {
+    let ((method, path), wait, body) = read_message(reader, max_body, |line| {
         let mut parts = line.split(' ');
         let method = parts
             .next()
@@ -218,7 +249,12 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
         let path = target.split_once('?').map_or(target, |(path, _)| path);
         Ok((method.to_string(), path.to_string()))
     })?;
-    Ok(Request { method, path, body })
+    Ok(Request {
+        method,
+        path,
+        body,
+        wait,
+    })
 }
 
 /// Reads and parses one response: its status code and body. `max_body`
@@ -232,7 +268,7 @@ pub fn read_response<R: BufRead>(
     reader: &mut R,
     max_body: usize,
 ) -> Result<(u16, Vec<u8>), HttpError> {
-    read_message(reader, max_body, |line| {
+    let (status, _, body) = read_message(reader, max_body, |line| {
         let mut parts = line.split(' ');
         if !parts.next().is_some_and(|v| v.starts_with("HTTP/1.")) {
             return Err(HttpError::Malformed("bad status line"));
@@ -241,7 +277,8 @@ pub fn read_response<R: BufRead>(
             .next()
             .and_then(|code| code.parse().ok())
             .ok_or(HttpError::Malformed("bad status code"))
-    })
+    })?;
+    Ok((status, body))
 }
 
 /// Writes one complete JSON response and flushes. Every response carries
@@ -370,9 +407,41 @@ impl HttpClient {
         path: &str,
         body: Option<&str>,
     ) -> Result<(u16, Json), ClientError> {
+        self.send(addr, method, path, body, "")
+    }
+
+    /// A held `GET path`: the exchange of [`HttpClient::exchange`] with
+    /// `Prefer: wait=S`, asking the server to answer once the run settles
+    /// or `wait` has passed. A server that ignores the preference answers
+    /// at once. `wait` should stay well under `io_timeout`, or a held
+    /// reply reads as a timeout.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError`] on any transport or framing fault.
+    pub fn get_held(
+        &self,
+        addr: SocketAddr,
+        path: &str,
+        wait: Duration,
+    ) -> Result<(u16, Json), ClientError> {
+        let prefer = format!("Prefer: wait={}\r\n", wait.as_secs_f64());
+        self.send(addr, "GET", path, None, &prefer)
+    }
+
+    /// One exchange with `headers` (complete `\r\n`-terminated lines)
+    /// added to the request head.
+    fn send(
+        &self,
+        addr: SocketAddr,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        headers: &str,
+    ) -> Result<(u16, Json), ClientError> {
         let payload = body.unwrap_or("");
         let request = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
+            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\n{headers}Content-Type: application/json\r\n\
              Content-Length: {}\r\nConnection: close\r\n\r\n{payload}",
             payload.len()
         );
@@ -428,6 +497,37 @@ mod tests {
         // An absent Content-Length means an empty body at both ends.
         let raw = b"HTTP/1.1 404 Not Found\r\n\r\nunframed";
         assert_eq!(response(raw), Ok((404, Vec::new())));
+    }
+
+    #[test]
+    fn prefer_wait_is_parsed_and_malformed_values_are_ignored() {
+        let wait = |header: &str| {
+            let req = parse(&format!("GET /runs/1 HTTP/1.1\r\n{header}\r\n\r\n"));
+            req.expect("the request parses whatever its preference")
+                .wait
+        };
+        let ms = Duration::from_millis;
+        assert_eq!(wait("Prefer: wait=2"), Some(ms(2000)));
+        assert_eq!(wait("Prefer: wait=0.25"), Some(ms(250)));
+        assert_eq!(wait("Prefer: respond-async, wait=0.1"), Some(ms(100)));
+        assert_eq!(wait("prefer: WAIT = 2 ; x=y"), Some(ms(2000)));
+        assert_eq!(wait("Prefer: wait=abc, wait=1"), Some(ms(1000)));
+        for ignored in [
+            "Prefer: wait=-1",
+            "Prefer: wait=abc",
+            "Prefer: wait=NaN",
+            "Prefer: wait=inf",
+            "Prefer: wait=1e3",
+            "Prefer: wait=",
+            "Prefer: wait",
+            "Prefer: respond-async",
+            "X-Wait: wait=2",
+        ] {
+            assert_eq!(wait(ignored), None, "{ignored:?}");
+        }
+        // The response reader reads past the header and drops it.
+        let raw = b"HTTP/1.1 200 OK\r\nPrefer: wait=2\r\nContent-Length: 2\r\n\r\n{}";
+        assert_eq!(response(raw), Ok((200, b"{}".to_vec())));
     }
 
     #[test]

@@ -57,7 +57,9 @@ use store::{JobQueue, RunFailure, RunStore};
 
 /// Per-connection socket timeout: it bounds reading a whole request (and
 /// writing each response chunk), so a stalled or trickling peer cannot
-/// pin a connection thread.
+/// pin a connection thread. It is also the longest a held
+/// `GET /runs/{id}` waits once its request is read ([`routes::MAX_WAIT`]),
+/// so holding a reply pins a thread no longer than trickling a request.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Server tunables. `Default` binds an ephemeral loopback port — the bin

@@ -7,7 +7,10 @@
 //! - `POST /experiments` — validate a spec, register a queued run, return
 //!   `202` with the run id.
 //! - `GET /runs/{id}` — the run's lifecycle snapshot; finished runs carry
-//!   moments plus hex-encoded mergeable-sketch bytes.
+//!   moments plus hex-encoded mergeable-sketch bytes. With RFC 7240's
+//!   `Prefer: wait=S` the reply is held until the run is `done` or
+//!   `failed`, or until `S` seconds (clamped to [`MAX_WAIT`]) have passed;
+//!   an unknown id is a `404` at once. No other route holds its reply.
 //! - `GET /circuits` — the template registry.
 //! - `GET /healthz` — liveness plus run-count, queue-depth and worker gauges.
 //!
@@ -23,6 +26,12 @@ use crate::http::Request;
 use crate::json::{num, obj, s, Json, MAX_EXACT_INT};
 use crate::store::{hex_encode, ExperimentSpec, RunFailure, RunRecord, RunResult, RunStatus};
 use crate::ServerCtx;
+use std::time::Duration;
+
+/// Longest a held `GET /runs/{id}` waits, whatever the client asked: the
+/// server's socket timeout, the time a trickling client can already pin
+/// a connection thread.
+pub const MAX_WAIT: Duration = crate::SOCKET_TIMEOUT;
 
 /// Largest accepted shard offset: far beyond any real fleet partition,
 /// small enough that `offset + len` can never approach `usize` overflow.
@@ -54,7 +63,7 @@ fn dispatch(req: &Request, ctx: &ServerCtx) -> Result<(u16, Json), ApiError> {
             if method != "GET" {
                 return Err(ApiError::method_not_allowed(method, path));
             }
-            get_run(path, ctx)
+            get_run(req, ctx)
         }
         _ => Err(ApiError::not_found(format!("no route for {path}"))),
     }
@@ -127,14 +136,15 @@ fn post_experiment(req: &Request, ctx: &ServerCtx) -> Result<(u16, Json), ApiErr
     Ok((202, obj(vec![("run", obj(run))])))
 }
 
-fn get_run(path: &str, ctx: &ServerCtx) -> Result<(u16, Json), ApiError> {
-    let raw = &path["/runs/".len()..];
+fn get_run(req: &Request, ctx: &ServerCtx) -> Result<(u16, Json), ApiError> {
+    let raw = &req.path["/runs/".len()..];
     let id: u64 = raw
         .parse()
         .map_err(|_| ApiError::bad_request(format!("`{raw}` is not a run id")))?;
+    let wait = req.wait.unwrap_or(Duration::ZERO).min(MAX_WAIT);
     let record = ctx
         .store
-        .get(id)
+        .get_settled(id, wait)
         .ok_or_else(|| ApiError::not_found(format!("no run with id {id}")))?;
     Ok((200, obj(vec![("run", run_json(&record))])))
 }
@@ -607,6 +617,7 @@ mod tests {
             method: method.to_string(),
             path: path.to_string(),
             body: body.as_bytes().to_vec(),
+            wait: None,
         }
     }
 
@@ -847,6 +858,37 @@ mod tests {
         let run = reply.get("run").unwrap();
         let error = run.get("error").unwrap();
         assert_eq!(error.get("retryable").and_then(Json::as_bool), Some(false));
+    }
+
+    #[test]
+    fn held_gets_are_clamped_to_max_wait() {
+        // No worker threads run here, so the run stays queued.
+        let ctx = ctx();
+        let body = r#"{"circuit": "device_idsat", "samples": 5}"#;
+        let (status, _) = handle(&request("POST", "/experiments", body), &ctx);
+        assert_eq!(status, 202);
+        let held = Request {
+            wait: Some(Duration::from_secs(3600)),
+            ..request("GET", "/runs/1", "")
+        };
+        let started = std::time::Instant::now();
+        let (status, reply) = handle(&held, &ctx);
+        let elapsed = started.elapsed();
+        assert_eq!(status, 200);
+        let run = reply.get("run").unwrap();
+        assert_eq!(run.get("status").and_then(Json::as_str), Some("queued"));
+        assert!(
+            elapsed >= MAX_WAIT && elapsed < MAX_WAIT + Duration::from_secs(1),
+            "held {elapsed:?}"
+        );
+        // Other routes ignore the preference.
+        let held = Request {
+            wait: Some(Duration::from_secs(3600)),
+            ..request("GET", "/healthz", "")
+        };
+        let started = std::time::Instant::now();
+        assert_eq!(handle(&held, &ctx).0, 200);
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

@@ -6,13 +6,17 @@
 //! connection threads and its worker threads: an `Arc<Mutex<_>>` map of
 //! run id → [`RunRecord`]. Records move `queued → running → done|failed`
 //! and are never removed — a run id handed to a client stays resolvable
-//! for the server's lifetime.
+//! for the server's lifetime. A `Condvar` beside the map is notified
+//! whenever a run settles (`done` or `failed`), so a held
+//! `GET /runs/{id}` ([`RunStore::get_settled`]) answers as soon as its
+//! run finishes instead of at the client's next poll.
 
 use crate::error::ApiError;
 use crate::pool::SinkSet;
 use stats::sink::MergeableSink;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// A validated experiment: which template to run, which shard of the
 /// sample index space, and which sketch payloads to return.
@@ -213,6 +217,9 @@ pub struct RunRecord {
 #[derive(Default)]
 pub struct RunStore {
     inner: Mutex<StoreState>,
+    /// Notified whenever a run settles; [`RunStore::get_settled`] waits on
+    /// it.
+    settled: Condvar,
 }
 
 #[derive(Default)]
@@ -257,25 +264,48 @@ impl RunStore {
             .cloned()
     }
 
+    /// A snapshot of one run's record once it has settled or `wait` has
+    /// passed, whichever comes first. An unknown id is `None` at once.
+    #[must_use]
+    pub fn get_settled(&self, id: u64, wait: Duration) -> Option<RunRecord> {
+        let until = Instant::now() + wait;
+        let mut state = self.inner.lock().expect("no poisoned locks");
+        loop {
+            let record = state.runs.get(&id)?;
+            let left = until.saturating_duration_since(Instant::now());
+            let settled = matches!(record.status, RunStatus::Done | RunStatus::Failed);
+            if settled || left.is_zero() {
+                return Some(record.clone());
+            }
+            state = self
+                .settled
+                .wait_timeout(state, left)
+                .expect("no poisoned locks")
+                .0;
+        }
+    }
+
     /// Marks a run as picked up by a worker.
     pub fn mark_running(&self, id: u64) {
         self.update(id, |r| r.status = RunStatus::Running);
     }
 
-    /// Records a successful result.
+    /// Records a successful result and wakes held reads.
     pub fn complete(&self, id: u64, result: RunResult) {
         self.update(id, |r| {
             r.status = RunStatus::Done;
             r.result = Some(result);
         });
+        self.settled.notify_all();
     }
 
-    /// Records a failure reason.
+    /// Records a failure reason and wakes held reads.
     pub fn fail(&self, id: u64, failure: RunFailure) {
         self.update(id, |r| {
             r.status = RunStatus::Failed;
             r.error = Some(failure);
         });
+        self.settled.notify_all();
     }
 
     /// Total runs ever created.
@@ -465,6 +495,50 @@ mod tests {
         assert!(failure.retryable);
         assert_eq!(store.len(), 1);
         assert!(store.get(id + 1).is_none());
+    }
+
+    #[test]
+    fn held_reads_wake_when_a_run_settles() {
+        let result = || RunResult::collect(0, 0, &spec(), SinkSet::for_spec(&spec()));
+        let store = std::sync::Arc::new(RunStore::new());
+        let long = Duration::from_secs(30);
+        // Unknown ids and settled runs answer at once.
+        assert!(store.get_settled(99, long).is_none());
+        let done = store.create(spec());
+        store.complete(done, result());
+        let record = store.get_settled(done, long).unwrap();
+        assert_eq!(record.status, RunStatus::Done);
+        // A live run answers with its current state once the wait passes.
+        let live = store.create(spec());
+        store.mark_running(live);
+        let record = store.get_settled(live, Duration::from_millis(20)).unwrap();
+        assert_eq!(record.status, RunStatus::Running);
+        // Failing and completing both wake a held read long before its wait.
+        for fail in [true, false] {
+            let id = store.create(spec());
+            let started = Instant::now();
+            let waiter = {
+                let store = store.clone();
+                std::thread::spawn(move || store.get_settled(id, long))
+            };
+            // Give the waiter time to block; settling first would also
+            // answer at once, just without exercising the wake.
+            std::thread::sleep(Duration::from_millis(50));
+            if fail {
+                store.fail(id, RunFailure::transient("boom"));
+            } else {
+                store.complete(id, result());
+            }
+            let record = waiter.join().expect("waiter exits").unwrap();
+            let expected = if fail {
+                RunStatus::Failed
+            } else {
+                RunStatus::Done
+            };
+            assert_eq!(record.status, expected);
+            let held = started.elapsed();
+            assert!(held < long / 2, "woke after {held:?}");
+        }
     }
 
     #[test]

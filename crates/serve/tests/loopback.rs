@@ -19,10 +19,16 @@
 //! connection or a panic. A fourth trickles a request one header byte at
 //! a time and checks the server cuts the connection off at its socket
 //! timeout instead of answering.
+//!
+//! The `held_get_*` tests pin `Prefer: wait` on `GET /runs/{id}`: a held
+//! poll answers once its run finishes, a run that stays queued answers
+//! after the wait (never past the server's clamp), and an unknown id is a
+//! `404` at once.
 
 use serve::http::{read_response, HttpClient};
 use serve::json::Json;
 use serve::pool::Engine;
+use serve::routes::MAX_WAIT;
 use serve::store::{hex_decode, ExperimentSpec};
 use serve::{Server, ServerConfig};
 use stats::histogram::Histogram;
@@ -406,5 +412,115 @@ fn a_trickling_client_is_cut_off_at_the_socket_timeout() {
         "a trickled request must be dropped unanswered: {:?}",
         String::from_utf8_lossy(&reply)
     );
+    handle.shutdown();
+}
+
+/// The held-GET tests' campaign seed: its first million `sram6t_dc`
+/// samples draw no non-physical device, so every shard of them is `done`.
+const SEED: u64 = 2;
+
+/// A `sram6t_dc` shard length that keeps one worker thread of this build
+/// busy for about `target`. The per-sample time is the difference between
+/// in-process runs of 272 and 16 samples (each the fastest of three),
+/// which cancels the per-shard set-up.
+fn shard_len_lasting(target: Duration) -> usize {
+    let engine = Engine::new().expect("probe engine");
+    let time = |len: usize| {
+        let spec = ExperimentSpec {
+            circuit: "sram6t_dc".to_string(),
+            analysis: "dc".to_string(),
+            seed: SEED,
+            offset: 0,
+            len,
+            total: None,
+            want_welford: true,
+            want_histogram: false,
+            want_tdigest: false,
+            histogram: (0.0, 0.9, 48),
+            tdigest_compression: 100.0,
+            proposal: (0.0, 1.0),
+            threshold: 3.0,
+            want_wmoments: false,
+            want_whistogram: false,
+        };
+        (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                engine.execute(&spec).expect("probe shard runs");
+                started.elapsed()
+            })
+            .min()
+            .expect("three runs")
+    };
+    let per_sample = time(272).saturating_sub(time(16)).as_secs_f64() / 256.0;
+    ((target.as_secs_f64() / per_sample.max(1e-6)) as usize).clamp(16, 1_000_000)
+}
+
+/// A held `GET /runs/{id}`: status, run status and how long it took.
+fn held_get(addr: SocketAddr, id: u64, wait: Duration) -> (u16, Option<String>, Duration) {
+    let started = Instant::now();
+    let (status, reply) = HttpClient::default()
+        .get_held(addr, &format!("/runs/{id}"), wait)
+        .unwrap_or_else(|e| panic!("held GET /runs/{id}: {e}"));
+    let run_status = reply
+        .get("run")
+        .and_then(|r| r.get("status"))
+        .and_then(Json::as_str)
+        .map(str::to_string);
+    (status, run_status, started.elapsed())
+}
+
+#[test]
+fn held_get_returns_when_a_running_shard_finishes() {
+    let handle = Server::bind(&ServerConfig::default())
+        .expect("server boots")
+        .start();
+    let addr = handle.addr();
+    let id = post_shard(addr, SEED, 0, shard_len_lasting(Duration::from_millis(400)));
+    let wait = Duration::from_secs(4);
+    let (status, run_status, held) = held_get(addr, id, wait);
+    assert_eq!(status, 200);
+    assert_eq!(run_status.as_deref(), Some("done"));
+    // About 0.4 s of compute: the reply came when the shard finished, not
+    // when the wait ran out.
+    assert!(held < wait / 2, "held {held:?} of a {wait:?} wait");
+    handle.shutdown();
+}
+
+#[test]
+fn held_get_on_a_queued_shard_answers_after_its_wait() {
+    let cfg = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind(&cfg).expect("server boots").start();
+    let addr = handle.addr();
+    // The one worker is busy for about 2 s, so the second shard stays
+    // queued through the held GET.
+    post_shard(addr, SEED, 0, shard_len_lasting(Duration::from_secs(2)));
+    let queued = post_shard(addr, SEED, 0, 8);
+    let wait = Duration::from_millis(300);
+    let (status, run_status, held) = held_get(addr, queued, wait);
+    assert_eq!(status, 200);
+    assert_eq!(run_status.as_deref(), Some("queued"));
+    assert!(
+        held >= wait,
+        "answered after {held:?}, before its {wait:?} wait"
+    );
+    assert!(
+        held < (wait + Duration::from_secs(1)).min(MAX_WAIT),
+        "answered {held:?} after a {wait:?} wait"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn held_get_on_an_unknown_run_is_an_immediate_404() {
+    let handle = Server::bind(&ServerConfig::default())
+        .expect("server boots")
+        .start();
+    let (status, _, held) = held_get(handle.addr(), 999, Duration::from_secs(4));
+    assert_eq!(status, 404);
+    assert!(held < Duration::from_secs(1), "404 after {held:?}");
     handle.shutdown();
 }

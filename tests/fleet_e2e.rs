@@ -213,10 +213,11 @@ fn sigkilled_campaign_resumes_without_redispatch_and_merges_identically() {
         histogram: Some((0.0, 0.9, 48)),
         tdigest_compression: None,
     };
-    // Many small shards: all are dispatched at once and polled on one
-    // back-off schedule, so shards finishing between two polls are saved
-    // together. With few shards a fast engine finishes them all before
-    // the first poll that sees one, and the kill window closes.
+    // Many small shards: the coordinator saves each shard as soon as a
+    // poll collects it, so the directory fills one completion at a time
+    // and the kill lands while most shards are still queued or running.
+    // With few shards all of them finish, and are saved, within moments
+    // of each other, and the kill window closes.
     const SHARDS: usize = 24;
     let plan = plan_shards(spec.total, SHARDS);
 
