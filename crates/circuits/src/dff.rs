@@ -28,7 +28,7 @@
 //! [`DffBench::resample`].
 
 use crate::cells::{add_inverter, add_pass_nmos, resample_devices, DeviceFactory, InverterSizing};
-use spice::{Circuit, Session, SpiceError, TranOptions, Waveform};
+use spice::{Circuit, NodeId, Session, SpiceError, TranOptions, Waveform};
 
 /// Device sizing of the flip-flop.
 #[derive(Debug, Clone, Copy)]
@@ -146,28 +146,15 @@ impl DffBench {
         resample_devices(&mut self.session, f)
     }
 
-    /// Runs the transient and reports whether Q captured the '1'.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    pub fn captures(&mut self, dt: f64) -> Result<bool, SpiceError> {
-        // Initial state: d=0 through the transparent master -> n2 high,
-        // n4 high (held by the slave feedback), q_int low, q high?? No:
-        // n4 high -> q_int low -> q high. A captured '1' drives n4 low ->
-        // q_int high -> q low. We therefore detect capture as Q LOW after
-        // the edge (BUF inverts q_int; q_int is the true Q sense).
-        //
-        // To keep the natural "Q follows D" convention we read q_int.
-        let q_int = self
-            .session
-            .circuit()
-            .find_node("q_int")
-            .expect("bench always creates q_int");
-        // Fully specify the initial state (d=0, clk low, Q=0): a complete,
-        // self-consistent guess keeps Newton away from the metastable branch
-        // of the bistable latches, which otherwise defeats continuation for
-        // a few percent of mismatch samples.
+    /// The node guesses every transient starts its DC solve from: `d=0`
+    /// through the transparent master, clock low, Q=0. A complete,
+    /// self-consistent guess keeps Newton away from the metastable branch
+    /// of the bistable latches, which otherwise defeats continuation for a
+    /// few percent of mismatch samples. NMOS passes only reach about
+    /// `Vdd - VT`, so the slave's internal guesses sit at `0.5·Vdd`, its
+    /// switching point. VS devices still settle at Q=0 from there; the
+    /// BSIM-like devices mostly settle at the slave's unstable equilibrium.
+    fn start_guess(&self) -> Vec<(NodeId, f64)> {
         let vdd = self.vdd_value;
         let node = |n: &str| {
             self.session
@@ -175,16 +162,34 @@ impl DffBench {
                 .find_node(n)
                 .expect("bench creates all nodes")
         };
-        // NMOS passes only reach ~Vdd - VT, so the internal "high" guesses
-        // use the degraded level.
-        let opts = TranOptions::new(self.t_clk_edge + T_CHECK, dt)
-            .with_ic(node("n1"), 0.0)
-            .with_ic(node("n2"), vdd)
-            .with_ic(node("n3"), 0.0)
-            .with_ic(node("n4"), 0.5 * vdd)
-            .with_ic(q_int, 0.0)
-            .with_ic(node("n5"), 0.5 * vdd)
-            .with_ic(node("q"), vdd);
+        vec![
+            (node("n1"), 0.0),
+            (node("n2"), vdd),
+            (node("n3"), 0.0),
+            (node("n4"), 0.5 * vdd),
+            (node("q_int"), 0.0),
+            (node("n5"), 0.5 * vdd),
+            (node("q"), vdd),
+        ]
+    }
+
+    /// Runs the transient and reports whether Q captured the '1'.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator failures.
+    pub fn captures(&mut self, dt: f64) -> Result<bool, SpiceError> {
+        // Q is read at q_int: a captured '1' drives n4 low and q_int high
+        // (the buffer output q inverts it).
+        let q_int = self
+            .session
+            .circuit()
+            .find_node("q_int")
+            .expect("bench always creates q_int");
+        let opts = self.start_guess().into_iter().fold(
+            TranOptions::new(self.t_clk_edge + T_CHECK, dt),
+            |o, (n, v)| o.with_ic(n, v),
+        );
         let res = self.session.tran_owned(&opts)?;
         let v_q_int = res.voltages(q_int);
         let v_final = *v_q_int.last().expect("non-empty transient");
@@ -234,8 +239,60 @@ pub fn setup_time(
 mod tests {
     use super::*;
     use crate::cells::NominalVsFactory;
+    use mosfet::vs::{VsModel, VsParams};
+    use mosfet::{Geometry, MismatchSpec, MosfetModel, Polarity};
+    use stats::Sampler;
 
     const DT: f64 = 4e-12;
+
+    /// VS devices with the paper's Pelgrom mismatch, drawn from one
+    /// seeded stream.
+    struct VsMismatch(Sampler);
+
+    impl VsMismatch {
+        fn draw(
+            &mut self,
+            params: VsParams,
+            polarity: Polarity,
+            geom: Geometry,
+        ) -> Box<dyn MosfetModel> {
+            let spec = MismatchSpec::from_paper_units(2.3, 3.71, 3.71, 944.0, 0.29);
+            let delta = spec.sample(geom, || self.0.standard_normal());
+            Box::new(VsModel::with_variation(params, polarity, geom, delta))
+        }
+    }
+
+    impl DeviceFactory for VsMismatch {
+        fn nmos(&mut self, geom: Geometry) -> Box<dyn MosfetModel> {
+            self.draw(VsParams::nmos_40nm(), Polarity::Nmos, geom)
+        }
+
+        fn pmos(&mut self, geom: Geometry) -> Box<dyn MosfetModel> {
+            self.draw(VsParams::pmos_40nm(), Polarity::Pmos, geom)
+        }
+
+        fn family(&self) -> &'static str {
+            "vs"
+        }
+    }
+
+    /// Every VS mismatch draw starts its transients at Q=0 (`q_int` low,
+    /// `n5` high), a stable state, rather than at the slave latch's
+    /// unstable equilibrium between the two.
+    #[test]
+    fn vs_bench_starts_at_q0_under_mismatch() {
+        let mut bench = DffBench::new(DffSizing::default(), 0.9, 250e-12, &mut NominalVsFactory);
+        let node = |b: &DffBench, n: &str| b.session.circuit().find_node(n).unwrap();
+        let (q_int, n5) = (node(&bench, "q_int"), node(&bench, "n5"));
+        for i in 0..24 {
+            bench.resample(&mut VsMismatch(Sampler::from_seed(2013).stream(i)));
+            // The DC solve `tran_owned` starts every transient from.
+            let guess = bench.start_guess();
+            let op = bench.session.dc_owned_with_guess(&guess).unwrap();
+            let (q, n5) = (op.voltage(q_int), op.voltage(n5));
+            assert!(q < 1e-3 && n5 > 0.85, "draw {i}: q_int {q} V, n5 {n5} V");
+        }
+    }
 
     #[test]
     fn captures_with_generous_setup() {

@@ -22,6 +22,19 @@
 //! ([`Circuit::linearize_into`]) takes `G` from the same resistive stamp
 //! and `C` from the same charge partials, and [`TranState`] keeps one
 //! charge and one current per charge terminal between time steps.
+//!
+//! A voltage source with exactly one grounded terminal pins its other
+//! node to its value, unless a second such source pins the same node.
+//! [`Workspace::new`] orders the unknowns once, free unknowns first, then
+//! the pinned nodes, then their branch currents, and [`assemble`] writes
+//! the system in that order. A Newton iteration factors only the free
+//! block: the pinned columns, times the source values, move to the
+//! right-hand side, each pinned node takes its source value, and each
+//! eliminated branch current is recovered from its node's KCL row. That is
+//! the step the full MNA solve takes, so damping, convergence and every
+//! result read the full unknown vector as before. The 6T SRAM cell factors
+//! 2 unknowns instead of 10, a READ half-cell 1 instead of 9. AC analysis
+//! keeps the full system.
 
 use crate::elements::Element;
 use crate::error::SpiceError;
@@ -146,30 +159,92 @@ pub enum Mode<'a> {
 
 /// Scratch space reused across Newton iterations, time steps, and — through
 /// [`crate::session::Session`] — across entire analyses and Monte Carlo
-/// samples. Holds the MNA system plus the LU factorization storage, so the
-/// hot loop performs no per-iteration allocation.
+/// samples. Holds the ordered MNA system (see the module docs), its free
+/// block and the LU factorization storage, so the hot loop performs no
+/// per-iteration allocation.
 #[derive(Debug)]
 pub struct Workspace {
     n: usize,
     nn: usize,
+    /// Position of each unknown in the ordered system: free unknowns at
+    /// `0..nf`, pinned node `k` at `nf + k`, its branch current at
+    /// `nf + np + k`.
+    at: Vec<usize>,
+    /// Number of free unknowns.
+    nf: usize,
+    /// Number of pinned nodes.
+    np: usize,
+    /// The system in the ordered layout.
     a: Matrix,
     b: Vec<f64>,
-    /// Reused LU factorization storage (order n once initialized).
+    /// The free block of `a`, and `b`'s free rows less the pinned columns
+    /// times the source values: the system the LU solves.
+    a_ff: Matrix,
+    b_f: Vec<f64>,
+    /// Reused LU factorization storage (order `nf` once initialized).
     lu: Option<Lu<f64>>,
-    /// Newton update scratch.
+    /// The solution in the ordered layout.
+    x_sys: Vec<f64>,
+    /// Newton update scratch, in the unknown vector's layout.
     x_new: Vec<f64>,
 }
 
+/// The voltage sources that pin a node: `(node, branch)` unknown indices
+/// of each source with exactly one grounded terminal, in element order,
+/// leaving out every node two such sources pin.
+fn pinned_sources(circuit: &Circuit) -> Vec<(usize, usize)> {
+    let nn = circuit.node_count() - 1;
+    let mut pins = Vec::new();
+    let mut branch = nn;
+    for e in circuit.elements() {
+        if let Element::Vsource { pos, neg, .. } = e {
+            if let (Some(p), None) | (None, Some(p)) = (pos.unknown(), neg.unknown()) {
+                pins.push((p, branch));
+            }
+            branch += 1;
+        }
+    }
+    let mut times = vec![0usize; nn];
+    for &(p, _) in &pins {
+        times[p] += 1;
+    }
+    pins.retain(|&(p, _)| times[p] == 1);
+    pins
+}
+
 impl Workspace {
-    /// Allocates a workspace for the circuit.
+    /// Allocates a workspace for the circuit and orders its unknowns (see
+    /// the module docs).
     pub fn new(circuit: &Circuit) -> Self {
+        Self::ordered(circuit, &pinned_sources(circuit))
+    }
+
+    /// A workspace that eliminates the `(node, branch)` pairs of `pins`.
+    fn ordered(circuit: &Circuit, pins: &[(usize, usize)]) -> Self {
         let n = circuit.n_unknowns();
+        let np = pins.len();
+        let nf = n - 2 * np;
+        let mut at = vec![usize::MAX; n];
+        for (k, &(node, branch)) in pins.iter().enumerate() {
+            at[node] = nf + k;
+            at[branch] = nf + np + k;
+        }
+        let free = at.iter_mut().filter(|slot| **slot == usize::MAX);
+        for (next, slot) in free.enumerate() {
+            *slot = next;
+        }
         Workspace {
             n,
             nn: circuit.node_count() - 1,
+            at,
+            nf,
+            np,
             a: Matrix::zeros(n, n),
             b: vec![0.0; n],
+            a_ff: Matrix::zeros(nf, nf),
+            b_f: vec![0.0; nf],
             lu: None,
+            x_sys: vec![0.0; n],
             x_new: vec![0.0; n],
         }
     }
@@ -179,16 +254,76 @@ impl Workspace {
         self.n
     }
 
-    /// Factors the assembled system into the reused LU storage and solves
-    /// `A x = b` into the internal update scratch.
-    fn factor_and_solve(&mut self) -> Result<(), SpiceError> {
-        if let Some(lu) = self.lu.as_mut() {
-            lu.refactor(&self.a)?;
-        } else {
-            self.lu = Some(Lu::factor(&self.a)?);
+    /// A workspace that eliminates nothing, so every Newton iteration
+    /// factors the full MNA system: the reference the reduced solve is
+    /// tested against.
+    #[cfg(test)]
+    pub(crate) fn unreduced(circuit: &Circuit) -> Self {
+        Self::ordered(circuit, &[])
+    }
+
+    /// Number of free unknowns: the order of the system each Newton
+    /// iteration factors.
+    #[cfg(test)]
+    pub(crate) fn n_free(&self) -> usize {
+        self.nf
+    }
+
+    /// Solves the assembled system into the update scratch: sets each
+    /// pinned node to its source value, factors the free block with the
+    /// pinned columns moved to the right-hand side, and recovers each
+    /// eliminated branch current from its pinned node's KCL row.
+    fn solve(&mut self) -> Result<(), SpiceError> {
+        let Workspace {
+            at,
+            nf,
+            np,
+            a,
+            b,
+            a_ff,
+            b_f,
+            lu,
+            x_sys: x,
+            x_new,
+            ..
+        } = self;
+        let (nf, np) = (*nf, *np);
+        // A source's branch row reads `±v = value`.
+        for k in 0..np {
+            let row = nf + np + k;
+            x[nf + k] = b[row] / a[(row, nf + k)];
         }
-        let lu = self.lu.as_ref().expect("factored above");
-        lu.solve_into(&self.b, &mut self.x_new)?;
+        for i in 0..nf {
+            let mut s = b[i];
+            for k in 0..np {
+                s -= a[(i, nf + k)] * x[nf + k];
+            }
+            b_f[i] = s;
+            for j in 0..nf {
+                a_ff[(i, j)] = a[(i, j)];
+            }
+        }
+        let lu = match lu {
+            Some(lu) => {
+                lu.refactor(a_ff)?;
+                lu
+            }
+            None => lu.insert(Lu::factor(a_ff)?),
+        };
+        lu.solve_into(b_f, &mut x[..nf])?;
+        // The pinned node's KCL row holds its source's branch current
+        // with coefficient ±1, and no other eliminated one.
+        for k in 0..np {
+            let row = nf + k;
+            let mut s = b[row];
+            for j in 0..nf + np {
+                s -= a[(row, j)] * x[j];
+            }
+            x[nf + np + k] = s / a[(row, nf + np + k)];
+        }
+        for (xi, &at) in x_new.iter_mut().zip(at.iter()) {
+            *xi = x[at];
+        }
         Ok(())
     }
 }
@@ -412,12 +547,14 @@ pub(crate) fn charge_stamp(e: &Element, x: &[f64], partials: bool) -> Option<Cha
     }
 }
 
-/// Assembles the companion-model MNA system at linearization point `x`:
-/// the gmin floor, then each element's resistive stamp and, in transient
-/// mode, the companion of each of its charge terminals.
+/// Assembles the companion-model MNA system at linearization point `x`,
+/// in the workspace's unknown order: the gmin floor, then each element's
+/// resistive stamp and, in transient mode, the companion of each of its
+/// charge terminals.
 pub fn assemble(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspace) {
-    ws.a.fill_zero();
-    ws.b.iter_mut().for_each(|v| *v = 0.0);
+    let Workspace { nn, at, a, b, .. } = ws;
+    a.fill_zero();
+    b.iter_mut().for_each(|v| *v = 0.0);
 
     let (gmin, source_scale, time) = match mode {
         Mode::Dc {
@@ -427,22 +564,16 @@ pub fn assemble(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspac
     };
 
     // Conductance floor on every node keeps gates/floating nodes pinned.
-    for i in 0..ws.nn {
-        ws.a[(i, i)] += GMIN_FLOOR + gmin;
+    for &i in &at[..*nn] {
+        a[(i, i)] += GMIN_FLOOR + gmin;
     }
 
-    let mut branch = ws.nn;
+    let mut add = |i: usize, j: usize, v: f64| a[(at[i], at[j])] += v;
+    let mut rhs = |i: usize, v: f64| b[at[i]] += v;
+    let mut branch = *nn;
     let mut slot = 0; // charge-terminal index into the transient state
     for e in circuit.elements() {
-        stamp_resistive(
-            e,
-            x,
-            &mut branch,
-            time,
-            source_scale,
-            |i, j, v| ws.a[(i, j)] += v,
-            |i, v| ws.b[i] += v,
-        );
+        stamp_resistive(e, x, &mut branch, time, source_scale, &mut add, &mut rhs);
         let Mode::Tran {
             method, h, state, ..
         } = mode
@@ -453,7 +584,7 @@ pub fn assemble(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspac
             continue;
         };
         let k = method.k(*h);
-        ch.write_partials(k, |i, j, v| ws.a[(i, j)] += v);
+        ch.write_partials(k, &mut add);
         let v = ch.nodes.map(|n| volt(x, n));
         for t in 0..ch.len {
             let Some(row) = ch.nodes[t].unknown() else {
@@ -462,7 +593,10 @@ pub fn assemble(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspac
             // i_t = k (q_t(v) - q_prev) + i_const, linearized at x.
             let i_const = method.i_const(state.i[slot + t]);
             let lin_at_x: f64 = (0..ch.len).map(|u| ch.dq[t][u] * v[u]).sum();
-            ws.b[row] -= k * (ch.q[t] - state.q[slot + t]) + i_const - k * lin_at_x;
+            rhs(
+                row,
+                -(k * (ch.q[t] - state.q[slot + t]) + i_const - k * lin_at_x),
+            );
         }
         slot += ch.len;
     }
@@ -474,10 +608,10 @@ pub fn assemble(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspac
 fn kcl_residual(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspace) -> f64 {
     assemble(circuit, x, mode, ws);
     let mut worst = 0.0_f64;
-    for i in 0..ws.nn {
-        let mut s = -ws.b[i];
-        for j in 0..ws.n {
-            s += ws.a[(i, j)] * x[j];
+    for &row in &ws.at[..ws.nn] {
+        let mut s = -ws.b[row];
+        for (&col, &xj) in ws.at.iter().zip(x) {
+            s += ws.a[(row, col)] * xj;
         }
         worst = worst.max(s.abs());
     }
@@ -508,10 +642,9 @@ pub fn newton(
     let mut x = x0.to_vec();
     for iter in 0..MAX_NEWTON {
         assemble(circuit, &x, mode, ws);
-        ws.factor_and_solve()
-            .map_err(|e| SpiceError::SingularSystem {
-                context: format!("newton iteration {iter}: {e}"),
-            })?;
+        ws.solve().map_err(|e| SpiceError::SingularSystem {
+            context: format!("newton iteration {iter}: {e}"),
+        })?;
         // Damped update.
         let mut max_dv = 0.0_f64;
         let mut max_di = 0.0_f64;
@@ -632,8 +765,11 @@ mod tests {
 
     /// DC, transient and AC analysis read one linearization: at an
     /// inverter's operating point (driven through a source resistor, with a
-    /// load capacitor), the AC `G` is the DC Newton matrix, and a
-    /// backward-Euler step adds exactly the AC `C` over `h` to it.
+    /// load capacitor), the DC Newton matrix is the AC `G` in the
+    /// workspace's unknown order. The block each Newton iteration factors
+    /// is `G`'s free block, the pinned columns enter its right-hand side as
+    /// `G_fp·V`, and a backward-Euler step adds exactly `C_ff/h` to it. The
+    /// KCL residual is the full system's.
     #[test]
     fn analyses_share_one_linearization() {
         let mut c = Circuit::new();
@@ -667,12 +803,51 @@ mod tests {
 
         let lin = c.linearize(&x);
         let mut ws = Workspace::new(&c);
+        // `gate` and `out` are free; `vdd`, `in` and both branch currents
+        // leave the factored system.
+        assert_eq!((ws.nf, ws.np), (2, 2));
+        let free = [gate, out].map(|n| n.unknown().unwrap());
+        let pinned = [(vdd, 0.9), (vin, 0.42)].map(|(n, v)| (n.unknown().unwrap(), v));
         let dc = Mode::Dc {
             gmin: 0.0,
             source_scale: 1.0,
         };
         assemble(&c, &x, &dc, &mut ws);
-        let a_dc = ws.a.clone();
+        ws.solve().unwrap();
+        let (a_dc, b_dc, a_ff, b_f) = (ws.a.clone(), ws.b.clone(), ws.a_ff.clone(), ws.b_f.clone());
+        let at = ws.at.clone();
+        let close = |got: f64, want: f64, scale: f64| (got - want).abs() <= 1e-12 * scale;
+
+        for i in 0..ws.n {
+            for j in 0..ws.n {
+                // Only the floor's place in the sum differs.
+                let (g, a) = (lin.g[(i, j)], a_dc[(at[i], at[j])]);
+                assert!(close(g, a, a.abs()), "G[{i},{j}] {g} vs DC {a}");
+            }
+        }
+        for &i in &free {
+            for &j in &free {
+                assert_eq!(a_ff[(at[i], at[j])], a_dc[(at[i], at[j])]);
+            }
+            let g_fp_v: f64 = pinned.iter().map(|&(p, v)| lin.g[(i, p)] * v).sum();
+            let (got, want) = (b_f[at[i]], b_dc[at[i]] - g_fp_v);
+            let scale = b_dc[at[i]].abs().max(g_fp_v.abs());
+            assert!(
+                close(got, want, scale),
+                "b_f[{i}] {got} vs b - G_fp V {want}"
+            );
+        }
+        // At the operating point the step returns it: the pinned nodes at
+        // their source values, the branch currents from their KCL rows.
+        for (i, (got, want)) in ws.x_new.iter().zip(&x).enumerate() {
+            assert!(
+                close(*got, *want, want.abs().max(1e-9)),
+                "x[{i}] {got} vs {want}"
+            );
+        }
+        for &(p, v) in &pinned {
+            assert_eq!(ws.x_new[p], v);
+        }
         let mut state = TranState::default();
         state.init(&c, &x);
         let h = 1e-12;
@@ -683,23 +858,43 @@ mod tests {
             state: &state,
         };
         assemble(&c, &x, &be, &mut ws);
-
-        for i in 0..ws.n {
-            for j in 0..ws.n {
-                // Only the floor's place in the sum differs.
-                let (g, a) = (lin.g[(i, j)], a_dc[(i, j)]);
-                assert!((g - a).abs() <= 1e-12 * a.abs(), "G[{i},{j}] {g} vs DC {a}");
-                let (step, want) = (ws.a[(i, j)] - a, lin.c[(i, j)] / h);
-                let scale = ws.a[(i, j)].abs().max(a.abs());
+        ws.solve().unwrap();
+        for &i in &free {
+            for &j in &free {
+                let (step, want) = (
+                    ws.a_ff[(at[i], at[j])] - a_ff[(at[i], at[j])],
+                    lin.c[(i, j)] / h,
+                );
+                let scale = ws.a_ff[(at[i], at[j])]
+                    .abs()
+                    .max(a_ff[(at[i], at[j])].abs());
                 assert!(
-                    (step - want).abs() <= 1e-12 * scale,
+                    close(step, want, scale),
                     "BE - DC [{i},{j}] {step} vs C/h {want}"
                 );
             }
         }
         // The capacitor and both MOSFETs do reach `C`.
-        let o = out.unknown().unwrap();
-        let gt = gate.unknown().unwrap();
+        let [gt, o] = free;
         assert!(lin.c[(o, o)] > 1e-15 && lin.c[(gt, gt)] > 0.0);
+
+        // The KCL residual of the weak-convergence escape reads the node
+        // rows of the ordered system, also where a floating source's
+        // branch row sits among them: the full system's, bit for bit.
+        let mut f = c.clone();
+        let b = f.node("b");
+        f.vsource("VF", b, out, Waveform::dc(0.1));
+        f.resistor("RB", b, Circuit::GROUND, 1e4);
+        let mut off = Session::elaborate(f.clone())
+            .unwrap()
+            .dc_owned()
+            .unwrap()
+            .raw()
+            .to_vec();
+        off[free[1]] += 0.01;
+        let full = kcl_residual(&f, &off, &dc, &mut Workspace::unreduced(&f));
+        assert!(full > 1e-6);
+        let reduced = kcl_residual(&f, &off, &dc, &mut Workspace::new(&f));
+        assert_eq!(reduced.to_bits(), full.to_bits());
     }
 }

@@ -10,7 +10,8 @@
 //!    independent sources, and compact-model MOSFETs (any
 //!    [`mosfet::MosfetModel`]).
 //! 2. **Elaborate once** into a [`Session`]: validation, node/branch
-//!    layout, workspace and LU scratch allocation all happen a single time.
+//!    layout, the Newton unknown order (see [`engine`]), workspace and LU
+//!    scratch allocation all happen a single time.
 //! 3. **Run many analyses** against the session — [`Session::dc_owned`],
 //!    [`Session::dc_sweep_owned`], [`Session::tran_owned`] and
 //!    [`Session::ac_owned`] each return their result by value; the session
@@ -91,7 +92,7 @@ pub mod waveform;
 /// [`ENGINE_FINGERPRINT`].
 macro_rules! numerics_epoch {
     () => {
-        2
+        3
     };
 }
 
@@ -102,7 +103,10 @@ macro_rules! numerics_epoch {
 /// stores, such as transients or extraction outputs, keeps the epoch.
 /// Epoch 1: exact dual-number device derivatives replaced forward
 /// differences. Epoch 2: served `sram6t_dc` samples start Newton from the
-/// nominal cell's operating point instead of a two-node guess.
+/// nominal cell's operating point instead of a two-node guess. Epoch 3:
+/// each Newton iteration factors only the unknowns no grounded voltage
+/// source pins (see [`engine`]), which rounds served `sram6t_dc` results
+/// differently in the last bits.
 pub const NUMERICS_EPOCH: u32 = numerics_epoch!();
 
 /// Identity of the engine that computes results: the workspace version

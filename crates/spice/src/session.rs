@@ -829,7 +829,8 @@ fn basin_matches(x: &[f64], guess: &[(NodeId, f64)]) -> bool {
 mod tests {
     use super::*;
     use crate::waveform::Waveform;
-    use mosfet::{vs::VsModel, Geometry};
+    use mosfet::{vs::VsModel, Bias, ChargeEval, Charges, DcEval, Geometry, Polarity};
+    use std::sync::{Arc, Mutex};
 
     fn divider() -> (Circuit, NodeId, NodeId) {
         let mut c = Circuit::new();
@@ -1228,5 +1229,311 @@ mod tests {
         assert!((mag[0] - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3);
         assert!(s.ac_owned("V1", &[], &[]).is_err());
         assert!(s.ac_owned("nope", &[1.0], &[]).is_err());
+    }
+
+    /// A half-cell of [`sram_cell`] with its input driven by `VIN`: the
+    /// HOLD inverter, plus in READ the pass gate from a bit line at `VDD`.
+    fn half_cell(read: bool) -> (Circuit, NodeId) {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let vin = c.node("vin");
+        let out = c.node("out");
+        c.vsource("VDD", vdd, Circuit::GROUND, Waveform::dc(VDD));
+        c.vsource("VIN", vin, Circuit::GROUND, Waveform::dc(0.0));
+        let nmos = |w| Box::new(VsModel::nominal_nmos_40nm(Geometry::from_nm(w, 40.0)));
+        let pmos = |w| Box::new(VsModel::nominal_pmos_40nm(Geometry::from_nm(w, 40.0)));
+        let gnd = Circuit::GROUND;
+        c.mosfet("PU", out, vin, vdd, vdd, pmos(80.0));
+        c.mosfet("PD", out, vin, gnd, gnd, nmos(150.0));
+        if read {
+            let bl = c.node("bl");
+            let wl = c.node("wl");
+            c.vsource("VBL", bl, gnd, Waveform::dc(VDD));
+            c.vsource("VWL", wl, gnd, Waveform::dc(VDD));
+            c.mosfet("PG", bl, wl, out, gnd, nmos(100.0));
+        }
+        (c, out)
+    }
+
+    /// The master-slave D flip-flop of the paper's Fig. 8 (NMOS pass
+    /// gates, N-skewed latch inverters, a 600/300 nm output buffer) holding
+    /// Q=1 with `d` low, and its initial-state guess: the clock edge at
+    /// 500 ps flips Q to 0. In this state every node is driven at DC. In
+    /// the opposite one the slave input sits near `VDD` on pass-gate
+    /// leakage alone, a DC value set to only about 1e-12 relative:
+    /// reordering the element stamps moves the full MNA solution there by
+    /// 2e-13, and the reduced solve lands 2e-12 to 4e-12 away.
+    fn dff() -> (Circuit, Vec<(NodeId, f64)>, NodeId) {
+        let mut c = Circuit::new();
+        let [vdd, d, clk, clkb, n1, n2, n3, n4, q_int, n5, q] = [
+            "vdd", "d", "clk", "clkb", "n1", "n2", "n3", "n4", "q_int", "n5", "q",
+        ]
+        .map(|n| c.node(n));
+        let gnd = Circuit::GROUND;
+        let edge = |from, to| Waveform::step(from, to, 500e-12, 15e-12);
+        c.vsource("VDD", vdd, gnd, Waveform::dc(VDD));
+        c.vsource("VD", d, gnd, Waveform::dc(0.0));
+        c.vsource("VCLK", clk, gnd, edge(0.0, VDD));
+        c.vsource("VCLKB", clkb, gnd, edge(VDD, 0.0));
+        let nmos = |w| Box::new(VsModel::nominal_nmos_40nm(Geometry::from_nm(w, 40.0)));
+        let pmos = |w| Box::new(VsModel::nominal_pmos_40nm(Geometry::from_nm(w, 40.0)));
+        let mut pass = |name: &str, from, to, gate| {
+            c.mosfet(name, from, gate, to, gnd, nmos(300.0));
+        };
+        pass("M1", d, n1, clkb);
+        pass("M2", n3, n1, clk);
+        pass("M3", n2, n4, clk);
+        pass("M4", n5, n4, clkb);
+        for (name, input, output, wp) in [
+            ("INV1", n1, n2, 150.0),
+            ("INV2", n2, n3, 150.0),
+            ("INV3", n4, q_int, 150.0),
+            ("INV4", q_int, n5, 150.0),
+            ("BUF", q_int, q, 600.0),
+        ] {
+            c.mosfet(&format!("{name}.MP"), output, input, vdd, vdd, pmos(wp));
+            c.mosfet(&format!("{name}.MN"), output, input, gnd, gnd, nmos(300.0));
+        }
+        let guess = vec![
+            (n1, 0.0),
+            (n2, VDD),
+            (n3, 0.0),
+            (n4, 0.0),
+            (q_int, VDD),
+            (n5, 0.0),
+            (q, 0.0),
+        ];
+        (c, guess, q_int)
+    }
+
+    /// A model that logs the bias of every `eval_dc` call, so a solve's
+    /// log is its Newton path, iterate by iterate.
+    #[derive(Debug)]
+    struct Recording {
+        inner: Box<dyn MosfetModel>,
+        log: Arc<Mutex<Vec<f64>>>,
+    }
+
+    impl MosfetModel for Recording {
+        fn polarity(&self) -> Polarity {
+            self.inner.polarity()
+        }
+
+        fn geometry(&self) -> Geometry {
+            self.inner.geometry()
+        }
+
+        fn ids(&self, bias: Bias) -> f64 {
+            self.inner.ids(bias)
+        }
+
+        fn charges(&self, bias: Bias) -> Charges {
+            self.inner.charges(bias)
+        }
+
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn clone_box(&self) -> Box<dyn MosfetModel> {
+            Box::new(Recording {
+                inner: self.inner.clone_box(),
+                log: Arc::clone(&self.log),
+            })
+        }
+
+        fn eval_dc(&self, bias: Bias) -> DcEval {
+            let mut log = self.log.lock().expect("no test thread panics holding it");
+            log.extend([bias.vgs, bias.vds, bias.vbs]);
+            self.inner.eval_dc(bias)
+        }
+
+        fn eval_charges(&self, bias: Bias) -> ChargeEval {
+            self.inner.eval_charges(bias)
+        }
+    }
+
+    /// Every entry of `got` within 1e-12 of the full-MNA reference `want`,
+    /// relative to the largest magnitude at its index over all vectors.
+    fn assert_agrees(got: &[Vec<f64>], want: &[Vec<f64>], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        let mut scale = vec![0.0_f64; want.first().map_or(0, Vec::len)];
+        for x in got.iter().chain(want) {
+            assert_eq!(x.len(), scale.len(), "{what}");
+            for (s, v) in scale.iter_mut().zip(x) {
+                *s = s.max(v.abs());
+            }
+        }
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            for (i, ((g, w), s)) in g.iter().zip(w).zip(&scale).enumerate() {
+                assert!(
+                    (g - w).abs() <= 1e-12 * s,
+                    "{what}: vector {k}, entry {i}: {g} vs full MNA {w}"
+                );
+            }
+        }
+    }
+
+    /// Runs `analysis` on a session of `c` and on its full-MNA reference,
+    /// a session whose workspace eliminates nothing, and requires the same
+    /// outcome. Both take the same Newton path: the same number of device
+    /// evaluations, at biases within 1e-12 of each other (relative to the
+    /// largest bias), so the same iterations and damping. Both return the
+    /// same number of unknown vectors, each unknown within 1e-12 relative
+    /// to its largest magnitude over the run, or errors of the same kind.
+    /// Returns the reduced result.
+    fn against_full_mna<F>(
+        c: &Circuit,
+        what: &str,
+        analysis: F,
+    ) -> Result<Vec<Vec<f64>>, SpiceError>
+    where
+        F: Fn(&mut Session) -> Result<Vec<Vec<f64>>, SpiceError>,
+    {
+        let run = |ws: Workspace| {
+            let mut s = Session::elaborate(c.clone()).unwrap();
+            s.ws = ws;
+            let log = Arc::new(Mutex::new(Vec::new()));
+            s.swap_all_mosfets(|_, m| {
+                Box::new(Recording {
+                    inner: m.clone_box(),
+                    log: Arc::clone(&log),
+                })
+            });
+            let result = analysis(&mut s);
+            let path = std::mem::take(&mut *log.lock().expect("no test thread panics holding it"));
+            (result, path)
+        };
+        let (got, path) = run(Workspace::new(c));
+        let (want, full_path) = run(Workspace::unreduced(c));
+        assert_eq!(path.len(), full_path.len(), "{what}: device evaluations");
+        // One vector per bias voltage, so all share one scale.
+        let each = |p: Vec<f64>| p.into_iter().map(|v| vec![v]).collect::<Vec<_>>();
+        assert_agrees(
+            &each(path),
+            &each(full_path),
+            &format!("{what}: Newton path"),
+        );
+        match (&got, &want) {
+            (Ok(got), Ok(want)) => assert_agrees(got, want, what),
+            (Err(g), Err(w)) => assert_eq!(
+                std::mem::discriminant(g),
+                std::mem::discriminant(w),
+                "{what}: {g} vs full MNA {w}"
+            ),
+            _ => panic!("{what}: {got:?} vs full MNA {want:?}"),
+        }
+        got
+    }
+
+    /// Newton on the free unknowns takes the full MNA solve's steps: DC
+    /// solves, a sweep and a transient follow a full-MNA reference
+    /// Newton's path and agree with it unknown by unknown, branch currents
+    /// included, on circuits with pinned nodes, a floating source, nothing
+    /// free, and a node two sources pin (singular either way).
+    #[test]
+    fn reduced_newton_matches_the_full_mna_reference() {
+        let (cell, l, r) = sram_cell();
+        let guess = [(l, 0.0), (r, VDD)];
+        let raw = |op: DcResult| vec![op.raw().to_vec()];
+        let nominal = against_full_mna(&cell, "6T cell from the guess", |s| {
+            s.dc_owned_with_guess(&guess).map(raw)
+        })
+        .unwrap();
+        // A served sample: skewed devices, Newton from the nominal start.
+        let weak = VsModel::nominal_nmos_40nm(Geometry::from_nm(120.0, 40.0));
+        against_full_mna(&cell, "6T cell from the nominal start", |s| {
+            s.swap_device("PD2", Box::new(weak.clone()))?;
+            s.dc_owned_from(&nominal[0], &guess).map(raw)
+        })
+        .unwrap();
+
+        let (read, _) = half_cell(true);
+        let values: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
+        against_full_mna(&read, "READ half-cell sweep", |s| {
+            let sweep = s.dc_sweep_owned("VIN", &values)?;
+            Ok(sweep.points.iter().map(|p| p.raw().to_vec()).collect())
+        })
+        .unwrap();
+
+        let (ff, ic, q_int) = dff();
+        let steps = against_full_mna(&ff, "DFF transient", |s| {
+            let opts = ic
+                .iter()
+                .fold(TranOptions::new(850e-12, 4e-12), |o, &(n, v)| {
+                    o.with_ic(n, v)
+                });
+            let res = s.tran_owned(&opts)?;
+            let nodes: Vec<_> = (1..s.circuit.node_count())
+                .map(|i| res.voltages(NodeId(i)))
+                .collect();
+            let currents: Vec<_> = (0..s.circuit.n_vsources())
+                .map(|k| res.vsource_currents(k))
+                .collect();
+            // One vector per time point: `[t, v_1 .., i_1 ..]`.
+            Ok((0..res.len())
+                .map(|p| {
+                    std::iter::once(res.times()[p])
+                        .chain(nodes.iter().chain(&currents).map(|trace| trace[p]))
+                        .collect()
+                })
+                .collect())
+        })
+        .unwrap();
+        assert!(steps.len() > 200, "{} time points", steps.len());
+        let q = 1 + q_int.unknown().unwrap();
+        let (first, last) = (&steps[0], &steps[steps.len() - 1]);
+        assert!(first[q] > 0.8 * VDD && last[q] < 0.2 * VDD, "Q must flip");
+
+        // A floating source: its branch current stays a free unknown.
+        let mut c = Circuit::new();
+        let [a, b, m] = ["a", "b", "m"].map(|n| c.node(n));
+        c.vsource("V1", a, Circuit::GROUND, Waveform::dc(VDD));
+        c.vsource("V2", b, a, Waveform::dc(-0.3));
+        c.resistor("R1", b, m, 2e3);
+        let nmos = VsModel::nominal_nmos_40nm(Geometry::from_nm(300.0, 40.0));
+        c.mosfet("MN", m, m, Circuit::GROUND, Circuit::GROUND, Box::new(nmos));
+        against_full_mna(&c, "floating source", |s| s.dc_owned().map(raw)).unwrap();
+
+        // Every unknown pinned or eliminated: nothing left to factor.
+        let mut c = Circuit::new();
+        let [a, b] = ["a", "b"].map(|n| c.node(n));
+        c.vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0));
+        c.vsource("V2", b, Circuit::GROUND, Waveform::dc(0.4));
+        c.resistor("R1", a, b, 1e3);
+        assert_eq!(Workspace::new(&c).n_free(), 0);
+        let op = against_full_mna(&c, "all-pinned divider", |s| s.dc_owned().map(raw)).unwrap();
+        assert_eq!(op[0][..2], [1.0, 0.4]);
+
+        // Two grounded sources on one node: neither is eliminated.
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0));
+        c.vsource("V2", a, Circuit::GROUND, Waveform::dc(1.0));
+        c.resistor("R1", a, Circuit::GROUND, 1e3);
+        assert_eq!(Workspace::new(&c).n_free(), 3);
+        assert!(against_full_mna(&c, "doubly pinned node", |s| s.dc_owned().map(raw)).is_err());
+        let dc = Mode::Dc {
+            gmin: 0.0,
+            source_scale: 1.0,
+        };
+        for mut ws in [Workspace::new(&c), Workspace::unreduced(&c)] {
+            let singular = newton(&c, &[0.0; 3], &dc, &mut ws);
+            assert!(matches!(singular, Err(SpiceError::SingularSystem { .. })));
+        }
+    }
+
+    /// Each Newton iteration of a Monte Carlo sample factors what no
+    /// grounded source pins: the half-cells' output node, the cell's two
+    /// storage nodes.
+    #[test]
+    fn sram_newton_systems_hold_only_the_storage_nodes() {
+        for (read, name) in [(false, "HOLD"), (true, "READ")] {
+            let (c, _) = half_cell(read);
+            assert_eq!(Workspace::new(&c).n_free(), 1, "{name} half-cell");
+        }
+        let (cell, _, _) = sram_cell();
+        assert_eq!(cell.n_unknowns(), 10);
+        assert_eq!(Workspace::new(&cell).n_free(), 2);
     }
 }

@@ -107,18 +107,56 @@ fn assert_matches_reference(merged: &fleet::MergedResult, spec: &FleetSpec, labe
     );
 }
 
+/// A length of seed `seed`'s `sram6t_dc` shards that keeps one worker
+/// thread of this build busy for about `target`. The per-sample time is
+/// the difference between in-process runs of 272 and 16 samples (each the
+/// fastest of three), which cancels the per-shard set-up.
+fn sram_shard_len_lasting(seed: u64, target: Duration) -> usize {
+    let engine = Engine::new().expect("probe engine");
+    let time = |len: usize| {
+        let shard = ExperimentSpec {
+            circuit: "sram6t_dc".to_string(),
+            analysis: "dc".to_string(),
+            seed,
+            offset: 0,
+            len,
+            total: None,
+            want_welford: true,
+            want_histogram: false,
+            want_tdigest: false,
+            histogram: (0.0, 0.9, 48),
+            tdigest_compression: 100.0,
+            proposal: (0.0, 1.0),
+            threshold: 3.0,
+            want_wmoments: false,
+            want_whistogram: false,
+        };
+        (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                engine.execute(&shard).expect("probe shard runs");
+                started.elapsed()
+            })
+            .min()
+            .expect("three runs")
+    };
+    let per_sample = time(272).saturating_sub(time(16)).as_secs_f64() / 256.0;
+    ((target.as_secs_f64() / per_sample.max(1e-6)) as usize).clamp(16, 1_000_000)
+}
+
 /// THE headline test: two real workers, one killed mid-shard, its shards
 /// re-issued — and the merged state is byte-identical to the no-fault,
 /// single-process reference anyway.
 #[test]
 fn killed_worker_is_reissued_and_the_merge_is_byte_identical() {
-    // Shards of 1000 sram6t_dc samples take hundreds of milliseconds in a
-    // debug build — a wide window to kill a worker mid-shard.
+    // Shards that each keep a worker thread busy for about half a second
+    // in this build, debug or release: the kill lands 100 ms after the
+    // victim's first dispatch, well inside its first shard.
     let spec = FleetSpec {
         circuit: "sram6t_dc".to_string(),
         analysis: Some("dc".to_string()),
         seed: 7,
-        total: 6000,
+        total: 6 * sram_shard_len_lasting(7, Duration::from_millis(500)),
         histogram: Some((0.0, 0.9, 48)),
         tdigest_compression: None,
     };
