@@ -1,15 +1,19 @@
-//! One DC Newton solve, the layer under every SRAM Monte Carlo sample:
+//! DC Newton solves, the layer under every SRAM Monte Carlo sample:
 //!
 //! * `read_half_cell_sweep_point`: the READ half-cell (inverter plus pass
 //!   gate from a bit line at `Vdd`) at the steepest point of its 31-point
-//!   SNM sweep, Newton started from the previous point's operating point,
-//!   as `SnmBench` sweeps it;
+//!   SNM sweep, Newton started from the previous point's operating point;
 //! * `sram6t_from_nominal`: the 6T cell with one mismatch draw swapped in,
 //!   Newton started from the nominal cell's operating point, the solve
-//!   `statvs serve` runs per `sram6t_dc` sample.
+//!   `statvs serve` runs per `sram6t_dc` sample;
+//! * `read_half_cell_sweep`: one whole 31-point sweep of a paper-spec
+//!   draw of the READ half-cell through `Session::dc_sweep_owned`, half
+//!   of an `SnmBench` READ sample: the first point from zero, every later
+//!   one from the secant prediction of the two before it.
 //!
-//! Both solve through `Session::dc_owned_from`, so every call repeats the
-//! same Newton iterations on the same devices.
+//! The first two solve through `Session::dc_owned_from`, so every call
+//! repeats the same Newton iterations on the same devices; so does every
+//! sweep, whose first point starts from zero.
 //!
 //! Run `cargo bench -p vsbench --bench newton_solve -- --json ../../BENCH_newton_solve.json`
 //! to refresh the baseline at the repo root.
@@ -26,17 +30,16 @@ const VDD: f64 = 0.9;
 /// Points of the SNM sweep, as the READ SNM Monte Carlo traces it.
 const SWEEP_POINTS: usize = 31;
 
-/// One paper-spec mismatch draw of a 6T cell.
-fn draw(seed: u64) -> SramDevices {
+/// VS devices with the paper's Pelgrom mismatch, drawn from `seed`.
+fn paper_spec(seed: u64) -> McFactory {
     let spec = MismatchSpec::from_paper_units(2.3, 3.71, 3.71, 944.0, 0.29);
-    let mut f = McFactory::vs(
+    McFactory::vs(
         VsParams::nmos_40nm(),
         VsParams::pmos_40nm(),
         spec,
         spec,
         Sampler::from_seed(seed),
-    );
-    SramDevices::draw(SramSizing::default(), &mut f)
+    )
 }
 
 /// The READ half-cell with its input on `VIN`.
@@ -71,12 +74,12 @@ fn read_half_cell(f: &mut dyn DeviceFactory) -> Circuit {
 
 fn main() {
     let mut results = Vec::new();
+    let values: Vec<f64> = (0..SWEEP_POINTS)
+        .map(|i| VDD * i as f64 / (SWEEP_POINTS - 1) as f64)
+        .collect();
 
     {
         let mut s = Session::elaborate(read_half_cell(&mut NominalVsFactory)).expect("well-formed");
-        let values: Vec<f64> = (0..SWEEP_POINTS)
-            .map(|i| VDD * i as f64 / (SWEEP_POINTS - 1) as f64)
-            .collect();
         let out = s.circuit().find_node("out").expect("built above");
         let sweep = s.dc_sweep_owned("VIN", &values).expect("nominal sweep");
         // The steepest step of the transfer curve: the most iterations.
@@ -104,9 +107,18 @@ fn main() {
         let mut s = Session::elaborate(c).expect("well-formed");
         let nominal = s.dc_owned_with_guess(&guess).expect("nominal cell solves");
         let start = nominal.raw().to_vec();
-        draw(1).swap_into(&mut s).expect("known instances");
+        SramDevices::draw(SramSizing::default(), &mut paper_spec(1))
+            .swap_into(&mut s)
+            .expect("known instances");
         results.push(measure("newton_solve/sram6t_from_nominal", || {
             s.dc_owned_from(&start, &guess).expect("converges");
+        }));
+    }
+
+    {
+        let mut s = Session::elaborate(read_half_cell(&mut paper_spec(1))).expect("well-formed");
+        results.push(measure("newton_solve/read_half_cell_sweep", || {
+            s.dc_sweep_owned("VIN", &values).expect("converges");
         }));
     }
 

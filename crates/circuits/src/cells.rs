@@ -54,6 +54,40 @@ impl DeviceFactory for NominalBsimFactory {
     }
 }
 
+/// Test factory: VS devices with the paper's Table II Pelgrom mismatch,
+/// drawn from one seeded stream.
+#[cfg(test)]
+pub(crate) struct VsMismatch(pub(crate) stats::Sampler);
+
+#[cfg(test)]
+impl VsMismatch {
+    fn draw(
+        &mut self,
+        params: mosfet::vs::VsParams,
+        polarity: Polarity,
+        geom: Geometry,
+    ) -> Box<dyn MosfetModel> {
+        let spec = mosfet::MismatchSpec::from_paper_units(2.3, 3.71, 3.71, 944.0, 0.29);
+        let delta = spec.sample(geom, || self.0.standard_normal());
+        Box::new(VsModel::with_variation(params, polarity, geom, delta))
+    }
+}
+
+#[cfg(test)]
+impl DeviceFactory for VsMismatch {
+    fn nmos(&mut self, geom: Geometry) -> Box<dyn MosfetModel> {
+        self.draw(mosfet::vs::VsParams::nmos_40nm(), Polarity::Nmos, geom)
+    }
+
+    fn pmos(&mut self, geom: Geometry) -> Box<dyn MosfetModel> {
+        self.draw(mosfet::vs::VsParams::pmos_40nm(), Polarity::Pmos, geom)
+    }
+
+    fn family(&self) -> &'static str {
+        "vs"
+    }
+}
+
 /// PMOS/NMOS widths and channel length of an inverter (or gate), in meters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InverterSizing {

@@ -238,43 +238,10 @@ pub fn setup_time(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cells::NominalVsFactory;
-    use mosfet::vs::{VsModel, VsParams};
-    use mosfet::{Geometry, MismatchSpec, MosfetModel, Polarity};
+    use crate::cells::{NominalVsFactory, VsMismatch};
     use stats::Sampler;
 
     const DT: f64 = 4e-12;
-
-    /// VS devices with the paper's Pelgrom mismatch, drawn from one
-    /// seeded stream.
-    struct VsMismatch(Sampler);
-
-    impl VsMismatch {
-        fn draw(
-            &mut self,
-            params: VsParams,
-            polarity: Polarity,
-            geom: Geometry,
-        ) -> Box<dyn MosfetModel> {
-            let spec = MismatchSpec::from_paper_units(2.3, 3.71, 3.71, 944.0, 0.29);
-            let delta = spec.sample(geom, || self.0.standard_normal());
-            Box::new(VsModel::with_variation(params, polarity, geom, delta))
-        }
-    }
-
-    impl DeviceFactory for VsMismatch {
-        fn nmos(&mut self, geom: Geometry) -> Box<dyn MosfetModel> {
-            self.draw(VsParams::nmos_40nm(), Polarity::Nmos, geom)
-        }
-
-        fn pmos(&mut self, geom: Geometry) -> Box<dyn MosfetModel> {
-            self.draw(VsParams::pmos_40nm(), Polarity::Pmos, geom)
-        }
-
-        fn family(&self) -> &'static str {
-            "vs"
-        }
-    }
 
     /// Every VS mismatch draw starts its transients at Q=0 (`q_int` low,
     /// `n5` high), a stable state, rather than at the slave latch's

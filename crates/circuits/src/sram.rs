@@ -150,64 +150,54 @@ fn half_cell_vtc_on(
         .collect())
 }
 
-/// Linear interpolation on `(t, v)` samples sorted ascending by `t`,
-/// clamped at the ends.
-fn interp(pts: &[(f64, f64)], t: f64) -> f64 {
-    if pts.is_empty() {
-        return 0.0;
-    }
-    if t <= pts[0].0 {
-        return pts[0].1;
-    }
-    if t >= pts[pts.len() - 1].0 {
-        return pts[pts.len() - 1].1;
-    }
-    for w in pts.windows(2) {
-        if t >= w[0].0 && t <= w[1].0 {
-            let (t0, v0) = w[0];
-            let (t1, v1) = w[1];
-            if t1 == t0 {
-                return v1;
-            }
-            return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
-        }
-    }
-    pts[pts.len() - 1].1
-}
-
-/// Largest square inscribed in one eye: candidate bottom-left corners walk
-/// along `corner_curve` (as raw `(x, y)` points); the top-right corner must
-/// stay below `bound_curve` interpreted as an ascending-`x` set of `(x, y)`
-/// samples.
+/// Largest square inscribed in one eye. Every point `(x0, y0)` of
+/// `corner_curve` is a candidate bottom-left corner, and its square grows
+/// until the top-right corner meets `bound_curve`, read as the
+/// piecewise-linear `y_bound` through its points in ascending `x`,
+/// constant beyond its first and last points. The side is the first root
+/// of `g(s) = y_bound(x0 + s) − (y0 + s)` ([`square_side`]), capped at
+/// `v_max`.
 fn lobe_snm(corner_curve: &[(f64, f64)], bound_curve: &[(f64, f64)], v_max: f64) -> f64 {
     let mut bound = bound_curve.to_vec();
     bound.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite voltages"));
-    let mut best = 0.0_f64;
-    for &(x0, y0) in corner_curve {
-        // Grow the square until the top-right corner hits the bound curve:
-        // find the largest s with y0 + s <= y_bound(x0 + s).
-        let g = |s: f64| interp(&bound, x0 + s) - (y0 + s);
-        if g(0.0) <= 0.0 {
-            continue; // corner not inside this eye
-        }
-        // Bisection on the monotone-decreasing g.
-        let mut lo = 0.0;
-        let mut hi = v_max;
-        if g(hi) > 0.0 {
-            best = best.max(hi);
-            continue;
-        }
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            if g(mid) > 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        best = best.max(lo);
+    corner_curve
+        .iter()
+        .filter_map(|&(x0, y0)| square_side(&bound, x0, y0))
+        .fold(0.0, |best, s| best.max(s.min(v_max)))
+}
+
+/// The first root of `g(s) = y_bound(x0 + s) − (y0 + s)` over `bound`
+/// (sorted by `x`; see [`lobe_snm`]), in closed form: `g` is linear
+/// between breakpoints, so the walk goes right from `x0` to the first
+/// breakpoint where `g ≤ 0` and solves the segment that ends there. Equal
+/// `x` values make a vertical segment, a jump of `y_bound`, whose root is
+/// its `x`. `None` for a corner outside the eye (`g(0) ≤ 0`) and for an
+/// empty `bound`.
+fn square_side(bound: &[(f64, f64)], x0: f64, y0: f64) -> Option<f64> {
+    let (&first, &last) = (bound.first()?, bound.last()?);
+    // `y_bound(x0)`, and the breakpoints from `x0` on.
+    let (y_start, ahead) = if x0 <= first.0 {
+        (first.1, bound)
+    } else if x0 >= last.0 {
+        (last.1, &[][..])
+    } else {
+        let i = bound.partition_point(|p| p.0 < x0);
+        let ((xa, ya), (xb, yb)) = (bound[i - 1], bound[i]);
+        (ya + (yb - ya) * (x0 - xa) / (xb - xa), &bound[i..])
+    };
+    let (mut p, mut gp) = ((x0, y_start), y_start - y0);
+    if gp <= 0.0 {
+        return None;
     }
-    best
+    for &q in ahead {
+        let gq = q.1 - y0 - (q.0 - x0);
+        if gq <= 0.0 {
+            return Some(p.0 - x0 + (q.0 - p.0) * gp / (gp - gq));
+        }
+        (p, gp) = (q, gq);
+    }
+    // Right of the last point `y_bound` stays at `last.1`.
+    Some(last.1 - y0)
 }
 
 /// Static noise margin of a butterfly: the smaller of the two maximal
@@ -334,8 +324,11 @@ pub fn dc_sample_from(
 }
 
 /// A persistent SNM Monte Carlo bench: both half-cell sessions elaborated
-/// once; every sample swaps six fresh devices in place and re-sweeps with
-/// warm starts.
+/// once; every sample swaps six fresh devices in place and re-sweeps both
+/// half-cells through [`Session::dc_sweep_owned`]. Each sweep's first
+/// point starts from zero, so a sample depends on its devices alone, not
+/// on the samples before it; later points start from the secant
+/// prediction of the two before them.
 #[derive(Debug)]
 pub struct SnmBench {
     halves: [Session; 2],
@@ -510,13 +503,13 @@ impl ReadDisturbBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cells::{NominalBsimFactory, NominalVsFactory};
+    use crate::cells::{NominalBsimFactory, NominalVsFactory, VsMismatch};
+    use stats::Sampler;
 
     const VDD: f64 = 0.9;
 
-    /// Ideal steep inverters: SNM should approach Vdd/2.
-    #[test]
-    fn snm_of_ideal_butterfly() {
+    /// The butterfly of two ideal steep inverters.
+    fn ideal_butterfly() -> (ButterflyCurve, ButterflyCurve) {
         let steep = |x: f64| VDD / (1.0 + ((x - VDD / 2.0) / 0.005).exp());
         let n = 200;
         let c2: Vec<(f64, f64)> = (0..n)
@@ -526,6 +519,13 @@ mod tests {
             })
             .collect();
         let c1: Vec<(f64, f64)> = c2.iter().map(|&(x, y)| (y, x)).collect();
+        (c1, c2)
+    }
+
+    /// Ideal steep inverters: SNM should approach Vdd/2.
+    #[test]
+    fn snm_of_ideal_butterfly() {
+        let (c1, c2) = ideal_butterfly();
         let s = snm(&c1, &c2, VDD);
         assert!((s - VDD / 2.0).abs() < 0.05, "ideal SNM = {s}");
     }
@@ -617,6 +617,26 @@ mod tests {
         assert!(got > 0.75 * VDD);
     }
 
+    /// A butterfly of steep inverters, the right one's switching threshold
+    /// shifted by `dvm`.
+    fn shifted_butterfly(dvm: f64) -> (ButterflyCurve, ButterflyCurve) {
+        let steep = |vm: f64, x: f64| VDD / (1.0 + ((x - vm) / 0.01).exp());
+        let n = 201;
+        let c2: Vec<(f64, f64)> = (0..n)
+            .map(|i| {
+                let x = VDD * i as f64 / (n - 1) as f64;
+                (x, steep(VDD / 2.0 + dvm, x))
+            })
+            .collect();
+        let c1: Vec<(f64, f64)> = (0..n)
+            .map(|i| {
+                let x = VDD * i as f64 / (n - 1) as f64;
+                (steep(VDD / 2.0, x), x)
+            })
+            .collect();
+        (c1, c2)
+    }
+
     /// Regression for the eye-assignment bug: shifting one inverter's
     /// switching threshold must shrink one eye and grow the other, and the
     /// SNM (the min) must *degrade*. The old `max`-over-assignments code
@@ -624,29 +644,12 @@ mod tests {
     /// reported SNM.
     #[test]
     fn threshold_mismatch_splits_the_eyes() {
-        let steep = |vm: f64, x: f64| VDD / (1.0 + ((x - vm) / 0.01).exp());
-        let n = 201;
-        let curves = |dvm: f64| {
-            let c2: Vec<(f64, f64)> = (0..n)
-                .map(|i| {
-                    let x = VDD * i as f64 / (n - 1) as f64;
-                    (x, steep(VDD / 2.0 + dvm, x))
-                })
-                .collect();
-            let c1: Vec<(f64, f64)> = (0..n)
-                .map(|i| {
-                    let x = VDD * i as f64 / (n - 1) as f64;
-                    (steep(VDD / 2.0, x), x)
-                })
-                .collect();
-            (c1, c2)
-        };
-        let (c1, c2) = curves(0.0);
+        let (c1, c2) = shifted_butterfly(0.0);
         let (e1, e2) = eye_margins(&c1, &c2, VDD);
         let s0 = snm(&c1, &c2, VDD);
         assert!((e1 - e2).abs() < 1e-3, "symmetric butterfly: {e1} vs {e2}");
         for dvm in [0.05, -0.05, 0.1] {
-            let (c1, c2) = curves(dvm);
+            let (c1, c2) = shifted_butterfly(dvm);
             let (e1, e2) = eye_margins(&c1, &c2, VDD);
             let (grown, shrunk) = if dvm > 0.0 { (e1, e2) } else { (e2, e1) };
             assert!(
@@ -720,6 +723,190 @@ mod tests {
             mags[2] < 1.05 * mags[0],
             "transfer should not grow unboundedly: {mags:?}"
         );
+    }
+
+    /// Linear interpolation on `(t, v)` samples sorted ascending by `t`,
+    /// clamped at the ends: the `y_bound` of [`lobe_snm_by_bisection`].
+    fn interp(pts: &[(f64, f64)], t: f64) -> f64 {
+        if pts.is_empty() {
+            return 0.0;
+        }
+        if t <= pts[0].0 {
+            return pts[0].1;
+        }
+        if t >= pts[pts.len() - 1].0 {
+            return pts[pts.len() - 1].1;
+        }
+        for w in pts.windows(2) {
+            if t >= w[0].0 && t <= w[1].0 {
+                let (t0, v0) = w[0];
+                let (t1, v1) = w[1];
+                if t1 == t0 {
+                    return v1;
+                }
+                return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
+            }
+        }
+        pts[pts.len() - 1].1
+    }
+
+    /// The square fit [`lobe_snm`] replaced, its reference: 40 bisection
+    /// steps on `g` for every corner.
+    fn lobe_snm_by_bisection(
+        corner_curve: &[(f64, f64)],
+        bound_curve: &[(f64, f64)],
+        v_max: f64,
+    ) -> f64 {
+        let mut bound = bound_curve.to_vec();
+        bound.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite voltages"));
+        let mut best = 0.0_f64;
+        for &(x0, y0) in corner_curve {
+            // Grow the square until the top-right corner hits the bound curve:
+            // find the largest s with y0 + s <= y_bound(x0 + s).
+            let g = |s: f64| interp(&bound, x0 + s) - (y0 + s);
+            if g(0.0) <= 0.0 {
+                continue; // corner not inside this eye
+            }
+            // Bisection on the monotone-decreasing g.
+            let mut lo = 0.0;
+            let mut hi = v_max;
+            if g(hi) > 0.0 {
+                best = best.max(hi);
+                continue;
+            }
+            for _ in 0..40 {
+                let mid = 0.5 * (lo + hi);
+                if g(mid) > 0.0 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            best = best.max(lo);
+        }
+        best
+    }
+
+    /// Both eye margins of a butterfly by the reference square fit, with
+    /// the construction of [`eye_margins`].
+    fn eye_margins_by_bisection(c1: &[(f64, f64)], c2: &[(f64, f64)], vdd: f64) -> (f64, f64) {
+        let mirror =
+            |c: &[(f64, f64)]| -> Vec<(f64, f64)> { c.iter().map(|&(x, y)| (y, x)).collect() };
+        (
+            lobe_snm_by_bisection(c1, c2, vdd),
+            lobe_snm_by_bisection(&mirror(c2), &mirror(c1), vdd),
+        )
+    }
+
+    /// `got` within the reference bisection's last bracket, `v_max·2⁻⁴⁰`,
+    /// plus rounding.
+    fn assert_near_bisection(got: f64, want: f64, v_max: f64, what: &str) {
+        let tol = v_max * 2f64.powi(-40) + 1e-15;
+        assert!(
+            (got - want).abs() <= tol,
+            "{what}: {got} vs bisection {want}"
+        );
+    }
+
+    /// The exact square of every corner is the limit the bisection
+    /// converges to: both eyes of 200 paper-spec READ and 200 HOLD
+    /// butterflies and of the synthetic ones above, and one-lobe cases
+    /// whose squares end in each kind of piece of the bound curve.
+    #[test]
+    fn exact_squares_match_the_bisection_reference() {
+        let sz = SramSizing::default();
+        for mode in [SnmMode::Read, SnmMode::Hold] {
+            let mut bench = SnmBench::new(sz, VDD, mode, 31, &mut NominalVsFactory).unwrap();
+            for i in 0..200 {
+                bench
+                    .resample(sz, &mut VsMismatch(Sampler::from_seed(1).stream(i)))
+                    .unwrap();
+                let (c1, c2) = bench.curves().unwrap();
+                let (e1, e2) = eye_margins(&c1, &c2, VDD);
+                let (r1, r2) = eye_margins_by_bisection(&c1, &c2, VDD);
+                assert!(r1 > 0.0 && r2 > 0.0, "{mode:?} draw {i}: no eye");
+                assert_near_bisection(e1, r1, VDD, &format!("{mode:?} draw {i}, eye 1"));
+                assert_near_bisection(e2, r2, VDD, &format!("{mode:?} draw {i}, eye 2"));
+            }
+        }
+        let mut synthetic = vec![("ideal", ideal_butterfly())];
+        for dvm in [0.0, 0.05, -0.05, 0.1] {
+            synthetic.push(("threshold-shifted", shifted_butterfly(dvm)));
+        }
+        for (name, (c1, c2)) in synthetic {
+            let (e1, e2) = eye_margins(&c1, &c2, VDD);
+            let (r1, r2) = eye_margins_by_bisection(&c1, &c2, VDD);
+            assert_near_bisection(e1, r1, VDD, name);
+            assert_near_bisection(e2, r2, VDD, name);
+        }
+
+        /// A case: corner, bound curve in any order, `v_max`, exact side.
+        type Lobe<'a> = (&'a str, (f64, f64), &'a [(f64, f64)], f64, f64);
+        let cases: [Lobe; 8] = [
+            (
+                "corner left of the curve, root on a segment",
+                (0.0, 0.1),
+                &[(0.6, 0.0), (0.2, 0.8)],
+                VDD,
+                11.0 / 30.0,
+            ),
+            (
+                "corner left of the curve, root left of it",
+                (0.0, 0.0),
+                &[(0.5, 0.3), (0.9, 0.0)],
+                VDD,
+                0.3,
+            ),
+            (
+                "square past the last point",
+                (0.0, 0.0),
+                &[(0.0, 0.9), (0.1, 0.85)],
+                VDD,
+                0.85,
+            ),
+            ("one-point curve", (0.0, 0.1), &[(0.4, 0.6)], VDD, 0.5),
+            (
+                "square capped at v_max",
+                (0.0, 0.0),
+                &[(0.0, 0.9), (0.1, 0.85)],
+                0.5,
+                0.5,
+            ),
+            (
+                "root on a jump",
+                (0.1, 0.1),
+                &[(0.9, 0.0), (0.3, 0.7), (0.0, 0.9), (0.3, 0.2)],
+                VDD,
+                0.2,
+            ),
+            (
+                "corner on a jump",
+                (0.3, 0.1),
+                &[(0.9, 0.0), (0.3, 0.7), (0.0, 0.9), (0.3, 0.2)],
+                VDD,
+                0.075,
+            ),
+            (
+                "corner outside the eye",
+                (0.5, 0.9),
+                &[(0.9, 0.0), (0.0, 0.9)],
+                VDD,
+                0.0,
+            ),
+        ];
+        for (what, corner, bound, v_max, side) in cases {
+            let got = lobe_snm(&[corner], bound, v_max);
+            assert!((got - side).abs() <= 1e-15, "{what}: {got} vs {side}");
+            assert_near_bisection(
+                got,
+                lobe_snm_by_bisection(&[corner], bound, v_max),
+                v_max,
+                what,
+            );
+        }
+        // An empty bound curve: no square, no panic.
+        assert_eq!(lobe_snm(&[(0.1, 0.2), (0.5, 0.0)], &[], VDD), 0.0);
+        assert_eq!(eye_margins(&[], &[], VDD), (0.0, 0.0));
     }
 
     #[test]

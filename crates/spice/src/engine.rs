@@ -54,6 +54,17 @@ const I_TOL: f64 = 1e-10;
 /// Newton iteration budget per solve.
 const MAX_NEWTON: usize = 400;
 
+/// The factor that caps a step whose largest node-voltage change is
+/// `max_dv` at [`MAX_DV`]: each Newton update, and the secant start of a
+/// DC sweep point, moves by this factor times its full step.
+pub(crate) fn step_scale(max_dv: f64) -> f64 {
+    if max_dv > MAX_DV {
+        MAX_DV / max_dv
+    } else {
+        1.0
+    }
+}
+
 /// Transient integration method for the current step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Integrator {
@@ -656,11 +667,7 @@ pub fn newton(
                 max_di = max_di.max(d.abs());
             }
         }
-        let scale = if max_dv > MAX_DV {
-            MAX_DV / max_dv
-        } else {
-            1.0
-        };
+        let scale = step_scale(max_dv);
         for i in 0..ws.n {
             x[i] += scale * (ws.x_new[i] - x[i]);
         }

@@ -18,10 +18,11 @@
 //!    keeps no results of its own.
 //! 4. **Resample in place** for Monte Carlo: [`Session::swap_devices`] /
 //!    [`Session::swap_all_mosfets`] replace MOSFET instances without
-//!    re-parsing or re-elaborating, and the next solve warm-starts from
-//!    the previous sample's operating point. [`Session::dc_owned_from`]
-//!    starts from a caller-held vector instead (served samples pass the
-//!    nominal cell's operating point) and falls back to a guess.
+//!    re-parsing or re-elaborating, and the next [`Session::dc_owned`]
+//!    warm-starts from the previous sample's operating point.
+//!    [`Session::dc_owned_from`] starts from a caller-held vector instead
+//!    (served samples pass the nominal cell's operating point) and falls
+//!    back to a guess; a sweep starts from zero.
 //!    [`Session::dc_batch`] solves a list of mismatch lanes one after
 //!    another through the same DC solver, leaving the session's devices
 //!    as it found them. AC Monte Carlo batches go through
@@ -30,8 +31,9 @@
 //!    samples.
 //!
 //! Analyses: nonlinear DC operating point (damped Newton-Raphson with gmin
-//! and source-stepping continuation), warm-started DC sweeps (butterfly
-//! curves, VTCs), transient (trapezoidal with backward-Euler startup,
+//! and source-stepping continuation), DC sweeps that start each point
+//! from the secant prediction of the two before it (butterfly curves,
+//! VTCs), transient (trapezoidal with backward-Euler startup,
 //! charge-conserving companion models), AC small-signal sweeps, plus
 //! [`measure`] helpers (level crossings and the first crossing after a
 //! time). All of them read one linearization of every element, in

@@ -11,8 +11,9 @@
 //!   circuit state it was computed on;
 //! * [`Session::swap_devices`] / [`Session::swap_all_mosfets`] resample
 //!   MOSFET instances *in place* — the Monte Carlo fast path: no re-parse,
-//!   no re-elaboration, and the next DC solve warm-starts from the previous
-//!   sample's operating point;
+//!   no re-elaboration, and the next [`Session::dc_owned`] warm-starts
+//!   from the previous sample's operating point (a sweep starts from
+//!   zero, [`Session::dc_owned_from`] from the caller's vector);
 //! * [`Session::ac_batch`] runs resample→sweep AC Monte Carlo batches,
 //!   amortizing the guessed operating-point solve and reusing one cached
 //!   [`AcWorkspace`] across all samples;
@@ -22,7 +23,7 @@
 use crate::ac::{AcResult, AcWorkspace};
 use crate::dc::{DcResult, SweepResult};
 use crate::elements::Element;
-use crate::engine::{newton, Integrator, Mode, TranState, Workspace};
+use crate::engine::{newton, step_scale, Integrator, Mode, TranState, Workspace};
 use crate::error::SpiceError;
 use crate::netlist::{Circuit, NodeId};
 use crate::tran::{TranOptions, TranResult};
@@ -168,8 +169,13 @@ impl Session {
         Ok(DcResult::new(x, self.nn))
     }
 
-    /// DC sweep of the named voltage source over `values`, warm-started
-    /// point to point. The source's waveform is restored afterwards.
+    /// DC sweep of the named voltage source over `values`. The first point
+    /// starts from zero, not from the session's warm start, so a sweep
+    /// depends on the circuit and `values` alone. The second point starts
+    /// from the first, and every later point from the secant through the
+    /// two before it, capped like a Newton step, or from the point before
+    /// it when the secant is undefined or Newton fails from there. The
+    /// source's waveform is restored afterwards.
     ///
     /// # Errors
     ///
@@ -231,7 +237,8 @@ impl Session {
 
     /// Replaces the compact model of one MOSFET instance in place. The
     /// node/branch layout, workspace, and LU scratch all stay valid; the
-    /// next DC solve warm-starts from the previous operating point.
+    /// next [`Session::dc_owned`] warm-starts from the previous operating
+    /// point.
     ///
     /// # Errors
     ///
@@ -544,30 +551,42 @@ impl Session {
         })
     }
 
+    /// The points of [`Session::dc_sweep_owned`]. Point `k` runs plain
+    /// Newton from the secant prediction of [`secant_start`] when `k ≥ 2`,
+    /// then from point `k − 1` (from zero at the first point), then the
+    /// cold continuation ladder, so a prediction is never worse than none.
     fn sweep_points(&mut self, source: &str, values: &[f64]) -> Result<SweepResult, SpiceError> {
-        let n = self.circuit.n_unknowns();
-        let mut points = Vec::with_capacity(values.len());
-        let mut warm: Option<Vec<f64>> = None;
-        for &v in values {
+        let dc = Mode::Dc {
+            gmin: 0.0,
+            source_scale: 1.0,
+        };
+        let zero = vec![0.0; self.circuit.n_unknowns()];
+        let mut points: Vec<DcResult> = Vec::with_capacity(values.len());
+        for (k, &v) in values.iter().enumerate() {
             self.circuit.set_vsource(source, Waveform::dc(v))?;
-            let x0 = warm.clone().unwrap_or_else(|| vec![0.0; n]);
-            let x = match newton(
-                &self.circuit,
-                &x0,
-                &Mode::Dc {
-                    gmin: 0.0,
-                    source_scale: 1.0,
-                },
-                &mut self.ws,
-            ) {
-                Ok(x) => x,
+            let predicted = match points.as_slice() {
+                [.., before, prev] => secant_start(
+                    (values[k - 2], before.raw()),
+                    (values[k - 1], prev.raw()),
+                    v,
+                    self.nn,
+                ),
+                _ => None,
+            };
+            let prev = points.last().map_or(zero.as_slice(), DcResult::raw);
+            let solved = predicted
+                .as_deref()
+                .into_iter()
+                .chain([prev])
+                .find_map(|x0| newton(&self.circuit, x0, &dc, &mut self.ws).ok());
+            let x = match solved {
+                Some(x) => x,
                 // Cold retry with the full continuation ladder.
-                Err(_) => {
+                None => {
                     self.warm = None;
                     self.solve_dc_vec(None)?
                 }
             };
-            warm = Some(x.clone());
             points.push(DcResult::new(x, self.nn));
         }
         Ok(SweepResult {
@@ -803,6 +822,28 @@ impl Session {
     }
 }
 
+/// The start of a DC sweep point at source value `v`, predicted by the
+/// secant through the two points before it, `(v2, x2)` and `(v1, x1)`:
+/// `x1 + r·(x1 − x2)` with `r = (v − v1)/(v1 − v2)`. Its largest change
+/// among the `nn` node voltages is capped like a Newton step's
+/// ([`step_scale`]). `None` when `r` is not finite (a repeated sweep
+/// value), so the point starts from `x1`.
+fn secant_start(
+    (v2, x2): (f64, &[f64]),
+    (v1, x1): (f64, &[f64]),
+    v: f64,
+    nn: usize,
+) -> Option<Vec<f64>> {
+    let r = (v - v1) / (v1 - v2);
+    if !r.is_finite() {
+        return None;
+    }
+    let step: Vec<f64> = x1.iter().zip(x2).map(|(a, b)| r * (a - b)).collect();
+    let max_dv = step[..nn].iter().fold(0.0_f64, |m, d| m.max(d.abs()));
+    let scale = step_scale(max_dv);
+    Some(x1.iter().zip(&step).map(|(x, d)| x + scale * d).collect())
+}
+
 /// True when the solved unknown vector `x` lies in the stable state the
 /// guess selects: every guessed node must sit within half the guess span
 /// (max minus min guessed value) of its guessed voltage. A flipped latch
@@ -829,7 +870,10 @@ fn basin_matches(x: &[f64], guess: &[(NodeId, f64)]) -> bool {
 mod tests {
     use super::*;
     use crate::waveform::Waveform;
-    use mosfet::{vs::VsModel, Bias, ChargeEval, Charges, DcEval, Geometry, Polarity};
+    use mosfet::bsim::BsimModel;
+    use mosfet::vs::{VsModel, VsParams};
+    use mosfet::{Bias, ChargeEval, Charges, DcEval, Geometry, MismatchSpec, Polarity};
+    use stats::Sampler;
     use std::sync::{Arc, Mutex};
 
     fn divider() -> (Circuit, NodeId, NodeId) {
@@ -1353,7 +1397,29 @@ mod tests {
         }
     }
 
-    /// Every entry of `got` within 1e-12 of the full-MNA reference `want`,
+    /// Runs `analysis` on a session of `c` that solves through `ws`, every
+    /// MOSFET wrapped in a [`Recording`]. Returns the result and the log,
+    /// three biases per device evaluation.
+    fn recorded<T>(
+        c: &Circuit,
+        ws: Workspace,
+        analysis: impl Fn(&mut Session) -> T,
+    ) -> (T, Vec<f64>) {
+        let mut s = Session::elaborate(c.clone()).unwrap();
+        s.ws = ws;
+        let log = Arc::new(Mutex::new(Vec::new()));
+        s.swap_all_mosfets(|_, m| {
+            Box::new(Recording {
+                inner: m.clone_box(),
+                log: Arc::clone(&log),
+            })
+        });
+        let result = analysis(&mut s);
+        let path = std::mem::take(&mut *log.lock().expect("no test thread panics holding it"));
+        (result, path)
+    }
+
+    /// Every entry of `got` within 1e-12 of the reference `want`,
     /// relative to the largest magnitude at its index over all vectors.
     fn assert_agrees(got: &[Vec<f64>], want: &[Vec<f64>], what: &str) {
         assert_eq!(got.len(), want.len(), "{what}");
@@ -1368,7 +1434,7 @@ mod tests {
             for (i, ((g, w), s)) in g.iter().zip(w).zip(&scale).enumerate() {
                 assert!(
                     (g - w).abs() <= 1e-12 * s,
-                    "{what}: vector {k}, entry {i}: {g} vs full MNA {w}"
+                    "{what}: vector {k}, entry {i}: {g} vs reference {w}"
                 );
             }
         }
@@ -1390,22 +1456,8 @@ mod tests {
     where
         F: Fn(&mut Session) -> Result<Vec<Vec<f64>>, SpiceError>,
     {
-        let run = |ws: Workspace| {
-            let mut s = Session::elaborate(c.clone()).unwrap();
-            s.ws = ws;
-            let log = Arc::new(Mutex::new(Vec::new()));
-            s.swap_all_mosfets(|_, m| {
-                Box::new(Recording {
-                    inner: m.clone_box(),
-                    log: Arc::clone(&log),
-                })
-            });
-            let result = analysis(&mut s);
-            let path = std::mem::take(&mut *log.lock().expect("no test thread panics holding it"));
-            (result, path)
-        };
-        let (got, path) = run(Workspace::new(c));
-        let (want, full_path) = run(Workspace::unreduced(c));
+        let (got, path) = recorded(c, Workspace::new(c), &analysis);
+        let (want, full_path) = recorded(c, Workspace::unreduced(c), &analysis);
         assert_eq!(path.len(), full_path.len(), "{what}: device evaluations");
         // One vector per bias voltage, so all share one scale.
         let each = |p: Vec<f64>| p.into_iter().map(|v| vec![v]).collect::<Vec<_>>();
@@ -1535,5 +1587,159 @@ mod tests {
         let (cell, _, _) = sram_cell();
         assert_eq!(cell.n_unknowns(), 10);
         assert_eq!(Workspace::new(&cell).n_free(), 2);
+    }
+
+    /// The sweep loop before secant prediction, the reference for
+    /// [`Session::dc_sweep_owned`]: every point runs plain Newton from the
+    /// previous one (the first from zero), and the cold continuation
+    /// ladder when that fails. Returns each point's unknown vector.
+    fn sweep_point_by_point(
+        s: &mut Session,
+        source: &str,
+        values: &[f64],
+    ) -> Result<Vec<Vec<f64>>, SpiceError> {
+        let saved = s.circuit.vsource_waveform(source)?.clone();
+        let n = s.circuit.n_unknowns();
+        let mut points = Vec::with_capacity(values.len());
+        let mut warm: Option<Vec<f64>> = None;
+        for &v in values {
+            s.circuit.set_vsource(source, Waveform::dc(v))?;
+            let x0 = warm.clone().unwrap_or_else(|| vec![0.0; n]);
+            let x = match newton(
+                &s.circuit,
+                &x0,
+                &Mode::Dc {
+                    gmin: 0.0,
+                    source_scale: 1.0,
+                },
+                &mut s.ws,
+            ) {
+                Ok(x) => x,
+                Err(_) => {
+                    s.warm = None;
+                    s.solve_dc_vec(None)?
+                }
+            };
+            warm = Some(x.clone());
+            points.push(x);
+        }
+        s.circuit.set_vsource(source, saved)?;
+        Ok(points)
+    }
+
+    /// `c` with every MOSFET redrawn as a VS device under the paper's
+    /// Table II Pelgrom mismatch, from stream `i` of a seeded sampler.
+    fn paper_draw(c: &Circuit, i: u64) -> Circuit {
+        let spec = MismatchSpec::from_paper_units(2.3, 3.71, 3.71, 944.0, 0.29);
+        let mut normal = Sampler::from_seed(2013).stream(i);
+        let mut s = Session::elaborate(c.clone()).unwrap();
+        s.swap_all_mosfets(|_, m| {
+            let params = match m.polarity() {
+                Polarity::Nmos => VsParams::nmos_40nm(),
+                Polarity::Pmos => VsParams::pmos_40nm(),
+            };
+            let delta = spec.sample(m.geometry(), || normal.standard_normal());
+            Box::new(VsModel::with_variation(
+                params,
+                m.polarity(),
+                m.geometry(),
+                delta,
+            ))
+        });
+        s.circuit
+    }
+
+    /// Sweeps `VIN` of `c` over `values` with prediction and point by
+    /// point, requires every unknown of every point to agree within 1e-12
+    /// relative to its largest magnitude over the sweep, and returns the
+    /// device evaluations of both: `(predicted, reference)`.
+    fn sweep_against_reference(c: &Circuit, values: &[f64], what: &str) -> (usize, usize) {
+        let (got, evals) = recorded(c, Workspace::new(c), |s| {
+            let sweep = s.dc_sweep_owned("VIN", values)?;
+            assert_eq!(sweep.values, values, "{what}");
+            Ok::<Vec<Vec<f64>>, SpiceError>(sweep.points.iter().map(|p| p.raw().to_vec()).collect())
+        });
+        let (want, reference) = recorded(c, Workspace::new(c), |s| {
+            sweep_point_by_point(s, "VIN", values)
+        });
+        assert_agrees(&got.unwrap(), &want.unwrap(), what);
+        (evals.len() / 3, reference.len() / 3)
+    }
+
+    /// A sweep point starts from the secant through the two before it. It
+    /// lands where a start from the previous point lands, and on the READ
+    /// half-cell it takes at most 0.85 times the device evaluations.
+    /// Repeated values (the secant's ratio infinite or NaN), uneven and
+    /// descending grids, and one- and two-point sweeps agree too.
+    #[test]
+    fn predicted_sweeps_match_the_point_by_point_reference() {
+        let grid: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
+        for (read, name) in [(true, "READ"), (false, "HOLD")] {
+            let (nominal, _) = half_cell(read);
+            let (mut evals, mut reference) = (0, 0);
+            for draw in 0..9 {
+                let c = match draw {
+                    0 => nominal.clone(),
+                    i => paper_draw(&nominal, i),
+                };
+                let what = format!("{name} half-cell, draw {draw}");
+                let (e, r) = sweep_against_reference(&c, &grid, &what);
+                evals += e;
+                reference += r;
+            }
+            assert!(
+                evals < reference,
+                "{name}: {evals} vs {reference} evaluations"
+            );
+            if read {
+                assert!(
+                    evals as f64 <= 0.85 * reference as f64,
+                    "{name}: {evals} vs {reference} evaluations"
+                );
+            }
+        }
+
+        // The VS and BSIM-like inverters of `tests/mosfet_circuits.rs` on
+        // their VTC grid (the load capacitor there is open at DC).
+        let (vs, _) = inverter(VDD, 0.0);
+        let mut s = Session::elaborate(vs.clone()).unwrap();
+        s.swap_all_mosfets(|_, m| -> Box<dyn MosfetModel> {
+            match m.polarity() {
+                Polarity::Nmos => Box::new(BsimModel::nominal_nmos_40nm(m.geometry())),
+                Polarity::Pmos => Box::new(BsimModel::nominal_pmos_40nm(m.geometry())),
+            }
+        });
+        let vtc: Vec<f64> = (0..=45).map(|i| f64::from(i) * 0.02).collect();
+        for (c, name) in [(vs, "VS inverter"), (s.circuit, "BSIM-like inverter")] {
+            sweep_against_reference(&c, &vtc, name);
+        }
+
+        let (read, _) = half_cell(true);
+        let descending: Vec<f64> = grid.iter().rev().copied().collect();
+        for (values, name) in [
+            (&[0.0, 0.3, 0.3, 0.6, 0.6, 0.6, 0.9][..], "repeated values"),
+            (
+                &[0.0, 0.01, 0.05, 0.06, 0.2, 0.41, 0.45, 0.47, 0.9],
+                "uneven grid",
+            ),
+            (&descending, "descending grid"),
+            (&[0.45], "one point"),
+            (&[0.0, 0.9], "two points"),
+        ] {
+            sweep_against_reference(&read, values, name);
+        }
+        // A repeated value makes the secant's ratio infinite or NaN: the
+        // point starts from the one before it.
+        let (x2, x1) = ([0.0, 0.1], [0.3, 0.2]);
+        assert_eq!(secant_start((0.3, &x2), (0.3, &x1), 0.6, 1), None);
+        assert_eq!(secant_start((0.3, &x2), (0.3, &x1), 0.3, 1), None);
+        // Otherwise the largest node step is capped at `MAX_DV`, branch
+        // currents scaled with it; a branch current's step caps nothing.
+        let capped = secant_start((0.0, &x2), (0.3, &x1), 0.6, 1).unwrap();
+        assert!((capped[0] - (0.3 + 0.12)).abs() < 1e-15, "{capped:?}");
+        assert!((capped[1] - (0.2 + 0.04)).abs() < 1e-15, "{capped:?}");
+        let uncapped = secant_start((0.0, &[0.0, -1.0]), (0.3, &[0.05, 1.0]), 0.6, 1).unwrap();
+        assert!((uncapped[0] - 0.1).abs() < 1e-15, "{uncapped:?}");
+        assert!((uncapped[1] - 3.0).abs() < 1e-15, "{uncapped:?}");
     }
 }

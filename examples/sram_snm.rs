@@ -66,8 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (mode, label) in [(SnmMode::Read, "READ"), (SnmMode::Hold, "HOLD")] {
         // Each worker elaborates both half-cell sessions once; every
-        // sample swaps six freshly drawn devices in place and re-sweeps
-        // with warm starts. Consecutive 50-sample ranges feed one sink, and
+        // sample swaps six freshly drawn devices in place and re-sweeps,
+        // each sweep from zero. Consecutive 50-sample ranges feed one sink, and
         // the loop stops at the first range after which the 95% CI
         // half-width on the mean SNM is below 1% (with at least 100
         // samples) — deterministically, whatever the core count, because
