@@ -19,10 +19,13 @@
 //! 4. **Resample in place** for Monte Carlo: [`Session::swap_devices`] /
 //!    [`Session::swap_all_mosfets`] replace MOSFET instances without
 //!    re-parsing or re-elaborating, and the next [`Session::dc_owned`]
-//!    warm-starts from the previous sample's operating point.
-//!    [`Session::dc_owned_from`] starts from a caller-held vector instead
-//!    (served samples pass the nominal cell's operating point) and falls
-//!    back to a guess; a sweep starts from zero.
+//!    starts Newton from the previous sample's operating point, the
+//!    session's warm start. [`Session::dc_owned_from`] starts from a
+//!    caller-held vector instead (served samples pass the nominal cell's
+//!    operating point); a sweep never reads the warm start. Every analysis
+//!    gets its operating point from one DC solve: plain Newton from the
+//!    starts its entry point names, then one continuation ladder, and once
+//!    the starts fail, exactly the solve without them (see [`session`]).
 //!    [`Session::dc_batch`] solves a list of mismatch lanes one after
 //!    another through the same DC solver, leaving the session's devices
 //!    as it found them. AC Monte Carlo batches go through

@@ -9,11 +9,19 @@
 //!   [`Session::dc_sweep_owned`], [`Session::tran_owned`],
 //!   [`Session::ac_owned`] — so nothing a session computes outlives the
 //!   circuit state it was computed on;
+//! * every analysis gets its DC operating point from one solve: plain
+//!   Newton from the analysis's starts, in order, then one continuation
+//!   ladder. The starts are the *warm start* (the last operating point an
+//!   analysis entry point solved) for a guess-less [`Session::dc_owned`],
+//!   [`Session::ac_owned`] or [`Session::tran_owned`] and for
+//!   [`Session::ac_batch`]; the caller's vector for
+//!   [`Session::dc_owned_from`]; the secant prediction and the previous
+//!   point for a sweep point; none for a guessed call. Once its starts
+//!   fail, a solve is exactly the same call without them;
 //! * [`Session::swap_devices`] / [`Session::swap_all_mosfets`] resample
 //!   MOSFET instances *in place* — the Monte Carlo fast path: no re-parse,
-//!   no re-elaboration, and the next [`Session::dc_owned`] warm-starts
-//!   from the previous sample's operating point (a sweep starts from
-//!   zero, [`Session::dc_owned_from`] from the caller's vector);
+//!   no re-elaboration, and the next [`Session::dc_owned`] starts from the
+//!   previous sample's operating point;
 //! * [`Session::ac_batch`] runs resample→sweep AC Monte Carlo batches,
 //!   amortizing the guessed operating-point solve and reusing one cached
 //!   [`AcWorkspace`] across all samples;
@@ -35,6 +43,11 @@ use std::collections::HashMap;
 const GMIN_STEPS: [f64; 7] = [1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12];
 /// Source-stepping ladder.
 const SOURCE_STEPS: [f64; 8] = [0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 1.0];
+/// The DC operating-point mode: no gmin shunt, every source at full value.
+const DC: Mode<'static> = Mode::Dc {
+    gmin: 0.0,
+    source_scale: 1.0,
+};
 /// Maximum binary step-halving depth on transient Newton failure.
 const MAX_HALVINGS: usize = 10;
 
@@ -72,7 +85,8 @@ pub struct Session {
     nn: usize,
     /// Element index of every MOSFET, by instance name.
     mos_by_name: HashMap<String, usize>,
-    /// Last converged DC unknown vector — warm start for the next DC solve.
+    /// The warm start: the DC unknown vector the last analysis entry point
+    /// solved, `None` after a failed solve.
     warm: Option<Vec<f64>>,
     /// Transient charge state, reused across runs.
     state: TranState,
@@ -123,8 +137,10 @@ impl Session {
 
     // ---- analyses --------------------------------------------------------
 
-    /// DC operating point, warm-started from the previous converged solve
-    /// (cold on the first call).
+    /// DC operating point: plain Newton from the warm start, the previous
+    /// solve's operating point, then the continuation ladder from zero,
+    /// which is the whole solve when there is no warm start. A success
+    /// becomes the warm start, and a failure clears it.
     ///
     /// # Errors
     ///
@@ -134,25 +150,27 @@ impl Session {
     }
 
     /// DC operating point seeded with node-voltage guesses, which select
-    /// the state of bistable circuits; an empty guess is
+    /// the state of bistable circuits: the continuation ladder from the
+    /// guess, then from zero. The warm start is not read, so the result
+    /// depends on the circuit and `guess` alone. An empty guess is
     /// [`Session::dc_owned`].
     ///
     /// # Errors
     ///
     /// Propagates convergence and singularity errors.
     pub fn dc_owned_with_guess(&mut self, guess: &[(NodeId, f64)]) -> Result<DcResult, SpiceError> {
-        let x = self.solve_dc_vec((!guess.is_empty()).then_some(guess))?;
+        let warm = self.warm.take().filter(|_| guess.is_empty());
+        let x = self.operating_point(warm.as_deref(), guess)?;
         Ok(DcResult::new(x, self.nn))
     }
 
     /// DC operating point from a caller-held start vector, such as a
-    /// nominal circuit's solution: plain Newton from `start`, falling back
-    /// to the guessed path of [`Session::dc_owned_with_guess`] when Newton
-    /// fails or converges in a different stable state than `guess`
-    /// selects. This is the warm-or-guess path of [`Session::ac_batch`],
-    /// entered from `start` instead of the previous solve, so the result
-    /// depends on the circuit, `start` and `guess` alone, whatever the
-    /// session solved before. A success becomes the warm start.
+    /// nominal circuit's solution: plain Newton from `start`, accepted in
+    /// the stable state `guess` selects. Otherwise the solve is exactly
+    /// [`Session::dc_owned_with_guess`] on a session without a warm start.
+    /// The result depends on the circuit, `start` and `guess` alone,
+    /// whatever the session solved before. A success becomes the warm
+    /// start, and a failure clears it.
     ///
     /// # Errors
     ///
@@ -164,18 +182,27 @@ impl Session {
         start: &[f64],
         guess: &[(NodeId, f64)],
     ) -> Result<DcResult, SpiceError> {
-        self.seed_warm_start(start.to_vec())?;
-        let x = self.solve_dc_warm_or_guess(guess)?;
+        let n = self.circuit.n_unknowns();
+        if start.len() != n {
+            return Err(SpiceError::InvalidArgument {
+                context: format!(
+                    "start vector length {} for {n}-unknown circuit",
+                    start.len()
+                ),
+            });
+        }
+        let x = self.operating_point(Some(start), guess)?;
         Ok(DcResult::new(x, self.nn))
     }
 
-    /// DC sweep of the named voltage source over `values`. The first point
-    /// starts from zero, not from the session's warm start, so a sweep
-    /// depends on the circuit and `values` alone. The second point starts
-    /// from the first, and every later point from the secant through the
-    /// two before it, capped like a Newton step, or from the point before
-    /// it when the secant is undefined or Newton fails from there. The
-    /// source's waveform is restored afterwards.
+    /// DC sweep of the named voltage source over `values`. A sweep neither
+    /// reads nor writes the warm start, so it depends on the circuit and
+    /// `values` alone. The first point is the continuation ladder from
+    /// zero. Every later point runs plain Newton from the secant through
+    /// the two points before it, capped like a Newton step (from the
+    /// second point on, and when the secant is defined), then from the
+    /// point before it, then the ladder from zero. The source's waveform
+    /// is restored afterwards.
     ///
     /// # Errors
     ///
@@ -201,10 +228,10 @@ impl Session {
         result
     }
 
-    /// AC small-signal sweep: linearize at the DC operating point selected
-    /// by `guess` (empty for a cold start), apply a unit excitation on
-    /// `source`, solve at each frequency through the cached
-    /// [`AcWorkspace`].
+    /// AC small-signal sweep: linearize at the DC operating point of
+    /// [`Session::dc_owned_with_guess`] (from the warm start when `guess`
+    /// is empty), apply a unit excitation on `source`, solve at each
+    /// frequency through the cached [`AcWorkspace`].
     ///
     /// # Errors
     ///
@@ -219,7 +246,8 @@ impl Session {
         guess: &[(NodeId, f64)],
     ) -> Result<AcResult, SpiceError> {
         self.validate_ac_args(source, freqs)?;
-        let x_op = self.solve_dc_vec((!guess.is_empty()).then_some(guess))?;
+        let warm = self.warm.take().filter(|_| guess.is_empty());
+        let x_op = self.operating_point(warm.as_deref(), guess)?;
         self.sweep_ac(source, freqs, &x_op)
     }
 
@@ -314,58 +342,34 @@ impl Session {
         n
     }
 
-    /// Drops the warm-start operating point, forcing the next DC solve to
-    /// run the full continuation ladder from zero. Rarely needed — swapping
-    /// devices intentionally keeps the warm start — but useful when a
-    /// stimulus change moves the circuit to a very different region.
+    /// Drops the warm start, so the next guess-less solve is the
+    /// continuation ladder from zero. Rarely needed — swapping devices
+    /// intentionally keeps the warm start — but useful when a stimulus
+    /// change moves the circuit to a very different region, or when a
+    /// sample must not depend on the one solved before it.
     pub fn invalidate_warm_start(&mut self) {
         self.warm = None;
     }
 
-    /// The last converged DC unknown vector, if any — the point the next
-    /// warm-started solve departs from.
+    /// The warm start, if any: the operating point the last analysis entry
+    /// point solved, where the next guess-less [`Session::dc_owned`],
+    /// [`Session::ac_owned`] or [`Session::tran_owned`] and the next
+    /// [`Session::ac_batch`] start Newton.
     #[must_use]
     pub fn warm_start(&self) -> Option<&[f64]> {
         self.warm.as_deref()
     }
 
-    /// Replaces the warm-start vector with a caller-provided operating
-    /// point (e.g. one captured from [`Session::warm_start`] on another
-    /// session). The `dc_batch` equivalence suite uses this to pin scalar
-    /// reference solves to the exact entry state of a batch. The next
-    /// [`Session::dc_owned`] runs its continuation ladder from zero if
-    /// Newton fails from here; [`Session::dc_owned_from`] seeds the same
-    /// vector and falls back to a guess instead, like
-    /// [`Session::ac_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::InvalidArgument`] when `x` does not have one
-    /// entry per circuit unknown.
-    pub fn seed_warm_start(&mut self, x: Vec<f64>) -> Result<(), SpiceError> {
-        let n = self.circuit.n_unknowns();
-        if x.len() != n {
-            return Err(SpiceError::InvalidArgument {
-                context: format!(
-                    "warm-start vector length {} for {n}-unknown circuit",
-                    x.len()
-                ),
-            });
-        }
-        self.warm = Some(x);
-        Ok(())
-    }
-
     /// Solves the DC operating point of several Monte Carlo lanes, one
-    /// after another, each through [`Session::dc_owned_with_guess`].
+    /// after another, each like [`Session::dc_owned_with_guess`].
     ///
     /// Each lane is a set of device swaps applied *for that lane only* —
     /// the session's own circuit is left unchanged (unlike
     /// [`Session::swap_devices`]). Every lane starts from the same entry
     /// state: the `guess` node overrides when `guess` is `Some` and
-    /// non-empty (matching [`Session::dc_owned_with_guess`]), otherwise the
-    /// session's warm start as it was on entry (matching
-    /// [`Session::dc_owned`]).
+    /// non-empty (matching [`Session::dc_owned_with_guess`]), otherwise
+    /// Newton from the session's warm start as it was on entry (matching
+    /// [`Session::dc_owned`] on a session holding that warm start).
     ///
     /// **Determinism contract:** lane `i` is bit-identical to swapping lane
     /// `i`'s devices into the session and solving from that entry state. A
@@ -433,12 +437,12 @@ impl Session {
             })
             .collect::<Result<Vec<_>, SpiceError>>()?;
         let guess = guess.unwrap_or_default();
-        let entry_warm = self.warm.clone();
+        let entry = self.warm.take().filter(|_| guess.is_empty());
         let mut results = Vec::with_capacity(resolved.len());
         for lane in &mut resolved {
-            self.warm.clone_from(&entry_warm);
             self.exchange_models(lane.iter_mut().map(|(idx, model)| (*idx, model)));
-            results.push(self.dc_owned_with_guess(guess));
+            let x = self.operating_point(entry.as_deref(), guess);
+            results.push(x.map(|x| DcResult::new(x, self.nn)));
             // Swapping back in reverse order restores the session's own
             // models even when a lane names a device twice.
             self.exchange_models(lane.iter_mut().rev().map(|(idx, model)| (*idx, model)));
@@ -450,117 +454,91 @@ impl Session {
 
     // ---- analysis engines -----------------------------------------------
 
-    /// Nonlinear DC solve: plain Newton from the guess-built or warm entry
-    /// point, then gmin stepping, then source stepping, then — for a
-    /// guessed or warm entry whose basin may no longer exist for this
-    /// sample — one cold retry of the whole procedure. A success becomes
-    /// the warm start; a failure leaves none.
-    fn solve_dc_vec(&mut self, guess: Option<&[(NodeId, f64)]>) -> Result<Vec<f64>, SpiceError> {
-        let n = self.circuit.n_unknowns();
-        let mut x0 = vec![0.0; n];
-        match guess {
-            Some(g) => {
-                for &(node, v) in g {
-                    if let Some(i) = node.unknown() {
-                        x0[i] = v;
-                    }
-                }
-            }
-            None => {
-                // Warm start: the previous converged point of this session.
-                // For resampled-device Monte Carlo the new solution is close,
-                // so plain Newton usually lands in a handful of iterations.
-                if let Some(w) = &self.warm {
-                    x0.copy_from_slice(w);
-                }
-            }
-        }
-
-        let dc = Mode::Dc {
-            gmin: 0.0,
-            source_scale: 1.0,
-        };
-        if let Ok(x) = newton(&self.circuit, &x0, &dc, &mut self.ws) {
-            self.warm = Some(x.clone());
-            return Ok(x);
-        }
-
-        // Gmin stepping: relax with a large shunt conductance, then tighten.
-        let start = if guess.is_some() { x0 } else { vec![0.0; n] };
-        let mut x = start.clone();
-        let mut ok = true;
-        for &gmin in &GMIN_STEPS {
-            match newton(
-                &self.circuit,
-                &x,
-                &Mode::Dc {
-                    gmin,
-                    source_scale: 1.0,
-                },
-                &mut self.ws,
-            ) {
-                Ok(next) => x = next,
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            if let Ok(fin) = newton(&self.circuit, &x, &dc, &mut self.ws) {
-                self.warm = Some(fin.clone());
-                return Ok(fin);
-            }
-        }
-
-        // Source stepping: ramp all independent sources from zero.
-        let mut x = start;
-        let mut stepping_failed = None;
-        for &scale in &SOURCE_STEPS {
-            match newton(
-                &self.circuit,
-                &x,
-                &Mode::Dc {
-                    gmin: 0.0,
-                    source_scale: scale,
-                },
-                &mut self.ws,
-            ) {
-                Ok(next) => x = next,
-                Err(e) => {
-                    stepping_failed = Some((scale, e));
-                    break;
-                }
-            }
-        }
-        let Some((scale, e)) = stepping_failed else {
-            self.warm = Some(x.clone());
-            return Ok(x);
-        };
-        // A user-supplied guess can park the continuation in a basin that no
-        // longer exists for this sample (e.g. mismatch destroyed one latch
-        // state). A bad guess must never be worse than no guess: retry the
-        // whole ladder cold. The same applies to a stale warm start.
-        if guess.is_some() || self.warm.is_some() {
-            self.warm = None;
-            return self.solve_dc_vec(None);
-        }
-        Err(SpiceError::NoConvergence {
-            analysis: "dc op",
-            detail: format!("source stepping stuck at scale {scale}: {e}"),
-        })
+    /// The operating point of an analysis entry point: [`Session::solve_dc`]
+    /// from `start`, if any. Its success becomes the warm start, and its
+    /// failure clears it.
+    fn operating_point(
+        &mut self,
+        start: Option<&[f64]>,
+        guess: &[(NodeId, f64)],
+    ) -> Result<Vec<f64>, SpiceError> {
+        let x = self.solve_dc(start, guess);
+        self.warm = x.as_ref().ok().cloned();
+        x
     }
 
-    /// The points of [`Session::dc_sweep_owned`]. Point `k` runs plain
-    /// Newton from the secant prediction of [`secant_start`] when `k ≥ 2`,
-    /// then from point `k − 1` (from zero at the first point), then the
-    /// cold continuation ladder, so a prediction is never worse than none.
-    fn sweep_points(&mut self, source: &str, values: &[f64]) -> Result<SweepResult, SpiceError> {
-        let dc = Mode::Dc {
-            gmin: 0.0,
-            source_scale: 1.0,
-        };
+    /// The one DC solve behind every analysis. Plain Newton runs from each
+    /// start in order, and the first result in the stable state `guess`
+    /// selects ([`basin_matches`]) is the operating point. Once every start
+    /// has failed, the solve is exactly the one without starts: the
+    /// [`Session::ladder`] from the guess-built vector, zero for an empty
+    /// guess, and for a non-empty guess then the ladder from zero, because
+    /// a guess can park the continuation in a basin that this circuit no
+    /// longer has (mismatch destroyed one latch state). A bad start or
+    /// guess is never worse than none.
+    fn solve_dc<'a>(
+        &mut self,
+        starts: impl IntoIterator<Item = &'a [f64]>,
+        guess: &[(NodeId, f64)],
+    ) -> Result<Vec<f64>, SpiceError> {
+        let started = starts.into_iter().find_map(|x0| {
+            let x = newton(&self.circuit, x0, &DC, &mut self.ws).ok()?;
+            basin_matches(&x, guess).then_some(x)
+        });
+        if let Some(x) = started {
+            return Ok(x);
+        }
         let zero = vec![0.0; self.circuit.n_unknowns()];
+        if guess.is_empty() {
+            return self.ladder(&zero);
+        }
+        let mut x0 = zero.clone();
+        for &(node, v) in guess {
+            if let Some(i) = node.unknown() {
+                x0[i] = v;
+            }
+        }
+        self.ladder(&x0).or_else(|_| self.ladder(&zero))
+    }
+
+    /// The continuation ladder from `x0`: plain Newton; then gmin stepping,
+    /// a shunt conductance on every node tightened rung by rung, and a
+    /// final plain Newton; then source stepping, every independent source
+    /// ramped up to its full value. Each of the three starts from `x0`.
+    fn ladder(&mut self, x0: &[f64]) -> Result<Vec<f64>, SpiceError> {
+        if let Ok(x) = newton(&self.circuit, x0, &DC, &mut self.ws) {
+            return Ok(x);
+        }
+        let relaxed = GMIN_STEPS.iter().try_fold(x0.to_vec(), |x, &gmin| {
+            let mode = Mode::Dc {
+                gmin,
+                source_scale: 1.0,
+            };
+            newton(&self.circuit, &x, &mode, &mut self.ws)
+        });
+        if let Ok(x) = relaxed.and_then(|x| newton(&self.circuit, &x, &DC, &mut self.ws)) {
+            return Ok(x);
+        }
+        SOURCE_STEPS
+            .iter()
+            .try_fold(x0.to_vec(), |x, &source_scale| {
+                let mode = Mode::Dc {
+                    gmin: 0.0,
+                    source_scale,
+                };
+                newton(&self.circuit, &x, &mode, &mut self.ws).map_err(|e| {
+                    SpiceError::NoConvergence {
+                        analysis: "dc op",
+                        detail: format!("source stepping stuck at scale {source_scale}: {e}"),
+                    }
+                })
+            })
+    }
+
+    /// The points of [`Session::dc_sweep_owned`], each solved from the
+    /// secant prediction of [`secant_start`] when `k ≥ 2` and from point
+    /// `k − 1`.
+    fn sweep_points(&mut self, source: &str, values: &[f64]) -> Result<SweepResult, SpiceError> {
         let mut points: Vec<DcResult> = Vec::with_capacity(values.len());
         for (k, &v) in values.iter().enumerate() {
             self.circuit.set_vsource(source, Waveform::dc(v))?;
@@ -573,20 +551,8 @@ impl Session {
                 ),
                 _ => None,
             };
-            let prev = points.last().map_or(zero.as_slice(), DcResult::raw);
-            let solved = predicted
-                .as_deref()
-                .into_iter()
-                .chain([prev])
-                .find_map(|x0| newton(&self.circuit, x0, &dc, &mut self.ws).ok());
-            let x = match solved {
-                Some(x) => x,
-                // Cold retry with the full continuation ladder.
-                None => {
-                    self.warm = None;
-                    self.solve_dc_vec(None)?
-                }
-            };
+            let prev = points.last().map(DcResult::raw);
+            let x = self.solve_dc(predicted.as_deref().into_iter().chain(prev), &[])?;
             points.push(DcResult::new(x, self.nn));
         }
         Ok(SweepResult {
@@ -597,18 +563,17 @@ impl Session {
 
     /// Transient analysis: DC initial point, breakpoint-aligned fixed grid,
     /// trapezoidal integration with backward-Euler restarts, recursive step
-    /// halving on Newton failure.
+    /// halving on Newton failure. The initial point is
+    /// [`Session::dc_owned_with_guess`] with the `ic` guesses, so without
+    /// them it starts from the warm start.
     ///
     /// # Errors
     ///
     /// Propagates convergence errors of the initial point or of a step that
     /// still fails after the maximum halving depth.
     pub fn tran_owned(&mut self, opts: &TranOptions) -> Result<TranResult, SpiceError> {
-        let mut x = self.solve_dc_vec(if opts.ic.is_empty() {
-            None
-        } else {
-            Some(&opts.ic)
-        })?;
+        let warm = self.warm.take().filter(|_| opts.ic.is_empty());
+        let mut x = self.operating_point(warm.as_deref(), &opts.ic)?;
         self.state.init(&self.circuit, &x);
 
         // Every source breakpoint after t=0: the time grid includes them,
@@ -719,25 +684,24 @@ impl Session {
     }
 
     /// Runs one AC sweep of a resample→sweep Monte Carlo batch: like
-    /// [`Session::ac_owned`] with `guess`, but the operating point
-    /// warm-starts from the previous solve whenever one exists, falling
-    /// back to the guessed continuation ladder only when plain Newton
-    /// fails. After [`Session::swap_devices`] the new operating point is a
-    /// small perturbation of the previous sample's, so consecutive calls
-    /// amortize the expensive guessed solve across the whole batch (the
-    /// linearization and complex-system storage are reused too, via the
-    /// session's cached [`AcWorkspace`]).
+    /// [`Session::ac_owned`] with `guess`, but the operating point is
+    /// [`Session::dc_owned_from`] from the warm start whenever one exists:
+    /// plain Newton from the previous solve, accepted in the stable state
+    /// `guess` selects. After [`Session::swap_devices`] the new operating
+    /// point is a small perturbation of the previous sample's, so
+    /// consecutive calls amortize the expensive guessed solve across the
+    /// whole batch (the linearization and complex-system storage are
+    /// reused too, via the session's cached [`AcWorkspace`]).
     ///
     /// The first call (or the first after
     /// [`Session::invalidate_warm_start`]) behaves exactly like
     /// [`Session::ac_owned`]: `guess` selects the state of bistable
-    /// circuits. Later calls keep honouring the guess: if the warm solve
-    /// converges to a *different* stable state than the guess selects
-    /// (an extreme mismatch draw flipped a marginal cell), the warm start
-    /// is discarded and the solve re-pins the basin from the guess — the
-    /// result never silently depends on the sample order. The operating
-    /// point goes through the same warm-or-guess solve as
-    /// [`Session::dc_owned_from`], entered from the previous solve.
+    /// circuits. Later calls keep honouring the guess: when Newton from the
+    /// warm start fails, or converges to a *different* stable state than
+    /// the guess selects (an extreme mismatch draw flipped a marginal
+    /// cell), the solve is exactly that first call's, which re-pins the
+    /// basin from the guess — the result never silently depends on the
+    /// sample order.
     ///
     /// # Errors
     ///
@@ -775,37 +739,9 @@ impl Session {
         guess: &[(NodeId, f64)],
     ) -> Result<AcResult, SpiceError> {
         self.validate_ac_args(source, freqs)?;
-        let x_op = self.solve_dc_warm_or_guess(guess)?;
+        let warm = self.warm.take();
+        let x_op = self.operating_point(warm.as_deref(), guess)?;
         self.sweep_ac(source, freqs, &x_op)
-    }
-
-    /// Warm-or-guess DC solve backing [`Session::ac_batch`] and
-    /// [`Session::dc_owned_from`]: plain Newton from the warm start when
-    /// one exists, otherwise (or on failure, or when the warm solution
-    /// lands in a different stable state than `guess` selects) the full
-    /// guessed path of [`Session::dc_owned_with_guess`].
-    fn solve_dc_warm_or_guess(&mut self, guess: &[(NodeId, f64)]) -> Result<Vec<f64>, SpiceError> {
-        if let Some(w) = self.warm.clone() {
-            let dc = Mode::Dc {
-                gmin: 0.0,
-                source_scale: 1.0,
-            };
-            if let Ok(x) = newton(&self.circuit, &w, &dc, &mut self.ws) {
-                if basin_matches(&x, guess) {
-                    self.warm = Some(x.clone());
-                    return Ok(x);
-                }
-                // Converged, but in the wrong stable state: the previous
-                // sample's basin no longer corresponds to the guess (e.g.
-                // an extreme draw flipped a marginal cell). Fall through
-                // and re-pin from the guess, so batch results never depend
-                // on sample order.
-            }
-            // Stale warm start (e.g. an extreme mismatch draw): retry from
-            // the caller's guess as a cold ac_with_guess would.
-            self.warm = None;
-        }
-        self.solve_dc_vec(if guess.is_empty() { None } else { Some(guess) })
     }
 
     /// Sweeps the cached [`AcWorkspace`] at a solved operating point.
@@ -1565,12 +1501,8 @@ mod tests {
         c.resistor("R1", a, Circuit::GROUND, 1e3);
         assert_eq!(Workspace::new(&c).n_free(), 3);
         assert!(against_full_mna(&c, "doubly pinned node", |s| s.dc_owned().map(raw)).is_err());
-        let dc = Mode::Dc {
-            gmin: 0.0,
-            source_scale: 1.0,
-        };
         for mut ws in [Workspace::new(&c), Workspace::unreduced(&c)] {
-            let singular = newton(&c, &[0.0; 3], &dc, &mut ws);
+            let singular = newton(&c, &[0.0; 3], &DC, &mut ws);
             assert!(matches!(singular, Err(SpiceError::SingularSystem { .. })));
         }
     }
@@ -1589,38 +1521,145 @@ mod tests {
         assert_eq!(Workspace::new(&cell).n_free(), 2);
     }
 
-    /// The sweep loop before secant prediction, the reference for
-    /// [`Session::dc_sweep_owned`]: every point runs plain Newton from the
-    /// previous one (the first from zero), and the cold continuation
-    /// ladder when that fails. Returns each point's unknown vector.
-    fn sweep_point_by_point(
+    /// The guessed or warm DC solve before one start policy, the reference
+    /// for [`Session::solve_dc`]: plain Newton from the guess-built vector,
+    /// the warm start or zero, then gmin stepping, then source stepping,
+    /// then — for a guessed or warm entry whose basin may no longer exist
+    /// for this sample — one cold retry of the whole procedure. A success
+    /// becomes the warm start; a failure leaves none.
+    fn reference_solve_dc_vec(
+        s: &mut Session,
+        guess: Option<&[(NodeId, f64)]>,
+    ) -> Result<Vec<f64>, SpiceError> {
+        let n = s.circuit.n_unknowns();
+        let mut x0 = vec![0.0; n];
+        match guess {
+            Some(g) => {
+                for &(node, v) in g {
+                    if let Some(i) = node.unknown() {
+                        x0[i] = v;
+                    }
+                }
+            }
+            None => {
+                if let Some(w) = &s.warm {
+                    x0.copy_from_slice(w);
+                }
+            }
+        }
+        if let Ok(x) = newton(&s.circuit, &x0, &DC, &mut s.ws) {
+            s.warm = Some(x.clone());
+            return Ok(x);
+        }
+        let start = if guess.is_some() { x0 } else { vec![0.0; n] };
+        let mut x = start.clone();
+        let mut ok = true;
+        for &gmin in &GMIN_STEPS {
+            let mode = Mode::Dc {
+                gmin,
+                source_scale: 1.0,
+            };
+            match newton(&s.circuit, &x, &mode, &mut s.ws) {
+                Ok(next) => x = next,
+                Err(_) => {
+                    ok = false;
+                    break;
+                }
+            }
+        }
+        if ok {
+            if let Ok(fin) = newton(&s.circuit, &x, &DC, &mut s.ws) {
+                s.warm = Some(fin.clone());
+                return Ok(fin);
+            }
+        }
+        let mut x = start;
+        let mut stepping_failed = None;
+        for &scale in &SOURCE_STEPS {
+            let mode = Mode::Dc {
+                gmin: 0.0,
+                source_scale: scale,
+            };
+            match newton(&s.circuit, &x, &mode, &mut s.ws) {
+                Ok(next) => x = next,
+                Err(e) => {
+                    stepping_failed = Some((scale, e));
+                    break;
+                }
+            }
+        }
+        let Some((scale, e)) = stepping_failed else {
+            s.warm = Some(x.clone());
+            return Ok(x);
+        };
+        if guess.is_some() || s.warm.is_some() {
+            s.warm = None;
+            return reference_solve_dc_vec(s, None);
+        }
+        Err(SpiceError::NoConvergence {
+            analysis: "dc op",
+            detail: format!("source stepping stuck at scale {scale}: {e}"),
+        })
+    }
+
+    /// The warm-or-guess DC solve before one start policy, the reference
+    /// for [`Session::ac_batch`] and [`Session::dc_owned_from`] (which
+    /// stored its start as the warm start first): plain Newton from the
+    /// warm start, accepted in the stable state `guess` selects, otherwise
+    /// [`reference_solve_dc_vec`] with the guess after clearing the warm
+    /// start.
+    fn reference_warm_or_guess(
+        s: &mut Session,
+        guess: &[(NodeId, f64)],
+    ) -> Result<Vec<f64>, SpiceError> {
+        if let Some(w) = s.warm.clone() {
+            if let Ok(x) = newton(&s.circuit, &w, &DC, &mut s.ws) {
+                if basin_matches(&x, guess) {
+                    s.warm = Some(x.clone());
+                    return Ok(x);
+                }
+            }
+            s.warm = None;
+        }
+        reference_solve_dc_vec(s, (!guess.is_empty()).then_some(guess))
+    }
+
+    /// The sweep loops before one start policy, the references for
+    /// [`Session::dc_sweep_owned`]. Every point runs plain Newton from the
+    /// previous one (the first from zero), with `predicted` first from the
+    /// secant prediction of [`secant_start`] when `k ≥ 2`, and when that
+    /// fails the cold continuation ladder of [`reference_solve_dc_vec`].
+    /// Without `predicted` this is the loop before secant prediction.
+    /// Returns each point's unknown vector.
+    fn reference_sweep(
         s: &mut Session,
         source: &str,
         values: &[f64],
+        predicted: bool,
     ) -> Result<Vec<Vec<f64>>, SpiceError> {
         let saved = s.circuit.vsource_waveform(source)?.clone();
-        let n = s.circuit.n_unknowns();
-        let mut points = Vec::with_capacity(values.len());
-        let mut warm: Option<Vec<f64>> = None;
-        for &v in values {
+        let zero = vec![0.0; s.circuit.n_unknowns()];
+        let mut points: Vec<Vec<f64>> = Vec::with_capacity(values.len());
+        for (k, &v) in values.iter().enumerate() {
             s.circuit.set_vsource(source, Waveform::dc(v))?;
-            let x0 = warm.clone().unwrap_or_else(|| vec![0.0; n]);
-            let x = match newton(
-                &s.circuit,
-                &x0,
-                &Mode::Dc {
-                    gmin: 0.0,
-                    source_scale: 1.0,
-                },
-                &mut s.ws,
-            ) {
-                Ok(x) => x,
-                Err(_) => {
+            let prediction = match points.as_slice() {
+                [.., before, prev] if predicted => {
+                    secant_start((values[k - 2], before), (values[k - 1], prev), v, s.nn)
+                }
+                _ => None,
+            };
+            let prev = points.last().unwrap_or(&zero);
+            let solved = prediction
+                .iter()
+                .chain([prev])
+                .find_map(|x0| newton(&s.circuit, x0, &DC, &mut s.ws).ok());
+            let x = match solved {
+                Some(x) => x,
+                None => {
                     s.warm = None;
-                    s.solve_dc_vec(None)?
+                    reference_solve_dc_vec(s, None)?
                 }
             };
-            warm = Some(x.clone());
             points.push(x);
         }
         s.circuit.set_vsource(source, saved)?;
@@ -1660,7 +1699,7 @@ mod tests {
             Ok::<Vec<Vec<f64>>, SpiceError>(sweep.points.iter().map(|p| p.raw().to_vec()).collect())
         });
         let (want, reference) = recorded(c, Workspace::new(c), |s| {
-            sweep_point_by_point(s, "VIN", values)
+            reference_sweep(s, "VIN", values, false)
         });
         assert_agrees(&got.unwrap(), &want.unwrap(), what);
         (evals.len() / 3, reference.len() / 3)
@@ -1741,5 +1780,353 @@ mod tests {
         let uncapped = secant_start((0.0, &[0.0, -1.0]), (0.3, &[0.05, 1.0]), 0.6, 1).unwrap();
         assert!((uncapped[0] - 0.1).abs() < 1e-15, "{uncapped:?}");
         assert!((uncapped[1] - 3.0).abs() < 1e-15, "{uncapped:?}");
+    }
+
+    /// The bits of an analysis's values, then those of the warm start it
+    /// left (none when cleared).
+    fn outcome(s: &Session, values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        let warm = s.warm_start().into_iter().flatten().copied();
+        values.into_iter().chain(warm).map(f64::to_bits).collect()
+    }
+
+    /// Every complex node voltage of an AC sweep, real and imaginary parts.
+    fn ac_values(s: &Session, ac: &AcResult) -> Vec<f64> {
+        (1..s.circuit.node_count())
+            .flat_map(|i| ac.voltages(NodeId(i)))
+            .flat_map(|v| [v.re, v.im])
+            .collect()
+    }
+
+    /// The times, node voltages and source currents of a transient.
+    fn tran_values(s: &Session, res: &TranResult) -> Vec<f64> {
+        let nodes = (1..s.circuit.node_count()).flat_map(|i| res.voltages(NodeId(i)));
+        let currents = (0..s.circuit.n_vsources()).flat_map(|k| res.vsource_currents(k));
+        res.times()
+            .iter()
+            .copied()
+            .chain(nodes)
+            .chain(currents)
+            .collect()
+    }
+
+    /// Runs `run` and `reference` on fresh sessions of `c`, every MOSFET
+    /// wrapped in a [`Recording`], and requires the same bits and a `run`
+    /// log that is `skipped` device evaluations followed by `reference`'s
+    /// log, bit for bit.
+    fn assert_same_solve(
+        c: &Circuit,
+        what: &str,
+        skipped: usize,
+        run: impl Fn(&mut Session) -> Vec<u64>,
+        reference: impl Fn(&mut Session) -> Vec<u64>,
+    ) {
+        let (got, log) = recorded(c, Workspace::new(c), run);
+        let (want, want_log) = recorded(c, Workspace::new(c), reference);
+        assert_eq!(got, want, "{what}");
+        let evals = |log: &[f64]| log.len() / 3;
+        assert_eq!(
+            evals(&log),
+            skipped + evals(&want_log),
+            "{what}: device evaluations"
+        );
+        assert_eq!(
+            bits(&log[3 * skipped..]),
+            bits(&want_log),
+            "{what}: Newton path"
+        );
+    }
+
+    /// Newton from a start it cannot use, a vector of NaNs, fails at its
+    /// first iterate. From there every entry point's solve is exactly the
+    /// same call without the start on a fresh session: the same result and
+    /// warm start, and one failed iteration's device evaluations followed
+    /// by the fresh call's. A sweep point takes its starts in order, and a
+    /// sweep neither reads nor writes the warm start.
+    #[test]
+    fn failed_starts_fall_back_to_the_start_less_solve() {
+        let unusable = |s: &Session| vec![f64::NAN; s.circuit.n_unknowns()];
+        let poison = |s: &mut Session| s.warm = Some(unusable(s));
+        let dc = |s: &Session, op: DcResult| outcome(s, op.raw().iter().copied());
+
+        let (inv, _) = inverter(VDD, 0.42);
+        assert_same_solve(
+            &inv,
+            "dc_owned on the inverter",
+            2,
+            |s| {
+                poison(s);
+                let op = s.dc_owned().unwrap();
+                dc(s, op)
+            },
+            |s| {
+                let op = s.dc_owned().unwrap();
+                dc(s, op)
+            },
+        );
+        let freqs = [1e6, 1e9];
+        let ac = |s: &mut Session| {
+            let res = s.ac_owned("VIN", &freqs, &[]).unwrap();
+            outcome(s, ac_values(s, &res))
+        };
+        assert_same_solve(
+            &inv,
+            "ac_owned on the inverter",
+            2,
+            |s| {
+                poison(s);
+                ac(s)
+            },
+            ac,
+        );
+
+        let (ff, _, _) = dff();
+        let tran = |s: &mut Session| {
+            let res = s.tran_owned(&TranOptions::new(850e-12, 4e-12)).unwrap();
+            outcome(s, tran_values(s, &res))
+        };
+        assert_same_solve(
+            &ff,
+            "tran_owned on the DFF",
+            14,
+            |s| {
+                poison(s);
+                tran(s)
+            },
+            tran,
+        );
+
+        let (cell, l, r) = sram_cell();
+        for guess in [&[(l, 0.0), (r, VDD)][..], &[]] {
+            assert_same_solve(
+                &cell,
+                &format!("dc_owned_from on the 6T cell, guess {guess:?}"),
+                6,
+                |s| {
+                    let op = s.dc_owned_from(&unusable(s), guess).unwrap();
+                    dc(s, op)
+                },
+                |s| {
+                    let op = s.dc_owned_with_guess(guess).unwrap();
+                    dc(s, op)
+                },
+            );
+        }
+
+        let (latch, a, b) = latch();
+        let batch = |s: &mut Session| {
+            let res = s.ac_batch("VDD", &freqs, &[(a, 0.0), (b, VDD)]).unwrap();
+            outcome(s, ac_values(s, &res))
+        };
+        assert_same_solve(
+            &latch,
+            "ac_batch on the latch",
+            4,
+            |s| {
+                poison(s);
+                batch(s)
+            },
+            batch,
+        );
+
+        // A READ half-cell sweep point from `[unusable, previous point]`:
+        // one failed iteration, then Newton from the previous point.
+        let (read, _) = half_cell(true);
+        let grid: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
+        let sweep = Session::elaborate(read.clone())
+            .unwrap()
+            .dc_sweep_owned("VIN", &grid)
+            .unwrap();
+        let prev = sweep.points[14].raw();
+        let at = |s: &mut Session| s.set_source("VIN", Waveform::dc(grid[15])).unwrap();
+        assert_same_solve(
+            &read,
+            "READ half-cell sweep point",
+            3,
+            |s| {
+                at(s);
+                let nan = unusable(s);
+                bits(&s.solve_dc([nan.as_slice(), prev], &[]).unwrap())
+            },
+            |s| {
+                at(s);
+                bits(&newton(&s.circuit, prev, &DC, &mut s.ws).unwrap())
+            },
+        );
+        let swept = |s: &mut Session| {
+            let res = s.dc_sweep_owned("VIN", &grid).unwrap();
+            res.points.iter().flat_map(|p| bits(p.raw())).collect()
+        };
+        assert_same_solve(
+            &read,
+            "READ half-cell sweep",
+            0,
+            |s| {
+                poison(s);
+                let got = swept(s);
+                assert!(s.warm_start().unwrap().iter().all(|v| v.is_nan()));
+                got
+            },
+            |s| {
+                let want = swept(s);
+                assert!(s.warm_start().is_none());
+                want
+            },
+        );
+    }
+
+    /// One start policy takes the Newton runs of the policies it replaced,
+    /// whose code the references above keep, on every path but a
+    /// guess-less solve whose start fails: the same bits and warm start,
+    /// and the same device evaluations. The cases: the 6T cell from its
+    /// guess, served samples (mismatch draws from the nominal operating
+    /// point), a flipped-state start that falls back to the guess,
+    /// `ac_batch` re-pinning the latch's basin, a warm re-solve of the
+    /// inverter after a swap, the DFF transient's initial point from its
+    /// `ic`, and READ and HOLD half-cell sweeps of the nominal and eight
+    /// paper-spec draws.
+    #[test]
+    fn start_policy_matches_the_reference_policies() {
+        let dc = |s: &Session, x: &[f64]| outcome(s, x.iter().copied());
+        let (cell, l, r) = sram_cell();
+        let guess = [(l, 0.0), (r, VDD)];
+        assert_same_solve(
+            &cell,
+            "6T cell from its guess",
+            0,
+            |s| {
+                let op = s.dc_owned_with_guess(&guess).unwrap();
+                dc(s, op.raw())
+            },
+            |s| {
+                let x = reference_solve_dc_vec(s, Some(&guess)).unwrap();
+                dc(s, &x)
+            },
+        );
+        let solved = |guess: &[(NodeId, f64)]| {
+            let mut s = Session::elaborate(cell.clone()).unwrap();
+            s.dc_owned_with_guess(guess).unwrap().raw().to_vec()
+        };
+        let nominal = solved(&guess);
+        let flipped = solved(&[(l, VDD), (r, 0.0)]);
+        let from = |s: &mut Session, start: &[f64]| {
+            let op = s.dc_owned_from(start, &guess).unwrap();
+            dc(s, op.raw())
+        };
+        let reference_from = |s: &mut Session, start: &[f64]| {
+            s.warm = Some(start.to_vec());
+            let x = reference_warm_or_guess(s, &guess).unwrap();
+            dc(s, &x)
+        };
+        for (i, c) in (1..=8).map(|i| (i, paper_draw(&cell, i))) {
+            assert_same_solve(
+                &c,
+                &format!("served sample, draw {i}"),
+                0,
+                |s| from(s, &nominal),
+                |s| reference_from(s, &nominal),
+            );
+        }
+        assert_same_solve(
+            &cell,
+            "flipped-state start",
+            0,
+            |s| from(s, &flipped),
+            |s| reference_from(s, &flipped),
+        );
+
+        let (latch, a, b) = latch();
+        let (high, low) = ([(a, VDD), (b, 0.0)], [(a, 0.0), (b, VDD)]);
+        let freqs = [1e6, 1e9];
+        assert_same_solve(
+            &latch,
+            "ac_batch re-pinning the latch",
+            0,
+            |s| {
+                s.dc_owned_with_guess(&high).unwrap();
+                let res = s.ac_batch("VDD", &freqs, &low).unwrap();
+                outcome(s, ac_values(s, &res))
+            },
+            |s| {
+                reference_solve_dc_vec(s, Some(&high)).unwrap();
+                let x = reference_warm_or_guess(s, &low).unwrap();
+                let res = s.sweep_ac("VDD", &freqs, &x).unwrap();
+                outcome(s, ac_values(s, &res))
+            },
+        );
+
+        // The swap is made before recording: the re-solve starts from the
+        // nominal inverter's operating point.
+        let (inv, _) = inverter(VDD, 0.45);
+        let before = Session::elaborate(inv.clone())
+            .unwrap()
+            .dc_owned()
+            .unwrap()
+            .raw()
+            .to_vec();
+        let mut swapped = Session::elaborate(inv).unwrap();
+        let weaker = VsModel::nominal_nmos_40nm(Geometry::from_nm(240.0, 40.0));
+        swapped.swap_device("MN", Box::new(weaker)).unwrap();
+        assert_same_solve(
+            &swapped.circuit,
+            "warm inverter after a swap",
+            0,
+            |s| {
+                s.warm = Some(before.clone());
+                let op = s.dc_owned().unwrap();
+                dc(s, op.raw())
+            },
+            |s| {
+                s.warm = Some(before.clone());
+                let x = reference_solve_dc_vec(s, None).unwrap();
+                dc(s, &x)
+            },
+        );
+
+        // A transient's initial point becomes the warm start, and the
+        // integration after it does not depend on how it was solved.
+        let (ff, ic, _) = dff();
+        let opts = ic
+            .iter()
+            .fold(TranOptions::new(850e-12, 4e-12), |o, &(n, v)| {
+                o.with_ic(n, v)
+            });
+        let (initial, log) = recorded(&ff, Workspace::new(&ff), |s| {
+            s.tran_owned(&opts).unwrap();
+            s.warm.clone().unwrap()
+        });
+        let (want, want_log) = recorded(&ff, Workspace::new(&ff), |s| {
+            reference_solve_dc_vec(s, Some(&ic)).unwrap()
+        });
+        assert_eq!(bits(&initial), bits(&want), "DFF initial point");
+        assert!(log.len() > want_log.len(), "DFF transient");
+        assert_eq!(
+            bits(&log[..want_log.len()]),
+            bits(&want_log),
+            "DFF initial point: Newton path"
+        );
+
+        let grid: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
+        for (read, name) in [(true, "READ"), (false, "HOLD")] {
+            let (nominal, _) = half_cell(read);
+            for draw in 0..9 {
+                let c = match draw {
+                    0 => nominal.clone(),
+                    i => paper_draw(&nominal, i),
+                };
+                assert_same_solve(
+                    &c,
+                    &format!("{name} half-cell sweep, draw {draw}"),
+                    0,
+                    |s| {
+                        let sweep = s.dc_sweep_owned("VIN", &grid).unwrap();
+                        sweep.points.iter().flat_map(|p| bits(p.raw())).collect()
+                    },
+                    |s| {
+                        let points = reference_sweep(s, "VIN", &grid, true).unwrap();
+                        points.iter().flat_map(|p| bits(p)).collect()
+                    },
+                );
+            }
+        }
     }
 }

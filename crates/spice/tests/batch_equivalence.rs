@@ -4,10 +4,11 @@
 //! **bit-identical** to running the scalar path sequentially: swap lane
 //! `i`'s devices, solve from the same entry state. These tests pin that
 //! promise on a hand-built 6T SRAM cell under random mismatch draws, for
-//! K ∈ {1, 4, 8}, from cold (guess-built), warm (seeded operating point)
-//! and empty-guess starts — plus per-lane failure isolation, the exit warm
-//! start a sequential sweep would leave, and typed validation that leaves
-//! the session untouched.
+//! K ∈ {1, 4, 8}, from cold (guess-built), warm (the nominal operating
+//! point a guessed solve leaves as the warm start, against scalar solves
+//! from that vector) and empty-guess starts — plus per-lane failure
+//! isolation, the exit warm start a sequential sweep would leave, and typed
+//! validation that leaves the session untouched.
 //!
 //! Self-contained by design: mismatch normals come from a hand-rolled
 //! splitmix64 + Box-Muller generator keyed purely by `(seed, lane index)`,
@@ -187,7 +188,7 @@ fn cold_start_lanes_are_bit_identical_to_scalar() {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity: warm starts (seeded operating point, no guess)
+// Bit-identity: warm starts (nominal operating point, no guess)
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -211,12 +212,16 @@ fn warm_start_lanes_are_bit_identical_to_scalar() {
         // exactly the dc_batch entry-state contract.
         let reference: Vec<Vec<u64>> = (0..k)
             .map(|i| {
-                scalar.seed_warm_start(w0.clone()).expect("right length");
                 scalar.swap_devices(draw(seed, i)).expect("known names");
-                bits(&scalar.dc_owned().expect("scalar converges"))
+                bits(&scalar.dc_owned_from(&w0, &[]).expect("scalar converges"))
             })
             .collect();
-        batched.seed_warm_start(w0.clone()).expect("right length");
+        // The batch enters with w0 as its warm start: the session's own
+        // devices are nominal, so the guessed solve yields w0's bits.
+        batched
+            .dc_owned_with_guess(&guess)
+            .expect("nominal converges");
+        assert_eq!(batched.warm_start(), Some(w0.as_slice()));
         let lanes: Vec<_> = (0..k).map(|i| draw(seed, i)).collect();
         let ops = batched.dc_batch(lanes, None).expect("valid batch");
         for (i, op) in ops.iter().enumerate() {
@@ -254,14 +259,16 @@ fn empty_guess_lanes_warm_start_like_scalar() {
     let k = 8;
     let reference: Vec<Vec<u64>> = (0..k)
         .map(|i| {
-            scalar.seed_warm_start(w0.clone()).expect("right length");
             scalar.swap_devices(draw(seed, i)).expect("known names");
-            bits(&scalar.dc_owned_with_guess(&[]).expect("scalar converges"))
+            bits(&scalar.dc_owned_from(&w0, &[]).expect("scalar converges"))
         })
         .collect();
     let (c, _, _) = cell();
     let mut batched = Session::elaborate(c).expect("valid cell");
-    batched.seed_warm_start(w0).expect("right length");
+    batched
+        .dc_owned_with_guess(&[(l, 0.0), (r, VDD)])
+        .expect("nominal converges");
+    assert_eq!(batched.warm_start(), Some(w0.as_slice()));
     let lanes: Vec<_> = (0..k).map(|i| draw(seed, i)).collect();
     let ops = batched.dc_batch(lanes, Some(&[])).expect("valid batch");
     for (i, op) in ops.iter().enumerate() {
@@ -422,18 +429,4 @@ fn empty_batches_and_unknown_names_are_typed_errors() {
         bits(&expected),
         "rejected batch mutated the circuit"
     );
-}
-
-#[test]
-fn warm_start_seeding_validates_the_vector_length() {
-    let (c, _, _) = cell();
-    let mut s = Session::elaborate(c).expect("valid cell");
-    let err = s
-        .seed_warm_start(vec![0.0; 3])
-        .expect_err("wrong length must be rejected");
-    assert!(
-        matches!(err, SpiceError::InvalidArgument { .. }),
-        "unexpected error for short warm vector: {err}"
-    );
-    assert!(s.warm_start().is_none(), "rejected seed must not stick");
 }

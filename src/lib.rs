@@ -40,8 +40,11 @@
 //! is shaped around that loop — **elaborate once, run many analyses, swap
 //! devices in place** — so the netlist is parsed and the MNA layout, the
 //! workspace, and the LU scratch are allocated a single time per topology,
-//! and each sample's Newton solve warm-starts from the previous sample's
-//! operating point.
+//! and each sample's DC solve starts Newton close to its answer: from the
+//! previous sample's operating point (the session's warm start), from a
+//! point the experiment fixes (served SRAM samples start from the nominal
+//! cell's), or, for a sweep point, from the secant through the points
+//! before it.
 //!
 //! Samples shard across cores through `vscore::mc::ParallelRunner`: each
 //! worker elaborates its own session in the runner's setup closure,
