@@ -9,7 +9,9 @@
 //! * `read_half_cell_sweep`: one whole 31-point sweep of a paper-spec
 //!   draw of the READ half-cell through `Session::dc_sweep_owned`, half
 //!   of an `SnmBench` READ sample: the first point from zero, every later
-//!   one from the secant prediction of the two before it.
+//!   one from the cubic Hermite prediction over the two before it (the
+//!   second from the tangent line at the first), their slopes read from
+//!   each point's converged Newton LU.
 //!
 //! The first two solve through `Session::dc_owned_from`, so every call
 //! repeats the same Newton iterations on the same devices; so does every

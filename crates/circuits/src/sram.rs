@@ -327,8 +327,9 @@ pub fn dc_sample_from(
 /// once; every sample swaps six fresh devices in place and re-sweeps both
 /// half-cells through [`Session::dc_sweep_owned`]. Each sweep's first
 /// point starts from zero, so a sample depends on its devices alone, not
-/// on the samples before it; later points start from the secant
-/// prediction of the two before them.
+/// on the samples before it; later points start from a cubic Hermite
+/// prediction over the slopes `dx/dv` of the points before them, read
+/// from the LU of each point's own converged Newton system.
 #[derive(Debug)]
 pub struct SnmBench {
     halves: [Session; 2],
@@ -690,6 +691,28 @@ mod tests {
         bench.resample(sz, &mut f).unwrap();
         let s2 = bench.snm().unwrap();
         assert!((s1 - s2).abs() < 1e-6, "{s1} vs {s2}");
+    }
+
+    /// A sample carries nothing over from the samples before it: drawn
+    /// after a different sample, it gives the bits of the same draw on a
+    /// fresh bench, butterfly and SNM, in READ and in HOLD.
+    #[test]
+    fn snm_bench_sample_forgets_the_samples_before_it() {
+        let sz = SramSizing::default();
+        let draw = |i| VsMismatch(Sampler::from_seed(1).stream(i));
+        let sample = |bench: &mut SnmBench| {
+            let (c1, c2) = bench.curves().unwrap();
+            let snm = snm(&c1, &c2, VDD);
+            let points = c1.iter().chain(&c2).flat_map(|&(x, y)| [x, y]);
+            points.chain([snm]).map(f64::to_bits).collect::<Vec<_>>()
+        };
+        for mode in [SnmMode::Read, SnmMode::Hold] {
+            let want = sample(&mut SnmBench::new(sz, VDD, mode, 31, &mut draw(3)).unwrap());
+            let mut bench = SnmBench::new(sz, VDD, mode, 31, &mut draw(8)).unwrap();
+            assert_ne!(sample(&mut bench), want, "{mode:?}: two draws must differ");
+            bench.resample(sz, &mut draw(3)).unwrap();
+            assert_eq!(sample(&mut bench), want, "{mode:?}");
+        }
     }
 
     #[test]

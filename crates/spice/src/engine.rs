@@ -34,13 +34,15 @@
 //! the step the full MNA solve takes, so damping, convergence and every
 //! result read the full unknown vector as before. The 6T SRAM cell factors
 //! 2 unknowns instead of 10, a READ half-cell 1 instead of 9. AC analysis
-//! keeps the full system.
+//! keeps the full system. The same elimination, with the last iteration's
+//! LU and the unit vector at a source's branch row as the right-hand side,
+//! gives the slope `dx/dv` from which a DC sweep predicts its next point.
 
 use crate::elements::Element;
 use crate::error::SpiceError;
 use crate::netlist::{Circuit, NodeId};
 use mosfet::{Bias, MosfetModel};
-use numerics::{lu::Lu, Matrix};
+use numerics::{lu::Lu, Matrix, NumericsError};
 
 /// Conductance floor from every node to ground (numerical safety net).
 pub(crate) const GMIN_FLOOR: f64 = 1e-12;
@@ -55,8 +57,8 @@ const I_TOL: f64 = 1e-10;
 const MAX_NEWTON: usize = 400;
 
 /// The factor that caps a step whose largest node-voltage change is
-/// `max_dv` at [`MAX_DV`]: each Newton update, and the secant start of a
-/// DC sweep point, moves by this factor times its full step.
+/// `max_dv` at [`MAX_DV`]: each Newton update, and the predicted start of
+/// a DC sweep point, moves by this factor times its full step.
 pub(crate) fn step_scale(max_dv: f64) -> f64 {
     if max_dv > MAX_DV {
         MAX_DV / max_dv
@@ -280,10 +282,8 @@ impl Workspace {
         self.nf
     }
 
-    /// Solves the assembled system into the update scratch: sets each
-    /// pinned node to its source value, factors the free block with the
-    /// pinned columns moved to the right-hand side, and recovers each
-    /// eliminated branch current from its pinned node's KCL row.
+    /// Solves the assembled system into the update scratch: factors the
+    /// free block and [`substitute`]s the assembled right-hand side.
     fn solve(&mut self) -> Result<(), SpiceError> {
         let Workspace {
             at,
@@ -294,23 +294,12 @@ impl Workspace {
             a_ff,
             b_f,
             lu,
-            x_sys: x,
+            x_sys,
             x_new,
             ..
         } = self;
-        let (nf, np) = (*nf, *np);
-        // A source's branch row reads `±v = value`.
-        for k in 0..np {
-            let row = nf + np + k;
-            x[nf + k] = b[row] / a[(row, nf + k)];
-        }
-        for i in 0..nf {
-            let mut s = b[i];
-            for k in 0..np {
-                s -= a[(i, nf + k)] * x[nf + k];
-            }
-            b_f[i] = s;
-            for j in 0..nf {
+        for i in 0..*nf {
+            for j in 0..*nf {
                 a_ff[(i, j)] = a[(i, j)];
             }
         }
@@ -321,22 +310,88 @@ impl Workspace {
             }
             None => lu.insert(Lu::factor(a_ff)?),
         };
-        lu.solve_into(b_f, &mut x[..nf])?;
-        // The pinned node's KCL row holds its source's branch current
-        // with coefficient ±1, and no other eliminated one.
-        for k in 0..np {
-            let row = nf + k;
-            let mut s = b[row];
-            for j in 0..nf + np {
-                s -= a[(row, j)] * x[j];
-            }
-            x[nf + np + k] = s / a[(row, nf + np + k)];
-        }
+        substitute((*nf, *np), a, |row| b[row], lu, b_f, x_sys)?;
         for (xi, &at) in x_new.iter_mut().zip(at.iter()) {
-            *xi = x[at];
+            *xi = x_sys[at];
         }
         Ok(())
     }
+
+    /// Writes `dx/dv` into `dx`, in the unknown vector's layout: the
+    /// change of the solution per volt of the voltage source whose branch
+    /// current is unknown `branch`. It [`substitute`]s the unit vector at
+    /// that source's branch row into the system and LU the last Newton
+    /// iteration left: a source that pins its node moves that node by
+    /// `1 / a[branch row, node]` (±1), which enters the free right-hand
+    /// side through the node's column, and a source that pins nothing has
+    /// a free branch row. No device is evaluated and nothing is
+    /// refactored. That system is within `V_TOL` of the returned point
+    /// (after the weak-convergence escape `a` is the returned point's and
+    /// the LU one iteration older), so the slope is deterministic and
+    /// first-order accurate.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no Newton iteration has factored the system yet.
+    pub(crate) fn sensitivity(&mut self, branch: usize, dx: &mut [f64]) {
+        let Workspace {
+            at,
+            nf,
+            np,
+            a,
+            b_f,
+            lu,
+            x_sys,
+            ..
+        } = self;
+        let lu = lu.as_ref().expect("a Newton iteration factored the system");
+        let unit = at[branch];
+        let rhs = |row| if row == unit { 1.0 } else { 0.0 };
+        substitute((*nf, *np), a, rhs, lu, b_f, x_sys).expect("the LU has the free block's order");
+        for (d, &at) in dx.iter_mut().zip(at.iter()) {
+            *d = x_sys[at];
+        }
+    }
+}
+
+/// Solves the ordered system `a·x = r` (see the module docs), `r` read
+/// row by row from `rhs`, with `lu` the factorization of its free block
+/// of order `nf`: sets each of the `np` pinned nodes from its source's
+/// branch row, solves the free block with the pinned columns moved to the
+/// right-hand side (in `b_f`), and recovers each eliminated branch
+/// current from its pinned node's KCL row.
+fn substitute(
+    (nf, np): (usize, usize),
+    a: &Matrix,
+    rhs: impl Fn(usize) -> f64,
+    lu: &Lu<f64>,
+    b_f: &mut [f64],
+    x: &mut [f64],
+) -> Result<(), NumericsError> {
+    // A source's branch row reads `±v = value`.
+    for k in 0..np {
+        let row = nf + np + k;
+        x[nf + k] = rhs(row) / a[(row, nf + k)];
+    }
+    for i in 0..nf {
+        let mut s = rhs(i);
+        for k in 0..np {
+            s -= a[(i, nf + k)] * x[nf + k];
+        }
+        b_f[i] = s;
+    }
+    lu.solve_into(b_f, &mut x[..nf])?;
+    // The pinned node's KCL row holds its source's branch current with
+    // coefficient ±1, and no other eliminated one.
+    for k in 0..np {
+        let row = nf + k;
+        let mut s = rhs(row);
+        for j in 0..nf + np {
+            s -= a[(row, j)] * x[j];
+        }
+        x[nf + np + k] = s / a[(row, nf + np + k)];
+    }
+    Ok(())
 }
 
 /// Voltage of `node` under the unknown vector `x` (0 for ground).

@@ -35,8 +35,9 @@
 //!
 //! Analyses: nonlinear DC operating point (damped Newton-Raphson with gmin
 //! and source-stepping continuation), DC sweeps that start each point
-//! from the secant prediction of the two before it (butterfly curves,
-//! VTCs), transient (trapezoidal with backward-Euler startup,
+//! from a cubic Hermite prediction over the slopes `dx/dv` of the two
+//! before it, read from each point's converged Newton LU (butterfly
+//! curves, VTCs), transient (trapezoidal with backward-Euler startup,
 //! charge-conserving companion models), AC small-signal sweeps, plus
 //! [`measure`] helpers (level crossings and the first crossing after a
 //! time). All of them read one linearization of every element, in

@@ -15,9 +15,10 @@
 //!   analysis entry point solved) for a guess-less [`Session::dc_owned`],
 //!   [`Session::ac_owned`] or [`Session::tran_owned`] and for
 //!   [`Session::ac_batch`]; the caller's vector for
-//!   [`Session::dc_owned_from`]; the secant prediction and the previous
-//!   point for a sweep point; none for a guessed call. Once its starts
-//!   fail, a solve is exactly the same call without them;
+//!   [`Session::dc_owned_from`]; for a sweep point, a prediction from the
+//!   slopes `dx/dv` of the points before it (a cubic Hermite through the
+//!   two before it), then the previous point; none for a guessed call.
+//!   Once its starts fail, a solve is exactly the same call without them;
 //! * [`Session::swap_devices`] / [`Session::swap_all_mosfets`] resample
 //!   MOSFET instances *in place* — the Monte Carlo fast path: no re-parse,
 //!   no re-elaboration, and the next [`Session::dc_owned`] starts from the
@@ -198,11 +199,14 @@ impl Session {
     /// DC sweep of the named voltage source over `values`. A sweep neither
     /// reads nor writes the warm start, so it depends on the circuit and
     /// `values` alone. The first point is the continuation ladder from
-    /// zero. Every later point runs plain Newton from the secant through
-    /// the two points before it, capped like a Newton step (from the
-    /// second point on, and when the secant is defined), then from the
-    /// point before it, then the ladder from zero. The source's waveform
-    /// is restored afterwards.
+    /// zero. Every later point runs plain Newton from a prediction, then
+    /// from the point before it, then the ladder from zero. The second
+    /// point is predicted on the tangent line at the first, every later
+    /// one by the cubic Hermite through the two points before it, each
+    /// point's slope `dx/dv` read from the LU its last Newton iteration
+    /// factored; the prediction's step is capped like a Newton step, and a
+    /// repeated value gives none. The source's waveform is restored
+    /// afterwards.
     ///
     /// # Errors
     ///
@@ -219,9 +223,9 @@ impl Session {
                 context: "empty sweep".into(),
             });
         }
-        self.circuit.vsource_index(source)?;
+        let branch = self.nn + self.circuit.vsource_index(source)?;
         let saved = self.circuit.vsource_waveform(source)?.clone();
-        let result = self.sweep_points(source, values);
+        let result = self.sweep_points(source, branch, values);
         self.circuit
             .set_vsource(source, saved)
             .expect("source existed above");
@@ -535,24 +539,36 @@ impl Session {
             })
     }
 
-    /// The points of [`Session::dc_sweep_owned`], each solved from the
-    /// secant prediction of [`secant_start`] when `k ≥ 2` and from point
-    /// `k − 1`.
-    fn sweep_points(&mut self, source: &str, values: &[f64]) -> Result<SweepResult, SpiceError> {
+    /// The points of [`Session::dc_sweep_owned`] of the source whose branch
+    /// current is unknown `branch`. Point `k ≥ 1` is solved from
+    /// [`hermite_start`] over the points before it, then from point
+    /// `k − 1`. Each point but the last leaves its slope `dx/dv`
+    /// ([`Workspace::sensitivity`]) for the points after it.
+    fn sweep_points(
+        &mut self,
+        source: &str,
+        branch: usize,
+        values: &[f64],
+    ) -> Result<SweepResult, SpiceError> {
+        let n = self.circuit.n_unknowns();
+        let [mut start, mut t_before, mut t_prev] = [(); 3].map(|()| vec![0.0; n]);
         let mut points: Vec<DcResult> = Vec::with_capacity(values.len());
         for (k, &v) in values.iter().enumerate() {
             self.circuit.set_vsource(source, Waveform::dc(v))?;
-            let predicted = match points.as_slice() {
-                [.., before, prev] => secant_start(
-                    (values[k - 2], before.raw()),
-                    (values[k - 1], prev.raw()),
-                    v,
-                    self.nn,
-                ),
-                _ => None,
-            };
-            let prev = points.last().map(DcResult::raw);
-            let x = self.solve_dc(predicted.as_deref().into_iter().chain(prev), &[])?;
+            let prev = k
+                .checked_sub(1)
+                .map(|j| (values[j], points[j].raw(), &t_prev[..]));
+            let before = k
+                .checked_sub(2)
+                .map(|j| (values[j], points[j].raw(), &t_before[..]));
+            let predicted =
+                prev.and_then(|prev| hermite_start(before, prev, v, self.nn, &mut start));
+            let x_prev = prev.map(|(_, x, _)| x);
+            let x = self.solve_dc(predicted.into_iter().chain(x_prev), &[])?;
+            if k + 1 < values.len() {
+                std::mem::swap(&mut t_before, &mut t_prev);
+                self.ws.sensitivity(branch, &mut t_prev);
+            }
             points.push(DcResult::new(x, self.nn));
         }
         Ok(SweepResult {
@@ -758,26 +774,50 @@ impl Session {
     }
 }
 
-/// The start of a DC sweep point at source value `v`, predicted by the
-/// secant through the two points before it, `(v2, x2)` and `(v1, x1)`:
-/// `x1 + r·(x1 − x2)` with `r = (v − v1)/(v1 − v2)`. Its largest change
-/// among the `nn` node voltages is capped like a Newton step's
-/// ([`step_scale`]). `None` when `r` is not finite (a repeated sweep
-/// value), so the point starts from `x1`.
-fn secant_start(
-    (v2, x2): (f64, &[f64]),
-    (v1, x1): (f64, &[f64]),
+/// The start of a DC sweep point at source value `v`, predicted from the
+/// points before it, each a source value, solution and slope `dx/dv`:
+/// the tangent line at `(v1, x1, t1)` without `before`, otherwise the
+/// cubic Hermite through `before = (v2, x2, t2)` and `(v1, x1, t1)`. With
+/// `g = v1 − v2` and `s = (v − v2)/g` that is
+/// `h00·x2 + h10·g·t2 + h01·x1 + h11·g·t1`, whose step from `x1` is
+/// `h00·(x2 − x1) + g·(h10·t2 + h11·t1)` because `h00 + h01 = 1`. The
+/// step's largest change among the `nn` node voltages is capped like a
+/// Newton step's ([`step_scale`]), branch currents scaled with it. Writes
+/// the start into `start` and returns it, or `None` when the step is not
+/// finite (a repeated sweep value), so the point starts from `x1`.
+fn hermite_start<'a>(
+    before: Option<(f64, &[f64], &[f64])>,
+    (v1, x1, t1): (f64, &[f64], &[f64]),
     v: f64,
     nn: usize,
-) -> Option<Vec<f64>> {
-    let r = (v - v1) / (v1 - v2);
-    if !r.is_finite() {
+    start: &'a mut [f64],
+) -> Option<&'a [f64]> {
+    match before {
+        None => {
+            for (d, t) in start.iter_mut().zip(t1) {
+                *d = (v - v1) * t;
+            }
+        }
+        Some((v2, x2, t2)) => {
+            let g = v1 - v2;
+            let s = (v - v2) / g;
+            let h00 = (2.0 * s - 3.0) * s * s + 1.0;
+            let h10 = ((s - 2.0) * s + 1.0) * s;
+            let h11 = (s - 1.0) * s * s;
+            for (i, d) in start.iter_mut().enumerate() {
+                *d = h00 * (x2[i] - x1[i]) + g * (h10 * t2[i] + h11 * t1[i]);
+            }
+        }
+    }
+    if !start.iter().all(|d| d.is_finite()) {
         return None;
     }
-    let step: Vec<f64> = x1.iter().zip(x2).map(|(a, b)| r * (a - b)).collect();
-    let max_dv = step[..nn].iter().fold(0.0_f64, |m, d| m.max(d.abs()));
+    let max_dv = start[..nn].iter().fold(0.0_f64, |m, d| m.max(d.abs()));
     let scale = step_scale(max_dv);
-    Some(x1.iter().zip(&step).map(|(x, d)| x + scale * d).collect())
+    for (d, x) in start.iter_mut().zip(x1) {
+        *d = x + scale * *d;
+    }
+    Some(start)
 }
 
 /// True when the solved unknown vector `x` lies in the stable state the
@@ -1624,32 +1664,75 @@ mod tests {
         reference_solve_dc_vec(s, (!guess.is_empty()).then_some(guess))
     }
 
+    /// The start of a DC sweep point before the Hermite prediction, the
+    /// secant through the two points before it, `(v2, x2)` and `(v1, x1)`:
+    /// `x1 + r·(x1 − x2)` with `r = (v − v1)/(v1 − v2)`, its largest change
+    /// among the `nn` node voltages capped like a Newton step's. `None`
+    /// when `r` is not finite (a repeated sweep value).
+    fn secant_start(
+        (v2, x2): (f64, &[f64]),
+        (v1, x1): (f64, &[f64]),
+        v: f64,
+        nn: usize,
+    ) -> Option<Vec<f64>> {
+        let r = (v - v1) / (v1 - v2);
+        if !r.is_finite() {
+            return None;
+        }
+        let step: Vec<f64> = x1.iter().zip(x2).map(|(a, b)| r * (a - b)).collect();
+        let max_dv = step[..nn].iter().fold(0.0_f64, |m, d| m.max(d.abs()));
+        let scale = step_scale(max_dv);
+        Some(x1.iter().zip(&step).map(|(x, d)| x + scale * d).collect())
+    }
+
+    /// How [`reference_sweep`] predicts a point's start.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Prediction {
+        /// None: every point starts from the one before it.
+        None,
+        /// The earlier [`secant_start`], from the third point on.
+        Secant,
+        /// [`hermite_start`] from the second point on, over the slopes
+        /// [`Workspace::sensitivity`] reads after each point's own Newton.
+        Hermite,
+    }
+
     /// The sweep loops before one start policy, the references for
     /// [`Session::dc_sweep_owned`]. Every point runs plain Newton from the
-    /// previous one (the first from zero), with `predicted` first from the
-    /// secant prediction of [`secant_start`] when `k ≥ 2`, and when that
-    /// fails the cold continuation ladder of [`reference_solve_dc_vec`].
-    /// Without `predicted` this is the loop before secant prediction.
-    /// Returns each point's unknown vector.
+    /// start `prediction` gives, if any, then from the previous point (the
+    /// first from zero), and when that fails the cold continuation ladder
+    /// of [`reference_solve_dc_vec`]. With [`Prediction::None`] this is the
+    /// loop before predicted starts. Returns each point's unknown vector.
     fn reference_sweep(
         s: &mut Session,
         source: &str,
         values: &[f64],
-        predicted: bool,
+        prediction: Prediction,
     ) -> Result<Vec<Vec<f64>>, SpiceError> {
         let saved = s.circuit.vsource_waveform(source)?.clone();
+        let branch = s.nn + s.circuit.vsource_index(source)?;
         let zero = vec![0.0; s.circuit.n_unknowns()];
+        let [mut start, mut t_before, mut t_prev] = [(); 3].map(|()| zero.clone());
         let mut points: Vec<Vec<f64>> = Vec::with_capacity(values.len());
         for (k, &v) in values.iter().enumerate() {
             s.circuit.set_vsource(source, Waveform::dc(v))?;
-            let prediction = match points.as_slice() {
-                [.., before, prev] if predicted => {
+            let predicted = match (prediction, points.as_slice()) {
+                (Prediction::Secant, [.., before, prev]) => {
                     secant_start((values[k - 2], before), (values[k - 1], prev), v, s.nn)
+                }
+                (Prediction::Hermite, [prev]) => {
+                    let prev = (values[0], prev.as_slice(), t_prev.as_slice());
+                    hermite_start(None, prev, v, s.nn, &mut start).map(<[f64]>::to_vec)
+                }
+                (Prediction::Hermite, [.., before, prev]) => {
+                    let before = (values[k - 2], before.as_slice(), t_before.as_slice());
+                    let prev = (values[k - 1], prev.as_slice(), t_prev.as_slice());
+                    hermite_start(Some(before), prev, v, s.nn, &mut start).map(<[f64]>::to_vec)
                 }
                 _ => None,
             };
             let prev = points.last().unwrap_or(&zero);
-            let solved = prediction
+            let solved = predicted
                 .iter()
                 .chain([prev])
                 .find_map(|x0| newton(&s.circuit, x0, &DC, &mut s.ws).ok());
@@ -1660,6 +1743,10 @@ mod tests {
                     reference_solve_dc_vec(s, None)?
                 }
             };
+            if prediction == Prediction::Hermite {
+                std::mem::swap(&mut t_before, &mut t_prev);
+                s.ws.sensitivity(branch, &mut t_prev);
+            }
             points.push(x);
         }
         s.circuit.set_vsource(source, saved)?;
@@ -1688,32 +1775,47 @@ mod tests {
         s.circuit
     }
 
-    /// Sweeps `VIN` of `c` over `values` with prediction and point by
-    /// point, requires every unknown of every point to agree within 1e-12
-    /// relative to its largest magnitude over the sweep, and returns the
-    /// device evaluations of both: `(predicted, reference)`.
-    fn sweep_against_reference(c: &Circuit, values: &[f64], what: &str) -> (usize, usize) {
+    /// Sweeps `VIN` of `c` over `values` through
+    /// [`Session::dc_sweep_owned`], with the earlier secant start, and
+    /// point by point. Requires every unknown of every point of the first
+    /// two to agree with the point-by-point sweep within 1e-12 relative to
+    /// its largest magnitude over the sweep, and returns the device
+    /// evaluations of the three: `(predicted, secant, point by point)`.
+    fn sweep_against_reference(c: &Circuit, values: &[f64], what: &str) -> (usize, usize, usize) {
         let (got, evals) = recorded(c, Workspace::new(c), |s| {
             let sweep = s.dc_sweep_owned("VIN", values)?;
             assert_eq!(sweep.values, values, "{what}");
             Ok::<Vec<Vec<f64>>, SpiceError>(sweep.points.iter().map(|p| p.raw().to_vec()).collect())
         });
-        let (want, reference) = recorded(c, Workspace::new(c), |s| {
-            reference_sweep(s, "VIN", values, false)
-        });
-        assert_agrees(&got.unwrap(), &want.unwrap(), what);
-        (evals.len() / 3, reference.len() / 3)
+        let reference = |prediction| {
+            recorded(c, Workspace::new(c), |s| {
+                reference_sweep(s, "VIN", values, prediction)
+            })
+        };
+        let (secant, secant_evals) = reference(Prediction::Secant);
+        let (want, want_evals) = reference(Prediction::None);
+        let want = want.unwrap();
+        assert_agrees(&got.unwrap(), &want, what);
+        assert_agrees(&secant.unwrap(), &want, &format!("{what}, secant"));
+        (
+            evals.len() / 3,
+            secant_evals.len() / 3,
+            want_evals.len() / 3,
+        )
     }
 
-    /// A sweep point starts from the secant through the two before it. It
-    /// lands where a start from the previous point lands, and on the READ
-    /// half-cell it takes at most 0.85 times the device evaluations.
-    /// Repeated values (the secant's ratio infinite or NaN), uneven and
-    /// descending grids, and one- and two-point sweeps agree too.
+    /// A sweep point starts from the Hermite prediction over the points
+    /// before it. It lands where a start from the previous point lands. It
+    /// never takes more device evaluations than the earlier secant start,
+    /// and strictly fewer on the 31-point grids; over the nominal and
+    /// eight paper-spec draws it takes at most 0.65 (READ) and 0.70 (HOLD)
+    /// times the point-by-point reference's. Repeated values (the
+    /// Hermite's `s` infinite or NaN), uneven and descending grids, and
+    /// one- and two-point sweeps agree too.
     #[test]
     fn predicted_sweeps_match_the_point_by_point_reference() {
         let grid: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
-        for (read, name) in [(true, "READ"), (false, "HOLD")] {
+        for (read, name, bound) in [(true, "READ", 0.65), (false, "HOLD", 0.70)] {
             let (nominal, _) = half_cell(read);
             let (mut evals, mut reference) = (0, 0);
             for draw in 0..9 {
@@ -1722,20 +1824,18 @@ mod tests {
                     i => paper_draw(&nominal, i),
                 };
                 let what = format!("{name} half-cell, draw {draw}");
-                let (e, r) = sweep_against_reference(&c, &grid, &what);
+                let (e, secant, r) = sweep_against_reference(&c, &grid, &what);
+                assert!(
+                    e < secant,
+                    "{what}: {e} vs the secant's {secant} evaluations"
+                );
                 evals += e;
                 reference += r;
             }
             assert!(
-                evals < reference,
+                evals as f64 <= bound * reference as f64,
                 "{name}: {evals} vs {reference} evaluations"
             );
-            if read {
-                assert!(
-                    evals as f64 <= 0.85 * reference as f64,
-                    "{name}: {evals} vs {reference} evaluations"
-                );
-            }
         }
 
         // The VS and BSIM-like inverters of `tests/mosfet_circuits.rs` on
@@ -1750,7 +1850,11 @@ mod tests {
         });
         let vtc: Vec<f64> = (0..=45).map(|i| f64::from(i) * 0.02).collect();
         for (c, name) in [(vs, "VS inverter"), (s.circuit, "BSIM-like inverter")] {
-            sweep_against_reference(&c, &vtc, name);
+            let (e, secant, _) = sweep_against_reference(&c, &vtc, name);
+            assert!(
+                e <= secant,
+                "{name}: {e} vs the secant's {secant} evaluations"
+            );
         }
 
         let (read, _) = half_cell(true);
@@ -1765,21 +1869,219 @@ mod tests {
             (&[0.45], "one point"),
             (&[0.0, 0.9], "two points"),
         ] {
-            sweep_against_reference(&read, values, name);
+            let (e, secant, _) = sweep_against_reference(&read, values, name);
+            assert!(
+                e <= secant,
+                "{name}: {e} vs the secant's {secant} evaluations"
+            );
+            if values.len() == grid.len() {
+                assert!(
+                    e < secant,
+                    "{name}: {e} vs the secant's {secant} evaluations"
+                );
+            }
         }
-        // A repeated value makes the secant's ratio infinite or NaN: the
-        // point starts from the one before it.
-        let (x2, x1) = ([0.0, 0.1], [0.3, 0.2]);
-        assert_eq!(secant_start((0.3, &x2), (0.3, &x1), 0.6, 1), None);
-        assert_eq!(secant_start((0.3, &x2), (0.3, &x1), 0.3, 1), None);
-        // Otherwise the largest node step is capped at `MAX_DV`, branch
-        // currents scaled with it; a branch current's step caps nothing.
-        let capped = secant_start((0.0, &x2), (0.3, &x1), 0.6, 1).unwrap();
-        assert!((capped[0] - (0.3 + 0.12)).abs() < 1e-15, "{capped:?}");
-        assert!((capped[1] - (0.2 + 0.04)).abs() < 1e-15, "{capped:?}");
-        let uncapped = secant_start((0.0, &[0.0, -1.0]), (0.3, &[0.05, 1.0]), 0.6, 1).unwrap();
-        assert!((uncapped[0] - 0.1).abs() < 1e-15, "{uncapped:?}");
-        assert!((uncapped[1] - 3.0).abs() < 1e-15, "{uncapped:?}");
+    }
+
+    /// The predicted start reproduces a cubic in `v` to 1e-14 from two of
+    /// its points and their slopes, on uniform, uneven and descending
+    /// grids, and the tangent line reproduces a line. The node step is
+    /// capped at `MAX_DV`, branch currents scaled with it but never
+    /// capping, and a repeated value gives no prediction.
+    #[test]
+    fn hermite_start_is_exact_on_cubics_and_capped() {
+        // Two node voltages and a branch current, each cubic in `v`.
+        let x = |v: f64| {
+            [
+                0.7 - 0.4 * v + 0.9 * v * v - 1.1 * v.powi(3),
+                0.2 + 0.3 * v - 0.8 * v * v + 0.6 * v.powi(3),
+                -3e-5 + 2e-5 * v + 4e-5 * v * v - 7e-5 * v.powi(3),
+            ]
+        };
+        let t = |v: f64| {
+            [
+                -0.4 + 1.8 * v - 3.3 * v * v,
+                0.3 - 1.6 * v + 1.8 * v * v,
+                2e-5 + 8e-5 * v - 21e-5 * v * v,
+            ]
+        };
+        let mut start = [0.0; 3];
+        for (v2, v1, v, grid) in [
+            (0.42, 0.45, 0.48, "uniform"),
+            (0.3, 0.31, 0.35, "uneven"),
+            (0.61, 0.58, 0.55, "descending"),
+            (0.5, 0.46, 0.45, "descending, uneven"),
+        ] {
+            let got = hermite_start(
+                Some((v2, &x(v2), &t(v2))),
+                (v1, &x(v1), &t(v1)),
+                v,
+                2,
+                &mut start,
+            )
+            .unwrap();
+            for (g, w) in got.iter().zip(x(v)) {
+                assert!((g - w).abs() <= 1e-14, "{grid}: {got:?} vs {:?}", x(v));
+            }
+        }
+        let line = |v: f64| [0.1 + 0.5 * v, 0.8 - 0.3 * v, 1e-4 * v];
+        let slope = [0.5, -0.3, 1e-4];
+        for v in [0.36, 0.25] {
+            let got = hermite_start(None, (0.3, &line(0.3), &slope), v, 2, &mut start).unwrap();
+            for (g, w) in got.iter().zip(line(v)) {
+                assert!(
+                    (g - w).abs() <= 1e-15,
+                    "tangent line: {got:?} vs {:?}",
+                    line(v)
+                );
+            }
+        }
+
+        // A 0.2 V node step is capped at 0.12 V, the other node and the
+        // branch current scaled by the same 0.6.
+        let (x1, t1) = ([0.3, 0.2, 1e-3], [2.0, 0.5, 10.0]);
+        let capped = hermite_start(None, (0.5, &x1, &t1), 0.6, 2, &mut start).unwrap();
+        for (g, w) in capped.iter().zip([0.42, 0.23, 1e-3 + 0.6]) {
+            assert!((g - w).abs() < 1e-15, "{capped:?}");
+        }
+        // A branch current's step caps nothing.
+        let t1 = [0.1, -0.2, 50.0];
+        let uncapped = hermite_start(None, (0.5, &x1, &t1), 0.6, 2, &mut start).unwrap();
+        for (g, w) in uncapped.iter().zip([0.31, 0.18, 1e-3 + 5.0]) {
+            assert!((g - w).abs() < 1e-15, "{uncapped:?}");
+        }
+        // Through two points at one value, `s` is infinite or NaN.
+        let (x2, t2) = ([0.1, 0.1, 0.0], [1.0, 1.0, 0.0]);
+        for v in [0.6, 0.5] {
+            let repeated = hermite_start(Some((0.5, &x2, &t2)), (0.5, &x1, &t1), v, 2, &mut start);
+            assert_eq!(repeated, None, "v = {v}");
+        }
+    }
+
+    /// The slope `dx/dv` of the swept source at each converged sweep point,
+    /// read from the LU the point's last Newton iteration factored, agrees
+    /// with central differences `(x(v+δ) − x(v−δ))/2δ` of fresh DC solves,
+    /// branch currents included. It does on both workspaces: the reduced
+    /// one, where the half-cells' `VIN` pins its node, and the unreduced
+    /// one, where every source's branch row is free. More cases: a floating
+    /// swept source, whose branch row is free in both, and the all-pinned
+    /// divider, which has no free unknown. (A node two grounded sources pin
+    /// has no operating point: its MNA system is singular.)
+    ///
+    /// With δ = 1e-5 V the truncation error `x'''·δ²/6` stays under 1e-8
+    /// even at the steep middle of the READ transfer curve, and the fresh
+    /// solves' convergence error, about 1e-13 V after their quadratic last
+    /// step, adds under 1e-8. The slope itself comes from a Jacobian within
+    /// `V_TOL` of the point, which moves it by about 1e-6 relative. So
+    /// every entry must agree within 1e-5 of its largest magnitude over the
+    /// sweep.
+    #[test]
+    fn sweep_sensitivity_matches_central_differences() {
+        const DELTA: f64 = 1e-5;
+        let check = |c: &Circuit, source: &str, values: &[f64], what: &str| {
+            let fresh = |v: f64| {
+                let mut s = Session::elaborate(c.clone()).unwrap();
+                s.set_source(source, Waveform::dc(v)).unwrap();
+                s.dc_owned().unwrap().raw().to_vec()
+            };
+            let differences: Vec<Vec<f64>> = values
+                .iter()
+                .map(|&v| {
+                    let (hi, lo) = (fresh(v + DELTA), fresh(v - DELTA));
+                    hi.iter()
+                        .zip(&lo)
+                        .map(|(h, l)| (h - l) / (2.0 * DELTA))
+                        .collect()
+                })
+                .collect();
+            let layouts = [
+                (Workspace::new(c), "reduced"),
+                (Workspace::unreduced(c), "unreduced"),
+            ];
+            for (ws, layout) in layouts {
+                let mut s = Session::elaborate(c.clone()).unwrap();
+                s.ws = ws;
+                let branch = s.nn + c.vsource_index(source).unwrap();
+                let slopes: Vec<Vec<f64>> = (1..=values.len())
+                    .map(|k| {
+                        // A sweep's last point leaves its LU behind.
+                        s.dc_sweep_owned(source, &values[..k]).unwrap();
+                        let mut t = vec![0.0; c.n_unknowns()];
+                        s.ws.sensitivity(branch, &mut t);
+                        t
+                    })
+                    .collect();
+                let mut scale = vec![0.0_f64; c.n_unknowns()];
+                for t in slopes.iter().chain(&differences) {
+                    for (m, v) in scale.iter_mut().zip(t) {
+                        *m = m.max(v.abs());
+                    }
+                }
+                for (k, (t, d)) in slopes.iter().zip(&differences).enumerate() {
+                    for (i, ((t, d), m)) in t.iter().zip(d).zip(&scale).enumerate() {
+                        assert!(
+                            (t - d).abs() <= 1e-5 * m,
+                            "{what}, {layout}: point {k}, unknown {i}: {t} vs {d}"
+                        );
+                    }
+                }
+            }
+        };
+
+        let grid: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
+        for (read, name) in [(true, "READ"), (false, "HOLD")] {
+            let (nominal, _) = half_cell(read);
+            for draw in 0..9 {
+                let c = match draw {
+                    0 => nominal.clone(),
+                    i => paper_draw(&nominal, i),
+                };
+                check(&c, "VIN", &grid, &format!("{name} half-cell, draw {draw}"));
+            }
+        }
+
+        // `V2` floats on top of `V1`: it pins nothing.
+        let mut c = Circuit::new();
+        let [a, b, m] = ["a", "b", "m"].map(|n| c.node(n));
+        c.vsource("V1", a, Circuit::GROUND, Waveform::dc(VDD));
+        c.vsource("V2", b, a, Waveform::dc(0.0));
+        c.resistor("R1", b, m, 2e3);
+        let nmos = VsModel::nominal_nmos_40nm(Geometry::from_nm(300.0, 40.0));
+        c.mosfet("MN", m, m, Circuit::GROUND, Circuit::GROUND, Box::new(nmos));
+        let below: Vec<f64> = grid.iter().map(|v| v - VDD).collect();
+        check(&c, "V2", &below, "floating source");
+
+        let mut c = Circuit::new();
+        let [a, b] = ["a", "b"].map(|n| c.node(n));
+        c.vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0));
+        c.vsource("V2", b, Circuit::GROUND, Waveform::dc(0.4));
+        c.resistor("R1", a, b, 1e3);
+        assert_eq!(Workspace::new(&c).n_free(), 0);
+        check(&c, "V2", &grid, "all-pinned divider");
+    }
+
+    /// A sweep carries nothing over from the sweeps before it: a READ
+    /// half-cell draw swept on a session that just swept another draw over
+    /// another grid gives the bits of the same sweep on a fresh session.
+    #[test]
+    fn a_sweep_forgets_the_sweeps_before_it() {
+        let (read, _) = half_cell(true);
+        let grid: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
+        let other = [0.9, 0.8, 0.62, 0.5, 0.47, 0.2, 0.0];
+        let sweep = |s: &mut Session, values: &[f64]| -> Vec<u64> {
+            let res = s.dc_sweep_owned("VIN", values).unwrap();
+            res.points.iter().flat_map(|p| bits(p.raw())).collect()
+        };
+        let draw = paper_draw(&read, 3);
+        let want = sweep(&mut Session::elaborate(draw.clone()).unwrap(), &grid);
+        let mut s = Session::elaborate(paper_draw(&read, 5)).unwrap();
+        sweep(&mut s, &other);
+        let models = draw.elements().iter().filter_map(|e| match e {
+            Element::Mosfet { name, model, .. } => Some((name.clone(), model.clone_box())),
+            _ => None,
+        });
+        assert_eq!(s.swap_devices(models).unwrap(), 3);
+        assert_eq!(sweep(&mut s, &grid), want);
     }
 
     /// The bits of an analysis's values, then those of the warm start it
@@ -2122,7 +2424,7 @@ mod tests {
                         sweep.points.iter().flat_map(|p| bits(p.raw())).collect()
                     },
                     |s| {
-                        let points = reference_sweep(s, "VIN", &grid, true).unwrap();
+                        let points = reference_sweep(s, "VIN", &grid, Prediction::Hermite).unwrap();
                         points.iter().flat_map(|p| bits(p)).collect()
                     },
                 );

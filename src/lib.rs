@@ -43,8 +43,9 @@
 //! and each sample's DC solve starts Newton close to its answer: from the
 //! previous sample's operating point (the session's warm start), from a
 //! point the experiment fixes (served SRAM samples start from the nominal
-//! cell's), or, for a sweep point, from the secant through the points
-//! before it.
+//! cell's), or, for a sweep point, from a cubic Hermite prediction over
+//! the points before it and their slopes `dx/dv`, which each point's own
+//! converged Newton system gives.
 //!
 //! Samples shard across cores through `vscore::mc::ParallelRunner`: each
 //! worker elaborates its own session in the runner's setup closure,
