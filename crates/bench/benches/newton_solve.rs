@@ -6,6 +6,11 @@
 //! * `sram6t_from_nominal`: the 6T cell with one mismatch draw swapped in,
 //!   Newton started from the nominal cell's operating point, the solve
 //!   `statvs serve` runs per `sram6t_dc` sample;
+//! * `sram6t_fallback`: the same solve on a paper-spec draw whose Newton
+//!   from the nominal operating point falls into a damping limit cycle,
+//!   as about 0.3% of served draws do: 50 failed iterations, then the
+//!   guessed solve, whose plain Newton from the guess fails after 50 more
+//!   before gmin stepping converges;
 //! * `read_half_cell_sweep`: one whole 31-point sweep of a paper-spec
 //!   draw of the READ half-cell through `Session::dc_sweep_owned`, half
 //!   of an `SnmBench` READ sample: the first point from zero, every later
@@ -13,7 +18,7 @@
 //!   second from the tangent line at the first), their slopes read from
 //!   each point's converged Newton LU.
 //!
-//! The first two solve through `Session::dc_owned_from`, so every call
+//! The first three solve through `Session::dc_owned_from`, so every call
 //! repeats the same Newton iterations on the same devices; so does every
 //! sweep, whose first point starts from zero.
 //!
@@ -32,15 +37,15 @@ const VDD: f64 = 0.9;
 /// Points of the SNM sweep, as the READ SNM Monte Carlo traces it.
 const SWEEP_POINTS: usize = 31;
 
-/// VS devices with the paper's Pelgrom mismatch, drawn from `seed`.
-fn paper_spec(seed: u64) -> McFactory {
+/// VS devices with the paper's Pelgrom mismatch, drawn from `sampler`.
+fn paper_spec(sampler: Sampler) -> McFactory {
     let spec = MismatchSpec::from_paper_units(2.3, 3.71, 3.71, 944.0, 0.29);
     McFactory::vs(
         VsParams::nmos_40nm(),
         VsParams::pmos_40nm(),
         spec,
         spec,
-        Sampler::from_seed(seed),
+        sampler,
     )
 }
 
@@ -109,16 +114,26 @@ fn main() {
         let mut s = Session::elaborate(c).expect("well-formed");
         let nominal = s.dc_owned_with_guess(&guess).expect("nominal cell solves");
         let start = nominal.raw().to_vec();
-        SramDevices::draw(SramSizing::default(), &mut paper_spec(1))
-            .swap_into(&mut s)
-            .expect("known instances");
-        results.push(measure("newton_solve/sram6t_from_nominal", || {
-            s.dc_owned_from(&start, &guess).expect("converges");
-        }));
+        let draws = [
+            ("newton_solve/sram6t_from_nominal", Sampler::from_seed(1)),
+            (
+                "newton_solve/sram6t_fallback",
+                Sampler::from_seed(3).stream(176),
+            ),
+        ];
+        for (label, sampler) in draws {
+            SramDevices::draw(SramSizing::default(), &mut paper_spec(sampler))
+                .swap_into(&mut s)
+                .expect("known instances");
+            results.push(measure(label, || {
+                s.dc_owned_from(&start, &guess).expect("converges");
+            }));
+        }
     }
 
     {
-        let mut s = Session::elaborate(read_half_cell(&mut paper_spec(1))).expect("well-formed");
+        let mut s = Session::elaborate(read_half_cell(&mut paper_spec(Sampler::from_seed(1))))
+            .expect("well-formed");
         results.push(measure("newton_solve/read_half_cell_sweep", || {
             s.dc_sweep_owned("VIN", &values).expect("converges");
         }));

@@ -53,8 +53,10 @@ const MAX_DV: f64 = 0.12;
 const V_TOL: f64 = 1e-7;
 /// Branch-current convergence tolerance (A).
 const I_TOL: f64 = 1e-10;
-/// Newton iteration budget per solve.
-const MAX_NEWTON: usize = 400;
+/// Newton iteration budget of a source-stepping rung, the DC start
+/// policy's last resort, and of a transient step, which halves its step
+/// when the budget runs out.
+pub(crate) const MAX_NEWTON: usize = 400;
 
 /// The factor that caps a step whose largest node-voltage change is
 /// `max_dv` at [`MAX_DV`]: each Newton update, and the predicted start of
@@ -687,7 +689,8 @@ fn kcl_residual(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspac
 /// KCL current acceptance threshold (A) for weakly-converged iterates.
 const KCL_TOL: f64 = 1e-10;
 
-/// Newton-Raphson with per-iteration voltage damping.
+/// Newton-Raphson with per-iteration voltage damping, at most `max_iter`
+/// iterations.
 ///
 /// Convergence is declared on the update norm (the classic SPICE criterion)
 /// or, for iterates whose updates stall above `V_TOL` while the node
@@ -695,18 +698,26 @@ const KCL_TOL: f64 = 1e-10;
 /// the standard remedy for subthreshold regions where conductances approach
 /// the gmin floor and the dx criterion becomes meaningless.
 ///
+/// The budget is the caller's. A run with a fallback after it gives up
+/// early: a start the damped iteration cannot converge from tends to
+/// oscillate under the damping cap, often in a two-step limit cycle,
+/// rather than diverge, and spends every iteration it is given there.
+/// Source-stepping rungs and transient steps get `MAX_NEWTON` (400).
+///
 /// # Errors
 ///
 /// Returns [`SpiceError::SingularSystem`] if the Jacobian cannot be factored
-/// and [`SpiceError::NoConvergence`] when the iteration budget is exhausted.
+/// and [`SpiceError::NoConvergence`] when `max_iter` iterations pass
+/// without convergence.
 pub fn newton(
     circuit: &Circuit,
     x0: &[f64],
     mode: &Mode<'_>,
+    max_iter: usize,
     ws: &mut Workspace,
 ) -> Result<Vec<f64>, SpiceError> {
     let mut x = x0.to_vec();
-    for iter in 0..MAX_NEWTON {
+    for iter in 0..max_iter {
         assemble(circuit, &x, mode, ws);
         ws.solve().map_err(|e| SpiceError::SingularSystem {
             context: format!("newton iteration {iter}: {e}"),
@@ -745,7 +756,7 @@ pub fn newton(
     }
     Err(SpiceError::NoConvergence {
         analysis: "newton",
-        detail: format!("no convergence in {MAX_NEWTON} iterations"),
+        detail: format!("no convergence in {max_iter} iterations"),
     })
 }
 
@@ -772,6 +783,7 @@ mod tests {
                 gmin: 0.0,
                 source_scale: 1.0,
             },
+            MAX_NEWTON,
             &mut ws,
         )
         .unwrap();
@@ -796,6 +808,7 @@ mod tests {
                 gmin: 0.0,
                 source_scale: 1.0,
             },
+            MAX_NEWTON,
             &mut ws,
         )
         .unwrap();
@@ -818,6 +831,7 @@ mod tests {
                 gmin: 0.0,
                 source_scale: 1.0,
             },
+            MAX_NEWTON,
             &mut ws,
         )
         .unwrap();

@@ -18,7 +18,9 @@
 //!   [`Session::dc_owned_from`]; for a sweep point, a prediction from the
 //!   slopes `dx/dv` of the points before it (a cubic Hermite through the
 //!   two before it), then the previous point; none for a guessed call.
-//!   Once its starts fail, a solve is exactly the same call without them;
+//!   Once its starts fail, a solve is exactly the same call without them.
+//!   A start, and every ladder rung before source stepping, gets at most
+//!   50 Newton iterations, so a start Newton cycles from costs little;
 //! * [`Session::swap_devices`] / [`Session::swap_all_mosfets`] resample
 //!   MOSFET instances *in place* — the Monte Carlo fast path: no re-parse,
 //!   no re-elaboration, and the next [`Session::dc_owned`] starts from the
@@ -32,7 +34,7 @@
 use crate::ac::{AcResult, AcWorkspace};
 use crate::dc::{DcResult, SweepResult};
 use crate::elements::Element;
-use crate::engine::{newton, step_scale, Integrator, Mode, TranState, Workspace};
+use crate::engine::{newton, step_scale, Integrator, Mode, TranState, Workspace, MAX_NEWTON};
 use crate::error::SpiceError;
 use crate::netlist::{Circuit, NodeId};
 use crate::tran::{TranOptions, TranResult};
@@ -44,6 +46,15 @@ use std::collections::HashMap;
 const GMIN_STEPS: [f64; 7] = [1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12];
 /// Source-stepping ladder.
 const SOURCE_STEPS: [f64; 8] = [0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 1.0];
+/// Newton iteration budget of a run the DC start policy can fall back
+/// from: each start of [`Session::solve_dc`], and in [`Session::ladder`]
+/// the plain Newton, each gmin rung and the final Newton after them.
+/// Converging runs of these kinds take at most 24 iterations over the
+/// paper's experiments and the served samples. A start the damped
+/// iteration cannot converge from oscillates under the damping cap
+/// instead, often in a two-step limit cycle, and would spend all of
+/// `MAX_NEWTON` (400) there before its fallback ran.
+const MAX_NEWTON_WITH_FALLBACK: usize = 50;
 /// The DC operating-point mode: no gmin shunt, every source at full value.
 const DC: Mode<'static> = Mode::Dc {
     gmin: 0.0,
@@ -168,10 +179,11 @@ impl Session {
     /// DC operating point from a caller-held start vector, such as a
     /// nominal circuit's solution: plain Newton from `start`, accepted in
     /// the stable state `guess` selects. Otherwise the solve is exactly
-    /// [`Session::dc_owned_with_guess`] on a session without a warm start.
-    /// The result depends on the circuit, `start` and `guess` alone,
-    /// whatever the session solved before. A success becomes the warm
-    /// start, and a failure clears it.
+    /// [`Session::dc_owned_with_guess`] on a session without a warm start,
+    /// after at most 50 Newton iterations from `start`. The result depends
+    /// on the circuit, `start` and `guess` alone, whatever the session
+    /// solved before. A success becomes the warm start, and a failure
+    /// clears it.
     ///
     /// # Errors
     ///
@@ -472,21 +484,24 @@ impl Session {
     }
 
     /// The one DC solve behind every analysis. Plain Newton runs from each
-    /// start in order, and the first result in the stable state `guess`
+    /// start in order, each for at most [`MAX_NEWTON_WITH_FALLBACK`]
+    /// iterations, and the first result in the stable state `guess`
     /// selects ([`basin_matches`]) is the operating point. Once every start
     /// has failed, the solve is exactly the one without starts: the
     /// [`Session::ladder`] from the guess-built vector, zero for an empty
     /// guess, and for a non-empty guess then the ladder from zero, because
     /// a guess can park the continuation in a basin that this circuit no
     /// longer has (mismatch destroyed one latch state). A bad start or
-    /// guess is never worse than none.
+    /// guess is never worse than none, and a start Newton cycles from costs
+    /// at most 50 iterations.
     fn solve_dc<'a>(
         &mut self,
         starts: impl IntoIterator<Item = &'a [f64]>,
         guess: &[(NodeId, f64)],
     ) -> Result<Vec<f64>, SpiceError> {
         let started = starts.into_iter().find_map(|x0| {
-            let x = newton(&self.circuit, x0, &DC, &mut self.ws).ok()?;
+            let limit = MAX_NEWTON_WITH_FALLBACK;
+            let x = newton(&self.circuit, x0, &DC, limit, &mut self.ws).ok()?;
             basin_matches(&x, guess).then_some(x)
         });
         if let Some(x) = started {
@@ -509,8 +524,12 @@ impl Session {
     /// a shunt conductance on every node tightened rung by rung, and a
     /// final plain Newton; then source stepping, every independent source
     /// ramped up to its full value. Each of the three starts from `x0`.
+    /// Every Newton run before source stepping has a fallback, so it gets
+    /// [`MAX_NEWTON_WITH_FALLBACK`] iterations; source stepping, the last
+    /// resort, gets `MAX_NEWTON` per rung.
     fn ladder(&mut self, x0: &[f64]) -> Result<Vec<f64>, SpiceError> {
-        if let Ok(x) = newton(&self.circuit, x0, &DC, &mut self.ws) {
+        let limit = MAX_NEWTON_WITH_FALLBACK;
+        if let Ok(x) = newton(&self.circuit, x0, &DC, limit, &mut self.ws) {
             return Ok(x);
         }
         let relaxed = GMIN_STEPS.iter().try_fold(x0.to_vec(), |x, &gmin| {
@@ -518,9 +537,9 @@ impl Session {
                 gmin,
                 source_scale: 1.0,
             };
-            newton(&self.circuit, &x, &mode, &mut self.ws)
+            newton(&self.circuit, &x, &mode, limit, &mut self.ws)
         });
-        if let Ok(x) = relaxed.and_then(|x| newton(&self.circuit, &x, &DC, &mut self.ws)) {
+        if let Ok(x) = relaxed.and_then(|x| newton(&self.circuit, &x, &DC, limit, &mut self.ws)) {
             return Ok(x);
         }
         SOURCE_STEPS
@@ -530,7 +549,7 @@ impl Session {
                     gmin: 0.0,
                     source_scale,
                 };
-                newton(&self.circuit, &x, &mode, &mut self.ws).map_err(|e| {
+                newton(&self.circuit, &x, &mode, MAX_NEWTON, &mut self.ws).map_err(|e| {
                     SpiceError::NoConvergence {
                         analysis: "dc op",
                         detail: format!("source stepping stuck at scale {source_scale}: {e}"),
@@ -665,7 +684,7 @@ impl Session {
             t: t1,
             state: &self.state,
         };
-        match newton(&self.circuit, x, &mode, &mut self.ws) {
+        match newton(&self.circuit, x, &mode, MAX_NEWTON, &mut self.ws) {
             Ok(x_new) => {
                 self.state.advance(&self.circuit, &x_new, h, method);
                 *x = x_new;
@@ -1542,7 +1561,7 @@ mod tests {
         assert_eq!(Workspace::new(&c).n_free(), 3);
         assert!(against_full_mna(&c, "doubly pinned node", |s| s.dc_owned().map(raw)).is_err());
         for mut ws in [Workspace::new(&c), Workspace::unreduced(&c)] {
-            let singular = newton(&c, &[0.0; 3], &DC, &mut ws);
+            let singular = newton(&c, &[0.0; 3], &DC, MAX_NEWTON, &mut ws);
             assert!(matches!(singular, Err(SpiceError::SingularSystem { .. })));
         }
     }
@@ -1587,7 +1606,7 @@ mod tests {
                 }
             }
         }
-        if let Ok(x) = newton(&s.circuit, &x0, &DC, &mut s.ws) {
+        if let Ok(x) = newton(&s.circuit, &x0, &DC, MAX_NEWTON, &mut s.ws) {
             s.warm = Some(x.clone());
             return Ok(x);
         }
@@ -1599,7 +1618,7 @@ mod tests {
                 gmin,
                 source_scale: 1.0,
             };
-            match newton(&s.circuit, &x, &mode, &mut s.ws) {
+            match newton(&s.circuit, &x, &mode, MAX_NEWTON, &mut s.ws) {
                 Ok(next) => x = next,
                 Err(_) => {
                     ok = false;
@@ -1608,7 +1627,7 @@ mod tests {
             }
         }
         if ok {
-            if let Ok(fin) = newton(&s.circuit, &x, &DC, &mut s.ws) {
+            if let Ok(fin) = newton(&s.circuit, &x, &DC, MAX_NEWTON, &mut s.ws) {
                 s.warm = Some(fin.clone());
                 return Ok(fin);
             }
@@ -1620,7 +1639,7 @@ mod tests {
                 gmin: 0.0,
                 source_scale: scale,
             };
-            match newton(&s.circuit, &x, &mode, &mut s.ws) {
+            match newton(&s.circuit, &x, &mode, MAX_NEWTON, &mut s.ws) {
                 Ok(next) => x = next,
                 Err(e) => {
                     stepping_failed = Some((scale, e));
@@ -1653,7 +1672,7 @@ mod tests {
         guess: &[(NodeId, f64)],
     ) -> Result<Vec<f64>, SpiceError> {
         if let Some(w) = s.warm.clone() {
-            if let Ok(x) = newton(&s.circuit, &w, &DC, &mut s.ws) {
+            if let Ok(x) = newton(&s.circuit, &w, &DC, MAX_NEWTON, &mut s.ws) {
                 if basin_matches(&x, guess) {
                     s.warm = Some(x.clone());
                     return Ok(x);
@@ -1735,7 +1754,7 @@ mod tests {
             let solved = predicted
                 .iter()
                 .chain([prev])
-                .find_map(|x0| newton(&s.circuit, x0, &DC, &mut s.ws).ok());
+                .find_map(|x0| newton(&s.circuit, x0, &DC, MAX_NEWTON, &mut s.ws).ok());
             let x = match solved {
                 Some(x) => x,
                 None => {
@@ -2142,8 +2161,11 @@ mod tests {
     /// first iterate. From there every entry point's solve is exactly the
     /// same call without the start on a fresh session: the same result and
     /// warm start, and one failed iteration's device evaluations followed
-    /// by the fresh call's. A sweep point takes its starts in order, and a
-    /// sweep neither reads nor writes the warm start.
+    /// by the fresh call's. A served 6T sample whose start Newton cycles
+    /// from falls back the same way after 50 failed iterations, and the
+    /// guessed solve it falls back to gives its own plain Newton 50 before
+    /// gmin stepping. A sweep point takes its starts in order, and a sweep
+    /// neither reads nor writes the warm start.
     #[test]
     fn failed_starts_fall_back_to_the_start_less_solve() {
         let unusable = |s: &Session| vec![f64::NAN; s.circuit.n_unknowns()];
@@ -2214,6 +2236,56 @@ mod tests {
             );
         }
 
+        // A served sample whose start Newton cycles from: from the nominal
+        // cell's operating point, Newton on this paper-spec draw falls into
+        // a damping limit cycle, two capped steps that undo each other. It
+        // stops after 50 iterations, six device evaluations each, not the
+        // 400 a run with no fallback gets. The guessed call's own plain
+        // Newton cycles from the guess too, and also stops at 50 before
+        // gmin stepping.
+        let guess = [(l, 0.0), (r, VDD)];
+        let mut nominal = Session::elaborate(cell.clone()).unwrap();
+        let nominal = nominal.dc_owned_with_guess(&guess).unwrap().raw().to_vec();
+        let cycling = paper_draw(&cell, 1566);
+        let cycle = 6 * MAX_NEWTON_WITH_FALLBACK;
+        let guessed = |s: &mut Session| {
+            let op = s.dc_owned_with_guess(&guess).unwrap();
+            dc(s, op)
+        };
+        assert_same_solve(
+            &cycling,
+            "dc_owned_from on a 6T draw Newton cycles from",
+            cycle,
+            |s| {
+                let op = s.dc_owned_from(&nominal, &guess).unwrap();
+                dc(s, op)
+            },
+            guessed,
+        );
+        assert_same_solve(
+            &cycling,
+            "the guessed solve of that draw",
+            cycle,
+            guessed,
+            |s| {
+                let limit = MAX_NEWTON_WITH_FALLBACK;
+                let mut x0 = vec![0.0; s.circuit.n_unknowns()];
+                for &(node, v) in &guess {
+                    x0[node.unknown().unwrap()] = v;
+                }
+                let relaxed = GMIN_STEPS.iter().try_fold(x0, |x, &gmin| {
+                    let mode = Mode::Dc {
+                        gmin,
+                        source_scale: 1.0,
+                    };
+                    newton(&s.circuit, &x, &mode, limit, &mut s.ws)
+                });
+                let x = relaxed.and_then(|x| newton(&s.circuit, &x, &DC, limit, &mut s.ws));
+                s.warm = x.clone().ok();
+                outcome(s, x.unwrap())
+            },
+        );
+
         let (latch, a, b) = latch();
         let batch = |s: &mut Session| {
             let res = s.ac_batch("VDD", &freqs, &[(a, 0.0), (b, VDD)]).unwrap();
@@ -2251,7 +2323,7 @@ mod tests {
             },
             |s| {
                 at(s);
-                bits(&newton(&s.circuit, prev, &DC, &mut s.ws).unwrap())
+                bits(&newton(&s.circuit, prev, &DC, MAX_NEWTON_WITH_FALLBACK, &mut s.ws).unwrap())
             },
         );
         let swept = |s: &mut Session| {
