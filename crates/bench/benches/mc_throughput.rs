@@ -9,7 +9,9 @@
 //!   solves of one SRAM topology with resampled devices, comparing the
 //!   rebuild shape (construct + re-elaborate every sample) against the
 //!   session shape (`SramDevices::swap_into` + warm-started re-solve;
-//!   `Session::ac_batch` + reused `AcWorkspace`) and the DC sample
+//!   `ReadDisturbBench::run`: Newton from the previous sample's operating
+//!   point, then `Session::ac_owned` through the reused AC workspace) and
+//!   the DC sample
 //!   `statvs serve` runs per shard sample (`circuits::sram::dc_sample_from`,
 //!   started from the nominal cell's operating point). Every arm solves
 //!   through the library's own kernels, the path production runs.
@@ -229,11 +231,13 @@ fn main() {
     // "l low" operating point, linearize, sweep 26 log-spaced frequency
     // points. Two shapes of the same workload:
     //
-    // * "workspace_guessed" — `Session::ac_owned`: the cached AcWorkspace
-    //   holds the linearization and complex LU storage, but the operating
-    //   point re-runs the guessed solve every sample.
-    // * "batched" — `ReadDisturbBench::run` → `Session::ac_batch`: the
-    //   operating point additionally warm-starts from the previous sample.
+    // * "workspace_guessed" — `Session::dc_owned_with_guess`, then
+    //   `Session::ac_owned`: the session's cached AC workspace holds the
+    //   linearization and complex LU storage, but the operating point
+    //   re-runs the guessed solve every sample.
+    // * "batched" — `ReadDisturbBench::run`: the operating point
+    //   additionally starts from the previous sample's
+    //   (`Session::dc_owned_from` with the guess).
     {
         let freqs = spice::ac::log_sweep(1e6, 1e11, 5);
         let sz = SramSizing::default();
@@ -250,7 +254,8 @@ fn main() {
                 SramDevices::draw(sz, &mut f)
                     .swap_into(&mut session)
                     .expect("known instances");
-                if let Ok(ac) = session.ac_owned("VBL", &freqs, &guess) {
+                let op = session.dc_owned_with_guess(&guess);
+                if let Ok(ac) = op.and_then(|op| session.ac_owned(&op, "VBL", &freqs)) {
                     assert!(ac.magnitudes(l)[0].is_finite());
                 }
             }));

@@ -1,9 +1,10 @@
 //! Table IV microbenchmark: one Monte Carlo sample of each paper workload
 //! (NAND2 transient, DFF transient, SRAM AC) per model family, all through
 //! persistent sessions with in-place device resampling — the SRAM AC
-//! samples run on the batched path (`ReadDisturbBench::run` →
-//! `Session::ac_batch`), so consecutive samples amortize the guessed
-//! operating-point solve and reuse one AC workspace.
+//! samples run on the batched path (`ReadDisturbBench::run`: Newton from
+//! the previous sample's operating point, then `Session::ac_owned`), so
+//! consecutive samples amortize the guessed operating-point solve and
+//! reuse one AC workspace.
 //!
 //! The `repro table4` experiment measures the full-scale wall-clock totals;
 //! this bench gives statistically robust per-sample numbers.

@@ -92,9 +92,10 @@ fn run_workload(
         _ => {
             // The paper's "SRAM AC": small-signal sweep of the read-
             // disturb transfer, 26 log-spaced points per sample, on the
-            // batched AC path — each worker's ReadDisturbBench warm-starts
-            // consecutive samples' operating points through
-            // Session::ac_batch and reuses one AcWorkspace.
+            // batched AC path — each worker's ReadDisturbBench starts each
+            // sample's operating point from the previous sample's
+            // (Session::dc_owned_from), then sweeps through one reused AC
+            // workspace (Session::ac_owned).
             let sram_freqs = spice::ac::log_sweep(1e6, 1e11, 5);
             let sz = SramSizing::default();
             runner

@@ -327,9 +327,10 @@ mod tests {
         );
         add_pass_nmos(&mut c, "MP1", src, dst, vdd, 300e-9, 40e-9, &mut f);
         c.capacitor("CL", dst, Circuit::GROUND, 5e-15);
-        let res = Session::elaborate(c)
-            .unwrap()
-            .tran_owned(&spice::TranOptions::new(2e-9, 4e-12))
+        let mut s = Session::elaborate(c).unwrap();
+        let op = s.dc_owned().unwrap();
+        let res = s
+            .tran_owned(&op, &spice::TranOptions::new(2e-9, 4e-12))
             .unwrap();
         let v = *res.voltages(dst).last().unwrap();
         assert!(v > 0.25 && v < VDD - 0.15, "degraded high = {v}");

@@ -7,8 +7,9 @@
 //!
 //! A bench owns one elaborated [`Session`]: Monte Carlo loops call
 //! [`DelayBench::resample`] + [`DelayBench::measure_delay`] per sample —
-//! the netlist is never rebuilt and each solve warm-starts from the
-//! previous sample's operating point.
+//! the netlist is never rebuilt, and each transient starts from a
+//! [`Session::dc_owned`] operating point, which Newton warm-starts from the
+//! previous sample's.
 
 use crate::cells::{add_inverter, add_nand2, resample_devices, DeviceFactory, InverterSizing};
 use spice::measure::{cross_time, Edge};
@@ -107,8 +108,9 @@ impl DelayBench {
         resample_devices(&mut self.session, f)
     }
 
-    /// Runs the transient and returns the average of the rising- and
-    /// falling-edge propagation delays (50% crossings), in seconds.
+    /// Runs the transient from the [`Session::dc_owned`] operating point
+    /// and returns the average of the rising- and falling-edge propagation
+    /// delays (50% crossings), in seconds.
     ///
     /// # Errors
     ///
@@ -117,7 +119,8 @@ impl DelayBench {
     /// (functional failure under extreme mismatch).
     pub fn measure_delay(&mut self, dt: f64) -> Result<f64, SpiceError> {
         let tstop = T_DELAY + 2.0 * T_EDGE + 2.0 * T_WIDTH;
-        let res = self.session.tran_owned(&TranOptions::new(tstop, dt))?;
+        let op = self.session.dc_owned()?;
+        let res = self.session.tran_owned(&op, &TranOptions::new(tstop, dt))?;
         let t = res.times();
         let vin = res.voltages(self.input);
         let vout = res.voltages(self.output);

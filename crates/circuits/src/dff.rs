@@ -146,7 +146,7 @@ impl DffBench {
         resample_devices(&mut self.session, f)
     }
 
-    /// The node guesses every transient starts its DC solve from: `d=0`
+    /// The node guesses of every transient's t = 0 operating point: `d=0`
     /// through the transparent master, clock low, Q=0. A complete,
     /// self-consistent guess keeps Newton away from the metastable branch
     /// of the bistable latches, which otherwise defeats continuation for a
@@ -173,7 +173,9 @@ impl DffBench {
         ]
     }
 
-    /// Runs the transient and reports whether Q captured the '1'.
+    /// Runs the transient from the operating point
+    /// [`Session::dc_owned_with_guess`] solves from the start guess, and
+    /// reports whether Q captured the '1'.
     ///
     /// # Errors
     ///
@@ -186,11 +188,9 @@ impl DffBench {
             .circuit()
             .find_node("q_int")
             .expect("bench always creates q_int");
-        let opts = self.start_guess().into_iter().fold(
-            TranOptions::new(self.t_clk_edge + T_CHECK, dt),
-            |o, (n, v)| o.with_ic(n, v),
-        );
-        let res = self.session.tran_owned(&opts)?;
+        let op = self.session.dc_owned_with_guess(&self.start_guess())?;
+        let opts = TranOptions::new(self.t_clk_edge + T_CHECK, dt);
+        let res = self.session.tran_owned(&op, &opts)?;
         let v_q_int = res.voltages(q_int);
         let v_final = *v_q_int.last().expect("non-empty transient");
         Ok(v_final > 0.5 * self.vdd_value)
@@ -253,7 +253,7 @@ mod tests {
         let (q_int, n5) = (node(&bench, "q_int"), node(&bench, "n5"));
         for i in 0..24 {
             bench.resample(&mut VsMismatch(Sampler::from_seed(2013).stream(i)));
-            // The DC solve `tran_owned` starts every transient from.
+            // The DC solve `captures` starts every transient from.
             let guess = bench.start_guess();
             let op = bench.session.dc_owned_with_guess(&guess).unwrap();
             let (q, n5) = (op.voltage(q_int), op.voltage(n5));

@@ -444,12 +444,12 @@ impl SnmBench {
 }
 
 /// A persistent read-disturb AC bench on the full 6T cell: elaborated once,
-/// resampled in place per Monte Carlo trial, swept through the session's
-/// batched AC path ([`Session::ac_batch`]) — consecutive
-/// `resample`→[`ReadDisturbBench::run`] iterations warm-start the operating
-/// point from the previous sample and reuse one AC workspace, amortizing
-/// the guessed DC solve and all linearization/complex-system allocation
-/// across the batch.
+/// resampled in place per Monte Carlo trial. Consecutive
+/// `resample`→[`ReadDisturbBench::run`] iterations start each operating
+/// point from the previous sample's ([`Session::dc_owned_from`]) and sweep
+/// through the session's one AC workspace ([`Session::ac_owned`]),
+/// amortizing the guessed DC solve and all linearization/complex-system
+/// allocation across the batch.
 #[derive(Debug)]
 pub struct ReadDisturbBench {
     session: Session,
@@ -490,17 +490,24 @@ impl ReadDisturbBench {
     }
 
     /// Per-frequency transfer magnitudes from a bit-line perturbation into
-    /// the low storage node (the paper's Table IV "SRAM AC" workload), via
-    /// the batched AC path: the first call selects the "l low" state from
-    /// the guess, subsequent calls warm-start from the previous sample's
-    /// operating point.
+    /// the low storage node (the paper's Table IV "SRAM AC" workload), at
+    /// the "l low" operating point. The session's warm start, the previous
+    /// sample's operating point, is the start of
+    /// [`Session::dc_owned_from`], which keeps a result only in the state
+    /// the guess selects. Without one (the first call, or after a failed
+    /// solve) the operating point is the guessed
+    /// [`Session::dc_owned_with_guess`].
     ///
     /// # Errors
     ///
     /// Propagates operating-point and AC-solve failures.
     pub fn run(&mut self, freqs: &[f64]) -> Result<Vec<f64>, SpiceError> {
         let guess = [(self.l, 0.0), (self.r, self.vdd)];
-        let ac = self.session.ac_batch("VBL", freqs, &guess)?;
+        let op = match self.session.warm_start().map(<[f64]>::to_vec) {
+            Some(warm) => self.session.dc_owned_from(&warm, &guess)?,
+            None => self.session.dc_owned_with_guess(&guess)?,
+        };
+        let ac = self.session.ac_owned(&op, "VBL", freqs)?;
         Ok(ac.magnitudes(self.l))
     }
 }

@@ -9,16 +9,17 @@
 //! resistive stamps plus the gmin floor) and `C` the charge partials
 //! `∂q/∂v` that the transient companion scales by `1/h` or `2/h`.
 //!
-//! Run it through [`crate::Session::ac_owned`]; Monte Carlo loops that
-//! resample devices between sweeps should use [`crate::Session::ac_batch`],
-//! which warm-starts the operating point from the previous sample. Either
-//! way the heavy lifting happens in an [`AcWorkspace`]: one pair of real
-//! `(G, C)` matrices refilled in place per linearization
-//! ([`Circuit::linearize_into`]), and one complex matrix, one
-//! factorization, and one right-hand side reused for every frequency point
-//! ([`CMatrix::assign_gc`] + [`numerics::complex::CLu`], the DC solver's
-//! LU kernel over complex scalars) — the sweep hot loop performs no
-//! allocation beyond the returned solution vectors.
+//! Run it through [`crate::Session::ac_owned`] at an operating point a DC
+//! entry point returned; a Monte Carlo loop that resamples devices between
+//! sweeps solves each sample's operating point from the previous one's
+//! ([`crate::Session::dc_owned_from`]) first. The session caches one
+//! workspace for every sweep: one pair of real `(G, C)` matrices refilled
+//! in place per linearization ([`Circuit::linearize_into`]), and one
+//! complex matrix, one factorization, and one right-hand side reused for
+//! every frequency point ([`CMatrix::assign_gc`] +
+//! [`numerics::complex::CLu`], the DC solver's LU kernel over complex
+//! scalars) — the sweep hot loop performs no allocation beyond the
+//! returned solution vectors.
 
 use crate::engine::{charge_stamp, stamp_resistive, GMIN_FLOOR};
 use crate::error::SpiceError;
@@ -139,40 +140,10 @@ impl Circuit {
 /// Reusable AC sweep scratch: real `(G, C)` linearization storage plus the
 /// complex system `(G + jωC)`, its LU factorization, and the right-hand
 /// side, all allocated once and refilled per operating point / frequency.
-///
-/// [`crate::Session`] caches one of these and routes every
-/// [`crate::Session::ac_owned`] and [`crate::Session::ac_batch`] sweep
-/// through it; build one directly when driving sweeps from your own
-/// operating points.
-///
-/// # Example
-///
-/// ```
-/// use spice::ac::AcWorkspace;
-/// use spice::{Circuit, Session, Waveform};
-///
-/// # fn main() -> Result<(), spice::SpiceError> {
-/// // An RC low-pass: |H(fc)| = 1/sqrt(2) at the corner.
-/// let mut c = Circuit::new();
-/// let vin = c.node("in");
-/// let out = c.node("out");
-/// c.vsource("V1", vin, Circuit::GROUND, Waveform::dc(0.0));
-/// c.resistor("R1", vin, out, 1e3);
-/// c.capacitor("C1", out, Circuit::GROUND, 1e-9);
-/// let fc = 1.0 / (2.0 * std::f64::consts::PI * 1e3 * 1e-9);
-///
-/// let mut s = Session::elaborate(c.clone())?;
-/// let op = s.dc_owned()?;
-/// let mut ws = AcWorkspace::for_circuit(&c);
-/// let res = ws.sweep(&c, op.raw(), "V1", &[fc])?;
-/// assert!((res.magnitudes(out)[0] - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3);
-/// // Re-sweeping reuses every buffer — no further allocation of matrices.
-/// let _again = ws.sweep(&c, op.raw(), "V1", &[fc / 10.0, fc, fc * 10.0])?;
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct AcWorkspace {
+/// [`crate::Session`] caches one and routes every
+/// [`crate::Session::ac_owned`] sweep through it.
+#[derive(Debug)]
+pub(crate) struct AcWorkspace {
     lin: Linearized,
     /// Assembled `G + jωC` for the current frequency point.
     m: CMatrix,
@@ -186,8 +157,7 @@ pub struct AcWorkspace {
 
 impl AcWorkspace {
     /// Allocates a workspace sized for `circuit`.
-    #[must_use]
-    pub fn for_circuit(circuit: &Circuit) -> Self {
+    pub(crate) fn for_circuit(circuit: &Circuit) -> Self {
         let n = circuit.n_unknowns();
         AcWorkspace {
             lin: Linearized::for_circuit(circuit),
@@ -204,23 +174,25 @@ impl AcWorkspace {
     ///
     /// # Errors
     ///
-    /// Fails if the source is missing, the frequency list is
-    /// empty/non-positive, or a frequency point is singular.
+    /// Returns [`SpiceError::InvalidArgument`] for an empty frequency list
+    /// or a frequency that is not finite and positive,
+    /// [`SpiceError::BadNetlist`] for an unknown source, and
+    /// [`SpiceError::SingularSystem`] for a singular frequency point.
     ///
     /// # Panics
     ///
     /// Panics if the workspace was sized for a different circuit layout
     /// (see [`AcWorkspace::for_circuit`]).
-    pub fn sweep(
+    pub(crate) fn sweep(
         &mut self,
         circuit: &Circuit,
         x_op: &[f64],
         source: &str,
         freqs: &[f64],
     ) -> Result<AcResult, SpiceError> {
-        if freqs.is_empty() || freqs.iter().any(|&f| f <= 0.0) {
+        if freqs.is_empty() || !freqs.iter().all(|&f| f > 0.0 && f.is_finite()) {
             return Err(SpiceError::InvalidArgument {
-                context: "AC sweep needs positive frequencies".into(),
+                context: "AC sweep needs finite positive frequencies".into(),
             });
         }
         let src_idx = circuit.vsource_index(source)?;
@@ -294,8 +266,9 @@ mod tests {
         ckt.resistor("R1", vin, out, r);
         ckt.capacitor("C1", out, Circuit::GROUND, c);
         let mut s = Session::elaborate(ckt).unwrap();
+        let op = s.dc_owned().unwrap();
         let res = s
-            .ac_owned("V1", &[fc / 100.0, fc, fc * 100.0], &[])
+            .ac_owned(&op, "V1", &[fc / 100.0, fc, fc * 100.0])
             .unwrap();
         let mag = res.magnitudes(out);
         let phase = res.voltages(out)[1].arg();
@@ -340,7 +313,8 @@ mod tests {
         );
         ckt.capacitor("CL", out, Circuit::GROUND, 1e-15);
         let mut s = Session::elaborate(ckt).unwrap();
-        let res = s.ac_owned("VIN", &[1e6, 1e12], &[]).unwrap();
+        let op = s.dc_owned().unwrap();
+        let res = s.ac_owned(&op, "VIN", &[1e6, 1e12]).unwrap();
         let mag = res.magnitudes(out);
         assert!(mag[0] > 2.0, "low-frequency gain = {}", mag[0]);
         assert!(mag[1] < 0.5 * mag[0], "gain must roll off: {mag:?}");
@@ -373,16 +347,40 @@ mod tests {
         assert!(f[f.len() - 2] < 5e5 && f[f.len() - 2] > 3.9e5);
     }
 
+    /// Every frequency must be finite and positive: a NaN or infinite
+    /// one is an argument error, not a singular system. On an RC low-pass
+    /// `G + jωC` at such an ω is NaN, which the LU would report as a
+    /// singular pivot.
     #[test]
     fn rejects_bad_arguments() {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
+        let out = ckt.node("out");
         ckt.vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0));
-        ckt.resistor("R1", a, Circuit::GROUND, 1.0);
+        ckt.resistor("R1", a, out, 1e3);
+        ckt.capacitor("C1", out, Circuit::GROUND, 1e-9);
         let mut s = Session::elaborate(ckt).unwrap();
-        assert!(s.ac_owned("V1", &[], &[]).is_err());
-        assert!(s.ac_owned("V1", &[-1.0], &[]).is_err());
-        assert!(s.ac_owned("nope", &[1.0], &[]).is_err());
+        let op = s.dc_owned().unwrap();
+        for freqs in [
+            &[][..],
+            &[-1.0],
+            &[1e6, 0.0],
+            &[f64::NAN],
+            &[1e6, f64::INFINITY],
+            &[f64::NEG_INFINITY],
+        ] {
+            assert!(
+                matches!(
+                    s.ac_owned(&op, "V1", freqs),
+                    Err(SpiceError::InvalidArgument { .. })
+                ),
+                "{freqs:?}"
+            );
+        }
+        assert!(matches!(
+            s.ac_owned(&op, "nope", &[1.0]),
+            Err(SpiceError::BadNetlist { .. })
+        ));
     }
 
     #[test]

@@ -38,8 +38,9 @@ impl DcResult {
         self.x[self.nn + k]
     }
 
-    /// The raw unknown vector (node voltages then branch currents) — used as
-    /// warm start by sweeps and the transient engine.
+    /// The raw unknown vector (node voltages then branch currents) — the
+    /// start [`crate::Session::dc_owned_from`] takes, and the point
+    /// [`crate::Circuit::linearize`] linearizes at.
     #[must_use]
     pub fn raw(&self) -> &[f64] {
         &self.x

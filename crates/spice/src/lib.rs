@@ -15,23 +15,24 @@
 //! 3. **Run many analyses** against the session — [`Session::dc_owned`],
 //!    [`Session::dc_sweep_owned`], [`Session::tran_owned`] and
 //!    [`Session::ac_owned`] each return their result by value; the session
-//!    keeps no results of its own.
+//!    keeps no results of its own. AC and transient runs take the
+//!    [`DcResult`] a DC entry point returned, so only the DC entry points
+//!    choose where Newton starts.
 //! 4. **Resample in place** for Monte Carlo: [`Session::swap_devices`] /
 //!    [`Session::swap_all_mosfets`] replace MOSFET instances without
 //!    re-parsing or re-elaborating, and the next [`Session::dc_owned`]
 //!    starts Newton from the previous sample's operating point, the
 //!    session's warm start. [`Session::dc_owned_from`] starts from a
 //!    caller-held vector instead (served samples pass the nominal cell's
-//!    operating point); a sweep never reads the warm start. Every analysis
-//!    gets its operating point from one DC solve: plain Newton from the
-//!    starts its entry point names, then one continuation ladder, and once
-//!    the starts fail, exactly the solve without them (see [`session`]).
+//!    operating point, AC Monte Carlo the previous sample's with its
+//!    guess); a sweep never reads the warm start. Every DC entry point
+//!    gets its operating point from one solve: plain Newton from the
+//!    starts it names, then one continuation ladder, and once the starts
+//!    fail, exactly the solve without them (see [`session`]).
 //!    [`Session::dc_batch`] solves a list of mismatch lanes one after
 //!    another through the same DC solver, leaving the session's devices
-//!    as it found them. AC Monte Carlo batches go through
-//!    [`Session::ac_batch`], which also amortizes the guessed
-//!    operating-point solve and the [`ac::AcWorkspace`] scratch across
-//!    samples.
+//!    as it found them. Every AC sweep reuses one cached complex
+//!    workspace.
 //!
 //! Analyses: nonlinear DC operating point (damped Newton-Raphson with gmin
 //! and source-stepping continuation), DC sweeps that start each point

@@ -32,7 +32,8 @@ impl NodeId {
 /// change).
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
-    node_names: Vec<String>,
+    /// Number of nodes, ground included.
+    n_nodes: usize,
     by_name: HashMap<String, NodeId>,
     elements: Vec<Element>,
 }
@@ -44,7 +45,7 @@ impl Circuit {
     /// Creates an empty circuit (ground pre-registered).
     pub fn new() -> Self {
         let mut c = Circuit {
-            node_names: vec!["0".to_string()],
+            n_nodes: 1,
             by_name: HashMap::new(),
             elements: Vec::new(),
         };
@@ -58,8 +59,8 @@ impl Circuit {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
-        let id = NodeId(self.node_names.len());
-        self.node_names.push(name.to_string());
+        let id = NodeId(self.n_nodes);
+        self.n_nodes += 1;
         self.by_name.insert(name.to_string(), id);
         id
     }
@@ -69,18 +70,9 @@ impl Circuit {
         self.by_name.get(name).copied()
     }
 
-    /// Name of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not belong to this circuit.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.node_names[id.0]
-    }
-
     /// Number of nodes including ground.
     pub fn node_count(&self) -> usize {
-        self.node_names.len()
+        self.n_nodes
     }
 
     /// The elements added so far.
@@ -274,7 +266,6 @@ mod tests {
         let a2 = c.node("a");
         assert_eq!(a, a2);
         assert_eq!(c.node_count(), 2);
-        assert_eq!(c.node_name(a), "a");
     }
 
     #[test]

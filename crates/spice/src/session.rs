@@ -9,25 +9,26 @@
 //!   [`Session::dc_sweep_owned`], [`Session::tran_owned`],
 //!   [`Session::ac_owned`] — so nothing a session computes outlives the
 //!   circuit state it was computed on;
-//! * every analysis gets its DC operating point from one solve: plain
-//!   Newton from the analysis's starts, in order, then one continuation
-//!   ladder. The starts are the *warm start* (the last operating point an
-//!   analysis entry point solved) for a guess-less [`Session::dc_owned`],
-//!   [`Session::ac_owned`] or [`Session::tran_owned`] and for
-//!   [`Session::ac_batch`]; the caller's vector for
-//!   [`Session::dc_owned_from`]; for a sweep point, a prediction from the
-//!   slopes `dx/dv` of the points before it (a cubic Hermite through the
-//!   two before it), then the previous point; none for a guessed call.
+//! * only the DC entry points choose where Newton starts, and they all get
+//!   their operating point from one solve: plain Newton from the entry
+//!   point's starts, in order, then one continuation ladder. The starts
+//!   are the *warm start* (the last operating point a DC entry point
+//!   solved) for a guess-less [`Session::dc_owned`]; the caller's vector
+//!   for [`Session::dc_owned_from`]; for a sweep point, a prediction from
+//!   the slopes `dx/dv` of the points before it (a cubic Hermite through
+//!   the two before it), then the previous point; none for a guessed call.
 //!   Once its starts fail, a solve is exactly the same call without them.
 //!   A start, and every ladder rung before source stepping, gets at most
 //!   50 Newton iterations, so a start Newton cycles from costs little;
+//! * [`Session::ac_owned`] and [`Session::tran_owned`] take the
+//!   [`DcResult`] a DC entry point returned: the AC sweep linearizes at
+//!   it, the transient starts from it. They choose no start and neither
+//!   read nor write the warm start;
 //! * [`Session::swap_devices`] / [`Session::swap_all_mosfets`] resample
 //!   MOSFET instances *in place* — the Monte Carlo fast path: no re-parse,
 //!   no re-elaboration, and the next [`Session::dc_owned`] starts from the
-//!   previous sample's operating point;
-//! * [`Session::ac_batch`] runs resample→sweep AC Monte Carlo batches,
-//!   amortizing the guessed operating-point solve and reusing one cached
-//!   [`AcWorkspace`] across all samples;
+//!   previous sample's operating point; every AC sweep reuses one cached
+//!   complex workspace;
 //! * [`Session::set_source`] retargets a stimulus (setup/hold searches,
 //!   sweeps) without rebuilding the netlist.
 
@@ -97,7 +98,7 @@ pub struct Session {
     nn: usize,
     /// Element index of every MOSFET, by instance name.
     mos_by_name: HashMap<String, usize>,
-    /// The warm start: the DC unknown vector the last analysis entry point
+    /// The warm start: the DC unknown vector the last DC entry point
     /// solved, `None` after a failed solve.
     warm: Option<Vec<f64>>,
     /// Transient charge state, reused across runs.
@@ -177,8 +178,9 @@ impl Session {
     }
 
     /// DC operating point from a caller-held start vector, such as a
-    /// nominal circuit's solution: plain Newton from `start`, accepted in
-    /// the stable state `guess` selects. Otherwise the solve is exactly
+    /// nominal circuit's solution or the previous Monte Carlo sample's
+    /// operating point: plain Newton from `start`, accepted in the stable
+    /// state `guess` selects. Otherwise the solve is exactly
     /// [`Session::dc_owned_with_guess`] on a session without a warm start,
     /// after at most 50 Newton iterations from `start`. The result depends
     /// on the circuit, `start` and `guess` alone, whatever the session
@@ -195,15 +197,7 @@ impl Session {
         start: &[f64],
         guess: &[(NodeId, f64)],
     ) -> Result<DcResult, SpiceError> {
-        let n = self.circuit.n_unknowns();
-        if start.len() != n {
-            return Err(SpiceError::InvalidArgument {
-                context: format!(
-                    "start vector length {} for {n}-unknown circuit",
-                    start.len()
-                ),
-            });
-        }
+        self.check_unknowns(start, "start vector")?;
         let x = self.operating_point(Some(start), guess)?;
         Ok(DcResult::new(x, self.nn))
     }
@@ -244,27 +238,29 @@ impl Session {
         result
     }
 
-    /// AC small-signal sweep: linearize at the DC operating point of
-    /// [`Session::dc_owned_with_guess`] (from the warm start when `guess`
-    /// is empty), apply a unit excitation on `source`, solve at each
-    /// frequency through the cached [`AcWorkspace`].
+    /// AC small-signal sweep at the operating point `op`, which a DC entry
+    /// point returned for this circuit: linearize there, apply a unit
+    /// excitation on `source`, and solve at each frequency through one
+    /// cached complex workspace. The sweep solves no operating point and
+    /// neither reads nor writes the warm start.
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::InvalidArgument`] for an empty or non-positive
-    /// frequency list and [`SpiceError::BadNetlist`] for an unknown source —
-    /// both before any operating-point work — and propagates convergence
-    /// and singularity errors.
+    /// Returns [`SpiceError::InvalidArgument`] when `op` does not have one
+    /// entry per circuit unknown or a frequency is not finite and
+    /// positive, [`SpiceError::BadNetlist`] for an unknown source, and
+    /// propagates singular frequency points.
     pub fn ac_owned(
         &mut self,
+        op: &DcResult,
         source: &str,
         freqs: &[f64],
-        guess: &[(NodeId, f64)],
     ) -> Result<AcResult, SpiceError> {
-        self.validate_ac_args(source, freqs)?;
-        let warm = self.warm.take().filter(|_| guess.is_empty());
-        let x_op = self.operating_point(warm.as_deref(), guess)?;
-        self.sweep_ac(source, freqs, &x_op)
+        self.check_unknowns(op.raw(), "operating point")?;
+        let ws = self
+            .ac_ws
+            .get_or_insert_with(|| AcWorkspace::for_circuit(&self.circuit));
+        ws.sweep(&self.circuit, op.raw(), source, freqs)
     }
 
     // ---- in-place mutation ----------------------------------------------
@@ -367,10 +363,10 @@ impl Session {
         self.warm = None;
     }
 
-    /// The warm start, if any: the operating point the last analysis entry
-    /// point solved, where the next guess-less [`Session::dc_owned`],
-    /// [`Session::ac_owned`] or [`Session::tran_owned`] and the next
-    /// [`Session::ac_batch`] start Newton.
+    /// The warm start, if any: the operating point the last DC entry point
+    /// solved, where the next guess-less [`Session::dc_owned`] starts
+    /// Newton. A Monte Carlo loop that must keep a bistable circuit in one
+    /// state passes it to [`Session::dc_owned_from`] with its guess.
     #[must_use]
     pub fn warm_start(&self) -> Option<&[f64]> {
         self.warm.as_deref()
@@ -470,9 +466,9 @@ impl Session {
 
     // ---- analysis engines -----------------------------------------------
 
-    /// The operating point of an analysis entry point: [`Session::solve_dc`]
-    /// from `start`, if any. Its success becomes the warm start, and its
-    /// failure clears it.
+    /// The operating point of a DC entry point: [`Session::solve_dc`] from
+    /// `start`, if any. Its success becomes the warm start, and its failure
+    /// clears it.
     fn operating_point(
         &mut self,
         start: Option<&[f64]>,
@@ -483,8 +479,8 @@ impl Session {
         x
     }
 
-    /// The one DC solve behind every analysis. Plain Newton runs from each
-    /// start in order, each for at most [`MAX_NEWTON_WITH_FALLBACK`]
+    /// The one DC solve behind every DC entry point. Plain Newton runs from
+    /// each start in order, each for at most [`MAX_NEWTON_WITH_FALLBACK`]
     /// iterations, and the first result in the stable state `guess`
     /// selects ([`basin_matches`]) is the operating point. Once every start
     /// has failed, the solve is exactly the one without starts: the
@@ -596,19 +592,25 @@ impl Session {
         })
     }
 
-    /// Transient analysis: DC initial point, breakpoint-aligned fixed grid,
-    /// trapezoidal integration with backward-Euler restarts, recursive step
-    /// halving on Newton failure. The initial point is
-    /// [`Session::dc_owned_with_guess`] with the `ic` guesses, so without
-    /// them it starts from the warm start.
+    /// Transient analysis from the t = 0 operating point `op`, which a DC
+    /// entry point returned for this circuit (a guess selects the state of
+    /// bistable circuits there): breakpoint-aligned fixed grid, trapezoidal
+    /// integration with backward-Euler restarts, recursive step halving on
+    /// Newton failure. The run solves no operating point and neither reads
+    /// nor writes the warm start.
     ///
     /// # Errors
     ///
-    /// Propagates convergence errors of the initial point or of a step that
-    /// still fails after the maximum halving depth.
-    pub fn tran_owned(&mut self, opts: &TranOptions) -> Result<TranResult, SpiceError> {
-        let warm = self.warm.take().filter(|_| opts.ic.is_empty());
-        let mut x = self.operating_point(warm.as_deref(), &opts.ic)?;
+    /// Returns [`SpiceError::InvalidArgument`] when `op` does not have one
+    /// entry per circuit unknown, and propagates convergence errors of a
+    /// step that still fails after the maximum halving depth.
+    pub fn tran_owned(
+        &mut self,
+        op: &DcResult,
+        opts: &TranOptions,
+    ) -> Result<TranResult, SpiceError> {
+        self.check_unknowns(op.raw(), "operating point")?;
+        let mut x = op.raw().to_vec();
         self.state.init(&self.circuit, &x);
 
         // Every source breakpoint after t=0: the time grid includes them,
@@ -663,8 +665,6 @@ impl Session {
             t_prev = t;
         }
 
-        // The transient leaves the circuit at t=tstop; the stored warm start
-        // (the t=0 operating point) is still the right DC seed.
         Ok(TranResult::new(times, snapshots, self.nn))
     }
 
@@ -705,91 +705,16 @@ impl Session {
         }
     }
 
-    /// Rejects bad AC arguments *before* any operating-point work, so a
-    /// typo'd source name or empty frequency list costs no Newton solve
-    /// and leaves the warm-start state untouched. (The [`AcWorkspace`]
-    /// re-checks on its own public path.)
-    fn validate_ac_args(&self, source: &str, freqs: &[f64]) -> Result<(), SpiceError> {
-        if freqs.is_empty() || freqs.iter().any(|&f| f <= 0.0) {
-            return Err(SpiceError::InvalidArgument {
-                context: "AC sweep needs positive frequencies".into(),
-            });
+    /// Rejects an unknown vector `x`, named `what` in the error, that does
+    /// not have one entry per circuit unknown.
+    fn check_unknowns(&self, x: &[f64], what: &str) -> Result<(), SpiceError> {
+        let n = self.circuit.n_unknowns();
+        if x.len() == n {
+            return Ok(());
         }
-        self.circuit.vsource_index(source).map(|_| ())
-    }
-
-    /// Runs one AC sweep of a resample→sweep Monte Carlo batch: like
-    /// [`Session::ac_owned`] with `guess`, but the operating point is
-    /// [`Session::dc_owned_from`] from the warm start whenever one exists:
-    /// plain Newton from the previous solve, accepted in the stable state
-    /// `guess` selects. After [`Session::swap_devices`] the new operating
-    /// point is a small perturbation of the previous sample's, so
-    /// consecutive calls amortize the expensive guessed solve across the
-    /// whole batch (the linearization and complex-system storage are
-    /// reused too, via the session's cached [`AcWorkspace`]).
-    ///
-    /// The first call (or the first after
-    /// [`Session::invalidate_warm_start`]) behaves exactly like
-    /// [`Session::ac_owned`]: `guess` selects the state of bistable
-    /// circuits. Later calls keep honouring the guess: when Newton from the
-    /// warm start fails, or converges to a *different* stable state than
-    /// the guess selects (an extreme mismatch draw flipped a marginal
-    /// cell), the solve is exactly that first call's, which re-pins the
-    /// basin from the guess — the result never silently depends on the
-    /// sample order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::ac_owned`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use mosfet::{vs::VsModel, Geometry};
-    /// use spice::{Circuit, Session, Waveform};
-    ///
-    /// # fn main() -> Result<(), spice::SpiceError> {
-    /// // A diode-connected NMOS under a 1 kΩ load: one stable state, so
-    /// // the guess is empty; the second sweep warm-starts.
-    /// let mut c = Circuit::new();
-    /// let vdd = c.node("vdd");
-    /// let d = c.node("d");
-    /// c.vsource("VDD", vdd, Circuit::GROUND, Waveform::dc(0.9));
-    /// c.resistor("RL", vdd, d, 1e3);
-    /// let nom = || VsModel::nominal_nmos_40nm(Geometry::from_nm(300.0, 40.0));
-    /// c.mosfet("MN", d, d, Circuit::GROUND, Circuit::GROUND, Box::new(nom()));
-    /// let mut s = Session::elaborate(c)?;
-    /// let first = s.ac_batch("VDD", &[1e9], &[])?;
-    /// s.swap_device("MN", Box::new(nom()))?; // Monte Carlo resample
-    /// let second = s.ac_batch("VDD", &[1e9], &[])?;
-    /// let (a, b) = (first.magnitudes(d)[0], second.magnitudes(d)[0]);
-    /// assert!((a - b).abs() < 1e-9 * a);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn ac_batch(
-        &mut self,
-        source: &str,
-        freqs: &[f64],
-        guess: &[(NodeId, f64)],
-    ) -> Result<AcResult, SpiceError> {
-        self.validate_ac_args(source, freqs)?;
-        let warm = self.warm.take();
-        let x_op = self.operating_point(warm.as_deref(), guess)?;
-        self.sweep_ac(source, freqs, &x_op)
-    }
-
-    /// Sweeps the cached [`AcWorkspace`] at a solved operating point.
-    fn sweep_ac(
-        &mut self,
-        source: &str,
-        freqs: &[f64],
-        x_op: &[f64],
-    ) -> Result<AcResult, SpiceError> {
-        let ws = self
-            .ac_ws
-            .get_or_insert_with(|| AcWorkspace::for_circuit(&self.circuit));
-        ws.sweep(&self.circuit, x_op, source, freqs)
+        Err(SpiceError::InvalidArgument {
+            context: format!("{what} length {} for {n}-unknown circuit", x.len()),
+        })
     }
 }
 
@@ -1045,9 +970,9 @@ mod tests {
         ckt.resistor("R1", vin, out, r);
         ckt.capacitor("C1", out, Circuit::GROUND, cap);
         let mut s = Session::elaborate(ckt).unwrap();
-        let res = s
-            .tran_owned(&TranOptions::new(5.0 * tau, tau / 100.0))
-            .unwrap();
+        let op = s.dc_owned().unwrap();
+        let opts = TranOptions::new(5.0 * tau, tau / 100.0);
+        let res = s.tran_owned(&op, &opts).unwrap();
         let v = res.voltages(out);
         for (i, &t) in res.times().iter().enumerate() {
             let expected = 1.0 - (-t / tau).exp();
@@ -1055,9 +980,7 @@ mod tests {
         }
         // A second run on the same session gives the same answer (state
         // buffers are reused, not stale).
-        let res2 = s
-            .tran_owned(&TranOptions::new(5.0 * tau, tau / 100.0))
-            .unwrap();
+        let res2 = s.tran_owned(&op, &opts).unwrap();
         let v2 = res2.voltages(out);
         for (a, b) in v.iter().zip(&v2) {
             assert!((a - b).abs() < 1e-9);
@@ -1082,10 +1005,21 @@ mod tests {
         (c, a, b)
     }
 
+    /// The AC Monte Carlo operating point: Newton from the warm start,
+    /// accepted only in the state the guess selects. A warm start parked
+    /// in the latch's other state converges there and is discarded, so the
+    /// sweep is the one at the guessed solve of a fresh session.
     #[test]
-    fn ac_batch_repins_basin_when_warm_state_disagrees_with_guess() {
+    fn warm_start_in_the_other_state_is_repinned_by_the_guess() {
         let (c, a, b) = latch();
         let freqs = [1e9];
+        let sweep = |s: &mut Session, start: Option<Vec<f64>>, guess: &[(NodeId, f64)]| {
+            let op = match start {
+                Some(start) => s.dc_owned_from(&start, guess),
+                None => s.dc_owned_with_guess(guess),
+            };
+            s.ac_owned(&op.unwrap(), "VDD", &freqs).unwrap()
+        };
         // Park the session's warm start in the "a high" state...
         let mut s = Session::elaborate(c.clone()).unwrap();
         let op = s.dc_owned_with_guess(&[(a, 0.9), (b, 0.0)]).unwrap();
@@ -1093,9 +1027,9 @@ mod tests {
         // ...then request the opposite basin: the warm Newton solve
         // converges (to the wrong state) and must be discarded.
         let guess = [(a, 0.0), (b, 0.9)];
-        let got = s.ac_batch("VDD", &freqs, &guess).unwrap();
-        let mut fresh = Session::elaborate(c.clone()).unwrap();
-        let want = fresh.ac_owned("VDD", &freqs, &guess).unwrap();
+        let warm = s.warm_start().map(<[f64]>::to_vec);
+        let got = sweep(&mut s, warm, &guess);
+        let want = sweep(&mut Session::elaborate(c.clone()).unwrap(), None, &guess);
         for node in [a, b] {
             let (x, y) = (got.magnitudes(node)[0], want.magnitudes(node)[0]);
             assert!((x - y).abs() < 1e-9 * y.max(1e-12), "{x} vs {y}");
@@ -1103,9 +1037,7 @@ mod tests {
         // The check is not vacuous: the two states have visibly different
         // transfers in this asymmetric latch.
         let mut flipped = Session::elaborate(c).unwrap();
-        let other = flipped
-            .ac_owned("VDD", &freqs, &[(a, 0.9), (b, 0.0)])
-            .unwrap();
+        let other = sweep(&mut flipped, None, &[(a, 0.9), (b, 0.0)]);
         assert!(
             (other.magnitudes(a)[0] - want.magnitudes(a)[0]).abs() > 1e-3 * want.magnitudes(a)[0],
             "states indistinguishable: the repin test proves nothing"
@@ -1199,52 +1131,23 @@ mod tests {
         assert!((got.voltage(r) - op.voltage(r)).abs() <= 1e-12);
     }
 
+    /// Resample → Newton from the previous sample's operating point → AC:
+    /// the sweep matches a cold solve of the same devices.
     #[test]
-    fn bad_ac_args_rejected_before_any_solve() {
-        // A typo'd source or bad frequency list must not cost a DC solve
-        // or touch the warm-start state.
-        let (c, out) = inverter(0.9, 0.42);
-        let mut s = Session::elaborate(c).unwrap();
-        assert!(matches!(
-            s.ac_owned("VIN", &[], &[]),
-            Err(SpiceError::InvalidArgument { .. })
-        ));
-        assert!(matches!(
-            s.ac_batch("VIN", &[-1.0], &[]),
-            Err(SpiceError::InvalidArgument { .. })
-        ));
-        assert!(matches!(
-            s.ac_batch("nope", &[1e6], &[]),
-            Err(SpiceError::BadNetlist { .. })
-        ));
-        // No solve happened: the first real solve is still cold (this is
-        // observable as the warm start being unset — a dc() now must equal
-        // a fresh session's cold solve bit for bit).
-        let v = s.dc_owned().unwrap().voltage(out);
-        let (c2, out2) = inverter(0.9, 0.42);
-        let v2 = Session::elaborate(c2)
-            .unwrap()
-            .dc_owned()
-            .unwrap()
-            .voltage(out2);
-        assert_eq!(v.to_bits(), v2.to_bits());
-    }
-
-    #[test]
-    fn ac_batch_matches_guessed_ac_after_swaps() {
-        // ac_batch warm-starts the operating point across resamples; the
-        // result must match the per-call guessed path on the same devices.
+    fn warm_started_ac_matches_cold_ac_after_swaps() {
         let (c, out) = inverter(0.9, 0.42);
         let freqs = [1e6, 1e9, 1e11];
-        let mut batched = Session::elaborate(c.clone()).unwrap();
+        let mut warm = Session::elaborate(c.clone()).unwrap();
         let mut reference = Session::elaborate(c).unwrap();
         for w_nm in [300.0, 280.0, 320.0, 260.0] {
             let dev = VsModel::nominal_nmos_40nm(Geometry::from_nm(w_nm, 40.0));
-            batched.swap_device("MN", Box::new(dev.clone())).unwrap();
+            warm.swap_device("MN", Box::new(dev.clone())).unwrap();
             reference.swap_device("MN", Box::new(dev)).unwrap();
             reference.invalidate_warm_start();
-            let a = batched.ac_batch("VIN", &freqs, &[]).unwrap();
-            let b = reference.ac_owned("VIN", &freqs, &[]).unwrap();
+            let op = warm.dc_owned().unwrap();
+            let a = warm.ac_owned(&op, "VIN", &freqs).unwrap();
+            let op = reference.dc_owned().unwrap();
+            let b = reference.ac_owned(&op, "VIN", &freqs).unwrap();
             for (x, y) in a.magnitudes(out).iter().zip(b.magnitudes(out)) {
                 assert!((x - y).abs() < 1e-6 * y.max(1e-12), "{x} vs {y}");
             }
@@ -1263,11 +1166,12 @@ mod tests {
         ckt.resistor("R1", vin, out, r);
         ckt.capacitor("C1", out, Circuit::GROUND, cap);
         let mut s = Session::elaborate(ckt).unwrap();
-        let res = s.ac_owned("V1", &[fc], &[]).unwrap();
+        let op = s.dc_owned().unwrap();
+        let res = s.ac_owned(&op, "V1", &[fc]).unwrap();
         let mag = res.magnitudes(out);
         assert!((mag[0] - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3);
-        assert!(s.ac_owned("V1", &[], &[]).is_err());
-        assert!(s.ac_owned("nope", &[1.0], &[]).is_err());
+        assert!(s.ac_owned(&op, "V1", &[]).is_err());
+        assert!(s.ac_owned(&op, "nope", &[1.0]).is_err());
     }
 
     /// A half-cell of [`sram_cell`] with its input driven by `VIN`: the
@@ -1505,12 +1409,8 @@ mod tests {
 
         let (ff, ic, q_int) = dff();
         let steps = against_full_mna(&ff, "DFF transient", |s| {
-            let opts = ic
-                .iter()
-                .fold(TranOptions::new(850e-12, 4e-12), |o, &(n, v)| {
-                    o.with_ic(n, v)
-                });
-            let res = s.tran_owned(&opts)?;
+            let op = s.dc_owned_with_guess(&ic)?;
+            let res = s.tran_owned(&op, &TranOptions::new(850e-12, 4e-12))?;
             let nodes: Vec<_> = (1..s.circuit.node_count())
                 .map(|i| res.voltages(NodeId(i)))
                 .collect();
@@ -1662,8 +1562,8 @@ mod tests {
     }
 
     /// The warm-or-guess DC solve before one start policy, the reference
-    /// for [`Session::ac_batch`] and [`Session::dc_owned_from`] (which
-    /// stored its start as the warm start first): plain Newton from the
+    /// for [`Session::dc_owned_from`] (which stored its start as the warm
+    /// start first): plain Newton from the
     /// warm start, accepted in the stable state `guess` selects, otherwise
     /// [`reference_solve_dc_vec`] with the guess after clearing the warm
     /// start.
@@ -2158,14 +2058,14 @@ mod tests {
     }
 
     /// Newton from a start it cannot use, a vector of NaNs, fails at its
-    /// first iterate. From there every entry point's solve is exactly the
-    /// same call without the start on a fresh session: the same result and
-    /// warm start, and one failed iteration's device evaluations followed
-    /// by the fresh call's. A served 6T sample whose start Newton cycles
-    /// from falls back the same way after 50 failed iterations, and the
-    /// guessed solve it falls back to gives its own plain Newton 50 before
-    /// gmin stepping. A sweep point takes its starts in order, and a sweep
-    /// neither reads nor writes the warm start.
+    /// first iterate. From there every DC entry point's solve is exactly
+    /// the same call without the start on a fresh session: the same result
+    /// and warm start, and one failed iteration's device evaluations
+    /// followed by the fresh call's. A served 6T sample whose start Newton
+    /// cycles from falls back the same way after 50 failed iterations, and
+    /// the guessed solve it falls back to gives its own plain Newton 50
+    /// before gmin stepping. A sweep point takes its starts in order, and a
+    /// sweep neither reads nor writes the warm start.
     #[test]
     fn failed_starts_fall_back_to_the_start_less_solve() {
         let unusable = |s: &Session| vec![f64::NAN; s.circuit.n_unknowns()];
@@ -2187,36 +2087,20 @@ mod tests {
                 dc(s, op)
             },
         );
-        let freqs = [1e6, 1e9];
-        let ac = |s: &mut Session| {
-            let res = s.ac_owned("VIN", &freqs, &[]).unwrap();
-            outcome(s, ac_values(s, &res))
-        };
-        assert_same_solve(
-            &inv,
-            "ac_owned on the inverter",
-            2,
-            |s| {
-                poison(s);
-                ac(s)
-            },
-            ac,
-        );
-
         let (ff, _, _) = dff();
-        let tran = |s: &mut Session| {
-            let res = s.tran_owned(&TranOptions::new(850e-12, 4e-12)).unwrap();
-            outcome(s, tran_values(s, &res))
-        };
         assert_same_solve(
             &ff,
-            "tran_owned on the DFF",
+            "dc_owned on the DFF",
             14,
             |s| {
                 poison(s);
-                tran(s)
+                let op = s.dc_owned().unwrap();
+                dc(s, op)
             },
-            tran,
+            |s| {
+                let op = s.dc_owned().unwrap();
+                dc(s, op)
+            },
         );
 
         let (cell, l, r) = sram_cell();
@@ -2286,20 +2170,24 @@ mod tests {
             },
         );
 
+        // The AC Monte Carlo operating point: the warm start, here
+        // unusable, passed back with the guess.
         let (latch, a, b) = latch();
-        let batch = |s: &mut Session| {
-            let res = s.ac_batch("VDD", &freqs, &[(a, 0.0), (b, VDD)]).unwrap();
-            outcome(s, ac_values(s, &res))
-        };
+        let low = [(a, 0.0), (b, VDD)];
         assert_same_solve(
             &latch,
-            "ac_batch on the latch",
+            "dc_owned_from the warm start on the latch",
             4,
             |s| {
                 poison(s);
-                batch(s)
+                let warm = s.warm_start().unwrap().to_vec();
+                let op = s.dc_owned_from(&warm, &low).unwrap();
+                dc(s, op)
             },
-            batch,
+            |s| {
+                let op = s.dc_owned_with_guess(&low).unwrap();
+                dc(s, op)
+            },
         );
 
         // A READ half-cell sweep point from `[unusable, previous point]`:
@@ -2353,11 +2241,12 @@ mod tests {
     /// guess-less solve whose start fails: the same bits and warm start,
     /// and the same device evaluations. The cases: the 6T cell from its
     /// guess, served samples (mismatch draws from the nominal operating
-    /// point), a flipped-state start that falls back to the guess,
-    /// `ac_batch` re-pinning the latch's basin, a warm re-solve of the
-    /// inverter after a swap, the DFF transient's initial point from its
-    /// `ic`, and READ and HOLD half-cell sweeps of the nominal and eight
-    /// paper-spec draws.
+    /// point), a flipped-state start that falls back to the guess, the
+    /// warm start passed back with the guess re-pinning the latch's basin
+    /// (the AC Monte Carlo operating point), a warm re-solve of the
+    /// inverter after a swap, the DFF's guessed t = 0 operating point, and
+    /// READ and HOLD half-cell sweeps of the nominal and eight paper-spec
+    /// draws.
     #[test]
     fn start_policy_matches_the_reference_policies() {
         let dc = |s: &Session, x: &[f64]| outcome(s, x.iter().copied());
@@ -2410,21 +2299,20 @@ mod tests {
 
         let (latch, a, b) = latch();
         let (high, low) = ([(a, VDD), (b, 0.0)], [(a, 0.0), (b, VDD)]);
-        let freqs = [1e6, 1e9];
         assert_same_solve(
             &latch,
-            "ac_batch re-pinning the latch",
+            "the warm start re-pinned on the latch",
             0,
             |s| {
                 s.dc_owned_with_guess(&high).unwrap();
-                let res = s.ac_batch("VDD", &freqs, &low).unwrap();
-                outcome(s, ac_values(s, &res))
+                let warm = s.warm_start().unwrap().to_vec();
+                let op = s.dc_owned_from(&warm, &low).unwrap();
+                dc(s, op.raw())
             },
             |s| {
                 reference_solve_dc_vec(s, Some(&high)).unwrap();
                 let x = reference_warm_or_guess(s, &low).unwrap();
-                let res = s.sweep_ac("VDD", &freqs, &x).unwrap();
-                outcome(s, ac_values(s, &res))
+                dc(s, &x)
             },
         );
 
@@ -2456,27 +2344,19 @@ mod tests {
             },
         );
 
-        // A transient's initial point becomes the warm start, and the
-        // integration after it does not depend on how it was solved.
         let (ff, ic, _) = dff();
-        let opts = ic
-            .iter()
-            .fold(TranOptions::new(850e-12, 4e-12), |o, &(n, v)| {
-                o.with_ic(n, v)
-            });
-        let (initial, log) = recorded(&ff, Workspace::new(&ff), |s| {
-            s.tran_owned(&opts).unwrap();
-            s.warm.clone().unwrap()
-        });
-        let (want, want_log) = recorded(&ff, Workspace::new(&ff), |s| {
-            reference_solve_dc_vec(s, Some(&ic)).unwrap()
-        });
-        assert_eq!(bits(&initial), bits(&want), "DFF initial point");
-        assert!(log.len() > want_log.len(), "DFF transient");
-        assert_eq!(
-            bits(&log[..want_log.len()]),
-            bits(&want_log),
-            "DFF initial point: Newton path"
+        assert_same_solve(
+            &ff,
+            "DFF from its guess",
+            0,
+            |s| {
+                let op = s.dc_owned_with_guess(&ic).unwrap();
+                dc(s, op.raw())
+            },
+            |s| {
+                let x = reference_solve_dc_vec(s, Some(&ic)).unwrap();
+                dc(s, &x)
+            },
         );
 
         let grid: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
@@ -2501,6 +2381,74 @@ mod tests {
                     },
                 );
             }
+        }
+    }
+
+    /// AC and transient runs take the caller's operating point and choose
+    /// no start. At one operating point they give the same bits whatever
+    /// warm start the session holds: none, an unusable one (NaN), or the
+    /// operating point of the circuit's other stable state, from which a
+    /// run that started Newton would land elsewhere. Each run leaves the
+    /// warm start as it found it. An operating point of the wrong length is
+    /// [`SpiceError::InvalidArgument`] before any device evaluation.
+    #[test]
+    fn ac_and_tran_take_the_callers_operating_point() {
+        let freqs = [1e6, 1e9];
+        let opts = TranOptions::new(850e-12, 4e-12);
+        let (latch, a, b) = latch();
+        let (ff, ic, q_int) = dff();
+        // The flip-flop with its slave latch in the other state.
+        let flipped: Vec<_> = ic
+            .iter()
+            .enumerate()
+            .map(|(i, &(n, v))| (n, if i < 3 { v } else { VDD - v }))
+            .collect();
+        for (c, guess, other_guess, state, what) in [
+            (
+                latch,
+                vec![(a, 0.0), (b, VDD)],
+                vec![(a, VDD), (b, 0.0)],
+                a,
+                "latch",
+            ),
+            (ff, ic, flipped, q_int, "DFF"),
+        ] {
+            let mut s = Session::elaborate(c.clone()).unwrap();
+            let other = s.dc_owned_with_guess(&other_guess).unwrap();
+            let op = s.dc_owned_with_guess(&guess).unwrap();
+            let gap = (other.voltage(state) - op.voltage(state)).abs();
+            assert!(gap > 0.5 * VDD, "{what}: the other state is {gap} V away");
+            let nan = vec![f64::NAN; op.raw().len()];
+            let runs: Vec<_> = [None, Some(nan), Some(other.raw().to_vec())]
+                .into_iter()
+                .map(|warm| {
+                    s.warm = warm;
+                    let before = s.warm_start().map(bits);
+                    let ac = s.ac_owned(&op, "VDD", &freqs).unwrap();
+                    assert_eq!(s.warm_start().map(bits), before, "{what}: AC");
+                    let tran = s.tran_owned(&op, &opts).unwrap();
+                    assert_eq!(s.warm_start().map(bits), before, "{what}: transient");
+                    (bits(&ac_values(&s, &ac)), bits(&tran_values(&s, &tran)))
+                })
+                .collect();
+            for (k, run) in runs.iter().enumerate().skip(1) {
+                assert!(*run == runs[0], "{what}: warm start {k}");
+            }
+
+            let (errors, log) = recorded(&c, Workspace::new(&c), |s| {
+                let wrong = DcResult::new(vec![0.0; s.circuit.n_unknowns() + 1], s.nn);
+                [
+                    s.ac_owned(&wrong, "VDD", &freqs).err(),
+                    s.tran_owned(&wrong, &opts).err(),
+                ]
+            });
+            for e in errors {
+                assert!(
+                    matches!(e, Some(SpiceError::InvalidArgument { .. })),
+                    "{what}: {e:?}"
+                );
+            }
+            assert!(log.is_empty(), "{what}: the wrong length cost a solve");
         }
     }
 }

@@ -2,10 +2,13 @@
 //!
 //! The integration loop (fixed base step with waveform-breakpoint
 //! alignment, trapezoidal with backward-Euler restarts, recursive step
-//! halving) lives in [`crate::session::Session::tran_owned`]. The charge
-//! companion it assembles every step and the charge state it carries
-//! between steps ([`crate::engine::TranState`]) are in [`crate::engine`],
-//! built from the same per-element linearization as DC and AC analysis.
+//! halving) lives in [`crate::session::Session::tran_owned`], which starts
+//! from the t = 0 operating point a DC entry point returned (a guessed
+//! [`crate::Session::dc_owned_with_guess`] selects the state of bistable
+//! circuits). The charge companion it assembles every step and the charge
+//! state it carries between steps ([`crate::engine::TranState`]) are in
+//! [`crate::engine`], built from the same per-element linearization as DC
+//! and AC analysis.
 
 use crate::netlist::NodeId;
 
@@ -16,9 +19,6 @@ pub struct TranOptions {
     pub tstop: f64,
     /// Base time step, s.
     pub dt: f64,
-    /// Initial node-voltage guesses for the t=0 operating point (selects the
-    /// state of bistable circuits).
-    pub ic: Vec<(NodeId, f64)>,
 }
 
 impl TranOptions {
@@ -29,18 +29,7 @@ impl TranOptions {
     /// Panics unless `0 < dt <= tstop`.
     pub fn new(tstop: f64, dt: f64) -> Self {
         assert!(dt > 0.0 && dt <= tstop, "need 0 < dt <= tstop");
-        TranOptions {
-            tstop,
-            dt,
-            ic: Vec::new(),
-        }
-    }
-
-    /// Adds an initial-condition guess.
-    #[must_use]
-    pub fn with_ic(mut self, node: NodeId, v: f64) -> Self {
-        self.ic.push((node, v));
-        self
+        TranOptions { tstop, dt }
     }
 }
 
@@ -103,8 +92,11 @@ mod tests {
     use crate::session::Session;
     use crate::waveform::Waveform;
 
-    fn session(c: Circuit) -> Session {
-        Session::elaborate(c).unwrap()
+    /// The transient of `c` from its DC operating point.
+    fn tran(c: Circuit, opts: &TranOptions) -> TranResult {
+        let mut s = Session::elaborate(c).unwrap();
+        let op = s.dc_owned().unwrap();
+        s.tran_owned(&op, opts).unwrap()
     }
 
     /// RC charging: v(t) = V (1 - exp(-t/RC)).
@@ -124,9 +116,7 @@ mod tests {
         );
         ckt.resistor("R1", vin, out, r);
         ckt.capacitor("C1", out, Circuit::GROUND, c);
-        let res = session(ckt)
-            .tran_owned(&TranOptions::new(5.0 * tau, tau / 100.0))
-            .unwrap();
+        let res = tran(ckt, &TranOptions::new(5.0 * tau, tau / 100.0));
         let v = res.voltages(out);
         for (i, &t) in res.times().iter().enumerate() {
             let expected = 1.0 - (-t / tau).exp();
@@ -154,9 +144,7 @@ mod tests {
         );
         ckt.resistor("R1", vin, out, 1e3);
         ckt.capacitor("C1", out, Circuit::GROUND, 1e-12);
-        let res = session(ckt)
-            .tran_owned(&TranOptions::new(10e-9, 0.05e-9))
-            .unwrap();
+        let res = tran(ckt, &TranOptions::new(10e-9, 0.05e-9));
         let v = res.voltages(out);
         for w in v.windows(2) {
             assert!(w[1] >= w[0] - 1e-9, "ringing: {} -> {}", w[0], w[1]);
@@ -179,9 +167,7 @@ mod tests {
         );
         ckt.capacitor("C1", vin, mid, 3e-12);
         ckt.capacitor("C2", mid, Circuit::GROUND, 1e-12);
-        let res = session(ckt)
-            .tran_owned(&TranOptions::new(1e-9, 0.01e-9))
-            .unwrap();
+        let res = tran(ckt, &TranOptions::new(1e-9, 0.01e-9));
         let v = res.voltages(mid);
         // Divider: C1/(C1+C2) = 0.75 right after the step.
         let last = v[res.len() - 1];
@@ -207,9 +193,7 @@ mod tests {
             },
         );
         ckt.resistor("R1", a, Circuit::GROUND, 1e3);
-        let res = session(ckt)
-            .tran_owned(&TranOptions::new(4e-9, 0.05e-9))
-            .unwrap();
+        let res = tran(ckt, &TranOptions::new(4e-9, 0.05e-9));
         let v = res.voltages(a);
         let t = res.times();
         // Before the pulse, 0; on the flat top, 1.

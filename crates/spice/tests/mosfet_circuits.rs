@@ -114,7 +114,8 @@ fn inverter_transient_switches_both_models() {
         )
         .unwrap();
         let mut s = Session::elaborate(c).unwrap();
-        let res = s.tran_owned(&TranOptions::new(1.2e-9, 2e-12)).unwrap();
+        let op = s.dc_owned().unwrap();
+        let res = s.tran_owned(&op, &TranOptions::new(1.2e-9, 2e-12)).unwrap();
         let vout = res.voltages(out);
         let t = res.times();
         // Starts high.
@@ -163,10 +164,9 @@ fn inverter_supply_current_spikes_during_switching() {
         },
     )
     .unwrap();
-    let res = Session::elaborate(c)
-        .unwrap()
-        .tran_owned(&TranOptions::new(1e-9, 2e-12))
-        .unwrap();
+    let mut s = Session::elaborate(c).unwrap();
+    let op = s.dc_owned().unwrap();
+    let res = s.tran_owned(&op, &TranOptions::new(1e-9, 2e-12)).unwrap();
     let idd = res.vsource_currents(0); // VDD source is first
     let t = res.times();
     // Quiescent current (before the edge) is tiny; switching current is not.

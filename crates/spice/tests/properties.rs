@@ -138,9 +138,10 @@ fn rc_transient_settles_to_source_value() {
         );
         ckt.resistor("R1", vin, out, r);
         ckt.capacitor("C1", out, Circuit::GROUND, c_val);
-        let res = Session::elaborate(ckt)
-            .expect("well-formed")
-            .tran_owned(&TranOptions::new(8.0 * tau, tau / 40.0))
+        let mut s = Session::elaborate(ckt).expect("well-formed");
+        let op = s.dc_owned().expect("operating point");
+        let res = s
+            .tran_owned(&op, &TranOptions::new(8.0 * tau, tau / 40.0))
             .expect("transient");
         let vo = res.voltages(out);
         let last = vo[vo.len() - 1];
@@ -168,10 +169,9 @@ fn ac_rc_matches_transfer_function() {
         ckt.vsource("V1", vin, Circuit::GROUND, Waveform::dc(0.0));
         ckt.resistor("R1", vin, out, r);
         ckt.capacitor("C1", out, Circuit::GROUND, c_val);
-        let res = Session::elaborate(ckt)
-            .expect("well-formed")
-            .ac_owned("V1", &[f], &[])
-            .expect("ac");
+        let mut s = Session::elaborate(ckt).expect("well-formed");
+        let op = s.dc_owned().expect("operating point");
+        let res = s.ac_owned(&op, "V1", &[f]).expect("ac");
         let mag = res.magnitudes(out)[0];
         let expected = 1.0 / (1.0 + (f / fc).powi(2)).sqrt();
         assert!(

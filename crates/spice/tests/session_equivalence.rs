@@ -3,8 +3,9 @@
 //! throwaway sessions — and, for AC, an independent per-point reference
 //! solver — on real circuits: the parsed inverter-chain netlist of
 //! `examples/netlist_sim.rs` and a 6T SRAM cell. Property tests cover
-//! `swap_devices` + re-solve (DC) and resample→`ac_batch` (AC) against
-//! fresh elaborations across random mismatch draws.
+//! `swap_devices` + re-solve (DC) and resample → Newton from the previous
+//! operating point → `ac_owned` (AC) against fresh elaborations across
+//! random mismatch draws.
 
 use mosfet::{vs::VsModel, Geometry, MosfetModel, StatParam, VariationDelta};
 use numerics::complex::{CLu, CMatrix, C64};
@@ -51,7 +52,7 @@ fn one_shot(c: &Circuit) -> Session {
 
 /// Independent per-point AC reference: linearize at `x_op`, then build and
 /// solve a fresh `G + jωC` system per frequency — the pre-workspace
-/// architecture, kept here as the oracle for the batched/workspace path.
+/// architecture, kept here as the oracle for the workspace path.
 fn ac_reference_per_point(c: &Circuit, x_op: &[f64], source: &str, freqs: &[f64]) -> Vec<Vec<C64>> {
     let lin = c.linearize(x_op);
     let n = lin.g.rows();
@@ -146,8 +147,7 @@ fn chain_dc_matches_one_shot() {
         for &n in &all_nodes(&c) {
             assert!(
                 (op.voltage(n) - reference.voltage(n)).abs() < TOL_V,
-                "pass {pass}, node {}: {} vs {}",
-                c.node_name(n),
+                "pass {pass}, node {n:?}: {} vs {}",
                 op.voltage(n),
                 reference.voltage(n)
             );
@@ -174,11 +174,15 @@ fn chain_sweep_matches_one_shot() {
 fn chain_tran_matches_one_shot() {
     let c = chain();
     let opts = TranOptions::new(1.2e-9, 3e-12);
-    let reference = one_shot(&c).tran_owned(&opts).unwrap();
+    let mut fresh = one_shot(&c);
+    let op = fresh.dc_owned().unwrap();
+    let reference = fresh.tran_owned(&op, &opts).unwrap();
     let mut s = Session::elaborate(c.clone()).unwrap();
-    // Precede the transient with other runs so the session state is "hot".
+    // Precede the transient with other runs so the session state is "hot":
+    // its operating point is a warm-started re-solve.
     let _ = s.dc_owned().unwrap();
-    let res = s.tran_owned(&opts).unwrap();
+    let op = s.dc_owned().unwrap();
+    let res = s.tran_owned(&op, &opts).unwrap();
     assert_eq!(res.times().len(), reference.times().len());
     let out = c.find_node("out").unwrap();
     for (a, b) in res.voltages(out).iter().zip(reference.voltages(out)) {
@@ -186,7 +190,7 @@ fn chain_tran_matches_one_shot() {
     }
 }
 
-// ---- AC equivalence: workspace/batched path vs per-point reference ------
+// ---- AC equivalence: workspace path vs per-point reference -------------
 
 #[test]
 fn chain_ac_matches_reference_per_point() {
@@ -200,9 +204,12 @@ fn chain_ac_matches_reference_per_point() {
     let reference = ac_reference_per_point(&c, op.raw(), "VIN", &freqs);
 
     let mut s = Session::elaborate(c.clone()).unwrap();
-    let ac = s.ac_owned("VIN", &freqs, &[]).unwrap();
-    // Repeat through the same (now warm) workspace: identical sweep.
-    let ac2 = s.ac_owned("VIN", &freqs, &[]).unwrap();
+    let op = s.dc_owned().unwrap();
+    let ac = s.ac_owned(&op, "VIN", &freqs).unwrap();
+    // Repeat at a warm-started re-solve, through the same (now warm)
+    // workspace: identical sweep.
+    let op = s.dc_owned().unwrap();
+    let ac2 = s.ac_owned(&op, "VIN", &freqs).unwrap();
     for &node in &all_nodes(&c) {
         let Some(i) = node.unknown() else { continue };
         for (k, point) in reference.iter().enumerate() {
@@ -211,8 +218,7 @@ fn chain_ac_matches_reference_per_point() {
                 let want = point[i];
                 assert!(
                     (got - want).abs() < 1e-9 * want.abs().max(1e-9),
-                    "node {}, {} Hz: {:?} vs {:?}",
-                    c.node_name(node),
+                    "node {node:?}, {} Hz: {:?} vs {:?}",
                     freqs[k],
                     got,
                     want
@@ -235,7 +241,7 @@ fn sram_dc_and_ac_match_one_shot() {
     let op = s.dc_owned_with_guess(&guess).unwrap();
     assert!((op.voltage(l) - reference_op.voltage(l)).abs() < TOL_V);
     assert!((op.voltage(r) - reference_op.voltage(r)).abs() < TOL_V);
-    let ac = s.ac_owned("VBL", &freqs, &guess).unwrap();
+    let ac = s.ac_owned(&op, "VBL", &freqs).unwrap();
     let li = l.unknown().unwrap();
     for (a, point) in ac.magnitudes(l).iter().zip(&reference_ac) {
         let b = point[li].abs();
@@ -316,12 +322,13 @@ fn swapped_session_equals_fresh_elaboration_property() {
     }
 }
 
-/// Property: the batched AC path (`swap_devices` + `ac_batch`, warm
-/// operating points, reused workspace) equals the per-point reference
-/// computed on a fresh cold elaboration of the same devices — the paper's
-/// "SRAM AC" Monte Carlo inner loop, across random mismatch draws.
+/// Property: the warm AC path (`swap_devices`, Newton from the previous
+/// sample's operating point with the guess, then `ac_owned` through the
+/// reused workspace) equals the per-point reference computed on a fresh
+/// cold elaboration of the same devices — the paper's "SRAM AC" Monte
+/// Carlo inner loop, across random mismatch draws.
 #[test]
-fn sram_ac_batch_equals_per_point_reference_across_resamples() {
+fn sram_warm_ac_equals_per_point_reference_across_resamples() {
     let mut rng = TestRng(0xac_5eed);
     let nominal = [VariationDelta::default(); 6];
     let (c0, l, r) = sram_cell(&nominal);
@@ -336,7 +343,11 @@ fn sram_ac_batch_equals_per_point_reference_across_resamples() {
         let deltas = random_deltas(&mut rng);
         let (c_fresh, _, _) = sram_cell(&deltas);
         assert_eq!(session.swap_devices(cell_swaps(&c_fresh)).unwrap(), 6);
-        let batched = session.ac_batch("VBL", &freqs, &guess).unwrap();
+        let op = match session.warm_start().map(<[f64]>::to_vec) {
+            Some(warm) => session.dc_owned_from(&warm, &guess),
+            None => session.dc_owned_with_guess(&guess),
+        };
+        let warm_ac = session.ac_owned(&op.unwrap(), "VBL", &freqs).unwrap();
 
         // Reference: cold guessed operating point + per-point solves on an
         // independent elaboration of the same sample.
@@ -347,7 +358,7 @@ fn sram_ac_batch_equals_per_point_reference_across_resamples() {
         let reference = ac_reference_per_point(&c_fresh, cold_op.raw(), "VBL", &freqs);
 
         for (k, point) in reference.iter().enumerate() {
-            let got = batched.magnitudes(l)[k];
+            let got = warm_ac.magnitudes(l)[k];
             let want = point[li].abs();
             // Warm vs cold operating points differ at the Newton tolerance;
             // the linearization amplifies that through subthreshold

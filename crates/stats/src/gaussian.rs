@@ -1,10 +1,11 @@
-//! Standard normal distribution functions.
+//! Standard normal distribution functions, all built on one
+//! complementary error function, [`erfc_precise`] (~1e-14 relative).
 //!
 //! The inverse cdf (Acklam's rational approximation, refined by one Halley
-//! step) drives QQ-plot theoretical quantiles. The rational [`cdf`]
-//! (absolute error ~1.5e-7) gives the k-sigma probabilities of
-//! [`crate::corners`] and [`crate::ellipse`]; tail probabilities, which
-//! that absolute error swamps, come from [`tail`].
+//! step against [`cdf`]) drives QQ-plot theoretical quantiles. [`cdf`]
+//! gives the k-sigma probabilities of [`crate::corners`] and
+//! [`crate::ellipse`]; upper-tail probabilities come from [`tail`], which
+//! keeps the relative precision that `1 − cdf(x)` loses to rounding.
 
 /// 1/sqrt(2*pi).
 const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
@@ -18,55 +19,24 @@ pub fn pdf(x: f64) -> f64 {
     INV_SQRT_2PI * (-0.5 * x * x).exp()
 }
 
-/// Standard normal cumulative distribution function.
-///
-/// Uses the Abramowitz-Stegun 7.1.26-style rational approximation of `erf`
-/// with |error| < 1.5e-7: enough for the k-sigma percentile of
-/// [`crate::corners`] and the k-sigma region of [`crate::ellipse`]. Use
-/// [`tail`] for tail probabilities.
+/// Standard normal cumulative distribution function,
+/// `Φ(x) = 0.5·erfc(−x/√2)` through [`erfc_precise`]: about 1e-14 relative
+/// below the median and within rounding of 1 above it. Use [`tail`] for
+/// upper-tail probabilities.
 pub fn cdf(x: f64) -> f64 {
-    // cdf(x) = 0.5 * erfc(-x / sqrt(2))
-    0.5 * erfc(-x / std::f64::consts::SQRT_2)
-}
-
-/// Complementary error function (rational approximation, |rel err| ~ 1e-7).
-pub fn erfc(x: f64) -> f64 {
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    // Numerical Recipes erfc approximation, Horner form.
-    const COEFFS: [f64; 10] = [
-        0.17087277,
-        -0.82215223,
-        1.48851587,
-        -1.13520398,
-        0.27886807,
-        -0.18628806,
-        0.09678418,
-        0.37409196,
-        1.00002368,
-        -1.26551223,
-    ];
-    let mut poly = 0.0;
-    for &c in &COEFFS {
-        poly = poly * t + c;
-    }
-    let ans = t * (-z * z + poly).exp();
-    if x >= 0.0 {
-        ans
-    } else {
-        2.0 - ans
-    }
+    0.5 * erfc_precise(-x / std::f64::consts::SQRT_2)
 }
 
 /// Upper-tail probability `Φ̄(x) = P(Z > x)` of the standard normal, to
 /// near machine precision.
 ///
-/// The rational [`cdf`] approximation carries an *absolute* error of
-/// ~1.5e-7, which swamps a 5σ tail probability (~2.9e-7) entirely — so
-/// rare-event validation needs this dedicated routine. It evaluates
-/// `0.5·erfc(x/√2)` with a high-precision `erfc`: the confluent
-/// hypergeometric series for small arguments and a Lentz-evaluated
-/// continued fraction in the tail, both with ~1e-14 *relative* error.
+/// `1 − cdf(x)` carries the *absolute* rounding of a value near 1, about
+/// 1e-16, which costs a 5σ tail probability (~2.9e-7) a third of its
+/// digits and swamps it past 8σ — so rare-event validation needs this
+/// dedicated routine. It evaluates `0.5·erfc(x/√2)` with
+/// [`erfc_precise`]: the confluent hypergeometric series for small
+/// arguments and a Lentz-evaluated continued fraction in the tail, both
+/// with ~1e-14 *relative* error.
 ///
 /// ```
 /// // Φ̄(5) — the 5σ one-sided yield-loss probability.
@@ -83,9 +53,9 @@ pub fn tail(x: f64) -> f64 {
 /// `erf(z) = (2/√π)·e^(−z²)·Σ (2z²)ⁿ·z / (2n+1)!!`; `z ≥ 2` uses the
 /// classical continued fraction
 /// `erfc(z) = e^(−z²)/√π · 1/(z + (1/2)/(z + 1/(z + (3/2)/(z + …))))`
-/// evaluated by the modified Lentz algorithm. Unlike [`erfc`], the result
-/// keeps full relative precision deep into the tail (underflowing to zero
-/// only past `z ≈ 27`).
+/// evaluated by the modified Lentz algorithm. The result keeps full
+/// relative precision deep into the tail (underflowing to zero only past
+/// `z ≈ 27`).
 pub fn erfc_precise(x: f64) -> f64 {
     if x < 0.0 {
         return 2.0 - erfc_precise(-x);
@@ -141,8 +111,10 @@ pub fn erfc_precise(x: f64) -> f64 {
 
 /// Inverse of the standard normal cdf (the "probit" function).
 ///
-/// Acklam's rational approximation followed by one Halley refinement step;
-/// effective accuracy is near machine precision over `(0, 1)`.
+/// Acklam's rational approximation (relative error ~1.2e-9) followed by
+/// one Halley refinement step against [`cdf`]; over a grid spanning
+/// `(0, 1)` the result is within 2.3e-12 of the exact quantile, relative
+/// to `max(|z|, 1)`.
 ///
 /// # Panics
 ///
@@ -292,16 +264,49 @@ mod tests {
         let below = erfc_precise(1.999_999_999_9);
         let above = erfc_precise(2.000_000_000_1);
         assert!((below / above - 1.0).abs() < 1e-8);
-        // And against the coarse rational erfc at moderate arguments.
-        for &z in &[0.2, 0.9, 1.5, 2.5, 3.0] {
-            assert!((erfc_precise(z) - erfc(z)).abs() < 2e-7);
-        }
     }
 
     #[test]
     fn erfc_complement_identity() {
         for &x in &[-2.0, -0.5, 0.0, 0.7, 1.5] {
-            assert!((erfc(x) + erfc(-x) - 2.0).abs() < 1e-7);
+            assert!((erfc_precise(x) + erfc_precise(-x) - 2.0).abs() < 1e-7);
         }
+    }
+
+    /// The quantile of `p` by bisection on [`tail`]: `Φ(z) = tail(−z)`, and
+    /// above the median `1 − p` is exact, so `tail(z) = 1 − p` there.
+    fn reference_inv_cdf(p: f64) -> f64 {
+        let (q, sign) = if p <= 0.5 { (p, -1.0) } else { (1.0 - p, 1.0) };
+        let (mut lo, mut hi) = (0.0_f64, 40.0_f64);
+        loop {
+            let mid = 0.5 * (lo + hi);
+            if mid <= lo || mid >= hi {
+                return sign * mid;
+            }
+            if tail(mid) > q {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+    }
+
+    /// Over p = k/20000 and seven more probabilities, `inv_cdf` is within
+    /// 1e-10 of the bisection inverse of [`tail`], relative to
+    /// `max(|z|, 1)`. Acklam's estimate alone is within about 1.1e-9; a
+    /// Halley step against a cdf off by 4e-8 left up to 1e-7.
+    #[test]
+    fn inv_cdf_matches_the_inverse_of_tail() {
+        let grid = (1..20_000).map(|k| f64::from(k) / 20_000.0);
+        let tails = [1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.99, 1.0 - 1e-6];
+        let mut worst = (0.0_f64, 0.0);
+        for p in grid.chain(tails) {
+            let want = reference_inv_cdf(p);
+            let err = (inv_cdf(p) - want).abs() / want.abs().max(1.0);
+            if err > worst.0 {
+                worst = (err, p);
+            }
+        }
+        assert!(worst.0 <= 1e-10, "error {:e} at p = {}", worst.0, worst.1);
     }
 }

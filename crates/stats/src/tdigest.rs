@@ -305,63 +305,6 @@ impl TDigest {
         Some(last.mean + t * (d.max - last.mean))
     }
 
-    /// Estimated fraction of observations `<= x`; `None` when the digest
-    /// is empty. Exactly 0 below the minimum and 1 above the maximum.
-    #[must_use]
-    pub fn cdf(&self, x: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if x < self.min {
-            return Some(0.0);
-        }
-        if x >= self.max {
-            return Some(1.0);
-        }
-        let d = self.flushed();
-        let c = &d.centroids;
-        let total = d.count as f64;
-        if c.len() == 1 {
-            // All mass in one cluster: interpolate across the full range.
-            let span = d.max - d.min;
-            return Some(if span > 0.0 { (x - d.min) / span } else { 0.5 });
-        }
-        if x < c[0].mean {
-            let span = c[0].mean - d.min;
-            let rank = if span > 0.0 {
-                (x - d.min) / span * (c[0].weight / 2.0)
-            } else {
-                0.0
-            };
-            return Some(rank / total);
-        }
-        let mut cum = 0.0;
-        for i in 0..c.len() - 1 {
-            let next = &c[i + 1];
-            if x < next.mean {
-                let mid_i = cum + c[i].weight / 2.0;
-                let mid_j = cum + c[i].weight + next.weight / 2.0;
-                let span = next.mean - c[i].mean;
-                let t = if span > 0.0 {
-                    (x - c[i].mean) / span
-                } else {
-                    0.5
-                };
-                return Some((mid_i + t * (mid_j - mid_i)) / total);
-            }
-            cum += c[i].weight;
-        }
-        let last = c[c.len() - 1];
-        let span = d.max - last.mean;
-        let mid = total - last.weight / 2.0;
-        let t = if span > 0.0 {
-            (x - last.mean) / span
-        } else {
-            1.0
-        };
-        Some(((mid + t * (last.weight / 2.0)) / total).min(1.0))
-    }
-
     /// Number of (finite) observations consumed.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -522,7 +465,6 @@ mod tests {
     fn small_samples_interpolate_exactly() {
         let mut d = TDigest::new(100.0);
         assert!(d.quantile(0.5).is_none());
-        assert!(d.cdf(0.0).is_none());
         assert!(d.is_empty());
         for x in [3.0, 1.0, 2.0] {
             d.push(x);
@@ -555,23 +497,6 @@ mod tests {
             assert!(q >= prev, "quantiles must be monotone in p");
             prev = q;
         }
-    }
-
-    #[test]
-    fn cdf_inverts_quantile_on_gaussian() {
-        let mut s = Sampler::from_seed(12);
-        let mut d = TDigest::new(100.0);
-        let xs: Vec<f64> = (0..5000).map(|_| s.normal(0.0, 1.0)).collect();
-        for &x in &xs {
-            d.push(x);
-        }
-        for p in [0.05, 0.25, 0.5, 0.75, 0.95] {
-            let q = d.quantile(p).unwrap();
-            let back = d.cdf(q).unwrap();
-            assert!((back - p).abs() < 0.02, "p {p}: cdf(quantile) {back:.4}");
-        }
-        assert_eq!(d.cdf(-100.0), Some(0.0));
-        assert_eq!(d.cdf(100.0), Some(1.0));
     }
 
     #[test]

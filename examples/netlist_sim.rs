@@ -42,7 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Elaborate once; the session owns the layout and scratch for any
     // number of analyses on this topology.
     let mut session = Session::elaborate(parsed)?;
-    let result = session.tran_owned(&TranOptions::new(1.2e-9, 1.5e-12))?;
+    let op = session.dc_owned()?;
+    let result = session.tran_owned(&op, &TranOptions::new(1.2e-9, 1.5e-12))?;
     let circuit = session.circuit();
     let t = result.times();
     let vdd_half = 0.45;
