@@ -8,13 +8,13 @@
 //! * **Circuit level** (Figs. 5–9's and Table IV's workload): repeated
 //!   solves of one SRAM topology with resampled devices, comparing the
 //!   rebuild shape (construct + re-elaborate every sample) against the
-//!   session shape (`SramDevices::swap_into` + warm-started re-solve;
-//!   `ReadDisturbBench::run`: Newton from the previous sample's operating
-//!   point, then `Session::ac_owned` through the reused AC workspace) and
-//!   the DC sample
-//!   `statvs serve` runs per shard sample (`circuits::sram::dc_sample_from`,
-//!   started from the nominal cell's operating point). Every arm solves
-//!   through the library's own kernels, the path production runs.
+//!   session shape: the DC sample `statvs serve` runs per shard sample
+//!   (`circuits::sram::dc_sample_from`: `SramDevices::swap_into`, then
+//!   Newton from the nominal cell's operating point), and
+//!   `ReadDisturbBench::run` (Newton from the bench's construction
+//!   operating point, then `Session::ac_owned` through the reused AC
+//!   workspace). Every arm solves through the library's own kernels, the
+//!   path production runs.
 //!
 //! Run `cargo bench --bench mc_throughput -- --json BENCH_mc_throughput.json`
 //! to refresh the perf-trajectory baseline at the repo root.
@@ -67,9 +67,11 @@ fn main() {
     // ---- circuit level: full-cell DC operating point --------------------
     // The inner solve of every SRAM Monte Carlo sample. "rebuild" is the
     // pre-session architecture: construct the netlist and elaborate a fresh
-    // workspace per sample. "session" swaps the six devices into one live
-    // elaboration and warm-starts Newton from the previous sample's
-    // operating point.
+    // workspace per sample. "session_swap" is the served sample
+    // (`dc_sample_from`): swap the six devices into one live elaboration
+    // and start Newton from the nominal cell's operating point (solved
+    // once, outside the timing), with the two-node guess as the fallback,
+    // so every sample stays a pure function of its draw.
     let sz = SramSizing::default();
     {
         let mut seed = 0u64;
@@ -86,27 +88,22 @@ fn main() {
             }
         }));
     }
+    let nominal = SramDevices::draw(sz, &mut NominalVsFactory);
+    let (cell, l, r) = circuits::sram::full_cell(&nominal, 0.9);
+    let op = Session::elaborate(cell.clone())
+        .expect("well-formed")
+        .dc_owned_with_guess(&[(l, 0.0), (r, 0.9)])
+        .expect("the nominal cell solves")
+        .raw()
+        .to_vec();
     {
         let mut seed = 0u64;
-        let mut f0 = mc_factory(0);
-        let devices = SramDevices::draw(sz, &mut f0);
-        let (c, l, r) = circuits::sram::full_cell(&devices, 0.9);
-        let mut session = Session::elaborate(c).expect("well-formed");
-        // Select the basin once; subsequent samples warm-start from the
-        // previous sample's operating point instead of re-running the
-        // guessed continuation.
-        let _ = session
-            .dc_owned_with_guess(&[(l, 0.0), (r, 0.9)])
-            .expect("solves");
-        let _ = l;
+        let mut session = Session::elaborate(cell.clone()).expect("well-formed");
         results.push(measure("sram_dc_sample/session_swap", || {
             seed += 1;
-            let mut f = mc_factory(seed);
-            SramDevices::draw(sz, &mut f)
-                .swap_into(&mut session)
-                .expect("known instances");
-            if let Ok(op) = session.dc_owned() {
-                assert!(op.voltage(r).is_finite());
+            let devices = SramDevices::draw(sz, &mut mc_factory(seed));
+            if let Ok(v) = dc_sample_from(&mut session, devices, &op, l, r, 0.9) {
+                assert!(v.is_finite());
             }
         }));
     }
@@ -115,44 +112,30 @@ fn main() {
     // The same per-sample workload as sram_dc_sample/session_swap, sharded
     // with ParallelRunner: one session per worker, elaborated in the setup
     // closure, per-sample device swaps from deterministically derived
-    // streams, warm-started solves. One measured iteration = a
-    // PAR_BATCH-sample run (including worker spawn + elaboration); the
-    // recorded entries are normalized per sample, so aggregate throughput
-    // across threads is directly comparable with the single-session
-    // baseline above.
+    // streams. One measured iteration = a PAR_BATCH-sample run (including
+    // worker spawn + elaboration); the recorded entries are normalized per
+    // sample, so aggregate throughput across threads is directly
+    // comparable with the single-session baseline above.
     //
     // The `parallel_*` entries keep every sample in a `VecSink` (the
-    // buffered shape); the `streaming_1t` entry runs the *identical*
+    // buffered shape); the `served_1t` entry runs the *identical*
     // build/sample closures into realistic constant-size sinks (Welford
-    // moments + a t-digest) instead. Peak sample storage drops from O(n)
-    // to O(workers + round) in-flight records; the per-sample cost
-    // must stay within noise of the buffered `parallel_1t` entry (the sink
-    // fold is nanoseconds against a ~20 µs DC solve).
+    // moments + a t-digest), as a served shard does. Peak sample storage
+    // drops from O(n) to O(workers + round) in-flight records; the
+    // per-sample cost must stay within noise of the buffered `parallel_1t`
+    // entry (the sink fold is nanoseconds against a ~10 µs DC solve).
     {
         const PAR_BATCH: usize = 512;
-        let mut f0 = mc_factory(0);
-        let devices = SramDevices::draw(sz, &mut f0);
-        let (c, l, r) = circuits::sram::full_cell(&devices, 0.9);
-        // One shared pair of workload closures: the buffered and streaming
-        // entries must measure exactly the same per-sample work.
-        let build = |_: usize, _: &mut Sampler| {
-            let mut s = Session::elaborate(c.clone())?;
-            // Select the basin once per worker; samples then warm-start
-            // from the previous operating point.
-            let op = s.dc_owned_with_guess(&[(l, 0.0), (r, 0.9)])?;
-            assert!(op.voltage(r).is_finite());
-            Ok(s)
-        };
+        let build = |_: usize, _: &mut Sampler| Session::elaborate(cell.clone());
         let draw = |sampler: &Sampler| {
             let mut f = mc_factory(0);
             f.set_sampler(sampler.clone());
             SramDevices::draw(sz, &mut f)
         };
+        // Extreme draws may fail to converge; counted, not fatal — part of
+        // the measured workload.
         let sample = |session: &mut Session, sampler: &mut Sampler, _: usize| {
-            draw(sampler).swap_into(session).expect("known instances");
-            // Extreme draws may fail to converge; counted, not fatal —
-            // part of the measured workload.
-            session.dc_owned().map(|op| op.voltage(r))
+            dc_sample_from(session, draw(sampler), &op, l, r, 0.9)
         };
         let avail = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
         let mut thread_counts = vec![1, 4, avail];
@@ -176,45 +159,12 @@ fn main() {
             });
         }
         let mut run_seed = 0u64;
-        let m = measure("sram_dc_mc_batch512/aggregate_streaming_1t", || {
-            run_seed += 1;
-            let mut sink = (WelfordSink::new(), TDigest::new(100.0));
-            let out = ParallelRunner::new(run_seed)
-                .workers(1)
-                .run_streaming_range(0, PAR_BATCH, build, sample, &mut sink)
-                .expect("elaboration succeeds");
-            assert_eq!(out.observed + out.failures, PAR_BATCH);
-            assert!(sink.0.moments().count() == out.observed as u64);
-        });
-        results.push(Measurement {
-            label: "sram_dc_sample/streaming_1t".to_string(),
-            secs_per_iter: m.secs_per_iter / PAR_BATCH as f64,
-            iters: m.iters * PAR_BATCH as u64,
-        });
-
-        // The `served_1t` entry runs the per-sample work of a served
-        // `sram6t_dc` shard: draw, swap the six devices, and solve from
-        // the nominal cell's operating point (solved once, outside the
-        // timing) with the two-node guess as the fallback, so every sample
-        // stays a pure function of `(seed, index)`.
-        let nominal = SramDevices::draw(sz, &mut NominalVsFactory);
-        let (nominal_cell, _, _) = circuits::sram::full_cell(&nominal, 0.9);
-        let op = Session::elaborate(nominal_cell)
-            .expect("well-formed")
-            .dc_owned_with_guess(&[(l, 0.0), (r, 0.9)])
-            .expect("the nominal cell solves")
-            .raw()
-            .to_vec();
-        let served = |session: &mut Session, sampler: &mut Sampler, _: usize| {
-            dc_sample_from(session, draw(sampler), &op, l, r, 0.9)
-        };
-        let mut run_seed = 0u64;
         let m = measure("sram_dc_mc_batch512/aggregate_served_1t", || {
             run_seed += 1;
             let mut sink = (WelfordSink::new(), TDigest::new(100.0));
             let out = ParallelRunner::new(run_seed)
                 .workers(1)
-                .run_streaming_range(0, PAR_BATCH, build, served, &mut sink)
+                .run_streaming_range(0, PAR_BATCH, build, sample, &mut sink)
                 .expect("elaboration succeeds");
             assert_eq!(out.observed + out.failures, PAR_BATCH);
             assert!(sink.0.moments().count() == out.observed as u64);
@@ -236,7 +186,7 @@ fn main() {
     //   linearization and complex LU storage, but the operating point
     //   re-runs the guessed solve every sample.
     // * "batched" — `ReadDisturbBench::run`: the operating point
-    //   additionally starts from the previous sample's
+    //   additionally starts from the bench's construction operating point
     //   (`Session::dc_owned_from` with the guess).
     {
         let freqs = spice::ac::log_sweep(1e6, 1e11, 5);

@@ -2,7 +2,7 @@
 //! (NAND2 transient, DFF transient, SRAM AC) per model family, all through
 //! persistent sessions with in-place device resampling — the SRAM AC
 //! samples run on the batched path (`ReadDisturbBench::run`: Newton from
-//! the previous sample's operating point, then `Session::ac_owned`), so
+//! the bench's construction operating point, then `Session::ac_owned`), so
 //! consecutive samples amortize the guessed operating-point solve and
 //! reuse one AC workspace.
 //!

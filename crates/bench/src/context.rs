@@ -77,9 +77,7 @@ impl ExperimentContext {
     /// the `STATVS_MC_THREADS` environment variable overrides it (an
     /// invalid value is *not* silently ignored: a warning goes to stderr
     /// and the default is used). Every worker count draws the same mismatch
-    /// samples; warm-started bench state can shift measured values by
-    /// last-bit amounts between counts, so pin the variable when
-    /// byte-stable artifacts matter.
+    /// samples and writes the same results.
     pub fn runner(&self, salt: u64) -> ParallelRunner {
         let runner = ParallelRunner::new(
             self.seed

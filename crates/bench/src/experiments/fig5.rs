@@ -15,9 +15,9 @@ use vscore::mc::VecSink;
 /// The samples shard across a [`vscore::mc::ParallelRunner`]: every worker
 /// elaborates its own persistent bench once, then each sample swaps freshly
 /// drawn devices in place ([`DelayBench::resample`]) with a sampler stream
-/// derived purely from `(seed, sample index)` and re-runs warm-started — no
-/// per-sample netlist rebuild, and the drawn devices are identical for any
-/// worker count.
+/// derived purely from `(seed, sample index)` and re-runs the transient
+/// from a DC solve that starts from zero — no per-sample netlist rebuild,
+/// and the delays are bit-identical for any worker count.
 ///
 /// Functional failures (missing output edges under extreme mismatch) are
 /// skipped, matching standard Monte Carlo practice; the skip count is

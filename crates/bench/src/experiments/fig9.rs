@@ -58,10 +58,11 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
         for family in ["bsim", "vs"] {
             // Both half-cell sessions elaborate once per worker; every
             // sample swaps six freshly drawn devices in place and
-            // re-sweeps with warm starts. A non-convergent construction
-            // draw retries with a fresh one (as the sequential loop did by
-            // rolling to the next trial) — the initial devices are
-            // overwritten by the first sample anyway.
+            // re-sweeps, each sweep's first point from zero. A
+            // non-convergent construction draw retries with a fresh one
+            // (as the sequential loop did by rolling to the next trial) —
+            // the initial devices are overwritten by the first sample
+            // anyway.
             //
             // SNM records stream into a t-digest for the 5th-percentile
             // yield figure (O(δ) memory at any sample count, and mergeable

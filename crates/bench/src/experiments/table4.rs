@@ -17,7 +17,7 @@
 //! claim.
 
 use super::ExpResult;
-use crate::report::{eng, TextTable};
+use crate::report::TextTable;
 use crate::ExperimentContext;
 use circuits::cells::InverterSizing;
 use circuits::delay::{DelayBench, GateKind};
@@ -92,22 +92,25 @@ fn run_workload(
         _ => {
             // The paper's "SRAM AC": small-signal sweep of the read-
             // disturb transfer, 26 log-spaced points per sample, on the
-            // batched AC path — each worker's ReadDisturbBench starts each
-            // sample's operating point from the previous sample's
+            // batched AC path — each worker's ReadDisturbBench starts every
+            // sample's operating point from its construction cell's
             // (Session::dc_owned_from), then sweeps through one reused AC
             // workspace (Session::ac_owned).
             let sram_freqs = spice::ac::log_sweep(1e6, 1e11, 5);
             let sz = SramSizing::default();
+            // Every worker builds its bench from the same draw, so a
+            // sample's start does not depend on the worker count.
+            let construction = stats::Sampler::from_seed(ctx.seed);
             runner
                 .run_streaming_range(
                     0,
                     n,
-                    |_, setup| {
-                        // Retry non-convergent construction draws; the
-                        // first sample overwrites the devices regardless.
+                    |_, _| {
+                        // Retry construction draws whose cell does not
+                        // converge.
                         let mut last_err = None;
                         for attempt in 0..8 {
-                            let mut f = ctx.factory(family, setup.fork(attempt));
+                            let mut f = ctx.factory(family, construction.stream(attempt));
                             match ReadDisturbBench::new(sz, ctx.vdd(), &mut f) {
                                 Ok(b) => return Ok(b),
                                 Err(e) => last_err = Some(e),
@@ -172,6 +175,5 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
          Verilog-A-vs-C runtimes; within one runtime the model-only gap is smaller)\n",
         speedups.iter().sum::<f64>() / speedups.len() as f64
     ));
-    let _ = eng(1.0, "");
     Ok(report)
 }

@@ -28,12 +28,11 @@
 //!
 //! Circuit-level Monte Carlo loops shard across cores through
 //! `vscore::mc::ParallelRunner` (override the worker count with
-//! `STATVS_MC_THREADS`). Every sample draws the same mismatch devices for
-//! any worker count; measured values can drift in the last float bits
-//! across worker counts because the benches keep their warm-started Newton
-//! state between samples (see the `vscore::mc::parallel` module docs for
-//! the exact scope of the bit-exactness guarantee). `ARCHITECTURE.md` at
-//! the repo root diagrams the data flow.
+//! `STATVS_MC_THREADS`). Every sample draws the same mismatch devices and
+//! starts every solve from a point the experiment fixes, so `repro` writes
+//! the same files for any worker count (only `table4.txt`'s wall-clock
+//! columns differ). `ARCHITECTURE.md` at the repo root diagrams the data
+//! flow.
 
 pub mod context;
 pub mod experiments;

@@ -8,8 +8,8 @@
 //! A bench owns one elaborated [`Session`]: Monte Carlo loops call
 //! [`DelayBench::resample`] + [`DelayBench::measure_delay`] per sample —
 //! the netlist is never rebuilt, and each transient starts from a
-//! [`Session::dc_owned`] operating point, which Newton warm-starts from the
-//! previous sample's.
+//! [`Session::dc_owned`] operating point, the continuation ladder from
+//! zero, so a sample depends on its devices alone.
 
 use crate::cells::{add_inverter, add_nand2, resample_devices, DeviceFactory, InverterSizing};
 use spice::measure::{cross_time, Edge};
@@ -108,9 +108,10 @@ impl DelayBench {
         resample_devices(&mut self.session, f)
     }
 
-    /// Runs the transient from the [`Session::dc_owned`] operating point
-    /// and returns the average of the rising- and falling-edge propagation
-    /// delays (50% crossings), in seconds.
+    /// Runs the transient from the [`Session::dc_owned`] operating point,
+    /// solved from zero, and returns the average of the rising- and
+    /// falling-edge propagation delays (50% crossings), in seconds. The
+    /// delay depends on the bench's devices alone.
     ///
     /// # Errors
     ///
@@ -235,9 +236,7 @@ mod tests {
         // measured delay reproduces exactly on the same session.
         let n = bench.resample(&mut f);
         assert_eq!(n, 8, "DUT + 3 loads, 2 devices each");
-        // (Tolerance covers the warm-started second solve converging to the
-        // same point along a different Newton path.)
         let d2 = bench.measure_delay(2e-12).unwrap();
-        assert!((d1 - d2).abs() < 1e-14, "{d1:.3e} vs {d2:.3e}");
+        assert_eq!(d1, d2);
     }
 }

@@ -444,31 +444,40 @@ impl SnmBench {
 }
 
 /// A persistent read-disturb AC bench on the full 6T cell: elaborated once,
-/// resampled in place per Monte Carlo trial. Consecutive
-/// `resample`→[`ReadDisturbBench::run`] iterations start each operating
-/// point from the previous sample's ([`Session::dc_owned_from`]) and sweep
-/// through the session's one AC workspace ([`Session::ac_owned`]),
-/// amortizing the guessed DC solve and all linearization/complex-system
-/// allocation across the batch.
+/// resampled in place per Monte Carlo trial. Every
+/// `resample`→[`ReadDisturbBench::run`] iteration starts its operating
+/// point from the cell the bench was built with ([`Session::dc_owned_from`])
+/// and sweeps through the session's one AC workspace
+/// ([`Session::ac_owned`]), amortizing the guessed DC solve and all
+/// linearization/complex-system allocation across the batch. A sample
+/// depends on its devices and on the devices the bench was built with,
+/// never on the samples before it.
 #[derive(Debug)]
 pub struct ReadDisturbBench {
     session: Session,
+    /// The "l low" operating point of the cell the bench was built with:
+    /// every sample's Newton start.
+    start: Vec<f64>,
     l: spice::NodeId,
     r: spice::NodeId,
     vdd: f64,
 }
 
 impl ReadDisturbBench {
-    /// Builds the full cell with devices drawn from `f`.
+    /// Builds the full cell with devices drawn from `f` and solves its "l
+    /// low" operating point from the guess, the start of every sample.
     ///
     /// # Errors
     ///
-    /// Propagates elaboration failures.
+    /// Propagates elaboration failures and that solve's failures.
     pub fn new(sz: SramSizing, vdd: f64, f: &mut dyn DeviceFactory) -> Result<Self, SpiceError> {
         let devices = SramDevices::draw(sz, f);
         let (c, l, r) = full_cell(&devices, vdd);
+        let mut session = Session::elaborate(c)?;
+        let start = session.dc_owned_with_guess(&[(l, 0.0), (r, vdd)])?;
         Ok(ReadDisturbBench {
-            session: Session::elaborate(c)?,
+            session,
+            start: start.raw().to_vec(),
             l,
             r,
             vdd,
@@ -491,22 +500,16 @@ impl ReadDisturbBench {
 
     /// Per-frequency transfer magnitudes from a bit-line perturbation into
     /// the low storage node (the paper's Table IV "SRAM AC" workload), at
-    /// the "l low" operating point. The session's warm start, the previous
-    /// sample's operating point, is the start of
-    /// [`Session::dc_owned_from`], which keeps a result only in the state
-    /// the guess selects. Without one (the first call, or after a failed
-    /// solve) the operating point is the guessed
-    /// [`Session::dc_owned_with_guess`].
+    /// the "l low" operating point: [`Session::dc_owned_from`] the bench's
+    /// construction point, which keeps a result only in the state the
+    /// guess selects and otherwise falls back to the guessed solve.
     ///
     /// # Errors
     ///
     /// Propagates operating-point and AC-solve failures.
     pub fn run(&mut self, freqs: &[f64]) -> Result<Vec<f64>, SpiceError> {
         let guess = [(self.l, 0.0), (self.r, self.vdd)];
-        let op = match self.session.warm_start().map(<[f64]>::to_vec) {
-            Some(warm) => self.session.dc_owned_from(&warm, &guess)?,
-            None => self.session.dc_owned_with_guess(&guess)?,
-        };
+        let op = self.session.dc_owned_from(&self.start, &guess)?;
         let ac = self.session.ac_owned(&op, "VBL", freqs)?;
         Ok(ac.magnitudes(self.l))
     }
@@ -735,9 +738,7 @@ mod tests {
         let a = bench.run(&freqs).unwrap();
         bench.resample(sz, &mut f).unwrap();
         let b = bench.run(&freqs).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-4 * y.abs().max(1e-12));
-        }
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * **Elaborate once per worker.** Worker state (an elaborated
 //!   [`spice::Session`], a bench, a device factory template) is built once
 //!   by the `build` closure inside each worker thread — the per-sample fast
-//!   path (swap devices, warm-started re-solve) never crosses a thread
+//!   path (swap devices, re-solve) never crosses a thread
 //!   boundary. Elaborate each worker's session there from a clone of one
 //!   shared [`spice::Circuit`].
 //! * **Thread-count-invariant determinism.** Sample `i` always draws from
@@ -27,14 +27,13 @@
 //!   64 workers, while peak sample storage stays O(workers + round) instead
 //!   of O(n).
 //!
-//!   The guarantee is as strong as the sample closure is pure: if a sample
-//!   reads mutable worker state whose value depends on scheduling history —
-//!   the classic case is a warm-started Newton solve seeded by whichever
-//!   sample the worker ran previously — its result can drift in the last
-//!   floating-point bits while remaining statistically identical (the
-//!   mismatch draws are exactly the same devices). Call
-//!   [`spice::Session::invalidate_warm_start`] per sample when bit-exact
-//!   reproducibility matters more than the warm-start speedup.
+//!   The guarantee is as strong as the sample closure is pure: a sample may
+//!   read only its stream and worker state that is the same on every
+//!   worker. A [`spice::Session`] keeps nothing between solves, so swapping
+//!   devices in and solving is pure. Worker state built from the `build`
+//!   closure's sampler differs per worker, so a bench whose samples start
+//!   Newton from its construction cell's operating point must draw that
+//!   cell from a stream every worker shares.
 //! * **Caller-side stopping.** A run always executes its whole range. To
 //!   stop once an estimate is pinned down, run consecutive ranges into the
 //!   same sink and test the estimate between them: the sink sees the same

@@ -3,15 +3,19 @@
 //! `ParallelRunner` promises that the `(sample index, record)` stream a
 //! sink receives is *bit-identical* for any worker count when each sample
 //! is a pure function of its derived sampler stream. These tests pin that
-//! down on the device-level workload (stateless) and on a circuit-level
-//! SRAM workload (cold-started sessions): every shipped sink — `VecSink`
+//! down on the device-level workload (stateless) and on circuit-level
+//! workloads (sessions and benches reused across samples): every shipped
+//! sink — `VecSink`
 //! buffer, t-digest, histogram, CSV bytes, Welford moments — must end in
 //! bit-identical state for any worker count, across a caller's consecutive
 //! ranges, and under panics.
 
-use circuits::sram::{full_cell, SramDevices, SramSizing};
+use circuits::cells::InverterSizing;
+use circuits::delay::{DelayBench, GateKind};
+use circuits::leakage::leakage_frequency_of;
+use circuits::sram::{full_cell, ReadDisturbBench, SramDevices, SramSizing};
 use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
-use spice::Session;
+use spice::{Session, SpiceError};
 use stats::histogram::Histogram;
 use stats::{Sampler, Welford};
 use vscore::mc::{
@@ -111,9 +115,9 @@ fn device_level_runs_depend_on_seed() {
 }
 
 /// Circuit-level workload: full 6T cell DC solve with per-sample device
-/// swaps. Cold-starting every sample makes each one a pure function of its
-/// sampler stream, so the bit-exactness guarantee applies; warm-started
-/// production loops trade that for speed (same statistics, last-bit drift).
+/// swaps. A session keeps nothing between solves, so every sample is a
+/// pure function of its sampler stream and the bit-exactness guarantee
+/// applies.
 fn sram_run(seed: u64, n: usize, workers: usize) -> (Vec<(usize, u64)>, StreamOutcome) {
     let sz = SramSizing::default();
     let template = sram_factory(Sampler::from_seed(0));
@@ -146,7 +150,6 @@ fn sram_run(seed: u64, n: usize, workers: usize) -> (Vec<(usize, u64)>, StreamOu
                     ("PG1", pg0),
                     ("PG2", pg1),
                 ])?;
-                session.invalidate_warm_start();
                 let op = session.dc_owned_with_guess(&[(*l, 0.0), (*r, VDD)])?;
                 Ok::<f64, spice::SpiceError>(op.voltage(*r))
             },
@@ -166,6 +169,62 @@ fn sram_dc_runs_are_thread_count_invariant() {
     assert_eq!(out.observed + out.failures, 24);
     assert_eq!(s1, s2);
     assert_eq!(s1, s8);
+}
+
+/// The circuit benches' samples through the runner: an FO3 inverter's
+/// `leakage_frequency_of` and the read-disturb AC sweep. Each worker
+/// builds its `ReadDisturbBench` from one fixed draw, and every sample
+/// starts its solves from zero or from that bench's construction point, so
+/// every delay, frequency, leakage and AC magnitude has the same bits for
+/// 1, 2 and 3 workers.
+#[test]
+fn circuit_bench_samples_are_thread_count_invariant() {
+    let sz = SramSizing::default();
+    let freqs = spice::ac::log_sweep(1e6, 1e11, 2);
+    let run = |workers: usize| {
+        let runner = ParallelRunner::new(0xbe7c).workers(workers);
+        let mut fo3 = VecSink::new();
+        runner
+            .run_streaming_range(
+                0,
+                6,
+                |_, _| {
+                    let inv = InverterSizing::from_nm(600.0, 300.0, 40.0);
+                    let mut f = sram_factory(Sampler::from_seed(1));
+                    Ok::<_, SpiceError>(DelayBench::fo3(GateKind::Inverter, inv, VDD, &mut f))
+                },
+                |bench, sampler, _| {
+                    bench.resample(&mut sram_factory(sampler.clone()));
+                    let lf = leakage_frequency_of(bench)?;
+                    Ok([lf.delay, lf.frequency, lf.leakage].map(f64::to_bits))
+                },
+                &mut fo3,
+            )
+            .expect("the benches build");
+        let mut ac = VecSink::new();
+        runner
+            .run_streaming_range(
+                0,
+                12,
+                |_, _| ReadDisturbBench::new(sz, VDD, &mut sram_factory(Sampler::from_seed(2))),
+                |bench, sampler, _| {
+                    bench.resample(sz, &mut sram_factory(sampler.clone()))?;
+                    let mags = bench.run(&freqs)?;
+                    Ok(mags.into_iter().map(f64::to_bits).collect::<Vec<_>>())
+                },
+                &mut ac,
+            )
+            .expect("the benches build");
+        (fo3.records().to_vec(), ac.records().to_vec())
+    };
+    let one = run(1);
+    assert!(
+        one.0.len() >= 5 && one.1.len() >= 10,
+        "most samples succeed"
+    );
+    for workers in [2, 3] {
+        assert!(run(workers) == one, "{workers} workers");
+    }
 }
 
 #[test]

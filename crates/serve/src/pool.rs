@@ -497,7 +497,6 @@ mod tests {
         let sample = |session: &mut Session, sampler: &mut Sampler, _i: usize| {
             let from = dc_sample_from(session, draw(sampler), &engine.op, l, r, VDD)?;
             draw(sampler).swap_into(session)?;
-            session.invalidate_warm_start();
             let guessed = session.dc_owned_with_guess(&[(l, 0.0), (r, VDD)])?;
             Ok::<_, SpiceError>((from, guessed.voltage(r)))
         };

@@ -20,12 +20,12 @@
 //!    choose where Newton starts.
 //! 4. **Resample in place** for Monte Carlo: [`Session::swap_devices`] /
 //!    [`Session::swap_all_mosfets`] replace MOSFET instances without
-//!    re-parsing or re-elaborating, and the next [`Session::dc_owned`]
-//!    starts Newton from the previous sample's operating point, the
-//!    session's warm start. [`Session::dc_owned_from`] starts from a
-//!    caller-held vector instead (served samples pass the nominal cell's
-//!    operating point, AC Monte Carlo the previous sample's with its
-//!    guess); a sweep never reads the warm start. Every DC entry point
+//!    re-parsing or re-elaborating. [`Session::dc_owned_from`] starts
+//!    Newton from a caller-held vector (served samples pass the nominal
+//!    cell's operating point, AC Monte Carlo its bench's construction
+//!    cell's, with their guess); [`Session::dc_owned`] and a guessed solve
+//!    start from nothing, and no DC entry point reads what an earlier
+//!    call left in the session. Every DC entry point
 //!    gets its operating point from one solve: plain Newton from the
 //!    starts it names, then one continuation ladder, and once the starts
 //!    fail, exactly the solve without them (see [`session`]).

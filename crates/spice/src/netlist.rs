@@ -30,7 +30,7 @@ impl NodeId {
 /// immutably, so one netlist can be re-solved cheaply (e.g. in Monte Carlo
 /// loops the netlist is rebuilt per sample only because device models
 /// change).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Circuit {
     /// Number of nodes, ground included.
     n_nodes: usize,
@@ -238,9 +238,7 @@ impl Circuit {
         (self.node_count() - 1) + self.n_vsources()
     }
 
-    /// Validates the netlist: every non-ground node must be reachable from
-    /// at least one element terminal (no typo'd dangling references) and at
-    /// least one element must exist.
+    /// Validates the netlist: at least one element must exist.
     ///
     /// # Errors
     ///
@@ -255,9 +253,25 @@ impl Circuit {
     }
 }
 
+impl Default for Circuit {
+    /// [`Circuit::new`]: an empty circuit with ground registered.
+    fn default() -> Self {
+        Circuit::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_registers_ground() {
+        let mut c = Circuit::default();
+        let a = c.node("a");
+        assert_eq!(a.unknown(), Some(0));
+        assert_eq!(c.node_count(), 2);
+        assert_eq!(c.node("gnd"), Circuit::GROUND);
+    }
 
     #[test]
     fn node_interning_is_idempotent() {

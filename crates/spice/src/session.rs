@@ -8,27 +8,29 @@
 //! * every analysis returns its result by value — [`Session::dc_owned`],
 //!   [`Session::dc_sweep_owned`], [`Session::tran_owned`],
 //!   [`Session::ac_owned`] — so nothing a session computes outlives the
-//!   circuit state it was computed on;
+//!   circuit state it was computed on, and no analysis reads what an
+//!   earlier one left behind: a result depends on the circuit's devices
+//!   and sources and on the call's arguments alone;
 //! * only the DC entry points choose where Newton starts, and they all get
 //!   their operating point from one solve: plain Newton from the entry
 //!   point's starts, in order, then one continuation ladder. The starts
-//!   are the *warm start* (the last operating point a DC entry point
-//!   solved) for a guess-less [`Session::dc_owned`]; the caller's vector
-//!   for [`Session::dc_owned_from`]; for a sweep point, a prediction from
-//!   the slopes `dx/dv` of the points before it (a cubic Hermite through
-//!   the two before it), then the previous point; none for a guessed call.
-//!   Once its starts fail, a solve is exactly the same call without them.
-//!   A start, and every ladder rung before source stepping, gets at most
-//!   50 Newton iterations, so a start Newton cycles from costs little;
+//!   are the caller's vector for [`Session::dc_owned_from`]; for a sweep
+//!   point, a prediction from the slopes `dx/dv` of the points before it
+//!   (a cubic Hermite through the two before it), then the previous
+//!   point; none for [`Session::dc_owned`] and
+//!   [`Session::dc_owned_with_guess`]. Once its starts fail, a solve is
+//!   exactly the same call without them. A start, and every ladder rung
+//!   before source stepping, gets at most 50 Newton iterations, so a start
+//!   Newton cycles from costs little;
 //! * [`Session::ac_owned`] and [`Session::tran_owned`] take the
 //!   [`DcResult`] a DC entry point returned: the AC sweep linearizes at
-//!   it, the transient starts from it. They choose no start and neither
-//!   read nor write the warm start;
+//!   it, the transient starts from it. They choose no start;
 //! * [`Session::swap_devices`] / [`Session::swap_all_mosfets`] resample
 //!   MOSFET instances *in place* — the Monte Carlo fast path: no re-parse,
-//!   no re-elaboration, and the next [`Session::dc_owned`] starts from the
-//!   previous sample's operating point; every AC sweep reuses one cached
-//!   complex workspace;
+//!   no re-elaboration; a Monte Carlo loop that wants Newton to start near
+//!   the answer passes a start it fixes itself, such as a nominal
+//!   circuit's operating point, to [`Session::dc_owned_from`]; every AC
+//!   sweep reuses one cached complex workspace;
 //! * [`Session::set_source`] retargets a stimulus (setup/hold searches,
 //!   sweeps) without rebuilding the netlist.
 
@@ -98,9 +100,6 @@ pub struct Session {
     nn: usize,
     /// Element index of every MOSFET, by instance name.
     mos_by_name: HashMap<String, usize>,
-    /// The warm start: the DC unknown vector the last DC entry point
-    /// solved, `None` after a failed solve.
-    warm: Option<Vec<f64>>,
     /// Transient charge state, reused across runs.
     state: TranState,
     /// AC sweep scratch (linearization + complex system), allocated on the
@@ -134,7 +133,6 @@ impl Session {
             ws,
             nn,
             mos_by_name,
-            warm: None,
             state: TranState::default(),
             ac_ws: None,
         })
@@ -150,10 +148,7 @@ impl Session {
 
     // ---- analyses --------------------------------------------------------
 
-    /// DC operating point: plain Newton from the warm start, the previous
-    /// solve's operating point, then the continuation ladder from zero,
-    /// which is the whole solve when there is no warm start. A success
-    /// becomes the warm start, and a failure clears it.
+    /// DC operating point: the continuation ladder from zero.
     ///
     /// # Errors
     ///
@@ -164,55 +159,46 @@ impl Session {
 
     /// DC operating point seeded with node-voltage guesses, which select
     /// the state of bistable circuits: the continuation ladder from the
-    /// guess, then from zero. The warm start is not read, so the result
-    /// depends on the circuit and `guess` alone. An empty guess is
-    /// [`Session::dc_owned`].
+    /// guess, then from zero. An empty guess is [`Session::dc_owned`].
     ///
     /// # Errors
     ///
     /// Propagates convergence and singularity errors.
     pub fn dc_owned_with_guess(&mut self, guess: &[(NodeId, f64)]) -> Result<DcResult, SpiceError> {
-        let warm = self.warm.take().filter(|_| guess.is_empty());
-        let x = self.operating_point(warm.as_deref(), guess)?;
+        let x = self.solve_dc(None, guess)?;
         Ok(DcResult::new(x, self.nn))
     }
 
     /// DC operating point from a caller-held start vector, such as a
-    /// nominal circuit's solution or the previous Monte Carlo sample's
-    /// operating point: plain Newton from `start`, accepted in the stable
-    /// state `guess` selects. Otherwise the solve is exactly
-    /// [`Session::dc_owned_with_guess`] on a session without a warm start,
-    /// after at most 50 Newton iterations from `start`. The result depends
-    /// on the circuit, `start` and `guess` alone, whatever the session
-    /// solved before. A success becomes the warm start, and a failure
-    /// clears it.
+    /// nominal circuit's solution: plain Newton from `start`, accepted in
+    /// the stable state `guess` selects. Otherwise the solve is exactly
+    /// [`Session::dc_owned_with_guess`], after at most 50 Newton
+    /// iterations from `start`.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::InvalidArgument`] when `start` does not have
-    /// one entry per circuit unknown, leaving the warm start as it was,
-    /// and propagates convergence and singularity errors.
+    /// one entry per circuit unknown, and propagates convergence and
+    /// singularity errors.
     pub fn dc_owned_from(
         &mut self,
         start: &[f64],
         guess: &[(NodeId, f64)],
     ) -> Result<DcResult, SpiceError> {
         self.check_unknowns(start, "start vector")?;
-        let x = self.operating_point(Some(start), guess)?;
+        let x = self.solve_dc(Some(start), guess)?;
         Ok(DcResult::new(x, self.nn))
     }
 
-    /// DC sweep of the named voltage source over `values`. A sweep neither
-    /// reads nor writes the warm start, so it depends on the circuit and
-    /// `values` alone. The first point is the continuation ladder from
-    /// zero. Every later point runs plain Newton from a prediction, then
-    /// from the point before it, then the ladder from zero. The second
-    /// point is predicted on the tangent line at the first, every later
-    /// one by the cubic Hermite through the two points before it, each
-    /// point's slope `dx/dv` read from the LU its last Newton iteration
-    /// factored; the prediction's step is capped like a Newton step, and a
-    /// repeated value gives none. The source's waveform is restored
-    /// afterwards.
+    /// DC sweep of the named voltage source over `values`. The first point
+    /// is the continuation ladder from zero. Every later point runs plain
+    /// Newton from a prediction, then from the point before it, then the
+    /// ladder from zero. The second point is predicted on the tangent line
+    /// at the first, every later one by the cubic Hermite through the two
+    /// points before it, each point's slope `dx/dv` read from the LU its
+    /// last Newton iteration factored; the prediction's step is capped
+    /// like a Newton step, and a repeated value gives none. The source's
+    /// waveform is restored afterwards.
     ///
     /// # Errors
     ///
@@ -241,8 +227,7 @@ impl Session {
     /// AC small-signal sweep at the operating point `op`, which a DC entry
     /// point returned for this circuit: linearize there, apply a unit
     /// excitation on `source`, and solve at each frequency through one
-    /// cached complex workspace. The sweep solves no operating point and
-    /// neither reads nor writes the warm start.
+    /// cached complex workspace. The sweep solves no operating point.
     ///
     /// # Errors
     ///
@@ -276,9 +261,7 @@ impl Session {
     }
 
     /// Replaces the compact model of one MOSFET instance in place. The
-    /// node/branch layout, workspace, and LU scratch all stay valid; the
-    /// next [`Session::dc_owned`] warm-starts from the previous operating
-    /// point.
+    /// node/branch layout, workspace, and LU scratch all stay valid.
     ///
     /// # Errors
     ///
@@ -354,40 +337,22 @@ impl Session {
         n
     }
 
-    /// Drops the warm start, so the next guess-less solve is the
-    /// continuation ladder from zero. Rarely needed — swapping devices
-    /// intentionally keeps the warm start — but useful when a stimulus
-    /// change moves the circuit to a very different region, or when a
-    /// sample must not depend on the one solved before it.
-    pub fn invalidate_warm_start(&mut self) {
-        self.warm = None;
-    }
-
-    /// The warm start, if any: the operating point the last DC entry point
-    /// solved, where the next guess-less [`Session::dc_owned`] starts
-    /// Newton. A Monte Carlo loop that must keep a bistable circuit in one
-    /// state passes it to [`Session::dc_owned_from`] with its guess.
-    #[must_use]
-    pub fn warm_start(&self) -> Option<&[f64]> {
-        self.warm.as_deref()
-    }
+    /// Does nothing: a session keeps no state between solves besides its
+    /// devices and sources. Kept because the repository benchmark
+    /// (`statbench/`) still calls it; it goes with the next change to the
+    /// benchmark.
+    pub fn invalidate_warm_start(&mut self) {}
 
     /// Solves the DC operating point of several Monte Carlo lanes, one
-    /// after another, each like [`Session::dc_owned_with_guess`].
+    /// after another.
     ///
     /// Each lane is a set of device swaps applied *for that lane only* —
     /// the session's own circuit is left unchanged (unlike
-    /// [`Session::swap_devices`]). Every lane starts from the same entry
-    /// state: the `guess` node overrides when `guess` is `Some` and
-    /// non-empty (matching [`Session::dc_owned_with_guess`]), otherwise
-    /// Newton from the session's warm start as it was on entry (matching
-    /// [`Session::dc_owned`] on a session holding that warm start).
-    ///
-    /// **Determinism contract:** lane `i` is bit-identical to swapping lane
-    /// `i`'s devices into the session and solving from that entry state. A
-    /// lane that does not converge fails alone, never the batch. After the
-    /// batch, the session's warm start is what a sequential sweep would
-    /// leave: the last lane's solution on success, cleared on failure.
+    /// [`Session::swap_devices`]). A lane names no start: lane `i` is
+    /// bit-identical to swapping its devices into the session and calling
+    /// [`Session::dc_owned_with_guess`] with `guess` (an empty guess for
+    /// `None`). A lane that does not converge fails alone, never the
+    /// batch.
     ///
     /// # Errors
     ///
@@ -449,35 +414,18 @@ impl Session {
             })
             .collect::<Result<Vec<_>, SpiceError>>()?;
         let guess = guess.unwrap_or_default();
-        let entry = self.warm.take().filter(|_| guess.is_empty());
         let mut results = Vec::with_capacity(resolved.len());
         for lane in &mut resolved {
             self.exchange_models(lane.iter_mut().map(|(idx, model)| (*idx, model)));
-            let x = self.operating_point(entry.as_deref(), guess);
-            results.push(x.map(|x| DcResult::new(x, self.nn)));
+            results.push(self.dc_owned_with_guess(guess));
             // Swapping back in reverse order restores the session's own
             // models even when a lane names a device twice.
             self.exchange_models(lane.iter_mut().rev().map(|(idx, model)| (*idx, model)));
         }
-        // The last lane's solve left its solution as the warm start, or
-        // none if it failed.
         Ok(results)
     }
 
     // ---- analysis engines -----------------------------------------------
-
-    /// The operating point of a DC entry point: [`Session::solve_dc`] from
-    /// `start`, if any. Its success becomes the warm start, and its failure
-    /// clears it.
-    fn operating_point(
-        &mut self,
-        start: Option<&[f64]>,
-        guess: &[(NodeId, f64)],
-    ) -> Result<Vec<f64>, SpiceError> {
-        let x = self.solve_dc(start, guess);
-        self.warm = x.as_ref().ok().cloned();
-        x
-    }
 
     /// The one DC solve behind every DC entry point. Plain Newton runs from
     /// each start in order, each for at most [`MAX_NEWTON_WITH_FALLBACK`]
@@ -596,8 +544,7 @@ impl Session {
     /// entry point returned for this circuit (a guess selects the state of
     /// bistable circuits there): breakpoint-aligned fixed grid, trapezoidal
     /// integration with backward-Euler restarts, recursive step halving on
-    /// Newton failure. The run solves no operating point and neither reads
-    /// nor writes the warm start.
+    /// Newton failure. The run solves no operating point.
     ///
     /// # Errors
     ///
@@ -865,14 +812,15 @@ mod tests {
 
     #[test]
     fn warm_started_resolve_matches_fresh_elaboration() {
-        // Solve, swap in a slightly different device, re-solve warm; a
-        // fresh cold session on the same swapped netlist must agree.
+        // Solve, swap in a slightly different device, re-solve from the
+        // previous operating point; a fresh cold session on the same
+        // swapped netlist must agree.
         let (c, out) = inverter(0.9, 0.45);
         let mut warm = Session::elaborate(c.clone()).unwrap();
-        let _ = warm.dc_owned().unwrap();
+        let before = warm.dc_owned().unwrap();
         let weaker = VsModel::nominal_nmos_40nm(Geometry::from_nm(240.0, 40.0));
         warm.swap_device("MN", Box::new(weaker.clone())).unwrap();
-        let v_warm = warm.dc_owned().unwrap().voltage(out);
+        let v_warm = warm.dc_owned_from(before.raw(), &[]).unwrap().voltage(out);
 
         let mut cold_c = c;
         // Rebuild the same swapped netlist from scratch.
@@ -1005,10 +953,10 @@ mod tests {
         (c, a, b)
     }
 
-    /// The AC Monte Carlo operating point: Newton from the warm start,
-    /// accepted only in the state the guess selects. A warm start parked
-    /// in the latch's other state converges there and is discarded, so the
-    /// sweep is the one at the guessed solve of a fresh session.
+    /// Newton from a start, accepted only in the state the guess selects.
+    /// A start in the latch's other state converges there and is
+    /// discarded, so the sweep is the one at the guessed solve of a fresh
+    /// session.
     #[test]
     fn warm_start_in_the_other_state_is_repinned_by_the_guess() {
         let (c, a, b) = latch();
@@ -1020,15 +968,14 @@ mod tests {
             };
             s.ac_owned(&op.unwrap(), "VDD", &freqs).unwrap()
         };
-        // Park the session's warm start in the "a high" state...
+        // Solve the "a high" state...
         let mut s = Session::elaborate(c.clone()).unwrap();
         let op = s.dc_owned_with_guess(&[(a, 0.9), (b, 0.0)]).unwrap();
         assert!(op.voltage(a) > 0.6, "latch must latch: {}", op.voltage(a));
-        // ...then request the opposite basin: the warm Newton solve
-        // converges (to the wrong state) and must be discarded.
+        // ...then request the opposite basin from it: Newton converges
+        // (to the wrong state) and the result must be discarded.
         let guess = [(a, 0.0), (b, 0.9)];
-        let warm = s.warm_start().map(<[f64]>::to_vec);
-        let got = sweep(&mut s, warm, &guess);
+        let got = sweep(&mut s, Some(op.raw().to_vec()), &guess);
         let want = sweep(&mut Session::elaborate(c.clone()).unwrap(), None, &guess);
         for node in [a, b] {
             let (x, y) = (got.magnitudes(node)[0], want.magnitudes(node)[0]);
@@ -1094,7 +1041,6 @@ mod tests {
         let got = s.dc_owned_from(flipped.raw(), &guess).unwrap();
         assert_eq!(bits(got.raw()), bits(want.raw()));
         assert!(got.voltage(r) > 0.75 * VDD);
-        assert_eq!(s.warm_start().map(bits), Some(bits(want.raw())));
     }
 
     #[test]
@@ -1103,17 +1049,12 @@ mod tests {
         let guess = [(l, 0.0), (r, VDD)];
         let mut s = Session::elaborate(c).unwrap();
         let n = s.circuit().n_unknowns();
-        assert!(matches!(
-            s.dc_owned_from(&vec![0.0; n - 1], &guess),
-            Err(SpiceError::InvalidArgument { .. })
-        ));
-        assert!(s.warm_start().is_none());
-        let op = s.dc_owned_with_guess(&guess).unwrap();
-        assert!(matches!(
-            s.dc_owned_from(&vec![0.0; n + 1], &guess),
-            Err(SpiceError::InvalidArgument { .. })
-        ));
-        assert_eq!(s.warm_start().map(bits), Some(bits(op.raw())));
+        for len in [n - 1, n + 1] {
+            assert!(matches!(
+                s.dc_owned_from(&vec![0.0; len], &guess),
+                Err(SpiceError::InvalidArgument { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1138,14 +1079,15 @@ mod tests {
         let (c, out) = inverter(0.9, 0.42);
         let freqs = [1e6, 1e9, 1e11];
         let mut warm = Session::elaborate(c.clone()).unwrap();
+        let mut previous = warm.dc_owned().unwrap();
         let mut reference = Session::elaborate(c).unwrap();
         for w_nm in [300.0, 280.0, 320.0, 260.0] {
             let dev = VsModel::nominal_nmos_40nm(Geometry::from_nm(w_nm, 40.0));
             warm.swap_device("MN", Box::new(dev.clone())).unwrap();
             reference.swap_device("MN", Box::new(dev)).unwrap();
-            reference.invalidate_warm_start();
-            let op = warm.dc_owned().unwrap();
+            let op = warm.dc_owned_from(previous.raw(), &[]).unwrap();
             let a = warm.ac_owned(&op, "VIN", &freqs).unwrap();
+            previous = op;
             let op = reference.dc_owned().unwrap();
             let b = reference.ac_owned(&op, "VIN", &freqs).unwrap();
             for (x, y) in a.magnitudes(out).iter().zip(b.magnitudes(out)) {
@@ -1482,32 +1424,29 @@ mod tests {
 
     /// The guessed or warm DC solve before one start policy, the reference
     /// for [`Session::solve_dc`]: plain Newton from the guess-built vector,
-    /// the warm start or zero, then gmin stepping, then source stepping,
-    /// then — for a guessed or warm entry whose basin may no longer exist
-    /// for this sample — one cold retry of the whole procedure. A success
-    /// becomes the warm start; a failure leaves none.
+    /// from `warm` (the last operating point, which sessions then kept) or
+    /// from zero, then gmin stepping, then source stepping, then — for a
+    /// guessed or warm entry whose basin may no longer exist for this
+    /// sample — one cold retry of the whole procedure.
     fn reference_solve_dc_vec(
         s: &mut Session,
         guess: Option<&[(NodeId, f64)]>,
+        warm: Option<&[f64]>,
     ) -> Result<Vec<f64>, SpiceError> {
         let n = s.circuit.n_unknowns();
         let mut x0 = vec![0.0; n];
-        match guess {
-            Some(g) => {
+        match (guess, warm) {
+            (Some(g), _) => {
                 for &(node, v) in g {
                     if let Some(i) = node.unknown() {
                         x0[i] = v;
                     }
                 }
             }
-            None => {
-                if let Some(w) = &s.warm {
-                    x0.copy_from_slice(w);
-                }
-            }
+            (None, Some(w)) => x0.copy_from_slice(w),
+            (None, None) => {}
         }
         if let Ok(x) = newton(&s.circuit, &x0, &DC, MAX_NEWTON, &mut s.ws) {
-            s.warm = Some(x.clone());
             return Ok(x);
         }
         let start = if guess.is_some() { x0 } else { vec![0.0; n] };
@@ -1528,7 +1467,6 @@ mod tests {
         }
         if ok {
             if let Ok(fin) = newton(&s.circuit, &x, &DC, MAX_NEWTON, &mut s.ws) {
-                s.warm = Some(fin.clone());
                 return Ok(fin);
             }
         }
@@ -1548,12 +1486,10 @@ mod tests {
             }
         }
         let Some((scale, e)) = stepping_failed else {
-            s.warm = Some(x.clone());
             return Ok(x);
         };
-        if guess.is_some() || s.warm.is_some() {
-            s.warm = None;
-            return reference_solve_dc_vec(s, None);
+        if guess.is_some() || warm.is_some() {
+            return reference_solve_dc_vec(s, None, None);
         }
         Err(SpiceError::NoConvergence {
             analysis: "dc op",
@@ -1561,26 +1497,21 @@ mod tests {
         })
     }
 
-    /// The warm-or-guess DC solve before one start policy, the reference
-    /// for [`Session::dc_owned_from`] (which stored its start as the warm
-    /// start first): plain Newton from the
-    /// warm start, accepted in the stable state `guess` selects, otherwise
-    /// [`reference_solve_dc_vec`] with the guess after clearing the warm
-    /// start.
-    fn reference_warm_or_guess(
+    /// The start-or-guess DC solve before one start policy, the reference
+    /// for [`Session::dc_owned_from`]: plain Newton from `start`, accepted
+    /// in the stable state `guess` selects, otherwise
+    /// [`reference_solve_dc_vec`] with the guess.
+    fn reference_start_or_guess(
         s: &mut Session,
+        start: &[f64],
         guess: &[(NodeId, f64)],
     ) -> Result<Vec<f64>, SpiceError> {
-        if let Some(w) = s.warm.clone() {
-            if let Ok(x) = newton(&s.circuit, &w, &DC, MAX_NEWTON, &mut s.ws) {
-                if basin_matches(&x, guess) {
-                    s.warm = Some(x.clone());
-                    return Ok(x);
-                }
+        if let Ok(x) = newton(&s.circuit, start, &DC, MAX_NEWTON, &mut s.ws) {
+            if basin_matches(&x, guess) {
+                return Ok(x);
             }
-            s.warm = None;
         }
-        reference_solve_dc_vec(s, (!guess.is_empty()).then_some(guess))
+        reference_solve_dc_vec(s, (!guess.is_empty()).then_some(guess), None)
     }
 
     /// The start of a DC sweep point before the Hermite prediction, the
@@ -1657,10 +1588,7 @@ mod tests {
                 .find_map(|x0| newton(&s.circuit, x0, &DC, MAX_NEWTON, &mut s.ws).ok());
             let x = match solved {
                 Some(x) => x,
-                None => {
-                    s.warm = None;
-                    reference_solve_dc_vec(s, None)?
-                }
+                None => reference_solve_dc_vec(s, None, None)?,
             };
             if prediction == Prediction::Hermite {
                 std::mem::swap(&mut t_before, &mut t_prev);
@@ -2003,13 +1931,6 @@ mod tests {
         assert_eq!(sweep(&mut s, &grid), want);
     }
 
-    /// The bits of an analysis's values, then those of the warm start it
-    /// left (none when cleared).
-    fn outcome(s: &Session, values: impl IntoIterator<Item = f64>) -> Vec<u64> {
-        let warm = s.warm_start().into_iter().flatten().copied();
-        values.into_iter().chain(warm).map(f64::to_bits).collect()
-    }
-
     /// Every complex node voltage of an AC sweep, real and imaginary parts.
     fn ac_values(s: &Session, ac: &AcResult) -> Vec<f64> {
         (1..s.circuit.node_count())
@@ -2059,49 +1980,27 @@ mod tests {
 
     /// Newton from a start it cannot use, a vector of NaNs, fails at its
     /// first iterate. From there every DC entry point's solve is exactly
-    /// the same call without the start on a fresh session: the same result
-    /// and warm start, and one failed iteration's device evaluations
-    /// followed by the fresh call's. A served 6T sample whose start Newton
-    /// cycles from falls back the same way after 50 failed iterations, and
-    /// the guessed solve it falls back to gives its own plain Newton 50
-    /// before gmin stepping. A sweep point takes its starts in order, and a
-    /// sweep neither reads nor writes the warm start.
+    /// the same call without the start: the same result, and one failed
+    /// iteration's device evaluations followed by the start-less call's. A
+    /// served 6T sample whose start Newton cycles from falls back the same
+    /// way after 50 failed iterations, and the guessed solve it falls back
+    /// to gives its own plain Newton 50 before gmin stepping. A sweep point
+    /// takes its starts in order.
     #[test]
     fn failed_starts_fall_back_to_the_start_less_solve() {
         let unusable = |s: &Session| vec![f64::NAN; s.circuit.n_unknowns()];
-        let poison = |s: &mut Session| s.warm = Some(unusable(s));
-        let dc = |s: &Session, op: DcResult| outcome(s, op.raw().iter().copied());
 
         let (inv, _) = inverter(VDD, 0.42);
-        assert_same_solve(
-            &inv,
-            "dc_owned on the inverter",
-            2,
-            |s| {
-                poison(s);
-                let op = s.dc_owned().unwrap();
-                dc(s, op)
-            },
-            |s| {
-                let op = s.dc_owned().unwrap();
-                dc(s, op)
-            },
-        );
         let (ff, _, _) = dff();
-        assert_same_solve(
-            &ff,
-            "dc_owned on the DFF",
-            14,
-            |s| {
-                poison(s);
-                let op = s.dc_owned().unwrap();
-                dc(s, op)
-            },
-            |s| {
-                let op = s.dc_owned().unwrap();
-                dc(s, op)
-            },
-        );
+        for (c, what, skipped) in [(&inv, "inverter", 2), (&ff, "DFF", 14)] {
+            assert_same_solve(
+                c,
+                &format!("dc_owned_from on the {what}"),
+                skipped,
+                |s| bits(s.dc_owned_from(&unusable(s), &[]).unwrap().raw()),
+                |s| bits(s.dc_owned().unwrap().raw()),
+            );
+        }
 
         let (cell, l, r) = sram_cell();
         for guess in [&[(l, 0.0), (r, VDD)][..], &[]] {
@@ -2109,14 +2008,8 @@ mod tests {
                 &cell,
                 &format!("dc_owned_from on the 6T cell, guess {guess:?}"),
                 6,
-                |s| {
-                    let op = s.dc_owned_from(&unusable(s), guess).unwrap();
-                    dc(s, op)
-                },
-                |s| {
-                    let op = s.dc_owned_with_guess(guess).unwrap();
-                    dc(s, op)
-                },
+                |s| bits(s.dc_owned_from(&unusable(s), guess).unwrap().raw()),
+                |s| bits(s.dc_owned_with_guess(guess).unwrap().raw()),
             );
         }
 
@@ -2132,18 +2025,12 @@ mod tests {
         let nominal = nominal.dc_owned_with_guess(&guess).unwrap().raw().to_vec();
         let cycling = paper_draw(&cell, 1566);
         let cycle = 6 * MAX_NEWTON_WITH_FALLBACK;
-        let guessed = |s: &mut Session| {
-            let op = s.dc_owned_with_guess(&guess).unwrap();
-            dc(s, op)
-        };
+        let guessed = |s: &mut Session| bits(s.dc_owned_with_guess(&guess).unwrap().raw());
         assert_same_solve(
             &cycling,
             "dc_owned_from on a 6T draw Newton cycles from",
             cycle,
-            |s| {
-                let op = s.dc_owned_from(&nominal, &guess).unwrap();
-                dc(s, op)
-            },
+            |s| bits(s.dc_owned_from(&nominal, &guess).unwrap().raw()),
             guessed,
         );
         assert_same_solve(
@@ -2165,28 +2052,7 @@ mod tests {
                     newton(&s.circuit, &x, &mode, limit, &mut s.ws)
                 });
                 let x = relaxed.and_then(|x| newton(&s.circuit, &x, &DC, limit, &mut s.ws));
-                s.warm = x.clone().ok();
-                outcome(s, x.unwrap())
-            },
-        );
-
-        // The AC Monte Carlo operating point: the warm start, here
-        // unusable, passed back with the guess.
-        let (latch, a, b) = latch();
-        let low = [(a, 0.0), (b, VDD)];
-        assert_same_solve(
-            &latch,
-            "dc_owned_from the warm start on the latch",
-            4,
-            |s| {
-                poison(s);
-                let warm = s.warm_start().unwrap().to_vec();
-                let op = s.dc_owned_from(&warm, &low).unwrap();
-                dc(s, op)
-            },
-            |s| {
-                let op = s.dc_owned_with_guess(&low).unwrap();
-                dc(s, op)
+                bits(&x.unwrap())
             },
         );
 
@@ -2214,56 +2080,28 @@ mod tests {
                 bits(&newton(&s.circuit, prev, &DC, MAX_NEWTON_WITH_FALLBACK, &mut s.ws).unwrap())
             },
         );
-        let swept = |s: &mut Session| {
-            let res = s.dc_sweep_owned("VIN", &grid).unwrap();
-            res.points.iter().flat_map(|p| bits(p.raw())).collect()
-        };
-        assert_same_solve(
-            &read,
-            "READ half-cell sweep",
-            0,
-            |s| {
-                poison(s);
-                let got = swept(s);
-                assert!(s.warm_start().unwrap().iter().all(|v| v.is_nan()));
-                got
-            },
-            |s| {
-                let want = swept(s);
-                assert!(s.warm_start().is_none());
-                want
-            },
-        );
     }
 
     /// One start policy takes the Newton runs of the policies it replaced,
     /// whose code the references above keep, on every path but a
-    /// guess-less solve whose start fails: the same bits and warm start,
-    /// and the same device evaluations. The cases: the 6T cell from its
-    /// guess, served samples (mismatch draws from the nominal operating
-    /// point), a flipped-state start that falls back to the guess, the
-    /// warm start passed back with the guess re-pinning the latch's basin
-    /// (the AC Monte Carlo operating point), a warm re-solve of the
-    /// inverter after a swap, the DFF's guessed t = 0 operating point, and
-    /// READ and HOLD half-cell sweeps of the nominal and eight paper-spec
-    /// draws.
+    /// guess-less solve whose start fails: the same bits and the same
+    /// device evaluations. The cases: the 6T cell from its guess, served
+    /// samples (mismatch draws from the nominal operating point), a
+    /// flipped-state start that falls back to the guess, the latch's other
+    /// state re-pinned by the guess, the inverter after a swap from the
+    /// operating point before it, the DFF's guessed t = 0 operating point,
+    /// and READ and HOLD half-cell sweeps of the nominal and eight
+    /// paper-spec draws.
     #[test]
     fn start_policy_matches_the_reference_policies() {
-        let dc = |s: &Session, x: &[f64]| outcome(s, x.iter().copied());
         let (cell, l, r) = sram_cell();
         let guess = [(l, 0.0), (r, VDD)];
         assert_same_solve(
             &cell,
             "6T cell from its guess",
             0,
-            |s| {
-                let op = s.dc_owned_with_guess(&guess).unwrap();
-                dc(s, op.raw())
-            },
-            |s| {
-                let x = reference_solve_dc_vec(s, Some(&guess)).unwrap();
-                dc(s, &x)
-            },
+            |s| bits(s.dc_owned_with_guess(&guess).unwrap().raw()),
+            |s| bits(&reference_solve_dc_vec(s, Some(&guess), None).unwrap()),
         );
         let solved = |guess: &[(NodeId, f64)]| {
             let mut s = Session::elaborate(cell.clone()).unwrap();
@@ -2271,14 +2109,10 @@ mod tests {
         };
         let nominal = solved(&guess);
         let flipped = solved(&[(l, VDD), (r, 0.0)]);
-        let from = |s: &mut Session, start: &[f64]| {
-            let op = s.dc_owned_from(start, &guess).unwrap();
-            dc(s, op.raw())
-        };
+        let from =
+            |s: &mut Session, start: &[f64]| bits(s.dc_owned_from(start, &guess).unwrap().raw());
         let reference_from = |s: &mut Session, start: &[f64]| {
-            s.warm = Some(start.to_vec());
-            let x = reference_warm_or_guess(s, &guess).unwrap();
-            dc(s, &x)
+            bits(&reference_start_or_guess(s, start, &guess).unwrap())
         };
         for (i, c) in (1..=8).map(|i| (i, paper_draw(&cell, i))) {
             assert_same_solve(
@@ -2301,18 +2135,15 @@ mod tests {
         let (high, low) = ([(a, VDD), (b, 0.0)], [(a, 0.0), (b, VDD)]);
         assert_same_solve(
             &latch,
-            "the warm start re-pinned on the latch",
+            "the other state re-pinned on the latch",
             0,
             |s| {
-                s.dc_owned_with_guess(&high).unwrap();
-                let warm = s.warm_start().unwrap().to_vec();
-                let op = s.dc_owned_from(&warm, &low).unwrap();
-                dc(s, op.raw())
+                let op = s.dc_owned_with_guess(&high).unwrap();
+                bits(s.dc_owned_from(op.raw(), &low).unwrap().raw())
             },
             |s| {
-                reference_solve_dc_vec(s, Some(&high)).unwrap();
-                let x = reference_warm_or_guess(s, &low).unwrap();
-                dc(s, &x)
+                let x = reference_solve_dc_vec(s, Some(&high), None).unwrap();
+                bits(&reference_start_or_guess(s, &x, &low).unwrap())
             },
         );
 
@@ -2330,18 +2161,10 @@ mod tests {
         swapped.swap_device("MN", Box::new(weaker)).unwrap();
         assert_same_solve(
             &swapped.circuit,
-            "warm inverter after a swap",
+            "inverter after a swap, from the operating point before it",
             0,
-            |s| {
-                s.warm = Some(before.clone());
-                let op = s.dc_owned().unwrap();
-                dc(s, op.raw())
-            },
-            |s| {
-                s.warm = Some(before.clone());
-                let x = reference_solve_dc_vec(s, None).unwrap();
-                dc(s, &x)
-            },
+            |s| bits(s.dc_owned_from(&before, &[]).unwrap().raw()),
+            |s| bits(&reference_solve_dc_vec(s, None, Some(&before)).unwrap()),
         );
 
         let (ff, ic, _) = dff();
@@ -2349,14 +2172,8 @@ mod tests {
             &ff,
             "DFF from its guess",
             0,
-            |s| {
-                let op = s.dc_owned_with_guess(&ic).unwrap();
-                dc(s, op.raw())
-            },
-            |s| {
-                let x = reference_solve_dc_vec(s, Some(&ic)).unwrap();
-                dc(s, &x)
-            },
+            |s| bits(s.dc_owned_with_guess(&ic).unwrap().raw()),
+            |s| bits(&reference_solve_dc_vec(s, Some(&ic), None).unwrap()),
         );
 
         let grid: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
@@ -2385,12 +2202,11 @@ mod tests {
     }
 
     /// AC and transient runs take the caller's operating point and choose
-    /// no start. At one operating point they give the same bits whatever
-    /// warm start the session holds: none, an unusable one (NaN), or the
-    /// operating point of the circuit's other stable state, from which a
-    /// run that started Newton would land elsewhere. Each run leaves the
-    /// warm start as it found it. An operating point of the wrong length is
-    /// [`SpiceError::InvalidArgument`] before any device evaluation.
+    /// no start. At one operating point they give the same bits after the
+    /// session solved the circuit's other stable state, from which a run
+    /// that started Newton would land elsewhere. An operating point of the
+    /// wrong length is [`SpiceError::InvalidArgument`] before any device
+    /// evaluation.
     #[test]
     fn ac_and_tran_take_the_callers_operating_point() {
         let freqs = [1e6, 1e9];
@@ -2414,26 +2230,20 @@ mod tests {
             (ff, ic, flipped, q_int, "DFF"),
         ] {
             let mut s = Session::elaborate(c.clone()).unwrap();
-            let other = s.dc_owned_with_guess(&other_guess).unwrap();
             let op = s.dc_owned_with_guess(&guess).unwrap();
+            let run = |s: &mut Session| {
+                let ac = s.ac_owned(&op, "VDD", &freqs).unwrap();
+                let tran = s.tran_owned(&op, &opts).unwrap();
+                (bits(&ac_values(s, &ac)), bits(&tran_values(s, &tran)))
+            };
+            let first = run(&mut s);
+            let other = s.dc_owned_with_guess(&other_guess).unwrap();
             let gap = (other.voltage(state) - op.voltage(state)).abs();
             assert!(gap > 0.5 * VDD, "{what}: the other state is {gap} V away");
-            let nan = vec![f64::NAN; op.raw().len()];
-            let runs: Vec<_> = [None, Some(nan), Some(other.raw().to_vec())]
-                .into_iter()
-                .map(|warm| {
-                    s.warm = warm;
-                    let before = s.warm_start().map(bits);
-                    let ac = s.ac_owned(&op, "VDD", &freqs).unwrap();
-                    assert_eq!(s.warm_start().map(bits), before, "{what}: AC");
-                    let tran = s.tran_owned(&op, &opts).unwrap();
-                    assert_eq!(s.warm_start().map(bits), before, "{what}: transient");
-                    (bits(&ac_values(&s, &ac)), bits(&tran_values(&s, &tran)))
-                })
-                .collect();
-            for (k, run) in runs.iter().enumerate().skip(1) {
-                assert!(*run == runs[0], "{what}: warm start {k}");
-            }
+            assert!(
+                run(&mut s) == first,
+                "{what}: the other state's solve moved the runs"
+            );
 
             let (errors, log) = recorded(&c, Workspace::new(&c), |s| {
                 let wrong = DcResult::new(vec![0.0; s.circuit.n_unknowns() + 1], s.nn);

@@ -2,13 +2,11 @@
 //!
 //! `Session::dc_batch` promises that lane `i` of a K-lane batch is
 //! **bit-identical** to running the scalar path sequentially: swap lane
-//! `i`'s devices, solve from the same entry state. These tests pin that
+//! `i`'s devices, solve with the batch's guess. These tests pin that
 //! promise on a hand-built 6T SRAM cell under random mismatch draws, for
-//! K ∈ {1, 4, 8}, from cold (guess-built), warm (the nominal operating
-//! point a guessed solve leaves as the warm start, against scalar solves
-//! from that vector) and empty-guess starts — plus per-lane failure
-//! isolation, the exit warm start a sequential sweep would leave, and typed
-//! validation that leaves the session untouched.
+//! K ∈ {1, 4, 8} with a guess and for empty and absent guesses — plus
+//! per-lane failure isolation and typed validation that leaves the session
+//! untouched.
 //!
 //! Self-contained by design: mismatch normals come from a hand-rolled
 //! splitmix64 + Box-Muller generator keyed purely by `(seed, lane index)`,
@@ -137,17 +135,10 @@ fn bits(op: &spice::DcResult) -> Vec<u64> {
     op.raw().iter().map(|x| x.to_bits()).collect()
 }
 
-/// The session's warm start as bit patterns (`None` when cleared).
-fn warm_bits(s: &Session) -> Option<Vec<u64>> {
-    s.warm_start()
-        .map(|w| w.iter().map(|x| x.to_bits()).collect())
-}
-
-/// Scalar reference for one lane from a cold start: swap the lane's
-/// devices, clear the warm start, solve from the node guess.
+/// Scalar reference for one lane: swap the lane's devices, solve from the
+/// node guess.
 fn scalar_cold(s: &mut Session, seed: u64, lane: usize, guess: &[(NodeId, f64)]) -> Vec<u64> {
     s.swap_devices(draw(seed, lane)).expect("known names");
-    s.invalidate_warm_start();
     bits(&s.dc_owned_with_guess(guess).expect("scalar converges"))
 }
 
@@ -167,7 +158,6 @@ fn cold_start_lanes_are_bit_identical_to_scalar() {
         let reference: Vec<Vec<u64>> = (0..k)
             .map(|i| scalar_cold(&mut scalar, seed, i, &guess))
             .collect();
-        batched.invalidate_warm_start();
         let lanes: Vec<_> = (0..k).map(|i| draw(seed, i)).collect();
         let ops = batched.dc_batch(lanes, Some(&guess)).expect("valid batch");
         assert_eq!(ops.len(), k);
@@ -179,106 +169,41 @@ fn cold_start_lanes_are_bit_identical_to_scalar() {
                 "cold-start lane {i} of K = {k} diverged from the scalar path"
             );
         }
-        assert_eq!(
-            warm_bits(&batched),
-            reference.last().cloned(),
-            "K = {k} batch must leave the last lane's solution as the warm start"
-        );
     }
 }
 
-// ---------------------------------------------------------------------------
-// Bit-identity: warm starts (nominal operating point, no guess)
-// ---------------------------------------------------------------------------
-
+/// A lane without a guess, empty or absent, is `dc_owned` on its devices:
+/// the continuation ladder from zero, whatever the session solved before
+/// the batch.
 #[test]
-fn warm_start_lanes_are_bit_identical_to_scalar() {
-    let seed = 0x3a3a_1111;
-    let (c, l, r) = cell();
-    let mut scalar = Session::elaborate(c).expect("valid cell");
-    let guess = [(l, 0.0), (r, VDD)];
-    // A converged nominal operating point to warm-start every lane from.
-    scalar
-        .dc_owned_with_guess(&guess)
-        .expect("nominal converges");
-    let w0 = scalar
-        .warm_start()
-        .expect("solve left a warm start")
-        .to_vec();
-    let (c, _, _) = cell();
-    let mut batched = Session::elaborate(c).expect("valid cell");
-    for k in [1usize, 4, 8] {
-        // Scalar reference: every lane departs from the same frozen w0,
-        // exactly the dc_batch entry-state contract.
-        let reference: Vec<Vec<u64>> = (0..k)
-            .map(|i| {
-                scalar.swap_devices(draw(seed, i)).expect("known names");
-                bits(&scalar.dc_owned_from(&w0, &[]).expect("scalar converges"))
-            })
-            .collect();
-        // The batch enters with w0 as its warm start: the session's own
-        // devices are nominal, so the guessed solve yields w0's bits.
-        batched
-            .dc_owned_with_guess(&guess)
-            .expect("nominal converges");
-        assert_eq!(batched.warm_start(), Some(w0.as_slice()));
-        let lanes: Vec<_> = (0..k).map(|i| draw(seed, i)).collect();
-        let ops = batched.dc_batch(lanes, None).expect("valid batch");
-        for (i, op) in ops.iter().enumerate() {
-            let op = op.as_ref().expect("batched lane converges");
-            assert_eq!(
-                bits(op),
-                reference[i],
-                "warm-start lane {i} of K = {k} diverged from the scalar path"
-            );
-        }
-        assert_eq!(
-            warm_bits(&batched),
-            reference.last().cloned(),
-            "K = {k} batch must leave the last lane's solution as the warm start"
-        );
-    }
-}
-
-/// An empty guess is no guess, as in `dc_owned_with_guess(&[])`: every
-/// lane warm-starts from the session's stored state instead of from an
-/// all-zero point.
-#[test]
-fn empty_guess_lanes_warm_start_like_scalar() {
+fn guessless_lanes_equal_scalar_dc_owned() {
     let seed = 0xe1e1_0000;
     let (c, l, r) = cell();
     let mut scalar = Session::elaborate(c).expect("valid cell");
-    // The stored state: the nominal cell latched at l = 0, r = VDD.
-    scalar
-        .dc_owned_with_guess(&[(l, 0.0), (r, VDD)])
-        .expect("nominal converges");
-    let w0 = scalar
-        .warm_start()
-        .expect("solve left a warm start")
-        .to_vec();
     let k = 8;
-    let reference: Vec<Vec<u64>> = (0..k)
+    let reference: Vec<Option<Vec<u64>>> = (0..k)
         .map(|i| {
             scalar.swap_devices(draw(seed, i)).expect("known names");
-            bits(&scalar.dc_owned_from(&w0, &[]).expect("scalar converges"))
+            scalar.dc_owned().ok().map(|op| bits(&op))
         })
         .collect();
+    assert!(reference.iter().any(Option::is_some), "no lane converges");
     let (c, _, _) = cell();
     let mut batched = Session::elaborate(c).expect("valid cell");
-    batched
-        .dc_owned_with_guess(&[(l, 0.0), (r, VDD)])
-        .expect("nominal converges");
-    assert_eq!(batched.warm_start(), Some(w0.as_slice()));
-    let lanes: Vec<_> = (0..k).map(|i| draw(seed, i)).collect();
-    let ops = batched.dc_batch(lanes, Some(&[])).expect("valid batch");
-    for (i, op) in ops.iter().enumerate() {
-        let op = op.as_ref().expect("batched lane converges");
-        assert!(op.voltage(r) > 0.8, "lane {i} lost the stored state");
-        assert_eq!(
-            bits(op),
-            reference[i],
-            "empty-guess lane {i} diverged from the scalar path"
-        );
+    for guess in [Some(&[][..]), None] {
+        // A solve in one stored state first, which no lane may read.
+        batched
+            .dc_owned_with_guess(&[(l, 0.0), (r, VDD)])
+            .expect("nominal converges");
+        let lanes: Vec<_> = (0..k).map(|i| draw(seed, i)).collect();
+        let ops = batched.dc_batch(lanes, guess).expect("valid batch");
+        for (i, op) in ops.iter().enumerate() {
+            assert_eq!(
+                op.as_ref().ok().map(bits),
+                reference[i],
+                "guess {guess:?}: lane {i} diverged from the scalar path"
+            );
+        }
     }
 }
 
@@ -326,7 +251,6 @@ fn failed_lane_is_isolated_and_neighbors_stay_bit_identical() {
     let reference: Vec<Option<Vec<u64>>> = (0..k)
         .map(|i| (i != poisoned).then(|| scalar_cold(&mut scalar, seed, i, &guess)))
         .collect();
-    batched.invalidate_warm_start();
     let lanes: Vec<Vec<(&str, Box<dyn MosfetModel>)>> = (0..k)
         .map(|i| {
             let mut lane = draw(seed, i);
@@ -348,27 +272,9 @@ fn failed_lane_is_isolated_and_neighbors_stay_bit_identical() {
             );
         }
     }
-    assert_eq!(
-        warm_bits(&batched),
-        reference[k - 1],
-        "a healthy last lane must leave its solution as the warm start"
-    );
-
-    // With the NaN lane last, the batch leaves no warm start, as a
-    // sequential sweep ending in a failed solve would.
-    let lanes: Vec<Vec<(&str, Box<dyn MosfetModel>)>> =
-        vec![draw(seed, 0), vec![("PD1", Box::new(NanModel))]];
-    let ops = batched.dc_batch(lanes, Some(&guess)).expect("valid batch");
-    assert!(ops[0].is_ok() && ops[1].is_err());
-    assert_eq!(
-        warm_bits(&batched),
-        None,
-        "a failed last lane must clear the warm start"
-    );
 
     // The batch never touches the session's own devices: a nominal solve
     // afterwards matches a fresh session's nominal solve bit for bit.
-    batched.invalidate_warm_start();
     let after = batched
         .dc_owned_with_guess(&guess)
         .expect("nominal converges");
@@ -408,7 +314,7 @@ fn empty_batches_and_unknown_names_are_typed_errors() {
     );
 
     // A bad name in a later lane fails the batch before any lane is
-    // swapped in: the session's devices and warm start stay as they were.
+    // swapped in: the session's devices stay as they were.
     let err = s
         .dc_batch(vec![draw(7, 0), vec![("NOPE", nominal("PD1"))]], None)
         .expect_err("unknown device in lane 1 must be rejected");
@@ -416,7 +322,6 @@ fn empty_batches_and_unknown_names_are_typed_errors() {
         matches!(err, SpiceError::BadNetlist { .. }),
         "unexpected error for unknown name in lane 1: {err}"
     );
-    assert!(s.warm_start().is_none(), "rejected batch left a warm start");
     let guess = [(l, 0.0), (r, VDD)];
     let after = s.dc_owned_with_guess(&guess).expect("nominal converges");
     let (c, _, _) = cell();

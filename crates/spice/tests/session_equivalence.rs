@@ -1,11 +1,11 @@
-//! Equivalence suite: a persistent [`Session`] (warm starts, reused
-//! workspace, AC scratch, in-place device swaps) must reproduce one-shot
-//! throwaway sessions — and, for AC, an independent per-point reference
-//! solver — on real circuits: the parsed inverter-chain netlist of
+//! Equivalence suite: a persistent [`Session`] (reused workspace, AC
+//! scratch, in-place device swaps) must reproduce one-shot throwaway
+//! sessions — and, for AC, an independent per-point reference solver — on
+//! real circuits: the parsed inverter-chain netlist of
 //! `examples/netlist_sim.rs` and a 6T SRAM cell. Property tests cover
-//! `swap_devices` + re-solve (DC) and resample → Newton from the previous
-//! operating point → `ac_owned` (AC) against fresh elaborations across
-//! random mismatch draws.
+//! `swap_devices` + re-solve (DC) and resample → Newton from the nominal
+//! cell's operating point → `ac_owned` (AC) against fresh elaborations
+//! across random mismatch draws.
 
 use mosfet::{vs::VsModel, Geometry, MosfetModel, StatParam, VariationDelta};
 use numerics::complex::{CLu, CMatrix, C64};
@@ -36,8 +36,8 @@ CL out 0 1f
 
 const VDD: f64 = 0.9;
 
-/// Newton converges the update norm below 1e-7 V; warm-started and cold
-/// solves may approach the fixed point along different paths.
+/// Newton converges the update norm below 1e-7 V; solves from different
+/// starts may approach the fixed point along different paths.
 const TOL_V: f64 = 1e-6;
 
 fn chain() -> Circuit {
@@ -127,6 +127,10 @@ fn sram_cell(deltas: &[VariationDelta; 6]) -> (Circuit, NodeId, NodeId) {
     (c, l, r)
 }
 
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
 fn all_nodes(c: &Circuit) -> Vec<NodeId> {
     // Probe every interned node by walking the element terminals.
     let mut v: Vec<NodeId> = c.elements().iter().flat_map(|e| e.nodes()).collect();
@@ -139,19 +143,11 @@ fn all_nodes(c: &Circuit) -> Vec<NodeId> {
 fn chain_dc_matches_one_shot() {
     let c = chain();
     let reference = one_shot(&c).dc_owned().unwrap();
-    let mut s = Session::elaborate(c.clone()).unwrap();
-    // Run twice: the second solve is warm-started and must land on the
-    // same operating point.
+    let mut s = Session::elaborate(c).unwrap();
+    // Run twice: the second solve reads nothing the first left behind.
     for pass in 0..2 {
         let op = s.dc_owned().unwrap();
-        for &n in &all_nodes(&c) {
-            assert!(
-                (op.voltage(n) - reference.voltage(n)).abs() < TOL_V,
-                "pass {pass}, node {n:?}: {} vs {}",
-                op.voltage(n),
-                reference.voltage(n)
-            );
-        }
+        assert_eq!(bits(op.raw()), bits(reference.raw()), "pass {pass}");
     }
 }
 
@@ -161,13 +157,11 @@ fn chain_sweep_matches_one_shot() {
     let values: Vec<f64> = (0..19).map(|i| VDD * i as f64 / 18.0).collect();
     let reference = one_shot(&c).dc_sweep_owned("VIN", &values).unwrap();
     let mut s = Session::elaborate(c.clone()).unwrap();
-    // Warm the session with an unrelated solve first.
+    // Precede the sweep with an unrelated solve.
     let _ = s.dc_owned().unwrap();
     let out = c.find_node("out").unwrap();
     let sweep = s.dc_sweep_owned("VIN", &values).unwrap();
-    for (a, b) in sweep.voltages(out).iter().zip(reference.voltages(out)) {
-        assert!((a - b).abs() < TOL_V, "{a} vs {b}");
-    }
+    assert_eq!(bits(&sweep.voltages(out)), bits(&reference.voltages(out)));
 }
 
 #[test]
@@ -178,16 +172,13 @@ fn chain_tran_matches_one_shot() {
     let op = fresh.dc_owned().unwrap();
     let reference = fresh.tran_owned(&op, &opts).unwrap();
     let mut s = Session::elaborate(c.clone()).unwrap();
-    // Precede the transient with other runs so the session state is "hot":
-    // its operating point is a warm-started re-solve.
+    // Precede the transient with other runs so the session state is "hot".
     let _ = s.dc_owned().unwrap();
     let op = s.dc_owned().unwrap();
     let res = s.tran_owned(&op, &opts).unwrap();
-    assert_eq!(res.times().len(), reference.times().len());
+    assert_eq!(res.times(), reference.times());
     let out = c.find_node("out").unwrap();
-    for (a, b) in res.voltages(out).iter().zip(reference.voltages(out)) {
-        assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-    }
+    assert_eq!(bits(&res.voltages(out)), bits(&reference.voltages(out)));
 }
 
 // ---- AC equivalence: workspace path vs per-point reference -------------
@@ -206,8 +197,8 @@ fn chain_ac_matches_reference_per_point() {
     let mut s = Session::elaborate(c.clone()).unwrap();
     let op = s.dc_owned().unwrap();
     let ac = s.ac_owned(&op, "VIN", &freqs).unwrap();
-    // Repeat at a warm-started re-solve, through the same (now warm)
-    // workspace: identical sweep.
+    // Repeat at a re-solve, through the same (now used) workspace:
+    // identical sweep.
     let op = s.dc_owned().unwrap();
     let ac2 = s.ac_owned(&op, "VIN", &freqs).unwrap();
     for &node in &all_nodes(&c) {
@@ -290,8 +281,8 @@ fn cell_swaps(c_fresh: &Circuit) -> Vec<(String, Box<dyn MosfetModel>)> {
 }
 
 /// Property: swapping devices into a live session and re-solving equals a
-/// fresh elaboration of the netlist built with those devices — across many
-/// random mismatch draws, with the session accumulating warm starts.
+/// fresh elaboration of the netlist built with those devices, bit for bit —
+/// across many random mismatch draws.
 #[test]
 fn swapped_session_equals_fresh_elaboration_property() {
     let mut rng = TestRng(0xe95_0051);
@@ -302,38 +293,32 @@ fn swapped_session_equals_fresh_elaboration_property() {
 
     for trial in 0..12 {
         let deltas = random_deltas(&mut rng);
-        // In-place swap on the persistent session (warm-started solve)...
+        // In-place swap on the persistent session...
         let (c_fresh, _, _) = sram_cell(&deltas);
         assert_eq!(session.swap_devices(cell_swaps(&c_fresh)).unwrap(), 6);
-        let warm = session.dc_owned_with_guess(&guess).unwrap();
-        // ...must match a cold fresh elaboration of the same netlist.
-        let cold = Session::elaborate(c_fresh)
+        let swapped = session.dc_owned_with_guess(&guess).unwrap();
+        // ...must match a fresh elaboration of the same netlist.
+        let fresh = Session::elaborate(c_fresh)
             .unwrap()
             .dc_owned_with_guess(&guess)
             .unwrap();
-        for &n in &[l, r] {
-            assert!(
-                (warm.voltage(n) - cold.voltage(n)).abs() < TOL_V,
-                "trial {trial}: warm {} vs cold {}",
-                warm.voltage(n),
-                cold.voltage(n)
-            );
-        }
+        assert_eq!(bits(swapped.raw()), bits(fresh.raw()), "trial {trial}");
     }
 }
 
-/// Property: the warm AC path (`swap_devices`, Newton from the previous
-/// sample's operating point with the guess, then `ac_owned` through the
-/// reused workspace) equals the per-point reference computed on a fresh
-/// cold elaboration of the same devices — the paper's "SRAM AC" Monte
-/// Carlo inner loop, across random mismatch draws.
+/// Property: the AC Monte Carlo path (`swap_devices`, Newton from the
+/// nominal cell's operating point with the guess, then `ac_owned` through
+/// the reused workspace) equals the per-point reference computed on a
+/// fresh cold elaboration of the same devices — the paper's "SRAM AC"
+/// Monte Carlo inner loop, across random mismatch draws.
 #[test]
-fn sram_warm_ac_equals_per_point_reference_across_resamples() {
+fn sram_ac_from_the_nominal_point_equals_per_point_reference_across_resamples() {
     let mut rng = TestRng(0xac_5eed);
     let nominal = [VariationDelta::default(); 6];
     let (c0, l, r) = sram_cell(&nominal);
     let mut session = Session::elaborate(c0).unwrap();
     let guess = [(l, 0.0), (r, VDD)];
+    let start = session.dc_owned_with_guess(&guess).unwrap();
     // Non-integer decade span ending exactly at the stop frequency.
     let freqs = spice::ac::log_sweep(1e6, 4e10, 3);
     assert_eq!(*freqs.last().unwrap(), 4e10);
@@ -343,11 +328,8 @@ fn sram_warm_ac_equals_per_point_reference_across_resamples() {
         let deltas = random_deltas(&mut rng);
         let (c_fresh, _, _) = sram_cell(&deltas);
         assert_eq!(session.swap_devices(cell_swaps(&c_fresh)).unwrap(), 6);
-        let op = match session.warm_start().map(<[f64]>::to_vec) {
-            Some(warm) => session.dc_owned_from(&warm, &guess),
-            None => session.dc_owned_with_guess(&guess),
-        };
-        let warm_ac = session.ac_owned(&op.unwrap(), "VBL", &freqs).unwrap();
+        let op = session.dc_owned_from(start.raw(), &guess).unwrap();
+        let ac = session.ac_owned(&op, "VBL", &freqs).unwrap();
 
         // Reference: cold guessed operating point + per-point solves on an
         // independent elaboration of the same sample.
@@ -358,9 +340,9 @@ fn sram_warm_ac_equals_per_point_reference_across_resamples() {
         let reference = ac_reference_per_point(&c_fresh, cold_op.raw(), "VBL", &freqs);
 
         for (k, point) in reference.iter().enumerate() {
-            let got = warm_ac.magnitudes(l)[k];
+            let got = ac.magnitudes(l)[k];
             let want = point[li].abs();
-            // Warm vs cold operating points differ at the Newton tolerance;
+            // The two operating points differ at the Newton tolerance;
             // the linearization amplifies that through subthreshold
             // conductances, hence the relative 1e-3 band (as for the DC+AC
             // one-shot comparison above).

@@ -40,12 +40,13 @@
 //! is shaped around that loop — **elaborate once, run many analyses, swap
 //! devices in place** — so the netlist is parsed and the MNA layout, the
 //! workspace, and the LU scratch are allocated a single time per topology,
-//! and each sample's DC solve starts Newton close to its answer: from the
-//! previous sample's operating point (the session's warm start), from a
+//! and a sample's DC solve can start Newton close to its answer: from a
 //! point the experiment fixes (served SRAM samples start from the nominal
+//! cell's operating point, AC Monte Carlo from its bench's construction
 //! cell's), or, for a sweep point, from a cubic Hermite prediction over
 //! the points before it and their slopes `dx/dv`, which each point's own
-//! converged Newton system gives.
+//! converged Newton system gives. No solve reads what an earlier one left
+//! in the session.
 //!
 //! Samples shard across cores through `vscore::mc::ParallelRunner`: each
 //! worker elaborates its own session in the runner's setup closure,
