@@ -1,8 +1,5 @@
 //! DC Newton solves, the layer under every SRAM Monte Carlo sample:
 //!
-//! * `read_half_cell_sweep_point`: the READ half-cell (inverter plus pass
-//!   gate from a bit line at `Vdd`) at the steepest point of its 31-point
-//!   SNM sweep, Newton started from the previous point's operating point;
 //! * `sram6t_from_nominal`: the 6T cell with one mismatch draw swapped in,
 //!   Newton started from the nominal cell's operating point, the solve
 //!   `statvs serve` runs per `sram6t_dc` sample;
@@ -11,24 +8,25 @@
 //!   as about 0.3% of served draws do: 50 failed iterations, then the
 //!   guessed solve, whose plain Newton from the guess fails after 50 more
 //!   before gmin stepping converges;
-//! * `read_half_cell_sweep`: one whole 31-point sweep of a paper-spec
-//!   draw of the READ half-cell through `Session::dc_sweep_owned`, half
-//!   of an `SnmBench` READ sample: the first point from zero, every later
+//! * `read_butterfly_sweep`: the whole sweep of one `SnmBench` READ
+//!   sample, `SnmBench::curves` on a fixed paper-spec draw: 31 points of
+//!   both half-cells at once through `Session::dc_sweep_owned`, the first
+//!   from the guess that puts both outputs at the supply rail, every later
 //!   one from the cubic Hermite prediction over the two before it (the
 //!   second from the tangent line at the first), their slopes read from
 //!   each point's converged Newton LU.
 //!
-//! The first three solve through `Session::dc_owned_from`, so every call
+//! The first two solve through `Session::dc_owned_from`, so every call
 //! repeats the same Newton iterations on the same devices; so does every
-//! sweep, whose first point starts from zero.
+//! sweep, whose first point starts from the same guess.
 //!
 //! Run `cargo bench -p vsbench --bench newton_solve -- --json ../../BENCH_newton_solve.json`
 //! to refresh the baseline at the repo root.
 
-use circuits::cells::{DeviceFactory, NominalVsFactory};
-use circuits::sram::{full_cell, SramDevices, SramSizing};
-use mosfet::{vs::VsParams, Geometry, MismatchSpec};
-use spice::{Circuit, Session, Waveform};
+use circuits::cells::NominalVsFactory;
+use circuits::sram::{full_cell, SnmBench, SnmMode, SramDevices, SramSizing};
+use mosfet::{vs::VsParams, MismatchSpec};
+use spice::Session;
 use stats::Sampler;
 use vsbench::microbench::{maybe_write_json, measure};
 use vscore::mc::McFactory;
@@ -49,61 +47,8 @@ fn paper_spec(sampler: Sampler) -> McFactory {
     )
 }
 
-/// The READ half-cell with its input on `VIN`.
-fn read_half_cell(f: &mut dyn DeviceFactory) -> Circuit {
-    let sz = SramSizing::default();
-    let mut c = Circuit::new();
-    let [vdd, vin, out, bl, wl] = ["vdd", "vin", "out", "bl", "wl"].map(|n| c.node(n));
-    let gnd = Circuit::GROUND;
-    c.vsource("VDD", vdd, gnd, Waveform::dc(VDD));
-    c.vsource("VIN", vin, gnd, Waveform::dc(0.0));
-    c.vsource("VBL", bl, gnd, Waveform::dc(VDD));
-    c.vsource("VWL", wl, gnd, Waveform::dc(VDD));
-    c.mosfet(
-        "PU",
-        out,
-        vin,
-        vdd,
-        vdd,
-        f.pmos(Geometry::new(sz.w_pu, sz.l)),
-    );
-    c.mosfet(
-        "PD",
-        out,
-        vin,
-        gnd,
-        gnd,
-        f.nmos(Geometry::new(sz.w_pd, sz.l)),
-    );
-    c.mosfet("PG", bl, wl, out, gnd, f.nmos(Geometry::new(sz.w_pg, sz.l)));
-    c
-}
-
 fn main() {
     let mut results = Vec::new();
-    let values: Vec<f64> = (0..SWEEP_POINTS)
-        .map(|i| VDD * i as f64 / (SWEEP_POINTS - 1) as f64)
-        .collect();
-
-    {
-        let mut s = Session::elaborate(read_half_cell(&mut NominalVsFactory)).expect("well-formed");
-        let out = s.circuit().find_node("out").expect("built above");
-        let sweep = s.dc_sweep_owned("VIN", &values).expect("nominal sweep");
-        // The steepest step of the transfer curve: the most iterations.
-        let vout = sweep.voltages(out);
-        let k = (1..SWEEP_POINTS)
-            .max_by(|&a, &b| {
-                let step = |k: usize| (vout[k] - vout[k - 1]).abs();
-                step(a).total_cmp(&step(b))
-            })
-            .expect("non-empty sweep");
-        let start = sweep.points[k - 1].raw().to_vec();
-        s.set_source("VIN", Waveform::dc(values[k]))
-            .expect("VIN exists");
-        results.push(measure("newton_solve/read_half_cell_sweep_point", || {
-            s.dc_owned_from(&start, &[]).expect("converges");
-        }));
-    }
 
     {
         let (c, l, r) = full_cell(
@@ -132,10 +77,17 @@ fn main() {
     }
 
     {
-        let mut s = Session::elaborate(read_half_cell(&mut paper_spec(Sampler::from_seed(1))))
-            .expect("well-formed");
-        results.push(measure("newton_solve/read_half_cell_sweep", || {
-            s.dc_sweep_owned("VIN", &values).expect("converges");
+        let sz = SramSizing::default();
+        let mut bench = SnmBench::new(
+            sz,
+            VDD,
+            SnmMode::Read,
+            SWEEP_POINTS,
+            &mut paper_spec(Sampler::from_seed(1)),
+        )
+        .expect("well-formed");
+        results.push(measure("newton_solve/read_butterfly_sweep", || {
+            bench.curves().expect("converges");
         }));
     }
 

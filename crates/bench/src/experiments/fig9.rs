@@ -56,9 +56,9 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
 
     for (mode, tag) in [(SnmMode::Read, "read"), (SnmMode::Hold, "hold")] {
         for family in ["bsim", "vs"] {
-            // Both half-cell sessions elaborate once per worker; every
-            // sample swaps six freshly drawn devices in place and
-            // re-sweeps, each sweep's first point from zero. A
+            // The butterfly session elaborates once per worker; every
+            // sample swaps freshly drawn devices in place and re-sweeps
+            // both half-cells at once, the first point from the rail. A
             // non-convergent construction draw retries with a fresh one
             // (as the sequential loop did by rolling to the next trial) —
             // the initial devices are overwritten by the first sample

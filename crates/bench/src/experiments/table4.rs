@@ -142,24 +142,31 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
         "cell",
         "analysis",
         "samples",
-        "VS runtime",
-        "kit runtime",
+        "VS us/sample",
+        "VS wall",
+        "kit us/sample",
+        "kit wall",
         "speedup",
     ]);
-    let mut report =
-        String::from("Table IV — Monte Carlo runtime comparison (same simulator, both models)\n\n");
+    let mut report = String::from(
+        "Table IV — Monte Carlo runtime comparison (same simulator, both models)\n\
+         per completed sample, and the wall time of all samples\n\n",
+    );
     let mut speedups = Vec::new();
     for (label, cell, analysis, n) in workloads {
-        let (t_vs, _) = run_workload(ctx, "vs", cell, n)?;
-        let (t_kit, _) = run_workload(ctx, "bsim", cell, n)?;
-        let speedup = t_kit / t_vs;
+        let (t_vs, done_vs) = run_workload(ctx, "vs", cell, n)?;
+        let (t_kit, done_kit) = run_workload(ctx, "bsim", cell, n)?;
+        let (us_vs, us_kit) = (1e6 * t_vs / done_vs as f64, 1e6 * t_kit / done_kit as f64);
+        let speedup = us_kit / us_vs;
         speedups.push(speedup);
         table.row(vec![
             label.to_string(),
             analysis.to_string(),
             n.to_string(),
-            format!("{:.2}s", t_vs),
-            format!("{:.2}s", t_kit),
+            three_digits(us_vs),
+            format!("{}ms", three_digits(1e3 * t_vs)),
+            three_digits(us_kit),
+            format!("{}ms", three_digits(1e3 * t_kit)),
             format!("{speedup:.2}x"),
         ]);
     }
@@ -176,4 +183,38 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
         speedups.iter().sum::<f64>() / speedups.len() as f64
     ));
     Ok(report)
+}
+
+/// `x` rounded to three significant digits and printed without an
+/// exponent: `61.2`, `0.0473`, `12300`. A time that is not finite and
+/// positive, such as the time per sample of a run where none completed,
+/// prints as `n/a`.
+fn three_digits(x: f64) -> String {
+    if !(x.is_finite() && x > 0.0) {
+        return "n/a".into();
+    }
+    let magnitude = x.log10().floor() as i32;
+    let unit = 10f64.powi(magnitude - 2);
+    let decimals = usize::try_from(2 - magnitude).unwrap_or(0);
+    format!("{:.decimals$}", (x / unit).round() * unit)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::three_digits;
+
+    #[test]
+    fn times_print_to_three_significant_digits() {
+        for (x, want) in [
+            (61.23, "61.2"),
+            (0.047_349, "0.0473"),
+            (5.0, "5.00"),
+            (999.7, "1000"),
+            (12_345.6, "12300"),
+            (f64::INFINITY, "n/a"),
+            (0.0, "n/a"),
+        ] {
+            assert_eq!(three_digits(x), want, "{x}");
+        }
+    }
 }

@@ -114,7 +114,7 @@ mod tests {
         c.resistor("R1", a, m, 1e3);
         c.resistor("R2", m, Circuit::GROUND, 1e3);
         let mut s = Session::elaborate(c).unwrap();
-        let sweep = s.dc_sweep_owned("Vin", &[0.0, 0.5, 1.0, 2.0]).unwrap();
+        let sweep = s.dc_sweep_owned("Vin", &[0.0, 0.5, 1.0, 2.0], &[]).unwrap();
         let vm = sweep.voltages(m);
         for (v, vin) in vm.iter().zip(&sweep.values) {
             assert!((v - vin / 2.0).abs() < 1e-6);
@@ -134,8 +134,8 @@ mod tests {
         c.vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0));
         c.resistor("R1", a, Circuit::GROUND, 1.0);
         let mut s = Session::elaborate(c).unwrap();
-        assert!(s.dc_sweep_owned("V1", &[]).is_err());
-        assert!(s.dc_sweep_owned("nope", &[1.0]).is_err());
+        assert!(s.dc_sweep_owned("V1", &[], &[]).is_err());
+        assert!(s.dc_sweep_owned("nope", &[1.0], &[]).is_err());
     }
 
     #[test]

@@ -35,14 +35,15 @@
 //!    workspace.
 //!
 //! Analyses: nonlinear DC operating point (damped Newton-Raphson with gmin
-//! and source-stepping continuation), DC sweeps that start each point
-//! from a cubic Hermite prediction over the slopes `dx/dv` of the two
-//! before it, read from each point's converged Newton LU (butterfly
-//! curves, VTCs), transient (trapezoidal with backward-Euler startup,
-//! charge-conserving companion models), AC small-signal sweeps, plus
-//! [`measure`] helpers (level crossings and the first crossing after a
-//! time). All of them read one linearization of every element, in
-//! [`engine`].
+//! and source-stepping continuation), DC sweeps whose first point starts
+//! from the caller's node guess (a butterfly puts its outputs at the
+//! supply rail there) and whose later points start from a cubic Hermite
+//! prediction over the slopes `dx/dv` of the two before it, read from
+//! each point's converged Newton LU (butterfly curves, VTCs), transient
+//! (trapezoidal with backward-Euler startup, charge-conserving companion
+//! models), AC small-signal sweeps, plus [`measure`] helpers (level
+//! crossings and the first crossing after a time). All of them read one
+//! linearization of every element, in [`engine`].
 //!
 //! Accessor naming across result types: scalar-per-node accessors are
 //! singular ([`DcResult::voltage`]); trace accessors are plural
@@ -67,7 +68,7 @@
 //! let mut s = Session::elaborate(c)?;
 //! let op = s.dc_owned()?;
 //! assert!((op.voltage(mid) - 0.5).abs() < 1e-9);
-//! let sweep = s.dc_sweep_owned("V1", &[0.0, 1.0, 2.0])?;
+//! let sweep = s.dc_sweep_owned("V1", &[0.0, 1.0, 2.0], &[])?;
 //! assert!((sweep.voltages(mid)[2] - 1.0).abs() < 1e-9);
 //! # Ok(())
 //! # }

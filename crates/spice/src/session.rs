@@ -15,10 +15,12 @@
 //!   their operating point from one solve: plain Newton from the entry
 //!   point's starts, in order, then one continuation ladder. The starts
 //!   are the caller's vector for [`Session::dc_owned_from`]; for a sweep
-//!   point, a prediction from the slopes `dx/dv` of the points before it
-//!   (a cubic Hermite through the two before it), then the previous
-//!   point; none for [`Session::dc_owned`] and
-//!   [`Session::dc_owned_with_guess`]. Once its starts fail, a solve is
+//!   point after the first, a prediction from the slopes `dx/dv` of the
+//!   points before it (a cubic Hermite through the two before it), then
+//!   the previous point; none for [`Session::dc_owned`],
+//!   [`Session::dc_owned_with_guess`] and a sweep's first point, which
+//!   is the guessed solve with the sweep's guess (a butterfly places its
+//!   outputs at the supply there). Once its starts fail, a solve is
 //!   exactly the same call without them. A start, and every ladder rung
 //!   before source stepping, gets at most 50 Newton iterations, so a start
 //!   Newton cycles from costs little;
@@ -191,33 +193,46 @@ impl Session {
     }
 
     /// DC sweep of the named voltage source over `values`. The first point
-    /// is the continuation ladder from zero. Every later point runs plain
-    /// Newton from a prediction, then from the point before it, then the
-    /// ladder from zero. The second point is predicted on the tangent line
-    /// at the first, every later one by the cubic Hermite through the two
-    /// points before it, each point's slope `dx/dv` read from the LU its
-    /// last Newton iteration factored; the prediction's step is capped
-    /// like a Newton step, and a repeated value gives none. The source's
-    /// waveform is restored afterwards.
+    /// is exactly [`Session::dc_owned_with_guess`] with `guess` at
+    /// `values[0]`: the continuation ladder from the guess-built vector,
+    /// then from zero, or from zero alone for an empty guess. A guess that
+    /// places the first point near its answer saves the ramp from zero,
+    /// such as a butterfly's outputs at the supply where the input is 0 V.
+    /// Every later point ignores the guess, whose basin test would reject
+    /// an output the sweep moves: it runs plain Newton from a prediction,
+    /// then from the point before it, then the ladder from zero. The
+    /// second point is predicted on the tangent line at the first, every
+    /// later one by the cubic Hermite through the two points before it,
+    /// each point's slope `dx/dv` read from the LU its last Newton
+    /// iteration factored; the prediction's step is capped like a Newton
+    /// step, and a repeated value gives none. The source's waveform is
+    /// restored afterwards.
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::InvalidArgument`] for an empty sweep,
-    /// [`SpiceError::BadNetlist`] for an unknown source, and propagates
-    /// convergence errors.
+    /// Returns [`SpiceError::InvalidArgument`] for an empty sweep or a
+    /// value that is not finite, [`SpiceError::BadNetlist`] for an
+    /// unknown source, all before any solve, and propagates convergence
+    /// errors.
     pub fn dc_sweep_owned(
         &mut self,
         source: &str,
         values: &[f64],
+        guess: &[(NodeId, f64)],
     ) -> Result<SweepResult, SpiceError> {
         if values.is_empty() {
             return Err(SpiceError::InvalidArgument {
                 context: "empty sweep".into(),
             });
         }
+        if let Some(v) = values.iter().find(|v| !v.is_finite()) {
+            return Err(SpiceError::InvalidArgument {
+                context: format!("sweep value {v} is not finite"),
+            });
+        }
         let branch = self.nn + self.circuit.vsource_index(source)?;
         let saved = self.circuit.vsource_waveform(source)?.clone();
-        let result = self.sweep_points(source, branch, values);
+        let result = self.sweep_points(source, branch, values, guess);
         self.circuit
             .set_vsource(source, saved)
             .expect("source existed above");
@@ -503,15 +518,17 @@ impl Session {
     }
 
     /// The points of [`Session::dc_sweep_owned`] of the source whose branch
-    /// current is unknown `branch`. Point `k ≥ 1` is solved from
-    /// [`hermite_start`] over the points before it, then from point
-    /// `k − 1`. Each point but the last leaves its slope `dx/dv`
-    /// ([`Workspace::sensitivity`]) for the points after it.
+    /// current is unknown `branch`. Point 0 is solved with `guess` and no
+    /// start; point `k ≥ 1` with no guess, from [`hermite_start`] over the
+    /// points before it, then from point `k − 1`. Each point but the last
+    /// leaves its slope `dx/dv` ([`Workspace::sensitivity`]) for the
+    /// points after it.
     fn sweep_points(
         &mut self,
         source: &str,
         branch: usize,
         values: &[f64],
+        guess: &[(NodeId, f64)],
     ) -> Result<SweepResult, SpiceError> {
         let n = self.circuit.n_unknowns();
         let [mut start, mut t_before, mut t_prev] = [(); 3].map(|()| vec![0.0; n]);
@@ -527,7 +544,8 @@ impl Session {
             let predicted =
                 prev.and_then(|prev| hermite_start(before, prev, v, self.nn, &mut start));
             let x_prev = prev.map(|(_, x, _)| x);
-            let x = self.solve_dc(predicted.into_iter().chain(x_prev), &[])?;
+            let point_guess = if k == 0 { guess } else { &[] };
+            let x = self.solve_dc(predicted.into_iter().chain(x_prev), point_guess)?;
             if k + 1 < values.len() {
                 std::mem::swap(&mut t_before, &mut t_prev);
                 self.ws.sensitivity(branch, &mut t_prev);
@@ -790,17 +808,17 @@ mod tests {
         let again = s.dc_owned_with_guess(&[]).unwrap();
         assert!((again.voltage(m) - op.voltage(m)).abs() < 1e-12);
         assert!(matches!(
-            s.dc_sweep_owned("V1", &[]),
+            s.dc_sweep_owned("V1", &[], &[]),
             Err(SpiceError::InvalidArgument { .. })
         ));
-        assert!(s.dc_sweep_owned("nope", &[1.0]).is_err());
+        assert!(s.dc_sweep_owned("nope", &[1.0], &[]).is_err());
     }
 
     #[test]
     fn sweep_restores_source_waveform() {
         let (c, a, m) = divider();
         let mut s = Session::elaborate(c).unwrap();
-        let sweep = s.dc_sweep_owned("V1", &[0.0, 0.6, 3.0]).unwrap();
+        let sweep = s.dc_sweep_owned("V1", &[0.0, 0.6, 3.0], &[]).unwrap();
         let vm = sweep.voltages(m);
         for (v, vin) in vm.iter().zip(&sweep.values) {
             assert!((v - vin / 3.0).abs() < 1e-6);
@@ -1344,7 +1362,7 @@ mod tests {
         let (read, _) = half_cell(true);
         let values: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
         against_full_mna(&read, "READ half-cell sweep", |s| {
-            let sweep = s.dc_sweep_owned("VIN", &values)?;
+            let sweep = s.dc_sweep_owned("VIN", &values, &[])?;
             Ok(sweep.points.iter().map(|p| p.raw().to_vec()).collect())
         })
         .unwrap();
@@ -1551,13 +1569,16 @@ mod tests {
     /// [`Session::dc_sweep_owned`]. Every point runs plain Newton from the
     /// start `prediction` gives, if any, then from the previous point (the
     /// first from zero), and when that fails the cold continuation ladder
-    /// of [`reference_solve_dc_vec`]. With [`Prediction::None`] this is the
-    /// loop before predicted starts. Returns each point's unknown vector.
+    /// of [`reference_solve_dc_vec`]. A non-empty `guess` replaces the
+    /// first point's solve with the guessed [`reference_solve_dc_vec`].
+    /// With [`Prediction::None`] and no guess this is the loop before
+    /// predicted starts. Returns each point's unknown vector.
     fn reference_sweep(
         s: &mut Session,
         source: &str,
         values: &[f64],
         prediction: Prediction,
+        guess: &[(NodeId, f64)],
     ) -> Result<Vec<Vec<f64>>, SpiceError> {
         let saved = s.circuit.vsource_waveform(source)?.clone();
         let branch = s.nn + s.circuit.vsource_index(source)?;
@@ -1582,13 +1603,17 @@ mod tests {
                 _ => None,
             };
             let prev = points.last().unwrap_or(&zero);
-            let solved = predicted
-                .iter()
-                .chain([prev])
-                .find_map(|x0| newton(&s.circuit, x0, &DC, MAX_NEWTON, &mut s.ws).ok());
-            let x = match solved {
-                Some(x) => x,
-                None => reference_solve_dc_vec(s, None, None)?,
+            let x = if k == 0 && !guess.is_empty() {
+                reference_solve_dc_vec(s, Some(guess), None)?
+            } else {
+                let solved = predicted
+                    .iter()
+                    .chain([prev])
+                    .find_map(|x0| newton(&s.circuit, x0, &DC, MAX_NEWTON, &mut s.ws).ok());
+                match solved {
+                    Some(x) => x,
+                    None => reference_solve_dc_vec(s, None, None)?,
+                }
             };
             if prediction == Prediction::Hermite {
                 std::mem::swap(&mut t_before, &mut t_prev);
@@ -1630,13 +1655,13 @@ mod tests {
     /// evaluations of the three: `(predicted, secant, point by point)`.
     fn sweep_against_reference(c: &Circuit, values: &[f64], what: &str) -> (usize, usize, usize) {
         let (got, evals) = recorded(c, Workspace::new(c), |s| {
-            let sweep = s.dc_sweep_owned("VIN", values)?;
+            let sweep = s.dc_sweep_owned("VIN", values, &[])?;
             assert_eq!(sweep.values, values, "{what}");
             Ok::<Vec<Vec<f64>>, SpiceError>(sweep.points.iter().map(|p| p.raw().to_vec()).collect())
         });
         let reference = |prediction| {
             recorded(c, Workspace::new(c), |s| {
-                reference_sweep(s, "VIN", values, prediction)
+                reference_sweep(s, "VIN", values, prediction, &[])
             })
         };
         let (secant, secant_evals) = reference(Prediction::Secant);
@@ -1852,7 +1877,7 @@ mod tests {
                 let slopes: Vec<Vec<f64>> = (1..=values.len())
                     .map(|k| {
                         // A sweep's last point leaves its LU behind.
-                        s.dc_sweep_owned(source, &values[..k]).unwrap();
+                        s.dc_sweep_owned(source, &values[..k], &[]).unwrap();
                         let mut t = vec![0.0; c.n_unknowns()];
                         s.ws.sensitivity(branch, &mut t);
                         t
@@ -1916,7 +1941,7 @@ mod tests {
         let grid: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
         let other = [0.9, 0.8, 0.62, 0.5, 0.47, 0.2, 0.0];
         let sweep = |s: &mut Session, values: &[f64]| -> Vec<u64> {
-            let res = s.dc_sweep_owned("VIN", values).unwrap();
+            let res = s.dc_sweep_owned("VIN", values, &[]).unwrap();
             res.points.iter().flat_map(|p| bits(p.raw())).collect()
         };
         let draw = paper_draw(&read, 3);
@@ -1929,6 +1954,86 @@ mod tests {
         });
         assert_eq!(s.swap_devices(models).unwrap(), 3);
         assert_eq!(sweep(&mut s, &grid), want);
+    }
+
+    /// A sweep's guess places its first point and no other. On the READ
+    /// half-cell, with a guess whose basin test rejects every point whose
+    /// output has left `VDD`, the first point has the bits of
+    /// [`Session::dc_owned_with_guess`] at the first value, and the whole
+    /// sweep takes the reference loop's Newton path, which uses the guess
+    /// there alone. An empty guess gives the sweep without one, the
+    /// reference loop's bits and device log. An unusable guess, a NaN
+    /// output, gives the guess-less sweep's bits: its log is that sweep's
+    /// behind the three failed iterations of the ladder from the guess
+    /// (plain Newton, the first gmin rung and the first source step).
+    #[test]
+    fn sweep_guess_places_only_the_first_point() {
+        let (read, out) = half_cell(true);
+        let node = |name| read.find_node(name).unwrap();
+        let guess = [(node("vdd"), VDD), (node("vin"), 0.0), (out, VDD)];
+        let grid: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
+        let sweep = |s: &mut Session, guess: &[(NodeId, f64)]| -> Vec<u64> {
+            let res = s.dc_sweep_owned("VIN", &grid, guess).unwrap();
+            res.points.iter().flat_map(|p| bits(p.raw())).collect()
+        };
+        let reference = |s: &mut Session, guess: &[(NodeId, f64)]| -> Vec<u64> {
+            let points = reference_sweep(s, "VIN", &grid, Prediction::Hermite, guess).unwrap();
+            points.iter().flat_map(|p| bits(p)).collect()
+        };
+
+        let mut s = Session::elaborate(read.clone()).unwrap();
+        s.set_source("VIN", Waveform::dc(grid[0])).unwrap();
+        let first = bits(s.dc_owned_with_guess(&guess).unwrap().raw());
+        let swept = sweep(&mut Session::elaborate(read.clone()).unwrap(), &guess);
+        assert_eq!(swept[..first.len()], first, "first point");
+        let guessless = sweep(&mut Session::elaborate(read.clone()).unwrap(), &[]);
+        assert_ne!(swept[..first.len()], guessless[..first.len()]);
+
+        assert_same_solve(
+            &read,
+            "guessed sweep",
+            0,
+            |s| sweep(s, &guess),
+            |s| reference(s, &guess),
+        );
+        assert_same_solve(
+            &read,
+            "empty guess",
+            0,
+            |s| sweep(s, &[]),
+            |s| reference(s, &[]),
+        );
+        assert_same_solve(
+            &read,
+            "NaN guess",
+            3 * 3,
+            |s| sweep(s, &[(out, f64::NAN)]),
+            |s| sweep(s, &[]),
+        );
+    }
+
+    /// A sweep value that is not finite is [`SpiceError::InvalidArgument`]
+    /// before any device evaluation, first or later in the sweep.
+    #[test]
+    fn non_finite_sweep_values_are_rejected_before_any_solve() {
+        let (read, _) = half_cell(true);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for values in [
+                vec![bad],
+                vec![bad, 0.3],
+                vec![0.0, bad],
+                vec![0.0, 0.3, bad],
+            ] {
+                let (result, log) = recorded(&read, Workspace::new(&read), |s| {
+                    s.dc_sweep_owned("VIN", &values, &[]).map(|_| ())
+                });
+                assert!(
+                    matches!(result, Err(SpiceError::InvalidArgument { .. })),
+                    "{values:?}: {result:?}"
+                );
+                assert!(log.is_empty(), "{values:?}: {} evaluations", log.len() / 3);
+            }
+        }
     }
 
     /// Every complex node voltage of an AC sweep, real and imaginary parts.
@@ -2062,7 +2167,7 @@ mod tests {
         let grid: Vec<f64> = (0..31).map(|i| VDD * f64::from(i) / 30.0).collect();
         let sweep = Session::elaborate(read.clone())
             .unwrap()
-            .dc_sweep_owned("VIN", &grid)
+            .dc_sweep_owned("VIN", &grid, &[])
             .unwrap();
         let prev = sweep.points[14].raw();
         let at = |s: &mut Session| s.set_source("VIN", Waveform::dc(grid[15])).unwrap();
@@ -2189,11 +2294,12 @@ mod tests {
                     &format!("{name} half-cell sweep, draw {draw}"),
                     0,
                     |s| {
-                        let sweep = s.dc_sweep_owned("VIN", &grid).unwrap();
+                        let sweep = s.dc_sweep_owned("VIN", &grid, &[]).unwrap();
                         sweep.points.iter().flat_map(|p| bits(p.raw())).collect()
                     },
                     |s| {
-                        let points = reference_sweep(s, "VIN", &grid, Prediction::Hermite).unwrap();
+                        let points =
+                            reference_sweep(s, "VIN", &grid, Prediction::Hermite, &[]).unwrap();
                         points.iter().flat_map(|p| bits(p)).collect()
                     },
                 );

@@ -61,7 +61,7 @@ fn inverter_vtc_is_monotone_and_switches_vs_model() {
     let vals: Vec<f64> = (0..=45).map(|i| i as f64 * 0.02).collect();
     let sweep = Session::elaborate(c)
         .unwrap()
-        .dc_sweep_owned("VIN", &vals)
+        .dc_sweep_owned("VIN", &vals, &[])
         .unwrap();
     let vout = sweep.voltages(out);
     // Monotone decreasing.
@@ -89,7 +89,7 @@ fn inverter_vtc_bsim_model() {
     let vals: Vec<f64> = (0..=45).map(|i| i as f64 * 0.02).collect();
     let sweep = Session::elaborate(c)
         .unwrap()
-        .dc_sweep_owned("VIN", &vals)
+        .dc_sweep_owned("VIN", &vals, &[])
         .unwrap();
     let vout = sweep.voltages(out);
     assert!(vout[0] > 0.95 * VDD);

@@ -155,12 +155,12 @@ fn chain_dc_matches_one_shot() {
 fn chain_sweep_matches_one_shot() {
     let c = chain();
     let values: Vec<f64> = (0..19).map(|i| VDD * i as f64 / 18.0).collect();
-    let reference = one_shot(&c).dc_sweep_owned("VIN", &values).unwrap();
+    let reference = one_shot(&c).dc_sweep_owned("VIN", &values, &[]).unwrap();
     let mut s = Session::elaborate(c.clone()).unwrap();
     // Precede the sweep with an unrelated solve.
     let _ = s.dc_owned().unwrap();
     let out = c.find_node("out").unwrap();
-    let sweep = s.dc_sweep_owned("VIN", &values).unwrap();
+    let sweep = s.dc_sweep_owned("VIN", &values, &[]).unwrap();
     assert_eq!(bits(&sweep.voltages(out)), bits(&reference.voltages(out)));
 }
 

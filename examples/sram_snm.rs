@@ -65,13 +65,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Sampler::from_seed(0),
     );
     for (mode, label) in [(SnmMode::Read, "READ"), (SnmMode::Hold, "HOLD")] {
-        // Each worker elaborates both half-cell sessions once; every
-        // sample swaps six freshly drawn devices in place and re-sweeps,
-        // each sweep from zero. Consecutive 50-sample ranges feed one sink, and
-        // the loop stops at the first range after which the 95% CI
-        // half-width on the mean SNM is below 1% (with at least 100
-        // samples) — deterministically, whatever the core count, because
-        // the sink sees the same index-ordered records as one long run.
+        // Each worker elaborates its butterfly session once; every sample
+        // swaps freshly drawn devices in place and re-sweeps both
+        // half-cells at once, from the rail. Consecutive 50-sample ranges
+        // feed one sink, and the loop stops at the first range after which
+        // the 95% CI half-width on the mean SNM is below 1% (with at least
+        // 100 samples) — deterministically, whatever the core count,
+        // because the sink sees the same index-ordered records as one long
+        // run.
         //
         // Results stream: each SNM record folds into the moment
         // accumulator and the t-digest the moment its round completes, so
